@@ -31,8 +31,9 @@ from .dl import (
     Top,
 )
 from .errors import PatternInapplicableError
-from .expander import QUANTITY_FIELDS, TIME_FIELDS, object_datatype
+from .expander import object_datatype
 from .model import (
+    VALUE_KINDS,
     AxiomPattern,
     DataObject,
     Datatype,
@@ -142,8 +143,8 @@ class _Env:
         self.item = Named(wikibase(table, "Item"))
         self.statement = Named(wikibase(table, "Statement"))
         self.reference = Named(wikibase(table, "Reference"))
-        self.time_value = Named(wikibase(table, "TimeValue"))
-        self.quantity_value = Named(wikibase(table, "QuantityValue"))
+        self.time_value = Named(wikibase(table, VALUE_KINDS[Datatype.DATETIME].node_class))
+        self.quantity_value = Named(wikibase(table, VALUE_KINDS[Datatype.DECIMAL].node_class))
         self.wd_item = Named(Iri(table.base("wd") + "Item"))
         self.prov = Role(prov_was_derived_from(table))
 
@@ -240,36 +241,30 @@ def core_statement_axioms(decl: StatementDecl, table: NamespaceTable) -> list[An
 def _time_node_axioms(e: _Env, decl_id: str) -> list[AnnotatedAxiom]:
     # value-node metadata axioms are independent of the qualifier name;
     # duplicates across several date qualifiers merge at serialization
-    ranges: dict[str, ClassExpr] = {
-        "timeValue": DataRange(Datatype.DATETIME),
-        "timePrecision": DataRange(Datatype.INT),
-        "timeTimezone": DataRange(Datatype.INT),
-        "timeCalendarModel": e.wd_item,
-    }
+    # the calendar model ranges over wd:Item, unlike the quantity unit
+    fields = [(f, e.wd_item if dt is None else DataRange(dt))
+              for f, _, dt in VALUE_KINDS[Datatype.DATETIME].fields]
     out: list[AnnotatedAxiom] = []
-    for i, f in enumerate(TIME_FIELDS):
+    for i, (f, _) in enumerate(fields):
         out.append(AnnotatedAxiom(_domain(e.wb(f), e.time_value), f"Ax{19 + i}",
                                   f"The domain of wikibase:{f} is wikibase:TimeValue.",
                                   decl_id))
-    for i, f in enumerate(TIME_FIELDS):
+    for i, (f, rng) in enumerate(fields):
         out.append(AnnotatedAxiom(
-            _global_range(e.wb(f), ranges[f]), f"Ax{23 + i}",
-            f"The range of wikibase:{f} is {e.class_name(ranges[f])}.", decl_id))
-    for i, f in enumerate(TIME_FIELDS):
+            _global_range(e.wb(f), rng), f"Ax{23 + i}",
+            f"The range of wikibase:{f} is {e.class_name(rng)}.", decl_id))
+    for i, (f, rng) in enumerate(fields):
         out.append(AnnotatedAxiom(
-            SubClassOf(TOP, ExactCard(1, e.wb(f), ranges[f])), f"Ax{27 + i}",
-            f"wikibase:{f} has exactly one {e.class_name(ranges[f])} filler.", decl_id))
+            SubClassOf(TOP, ExactCard(1, e.wb(f), rng)), f"Ax{27 + i}",
+            f"wikibase:{f} has exactly one {e.class_name(rng)} filler.", decl_id))
     return out
 
 
 def _quantity_node_axioms(e: _Env, decl_id: str) -> list[AnnotatedAxiom]:
-    specs = {
-        "quantityValue": ("val", DataRange(Datatype.DECIMAL)),
-        "quantityUnit": ("unit", e.item),
-    }
     out: list[AnnotatedAxiom] = []
-    for f in QUANTITY_FIELDS:
-        key, rng = specs[f]
+    # origin keys AxQ-val-* and AxQ-unit-*, one per field in table order
+    for key, (f, _, dt) in zip(("val", "unit"), VALUE_KINDS[Datatype.DECIMAL].fields):
+        rng = e.item if dt is None else DataRange(dt)
         qv = e.quantity_value
         rng_n = e.class_name(rng)
         out.extend([

@@ -142,10 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args)
-    except FileNotFoundError as exc:
-        print(f"wbforge: {exc}", file=sys.stderr)
-        return 2
-    except WbforgeError as exc:
+    except (OSError, UnicodeDecodeError, WbforgeError) as exc:
         print(f"wbforge: {exc}", file=sys.stderr)
         return 2
 

@@ -21,11 +21,6 @@ class Role:
     inverse: bool = False
 
 
-def inverse(role: Role) -> Role:
-    # double inversion normalizes away by construction
-    return Role(role.iri, not role.inverse)
-
-
 @dataclass(frozen=True)
 class Top:
     pass

@@ -51,9 +51,6 @@ from .namespaces import DEFAULT_ROOT, Iri, NamespaceTable, expand_iri
 ITEM_QUALIFIER_FLAG = "allow-item-qualifiers"
 KNOWN_FLAGS = (ITEM_QUALIFIER_FLAG,)
 
-SCHEMA_EXTENSION = ".wbs"
-INSTANCE_EXTENSION = ".wbi"
-
 
 # tokenizer ---------------------------------------------------------------
 

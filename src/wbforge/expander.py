@@ -11,15 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import DataObject, Datatype, SchemaDocument, StatementDecl
+from .model import VALUE_KINDS, DataObject, Datatype, SchemaDocument, StatementDecl
 from .namespaces import Iri, NamespaceTable, namespaced_property, prov_was_derived_from, wikibase
-
-TIME_FIELDS = ("timeValue", "timePrecision", "timeTimezone", "timeCalendarModel")
-QUANTITY_FIELDS = ("quantityValue", "quantityUnit")
-
-
-def _needs_value_node(datatype: Datatype | None) -> bool:
-    return datatype in (Datatype.DATETIME, Datatype.DECIMAL)
 
 
 def object_datatype(decl: StatementDecl) -> Datatype | None:
@@ -56,13 +49,13 @@ class ExpandedSchema:
 def expand_statement(decl: StatementDecl, table: NamespaceTable) -> ExpandedStatement:
     name = decl.property_name
     stmt_props = {ns: namespaced_property(name, ns, table) for ns in ("wdt", "p", "ps")}
-    if _needs_value_node(object_datatype(decl)):
+    if object_datatype(decl) in VALUE_KINDS:
         stmt_props["psv"] = namespaced_property(name, "psv", table)
 
     qual_props: dict[str, dict[str, Iri]] = {}
     for q in decl.qualifiers:
         fam = {"pq": namespaced_property(q.name, "pq", table)}
-        if _needs_value_node(q.qtype.datatype):
+        if q.qtype.datatype in VALUE_KINDS:
             fam["pqv"] = namespaced_property(q.name, "pqv", table)
         qual_props[q.name] = fam
 
@@ -73,10 +66,9 @@ def expand_statement(decl: StatementDecl, table: NamespaceTable) -> ExpandedStat
         fixed.append(("provenance edge", prov_was_derived_from(table)))
     datatypes = {q.qtype.datatype for q in decl.qualifiers}
     datatypes.add(object_datatype(decl))
-    if Datatype.DATETIME in datatypes:
-        fixed.extend(("value field", wikibase(table, f)) for f in TIME_FIELDS)
-    if Datatype.DECIMAL in datatypes:
-        fixed.extend(("value field", wikibase(table, f)) for f in QUANTITY_FIELDS)
+    for dt, kind in VALUE_KINDS.items():
+        if dt in datatypes:
+            fixed.extend(("value field", wikibase(table, f)) for f, _, _ in kind.fields)
 
     return ExpandedStatement(decl, stmt_props, qual_props, ref_props, tuple(fixed))
 
@@ -89,10 +81,8 @@ def expand(doc: SchemaDocument) -> ExpandedSchema:
     for decl in doc.statements:
         datatypes.add(object_datatype(decl))
         datatypes.update(q.qtype.datatype for q in decl.qualifiers)
-    if Datatype.DATETIME in datatypes:
-        classes.append(wikibase(table, "TimeValue"))
-    if Datatype.DECIMAL in datatypes:
-        classes.append(wikibase(table, "QuantityValue"))
+    classes.extend(wikibase(table, kind.node_class)
+                   for dt, kind in VALUE_KINDS.items() if dt in datatypes)
     expanded = tuple(expand_statement(d, table) for d in doc.statements)
     return ExpandedSchema(doc, tuple(classes), expanded)
 

@@ -16,20 +16,26 @@ from .errors import (
     TypeMismatchError,
     UnresolvedNameError,
 )
-from .expander import object_datatype
 from .model import (
+    VALUE_KINDS,
     DataObject,
     Datatype,
     DateTimeValue,
     DecimalValue,
     InstanceDoc,
     ItemRef,
+    QualifierData,
     QualifierDecl,
     RefData,
     SchemaDocument,
+    SnakData,
     StatementData,
+    StatementDecl,
     StringValue,
     Value,
+    ValueKind,
+    is_canonical,
+    value_kind,
 )
 from .namespaces import Iri, NamespaceTable, namespaced_property, prov_was_derived_from, rdf_type, wikibase, xsd
 from .rdf import Graph, Literal, Term, Triple, escape_literal
@@ -47,9 +53,7 @@ def canonical_value(value: Value) -> str:
         return value.iri.value
     if isinstance(value, StringValue):
         return escape_literal(value.text)
-    if isinstance(value, DecimalValue):
-        return f"{value.amount}|{value.unit.value}"
-    return f"{value.iso}|{value.precision}|{value.timezone}|{value.calendar.value}"
+    return "|".join(str(getattr(value, attr)) for _, attr, _ in value_kind(value).fields)
 
 
 def canonical_content(subject: Iri, stmt: StatementData, table: NamespaceTable) -> str:
@@ -81,8 +85,7 @@ def statement_node(subject: Iri, stmt: StatementData, table: NamespaceTable) -> 
 
 
 def value_hash(value: DateTimeValue | DecimalValue) -> str:
-    tag = "T" if isinstance(value, DateTimeValue) else "N"
-    return _sha40(f"{tag}|{canonical_value(value)}")
+    return _sha40(f"{value_kind(value).tag}|{canonical_value(value)}")
 
 
 def value_node(value: DateTimeValue | DecimalValue, table: NamespaceTable) -> Iri:
@@ -125,25 +128,15 @@ def _literal(value: Value, table: NamespaceTable) -> Term:
     return Literal(value.iso, xsd(table, "dateTime"))
 
 
-def _emit_time_node(g: Graph, value: DateTimeValue, table: NamespaceTable) -> Iri:
+def _emit_value_node(g: Graph, value: DateTimeValue | DecimalValue,
+                     table: NamespaceTable) -> Iri:
+    kind = value_kind(value)
     node = value_node(value, table)
-    g.add(Triple(node, rdf_type(table), wikibase(table, "TimeValue")))
-    g.add(Triple(node, wikibase(table, "timeValue"),
-                 Literal(value.iso, xsd(table, "dateTime"))))
-    g.add(Triple(node, wikibase(table, "timePrecision"),
-                 Literal(str(value.precision), xsd(table, "int"))))
-    g.add(Triple(node, wikibase(table, "timeTimezone"),
-                 Literal(str(value.timezone), xsd(table, "int"))))
-    g.add(Triple(node, wikibase(table, "timeCalendarModel"), value.calendar))
-    return node
-
-
-def _emit_quantity_node(g: Graph, value: DecimalValue, table: NamespaceTable) -> Iri:
-    node = value_node(value, table)
-    g.add(Triple(node, rdf_type(table), wikibase(table, "QuantityValue")))
-    g.add(Triple(node, wikibase(table, "quantityValue"),
-                 Literal(value.amount, xsd(table, "decimal"))))
-    g.add(Triple(node, wikibase(table, "quantityUnit"), value.unit))
+    g.add(Triple(node, rdf_type(table), wikibase(table, kind.node_class)))
+    for local, attr, dt in kind.fields:
+        field = getattr(value, attr)
+        g.add(Triple(node, wikibase(table, local),
+                     field if dt is None else Literal(str(field), xsd(table, dt.xsd_local))))
     return node
 
 
@@ -227,23 +220,15 @@ def _export_statement(g: Graph, subject: Iri, stmt: StatementData,
     g.add(Triple(node, namespaced_property(stmt.property, "ps", table), value_term))
     g.add(Triple(subject, namespaced_property(stmt.property, "wdt", table), value_term))
 
-    obj_dt = object_datatype(decl)
-    if obj_dt is Datatype.DATETIME:
-        vnode = _emit_time_node(g, stmt.value, table)
-        g.add(Triple(node, namespaced_property(stmt.property, "psv", table), vnode))
-    elif obj_dt is Datatype.DECIMAL:
-        vnode = _emit_quantity_node(g, stmt.value, table)
-        g.add(Triple(node, namespaced_property(stmt.property, "psv", table), vnode))
-
+    if value_kind(stmt.value) is not None:
+        g.add(Triple(node, namespaced_property(stmt.property, "psv", table),
+                     _emit_value_node(g, stmt.value, table)))
     for q in stmt.qualifiers:
         g.add(Triple(node, namespaced_property(q.name, "pq", table),
                      _literal(q.value, table)))
-        if isinstance(q.value, DateTimeValue):
-            vnode = _emit_time_node(g, q.value, table)
-            g.add(Triple(node, namespaced_property(q.name, "pqv", table), vnode))
-        elif isinstance(q.value, DecimalValue):
-            vnode = _emit_quantity_node(g, q.value, table)
-            g.add(Triple(node, namespaced_property(q.name, "pqv", table), vnode))
+        if value_kind(q.value) is not None:
+            g.add(Triple(node, namespaced_property(q.name, "pqv", table),
+                         _emit_value_node(g, q.value, table)))
 
     prov = prov_was_derived_from(table)
     for ref in stmt.references:
@@ -253,3 +238,102 @@ def _export_statement(g: Graph, subject: Iri, stmt: StatementData,
         for snak in ref.snaks:
             g.add(Triple(rnode, namespaced_property(snak.name, "pr", table),
                          snak.target))
+
+
+# reading a graph back ------------------------------------------------------
+
+def literal_problem(v: Term, dt: Datatype, table: NamespaceTable) -> str | None:
+    """Why `v` is not a canonical `dt` literal, or None when it is one."""
+    if not isinstance(v, Literal):
+        return f"is not an xsd:{dt.xsd_local} literal"
+    if v.datatype != xsd(table, dt.xsd_local):
+        return f"is not typed xsd:{dt.xsd_local}"
+    if not is_canonical(dt, v.lexical):
+        return f"has non-canonical xsd:{dt.xsd_local} lexical {v.lexical!r}"
+    return None
+
+
+def read_value_node(g: Graph, node: Iri, kind: ValueKind,
+                    table: NamespaceTable) -> DateTimeValue | DecimalValue | list[str]:
+    """The value a `kind` node holds, or its field problems in field order.
+
+    Each field is read from the graph once; the value is what
+    `_emit_value_node` wrote the node from.
+    """
+    problems: list[str] = []
+    fields: dict[str, object] = {}
+    for local, attr, dt in kind.fields:
+        values = g.objects(node, wikibase(table, local))
+        if not values:
+            problems.append(f"missing wikibase:{local}")
+        elif len(values) > 1:
+            problems.append(f"{len(values)} wikibase:{local} values")
+        elif dt is None:
+            if isinstance(values[0], Iri):
+                fields[attr] = values[0]
+            else:
+                problems.append(f"wikibase:{local} is not an IRI")
+        elif (problem := literal_problem(values[0], dt, table)) is not None:
+            problems.append(f"wikibase:{local} {problem}")
+        else:
+            lexical = values[0].lexical
+            fields[attr] = int(lexical) if dt is Datatype.INT else lexical
+    return problems or kind.value_type(**fields)
+
+
+def _read_value(g: Graph, node: Iri, value_prop: Iri, v: Term,
+                table: NamespaceTable) -> Value | None:
+    """A ps:/pq: object as a value; dates and quantities need a matching node."""
+    if isinstance(v, Iri):
+        return ItemRef(v)
+    if v.datatype == xsd(table, "string"):
+        return StringValue(v.lexical)
+    for dt, kind in VALUE_KINDS.items():
+        if v.datatype != xsd(table, dt.xsd_local):
+            continue
+        main = kind.fields[0][1]
+        for vnode in g.objects(node, value_prop):
+            if isinstance(vnode, Iri):
+                value = read_value_node(g, vnode, kind, table)
+                if not isinstance(value, list) and getattr(value, main) == v.lexical:
+                    return value
+    return None
+
+
+def read_statement(g: Graph, node: Iri, decl: StatementDecl,
+                   table: NamespaceTable) -> StatementData | None:
+    """The statement content behind `node`, the inverse of export.
+
+    Only declared qualifiers and reference snaks are read. None when the
+    node is too broken to hash: not one ps: value, a date or quantity
+    without a well-formed matching value node, or a malformed reference.
+    """
+    name = decl.property_name
+    ps_values = g.objects(node, namespaced_property(name, "ps", table))
+    if len(ps_values) != 1:
+        return None
+    value = _read_value(g, node, namespaced_property(name, "psv", table),
+                        ps_values[0], table)
+    if value is None:
+        return None
+    quals: list[QualifierData] = []
+    for q in decl.qualifiers:
+        pqv = namespaced_property(q.name, "pqv", table)
+        for v in g.objects(node, namespaced_property(q.name, "pq", table)):
+            qv = _read_value(g, node, pqv, v, table)
+            if qv is None:
+                return None
+            quals.append(QualifierData(q.name, qv))
+    refs: list[RefData] = []
+    ref_class = wikibase(table, "Reference")
+    for rnode in g.objects(node, prov_was_derived_from(table)):
+        if not isinstance(rnode, Iri) or Triple(rnode, rdf_type(table), ref_class) not in g:
+            return None
+        snaks: list[SnakData] = []
+        for rname in sorted({r.name for r in decl.references}):
+            for target in g.objects(rnode, namespaced_property(rname, "pr", table)):
+                if not isinstance(target, Iri):
+                    return None
+                snaks.append(SnakData(rname, target))
+        refs.append(RefData(tuple(snaks)))
+    return StatementData(name, value, tuple(quals), tuple(refs))

@@ -16,10 +16,10 @@ from typing import Callable
 
 from .dsl import parse_instances, parse_schema
 from .errors import UnknownFixtureError
-from .exporter import export, statement_node
-from .model import DateTimeValue, InstanceDoc, SchemaDocument
-from .namespaces import Iri, NamespaceTable, namespaced_property, prov_was_derived_from, rdf_type, xsd
-from .exporter import value_node
+from .exporter import export, statement_node, value_node
+from .model import VALUE_KINDS, Datatype, DateTimeValue, InstanceDoc, SchemaDocument
+from .namespaces import (
+    Iri, NamespaceTable, namespaced_property, prov_was_derived_from, rdf_type, wikibase, xsd)
 from .rdf import Graph, Literal, Triple
 
 _DIR = Path(__file__).parent / "fixtures"
@@ -32,8 +32,6 @@ FIXTURE_NAMES = (
     "participant-role-record",
     "relationship-record",
 )
-
-GOLDEN_KINDS = ("ofn", "shex", "nt")
 
 
 def fixture_path(name: str, extension: str) -> Path:
@@ -118,7 +116,9 @@ def _mut_existence(b: FixtureBundle) -> Graph:
 
 def _mut_value_node(b: FixtureBundle) -> Graph:
     vnode = value_node(DateTimeValue("1850-07-01T00:00:00Z", 9), b.table)
-    return _without(b, Triple(vnode, Iri(b.table.base("wikibase") + "timePrecision"),
+    precision = next(local for local, attr, _ in VALUE_KINDS[Datatype.DATETIME].fields
+                     if attr == "precision")
+    return _without(b, Triple(vnode, wikibase(b.table, precision),
                               Literal("9", xsd(b.table, "int"))))
 
 

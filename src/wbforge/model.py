@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import MalformedValueError
 from .namespaces import DEFAULT_ROOT, Iri, NamespaceTable
@@ -94,7 +95,7 @@ class ReferenceDecl:
 @dataclass(frozen=True)
 class ClassDecl:
     iri: Iri
-    controlled: bool = False      # closed value vocabulary
+    controlled: bool = False      # parsed and printed; nothing else reads it
 
 
 @dataclass(frozen=True)
@@ -133,9 +134,23 @@ class SchemaDocument:
 
 # instance values --------------------------------------------------------
 
+# canonical lexical forms; the value classes and the validator share them
 CANONICAL_DECIMAL = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]*[1-9])?$")
 CANONICAL_DATETIME = re.compile(
     r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z$")
+CANONICAL_INT = re.compile(r"-?(0|[1-9][0-9]*)$")
+
+
+def is_canonical(datatype: Datatype, lexical: str) -> bool:
+    """Whether `lexical` is the canonical form of a `datatype` value."""
+    if datatype is Datatype.DECIMAL:
+        return CANONICAL_DECIMAL.match(lexical) is not None and lexical != "-0"
+    if datatype is Datatype.DATETIME:
+        return CANONICAL_DATETIME.match(lexical) is not None
+    if datatype is Datatype.INT:
+        return CANONICAL_INT.match(lexical) is not None
+    return True
+
 
 DEFAULT_PRECISION = 11            # day precision
 DEFAULT_TIMEZONE = 0
@@ -159,7 +174,7 @@ class DecimalValue:
     unit: Iri = DEFAULT_UNIT
 
     def __post_init__(self) -> None:
-        if not CANONICAL_DECIMAL.match(self.amount) or self.amount == "-0":
+        if not is_canonical(Datatype.DECIMAL, self.amount):
             raise MalformedValueError("decimal", self.amount)
 
 
@@ -171,11 +186,48 @@ class DateTimeValue:
     calendar: Iri = DEFAULT_CALENDAR
 
     def __post_init__(self) -> None:
-        if not CANONICAL_DATETIME.match(self.iso):
+        if not is_canonical(Datatype.DATETIME, self.iso):
             raise MalformedValueError("datetime", self.iso)
 
 
 Value = ItemRef | StringValue | DecimalValue | DateTimeValue
+
+
+class ValueKind(NamedTuple):
+    """One kind of metadata value node (Ax19-Ax30, AxQ-*).
+
+    `fields` lists (wikibase: local name, value attribute, field datatype
+    or None for an IRI) in the order the content hash joins them. The
+    first field holds the value the ps:/pq: literal repeats.
+    """
+
+    node_class: str               # wikibase: local name of the node class
+    value_type: type
+    tag: str                      # leads the value node's hash preimage
+    fields: tuple[tuple[str, str, Datatype | None], ...]
+
+
+# keyed by the literal datatype whose values carry a node
+VALUE_KINDS: dict[Datatype, ValueKind] = {
+    Datatype.DATETIME: ValueKind("TimeValue", DateTimeValue, "T", (
+        ("timeValue", "iso", Datatype.DATETIME),
+        ("timePrecision", "precision", Datatype.INT),
+        ("timeTimezone", "timezone", Datatype.INT),
+        ("timeCalendarModel", "calendar", None),
+    )),
+    Datatype.DECIMAL: ValueKind("QuantityValue", DecimalValue, "N", (
+        ("quantityValue", "amount", Datatype.DECIMAL),
+        ("quantityUnit", "unit", None),
+    )),
+}
+
+
+def value_kind(value: Value) -> ValueKind | None:
+    """The value node kind of `value`; None for items and strings."""
+    for kind in VALUE_KINDS.values():
+        if isinstance(value, kind.value_type):
+            return kind
+    return None
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,11 @@ _SIMPLE_UNESCAPES = {
 def _unescape(text: str, line_no: int) -> str:
     def repl(m: re.Match[str]) -> str:
         body = m.group(1)
-        if body[0] in "uU":
-            return chr(int(body[1:], 16))
+        if len(body) > 1:         # \uXXXX or \UXXXXXXXX; a short one is a bad escape
+            code = int(body[1:], 16)
+            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                raise NtSyntaxError(line_no, f"escape \\{body} is not a Unicode scalar value")
+            return chr(code)
         try:
             return _SIMPLE_UNESCAPES[body]
         except KeyError:

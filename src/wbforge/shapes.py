@@ -13,12 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import (
+    VALUE_KINDS,
     DataObject,
     Datatype,
     QualifierDecl,
     SchemaDocument,
     StatementDecl,
     AxiomPattern,
+    ValueKind,
 )
 from .expander import object_datatype
 from .namespaces import Iri, NamespaceTable, prov_was_derived_from, wikibase
@@ -140,14 +142,11 @@ def _statement_shape(decl: StatementDecl, doc: SchemaDocument) -> Shape:
                                     DatatypeExpr(f"xsd:{dt.xsd_local}")))
         origins.append({Datatype.DATETIME: "Ax15", Datatype.STRING: "Ax34",
                         Datatype.DECIMAL: "AxQ-pq-range"}[dt])
-        if dt is Datatype.DATETIME:
+        if dt in VALUE_KINDS:
             tcs.append(TripleConstraint(_prop(name, "psv", table),
-                                        ShapeRef("TimeValue")))
-            origins.append("Ax17")
-        elif dt is Datatype.DECIMAL:
-            tcs.append(TripleConstraint(_prop(name, "psv", table),
-                                        ShapeRef("QuantityValue")))
-            origins.append("AxQ-pqv-range")
+                                        ShapeRef(VALUE_KINDS[dt].node_class)))
+            origins.append({Datatype.DATETIME: "Ax17",
+                            Datatype.DECIMAL: "AxQ-pqv-range"}[dt])
     else:
         tcs.append(TripleConstraint(_prop(name, "ps", table),
                                     _class_expr(decl.object_spec.iri, doc)))
@@ -164,12 +163,10 @@ def _statement_shape(decl: StatementDecl, doc: SchemaDocument) -> Shape:
                             Datatype.STRING: "Ax33" if q.scoped else "Ax34",
                             Datatype.DECIMAL: "AxQ-pq-range"}[q.qtype.datatype])
         tcs.append(TripleConstraint(_prop(q.name, "pq", table), expr, card))
-        if q.qtype.datatype is Datatype.DATETIME:
+        if q.qtype.datatype in VALUE_KINDS:
             tcs.append(TripleConstraint(_prop(q.name, "pqv", table),
-                                        ShapeRef("TimeValue"), card))
-        elif q.qtype.datatype is Datatype.DECIMAL:
-            tcs.append(TripleConstraint(_prop(q.name, "pqv", table),
-                                        ShapeRef("QuantityValue"), card))
+                                        ShapeRef(VALUE_KINDS[q.qtype.datatype].node_class),
+                                        card))
         if q.functional:
             origins.append("AxFunc")
         if q.required:
@@ -199,44 +196,34 @@ def _reference_shape(decl: StatementDecl, doc: SchemaDocument) -> Shape:
                  comments=("# origin: Ax51, Ax53, Ax54",))
 
 
-_TIME_VALUE_SHAPE_FIELDS = (
-    ("timeValue", DatatypeExpr("xsd:dateTime")),
-    ("timePrecision", DatatypeExpr("xsd:int")),
-    ("timeTimezone", DatatypeExpr("xsd:int")),
-    ("timeCalendarModel", IriKind()),
-)
-
-_QUANTITY_VALUE_SHAPE_FIELDS = (
-    ("quantityValue", DatatypeExpr("xsd:decimal")),
-    ("quantityUnit", IriKind()),
-)
+# the origin keys each value node shape cites
+_VALUE_SHAPE_ORIGINS = {
+    Datatype.DATETIME: "Ax19, Ax23, Ax27",
+    Datatype.DECIMAL: "AxQ-val-dom, AxQ-val-range, AxQ-unit-range",
+}
 
 
-def _value_shape(label: str, fields, origin: str, table: NamespaceTable) -> Shape:
-    tcs = tuple(TripleConstraint(wikibase(table, f), expr) for f, expr in fields)
-    return Shape(label, tcs, closed=True, comments=(f"# origin: {origin}",))
+def _value_shape(kind: ValueKind, origin: str, table: NamespaceTable) -> Shape:
+    tcs = tuple(
+        TripleConstraint(wikibase(table, local),
+                         IriKind() if dt is None else DatatypeExpr(f"xsd:{dt.xsd_local}"))
+        for local, _, dt in kind.fields)
+    return Shape(kind.node_class, tcs, closed=True, comments=(f"# origin: {origin}",))
 
 
 def schema_shapes(doc: SchemaDocument) -> ShapeDoc:
     """All shapes for the document, item shapes first, in declaration order."""
     table = doc.namespaces
     shapes = [_item_shape(c.iri, doc) for c in doc.classes]
-    needs_time = needs_quantity = False
+    datatypes: set[Datatype | None] = set()
     for decl in doc.statements:
         shapes.append(_statement_shape(decl, doc))
         if decl.references:
             shapes.append(_reference_shape(decl, doc))
-        datatypes = {q.qtype.datatype for q in decl.qualifiers}
+        datatypes.update(q.qtype.datatype for q in decl.qualifiers)
         datatypes.add(object_datatype(decl))
-        needs_time = needs_time or Datatype.DATETIME in datatypes
-        needs_quantity = needs_quantity or Datatype.DECIMAL in datatypes
-    if needs_time:
-        shapes.append(_value_shape("TimeValue", _TIME_VALUE_SHAPE_FIELDS,
-                                   "Ax19, Ax23, Ax27", table))
-    if needs_quantity:
-        shapes.append(_value_shape(
-            "QuantityValue", _QUANTITY_VALUE_SHAPE_FIELDS,
-            "AxQ-val-dom, AxQ-val-range, AxQ-unit-range", table))
+    shapes.extend(_value_shape(kind, _VALUE_SHAPE_ORIGINS[dt], table)
+                  for dt, kind in VALUE_KINDS.items() if dt in datatypes)
     return ShapeDoc(table, tuple(shapes))
 
 

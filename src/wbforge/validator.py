@@ -10,40 +10,21 @@ declaration covers). Validation never mutates the graph.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .axioms import CATALOG
 from .errors import UnknownCodeError
-from .exporter import statement_hash, value_hash
+from .exporter import literal_problem, read_statement, read_value_node, statement_hash, value_hash
 from .model import (
+    VALUE_KINDS,
     DataObject,
-    Datatype,
     DateTimeValue,
     DecimalValue,
-    InstanceDoc,
-    ItemRef,
-    QualifierData,
-    RefData,
     SchemaDocument,
-    SnakData,
-    StatementData,
     StatementDecl,
-    StringValue,
-    Value,
-    CANONICAL_DATETIME,
-    CANONICAL_DECIMAL,
 )
-from .namespaces import (
-    Iri,
-    NamespaceTable,
-    namespaced_property,
-    prov_was_derived_from,
-    rdf_type,
-    wikibase,
-    xsd,
-)
-from .rdf import Graph, Literal, Term, Triple
+from .namespaces import Iri, namespaced_property, prov_was_derived_from, rdf_type, wikibase
+from .rdf import Graph, Term, Triple
 
 ERROR = "ERROR"
 WARNING = "WARNING"
@@ -97,8 +78,6 @@ _CODE_SUMMARY: dict[str, str] = {
     "UnknownProperty": "a family property matches no declaration",
     "ValueNodeMalformed": "a metadata value node has missing or ill-typed fields",
 }
-
-_INT_RE = re.compile(r"-?(0|[1-9][0-9]*)$")
 
 
 @dataclass(frozen=True, order=True)
@@ -278,7 +257,7 @@ class _Checker:
     def check_object_value(self, node: Iri, decl: StatementDecl, v: Term) -> None:
         name = decl.property_name
         if isinstance(decl.object_spec, DataObject):
-            problem = self.literal_problem(v, decl.object_spec.datatype)
+            problem = literal_problem(v, decl.object_spec.datatype, self.table)
             if problem:
                 self.add("RangeViolation", node, f"value of ps:{name} {problem}")
             return
@@ -292,21 +271,6 @@ class _Checker:
         if not self.has_type(v, self.wb("Item")):
             self.add("RangeViolation", v,
                      f"value of ps:{name} lacks rdf:type wikibase:Item")
-
-    def literal_problem(self, v: Term, dt: Datatype) -> str | None:
-        if not isinstance(v, Literal):
-            return f"is not an xsd:{dt.xsd_local} literal"
-        if v.datatype != xsd(self.table, dt.xsd_local):
-            return f"is not typed xsd:{dt.xsd_local}"
-        lexical_ok = {
-            Datatype.STRING: lambda s: True,
-            Datatype.DECIMAL: lambda s: bool(CANONICAL_DECIMAL.match(s)) and s != "-0",
-            Datatype.DATETIME: lambda s: bool(CANONICAL_DATETIME.match(s)),
-            Datatype.INT: lambda s: bool(_INT_RE.match(s)),
-        }[dt]
-        if not lexical_ok(v.lexical):
-            return f"has non-canonical xsd:{dt.xsd_local} lexical {v.lexical!r}"
-        return None
 
     def check_qualifiers(self, node: Iri, decl: StatementDecl) -> None:
         declared = {q.name: q for q in decl.qualifiers}
@@ -341,7 +305,7 @@ class _Checker:
                 self.add("QualifierTypeViolation", node,
                          f"value of pq:{qname} is not an item of {cls}")
             return
-        problem = self.literal_problem(v, q.qtype.datatype)
+        problem = literal_problem(v, q.qtype.datatype, self.table)
         if problem:
             self.add("QualifierTypeViolation", node, f"value of pq:{qname} {problem}")
 
@@ -410,61 +374,13 @@ class _Checker:
     # -- metadata value nodes ---------------------------------------------------
 
     def check_value_nodes(self) -> None:
-        for node in sorted(set(self.g.subjects(self.a, self.wb("TimeValue")))):
-            problems = self.time_node_problems(node)
-            if problems:
-                self.add("ValueNodeMalformed", node, "; ".join(problems))
-            else:
-                self.check_value_node_hash(node, self.reconstruct_time(node))
-        for node in sorted(set(self.g.subjects(self.a, self.wb("QuantityValue")))):
-            problems = self.quantity_node_problems(node)
-            if problems:
-                self.add("ValueNodeMalformed", node, "; ".join(problems))
-            else:
-                self.check_value_node_hash(node, self.reconstruct_quantity(node))
-
-    def field_problems(self, node: Iri, field_types: dict[str, Datatype | None]) -> list[str]:
-        problems = []
-        for fname, dt in field_types.items():
-            values = self.g.objects(node, self.wb(fname))
-            if not values:
-                problems.append(f"missing wikibase:{fname}")
-            elif len(values) > 1:
-                problems.append(f"{len(values)} wikibase:{fname} values")
-            elif dt is None:
-                if not isinstance(values[0], Iri):
-                    problems.append(f"wikibase:{fname} is not an IRI")
-            else:
-                problem = self.literal_problem(values[0], dt)
-                if problem:
-                    problems.append(f"wikibase:{fname} {problem}")
-        return problems
-
-    def time_node_problems(self, node: Iri) -> list[str]:
-        return self.field_problems(node, {
-            "timeValue": Datatype.DATETIME,
-            "timePrecision": Datatype.INT,
-            "timeTimezone": Datatype.INT,
-            "timeCalendarModel": None,
-        })
-
-    def quantity_node_problems(self, node: Iri) -> list[str]:
-        return self.field_problems(node, {
-            "quantityValue": Datatype.DECIMAL,
-            "quantityUnit": None,
-        })
-
-    def reconstruct_time(self, node: Iri) -> DateTimeValue:
-        iso = self.g.objects(node, self.wb("timeValue"))[0].lexical
-        prec = int(self.g.objects(node, self.wb("timePrecision"))[0].lexical)
-        tz = int(self.g.objects(node, self.wb("timeTimezone"))[0].lexical)
-        cal = self.g.objects(node, self.wb("timeCalendarModel"))[0]
-        return DateTimeValue(iso, prec, tz, cal)
-
-    def reconstruct_quantity(self, node: Iri) -> DecimalValue:
-        amount = self.g.objects(node, self.wb("quantityValue"))[0].lexical
-        unit = self.g.objects(node, self.wb("quantityUnit"))[0]
-        return DecimalValue(amount, unit)
+        for kind in VALUE_KINDS.values():
+            for node in sorted(set(self.g.subjects(self.a, self.wb(kind.node_class)))):
+                value = read_value_node(self.g, node, kind, self.table)
+                if isinstance(value, list):
+                    self.add("ValueNodeMalformed", node, "; ".join(value))
+                else:
+                    self.check_value_node_hash(node, value)
 
     def check_value_node_hash(self, node: Iri, value: DateTimeValue | DecimalValue) -> None:
         base = self.table.base("v")
@@ -485,70 +401,13 @@ class _Checker:
         tail = node.value.rsplit("-", 1)
         if len(tail) != 2 or len(tail[1]) != 40:
             return
-        stmt = self.reconstruct_statement(node, decl)
+        stmt = read_statement(self.g, node, decl, self.table)
         if stmt is None:
             return
         want = statement_hash(subject, stmt, self.table)
         if tail[1] != want:
             self.add("HashMismatch", node,
                      f"node hash {tail[1]} does not match content hash {want}")
-
-    def reconstruct_statement(self, node: Iri,
-                              decl: StatementDecl) -> StatementData | None:
-        """Best-effort content readback; None when too broken to hash."""
-        name = decl.property_name
-        ps_values = self.g.objects(node, namespaced_property(name, "ps", self.table))
-        if len(ps_values) != 1:
-            return None
-        value = self.reconstruct_value(node, "psv", name, ps_values[0])
-        if value is None:
-            return None
-        quals: list[QualifierData] = []
-        for q in decl.qualifiers:
-            pq = namespaced_property(q.name, "pq", self.table)
-            for v in self.g.objects(node, pq):
-                qv = self.reconstruct_value(node, "pqv", q.name, v)
-                if qv is None:
-                    return None
-                quals.append(QualifierData(q.name, qv))
-        refs: list[RefData] = []
-        declared_refs = {r.name for r in decl.references}
-        for rnode in self.g.objects(node, self.prov):
-            if not self.has_type(rnode, self.wb("Reference")):
-                return None
-            snaks: list[SnakData] = []
-            for rname in sorted(declared_refs):
-                pr = namespaced_property(rname, "pr", self.table)
-                for target in self.g.objects(rnode, pr):
-                    if not isinstance(target, Iri):
-                        return None
-                    snaks.append(SnakData(rname, target))
-            refs.append(RefData(tuple(snaks)))
-        return StatementData(name, value, tuple(quals), tuple(refs))
-
-    def reconstruct_value(self, node: Iri, value_ns: str, name: str,
-                          v: Term) -> Value | None:
-        """Interpret one edge value, pulling unit/calendar from its value node."""
-        if isinstance(v, Iri):
-            return ItemRef(v)
-        if v.datatype == xsd(self.table, "string"):
-            return StringValue(v.lexical)
-        vp = namespaced_property(name, value_ns, self.table)
-        if v.datatype == xsd(self.table, "dateTime"):
-            for vnode in self.g.objects(node, vp):
-                if (isinstance(vnode, Iri) and not self.time_node_problems(vnode)):
-                    full = self.reconstruct_time(vnode)
-                    if full.iso == v.lexical:
-                        return full
-            return None
-        if v.datatype == xsd(self.table, "decimal"):
-            for vnode in self.g.objects(node, vp):
-                if (isinstance(vnode, Iri) and not self.quantity_node_problems(vnode)):
-                    full = self.reconstruct_quantity(vnode)
-                    if full.amount == v.lexical:
-                        return full
-            return None
-        return None
 
     def run(self) -> ValidationReport:
         self.check_unknown_properties()

@@ -107,6 +107,18 @@ def test_missing_file_exits_2(capsys):
     assert "wbforge:" in capsys.readouterr().err
 
 
+def test_directory_as_schema_exits_2(tmp_path, capsys):
+    assert main(["check", str(tmp_path)]) == 2
+    assert "wbforge:" in capsys.readouterr().err
+
+
+def test_non_utf8_schema_exits_2(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.wbs"
+    latin1.write_bytes("class ex:Caf\xe9\n".encode("latin-1"))
+    assert main(["check", str(latin1)]) == 2
+    assert "wbforge:" in capsys.readouterr().err
+
+
 def test_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.wbs"
     bad.write_text("statement without pieces")

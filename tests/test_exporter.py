@@ -15,6 +15,8 @@ from wbforge.errors import (
 from wbforge.exporter import (
     canonical_content,
     export,
+    read_statement,
+    read_value_node,
     reference_hash,
     reference_node,
     statement_hash,
@@ -22,6 +24,7 @@ from wbforge.exporter import (
     value_hash,
     value_node,
 )
+from wbforge.fixtures import FIXTURE_NAMES, load_fixture
 from wbforge.model import (
     DateTimeValue,
     DecimalValue,
@@ -31,6 +34,7 @@ from wbforge.model import (
     SnakData,
     StatementData,
     StringValue,
+    value_kind,
 )
 from wbforge.namespaces import DEFAULT_ROOT, Iri, NamespaceTable
 from wbforge.rdf import Literal, Triple, serialize_canonical
@@ -291,3 +295,26 @@ def test_random_documents_export_without_error():
         inst = random_instances(rng, schema)
         g = export(schema, inst)
         assert len(g) >= len(inst.items)  # at least the type triples
+
+
+@pytest.mark.parametrize("case", FIXTURE_NAMES + tuple(range(50)))
+def test_read_back_inverts_export(case):
+    """Reading a node back yields content that names the same node."""
+    if isinstance(case, str):
+        schema, instances = load_fixture(case)
+    else:
+        rng = random.Random(2000 + case)
+        schema = random_schema(rng)
+        instances = random_instances(rng, schema)
+    table = schema.namespaces
+    g = export(schema, instances)
+    for item in instances.items:
+        for stmt in item.statements:
+            node = statement_node(item.iri, stmt, table)
+            decl = schema.statement_decl(stmt.property)
+            read = read_statement(g, node, decl, table)
+            assert statement_node(item.iri, read, table) == node
+            for value in (stmt.value, *(q.value for q in stmt.qualifiers)):
+                if value_kind(value) is not None:
+                    vnode = value_node(value, table)
+                    assert read_value_node(g, vnode, value_kind(value), table) == value

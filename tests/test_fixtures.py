@@ -14,7 +14,90 @@ from wbforge.fixtures import (
 )
 from wbforge.rdf import parse_ntriples, serialize_canonical
 from wbforge.shapes import schema_shapes, serialize_shapes
-from wbforge.validator import CODES, ERROR, validate
+from wbforge.validator import CODES, ERROR, render_report, validate
+
+ROOT = "http://wikibase.example/"
+ST = ROOT + "entity/statement/"
+
+# the exact report for each recipe: codes, foci, detail text, order, summary
+MUTATION_REPORTS = {
+    ("age-record", "DomainViolation"): (
+        f"ERROR DomainViolation <{ROOT}entity/a1> : "
+        "subject of p:hasAgeRecord lacks rdf:type rec:Agent\n"
+        "errors=1 warnings=0\n"
+    ),
+    ("age-record", "RangeViolation"): (
+        f"ERROR RangeViolation <{ROOT}entity/cat30s> : "
+        "value of ps:hasAgeRecord lacks rdf:type rec:AgeCategory\n"
+        "errors=1 warnings=0\n"
+    ),
+    ("age-record", "ExistenceViolation"): (
+        f"ERROR ExistenceViolation <{ST}a2-8ae90918afeedb8df417fc3c6383b47a95aac8d6> : "
+        "required qualifier pq:ageValue missing\n"
+        f"WARNING HashMismatch <{ST}a2-8ae90918afeedb8df417fc3c6383b47a95aac8d6> : "
+        "node hash 8ae90918afeedb8df417fc3c6383b47a95aac8d6 does not match "
+        "content hash 6f7fef92f3b6dc283543edc53d0c22827da17b19\n"
+        "errors=1 warnings=1\n"
+    ),
+    ("age-record", "ValueNodeMalformed"): (
+        f"ERROR ValueNodeMalformed <{ROOT}value/bd0149fc13fbf2c9c76eefbb855bed446fd5e580> : "
+        "missing wikibase:timePrecision\n"
+        "errors=1 warnings=0\n"
+    ),
+    ("name-record", "FunctionalityViolation"): (
+        f"ERROR FunctionalityViolation <{ST}a1-ca6dc813ceefcadf04a6513b6fe9979dbe757c49> : "
+        "2 values for functional qualifier pq:atTime\n"
+        "errors=1 warnings=0\n"
+    ),
+    ("name-record", "QualifierTypeViolation"): (
+        f"WARNING HashMismatch <{ST}a1-4e56d3cf1b7220fd283a53ed5a76a41b40a344c9> : "
+        "node hash 4e56d3cf1b7220fd283a53ed5a76a41b40a344c9 does not match "
+        "content hash d3481c68f22d38edf697c559c399525fad9a5fae\n"
+        f"ERROR QualifierTypeViolation <{ST}a1-4e56d3cf1b7220fd283a53ed5a76a41b40a344c9> : "
+        "value of pq:atTime is not typed xsd:dateTime\n"
+        "errors=1 warnings=1\n"
+    ),
+    ("sex-record", "OrphanStatement"): (
+        f"ERROR OrphanStatement <{ST}orphan> : "
+        "statement node has no incoming p: edge\n"
+        "errors=1 warnings=0\n"
+    ),
+    ("sex-record", "ChainGap"): (
+        f"ERROR ChainGap <{ST}a1-3403f575a73c840d6d6799e8a721e5714e6bd580> : "
+        "missing truthy edge wdt:hasSexRecord\n"
+        "errors=1 warnings=0\n"
+    ),
+    ("sex-record", "BareTruthy"): (
+        f"WARNING BareTruthy <{ROOT}entity/a2> : "
+        "truthy edge wdt:hasSexRecord has no reified statement\n"
+        "errors=0 warnings=1\n"
+    ),
+    ("occupation-record", "SharedReference"): (
+        f"WARNING HashMismatch <{ST}a2-074ebb9c0aebea0bb0330bf7aa80614b18028834> : "
+        "node hash 074ebb9c0aebea0bb0330bf7aa80614b18028834 does not match "
+        "content hash d2bfc2f46951cf16b2cedd073f0bacd0b758b799\n"
+        f"ERROR SharedReference <{ROOT}reference/"
+        "aabd51638601c2e097955730ff246c5c417c8eff-76013dc1> : "
+        "reference derived by 2 statements\n"
+        "errors=1 warnings=1\n"
+    ),
+    ("participant-role-record", "UnknownProperty"): (
+        f"WARNING UnknownProperty <{ROOT}prop/qualifier/transcriberInitials> : "
+        "pq:transcriberInitials matches no declaration\n"
+        "errors=0 warnings=1\n"
+    ),
+    ("relationship-record", "SharedStatement"): (
+        f"ERROR SharedStatement <{ST}a1-f1ca29c2e54bb724838136f3ffd9531629872934> : "
+        "2 incoming p: edges\n"
+        "errors=1 warnings=0\n"
+    ),
+    ("relationship-record", "HashMismatch"): (
+        f"WARNING HashMismatch <{ST}a1-f1ca29c2e54bb724838136f3ffd9531629872934> : "
+        "node hash f1ca29c2e54bb724838136f3ffd9531629872934 does not match "
+        "content hash 9c012970b781fe4935b33ff15fd4a2604f14aaa9\n"
+        "errors=0 warnings=1\n"
+    ),
+}
 
 
 def test_corpus_inventory():
@@ -89,3 +172,16 @@ def test_mutations_do_not_cache_state():
     assert a == b
     # and the pristine bundle still validates clean afterwards
     assert validate(load_bundle(name).schema, load_bundle(name).graph).passed
+
+
+def test_mutation_reports_cover_every_recipe():
+    assert sorted(MUTATION_REPORTS) == sorted(
+        (name, m.code) for name, ms in MUTATIONS.items() for m in ms)
+
+
+@pytest.mark.parametrize("name,code", sorted(MUTATION_REPORTS))
+def test_mutation_report_bytes(name, code):
+    bundle = load_bundle(name)
+    (mutation,) = [m for m in MUTATIONS[name] if m.code == code]
+    report = render_report(validate(bundle.schema, mutation.apply(bundle)))
+    assert report == MUTATION_REPORTS[(name, code)]

@@ -100,6 +100,16 @@ def test_parse_unicode_escapes():
     assert list(g)[0].o == Literal("café")
 
 
+@pytest.mark.parametrize("text", [
+    '<a:\\u12> <b:c> "x" .',  # \u without 4 hex digits
+    '<a:b> <b:c> "\\U00110000" .',  # above U+10FFFF
+    '<a:\\uD800> <b:c> "x" .',  # surrogate code point
+])
+def test_parse_rejects_bad_unicode_escapes(text):
+    with pytest.raises(NtSyntaxError):
+        parse_ntriples(text + "\n")
+
+
 def test_parse_rejects_blank_nodes():
     with pytest.raises(BlankNodeUnsupportedError):
         parse_ntriples("_:b <http://x.example/p> <http://x.example/o> .\n")
