@@ -469,7 +469,7 @@ def _parse_statement_data(ts: _Stream, table: NamespaceTable) -> StatementData:
 def parse_instances(text: str, root: str = DEFAULT_ROOT) -> InstanceDoc:
     ts = _Stream(tokenize(text))
     table = NamespaceTable(root)
-    items: list[ItemData] = []
+    items: dict[Iri, ItemData] = {}
     while ts.peek().kind != "EOF":
         tok = ts.peek()
         if ts.at_ident("prefix"):
@@ -492,12 +492,12 @@ def parse_instances(text: str, root: str = DEFAULT_ROOT) -> InstanceDoc:
             while not ts.at_punct("}"):
                 statements.append(_parse_statement_data(ts, table))
             ts.next()
-            if any(it.iri == iri for it in items):
+            if iri in items:
                 raise DuplicateDeclarationError(f"item {iri}")
-            items.append(ItemData(iri, type_class, tuple(statements)))
+            items[iri] = ItemData(iri, type_class, tuple(statements))
         else:
             raise DslSyntaxError(tok.line, tok.col, "'prefix' or 'item'")
-    return InstanceDoc(table, tuple(items))
+    return InstanceDoc(table, tuple(items.values()))
 
 
 # printing ----------------------------------------------------------------

@@ -134,21 +134,21 @@ class SchemaDocument:
 
 # instance values --------------------------------------------------------
 
-# canonical lexical forms; the value classes and the validator share them
-CANONICAL_DECIMAL = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]*[1-9])?$")
+# canonical lexical forms, matched whole; the value classes and the validator share them
+CANONICAL_DECIMAL = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]*[1-9])?")
 CANONICAL_DATETIME = re.compile(
-    r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z$")
-CANONICAL_INT = re.compile(r"-?(0|[1-9][0-9]*)$")
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+CANONICAL_INT = re.compile(r"-?(0|[1-9][0-9]*)")
 
 
 def is_canonical(datatype: Datatype, lexical: str) -> bool:
     """Whether `lexical` is the canonical form of a `datatype` value."""
     if datatype is Datatype.DECIMAL:
-        return CANONICAL_DECIMAL.match(lexical) is not None and lexical != "-0"
+        return CANONICAL_DECIMAL.fullmatch(lexical) is not None and lexical != "-0"
     if datatype is Datatype.DATETIME:
-        return CANONICAL_DATETIME.match(lexical) is not None
+        return CANONICAL_DATETIME.fullmatch(lexical) is not None
     if datatype is Datatype.INT:
-        return CANONICAL_INT.match(lexical) is not None
+        return CANONICAL_INT.fullmatch(lexical) is not None
     return True
 
 
@@ -266,9 +266,11 @@ class ItemData:
 class InstanceDoc:
     namespaces: NamespaceTable = field(default_factory=NamespaceTable)
     items: tuple[ItemData, ...] = ()
+    _by_iri: dict[Iri, ItemData] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # reversed, so the first item with a given IRI wins
+        object.__setattr__(self, "_by_iri", {it.iri: it for it in reversed(self.items)})
 
     def item(self, iri: Iri) -> ItemData | None:
-        for it in self.items:
-            if it.iri == iri:
-                return it
-        return None
+        return self._by_iri.get(iri)

@@ -79,12 +79,15 @@ class Graph:
 
     def __init__(self, triples: "set[Triple] | list[Triple] | tuple[Triple, ...]" = ()) -> None:
         self._triples: set[Triple] = set(triples)
+        self._index: tuple[dict[Term, list[Triple]], ...] | None = None  # by s, p, o
 
     def add(self, t: Triple) -> None:
         self._triples.add(t)
+        self._index = None
 
     def discard(self, t: Triple) -> None:
         self._triples.discard(t)
+        self._index = None
 
     def __contains__(self, t: Triple) -> bool:
         return t in self._triples
@@ -103,8 +106,21 @@ class Graph:
 
     def match(self, s: Iri | None = None, p: Iri | None = None,
               o: Term | None = None) -> list[Triple]:
-        """Triples matching the pattern; None is a wildcard. Sorted output."""
-        found = [t for t in self._triples
+        """Triples matching the pattern; None is a wildcard. Sorted output.
+
+        Candidates come from the index of the first bound term in the order
+        s, o, p. The indexes are built on the first match after a change,
+        so a graph that is only written never builds them.
+        """
+        if self._index is None:
+            self._index = ({}, {}, {})
+            for t in self._triples:
+                for index, term in zip(self._index, (t.s, t.p, t.o)):
+                    index.setdefault(term, []).append(t)
+        by_s, by_p, by_o = self._index
+        pool = (by_s.get(s, ()) if s is not None else by_o.get(o, ()) if o is not None
+                else by_p.get(p, ()) if p is not None else self._triples)
+        found = [t for t in pool
                  if (s is None or t.s == s)
                  and (p is None or t.p == p)
                  and (o is None or t.o == o)]

@@ -10,6 +10,7 @@ declaration covers). Validation never mutates the graph.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .axioms import CATALOG
@@ -23,7 +24,7 @@ from .model import (
     SchemaDocument,
     StatementDecl,
 )
-from .namespaces import Iri, namespaced_property, prov_was_derived_from, rdf_type, wikibase
+from .namespaces import PROPERTY_NAMESPACES, Iri, namespaced_property, prov_was_derived_from, rdf_type, wikibase
 from .rdf import Graph, Term, Triple
 
 ERROR = "ERROR"
@@ -150,21 +151,9 @@ class _Checker:
         self.a = rdf_type(self.table)
         self.prov = prov_was_derived_from(self.table)
         self.findings: set[Finding] = set()
-        # family edges bucketed as (prefix, local) -> [(subject, object)]
-        self.fam: dict[tuple[str, str], list[tuple[Iri, Term]]] = {}
-        for t in graph:
-            spl = self.table.split(t.p)
-            if spl is not None and spl[0] in ("wdt", "p", "ps", "psv", "pq", "pqv", "pr"):
-                self.fam.setdefault(spl, []).append((t.s, t.o))
-        self.stmt_nodes = sorted(
-            set(graph.subjects(self.a, wikibase(self.table, "Statement"))))
-        self.qual_decls: dict[str, list[tuple[StatementDecl, object]]] = {}
-        self.ref_decls: dict[str, list[tuple[StatementDecl, object]]] = {}
-        for decl in schema.statements:
-            for q in decl.qualifiers:
-                self.qual_decls.setdefault(q.name, []).append((decl, q))
-            for r in decl.references:
-                self.ref_decls.setdefault(r.name, []).append((decl, r))
+        # qualifier and reference names some statement declares
+        self.qual_names = dict.fromkeys(q.name for d in schema.statements for q in d.qualifiers)
+        self.ref_names = {r.name for d in schema.statements for r in d.references}
 
     def wb(self, local: str) -> Iri:
         return wikibase(self.table, local)
@@ -180,13 +169,16 @@ class _Checker:
 
     def check_unknown_properties(self) -> None:
         stmt_names = {d.property_name for d in self.schema.statements}
-        for (prefix, local) in sorted(self.fam):
+        family = {spl for p in {t.p for t in self.g}
+                  if (spl := self.table.split(p)) is not None
+                  and spl[0] in PROPERTY_NAMESPACES}
+        for (prefix, local) in sorted(family):
             if prefix in ("wdt", "p", "ps", "psv"):
                 known = local in stmt_names
             elif prefix in ("pq", "pqv"):
-                known = local in self.qual_decls
+                known = local in self.qual_names
             else:
-                known = local in self.ref_decls
+                known = local in self.ref_names
             if not known:
                 self.add("UnknownProperty",
                          namespaced_property(local, prefix, self.table),
@@ -194,14 +186,14 @@ class _Checker:
 
     # -- reification shape --------------------------------------------------
 
+    def family_edges(self, triples: list[Triple], prefix: str) -> list[tuple[Triple, str]]:
+        """(triple, property local name) for the triples whose predicate is under `prefix`."""
+        return [(t, spl[1]) for t in triples
+                if (spl := self.table.split(t.p)) is not None and spl[0] == prefix]
+
     def in_edges(self, node: Iri) -> list[tuple[Iri, str]]:
-        """Incoming p: edges as (subject, property local name)."""
-        out = []
-        for (prefix, local), pairs in self.fam.items():
-            if prefix != "p":
-                continue
-            out.extend((s, local) for s, o in pairs if o == node)
-        return sorted(set(out))
+        """Incoming p: edges as (subject, property local name), sorted."""
+        return [(t.s, local) for t, local in self.family_edges(self.g.match(None, None, node), "p")]
 
     def resolve_decl(self, node: Iri) -> tuple[StatementDecl | None, Iri | None]:
         """(declaration, owning subject) for a statement node, best effort."""
@@ -209,15 +201,14 @@ class _Checker:
         subject = edges[0][0] if len(edges) == 1 else None
         names = {name for _, name in edges}
         if len(names) != 1:
-            names = {local for (prefix, local), pairs in self.fam.items()
-                     if prefix == "ps" and any(s == node for s, _ in pairs)}
+            names = {local for _, local in self.family_edges(self.g.match(node), "ps")}
         if len(names) == 1:
             decl = self.schema.statement_decl(next(iter(names)))
             return decl, subject
         return None, subject
 
     def check_statement_nodes(self) -> None:
-        for node in self.stmt_nodes:
+        for node in self.g.subjects(self.a, self.wb("Statement")):
             edges = self.in_edges(node)
             if not edges:
                 self.add("OrphanStatement", node,
@@ -274,29 +265,22 @@ class _Checker:
 
     def check_qualifiers(self, node: Iri, decl: StatementDecl) -> None:
         declared = {q.name: q for q in decl.qualifiers}
-        seen: dict[str, list[Term]] = {}
-        for (prefix, local), pairs in sorted(self.fam.items()):
-            if prefix != "pq":
-                continue
-            values = [o for s, o in pairs if s == node]
-            if values:
-                seen[local] = values
-        for qname, values in seen.items():
+        for qname in self.qual_names:     # globally unknown names are covered elsewhere
+            values = self.g.objects(node, namespaced_property(qname, "pq", self.table))
             q = declared.get(qname)
             if q is None:
-                if qname in self.qual_decls:
+                if values:
                     self.add("QualifierTypeViolation", node,
                              f"qualifier pq:{qname} not declared for {decl.property_name}")
-                continue      # globally unknown names are covered elsewhere
+                continue
+            if q.required and not values:
+                self.add("ExistenceViolation", node,
+                         f"required qualifier pq:{qname} missing")
             if q.functional and len(set(values)) > 1:
                 self.add("FunctionalityViolation", node,
                          f"{len(set(values))} values for functional qualifier pq:{qname}")
             for v in values:
                 self.check_qualifier_value(node, qname, q, v)
-        for qname, q in declared.items():
-            if q.required and qname not in seen:
-                self.add("ExistenceViolation", node,
-                         f"required qualifier pq:{qname} missing")
 
     def check_qualifier_value(self, node: Iri, qname: str, q, v: Term) -> None:
         if q.qtype.item_class is not None:
@@ -317,15 +301,10 @@ class _Checker:
                 self.add("RangeViolation", node,
                          "prov:wasDerivedFrom value is not typed wikibase:Reference")
                 continue
-            for (prefix, local), pairs in sorted(self.fam.items()):
-                if prefix != "pr":
-                    continue
-                targets = [o for s, o in pairs if s == rnode]
+            for local, r in declared.items():
+                targets = self.g.objects(rnode, namespaced_property(local, "pr", self.table))
                 if targets:
                     snak_names.add(local)
-                r = declared.get(local)
-                if r is None:
-                    continue
                 for target in targets:
                     if not self.has_type(target, r.target_class):
                         cls = self.table.curie(r.target_class) or r.target_class.value
@@ -353,21 +332,16 @@ class _Checker:
     # -- truthy chain ----------------------------------------------------------
 
     def check_chain(self) -> None:
-        for decl in self.schema.statements:
-            name = decl.property_name
-            p = namespaced_property(name, "p", self.table)
-            ps = namespaced_property(name, "ps", self.table)
-            wdt = namespaced_property(name, "wdt", self.table)
-            reified: set[tuple[Iri, Term]] = set()
-            for t in self.g.match(None, p, None):
-                if not isinstance(t.o, Iri):
-                    continue
-                for y in self.g.objects(t.o, ps):
-                    reified.add((t.s, y))
-                    if Triple(t.s, wdt, y) not in self.g:
-                        self.add("ChainGap", t.o, f"missing truthy edge wdt:{name}")
+        names = {namespaced_property(d.property_name, "wdt", self.table): d.property_name
+                 for d in self.schema.statements}
+        implied: set[Triple] = set()
+        for node, t in implied_truthy(self.schema, self.g):
+            implied.add(t)
+            if t not in self.g:
+                self.add("ChainGap", node, f"missing truthy edge wdt:{names[t.p]}")
+        for wdt, name in names.items():
             for t in self.g.match(None, wdt, None):
-                if (t.s, t.o) not in reified:
+                if t not in implied:
                     self.add("BareTruthy", t.s,
                              f"truthy edge wdt:{name} has no reified statement")
 
@@ -375,7 +349,7 @@ class _Checker:
 
     def check_value_nodes(self) -> None:
         for kind in VALUE_KINDS.values():
-            for node in sorted(set(self.g.subjects(self.a, self.wb(kind.node_class)))):
+            for node in self.g.subjects(self.a, self.wb(kind.node_class)):
                 value = read_value_node(self.g, node, kind, self.table)
                 if isinstance(value, list):
                     self.add("ValueNodeMalformed", node, "; ".join(value))
@@ -423,6 +397,19 @@ def validate(schema: SchemaDocument, graph: Graph) -> ValidationReport:
     return _Checker(schema, graph).run()
 
 
+def implied_truthy(schema: SchemaDocument, graph: Graph) -> Iterator[tuple[Iri, Triple]]:
+    """(statement node, wdt: edge) for every p:/ps: chain of a declared property."""
+    table = schema.namespaces
+    for decl in schema.statements:
+        name = decl.property_name
+        ps = namespaced_property(name, "ps", table)
+        wdt = namespaced_property(name, "wdt", table)
+        for t in graph.match(None, namespaced_property(name, "p", table), None):
+            if isinstance(t.o, Iri):
+                for y in graph.objects(t.o, ps):
+                    yield t.o, Triple(t.s, wdt, y)
+
+
 def infer_truthy(schema: SchemaDocument, graph: Graph) -> Graph:
     """A new graph with the missing truthy edges added.
 
@@ -430,16 +417,7 @@ def infer_truthy(schema: SchemaDocument, graph: Graph) -> Graph:
     implied by the p:/ps: chain is inserted; repeated application is a
     fixed point and never removes triples.
     """
-    table = schema.namespaces
     out = graph.copy()
-    for decl in schema.statements:
-        name = decl.property_name
-        p = namespaced_property(name, "p", table)
-        ps = namespaced_property(name, "ps", table)
-        wdt = namespaced_property(name, "wdt", table)
-        for t in graph.match(None, p, None):
-            if not isinstance(t.o, Iri):
-                continue
-            for y in graph.objects(t.o, ps):
-                out.add(Triple(t.s, wdt, y))
+    for _, t in implied_truthy(schema, graph):
+        out.add(t)
     return out

@@ -10,6 +10,7 @@ from wbforge.errors import (
     DslSyntaxError,
     DuplicateDeclarationError,
     FeatureDisabledError,
+    MalformedValueError,
     UnknownClassError,
 )
 from wbforge.fixtures import FIXTURE_NAMES, fixture_path
@@ -19,8 +20,11 @@ from wbforge.model import (
     Datatype,
     DateTimeValue,
     DecimalValue,
+    InstanceDoc,
+    ItemData,
     ItemRef,
     StringValue,
+    is_canonical,
 )
 from wbforge.namespaces import DEFAULT_ROOT, Iri
 
@@ -182,6 +186,25 @@ def test_parse_instances_error_paths():
     with pytest.raises(DslSyntaxError):   # empty reference block
         parse_instances("prefix ex: <http://v.example/>\n"
                         "item wd:a : ex:P { ex:v -> item wd:b { reference { } } }")
+
+
+def test_canonical_forms_reject_a_trailing_newline():
+    with pytest.raises(MalformedValueError):
+        DecimalValue("5\n")
+    with pytest.raises(MalformedValueError):
+        DateTimeValue("1850-07-01T00:00:00Z\n")
+    assert not is_canonical(Datatype.INT, "5\n")
+
+
+def test_item_lookup_first_item_wins():
+    a = Iri(DEFAULT_ROOT + "entity/a")
+    first = ItemData(a, Iri("http://v.example/P"))
+    second = ItemData(a, Iri("http://v.example/Q"))
+    doc = InstanceDoc(items=(first, second))
+    assert doc.item(a) is first
+    assert doc.item(Iri(DEFAULT_ROOT + "entity/b")) is None
+    assert doc == InstanceDoc(items=(first, second))
+    assert hash(doc) == hash(InstanceDoc(items=(first, second)))
 
 
 def test_decimal_rejects_exponent_form():

@@ -1,6 +1,7 @@
 """Graph model and canonical N-Triples round trips."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -60,6 +61,44 @@ def test_match_and_accessors():
     assert g.match(s=S, p=P, o=O) == [Triple(S, P, O)]
     assert g.subjects(P, S) == [O]
     assert set(g.objects(S, P)) == {O, Literal("a")}
+
+
+NODES = [Iri(f"http://x.example/n{i}") for i in range(4)]
+PREDICATES = [Iri(f"http://x.example/p{i}") for i in range(3)]
+# an IRI and literals spelled like it must stay distinct objects
+OBJECTS = NODES + [Literal("http://x.example/n0"), Literal("n1"), Literal("1", INT)]
+
+
+def _scan(triples, s, p, o):
+    """What `match` must return: a filter over every triple, sorted."""
+    found = [t for t in triples
+             if (s is None or t.s == s) and (p is None or t.p == p)
+             and (o is None or t.o == o)]
+    return sorted(found, key=lambda t: (t.s.value, t.p.value, render_term(t.o)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_match_agrees_with_a_full_scan(seed):
+    # add, discard and copy interleaved with every wildcard pattern
+    rng = random.Random(seed)
+    g, triples = Graph(), set()
+    for _ in range(150):
+        t = Triple(rng.choice(NODES), rng.choice(PREDICATES), rng.choice(OBJECTS))
+        op = rng.randrange(4)
+        if op < 2:
+            g.add(t)
+            triples.add(t)
+        elif op == 2:
+            g.discard(t)
+            triples.discard(t)
+        else:
+            h = g.copy()
+            h.add(t)
+            assert g.match() == _scan(triples, None, None, None)  # the copy is separate
+            if rng.randrange(2):
+                g, triples = h, triples | {t}
+        for pattern in product((None, t.s), (None, t.p), (None, t.o)):
+            assert g.match(*pattern) == _scan(triples, *pattern), pattern
 
 
 def test_serialize_sorted_and_newline_terminated():

@@ -213,6 +213,24 @@ def test_value_node_malformed():
     assert "timePrecision" in finding.detail
 
 
+def test_quantity_with_trailing_newline_is_malformed():
+    schema = parse_schema("""
+prefix ex: <http://example.org/>
+class ex:Employee
+statement ex:salary { subject ex:Employee object decimal }
+""")
+    g = export(schema, parse_instances("""
+prefix ex: <http://example.org/>
+item wd:employee0 : ex:Employee { ex:salary -> decimal 5 }
+"""))
+    field = Iri("http://wikiba.se/ontology#quantityValue")
+    (t,) = g.match(None, field, None)
+    g.discard(t)
+    g.add(Triple(t.s, field, Literal("5\n", t.o.datatype)))
+    (finding,) = validate(schema, g).by_code("ValueNodeMalformed")
+    assert "non-canonical xsd:decimal" in finding.detail
+
+
 def test_shared_reference():
     g = _graph()
     prov = Iri("http://www.w3.org/ns/prov#wasDerivedFrom")
