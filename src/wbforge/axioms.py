@@ -145,7 +145,7 @@ class _Env:
         self.reference = Named(wikibase(table, "Reference"))
         self.time_value = Named(wikibase(table, VALUE_KINDS[Datatype.DATETIME].node_class))
         self.quantity_value = Named(wikibase(table, VALUE_KINDS[Datatype.DECIMAL].node_class))
-        self.wd_item = Named(Iri(table.base("wd") + "Item"))
+        self.wd_item = Named(table.term("wd", "Item"))
         self.prov = Role(prov_was_derived_from(table))
 
     def pq(self, qname: str) -> Role:

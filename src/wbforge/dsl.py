@@ -46,7 +46,7 @@ from .model import (
     StringValue,
     Value,
 )
-from .namespaces import DEFAULT_ROOT, Iri, NamespaceTable, expand_iri
+from .namespaces import DEFAULT_ROOT, Iri, NamespaceTable, expand_iri, wikibase
 
 ITEM_QUALIFIER_FLAG = "allow-item-qualifiers"
 KNOWN_FLAGS = (ITEM_QUALIFIER_FLAG,)
@@ -63,17 +63,24 @@ class Token:
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_-]*"
-_TOKEN_RES: tuple[tuple[str, re.Pattern[str]], ...] = (
-    ("IRIREF", re.compile(r"<[^<>\s]*>")),
-    ("DATETIME", re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z")),
-    ("DECIMAL", re.compile(r"-?\d+\.\d+")),
-    ("PUNCT", re.compile(r"->")),
-    ("INT", re.compile(r"-?\d+")),
-    ("STRING", re.compile(r'"(?:[^"\\\n]|\\.)*"')),
-    ("CURIE", re.compile(rf"{_NAME}:{_NAME}")),
-    ("IDENT", re.compile(_NAME)),
-    ("PUNCT", re.compile(r"[{}:=,]")),
+# (group, pattern) in priority order: the first alternative that matches wins.
+# Newlines, spaces and comments make no token. ERROR takes any other
+# character, so the matches tile the whole text.
+_TOKEN_PATTERNS = (
+    ("NEWLINE", r"\n"),
+    ("SPACE", r"[ \t\r]+"),
+    ("COMMENT", r"#[^\n]*"),
+    ("IRIREF", r"<[^<>\s]*>"),
+    ("DATETIME", r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z"),
+    ("DECIMAL", r"-?\d+\.\d+"),
+    ("INT", r"-?\d+"),
+    ("STRING", r'"(?:[^"\\\n]|\\.)*"'),
+    ("CURIE", rf"{_NAME}:{_NAME}"),
+    ("IDENT", _NAME),
+    ("PUNCT", r"->|[{}:=,]"),
+    ("ERROR", r"."),
 )
+_TOKEN_RE = re.compile("|".join(f"(?P<{group}>{rx})" for group, rx in _TOKEN_PATTERNS))
 
 _STRING_UNESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
@@ -81,31 +88,18 @@ _STRING_UNESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        if group == "NEWLINE":
             line += 1
             col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        for kind, rx in _TOKEN_RES:
-            m = rx.match(text, i)
-            if m:
-                tokens.append(Token(kind, m.group(), line, col))
-                col += m.end() - i
-                i = m.end()
-                break
-        else:
-            raise DslSyntaxError(line, col, f"a token (found {c!r})")
+        elif group != "COMMENT":  # col stays: a newline follows, or EOF keeps its column
+            lexeme = m.group()
+            if group == "ERROR":
+                raise DslSyntaxError(line, col, f"a token (found {lexeme!r})")
+            if group != "SPACE":
+                tokens.append(Token(group, lexeme, line, col))
+            col += len(lexeme)
     tokens.append(Token("EOF", "", line, col))
     return tokens
 
@@ -366,10 +360,9 @@ def parse_schema(text: str, root: str = DEFAULT_ROOT) -> SchemaDocument:
 
     if item_qualifier_sites and ITEM_QUALIFIER_FLAG not in flags:
         raise FeatureDisabledError(ITEM_QUALIFIER_FLAG)
-    generic_item = Iri(table.base("wikibase") + "Item")
     declared = {c.iri for c in classes}
     for iri, tok in class_refs:
-        if iri not in declared and iri != generic_item:
+        if iri not in declared and iri != wikibase(table, "Item"):
             raise UnknownClassError(tok.text)
     return SchemaDocument(table, tuple(flags), tuple(classes), tuple(statements))
 
@@ -395,7 +388,7 @@ def _parse_value(ts: _Stream, table: NamespaceTable) -> Value:
         if num.kind not in ("DECIMAL", "INT"):
             raise DslSyntaxError(num.line, num.col, "a decimal amount")
         ts.next()
-        unit = Iri(table.base("wd") + "One")
+        unit = table.term("wd", "One")
         if ts.at_ident("unit"):
             ts.next()
             utok = ts.expect("CURIE", "a unit item")
@@ -409,7 +402,7 @@ def _parse_value(ts: _Stream, table: NamespaceTable) -> Value:
         ts.next()
         dtok = ts.expect("DATETIME", "an ISO dateTime like 2009-01-01T00:00:00Z")
         precision, tz = 11, 0
-        calendar = Iri(table.base("wd") + "ProlepticGregorian")
+        calendar = table.term("wd", "ProlepticGregorian")
         if ts.at_ident("precision"):
             ts.next()
             precision = int(ts.expect("INT", "a precision integer").text)

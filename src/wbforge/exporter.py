@@ -80,8 +80,12 @@ def statement_hash(subject: Iri, stmt: StatementData, table: NamespaceTable) -> 
 
 
 def statement_node(subject: Iri, stmt: StatementData, table: NamespaceTable) -> Iri:
-    h = statement_hash(subject, stmt, table)
-    return Iri(f"{table.base('s')}{subject.local_name}-{h}")
+    return _statement_iri(subject, statement_hash(subject, stmt, table), table)
+
+
+def _statement_iri(subject: Iri, stmt_hash: str, table: NamespaceTable) -> Iri:
+    """The statement node's name: the subject's local name and the content hash."""
+    return Iri(f"{table.base('s')}{subject.local_name}-{stmt_hash}")
 
 
 def value_hash(value: DateTimeValue | DecimalValue) -> str:
@@ -213,7 +217,7 @@ def _export_statement(g: Graph, subject: Iri, stmt: StatementData,
 
     a = rdf_type(table)
     h = statement_hash(subject, stmt, table)
-    node = statement_node(subject, stmt, table)
+    node = _statement_iri(subject, h, table)
     value_term = _literal(stmt.value, table)
     g.add(Triple(subject, namespaced_property(stmt.property, "p", table), node))
     g.add(Triple(node, a, wikibase(table, "Statement")))

@@ -137,7 +137,7 @@ def _mut_qualifier_type(b: FixtureBundle) -> Graph:
 def _mut_orphan(b: FixtureBundle) -> Graph:
     node = Iri(b.table.base("s") + "orphan")
     return _with(b, Triple(node, rdf_type(b.table),
-                           Iri(b.table.base("wikibase") + "Statement")))
+                           wikibase(b.table, "Statement")))
 
 
 def _mut_chain_gap(b: FixtureBundle) -> Graph:

@@ -118,18 +118,20 @@ class SchemaDocument:
     flags: tuple[str, ...] = ()
     classes: tuple[ClassDecl, ...] = ()
     statements: tuple[StatementDecl, ...] = ()
+    _class_by_iri: dict[Iri, ClassDecl] = field(init=False, repr=False, compare=False)
+    _statement_by_name: dict[str, StatementDecl] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # reversed, so the first declaration of a name wins
+        object.__setattr__(self, "_class_by_iri", {c.iri: c for c in reversed(self.classes)})
+        object.__setattr__(self, "_statement_by_name",
+                           {s.property_name: s for s in reversed(self.statements)})
 
     def class_decl(self, iri: Iri) -> ClassDecl | None:
-        for c in self.classes:
-            if c.iri == iri:
-                return c
-        return None
+        return self._class_by_iri.get(iri)
 
     def statement_decl(self, property_name: str) -> StatementDecl | None:
-        for s in self.statements:
-            if s.property_name == property_name:
-                return s
-        return None
+        return self._statement_by_name.get(property_name)
 
 
 # instance values --------------------------------------------------------

@@ -8,6 +8,7 @@ single root so the whole pipeline can be rebased with one switch.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import DuplicateDeclarationError, UnknownPrefixError, WbforgeError
@@ -46,6 +47,8 @@ FIXED_PREFIX_ORDER = (
 
 PROPERTY_NAMESPACES = ("wdt", "p", "ps", "psv", "pq", "pqv", "pr")
 
+_NOT_IN_IRI = re.compile(r'[ \t\n\r<>"]')
+
 
 @dataclass(frozen=True, order=True)
 class Iri:
@@ -55,7 +58,7 @@ class Iri:
 
     def __post_init__(self) -> None:
         v = self.value
-        if not v or v[0] == "<" or any(c in v for c in " \t\n\r<>\""):
+        if not v or _NOT_IN_IRI.search(v):
             raise WbforgeError(f"not an absolute IRI: {v!r}")
 
     @property
@@ -91,6 +94,7 @@ class NamespaceTable:
     root: str = DEFAULT_ROOT
     user: tuple[tuple[str, str], ...] = ()
     _bases: dict[str, str] = field(init=False, repr=False, compare=False)
+    _terms: dict[tuple[str, str], Iri] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bases = _fixed_bindings(self.root)
@@ -102,6 +106,7 @@ class NamespaceTable:
                     f"prefix base must end in '/' or '#': {prefix}: <{base}>")
             bases[prefix] = base
         object.__setattr__(self, "_bases", bases)
+        object.__setattr__(self, "_terms", {})
 
     def with_prefix(self, prefix: str, base: str) -> NamespaceTable:
         return NamespaceTable(self.root, self.user + ((prefix, base),))
@@ -111,6 +116,18 @@ class NamespaceTable:
             return self._bases[prefix]
         except KeyError:
             raise UnknownPrefixError(prefix) from None
+
+    def term(self, prefix: str, local: str) -> Iri:
+        """`local` under `prefix`, minted and checked once per table.
+
+        For the vocabulary and property family terms that every statement
+        repeats; the memo keeps each term asked for.
+        """
+        try:
+            return self._terms[prefix, local]
+        except KeyError:
+            iri = self._terms[prefix, local] = Iri(self.base(prefix) + local)
+            return iri
 
     def prefixes(self) -> list[tuple[str, str]]:
         """All bindings, fixed first in canonical order, then user order."""
@@ -158,22 +175,22 @@ def namespaced_property(name: str, ns: str, table: NamespaceTable) -> Iri:
     """Place a bare property local name into one of the family namespaces."""
     if ns not in PROPERTY_NAMESPACES:
         raise WbforgeError(f"not a property namespace: {ns!r}")
-    return Iri(table.base(ns) + name)
+    return table.term(ns, name)
 
 
 # well-known term helpers
 
 def wikibase(table: NamespaceTable, local: str) -> Iri:
-    return Iri(table.base("wikibase") + local)
+    return table.term("wikibase", local)
 
 
 def xsd(table: NamespaceTable, local: str) -> Iri:
-    return Iri(table.base("xsd") + local)
+    return table.term("xsd", local)
 
 
 def rdf_type(table: NamespaceTable) -> Iri:
-    return Iri(table.base("rdf") + "type")
+    return table.term("rdf", "type")
 
 
 def prov_was_derived_from(table: NamespaceTable) -> Iri:
-    return Iri(table.base("prov") + "wasDerivedFrom")
+    return table.term("prov", "wasDerivedFrom")

@@ -33,11 +33,12 @@ class Triple:
     o: Term
 
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ESCAPES = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 
 
 def escape_literal(text: str) -> str:
-    return "".join(_ESCAPES.get(c, c) for c in text)
+    return text.translate(_ESCAPES)
 
 
 _UNESCAPE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")

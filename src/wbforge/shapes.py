@@ -23,7 +23,7 @@ from .model import (
     ValueKind,
 )
 from .expander import object_datatype
-from .namespaces import Iri, NamespaceTable, prov_was_derived_from, wikibase
+from .namespaces import Iri, NamespaceTable, namespaced_property, prov_was_derived_from, wikibase
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,6 @@ def reference_label(decl: StatementDecl, table: NamespaceTable) -> str:
     return f"{class_label(decl.property_iri, table)}_reference"
 
 
-def _prop(name: str, ns: str, table: NamespaceTable) -> Iri:
-    return Iri(table.base(ns) + name)
-
-
 def _class_expr(cls: Iri, doc: SchemaDocument) -> ValueExpr:
     """Shape reference for declared classes, bare IRI for plain items."""
     if doc.class_decl(cls) is not None:
@@ -118,14 +114,14 @@ def _item_shape(cls_iri: Iri, doc: SchemaDocument) -> Shape:
         card = (AT_LEAST_ONE if AxiomPattern.EXISTENTIAL in decl.patterns else ANY)
         if AxiomPattern.EXISTENTIAL in decl.patterns:
             origins.append("Pattern:Existential")
-        tcs.append(TripleConstraint(_prop(name, "p", table),
+        tcs.append(TripleConstraint(namespaced_property(name, "p", table),
                                     ShapeRef(statement_label(decl, table)), card))
         if isinstance(decl.object_spec, DataObject):
             obj_expr: ValueExpr = DatatypeExpr(
                 f"xsd:{decl.object_spec.datatype.xsd_local}")
         else:
             obj_expr = _class_expr(decl.object_spec.iri, doc)
-        tcs.append(TripleConstraint(_prop(name, "wdt", table), obj_expr, card))
+        tcs.append(TripleConstraint(namespaced_property(name, "wdt", table), obj_expr, card))
     comment = "# origin: " + ", ".join(dict.fromkeys(origins))
     return Shape(class_label(cls_iri, table), tuple(tcs), closed=False,
                  comments=(comment,))
@@ -138,17 +134,17 @@ def _statement_shape(decl: StatementDecl, doc: SchemaDocument) -> Shape:
     origins = ["Ax2", "Ax3+4", "Ax5"]
     if isinstance(decl.object_spec, DataObject):
         dt = decl.object_spec.datatype
-        tcs.append(TripleConstraint(_prop(name, "ps", table),
+        tcs.append(TripleConstraint(namespaced_property(name, "ps", table),
                                     DatatypeExpr(f"xsd:{dt.xsd_local}")))
         origins.append({Datatype.DATETIME: "Ax15", Datatype.STRING: "Ax34",
                         Datatype.DECIMAL: "AxQ-pq-range"}[dt])
         if dt in VALUE_KINDS:
-            tcs.append(TripleConstraint(_prop(name, "psv", table),
+            tcs.append(TripleConstraint(namespaced_property(name, "psv", table),
                                         ShapeRef(VALUE_KINDS[dt].node_class)))
             origins.append({Datatype.DATETIME: "Ax17",
                             Datatype.DECIMAL: "AxQ-pqv-range"}[dt])
     else:
-        tcs.append(TripleConstraint(_prop(name, "ps", table),
+        tcs.append(TripleConstraint(namespaced_property(name, "ps", table),
                                     _class_expr(decl.object_spec.iri, doc)))
         origins.extend(["Ax6", "Ax7"])
 
@@ -162,9 +158,9 @@ def _statement_shape(decl: StatementDecl, doc: SchemaDocument) -> Shape:
             origins.append({Datatype.DATETIME: "Ax14" if q.scoped else "Ax31",
                             Datatype.STRING: "Ax33" if q.scoped else "Ax34",
                             Datatype.DECIMAL: "AxQ-pq-range"}[q.qtype.datatype])
-        tcs.append(TripleConstraint(_prop(q.name, "pq", table), expr, card))
+        tcs.append(TripleConstraint(namespaced_property(q.name, "pq", table), expr, card))
         if q.qtype.datatype in VALUE_KINDS:
-            tcs.append(TripleConstraint(_prop(q.name, "pqv", table),
+            tcs.append(TripleConstraint(namespaced_property(q.name, "pqv", table),
                                         ShapeRef(VALUE_KINDS[q.qtype.datatype].node_class),
                                         card))
         if q.functional:
@@ -189,7 +185,7 @@ def _reference_shape(decl: StatementDecl, doc: SchemaDocument) -> Shape:
     # a lone declared snak property must appear on every non-empty reference
     card = AT_LEAST_ONE if len(decl.references) == 1 else ANY
     tcs = tuple(
-        TripleConstraint(_prop(r.name, "pr", table),
+        TripleConstraint(namespaced_property(r.name, "pr", table),
                          _class_expr(r.target_class, doc), card)
         for r in decl.references)
     return Shape(reference_label(decl, table), tcs, closed=True,

@@ -16,13 +16,17 @@ from wbforge.errors import (
 from wbforge.fixtures import FIXTURE_NAMES, fixture_path
 from wbforge.model import (
     AxiomPattern,
+    ClassDecl,
     DataObject,
     Datatype,
     DateTimeValue,
     DecimalValue,
     InstanceDoc,
+    ItemClass,
     ItemData,
     ItemRef,
+    SchemaDocument,
+    StatementDecl,
     StringValue,
     is_canonical,
 )
@@ -205,6 +209,20 @@ def test_item_lookup_first_item_wins():
     assert doc.item(Iri(DEFAULT_ROOT + "entity/b")) is None
     assert doc == InstanceDoc(items=(first, second))
     assert hash(doc) == hash(InstanceDoc(items=(first, second)))
+
+
+def test_declaration_lookup_first_declaration_wins():
+    person, job = Iri("http://v.example/Person"), Iri("http://v.example/Job")
+    first = StatementDecl(Iri("http://v.example/hasJob"), person, ItemClass(job))
+    second = StatementDecl(Iri("http://w.example/hasJob"), job, ItemClass(person))
+    c1, c2 = ClassDecl(person), ClassDecl(person, controlled=True)
+    doc = SchemaDocument(classes=(c1, c2), statements=(first, second))
+    assert doc.statement_decl("hasJob") is first
+    assert doc.statement_decl("hasRank") is None
+    assert doc.class_decl(person) is c1
+    assert doc.class_decl(job) is None
+    assert doc == SchemaDocument(classes=(c1, c2), statements=(first, second))
+    assert hash(doc) == hash(SchemaDocument(classes=(c1, c2), statements=(first, second)))
 
 
 def test_decimal_rejects_exponent_form():

@@ -318,3 +318,23 @@ def test_read_back_inverts_export(case):
                 if value_kind(value) is not None:
                     vnode = value_node(value, table)
                     assert read_value_node(g, vnode, value_kind(value), table) == value
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_export_hashes_each_statement_once(name, monkeypatch):
+    from wbforge import exporter
+
+    schema, instances = load_fixture(name)
+    calls = []
+
+    def counting(subject, stmt, table):
+        calls.append(stmt)
+        return statement_hash(subject, stmt, table)
+
+    monkeypatch.setattr(exporter, "statement_hash", counting)
+    g = export(schema, instances)
+    statements = [s for item in instances.items for s in item.statements]
+    assert calls == statements
+    for item in instances.items:
+        for stmt in item.statements:
+            assert statement_node(item.iri, stmt, schema.namespaces) in {t.o for t in g}

@@ -10,6 +10,10 @@ from wbforge.namespaces import (
     NamespaceTable,
     expand_iri,
     namespaced_property,
+    prov_was_derived_from,
+    rdf_type,
+    wikibase,
+    xsd,
 )
 
 
@@ -17,6 +21,11 @@ def test_iri_rejects_garbage():
     for bad in ("", "has space", "<http://x.example/>", "http://x\n.example/"):
         with pytest.raises(WbforgeError):
             Iri(bad)
+    for c in " \t\n\r<>\"":
+        for bad in (c, c + "http://x.example/", "http://x.exa" + c + "mple/", "http://x.example/" + c):
+            with pytest.raises(WbforgeError):
+                Iri(bad)
+    assert Iri("http://x.example/a-b_c#d?e=f").value == "http://x.example/a-b_c#d?e=f"
 
 
 def test_iri_local_name():
@@ -97,3 +106,49 @@ def test_namespaced_property():
     assert namespaced_property("hasJob", "pq", t) == Iri(DEFAULT_ROOT + "prop/qualifier/hasJob")
     with pytest.raises(WbforgeError):
         namespaced_property("hasJob", "wd", t)
+
+
+def test_minted_terms_are_memoised_per_table():
+    t = NamespaceTable()
+    first = namespaced_property("hasJob", "ps", t)
+    assert namespaced_property("hasJob", "ps", t) is first
+    assert wikibase(t, "Item") is wikibase(t, "Item")
+    assert xsd(t, "decimal") is t.term("xsd", "decimal")
+    assert rdf_type(t) == Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
+    assert prov_was_derived_from(t) == Iri("http://www.w3.org/ns/prov#wasDerivedFrom")
+    assert t.term("wd", "One") == Iri(DEFAULT_ROOT + "entity/One")
+
+
+def test_memo_leaves_equality_and_hash_alone():
+    used, fresh = NamespaceTable(), NamespaceTable()
+    wikibase(used, "Statement")
+    namespaced_property("hasJob", "pq", used)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert {used: 1}[fresh] == 1
+
+
+def test_with_prefix_does_not_share_the_memo():
+    parent = NamespaceTable()
+    minted = namespaced_property("hasJob", "p", parent)
+    child = parent.with_prefix("ex", "http://v.example/")
+    again = namespaced_property("hasJob", "p", child)
+    assert again == minted and again is not minted
+    assert child.term("ex", "Person") == Iri("http://v.example/Person")
+    with pytest.raises(UnknownPrefixError):
+        parent.term("ex", "Person")
+    rebased = NamespaceTable("http://other.example/")
+    assert namespaced_property("hasJob", "p", rebased) == Iri("http://other.example/prop/hasJob")
+
+
+def test_memo_keeps_the_namespace_and_iri_checks():
+    t = NamespaceTable()
+    t.term("wd", "hasJob")            # a minted non-property term must not open the door
+    for ns in ("wd", "wikibase", "s", "xsd"):
+        with pytest.raises(WbforgeError):
+            namespaced_property("hasJob", ns, t)
+    with pytest.raises(UnknownPrefixError):
+        t.term("nope", "x")
+    for _ in range(2):                # a failed mint is not remembered
+        with pytest.raises(WbforgeError):
+            namespaced_property("has job", "p", t)
