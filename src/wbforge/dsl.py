@@ -11,7 +11,7 @@ fixpoint byte-for-byte.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DslSyntaxError,
@@ -54,8 +54,7 @@ KNOWN_FLAGS = (ITEM_QUALIFIER_FLAG,)
 
 # tokenizer ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str                     # IRIREF CURIE IDENT STRING DATETIME DECIMAL INT PUNCT EOF
     text: str
     line: int

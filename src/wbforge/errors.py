@@ -62,6 +62,13 @@ class MalformedValueError(WbforgeError):
         self.lexical = lexical
 
 
+class PreimageDelimiterError(WbforgeError):
+    # '|' and ';' split a statement hash preimage; inside an IRI they could merge two statements
+    def __init__(self, iri: str) -> None:
+        super().__init__(f"reference target {iri!r} contains '|' or ';'")
+        self.iri = iri
+
+
 class UnresolvedNameError(WbforgeError):
     def __init__(self, name: str, detail: str = "") -> None:
         msg = f"name {name!r} does not resolve against the schema"

@@ -13,6 +13,7 @@ import hashlib
 
 from .errors import (
     MissingRequiredError,
+    PreimageDelimiterError,
     TypeMismatchError,
     UnresolvedNameError,
 )
@@ -65,14 +66,18 @@ def canonical_content(subject: Iri, stmt: StatementData, table: NamespaceTable) 
         pq = namespaced_property(q.name, "pq", table)
         q_lines.append(f"Q|{pq.value}|{canonical_value(q.value)}")
     lines.extend(sorted(q_lines))
-    r_lines = []
-    for ref in stmt.references:
-        snaks = sorted(
-            f"{namespaced_property(s.name, 'pr', table).value}|{s.target.value}"
-            for s in ref.snaks)
-        r_lines.append("R|" + ";".join(snaks))
+    r_lines = ["R|" + ";".join(sorted(_snak_text(s, table) for s in ref.snaks))
+               for ref in stmt.references]
     lines.extend(sorted(r_lines))
     return "".join(line + "\n" for line in lines)
+
+
+def _snak_text(snak: SnakData, table: NamespaceTable) -> str:
+    """`pr: IRI|target` in an R line; a delimiter in the target could merge two lines."""
+    target = snak.target.value
+    if "|" in target or ";" in target:
+        raise PreimageDelimiterError(target)
+    return f"{namespaced_property(snak.name, 'pr', table).value}|{target}"
 
 
 def statement_hash(subject: Iri, stmt: StatementData, table: NamespaceTable) -> str:
@@ -97,10 +102,7 @@ def value_node(value: DateTimeValue | DecimalValue, table: NamespaceTable) -> Ir
 
 
 def reference_hash(ref: RefData, table: NamespaceTable) -> str:
-    lines = sorted(
-        f"R|{namespaced_property(s.name, 'pr', table).value}|{s.target.value}\n"
-        for s in ref.snaks)
-    return _sha40("".join(lines))
+    return _sha40("".join(sorted(f"R|{_snak_text(s, table)}\n" for s in ref.snaks)))
 
 
 def reference_node(ref: RefData, stmt_hash: str, table: NamespaceTable) -> Iri:

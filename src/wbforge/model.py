@@ -224,12 +224,13 @@ VALUE_KINDS: dict[Datatype, ValueKind] = {
 }
 
 
+# by exact class: the value classes have no subclasses
+_KIND_BY_TYPE = {kind.value_type: kind for kind in VALUE_KINDS.values()}
+
+
 def value_kind(value: Value) -> ValueKind | None:
     """The value node kind of `value`; None for items and strings."""
-    for kind in VALUE_KINDS.values():
-        if isinstance(value, kind.value_type):
-            return kind
-    return None
+    return _KIND_BY_TYPE.get(type(value))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DuplicateDeclarationError, UnknownPrefixError, WbforgeError
 
@@ -50,16 +51,19 @@ PROPERTY_NAMESPACES = ("wdt", "p", "ps", "psv", "pq", "pqv", "pr")
 _NOT_IN_IRI = re.compile(r'[ \t\n\r<>"]')
 
 
-@dataclass(frozen=True, order=True)
-class Iri:
-    """An absolute IRI. Plain value object; comparison is textual."""
-
+class _IriFields(NamedTuple):
     value: str
 
-    def __post_init__(self) -> None:
-        v = self.value
-        if not v or _NOT_IN_IRI.search(v):
-            raise WbforgeError(f"not an absolute IRI: {v!r}")
+
+class Iri(_IriFields):
+    """An absolute IRI; comparison is textual. A tuple, so it equals `(value,)`."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: str) -> Iri:
+        if not value or _NOT_IN_IRI.search(value):
+            raise WbforgeError(f"not an absolute IRI: {value!r}")
+        return tuple.__new__(cls, (value,))
 
     @property
     def local_name(self) -> str:

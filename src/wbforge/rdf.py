@@ -9,7 +9,7 @@ are equal iff their canonical N-Triples bytes are equal.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BlankNodeUnsupportedError, NtSyntaxError
 from .namespaces import Iri
@@ -17,8 +17,9 @@ from .namespaces import Iri
 XSD_STRING = Iri("http://www.w3.org/2001/XMLSchema#string")
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
+# Terms and triples are tuples of different lengths (Iri 1, Literal 2,
+# Triple 3), so no two kinds compare equal or collide as keys.
+class Literal(NamedTuple):
     lexical: str
     datatype: Iri = XSD_STRING
 
@@ -26,8 +27,7 @@ class Literal:
 Term = Iri | Literal
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     s: Iri
     p: Iri
     o: Term

@@ -138,6 +138,24 @@ def test_export_data_error_exits_2(tmp_path, capsys):
     assert "wbforge:" in capsys.readouterr().err
 
 
+def test_export_delimiter_in_reference_target_exits_2(tmp_path, capsys):
+    # a declared item whose IRI holds the statement preimage's delimiters
+    bad = tmp_path / "bad.wbi"
+    bad.write_text(
+        "prefix rec: <http://records.example/vocab/>\n"
+        "item wd:a1 : rec:Agent {\n"
+        "  rec:hasAgeRecord -> item wd:cat30s {\n"
+        "    qualifier rec:ageValue = decimal 34\n"
+        "    reference { rec:isDirectlyBasedOn -> item <http://records.example/d;x|y> }\n"
+        "  }\n"
+        "}\n"
+        "item wd:cat30s : rec:AgeCategory { }\n"
+        "item <http://records.example/d;x|y> : rec:SourceDocument { }\n")
+    assert main(["export", str(SCHEMA), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("wbforge: reference target") and "'|' or ';'" in err
+
+
 def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", str(SCHEMA)])

@@ -9,6 +9,7 @@ from generators import random_instances, random_schema
 from wbforge.dsl import parse_instances, parse_schema
 from wbforge.errors import (
     MissingRequiredError,
+    PreimageDelimiterError,
     TypeMismatchError,
     UnresolvedNameError,
 )
@@ -26,6 +27,7 @@ from wbforge.exporter import (
 )
 from wbforge.fixtures import FIXTURE_NAMES, load_fixture
 from wbforge.model import (
+    VALUE_KINDS,
     DateTimeValue,
     DecimalValue,
     ItemRef,
@@ -128,6 +130,89 @@ def test_hash_distinguishes_value_kinds():
     b = StatementData("hasJob", JOB, (QualifierData("atTime",
                                                     DateTimeValue("2001-01-01T00:00:00Z")),))
     assert statement_hash(EMPLOYEE, a, TABLE) != statement_hash(EMPLOYEE, b, TABLE)
+
+
+PR = DEFAULT_ROOT + "prop/reference/"
+
+
+def test_reference_target_delimiters_cannot_merge_statements():
+    # one reference with two snaks, against one snak whose target spells out both
+    two_snaks = StatementData("hasJob", JOB, (), (RefData((
+        SnakData("taxRecord", Iri(WD + "T1")), SnakData("payslip", Iri(WD + "T2")))),))
+    spelled = Iri(f"{WD}T1;{PR}payslip|{WD}T2")
+    one_snak = StatementData("hasJob", JOB, (), (RefData((SnakData("taxRecord", spelled),)),))
+    assert f"R|{PR}payslip|{WD}T2;{PR}taxRecord|{WD}T1\n" in \
+        canonical_content(EMPLOYEE, two_snaks, TABLE)
+    for stmt_fn in (canonical_content, statement_hash, statement_node):
+        with pytest.raises(PreimageDelimiterError):
+            stmt_fn(EMPLOYEE, one_snak, TABLE)
+    for target in (WD + "T1|x", WD + "T1;x", "|", ";"):
+        ref = RefData((SnakData("taxRecord", Iri(target)),))
+        with pytest.raises(PreimageDelimiterError):
+            reference_hash(ref, TABLE)
+        with pytest.raises(PreimageDelimiterError):
+            canonical_content(EMPLOYEE, StatementData("hasJob", JOB, (), (ref,)), TABLE)
+
+
+def _adversarial_statement(rng: random.Random) -> StatementData:
+    """A small statement whose IRIs and strings often hold `|`, `;` and
+    text copied from other preimage lines. Each qualifier name has one
+    value kind, as a schema declares it."""
+    def iri() -> Iri:
+        return Iri(rng.choice((
+            WD + "T1", WD + "T2", WD + "T1|x", WD + "T1;x",
+            f"{WD}T1;{PR}b|{WD}T2", f"{WD}T1|{PR}b;{WD}T2")))
+
+    def value(kind: str):
+        if kind == "item":
+            return ItemRef(iri())
+        if kind == "string":
+            return StringValue(rng.choice(("x", "x|y", "x;y", "x\ny", "x\\ny", f"T1;{PR}b|T2")))
+        if kind == "decimal":
+            return DecimalValue(rng.choice(("1", "1.5")), iri())
+        return DateTimeValue("2001-01-01T00:00:00Z", rng.choice((9, 11)), 0, iri())
+
+    kinds = {"qi": "item", "qs": "string", "qd": "decimal", "qt": "datetime"}
+    quals = tuple(QualifierData(name, value(kinds[name]))
+                  for name in rng.choices(sorted(kinds), k=rng.randint(0, 2)))
+    refs = tuple(RefData(tuple(SnakData(rng.choice("ab"), iri())
+                               for _ in range(rng.randint(1, 2))))
+                 for _ in range(rng.randint(0, 2)))
+    return StatementData("hasJob", value("item"), quals, refs)
+
+
+def _content_key(stmt: StatementData) -> tuple:
+    """What a statement says, with qualifier, reference and snak order dropped."""
+    refs = sorted(repr(sorted(map(repr, ref.snaks))) for ref in stmt.references)
+    return stmt.property, repr(stmt.value), tuple(sorted(map(repr, stmt.qualifiers))), tuple(refs)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_distinct_statements_give_distinct_preimages(seed):
+    rng = random.Random(4000 + seed)
+    seen: dict[str, tuple] = {}
+    rejected = 0
+    for _ in range(3000):
+        stmt = _adversarial_statement(rng)
+        try:
+            preimage = canonical_content(EMPLOYEE, stmt, TABLE)
+        except PreimageDelimiterError:
+            assert any(c in s.target.value for r in stmt.references for s in r.snaks
+                       for c in "|;")
+            rejected += 1
+            continue
+        assert seen.setdefault(preimage, _content_key(stmt)) == _content_key(stmt)
+    assert rejected and len(seen) > 100
+
+
+def test_value_kind_is_looked_up_by_exact_class():
+    # value_kind keys on type(value), which is only right while no subclasses exist
+    for cls in (ItemRef, StringValue, DecimalValue, DateTimeValue):
+        assert cls.__subclasses__() == []
+    for kind in VALUE_KINDS.values():
+        value = DecimalValue("1") if kind.value_type is DecimalValue else AT_TIME.value
+        assert value_kind(value) is kind
+    assert value_kind(JOB) is None and value_kind(StringValue("x")) is None
 
 
 def _instances(statements=(), extra_items=()):
