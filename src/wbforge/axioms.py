@@ -33,6 +33,7 @@ from .dl import (
 from .errors import PatternInapplicableError
 from .expander import object_datatype
 from .model import (
+    TYPED_ORIGINS,
     VALUE_KINDS,
     AxiomPattern,
     DataObject,
@@ -43,7 +44,8 @@ from .model import (
     SchemaDocument,
     StatementDecl,
 )
-from .namespaces import Iri, NamespaceTable, namespaced_property, prov_was_derived_from, wikibase
+from .namespaces import (
+    Iri, NamespaceTable, curie_or_iri, namespaced_property, prov_was_derived_from, wikibase)
 
 # origin key -> generic reading, used by finding explanations
 CATALOG: dict[str, str] = {
@@ -161,16 +163,10 @@ class _Env:
         return Role(wikibase(self.table, local))
 
     def role_name(self, role: Role) -> str:
-        c = self.table.curie(role.iri)
-        return c if c is not None else f"<{role.iri}>"
+        return curie_or_iri(role.iri, self.table)
 
     def class_name(self, expr: ClassExpr) -> str:
-        if isinstance(expr, Named):
-            c = self.table.curie(expr.iri)
-            return c if c is not None else f"<{expr.iri}>"
-        if isinstance(expr, DataRange):
-            return f"xsd:{expr.datatype.xsd_local}"
-        return "owl:Thing"
+        return _render_class(expr, self.table)
 
 
 def _inv(role: Role) -> Role:
@@ -283,103 +279,78 @@ def _quantity_node_axioms(e: _Env, decl_id: str) -> list[AnnotatedAxiom]:
     return out
 
 
-def _typed_edge_axioms(
-    e: _Env,
-    edge: Role,
-    value_edge: Role,
-    datatype: Datatype,
-    scoped: bool,
-    decl_id: str,
-    keys: dict[str, str],
-) -> list[AnnotatedAxiom]:
-    """Type-specific set for a pq:/pqv: pair, reused for ps:/psv: by substitution."""
-    edge_n, value_n = e.role_name(edge), e.role_name(value_edge)
-    dt_range = DataRange(datatype)
-    out: list[AnnotatedAxiom] = []
+def _filler(e: _Env, vtype: Datatype | Iri, scoped: bool) -> ClassExpr:
+    """The range filler of a pq:/ps: edge; an unscoped date edge ranges over its node."""
+    if isinstance(vtype, Iri):
+        return Named(vtype)
+    if vtype is Datatype.DATETIME and not scoped:
+        return e.time_value
+    return DataRange(vtype)
 
+
+def _range_axiom(e: _Env, edge: Role, filler: ClassExpr, scoped: bool, key: str,
+                 decl_id: str) -> AnnotatedAxiom:
+    edge_n, filler_n = e.role_name(edge), e.class_name(filler)
+    if scoped:
+        return AnnotatedAxiom(SubClassOf(Some(_inv(edge), Some(_inv(e.p), e.item)), filler),
+                              key, f"The scoped range of {edge_n} under items is {filler_n}.",
+                              decl_id)
+    return AnnotatedAxiom(_global_range(edge, filler), key,
+                          f"The unscoped range of {edge_n} is {filler_n}.", decl_id)
+
+
+def _at_most_one(e: _Env, edge: Role, filler: ClassExpr, decl_id: str) -> AnnotatedAxiom:
+    return AnnotatedAxiom(SubClassOf(e.statement, MaxCard(1, edge, filler)), "AxFunc",
+                          f"A wikibase:Statement carries at most one {e.role_name(edge)} "
+                          "value (functional flag; DSL extension).", decl_id)
+
+
+def _typed_edge_axioms(e: _Env, edge: Role, value_edge: Role, datatype: Datatype,
+                       scoped: bool, decl_id: str) -> list[AnnotatedAxiom]:
+    """Type-specific set for a pq:/pqv: pair, reused for ps:/psv: by substitution."""
+    keys = TYPED_ORIGINS[datatype]
+    edge_n, value_n = e.role_name(edge), e.role_name(value_edge)
+    out = [AnnotatedAxiom(_domain(edge, e.statement), keys["dom"],
+                          f"The domain of {edge_n} is wikibase:Statement.", decl_id)]
     if datatype is Datatype.DECIMAL:
+        dt_range, qv = DataRange(datatype), e.quantity_value
         out.extend([
-            AnnotatedAxiom(_domain(edge, e.statement), keys["q-dom"],
-                           f"The domain of {edge_n} is wikibase:Statement.", decl_id),
-            AnnotatedAxiom(SubClassOf(e.statement, All(edge, dt_range)), keys["q-range"],
+            AnnotatedAxiom(SubClassOf(e.statement, All(edge, dt_range)), keys["unscoped"],
                            f"On a wikibase:Statement, {edge_n} ranges over xsd:decimal.",
                            decl_id),
-            AnnotatedAxiom(SubClassOf(e.statement, MaxCard(1, edge, dt_range)),
-                           keys["q-func"],
+            AnnotatedAxiom(SubClassOf(e.statement, MaxCard(1, edge, dt_range)), keys["func"],
                            f"A wikibase:Statement carries at most one {edge_n} value.",
                            decl_id),
-            AnnotatedAxiom(_domain(value_edge, e.statement), keys["qv-dom"],
+            AnnotatedAxiom(_domain(value_edge, e.statement), keys["value_dom"],
                            f"The domain of {value_n} is wikibase:Statement.", decl_id),
-            AnnotatedAxiom(SubClassOf(e.statement, All(value_edge, e.quantity_value)),
-                           keys["qv-range"],
+            AnnotatedAxiom(SubClassOf(e.statement, All(value_edge, qv)), keys["value_range"],
                            f"On a wikibase:Statement, {value_n} ranges over "
                            "wikibase:QuantityValue.", decl_id),
-            AnnotatedAxiom(SubClassOf(e.statement, MaxCard(1, value_edge, e.quantity_value)),
-                           keys["qv-func"],
+            AnnotatedAxiom(SubClassOf(e.statement, MaxCard(1, value_edge, qv)),
+                           keys["value_func"],
                            f"A wikibase:Statement carries at most one {value_n} value.",
                            decl_id),
         ])
-        out.extend(_quantity_node_axioms(e, decl_id))
-        return out
+        return out + _quantity_node_axioms(e, decl_id)
 
+    out.append(_range_axiom(e, edge, _filler(e, datatype, scoped), scoped,
+                            keys["scoped" if scoped else "unscoped"], decl_id))
     if datatype is Datatype.DATETIME:
-        out.append(AnnotatedAxiom(_domain(edge, e.statement), keys["dom"],
-                                  f"The domain of {edge_n} is wikibase:Statement.",
-                                  decl_id))
-        if scoped:
-            scoped_lhs = Some(_inv(edge), Some(_inv(e.p), e.item))
-            out.append(AnnotatedAxiom(
-                SubClassOf(scoped_lhs, dt_range), keys["scoped"],
-                f"The scoped range of {edge_n} under items is xsd:dateTime.", decl_id))
-        else:
-            out.append(AnnotatedAxiom(
-                _global_range(edge, e.time_value), keys["unscoped"],
-                f"The unscoped range of {edge_n} is wikibase:TimeValue.", decl_id))
+        tv = e.time_value
         out.extend([
-            AnnotatedAxiom(_domain(value_edge, e.statement), "Ax16",
+            AnnotatedAxiom(_domain(value_edge, e.statement), keys["value_dom"],
                            f"The domain of {value_n} is wikibase:Statement.", decl_id),
-            AnnotatedAxiom(_global_range(value_edge, e.time_value), "Ax17",
+            AnnotatedAxiom(_global_range(value_edge, tv), keys["value_range"],
                            f"The range of {value_n} is wikibase:TimeValue.", decl_id),
-            AnnotatedAxiom(
-                SubClassOf(e.time_value, ExactCard(1, _inv(value_edge), e.statement)),
-                "Ax18",
-                f"A wikibase:TimeValue is the {value_n} filler of exactly one "
-                "wikibase:Statement.", decl_id),
+            AnnotatedAxiom(SubClassOf(tv, ExactCard(1, _inv(value_edge), e.statement)), "Ax18",
+                           f"A wikibase:TimeValue is the {value_n} filler of exactly one "
+                           "wikibase:Statement.", decl_id),
+            *_time_node_axioms(e, decl_id),
+            AnnotatedAxiom(SubClassOf(Some(edge, DataRange(datatype)), Some(value_edge, tv)),
+                           "Ax31", f"A {edge_n} xsd:dateTime assertion is accompanied by a "
+                           f"{value_n} value node.", decl_id),
         ])
-        out.extend(_time_node_axioms(e, decl_id))
-        out.append(AnnotatedAxiom(
-            SubClassOf(Some(edge, dt_range), Some(value_edge, e.time_value)), "Ax31",
-            f"A {edge_n} xsd:dateTime assertion is accompanied by a {value_n} value node.",
-            decl_id))
-        return out
-
-    # string
-    out.append(AnnotatedAxiom(_domain(edge, e.statement), keys["dom"],
-                              f"The domain of {edge_n} is wikibase:Statement.", decl_id))
-    if scoped:
-        scoped_lhs = Some(_inv(edge), Some(_inv(e.p), e.item))
-        out.append(AnnotatedAxiom(
-            SubClassOf(scoped_lhs, dt_range), keys["scoped"],
-            f"The scoped range of {edge_n} under items is xsd:string.", decl_id))
-    else:
-        out.append(AnnotatedAxiom(
-            _global_range(edge, dt_range), keys["unscoped"],
-            f"The unscoped range of {edge_n} is xsd:string.", decl_id))
     return out
-
-
-def _unscoped_filler(e: _Env, q: QualifierDecl) -> ClassExpr:
-    if q.qtype.item_class is not None:
-        return Named(q.qtype.item_class)
-    if q.qtype.datatype is Datatype.DATETIME:
-        return e.time_value
-    return DataRange(q.qtype.datatype)
-
-
-def _scoped_filler(e: _Env, q: QualifierDecl) -> ClassExpr:
-    if q.qtype.item_class is not None:
-        return Named(q.qtype.item_class)
-    return DataRange(q.qtype.datatype)
 
 
 def qualifier_axioms(decl: StatementDecl, q: QualifierDecl,
@@ -388,47 +359,21 @@ def qualifier_axioms(decl: StatementDecl, q: QualifierDecl,
     e = _Env(decl, table)
     decl_id = f"{decl.property_name}/{q.name}"
     pq = e.pq(q.name)
-    pq_n = e.role_name(pq)
+    vtype = q.qtype.item_class or q.qtype.datatype
     out = [AnnotatedAxiom(_domain(pq, e.statement), "Ax12",
-                          f"The domain of {pq_n} is wikibase:Statement.", decl_id)]
-    if q.scoped:
-        filler = _scoped_filler(e, q)
-        out.append(AnnotatedAxiom(
-            SubClassOf(Some(_inv(pq), Some(_inv(e.p), e.item)), filler), "Ax10",
-            f"The scoped range of {pq_n} under items is {e.class_name(filler)}.",
-            decl_id))
-    else:
-        filler = _unscoped_filler(e, q)
-        out.append(AnnotatedAxiom(
-            _global_range(pq, filler), "Ax11",
-            f"The unscoped range of {pq_n} is {e.class_name(filler)}.", decl_id))
-
+                          f"The domain of {e.role_name(pq)} is wikibase:Statement.", decl_id),
+           _range_axiom(e, pq, _filler(e, vtype, q.scoped), q.scoped,
+                        "Ax10" if q.scoped else "Ax11", decl_id)]
     dt = q.qtype.datatype
-    if dt is Datatype.DATETIME:
-        out.extend(_typed_edge_axioms(e, pq, e.pqv(q.name), dt, q.scoped, decl_id,
-                                      {"dom": "Ax13", "scoped": "Ax14", "unscoped": "Ax15"}))
-    elif dt is Datatype.STRING:
-        out.extend(_typed_edge_axioms(e, pq, e.pqv(q.name), dt, q.scoped, decl_id,
-                                      {"dom": "Ax32", "scoped": "Ax33", "unscoped": "Ax34"}))
-    elif dt is Datatype.DECIMAL:
-        out.extend(_typed_edge_axioms(
-            e, pq, e.pqv(q.name), dt, q.scoped, decl_id,
-            {"q-dom": "AxQ-pq-dom", "q-range": "AxQ-pq-range", "q-func": "AxQ-pq-func",
-             "qv-dom": "AxQ-pqv-dom", "qv-range": "AxQ-pqv-range",
-             "qv-func": "AxQ-pqv-func"}))
-
+    if dt in TYPED_ORIGINS:
+        out.extend(_typed_edge_axioms(e, pq, e.pqv(q.name), dt, q.scoped, decl_id))
     # the decimal set already carries its own functionality axiom
-    if q.functional and dt is not Datatype.DECIMAL:
-        filler = _scoped_filler(e, q)
-        out.append(AnnotatedAxiom(
-            SubClassOf(e.statement, MaxCard(1, pq, filler)), "AxFunc",
-            f"A wikibase:Statement carries at most one {pq_n} value "
-            "(functional flag; DSL extension).", decl_id))
+    if dt is not Datatype.DECIMAL:
+        out.append(_at_most_one(e, pq, _filler(e, vtype, True), decl_id))
     if q.required:
-        filler = _scoped_filler(e, q)
         out.append(AnnotatedAxiom(
-            SubClassOf(e.statement, MinCard(1, pq, filler)), "AxReq",
-            f"A wikibase:Statement carries at least one {pq_n} value "
+            SubClassOf(e.statement, MinCard(1, pq, _filler(e, vtype, True))), "AxReq",
+            f"A wikibase:Statement carries at least one {e.role_name(pq)} value "
             "(required flag; DSL extension).", decl_id))
     return out
 
@@ -439,22 +384,9 @@ def statement_value_axioms(decl: StatementDecl, table: NamespaceTable) -> list[A
     if dt is None:
         return []
     e = _Env(decl, table)
-    decl_id = decl.property_name
-    ps_n = e.role_name(e.ps)
-    if dt is Datatype.DECIMAL:
-        return _typed_edge_axioms(
-            e, e.ps, e.psv, dt, False, decl_id,
-            {"q-dom": "AxQ-pq-dom", "q-range": "AxQ-pq-range", "q-func": "AxQ-pq-func",
-             "qv-dom": "AxQ-pqv-dom", "qv-range": "AxQ-pqv-range",
-             "qv-func": "AxQ-pqv-func"})
-    keys = ({"dom": "Ax13", "scoped": "Ax14", "unscoped": "Ax15"}
-            if dt is Datatype.DATETIME
-            else {"dom": "Ax32", "scoped": "Ax33", "unscoped": "Ax34"})
-    out = _typed_edge_axioms(e, e.ps, e.psv, dt, False, decl_id, keys)
-    out.append(AnnotatedAxiom(
-        SubClassOf(e.statement, MaxCard(1, e.ps, DataRange(dt))), "AxFunc",
-        f"A wikibase:Statement carries at most one {ps_n} value "
-        "(functional flag; DSL extension).", decl_id))
+    out = _typed_edge_axioms(e, e.ps, e.psv, dt, False, decl.property_name)
+    if dt is not Datatype.DECIMAL:
+        out.append(_at_most_one(e, e.ps, DataRange(dt), decl.property_name))
     return out
 
 
@@ -596,15 +528,10 @@ def schema_axioms(doc: SchemaDocument) -> list[AnnotatedAxiom]:
 
 # serialization -----------------------------------------------------------
 
-def _name(iri: Iri, table: NamespaceTable) -> str:
-    c = table.curie(iri)
-    return c if c is not None else f"<{iri.value}>"
-
-
 def _render_role(role: Role, table: NamespaceTable) -> str:
     if role.inverse:
-        return f"ObjectInverseOf( {_name(role.iri, table)} )"
-    return _name(role.iri, table)
+        return f"ObjectInverseOf( {curie_or_iri(role.iri, table)} )"
+    return curie_or_iri(role.iri, table)
 
 
 def _render_card(kind: str, n: int, role: Role, filler: ClassExpr,
@@ -620,7 +547,7 @@ def _render_class(expr: ClassExpr, table: NamespaceTable) -> str:
     if isinstance(expr, Top):
         return "owl:Thing"
     if isinstance(expr, Named):
-        return _name(expr.iri, table)
+        return curie_or_iri(expr.iri, table)
     if isinstance(expr, DataRange):
         return f"xsd:{expr.datatype.xsd_local}"
     if isinstance(expr, Some):

@@ -24,6 +24,8 @@ from .errors import (
 from .model import (
     AxiomPattern,
     ClassDecl,
+    DEFAULT_PRECISION,
+    DEFAULT_TIMEZONE,
     DataObject,
     Datatype,
     DateTimeValue,
@@ -46,7 +48,7 @@ from .model import (
     StringValue,
     Value,
 )
-from .namespaces import DEFAULT_ROOT, Iri, NamespaceTable, expand_iri, wikibase
+from .namespaces import DEFAULT_ROOT, LONE_SURROGATE, Iri, NamespaceTable, expand_iri, wikibase
 
 ITEM_QUALIFIER_FLAG = "allow-item-qualifiers"
 KNOWN_FLAGS = (ITEM_QUALIFIER_FLAG,)
@@ -105,6 +107,8 @@ def tokenize(text: str) -> list[Token]:
 
 def _decode_string(tok: Token) -> str:
     body = tok.text[1:-1]
+    if LONE_SURROGATE.search(body):
+        raise DslSyntaxError(tok.line, tok.col, "a string without lone surrogates")
     out: list[str] = []
     i = 0
     while i < len(body):
@@ -209,7 +213,7 @@ def _parse_qualifier_decl(ts: _Stream, table: NamespaceTable) -> tuple[Qualifier
     scoped = False
     if ts.at_ident("scoped", "unscoped"):
         scoped = ts.next().text == "scoped"
-    if ts.at_ident("functional"):
+    if ts.at_ident("functional"):   # accepted and inert: every qualifier is functional
         ts.next()
     required = False
     if ts.at_ident("required"):
@@ -400,7 +404,7 @@ def _parse_value(ts: _Stream, table: NamespaceTable) -> Value:
     if ts.at_ident("datetime"):
         ts.next()
         dtok = ts.expect("DATETIME", "an ISO dateTime like 2009-01-01T00:00:00Z")
-        precision, tz = 11, 0
+        precision, tz = DEFAULT_PRECISION, DEFAULT_TIMEZONE
         calendar = table.term("wd", "ProlepticGregorian")
         if ts.at_ident("precision"):
             ts.next()

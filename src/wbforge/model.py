@@ -81,8 +81,7 @@ class QualifierDecl:
     name: str                     # local name, minted under pq:/pqv:
     qtype: QualifierType
     scoped: bool = False          # scoped range vs global range axioms
-    functional: bool = True
-    required: bool = False
+    required: bool = False        # at least one value; at most one always holds
 
 
 @dataclass(frozen=True)
@@ -207,6 +206,7 @@ class ValueKind(NamedTuple):
     value_type: type
     tag: str                      # leads the value node's hash preimage
     fields: tuple[tuple[str, str, Datatype | None], ...]
+    origins: tuple[str, ...]      # cited by the node's shape and ValueNodeMalformed
 
 
 # keyed by the literal datatype whose values carry a node
@@ -216,11 +216,25 @@ VALUE_KINDS: dict[Datatype, ValueKind] = {
         ("timePrecision", "precision", Datatype.INT),
         ("timeTimezone", "timezone", Datatype.INT),
         ("timeCalendarModel", "calendar", None),
-    )),
+    ), ("Ax19", "Ax23", "Ax27")),
     Datatype.DECIMAL: ValueKind("QuantityValue", DecimalValue, "N", (
         ("quantityValue", "amount", Datatype.DECIMAL),
         ("quantityUnit", "unit", None),
-    )),
+    ), ("AxQ-val-dom", "AxQ-val-range", "AxQ-unit-range")),
+}
+
+# origin keys of the typed ps:/pq: edge sets, cited by axioms and shapes:
+# the edge's domain, its range scoped to item-anchored statements or not,
+# and for node-carrying datatypes the value edge's domain and range. The
+# decimal set has one range axiom either way.
+TYPED_ORIGINS: dict[Datatype, dict[str, str]] = {
+    Datatype.STRING: {"dom": "Ax32", "scoped": "Ax33", "unscoped": "Ax34"},
+    Datatype.DATETIME: {"dom": "Ax13", "scoped": "Ax14", "unscoped": "Ax15",
+                        "value_dom": "Ax16", "value_range": "Ax17"},
+    Datatype.DECIMAL: {"dom": "AxQ-pq-dom",
+                       **dict.fromkeys(("scoped", "unscoped"), "AxQ-pq-range"),
+                       "func": "AxQ-pq-func", "value_dom": "AxQ-pqv-dom",
+                       "value_range": "AxQ-pqv-range", "value_func": "AxQ-pqv-func"},
 }
 
 

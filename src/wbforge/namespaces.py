@@ -48,7 +48,10 @@ FIXED_PREFIX_ORDER = (
 
 PROPERTY_NAMESPACES = ("wdt", "p", "ps", "psv", "pq", "pqv", "pr")
 
-_NOT_IN_IRI = re.compile(r'[ \t\n\r<>"]')
+# lone surrogates come from undecodable bytes (argv and the environment decode
+# with surrogateescape) and cannot be written as UTF-8, so no term may hold one
+LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
+_NOT_IN_IRI = re.compile(r'[ \t\n\r<>"\ud800-\udfff]')
 
 
 class _IriFields(NamedTuple):
@@ -173,6 +176,12 @@ def expand_iri(text: str, table: NamespaceTable) -> Iri:
     if not sep:
         raise UnknownPrefixError(text)
     return Iri(table.base(prefix) + local)
+
+
+def curie_or_iri(iri: Iri, table: NamespaceTable) -> str:
+    """`prefix:local` where the table can compress `iri`, else `<iri>`."""
+    c = table.curie(iri)
+    return c if c is not None else f"<{iri.value}>"
 
 
 def namespaced_property(name: str, ns: str, table: NamespaceTable) -> Iri:

@@ -12,7 +12,7 @@ import re
 from typing import NamedTuple
 
 from .errors import BlankNodeUnsupportedError, NtSyntaxError
-from .namespaces import Iri
+from .namespaces import LONE_SURROGATE, Iri
 
 XSD_STRING = Iri("http://www.w3.org/2001/XMLSchema#string")
 
@@ -174,6 +174,8 @@ def parse_ntriples(text: str) -> Graph:
         if o_iri is not None:
             o = Iri(_unescape(o_iri, line_no))
         else:
+            if LONE_SURROGATE.search(o_lex):
+                raise NtSyntaxError(line_no, "literal holds a lone surrogate")
             dt = Iri(_unescape(o_dt, line_no)) if o_dt is not None else XSD_STRING
             o = Literal(_unescape(o_lex, line_no), dt)
         g.add(Triple(s, p, o))

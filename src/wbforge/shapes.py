@@ -13,17 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import (
+    TYPED_ORIGINS,
     VALUE_KINDS,
     DataObject,
     Datatype,
-    QualifierDecl,
     SchemaDocument,
     StatementDecl,
     AxiomPattern,
     ValueKind,
 )
 from .expander import object_datatype
-from .namespaces import Iri, NamespaceTable, namespaced_property, prov_was_derived_from, wikibase
+from .namespaces import (
+    Iri, NamespaceTable, curie_or_iri, namespaced_property, prov_was_derived_from, wikibase)
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,6 @@ def _class_expr(cls: Iri, doc: SchemaDocument) -> ValueExpr:
     return IriKind()
 
 
-def _qualifier_cardinality(q: QualifierDecl) -> str:
-    if q.functional:
-        return EXACTLY_ONE if q.required else OPTIONAL
-    return AT_LEAST_ONE if q.required else ANY
-
-
 def _item_shape(cls_iri: Iri, doc: SchemaDocument) -> Shape:
     table = doc.namespaces
     tcs: list[TripleConstraint] = []
@@ -136,35 +131,32 @@ def _statement_shape(decl: StatementDecl, doc: SchemaDocument) -> Shape:
         dt = decl.object_spec.datatype
         tcs.append(TripleConstraint(namespaced_property(name, "ps", table),
                                     DatatypeExpr(f"xsd:{dt.xsd_local}")))
-        origins.append({Datatype.DATETIME: "Ax15", Datatype.STRING: "Ax34",
-                        Datatype.DECIMAL: "AxQ-pq-range"}[dt])
+        origins.append(TYPED_ORIGINS[dt]["unscoped"])
         if dt in VALUE_KINDS:
             tcs.append(TripleConstraint(namespaced_property(name, "psv", table),
                                         ShapeRef(VALUE_KINDS[dt].node_class)))
-            origins.append({Datatype.DATETIME: "Ax17",
-                            Datatype.DECIMAL: "AxQ-pqv-range"}[dt])
+            origins.append(TYPED_ORIGINS[dt]["value_range"])
     else:
         tcs.append(TripleConstraint(namespaced_property(name, "ps", table),
                                     _class_expr(decl.object_spec.iri, doc)))
         origins.extend(["Ax6", "Ax7"])
 
     for q in decl.qualifiers:
-        card = _qualifier_cardinality(q)
+        card = EXACTLY_ONE if q.required else OPTIONAL
+        dt = q.qtype.datatype
         if q.qtype.item_class is not None:
             expr: ValueExpr = _class_expr(q.qtype.item_class, doc)
             origins.append("Ax10" if q.scoped else "Ax11")
         else:
-            expr = DatatypeExpr(f"xsd:{q.qtype.datatype.xsd_local}")
-            origins.append({Datatype.DATETIME: "Ax14" if q.scoped else "Ax31",
-                            Datatype.STRING: "Ax33" if q.scoped else "Ax34",
-                            Datatype.DECIMAL: "AxQ-pq-range"}[q.qtype.datatype])
+            expr = DatatypeExpr(f"xsd:{dt.xsd_local}")
+            # an unscoped date qualifier cites its value-node link, not the range axiom
+            origins.append("Ax31" if dt is Datatype.DATETIME and not q.scoped
+                           else TYPED_ORIGINS[dt]["scoped" if q.scoped else "unscoped"])
         tcs.append(TripleConstraint(namespaced_property(q.name, "pq", table), expr, card))
-        if q.qtype.datatype in VALUE_KINDS:
+        if dt in VALUE_KINDS:
             tcs.append(TripleConstraint(namespaced_property(q.name, "pqv", table),
-                                        ShapeRef(VALUE_KINDS[q.qtype.datatype].node_class),
-                                        card))
-        if q.functional:
-            origins.append("AxFunc")
+                                        ShapeRef(VALUE_KINDS[dt].node_class), card))
+        origins.append("AxFunc")
         if q.required:
             origins.append("AxReq")
 
@@ -192,19 +184,13 @@ def _reference_shape(decl: StatementDecl, doc: SchemaDocument) -> Shape:
                  comments=("# origin: Ax51, Ax53, Ax54",))
 
 
-# the origin keys each value node shape cites
-_VALUE_SHAPE_ORIGINS = {
-    Datatype.DATETIME: "Ax19, Ax23, Ax27",
-    Datatype.DECIMAL: "AxQ-val-dom, AxQ-val-range, AxQ-unit-range",
-}
-
-
-def _value_shape(kind: ValueKind, origin: str, table: NamespaceTable) -> Shape:
+def _value_shape(kind: ValueKind, table: NamespaceTable) -> Shape:
     tcs = tuple(
         TripleConstraint(wikibase(table, local),
                          IriKind() if dt is None else DatatypeExpr(f"xsd:{dt.xsd_local}"))
         for local, _, dt in kind.fields)
-    return Shape(kind.node_class, tcs, closed=True, comments=(f"# origin: {origin}",))
+    return Shape(kind.node_class, tcs, closed=True,
+                 comments=("# origin: " + ", ".join(kind.origins),))
 
 
 def schema_shapes(doc: SchemaDocument) -> ShapeDoc:
@@ -218,7 +204,7 @@ def schema_shapes(doc: SchemaDocument) -> ShapeDoc:
             shapes.append(_reference_shape(decl, doc))
         datatypes.update(q.qtype.datatype for q in decl.qualifiers)
         datatypes.add(object_datatype(decl))
-    shapes.extend(_value_shape(kind, _VALUE_SHAPE_ORIGINS[dt], table)
+    shapes.extend(_value_shape(kind, table)
                   for dt, kind in VALUE_KINDS.items() if dt in datatypes)
     return ShapeDoc(table, tuple(shapes))
 
@@ -229,11 +215,6 @@ def _render_value_expr(expr: ValueExpr) -> str:
     if isinstance(expr, ShapeRef):
         return f"@<{expr.label}>"
     return "IRI"
-
-
-def _render_predicate(p: Iri, table: NamespaceTable) -> str:
-    c = table.curie(p)
-    return c if c is not None else f"<{p.value}>"
 
 
 def serialize_shapes(doc: ShapeDoc) -> str:
@@ -247,7 +228,7 @@ def serialize_shapes(doc: ShapeDoc) -> str:
             head += " CLOSED EXTRA a"
         lines.append(head + " {")
         for tc in shape.constraints:
-            line = (f"  {_render_predicate(tc.predicate, doc.namespaces)} "
+            line = (f"  {curie_or_iri(tc.predicate, doc.namespaces)} "
                     f"{_render_value_expr(tc.value_expr)}")
             if tc.cardinality:
                 line += f" {tc.cardinality}"

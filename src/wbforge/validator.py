@@ -61,7 +61,7 @@ _CODE_ORIGINS: dict[str, tuple[str, ...]] = {
     "SharedReference": ("Ax54",),
     "SharedStatement": ("Ax3+4",),
     "UnknownProperty": (),
-    "ValueNodeMalformed": ("Ax19", "Ax23", "Ax27", "AxQ-val-range", "AxQ-unit-range"),
+    "ValueNodeMalformed": tuple(key for kind in VALUE_KINDS.values() for key in kind.origins),
 }
 
 _CODE_SUMMARY: dict[str, str] = {
@@ -276,7 +276,7 @@ class _Checker:
             if q.required and not values:
                 self.add("ExistenceViolation", node,
                          f"required qualifier pq:{qname} missing")
-            if q.functional and len(set(values)) > 1:
+            if len(set(values)) > 1:
                 self.add("FunctionalityViolation", node,
                          f"{len(set(values))} values for functional qualifier pq:{qname}")
             for v in values:

@@ -54,6 +54,7 @@ ValueNodeMalformed (ERROR, 0 finding(s)): a metadata value node has missing or i
   Ax19 | the domain of wikibase:timeValue is wikibase:TimeValue
   Ax23 | the range of wikibase:timeValue is xsd:dateTime
   Ax27 | wikibase:timeValue has exactly one filler
+  AxQ-val-dom | the domain of wikibase:quantityValue is wikibase:QuantityValue
   AxQ-val-range | on quantity nodes, wikibase:quantityValue ranges over xsd:decimal
   AxQ-unit-range | on quantity nodes, wikibase:quantityUnit ranges over wikibase:Item
 """

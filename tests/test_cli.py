@@ -1,7 +1,13 @@
 """CLI surface: subcommands, output routing, exit codes, root override."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import wbforge
 from wbforge.cli import main
 from wbforge.fixtures import MUTATIONS, fixture_path, load_bundle
 from wbforge.rdf import serialize_canonical
@@ -100,6 +106,22 @@ def test_root_env_fallback(capsys, monkeypatch):
     # explicit flag wins over the environment
     main(["export", str(SCHEMA), str(INSTANCES), "--root", "http://flag.example/"])
     assert "http://flag.example/entity/" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_undecodable_root_exits_2_without_traceback(via):
+    # argv and the environment decode the byte 0xff to the lone surrogate U+DCFF
+    root = "http://x/\udcff/"
+    env = {**os.environ, "PYTHONPATH": str(Path(wbforge.__file__).parents[1])}
+    argv = [sys.executable, "-m", "wbforge.cli", "export", str(SCHEMA), str(INSTANCES)]
+    if via == "flag":
+        argv += ["--root", root]
+    else:
+        env["WBFORGE_ROOT"] = root
+    proc = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"wbforge: ") and b"Traceback" not in proc.stderr
+    assert proc.stdout == b""
 
 
 def test_missing_file_exits_2(capsys):

@@ -25,6 +25,8 @@ from wbforge.model import (
     ItemClass,
     ItemData,
     ItemRef,
+    QualifierDecl,
+    QualifierType,
     SchemaDocument,
     StatementDecl,
     StringValue,
@@ -45,6 +47,19 @@ statement ex:hasJob {
   axioms { Domain, Existential }
 }
 """
+
+
+def test_functional_keyword_is_accepted_and_inert():
+    text = ("prefix ex: <http://v.example/> class ex:A\n"
+            "statement ex:s {{ subject ex:A object item ex:A\n  qualifier ex:q : string{} }}\n")
+    doc = parse_schema(text.format(" functional"))
+    assert doc == parse_schema(text.format(""))
+    assert "functional" not in print_schema(doc)
+    assert (parse_schema(text.format(" scoped functional required"))
+            == parse_schema(text.format(" scoped required")))
+    # every qualifier is functional; there is no flag to print or to turn off
+    with pytest.raises(TypeError):
+        QualifierDecl("q", QualifierType(Datatype.STRING), functional=False)
 
 
 def test_parse_schema_structure():
@@ -190,6 +205,13 @@ def test_parse_instances_error_paths():
     with pytest.raises(DslSyntaxError):   # empty reference block
         parse_instances("prefix ex: <http://v.example/>\n"
                         "item wd:a : ex:P { ex:v -> item wd:b { reference { } } }")
+
+
+def test_string_with_a_lone_surrogate_is_rejected():
+    # what an undecodable byte becomes under surrogateescape; UTF-8 cannot encode it
+    with pytest.raises(DslSyntaxError, match="line 2, col 35"):
+        parse_instances("prefix ex: <http://v.example/>\n"
+                        "item wd:a : ex:P { ex:v -> string \"caf\udcff\" }\n")
 
 
 def test_canonical_forms_reject_a_trailing_newline():

@@ -28,6 +28,14 @@ def test_iri_rejects_garbage():
     assert Iri("http://x.example/a-b_c#d?e=f").value == "http://x.example/a-b_c#d?e=f"
 
 
+def test_iri_rejects_lone_surrogates_only():
+    for c in ("\ud800", "\udcff", "\udfff"):
+        with pytest.raises(WbforgeError):
+            Iri("http://x.example/" + c)
+    for c in ("\ud7ff", "\ue000", "\U0001f600"):   # either side of the range, an astral char
+        assert Iri("http://x.example/" + c).value.endswith(c)
+
+
 def test_iri_local_name():
     assert Iri("http://x.example/path/Leaf").local_name == "Leaf"
     assert Iri("http://wikiba.se/ontology#Item").local_name == "Item"

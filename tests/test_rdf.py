@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from wbforge.errors import BlankNodeUnsupportedError, NtSyntaxError
+from wbforge.errors import BlankNodeUnsupportedError, NtSyntaxError, WbforgeError
 from wbforge.namespaces import Iri
 from wbforge.rdf import (
     XSD_STRING,
@@ -147,6 +147,20 @@ def test_parse_unicode_escapes():
 def test_parse_rejects_bad_unicode_escapes(text):
     with pytest.raises(NtSyntaxError):
         parse_ntriples(text + "\n")
+
+
+# raw lone surrogates come from text decoded with surrogateescape; UTF-8 cannot
+# encode them, so hashing or writing the graph would fail later
+
+def test_parse_rejects_a_raw_lone_surrogate_in_an_iri():
+    with pytest.raises(WbforgeError, match="not an absolute IRI"):
+        parse_ntriples('<http://x.example/\udcff> <http://x.example/p> "x" .\n')
+
+
+def test_parse_rejects_a_raw_lone_surrogate_in_a_literal():
+    with pytest.raises(NtSyntaxError, match="line 2: literal holds a lone surrogate"):
+        parse_ntriples('<http://x.example/s> <http://x.example/p> "x" .\n'
+                       '<http://x.example/s> <http://x.example/p> "caf\ud800" .\n')
 
 
 def test_parse_rejects_blank_nodes():
