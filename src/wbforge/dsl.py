@@ -84,6 +84,7 @@ _TOKEN_PATTERNS = (
 _TOKEN_RE = re.compile("|".join(f"(?P<{group}>{rx})" for group, rx in _TOKEN_PATTERNS))
 
 _STRING_UNESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+_STRING_ESCAPE = re.compile(r"\\(.)")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -109,23 +110,25 @@ def _decode_string(tok: Token) -> str:
     body = tok.text[1:-1]
     if LONE_SURROGATE.search(body):
         raise DslSyntaxError(tok.line, tok.col, "a string without lone surrogates")
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c == "\\":
-            esc = body[i + 1] if i + 1 < len(body) else ""
-            if esc not in _STRING_UNESCAPES:
-                raise DslSyntaxError(tok.line, tok.col, f"a valid escape (found \\{esc})")
-            out.append(_STRING_UNESCAPES[esc])
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+
+    def unescape(m: re.Match[str]) -> str:
+        try:
+            return _STRING_UNESCAPES[m.group(1)]
+        except KeyError:
+            raise DslSyntaxError(tok.line, tok.col,
+                                 f"a valid escape (found \\{m.group(1)})") from None
+    return _STRING_ESCAPE.sub(unescape, body)
+
+
+_NAME_KINDS = ("CURIE", "IRIREF")
+_CURIE = ("CURIE",)
+_WORD = ("IDENT", "PUNCT")
 
 
 class _Stream:
+    """Keyword and punctuation texts belong to one token kind each, so
+    `at` and `accept` compare the text alone."""
+
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
@@ -139,31 +142,52 @@ class _Stream:
             self._pos += 1
         return tok
 
-    def at_ident(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.text in words
+    def at(self, *words: str) -> bool:
+        return self._tokens[self._pos].text in words
 
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.text == text
+    def accept(self, word: str) -> bool:
+        """Step over `word` if it comes next."""
+        if self._tokens[self._pos].text == word:
+            self._pos += 1
+            return True
+        return False
 
-    def expect_ident(self, word: str) -> Token:
-        tok = self.peek()
-        if not (tok.kind == "IDENT" and tok.text == word):
-            raise DslSyntaxError(tok.line, tok.col, f"'{word}'")
-        return self.next()
+    def error(self, what: str) -> DslSyntaxError:
+        tok = self._tokens[self._pos]
+        return DslSyntaxError(tok.line, tok.col, what)
 
-    def expect_punct(self, text: str) -> Token:
-        tok = self.peek()
-        if not (tok.kind == "PUNCT" and tok.text == text):
-            raise DslSyntaxError(tok.line, tok.col, f"'{text}'")
-        return self.next()
+    def expect(self, kinds: tuple[str, ...], what: str = "", text: str | None = None) -> Token:
+        """The next token, which must have a kind in `kinds` (and the text `text`)."""
+        tok = self._tokens[self._pos]
+        if tok.kind not in kinds or text is not None and tok.text != text:
+            raise self.error(what or f"'{text}'")
+        self._pos += 1            # never EOF: no caller expects it
+        return tok
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise DslSyntaxError(tok.line, tok.col, what)
-        return self.next()
+
+def _resolve(tok: Token, table: NamespaceTable) -> Iri:
+    try:
+        return expand_iri(tok.text, table)
+    except WbforgeError as exc:
+        raise DslSyntaxError(tok.line, tok.col, f"a resolvable name ({exc})") from None
+
+
+def _parse_name(ts: _Stream, table: NamespaceTable, what: str,
+                kinds: tuple[str, ...] = _NAME_KINDS) -> Iri:
+    return _resolve(ts.expect(kinds, what), table)
+
+
+def _parse_prefix_decl(ts: _Stream, table: NamespaceTable) -> NamespaceTable:
+    name = ts.expect(("IDENT",), "a prefix name")
+    ts.expect(_WORD, text=":")
+    iriref = ts.expect(("IRIREF",), "an IRI in angle brackets")
+    return table.with_prefix(name.text, iriref.text[1:-1])
+
+
+def _declare(decls: dict, kind: str, key: object, value: object) -> None:
+    if key in decls:
+        raise DuplicateDeclarationError(f"{kind} {key}")
+    decls[key] = value
 
 
 # schema parsing ----------------------------------------------------------
@@ -171,294 +195,187 @@ class _Stream:
 _DATATYPE_KEYWORDS = {"string": Datatype.STRING, "decimal": Datatype.DECIMAL,
                       "datetime": Datatype.DATETIME}
 
-
-def _parse_prefix_decl(ts: _Stream, table: NamespaceTable) -> NamespaceTable:
-    ts.expect_ident("prefix")
-    name = ts.expect("IDENT", "a prefix name")
-    ts.expect_punct(":")
-    iriref = ts.expect("IRIREF", "an IRI in angle brackets")
-    return table.with_prefix(name.text, iriref.text[1:-1])
+# (class, name token) for each class a declaration uses, checked at the end
+_ClassRefs = list[tuple[Iri, Token]]
 
 
-def _expand_ref(tok: Token, table: NamespaceTable) -> Iri:
-    try:
-        return expand_iri(tok.text, table)
-    except WbforgeError as exc:
-        raise DslSyntaxError(tok.line, tok.col, f"a resolvable name ({exc})") from None
-
-
-def _parse_class_ref(ts: _Stream, table: NamespaceTable) -> tuple[Iri, Token]:
+def _parse_class(ts: _Stream, table: NamespaceTable, class_refs: _ClassRefs) -> Iri:
     tok = ts.peek()
-    if tok.kind not in ("CURIE", "IRIREF"):
-        raise DslSyntaxError(tok.line, tok.col, "a class name")
-    ts.next()
-    return _expand_ref(tok, table), tok
+    iri = _parse_name(ts, table, "a class name")
+    class_refs.append((iri, tok))
+    return iri
 
 
-def _parse_qualifier_decl(ts: _Stream, table: NamespaceTable) -> tuple[QualifierDecl, Token]:
-    ts.expect_ident("qualifier")
-    name_tok = ts.expect("CURIE", "a qualifier name")
-    ts.expect_punct(":")
-    tok = ts.peek()
-    item_tok: Token | None = None
-    if tok.kind == "IDENT" and tok.text in _DATATYPE_KEYWORDS:
+def _parse_type(ts: _Stream, table: NamespaceTable, what: str,
+                class_refs: _ClassRefs) -> tuple[Datatype | None, Iri | None]:
+    """A datatype keyword or `item <class>`, as (datatype, class)."""
+    datatype = _DATATYPE_KEYWORDS.get(ts.peek().text)
+    if datatype is not None:
         ts.next()
-        qtype = QualifierType(datatype=_DATATYPE_KEYWORDS[tok.text])
-    elif tok.kind == "IDENT" and tok.text == "item":
-        ts.next()
-        cls, item_tok = _parse_class_ref(ts, table)
-        qtype = QualifierType(item_class=cls)
-    else:
-        raise DslSyntaxError(tok.line, tok.col, "a qualifier type")
-    scoped = False
-    if ts.at_ident("scoped", "unscoped"):
-        scoped = ts.next().text == "scoped"
-    if ts.at_ident("functional"):   # accepted and inert: every qualifier is functional
-        ts.next()
-    required = False
-    if ts.at_ident("required"):
-        ts.next()
-        required = True
-    name = _expand_ref(name_tok, table).local_name
-    decl = QualifierDecl(name, qtype, scoped=scoped, required=required)
-    return decl, item_tok if item_tok is not None else name_tok
+        return datatype, None
+    if ts.accept("item"):
+        return None, _parse_class(ts, table, class_refs)
+    raise ts.error(what)
 
 
-def _parse_statement_decl(
-    ts: _Stream, table: NamespaceTable,
-) -> tuple[StatementDecl, list[tuple[Iri, Token]], list[Token]]:
-    """Returns the decl, class references to check later, item-qualifier sites."""
-    ts.expect_ident("statement")
-    prop_tok = ts.expect("CURIE", "a statement property name")
-    prop_iri = _expand_ref(prop_tok, table)
-    ts.expect_punct("{")
-
+def _parse_statement_decl(ts: _Stream, table: NamespaceTable,
+                          class_refs: _ClassRefs) -> StatementDecl:
+    prop_tok = ts.expect(_CURIE, "a statement property name")
+    prop_iri = _resolve(prop_tok, table)
+    ts.expect(_WORD, text="{")
     subject: Iri | None = None
     object_spec: ObjectSpec | None = None
-    qualifiers: list[QualifierDecl] = []
-    references: list[ReferenceDecl] = []
-    patterns: list[AxiomPattern] = []
-    class_refs: list[tuple[Iri, Token]] = []
-    item_qualifier_sites: list[Token] = []
-
-    while not ts.at_punct("}"):
-        tok = ts.peek()
-        if ts.at_ident("subject"):
-            ts.next()
-            cls, cls_tok = _parse_class_ref(ts, table)
+    qualifiers: dict[str, QualifierDecl] = {}
+    references: dict[str, ReferenceDecl] = {}
+    patterns: dict[AxiomPattern, None] = {}
+    # a qualifier or reference name resolves after the rest of its clause; of
+    # two faults in one clause, which is reported is observable, so keep it
+    while not ts.at("}"):
+        if ts.accept("subject"):
+            cls = _parse_class(ts, table, class_refs)
             if subject is not None:
                 raise DuplicateDeclarationError(f"subject in statement {prop_tok.text}")
             subject = cls
-            class_refs.append((cls, cls_tok))
-        elif ts.at_ident("object"):
-            ts.next()
+        elif ts.accept("object"):
             if object_spec is not None:
                 raise DuplicateDeclarationError(f"object in statement {prop_tok.text}")
-            otok = ts.peek()
-            if otok.kind == "IDENT" and otok.text in _DATATYPE_KEYWORDS:
-                ts.next()
-                object_spec = DataObject(_DATATYPE_KEYWORDS[otok.text])
-            elif otok.kind == "IDENT" and otok.text == "item":
-                ts.next()
-                cls, cls_tok = _parse_class_ref(ts, table)
-                object_spec = ItemClass(cls)
-                class_refs.append((cls, cls_tok))
-            else:
-                raise DslSyntaxError(otok.line, otok.col, "an object spec")
-        elif ts.at_ident("qualifier"):
-            q, site = _parse_qualifier_decl(ts, table)
-            if any(existing.name == q.name for existing in qualifiers):
-                raise DuplicateDeclarationError(f"qualifier {q.name}")
-            if q.qtype.item_class is not None:
-                class_refs.append((q.qtype.item_class, site))
-                item_qualifier_sites.append(site)
-            qualifiers.append(q)
-        elif ts.at_ident("reference"):
-            ts.next()
-            name_tok = ts.expect("CURIE", "a reference name")
-            ts.expect_punct("->")
-            ts.expect_ident("item")
-            target, target_tok = _parse_class_ref(ts, table)
-            required = False
-            if ts.at_ident("required"):
-                ts.next()
-                required = True
-            name = _expand_ref(name_tok, table).local_name
-            if any(existing.name == name for existing in references):
-                raise DuplicateDeclarationError(f"reference {name}")
-            references.append(ReferenceDecl(name, target, required=required))
-            class_refs.append((target, target_tok))
-        elif ts.at_ident("axioms"):
-            ts.next()
-            ts.expect_punct("{")
+            datatype, cls = _parse_type(ts, table, "an object spec", class_refs)
+            object_spec = DataObject(datatype) if cls is None else ItemClass(cls)
+        elif ts.accept("qualifier"):
+            name_tok = ts.expect(_CURIE, "a qualifier name")
+            ts.expect(_WORD, text=":")
+            qtype = QualifierType(*_parse_type(ts, table, "a qualifier type", class_refs))
+            scoped = ts.at("scoped", "unscoped") and ts.next().text == "scoped"
+            ts.accept("functional")   # accepted and inert: every qualifier is functional
+            required = ts.accept("required")
+            name = _resolve(name_tok, table).local_name
+            _declare(qualifiers, "qualifier", name,
+                     QualifierDecl(name, qtype, scoped=scoped, required=required))
+        elif ts.accept("reference"):
+            name_tok = ts.expect(_CURIE, "a reference name")
+            ts.expect(_WORD, text="->")
+            ts.expect(_WORD, text="item")
+            target = _parse_class(ts, table, class_refs)
+            required = ts.accept("required")
+            name = _resolve(name_tok, table).local_name
+            _declare(references, "reference", name,
+                     ReferenceDecl(name, target, required=required))
+        elif ts.accept("axioms"):
+            ts.expect(_WORD, text="{")
             while True:
-                ptok = ts.expect("IDENT", "an axiom pattern name")
+                ptok = ts.next()
                 if ptok.text not in PATTERN_BY_NAME:
                     raise DslSyntaxError(ptok.line, ptok.col, "an axiom pattern name")
-                pattern = PATTERN_BY_NAME[ptok.text]
-                if pattern not in patterns:
-                    patterns.append(pattern)
-                if ts.at_punct(","):
-                    ts.next()
-                    continue
-                break
-            ts.expect_punct("}")
+                patterns[PATTERN_BY_NAME[ptok.text]] = None
+                if not ts.accept(","):
+                    break
+            ts.expect(_WORD, text="}")
         else:
-            raise DslSyntaxError(
-                tok.line, tok.col,
-                "'subject', 'object', 'qualifier', 'reference', 'axioms' or '}'")
-    close = ts.peek()
+            raise ts.error("'subject', 'object', 'qualifier', 'reference', 'axioms' or '}'")
     if subject is None:
-        raise DslSyntaxError(close.line, close.col, "a subject declaration")
+        raise ts.error("a subject declaration")
     if object_spec is None:
-        raise DslSyntaxError(close.line, close.col, "an object declaration")
+        raise ts.error("an object declaration")
     ts.next()
-    decl = StatementDecl(prop_iri, subject, object_spec,
-                         tuple(qualifiers), tuple(references), tuple(patterns))
-    return decl, class_refs, item_qualifier_sites
+    return StatementDecl(prop_iri, subject, object_spec, tuple(qualifiers.values()),
+                         tuple(references.values()), tuple(patterns))
 
 
 def parse_schema(text: str, root: str = DEFAULT_ROOT) -> SchemaDocument:
     ts = _Stream(tokenize(text))
     table = NamespaceTable(root)
-    flags: list[str] = []
-    classes: list[ClassDecl] = []
-    statements: list[StatementDecl] = []
-    class_refs: list[tuple[Iri, Token]] = []
-    item_qualifier_sites: list[Token] = []
-
+    flags: dict[str, None] = {}
+    classes: dict[Iri, ClassDecl] = {}
+    statements: dict[str, StatementDecl] = {}
+    class_refs: _ClassRefs = []
     while ts.peek().kind != "EOF":
-        tok = ts.peek()
-        if ts.at_ident("prefix"):
+        if ts.accept("prefix"):
             table = _parse_prefix_decl(ts, table)
-        elif ts.at_ident("flag"):
-            ts.next()
-            ftok = ts.expect("IDENT", "a feature flag name")
+        elif ts.accept("flag"):
+            ftok = ts.expect(("IDENT",), "a feature flag name")
             if ftok.text not in KNOWN_FLAGS:
                 raise DslSyntaxError(ftok.line, ftok.col, "a known feature flag")
-            if ftok.text in flags:
-                raise DuplicateDeclarationError(f"flag {ftok.text}")
-            flags.append(ftok.text)
-        elif ts.at_ident("class", "controlled"):
-            controlled = False
-            if ts.at_ident("controlled"):
-                ts.next()
-                controlled = True
-            ts.expect_ident("class")
-            iri, _ = _parse_class_ref(ts, table)
-            if any(c.iri == iri for c in classes):
-                raise DuplicateDeclarationError(f"class {iri}")
-            classes.append(ClassDecl(iri, controlled=controlled))
-        elif ts.at_ident("statement"):
-            decl, refs, iq_sites = _parse_statement_decl(ts, table)
-            if any(s.property_name == decl.property_name for s in statements):
-                raise DuplicateDeclarationError(f"statement {decl.property_name}")
-            statements.append(decl)
-            class_refs.extend(refs)
-            item_qualifier_sites.extend(iq_sites)
+            _declare(flags, "flag", ftok.text, None)
+        elif ts.at("class", "controlled"):
+            controlled = ts.accept("controlled")
+            ts.expect(_WORD, text="class")
+            iri = _parse_name(ts, table, "a class name")
+            _declare(classes, "class", iri, ClassDecl(iri, controlled=controlled))
+        elif ts.accept("statement"):
+            decl = _parse_statement_decl(ts, table, class_refs)
+            _declare(statements, "statement", decl.property_name, decl)
         else:
-            raise DslSyntaxError(
-                tok.line, tok.col,
-                "'prefix', 'flag', 'class', 'controlled' or 'statement'")
+            raise ts.error("'prefix', 'flag', 'class', 'controlled' or 'statement'")
 
-    if item_qualifier_sites and ITEM_QUALIFIER_FLAG not in flags:
+    if ITEM_QUALIFIER_FLAG not in flags and any(
+            q.qtype.item_class is not None for s in statements.values() for q in s.qualifiers):
         raise FeatureDisabledError(ITEM_QUALIFIER_FLAG)
-    declared = {c.iri for c in classes}
+    item = wikibase(table, "Item")
     for iri, tok in class_refs:
-        if iri not in declared and iri != wikibase(table, "Item"):
+        if iri not in classes and iri != item:
             raise UnknownClassError(tok.text)
-    return SchemaDocument(table, tuple(flags), tuple(classes), tuple(statements))
+    return SchemaDocument(table, tuple(flags), tuple(classes.values()),
+                          tuple(statements.values()))
 
 
 # instance parsing --------------------------------------------------------
 
 def _parse_value(ts: _Stream, table: NamespaceTable) -> Value:
-    tok = ts.peek()
-    if ts.at_ident("item"):
-        ts.next()
-        target_tok = ts.peek()
-        if target_tok.kind not in ("CURIE", "IRIREF"):
-            raise DslSyntaxError(target_tok.line, target_tok.col, "an item name")
-        ts.next()
-        return ItemRef(_expand_ref(target_tok, table))
-    if ts.at_ident("string"):
-        ts.next()
-        s = ts.expect("STRING", "a quoted string")
-        return StringValue(_decode_string(s))
-    if ts.at_ident("decimal"):
-        ts.next()
-        num = ts.peek()
-        if num.kind not in ("DECIMAL", "INT"):
-            raise DslSyntaxError(num.line, num.col, "a decimal amount")
-        ts.next()
-        unit = table.term("wd", "One")
-        if ts.at_ident("unit"):
-            ts.next()
-            utok = ts.expect("CURIE", "a unit item")
-            unit = _expand_ref(utok, table)
+    if ts.accept("item"):
+        return ItemRef(_parse_name(ts, table, "an item name"))
+    if ts.accept("string"):
+        return StringValue(_decode_string(ts.expect(("STRING",), "a quoted string")))
+    if ts.accept("decimal"):
+        num = ts.expect(("DECIMAL", "INT"), "a decimal amount")
+        unit = (_parse_name(ts, table, "a unit item", _CURIE) if ts.accept("unit")
+                else table.term("wd", "One"))
         try:
             return DecimalValue(num.text, unit)
         except MalformedValueError:
             raise DslSyntaxError(num.line, num.col,
                                  "a canonical decimal (no leading/trailing zeros)") from None
-    if ts.at_ident("datetime"):
-        ts.next()
-        dtok = ts.expect("DATETIME", "an ISO dateTime like 2009-01-01T00:00:00Z")
-        precision, tz = DEFAULT_PRECISION, DEFAULT_TIMEZONE
-        calendar = table.term("wd", "ProlepticGregorian")
-        if ts.at_ident("precision"):
-            ts.next()
-            precision = int(ts.expect("INT", "a precision integer").text)
-        if ts.at_ident("tz"):
-            ts.next()
-            tz = int(ts.expect("INT", "a timezone offset in minutes").text)
-        if ts.at_ident("calendar"):
-            ts.next()
-            ctok = ts.expect("CURIE", "a calendar item")
-            calendar = _expand_ref(ctok, table)
+    if ts.accept("datetime"):
+        dtok = ts.expect(("DATETIME",), "an ISO dateTime like 2009-01-01T00:00:00Z")
+        precision = (int(ts.expect(("INT",), "a precision integer").text)
+                     if ts.accept("precision") else DEFAULT_PRECISION)
+        tz = (int(ts.expect(("INT",), "a timezone offset in minutes").text)
+              if ts.accept("tz") else DEFAULT_TIMEZONE)
+        calendar = (_parse_name(ts, table, "a calendar item", _CURIE) if ts.accept("calendar")
+                    else table.term("wd", "ProlepticGregorian"))
         return DateTimeValue(dtok.text, precision, tz, calendar)
-    raise DslSyntaxError(tok.line, tok.col, "'item', 'string', 'decimal' or 'datetime'")
+    raise ts.error("'item', 'string', 'decimal' or 'datetime'")
 
 
 def _parse_statement_data(ts: _Stream, table: NamespaceTable) -> StatementData:
-    prop_tok = ts.expect("CURIE", "a statement property name")
-    prop = _expand_ref(prop_tok, table).local_name
-    ts.expect_punct("->")
+    prop = _parse_name(ts, table, "a statement property name", _CURIE).local_name
+    ts.expect(_WORD, text="->")
     value = _parse_value(ts, table)
     qualifiers: list[QualifierData] = []
     references: list[RefData] = []
-    if ts.at_punct("{"):
-        ts.next()
-        while not ts.at_punct("}"):
-            tok = ts.peek()
-            if ts.at_ident("qualifier"):
-                ts.next()
-                name_tok = ts.expect("CURIE", "a qualifier name")
-                ts.expect_punct("=")
+    # as in a schema, a qualifier or snak name resolves after the rest of its clause
+    if ts.accept("{"):
+        while not ts.accept("}"):
+            if ts.accept("qualifier"):
+                name_tok = ts.expect(_CURIE, "a qualifier name")
+                ts.expect(_WORD, text="=")
                 qvalue = _parse_value(ts, table)
-                qualifiers.append(
-                    QualifierData(_expand_ref(name_tok, table).local_name, qvalue))
-            elif ts.at_ident("reference"):
-                ts.next()
-                ts.expect_punct("{")
+                qualifiers.append(QualifierData(_resolve(name_tok, table).local_name, qvalue))
+            elif ts.accept("reference"):
+                ts.expect(_WORD, text="{")
                 snaks: list[SnakData] = []
-                while not ts.at_punct("}"):
-                    snak_tok = ts.expect("CURIE", "a reference property name")
-                    ts.expect_punct("->")
-                    ts.expect_ident("item")
-                    target_tok = ts.peek()
-                    if target_tok.kind not in ("CURIE", "IRIREF"):
-                        raise DslSyntaxError(target_tok.line, target_tok.col, "an item name")
-                    ts.next()
-                    snaks.append(SnakData(_expand_ref(snak_tok, table).local_name,
-                                          _expand_ref(target_tok, table)))
-                brace = ts.expect_punct("}")
+                while not ts.at("}"):
+                    snak_tok = ts.expect(_CURIE, "a reference property name")
+                    ts.expect(_WORD, text="->")
+                    ts.expect(_WORD, text="item")
+                    target_tok = ts.expect(_NAME_KINDS, "an item name")
+                    snaks.append(SnakData(_resolve(snak_tok, table).local_name,
+                                          _resolve(target_tok, table)))
                 if not snaks:
-                    raise DslSyntaxError(brace.line, brace.col, "at least one snak")
+                    raise ts.error("at least one snak")
+                ts.next()
                 references.append(RefData(tuple(snaks)))
             else:
-                raise DslSyntaxError(tok.line, tok.col, "'qualifier', 'reference' or '}'")
-        ts.next()
+                raise ts.error("'qualifier', 'reference' or '}'")
     return StatementData(prop, value, tuple(qualifiers), tuple(references))
 
 
@@ -467,32 +384,19 @@ def parse_instances(text: str, root: str = DEFAULT_ROOT) -> InstanceDoc:
     table = NamespaceTable(root)
     items: dict[Iri, ItemData] = {}
     while ts.peek().kind != "EOF":
-        tok = ts.peek()
-        if ts.at_ident("prefix"):
+        if ts.accept("prefix"):
             table = _parse_prefix_decl(ts, table)
-        elif ts.at_ident("item"):
-            ts.next()
-            id_tok = ts.peek()
-            if id_tok.kind not in ("CURIE", "IRIREF"):
-                raise DslSyntaxError(id_tok.line, id_tok.col, "an item name")
-            ts.next()
-            iri = _expand_ref(id_tok, table)
-            ts.expect_punct(":")
-            cls_tok = ts.peek()
-            if cls_tok.kind not in ("CURIE", "IRIREF"):
-                raise DslSyntaxError(cls_tok.line, cls_tok.col, "a class name")
-            ts.next()
-            type_class = _expand_ref(cls_tok, table)
-            ts.expect_punct("{")
+        elif ts.accept("item"):
+            iri = _parse_name(ts, table, "an item name")
+            ts.expect(_WORD, text=":")
+            type_class = _parse_name(ts, table, "a class name")
+            ts.expect(_WORD, text="{")
             statements: list[StatementData] = []
-            while not ts.at_punct("}"):
+            while not ts.accept("}"):
                 statements.append(_parse_statement_data(ts, table))
-            ts.next()
-            if iri in items:
-                raise DuplicateDeclarationError(f"item {iri}")
-            items[iri] = ItemData(iri, type_class, tuple(statements))
+            _declare(items, "item", iri, ItemData(iri, type_class, tuple(statements)))
         else:
-            raise DslSyntaxError(tok.line, tok.col, "'prefix' or 'item'")
+            raise ts.error("'prefix' or 'item'")
     return InstanceDoc(table, tuple(items.values()))
 
 

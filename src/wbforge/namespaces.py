@@ -84,6 +84,10 @@ class Iri(_IriFields):
 def _fixed_bindings(root: str) -> dict[str, str]:
     if not root.endswith(("/", "#")):
         raise WbforgeError(f"namespace root must end in '/' or '#': {root!r}")
+    try:
+        Iri(root)
+    except WbforgeError as exc:
+        raise WbforgeError(f"namespace root is {exc}") from None
     out = dict(_ABSOLUTE)
     for prefix, rel in _ROOT_RELATIVE.items():
         out[prefix] = root + rel
@@ -128,7 +132,8 @@ class NamespaceTable:
         """`local` under `prefix`, minted and checked once per table.
 
         For the vocabulary and property family terms that every statement
-        repeats; the memo keeps each term asked for.
+        repeats, and the CURIEs of a parsed document; the memo keeps each
+        term asked for, and no term whose IRI is invalid.
         """
         try:
             return self._terms[prefix, local]
@@ -168,14 +173,15 @@ def expand_iri(text: str, table: NamespaceTable) -> Iri:
     """Resolve '<absolute>' or 'prefix:local' to an Iri.
 
     Absolute IRIs are passed through unchanged (idempotent); anything
-    unbracketed must be a CURIE under a known prefix.
+    unbracketed must be a CURIE under a known prefix, and resolves through
+    the table's term memo, so each distinct CURIE is minted once.
     """
     if text.startswith("<") and text.endswith(">"):
         return Iri(text[1:-1])
     prefix, sep, local = text.partition(":")
     if not sep:
         raise UnknownPrefixError(text)
-    return Iri(table.base(prefix) + local)
+    return table.term(prefix, local)
 
 
 def curie_or_iri(iri: Iri, table: NamespaceTable) -> str:

@@ -195,9 +195,9 @@ class _Checker:
         """Incoming p: edges as (subject, property local name), sorted."""
         return [(t.s, local) for t, local in self.family_edges(self.g.match(None, None, node), "p")]
 
-    def resolve_decl(self, node: Iri) -> tuple[StatementDecl | None, Iri | None]:
-        """(declaration, owning subject) for a statement node, best effort."""
-        edges = self.in_edges(node)
+    def resolve_decl(self, node: Iri, edges: list[tuple[Iri, str]]
+                     ) -> tuple[StatementDecl | None, Iri | None]:
+        """(declaration, owning subject) for a statement node and its `in_edges`, best effort."""
         subject = edges[0][0] if len(edges) == 1 else None
         names = {name for _, name in edges}
         if len(names) != 1:
@@ -216,7 +216,7 @@ class _Checker:
             elif len(edges) > 1:
                 self.add("SharedStatement", node,
                          f"{len(edges)} incoming p: edges")
-            decl, subject = self.resolve_decl(node)
+            decl, subject = self.resolve_decl(node, edges)
             if decl is not None:
                 self.check_against_decl(node, decl, subject)
 

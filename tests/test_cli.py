@@ -124,6 +124,16 @@ def test_undecodable_root_exits_2_without_traceback(via):
     assert proc.stdout == b""
 
 
+@pytest.mark.parametrize("command", [["check", str(SCHEMA)],
+                                     ["export", str(SCHEMA), str(INSTANCES)]])
+def test_root_that_is_no_iri_exits_2_naming_the_root(command, capsys):
+    assert main(command + ["--root", "http://x y/"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("wbforge: namespace root is not an absolute IRI: "
+                            "'http://x y/'\n")
+    assert captured.out == ""
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["check", "/no/such/file.wbs"]) == 2
     assert "wbforge:" in capsys.readouterr().err

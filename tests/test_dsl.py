@@ -257,3 +257,22 @@ def test_custom_root_rebases_instances():
     doc = parse_instances("item wd:a : wikibase:Item { }",
                           root="http://other.example/")
     assert doc.items[0].iri == Iri("http://other.example/entity/a")
+
+
+def test_repeated_curies_resolve_to_one_iri():
+    doc = parse_instances("prefix ex: <http://v.example/>\n"
+                          "item wd:a : ex:P { ex:v -> item wd:b }\n"
+                          "item wd:b : ex:P { ex:v -> item wd:a }\n")
+    a, b = doc.items
+    assert a.type_class is b.type_class
+    assert a.iri is b.statements[0].value.iri
+    assert b.iri is a.statements[0].value.iri
+
+
+def test_curie_with_an_invalid_iri_is_a_syntax_error():
+    text = 'prefix bad: <http://x"y/>\nitem bad:a : wikibase:Item { }\n'
+    for _ in range(2):
+        with pytest.raises(DslSyntaxError) as info:
+            parse_instances(text)
+        assert str(info.value) == ("line 2, col 6: expected a resolvable name "
+                                   "(not an absolute IRI: 'http://x\"y/a')")

@@ -160,3 +160,20 @@ def test_memo_keeps_the_namespace_and_iri_checks():
     for _ in range(2):                # a failed mint is not remembered
         with pytest.raises(WbforgeError):
             namespaced_property("has job", "p", t)
+
+
+def test_expand_iri_resolves_curies_through_the_memo():
+    t = NamespaceTable().with_prefix("bad", 'http://x"y/')
+    assert expand_iri("wd:employee", t) is expand_iri("wd:employee", t)
+    assert expand_iri("wd:employee", t) is t.term("wd", "employee")
+    for _ in range(2):                # an invalid IRI is refused each time, never kept
+        with pytest.raises(WbforgeError, match="not an absolute IRI"):
+            expand_iri("bad:a", t)
+    assert ("bad", "a") not in t._terms
+
+
+@pytest.mark.parametrize("root", ["http://x y/", "http://x/\udcff/", "http://x<y/"])
+def test_root_must_be_an_iri(root):
+    with pytest.raises(WbforgeError, match="namespace root is not an absolute IRI") as info:
+        NamespaceTable(root)
+    assert repr(root) in str(info.value)
