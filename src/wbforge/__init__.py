@@ -43,18 +43,17 @@ from .exporter import (
 from .fixtures import FIXTURE_NAMES, MUTATIONS, load_bundle, load_fixture
 from .model import (
     AxiomPattern,
-    DataObject,
     Datatype,
     DateTimeValue,
     DecimalValue,
     InstanceDoc,
-    ItemClass,
     ItemRef,
     QualifierDecl,
     ReferenceDecl,
     SchemaDocument,
     StatementDecl,
     StringValue,
+    ValueType,
 )
 from .namespaces import DEFAULT_ROOT, Iri, NamespaceTable
 from .rdf import Graph, Literal, Triple, parse_ntriples, serialize_canonical

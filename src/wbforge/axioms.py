@@ -31,21 +31,19 @@ from .dl import (
     Top,
 )
 from .errors import PatternInapplicableError
-from .expander import object_datatype
 from .model import (
     TYPED_ORIGINS,
     VALUE_KINDS,
     AxiomPattern,
-    DataObject,
     Datatype,
-    ItemClass,
     QualifierDecl,
     ReferenceDecl,
     SchemaDocument,
     StatementDecl,
+    ValueType,
 )
 from .namespaces import (
-    Iri, NamespaceTable, curie_or_iri, namespaced_property, prov_was_derived_from, wikibase)
+    NamespaceTable, curie_or_iri, namespaced_property, prov_was_derived_from, wikibase)
 
 # origin key -> generic reading, used by finding explanations
 CATALOG: dict[str, str] = {
@@ -192,7 +190,7 @@ def core_statement_axioms(decl: StatementDecl, table: NamespaceTable) -> list[An
     e = _Env(decl, table)
     name = decl.property_name
     p_n, ps_n, wdt_n = e.role_name(e.p), e.role_name(e.ps), e.role_name(e.wdt)
-    data_valued = isinstance(decl.object_spec, DataObject)
+    data_valued = decl.object_spec.datatype is not None
     out = [
         AnnotatedAxiom(_domain(e.p, e.item), "Ax1",
                        f"The domain of {p_n} is wikibase:Item.", name),
@@ -218,7 +216,7 @@ def core_statement_axioms(decl: StatementDecl, table: NamespaceTable) -> list[An
                               f"The chain {p_n} then {ps_n} entails {wdt_n}.", name))
     out.append(AnnotatedAxiom(_domain(e.wdt, e.item), "Ax9-c1",
                               f"The domain of {wdt_n} is wikibase:Item.", name))
-    ax9_c2_filler: ClassExpr = (DataRange(object_datatype(decl)) if data_valued else e.item)
+    ax9_c2_filler = DataRange(decl.object_spec.datatype) if data_valued else e.item
     c2_name = e.class_name(ax9_c2_filler)
     out.append(AnnotatedAxiom(
         SubClassOf(Some(e.wdt, ax9_c2_filler), e.item), "Ax9-c2",
@@ -279,13 +277,13 @@ def _quantity_node_axioms(e: _Env, decl_id: str) -> list[AnnotatedAxiom]:
     return out
 
 
-def _filler(e: _Env, vtype: Datatype | Iri, scoped: bool) -> ClassExpr:
+def _filler(e: _Env, vtype: ValueType, scoped: bool) -> ClassExpr:
     """The range filler of a pq:/ps: edge; an unscoped date edge ranges over its node."""
-    if isinstance(vtype, Iri):
-        return Named(vtype)
-    if vtype is Datatype.DATETIME and not scoped:
+    if vtype.item_class is not None:
+        return Named(vtype.item_class)
+    if vtype.datatype is Datatype.DATETIME and not scoped:
         return e.time_value
-    return DataRange(vtype)
+    return DataRange(vtype.datatype)
 
 
 def _range_axiom(e: _Env, edge: Role, filler: ClassExpr, scoped: bool, key: str,
@@ -305,9 +303,10 @@ def _at_most_one(e: _Env, edge: Role, filler: ClassExpr, decl_id: str) -> Annota
                           "value (functional flag; DSL extension).", decl_id)
 
 
-def _typed_edge_axioms(e: _Env, edge: Role, value_edge: Role, datatype: Datatype,
+def _typed_edge_axioms(e: _Env, edge: Role, value_edge: Role, vtype: ValueType,
                        scoped: bool, decl_id: str) -> list[AnnotatedAxiom]:
     """Type-specific set for a pq:/pqv: pair, reused for ps:/psv: by substitution."""
+    datatype = vtype.datatype
     keys = TYPED_ORIGINS[datatype]
     edge_n, value_n = e.role_name(edge), e.role_name(value_edge)
     out = [AnnotatedAxiom(_domain(edge, e.statement), keys["dom"],
@@ -333,7 +332,7 @@ def _typed_edge_axioms(e: _Env, edge: Role, value_edge: Role, datatype: Datatype
         ])
         return out + _quantity_node_axioms(e, decl_id)
 
-    out.append(_range_axiom(e, edge, _filler(e, datatype, scoped), scoped,
+    out.append(_range_axiom(e, edge, _filler(e, vtype, scoped), scoped,
                             keys["scoped" if scoped else "unscoped"], decl_id))
     if datatype is Datatype.DATETIME:
         tv = e.time_value
@@ -359,16 +358,15 @@ def qualifier_axioms(decl: StatementDecl, q: QualifierDecl,
     e = _Env(decl, table)
     decl_id = f"{decl.property_name}/{q.name}"
     pq = e.pq(q.name)
-    vtype = q.qtype.item_class or q.qtype.datatype
+    vtype = q.qtype
     out = [AnnotatedAxiom(_domain(pq, e.statement), "Ax12",
                           f"The domain of {e.role_name(pq)} is wikibase:Statement.", decl_id),
            _range_axiom(e, pq, _filler(e, vtype, q.scoped), q.scoped,
                         "Ax10" if q.scoped else "Ax11", decl_id)]
-    dt = q.qtype.datatype
-    if dt in TYPED_ORIGINS:
-        out.extend(_typed_edge_axioms(e, pq, e.pqv(q.name), dt, q.scoped, decl_id))
+    if vtype.datatype in TYPED_ORIGINS:
+        out.extend(_typed_edge_axioms(e, pq, e.pqv(q.name), vtype, q.scoped, decl_id))
     # the decimal set already carries its own functionality axiom
-    if dt is not Datatype.DECIMAL:
+    if vtype.datatype is not Datatype.DECIMAL:
         out.append(_at_most_one(e, pq, _filler(e, vtype, True), decl_id))
     if q.required:
         out.append(AnnotatedAxiom(
@@ -380,13 +378,13 @@ def qualifier_axioms(decl: StatementDecl, q: QualifierDecl,
 
 def statement_value_axioms(decl: StatementDecl, table: NamespaceTable) -> list[AnnotatedAxiom]:
     """Data-valued objects reuse the qualifier sets with ps:/psv: substituted."""
-    dt = object_datatype(decl)
-    if dt is None:
+    vtype = decl.object_spec
+    if vtype.datatype is None:
         return []
     e = _Env(decl, table)
-    out = _typed_edge_axioms(e, e.ps, e.psv, dt, False, decl.property_name)
-    if dt is not Datatype.DECIMAL:
-        out.append(_at_most_one(e, e.ps, DataRange(dt), decl.property_name))
+    out = _typed_edge_axioms(e, e.ps, e.psv, vtype, False, decl.property_name)
+    if vtype.datatype is not Datatype.DECIMAL:
+        out.append(_at_most_one(e, e.ps, _filler(e, vtype, True), decl.property_name))
     return out
 
 
@@ -426,10 +424,8 @@ def reference_axioms(decl: StatementDecl, r: ReferenceDecl,
 
 def nl_approximation(pattern: AxiomPattern, decl: StatementDecl) -> str:
     """The pattern sentence with declaration names substituted."""
-    if isinstance(decl.object_spec, ItemClass):
-        obj = decl.object_spec.iri.local_name
-    else:
-        obj = decl.object_spec.datatype.value
+    vtype = decl.object_spec
+    obj = vtype.datatype.value if vtype.item_class is None else vtype.item_class.local_name
     return _PATTERN_NL[pattern].format(
         P=decl.property_name, S=decl.subject_class.local_name, O=obj)
 
@@ -443,12 +439,10 @@ def instantiate_pattern(pattern: AxiomPattern, decl: StatementDecl,
     would be a datatype) and is rejected.
     """
     e = _Env(decl, table)
-    data_valued = isinstance(decl.object_spec, DataObject)
-    if pattern is AxiomPattern.INVERSE_EXISTENTIAL and data_valued:
+    if pattern is AxiomPattern.INVERSE_EXISTENTIAL and decl.object_spec.datatype is not None:
         raise PatternInapplicableError(pattern.value, decl.property_name)
     sub: ClassExpr = Named(decl.subject_class)
-    obj: ClassExpr = (DataRange(object_datatype(decl)) if data_valued
-                      else Named(decl.object_spec.iri))
+    obj = _filler(e, decl.object_spec, True)
     P = AxiomPattern
     axiom_sets: dict[AxiomPattern, list[DlAxiom]] = {
         P.DOMAIN: [

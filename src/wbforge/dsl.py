@@ -26,19 +26,15 @@ from .model import (
     ClassDecl,
     DEFAULT_PRECISION,
     DEFAULT_TIMEZONE,
-    DataObject,
     Datatype,
     DateTimeValue,
     DecimalValue,
     InstanceDoc,
-    ItemClass,
     ItemData,
     ItemRef,
-    ObjectSpec,
     PATTERN_BY_NAME,
     QualifierData,
     QualifierDecl,
-    QualifierType,
     RefData,
     ReferenceDecl,
     SchemaDocument,
@@ -47,6 +43,7 @@ from .model import (
     StatementData,
     StringValue,
     Value,
+    ValueType,
 )
 from .namespaces import DEFAULT_ROOT, LONE_SURROGATE, Iri, NamespaceTable, expand_iri, wikibase
 
@@ -207,14 +204,14 @@ def _parse_class(ts: _Stream, table: NamespaceTable, class_refs: _ClassRefs) -> 
 
 
 def _parse_type(ts: _Stream, table: NamespaceTable, what: str,
-                class_refs: _ClassRefs) -> tuple[Datatype | None, Iri | None]:
-    """A datatype keyword or `item <class>`, as (datatype, class)."""
+                class_refs: _ClassRefs) -> ValueType:
+    """A datatype keyword or `item <class>`."""
     datatype = _DATATYPE_KEYWORDS.get(ts.peek().text)
     if datatype is not None:
         ts.next()
-        return datatype, None
+        return ValueType(datatype)
     if ts.accept("item"):
-        return None, _parse_class(ts, table, class_refs)
+        return ValueType(item_class=_parse_class(ts, table, class_refs))
     raise ts.error(what)
 
 
@@ -224,7 +221,7 @@ def _parse_statement_decl(ts: _Stream, table: NamespaceTable,
     prop_iri = _resolve(prop_tok, table)
     ts.expect(_WORD, text="{")
     subject: Iri | None = None
-    object_spec: ObjectSpec | None = None
+    object_spec: ValueType | None = None
     qualifiers: dict[str, QualifierDecl] = {}
     references: dict[str, ReferenceDecl] = {}
     patterns: dict[AxiomPattern, None] = {}
@@ -239,12 +236,11 @@ def _parse_statement_decl(ts: _Stream, table: NamespaceTable,
         elif ts.accept("object"):
             if object_spec is not None:
                 raise DuplicateDeclarationError(f"object in statement {prop_tok.text}")
-            datatype, cls = _parse_type(ts, table, "an object spec", class_refs)
-            object_spec = DataObject(datatype) if cls is None else ItemClass(cls)
+            object_spec = _parse_type(ts, table, "an object spec", class_refs)
         elif ts.accept("qualifier"):
             name_tok = ts.expect(_CURIE, "a qualifier name")
             ts.expect(_WORD, text=":")
-            qtype = QualifierType(*_parse_type(ts, table, "a qualifier type", class_refs))
+            qtype = _parse_type(ts, table, "a qualifier type", class_refs)
             scoped = ts.at("scoped", "unscoped") and ts.next().text == "scoped"
             ts.accept("functional")   # accepted and inert: every qualifier is functional
             required = ts.accept("required")
@@ -409,22 +405,21 @@ def _curie(iri: Iri, table: NamespaceTable) -> str:
     return c
 
 
+def _print_type(vtype: ValueType, table: NamespaceTable) -> str:
+    if vtype.datatype is not None:
+        return vtype.datatype.value
+    return f"item {_curie(vtype.item_class, table)}"
+
+
 def _print_statement(decl: StatementDecl, table: NamespaceTable) -> list[str]:
     prop_curie = _curie(decl.property_iri, table)
     prefix = prop_curie.partition(":")[0]
     lines = [f"statement {prop_curie} {{"]
     lines.append(f"  subject {_curie(decl.subject_class, table)}")
-    if isinstance(decl.object_spec, ItemClass):
-        lines.append(f"  object item {_curie(decl.object_spec.iri, table)}")
-    else:
-        lines.append(f"  object {decl.object_spec.datatype.value}")
+    lines.append(f"  object {_print_type(decl.object_spec, table)}")
     for q in decl.qualifiers:
-        if q.qtype.datatype is not None:
-            qtype = q.qtype.datatype.value
-        else:
-            qtype = f"item {_curie(q.qtype.item_class, table)}"
         suffix = (" scoped" if q.scoped else "") + (" required" if q.required else "")
-        lines.append(f"  qualifier {prefix}:{q.name} : {qtype}{suffix}")
+        lines.append(f"  qualifier {prefix}:{q.name} : {_print_type(q.qtype, table)}{suffix}")
     for r in decl.references:
         suffix = " required" if r.required else ""
         lines.append(f"  reference {prefix}:{r.name} -> item "

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import VALUE_KINDS, DataObject, Datatype, SchemaDocument, StatementDecl
+from .model import VALUE_KINDS, Datatype, SchemaDocument, StatementDecl, needed_value_kinds
 from .namespaces import Iri, NamespaceTable, namespaced_property, prov_was_derived_from, wikibase
 
 
 def object_datatype(decl: StatementDecl) -> Datatype | None:
-    return decl.object_spec.datatype if isinstance(decl.object_spec, DataObject) else None
+    return decl.object_spec.datatype
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,8 @@ def expand_statement(decl: StatementDecl, table: NamespaceTable) -> ExpandedStat
     fixed: list[tuple[str, Iri]] = []
     if decl.references:
         fixed.append(("provenance edge", prov_was_derived_from(table)))
-    datatypes = {q.qtype.datatype for q in decl.qualifiers}
-    datatypes.add(object_datatype(decl))
-    for dt, kind in VALUE_KINDS.items():
-        if dt in datatypes:
-            fixed.extend(("value field", wikibase(table, f)) for f, _, _ in kind.fields)
+    for kind in needed_value_kinds((decl,)):
+        fixed.extend(("value field", wikibase(table, f)) for f, _, _ in kind.fields)
 
     return ExpandedStatement(decl, stmt_props, qual_props, ref_props, tuple(fixed))
 
@@ -77,12 +74,8 @@ def expand(doc: SchemaDocument) -> ExpandedSchema:
     table = doc.namespaces
     classes = [wikibase(table, "Item"), wikibase(table, "Statement"),
                wikibase(table, "Reference")]
-    datatypes: set[Datatype | None] = set()
-    for decl in doc.statements:
-        datatypes.add(object_datatype(decl))
-        datatypes.update(q.qtype.datatype for q in decl.qualifiers)
     classes.extend(wikibase(table, kind.node_class)
-                   for dt, kind in VALUE_KINDS.items() if dt in datatypes)
+                   for kind in needed_value_kinds(doc.statements))
     expanded = tuple(expand_statement(d, table) for d in doc.statements)
     return ExpandedSchema(doc, tuple(classes), expanded)
 

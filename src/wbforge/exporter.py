@@ -19,7 +19,6 @@ from .errors import (
 )
 from .model import (
     VALUE_KINDS,
-    DataObject,
     Datatype,
     DateTimeValue,
     DecimalValue,
@@ -35,6 +34,7 @@ from .model import (
     StringValue,
     Value,
     ValueKind,
+    ValueType,
     is_canonical,
     value_kind,
 )
@@ -118,12 +118,6 @@ _KIND = {
 }
 
 
-def _check_kind(name: str, value: Value, expected: str) -> None:
-    got = _KIND[type(value)]
-    if got != expected:
-        raise TypeMismatchError(name, expected, got)
-
-
 def _literal(value: Value, table: NamespaceTable) -> Term:
     if isinstance(value, ItemRef):
         return value.iri
@@ -151,13 +145,15 @@ def _check_item_target(iri: Iri, instances: InstanceDoc, context: str) -> None:
         raise UnresolvedNameError(iri.value, f"item not declared ({context})")
 
 
-def _check_qualifier_value(q: QualifierDecl, value: Value,
-                           instances: InstanceDoc, context: str) -> None:
-    if q.qtype.item_class is not None:
-        _check_kind(context, value, "item")
+def _check_value(vtype: ValueType, value: Value, instances: InstanceDoc,
+                 context: str) -> None:
+    """`value` is of the declared type; an item value must be a declared item."""
+    expected = "item" if vtype.item_class is not None else vtype.datatype.value
+    got = _KIND[type(value)]
+    if got != expected:
+        raise TypeMismatchError(context, expected, got)
+    if vtype.item_class is not None:
         _check_item_target(value.iri, instances, context)
-    else:
-        _check_kind(context, value, q.qtype.datatype.value)
 
 
 def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
@@ -188,18 +184,14 @@ def _export_statement(g: Graph, subject: Iri, stmt: StatementData,
     decl = schema.statement_decl(stmt.property)
     if decl is None:
         raise UnresolvedNameError(stmt.property, "statement property not declared")
-    if isinstance(decl.object_spec, DataObject):
-        _check_kind(stmt.property, stmt.value, decl.object_spec.datatype.value)
-    else:
-        _check_kind(stmt.property, stmt.value, "item")
-        _check_item_target(stmt.value.iri, instances, stmt.property)
+    _check_value(decl.object_spec, stmt.value, instances, stmt.property)
 
     quals_by_name: dict[str, QualifierDecl] = {q.name: q for q in decl.qualifiers}
     for q in stmt.qualifiers:
         decl_q = quals_by_name.get(q.name)
         if decl_q is None:
             raise UnresolvedNameError(q.name, f"qualifier not declared on {stmt.property}")
-        _check_qualifier_value(decl_q, q.value, instances, f"{stmt.property}/{q.name}")
+        _check_value(decl_q.qtype, q.value, instances, f"{stmt.property}/{q.name}")
     present = {q.name for q in stmt.qualifiers}
     for decl_q in decl.qualifiers:
         if decl_q.required and decl_q.name not in present:

@@ -1,7 +1,7 @@
 """Schema and instance document model.
 
 Schema documents declare classes and statement blocks; statement blocks
-declare a subject class, an object spec (item class or literal
+declare a subject class, an object value type (item class or literal
 datatype), qualifiers, references, and optional axiom patterns.
 Instance documents hold items and the statement data to be exported.
 All types are immutable value objects so documents hash and compare
@@ -11,6 +11,7 @@ structurally.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -49,24 +50,12 @@ class AxiomPattern(Enum):
 PATTERN_BY_NAME = {p.value: p for p in AxiomPattern}
 
 
-# object specs -----------------------------------------------------------
+# declared value types ---------------------------------------------------
 
 @dataclass(frozen=True)
-class ItemClass:
-    iri: Iri
-
-
-@dataclass(frozen=True)
-class DataObject:
-    datatype: Datatype
-
-
-ObjectSpec = ItemClass | DataObject
-
-
-@dataclass(frozen=True)
-class QualifierType:
-    """Qualifier value type: a literal datatype or (flag-gated) an item class."""
+class ValueType:
+    """The declared value of a statement object or a qualifier: a literal
+    datatype or an item of a class."""
 
     datatype: Datatype | None = None
     item_class: Iri | None = None
@@ -79,7 +68,7 @@ class QualifierType:
 @dataclass(frozen=True)
 class QualifierDecl:
     name: str                     # local name, minted under pq:/pqv:
-    qtype: QualifierType
+    qtype: ValueType
     scoped: bool = False          # scoped range vs global range axioms
     required: bool = False        # at least one value; at most one always holds
 
@@ -101,7 +90,7 @@ class ClassDecl:
 class StatementDecl:
     property_iri: Iri             # declared name; the local part mints the family
     subject_class: Iri
-    object_spec: ObjectSpec
+    object_spec: ValueType
     qualifiers: tuple[QualifierDecl, ...] = ()
     references: tuple[ReferenceDecl, ...] = ()
     patterns: tuple[AxiomPattern, ...] = ()
@@ -245,6 +234,13 @@ _KIND_BY_TYPE = {kind.value_type: kind for kind in VALUE_KINDS.values()}
 def value_kind(value: Value) -> ValueKind | None:
     """The value node kind of `value`; None for items and strings."""
     return _KIND_BY_TYPE.get(type(value))
+
+
+def needed_value_kinds(decls: Iterable[StatementDecl]) -> list[ValueKind]:
+    """The value node kinds that some object or qualifier of `decls` carries."""
+    datatypes = {v.datatype for d in decls
+                 for v in (d.object_spec, *(q.qtype for q in d.qualifiers))}
+    return [kind for dt, kind in VALUE_KINDS.items() if dt in datatypes]
 
 
 @dataclass(frozen=True)

@@ -81,13 +81,17 @@ class Iri(_IriFields):
         return self.value
 
 
+def _check_iri(text: str, what: str) -> None:
+    try:
+        Iri(text)
+    except WbforgeError as exc:
+        raise WbforgeError(f"{what} is {exc}") from None
+
+
 def _fixed_bindings(root: str) -> dict[str, str]:
     if not root.endswith(("/", "#")):
         raise WbforgeError(f"namespace root must end in '/' or '#': {root!r}")
-    try:
-        Iri(root)
-    except WbforgeError as exc:
-        raise WbforgeError(f"namespace root is {exc}") from None
+    _check_iri(root, "namespace root")
     out = dict(_ABSOLUTE)
     for prefix, rel in _ROOT_RELATIVE.items():
         out[prefix] = root + rel
@@ -98,8 +102,8 @@ def _fixed_bindings(root: str) -> dict[str, str]:
 class NamespaceTable:
     """Fixed Wikibase namespaces plus user-declared prefixes.
 
-    User prefixes may not shadow the fixed set, and every base must end
-    in '/' or '#' so local names concatenate unambiguously.
+    User prefixes may not shadow the fixed set, and every base must be
+    an IRI ending in '/' or '#' so local names concatenate unambiguously.
     """
 
     root: str = DEFAULT_ROOT
@@ -115,6 +119,7 @@ class NamespaceTable:
             if not base.endswith(("/", "#")):
                 raise WbforgeError(
                     f"prefix base must end in '/' or '#': {prefix}: <{base}>")
+            _check_iri(base, f"prefix {prefix}: base")
             bases[prefix] = base
         object.__setattr__(self, "_bases", bases)
         object.__setattr__(self, "_terms", {})

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .errors import BlankNodeUnsupportedError, NtSyntaxError
+from .errors import BlankNodeUnsupportedError, NtSyntaxError, WbforgeError
 from .namespaces import LONE_SURROGATE, Iri
 
 XSD_STRING = Iri("http://www.w3.org/2001/XMLSchema#string")
@@ -168,15 +168,20 @@ def parse_ntriples(text: str) -> Graph:
         s_iri, p_iri, o_iri, o_lex, o_dt, o_lang = m.groups()
         if o_lang is not None:
             raise NtSyntaxError(line_no, f"language tags are not supported: @{o_lang}")
-        s = Iri(_unescape(s_iri, line_no))
-        p = Iri(_unescape(p_iri, line_no))
-        o: Term
-        if o_iri is not None:
-            o = Iri(_unescape(o_iri, line_no))
-        else:
-            if LONE_SURROGATE.search(o_lex):
-                raise NtSyntaxError(line_no, "literal holds a lone surrogate")
-            dt = Iri(_unescape(o_dt, line_no)) if o_dt is not None else XSD_STRING
-            o = Literal(_unescape(o_lex, line_no), dt)
+        try:
+            s = Iri(_unescape(s_iri, line_no))
+            p = Iri(_unescape(p_iri, line_no))
+            o: Term
+            if o_iri is not None:
+                o = Iri(_unescape(o_iri, line_no))
+            else:
+                if LONE_SURROGATE.search(o_lex):
+                    raise NtSyntaxError(line_no, "literal holds a lone surrogate")
+                dt = Iri(_unescape(o_dt, line_no)) if o_dt is not None else XSD_STRING
+                o = Literal(_unescape(o_lex, line_no), dt)
+        except NtSyntaxError:
+            raise
+        except WbforgeError as exc:   # an IRI rule: empty, or a forbidden character
+            raise NtSyntaxError(line_no, str(exc)) from None
         g.add(Triple(s, p, o))
     return g

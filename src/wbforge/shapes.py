@@ -15,14 +15,14 @@ from dataclasses import dataclass
 from .model import (
     TYPED_ORIGINS,
     VALUE_KINDS,
-    DataObject,
     Datatype,
     SchemaDocument,
     StatementDecl,
     AxiomPattern,
     ValueKind,
+    ValueType,
+    needed_value_kinds,
 )
-from .expander import object_datatype
 from .namespaces import (
     Iri, NamespaceTable, curie_or_iri, namespaced_property, prov_was_derived_from, wikibase)
 
@@ -98,6 +98,12 @@ def _class_expr(cls: Iri, doc: SchemaDocument) -> ValueExpr:
     return IriKind()
 
 
+def _value_expr(vtype: ValueType, doc: SchemaDocument) -> ValueExpr:
+    if vtype.item_class is not None:
+        return _class_expr(vtype.item_class, doc)
+    return DatatypeExpr(f"xsd:{vtype.datatype.xsd_local}")
+
+
 def _item_shape(cls_iri: Iri, doc: SchemaDocument) -> Shape:
     table = doc.namespaces
     tcs: list[TripleConstraint] = []
@@ -111,12 +117,8 @@ def _item_shape(cls_iri: Iri, doc: SchemaDocument) -> Shape:
             origins.append("Pattern:Existential")
         tcs.append(TripleConstraint(namespaced_property(name, "p", table),
                                     ShapeRef(statement_label(decl, table)), card))
-        if isinstance(decl.object_spec, DataObject):
-            obj_expr: ValueExpr = DatatypeExpr(
-                f"xsd:{decl.object_spec.datatype.xsd_local}")
-        else:
-            obj_expr = _class_expr(decl.object_spec.iri, doc)
-        tcs.append(TripleConstraint(namespaced_property(name, "wdt", table), obj_expr, card))
+        tcs.append(TripleConstraint(namespaced_property(name, "wdt", table),
+                                    _value_expr(decl.object_spec, doc), card))
     comment = "# origin: " + ", ".join(dict.fromkeys(origins))
     return Shape(class_label(cls_iri, table), tuple(tcs), closed=False,
                  comments=(comment,))
@@ -127,32 +129,29 @@ def _statement_shape(decl: StatementDecl, doc: SchemaDocument) -> Shape:
     name = decl.property_name
     tcs: list[TripleConstraint] = []
     origins = ["Ax2", "Ax3+4", "Ax5"]
-    if isinstance(decl.object_spec, DataObject):
-        dt = decl.object_spec.datatype
-        tcs.append(TripleConstraint(namespaced_property(name, "ps", table),
-                                    DatatypeExpr(f"xsd:{dt.xsd_local}")))
-        origins.append(TYPED_ORIGINS[dt]["unscoped"])
-        if dt in VALUE_KINDS:
-            tcs.append(TripleConstraint(namespaced_property(name, "psv", table),
-                                        ShapeRef(VALUE_KINDS[dt].node_class)))
-            origins.append(TYPED_ORIGINS[dt]["value_range"])
-    else:
-        tcs.append(TripleConstraint(namespaced_property(name, "ps", table),
-                                    _class_expr(decl.object_spec.iri, doc)))
+    dt = decl.object_spec.datatype
+    tcs.append(TripleConstraint(namespaced_property(name, "ps", table),
+                                _value_expr(decl.object_spec, doc)))
+    if dt is None:
         origins.extend(["Ax6", "Ax7"])
+    else:
+        origins.append(TYPED_ORIGINS[dt]["unscoped"])
+    if dt in VALUE_KINDS:
+        tcs.append(TripleConstraint(namespaced_property(name, "psv", table),
+                                    ShapeRef(VALUE_KINDS[dt].node_class)))
+        origins.append(TYPED_ORIGINS[dt]["value_range"])
 
     for q in decl.qualifiers:
         card = EXACTLY_ONE if q.required else OPTIONAL
         dt = q.qtype.datatype
-        if q.qtype.item_class is not None:
-            expr: ValueExpr = _class_expr(q.qtype.item_class, doc)
+        tcs.append(TripleConstraint(namespaced_property(q.name, "pq", table),
+                                    _value_expr(q.qtype, doc), card))
+        if dt is None:
             origins.append("Ax10" if q.scoped else "Ax11")
         else:
-            expr = DatatypeExpr(f"xsd:{dt.xsd_local}")
             # an unscoped date qualifier cites its value-node link, not the range axiom
             origins.append("Ax31" if dt is Datatype.DATETIME and not q.scoped
                            else TYPED_ORIGINS[dt]["scoped" if q.scoped else "unscoped"])
-        tcs.append(TripleConstraint(namespaced_property(q.name, "pq", table), expr, card))
         if dt in VALUE_KINDS:
             tcs.append(TripleConstraint(namespaced_property(q.name, "pqv", table),
                                         ShapeRef(VALUE_KINDS[dt].node_class), card))
@@ -197,15 +196,11 @@ def schema_shapes(doc: SchemaDocument) -> ShapeDoc:
     """All shapes for the document, item shapes first, in declaration order."""
     table = doc.namespaces
     shapes = [_item_shape(c.iri, doc) for c in doc.classes]
-    datatypes: set[Datatype | None] = set()
     for decl in doc.statements:
         shapes.append(_statement_shape(decl, doc))
         if decl.references:
             shapes.append(_reference_shape(decl, doc))
-        datatypes.update(q.qtype.datatype for q in decl.qualifiers)
-        datatypes.add(object_datatype(decl))
-    shapes.extend(_value_shape(kind, table)
-                  for dt, kind in VALUE_KINDS.items() if dt in datatypes)
+    shapes.extend(_value_shape(kind, table) for kind in needed_value_kinds(doc.statements))
     return ShapeDoc(table, tuple(shapes))
 
 

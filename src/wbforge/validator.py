@@ -18,7 +18,6 @@ from .errors import UnknownCodeError
 from .exporter import literal_problem, read_statement, read_value_node, statement_hash, value_hash
 from .model import (
     VALUE_KINDS,
-    DataObject,
     DateTimeValue,
     DecimalValue,
     SchemaDocument,
@@ -247,12 +246,12 @@ class _Checker:
 
     def check_object_value(self, node: Iri, decl: StatementDecl, v: Term) -> None:
         name = decl.property_name
-        if isinstance(decl.object_spec, DataObject):
+        cls = decl.object_spec.item_class
+        if cls is None:
             problem = literal_problem(v, decl.object_spec.datatype, self.table)
             if problem:
                 self.add("RangeViolation", node, f"value of ps:{name} {problem}")
             return
-        cls = decl.object_spec.iri
         if not isinstance(v, Iri):
             self.add("RangeViolation", node, f"value of ps:{name} is not an item")
             return

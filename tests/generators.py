@@ -14,17 +14,14 @@ import random
 from wbforge.model import (
     AxiomPattern,
     ClassDecl,
-    DataObject,
     Datatype,
     DateTimeValue,
     DecimalValue,
     InstanceDoc,
-    ItemClass,
     ItemData,
     ItemRef,
     QualifierData,
     QualifierDecl,
-    QualifierType,
     RefData,
     ReferenceDecl,
     SchemaDocument,
@@ -33,6 +30,7 @@ from wbforge.model import (
     StatementDecl,
     StringValue,
     Value,
+    ValueType,
 )
 from wbforge.namespaces import Iri, NamespaceTable
 
@@ -92,17 +90,17 @@ def random_schema(rng: random.Random) -> SchemaDocument:
     used_item_qualifier = False
     for i in range(rng.randint(1, 3)):
         if rng.random() < 0.6:
-            object_spec: ItemClass | DataObject = ItemClass(rng.choice(class_iris))
+            object_spec = ValueType(item_class=rng.choice(class_iris))
         else:
-            object_spec = DataObject(rng.choice(_DATATYPES))
+            object_spec = ValueType(rng.choice(_DATATYPES))
 
         qualifiers: list[QualifierDecl] = []
         for j in range(rng.randint(0, 3)):
             if rng.random() < 0.25:
-                qtype = QualifierType(item_class=rng.choice(class_iris))
+                qtype = ValueType(item_class=rng.choice(class_iris))
                 used_item_qualifier = True
             else:
-                qtype = QualifierType(datatype=rng.choice(_DATATYPES))
+                qtype = ValueType(rng.choice(_DATATYPES))
             qualifiers.append(QualifierDecl(
                 f"q{i}x{j}", qtype,
                 scoped=rng.random() < 0.4,
@@ -114,7 +112,7 @@ def random_schema(rng: random.Random) -> SchemaDocument:
             for j in range(rng.randint(0, 2)))
 
         pool = [p for p in AxiomPattern
-                if not (isinstance(object_spec, DataObject)
+                if not (object_spec.datatype is not None
                         and p is AxiomPattern.INVERSE_EXISTENTIAL)]
         patterns = tuple(rng.sample(pool, rng.randint(0, 3)))
 
@@ -137,19 +135,16 @@ def random_instances(rng: random.Random, schema: SchemaDocument) -> InstanceDoc:
         by_class[c.iri] = members
         roster.extend((m, c.iri) for m in members)
 
-    def value_of(qtype: QualifierType) -> Value:
-        if qtype.item_class is not None:
-            return ItemRef(rng.choice(by_class[qtype.item_class]))
-        return random_literal(rng, qtype.datatype)
+    def value_of(vtype: ValueType) -> Value:
+        if vtype.item_class is not None:
+            return ItemRef(rng.choice(by_class[vtype.item_class]))
+        return random_literal(rng, vtype.datatype)
 
     pending: dict[Iri, list[StatementData]] = {iri: [] for iri, _ in roster}
     for decl in schema.statements:
         for subject in by_class[decl.subject_class]:
             for _ in range(rng.randint(0, 2)):
-                if isinstance(decl.object_spec, ItemClass):
-                    value: Value = ItemRef(rng.choice(by_class[decl.object_spec.iri]))
-                else:
-                    value = random_literal(rng, decl.object_spec.datatype)
+                value = value_of(decl.object_spec)
                 qualifiers = tuple(
                     QualifierData(q.name, value_of(q.qtype))
                     for q in decl.qualifiers

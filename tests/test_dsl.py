@@ -12,24 +12,23 @@ from wbforge.errors import (
     FeatureDisabledError,
     MalformedValueError,
     UnknownClassError,
+    WbforgeError,
 )
 from wbforge.fixtures import FIXTURE_NAMES, fixture_path
 from wbforge.model import (
     AxiomPattern,
     ClassDecl,
-    DataObject,
     Datatype,
     DateTimeValue,
     DecimalValue,
     InstanceDoc,
-    ItemClass,
     ItemData,
     ItemRef,
     QualifierDecl,
-    QualifierType,
     SchemaDocument,
     StatementDecl,
     StringValue,
+    ValueType,
     is_canonical,
 )
 from wbforge.namespaces import DEFAULT_ROOT, Iri
@@ -59,7 +58,7 @@ def test_functional_keyword_is_accepted_and_inert():
             == parse_schema(text.format(" scoped required")))
     # every qualifier is functional; there is no flag to print or to turn off
     with pytest.raises(TypeError):
-        QualifierDecl("q", QualifierType(Datatype.STRING), functional=False)
+        QualifierDecl("q", ValueType(Datatype.STRING), functional=False)
 
 
 def test_parse_schema_structure():
@@ -88,7 +87,7 @@ def test_data_object_and_comments():
         "prefix ex: <http://v.example/>\n"
         "class ex:P\n"
         "statement ex:note { subject ex:P object string }  # trailing\n")
-    assert doc.statements[0].object_spec == DataObject(Datatype.STRING)
+    assert doc.statements[0].object_spec == ValueType(Datatype.STRING)
 
 
 def test_print_parse_fixed_point_on_fixtures():
@@ -235,8 +234,8 @@ def test_item_lookup_first_item_wins():
 
 def test_declaration_lookup_first_declaration_wins():
     person, job = Iri("http://v.example/Person"), Iri("http://v.example/Job")
-    first = StatementDecl(Iri("http://v.example/hasJob"), person, ItemClass(job))
-    second = StatementDecl(Iri("http://w.example/hasJob"), job, ItemClass(person))
+    first = StatementDecl(Iri("http://v.example/hasJob"), person, ValueType(item_class=job))
+    second = StatementDecl(Iri("http://w.example/hasJob"), job, ValueType(item_class=person))
     c1, c2 = ClassDecl(person), ClassDecl(person, controlled=True)
     doc = SchemaDocument(classes=(c1, c2), statements=(first, second))
     assert doc.statement_decl("hasJob") is first
@@ -245,6 +244,16 @@ def test_declaration_lookup_first_declaration_wins():
     assert doc.class_decl(job) is None
     assert doc == SchemaDocument(classes=(c1, c2), statements=(first, second))
     assert hash(doc) == hash(SchemaDocument(classes=(c1, c2), statements=(first, second)))
+
+
+@pytest.mark.parametrize("fields", [{}, {"datatype": Datatype.STRING,
+                                         "item_class": Iri("http://v.example/Job")}])
+def test_a_value_type_has_exactly_one_of_datatype_and_class(fields):
+    person = Iri("http://v.example/Person")
+    with pytest.raises(ValueError, match="exactly one of datatype/item_class"):
+        StatementDecl(Iri("http://v.example/hasJob"), person, ValueType(**fields))
+    with pytest.raises(ValueError, match="exactly one of datatype/item_class"):
+        QualifierDecl("since", ValueType(**fields))
 
 
 def test_decimal_rejects_exponent_form():
@@ -270,9 +279,13 @@ def test_repeated_curies_resolve_to_one_iri():
 
 
 def test_curie_with_an_invalid_iri_is_a_syntax_error():
-    text = 'prefix bad: <http://x"y/>\nitem bad:a : wikibase:Item { }\n'
+    # an invalid prefix base fails at its declaration, before any CURIE uses it
+    for parse in (parse_schema, parse_instances):
+        with pytest.raises(WbforgeError) as info:
+            parse('prefix bad: <http://x"y/>\nitem bad:a : wikibase:Item { }\n')
+        assert str(info.value) == "prefix bad: base is not an absolute IRI: 'http://x\"y/'"
     for _ in range(2):
         with pytest.raises(DslSyntaxError) as info:
-            parse_instances(text)
-        assert str(info.value) == ("line 2, col 6: expected a resolvable name "
+            parse_instances('item <http://x"y/a> : wikibase:Item { }\n')
+        assert str(info.value) == ("line 1, col 6: expected a resolvable name "
                                    "(not an absolute IRI: 'http://x\"y/a')")

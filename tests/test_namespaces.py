@@ -163,13 +163,22 @@ def test_memo_keeps_the_namespace_and_iri_checks():
 
 
 def test_expand_iri_resolves_curies_through_the_memo():
-    t = NamespaceTable().with_prefix("bad", 'http://x"y/')
+    t = NamespaceTable()
     assert expand_iri("wd:employee", t) is expand_iri("wd:employee", t)
     assert expand_iri("wd:employee", t) is t.term("wd", "employee")
     for _ in range(2):                # an invalid IRI is refused each time, never kept
         with pytest.raises(WbforgeError, match="not an absolute IRI"):
-            expand_iri("bad:a", t)
-    assert ("bad", "a") not in t._terms
+            t.term("wd", "a b")
+        with pytest.raises(WbforgeError, match="not an absolute IRI"):
+            expand_iri("wd:a b", t)
+    assert ("wd", "a b") not in t._terms
+
+
+@pytest.mark.parametrize("base", ['http://x"y/', "http://x y/", "http://x/\udcff/", "http://x<y/"])
+def test_prefix_base_must_be_an_iri(base):
+    with pytest.raises(WbforgeError) as info:
+        NamespaceTable().with_prefix("bad", base)
+    assert str(info.value) == f"prefix bad: base is not an absolute IRI: {base!r}"
 
 
 @pytest.mark.parametrize("root", ["http://x y/", "http://x/\udcff/", "http://x<y/"])

@@ -163,6 +163,38 @@ def test_parse_rejects_a_raw_lone_surrogate_in_a_literal():
                        '<http://x.example/s> <http://x.example/p> "caf\ud800" .\n')
 
 
+_LINE_1 = '<http://x.example/s> <http://x.example/p> "x" .\n'
+_IRI_POSITIONS = {
+    "subject": '{} <http://x.example/p> "x" .\n',
+    "predicate": '<http://x.example/s> {} "x" .\n',
+    "object": '<http://x.example/s> <http://x.example/p> {} .\n',
+    "datatype": '<http://x.example/s> <http://x.example/p> "x"^^{} .\n',
+}
+
+
+@pytest.mark.parametrize("position", _IRI_POSITIONS)
+@pytest.mark.parametrize("iriref, text", [("<>", ""), ("<http://a\\u003Eb>", "http://a>b")])
+def test_an_invalid_iri_is_a_syntax_error_on_its_line(position, iriref, text):
+    with pytest.raises(NtSyntaxError) as info:
+        parse_ntriples(_LINE_1 + _IRI_POSITIONS[position].format(iriref))
+    assert info.value.line == 2
+    assert str(info.value) == f"line 2: not an absolute IRI: {text!r}"
+
+
+@pytest.mark.parametrize("line_2, message", [
+    # an escape error already names its line
+    ('<http://a\\uD800> <> "x" .\n', "escape \\uD800 is not a Unicode scalar value"),
+    ('<> <http://a\\uD800> "x" .\n', "not an absolute IRI: ''"),
+    ('<http://x.example/s> <http://x.example/p> "caf\ud800"^^<> .\n',
+     "literal holds a lone surrogate"),
+    ('<http://x.example/s> <http://x.example/p> "\\q"^^<> .\n', "not an absolute IRI: ''"),
+])
+def test_the_first_fault_in_a_line_is_reported_once(line_2, message):
+    with pytest.raises(NtSyntaxError) as info:
+        parse_ntriples(_LINE_1 + line_2)
+    assert str(info.value) == f"line 2: {message}"
+
+
 def test_parse_rejects_blank_nodes():
     with pytest.raises(BlankNodeUnsupportedError):
         parse_ntriples("_:b <http://x.example/p> <http://x.example/o> .\n")
