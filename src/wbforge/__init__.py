@@ -9,14 +9,10 @@ that reports violations in terms of the generated axioms.
 
 from .axioms import (
     CATALOG,
-    core_statement_axioms,
     instantiate_pattern,
     nl_approximation,
-    qualifier_axioms,
-    reference_axioms,
     schema_axioms,
     serialize_axioms,
-    statement_value_axioms,
 )
 from .dsl import parse_instances, parse_schema, print_schema
 from .errors import (

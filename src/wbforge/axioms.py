@@ -13,6 +13,8 @@ the serializer merges logically equal axioms and stacks their comments.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .dl import (
     All,
     AnnotatedAxiom,
@@ -136,10 +138,8 @@ class _Env:
         self.decl = decl
         self.table = table
         name = decl.property_name
-        self.p = Role(namespaced_property(name, "p", table))
-        self.ps = Role(namespaced_property(name, "ps", table))
-        self.psv = Role(namespaced_property(name, "psv", table))
-        self.wdt = Role(namespaced_property(name, "wdt", table))
+        self.p, self.ps, self.psv, self.wdt = (
+            self.role(ns, name) for ns in ("p", "ps", "psv", "wdt"))
         self.item = Named(wikibase(table, "Item"))
         self.statement = Named(wikibase(table, "Statement"))
         self.reference = Named(wikibase(table, "Reference"))
@@ -148,14 +148,8 @@ class _Env:
         self.wd_item = Named(table.term("wd", "Item"))
         self.prov = Role(prov_was_derived_from(table))
 
-    def pq(self, qname: str) -> Role:
-        return Role(namespaced_property(qname, "pq", self.table))
-
-    def pqv(self, qname: str) -> Role:
-        return Role(namespaced_property(qname, "pqv", self.table))
-
-    def pr(self, rname: str) -> Role:
-        return Role(namespaced_property(rname, "pr", self.table))
+    def role(self, ns: str, name: str) -> Role:
+        return Role(namespaced_property(name, ns, self.table))
 
     def wb(self, local: str) -> Role:
         return Role(wikibase(self.table, local))
@@ -171,15 +165,28 @@ def _inv(role: Role) -> Role:
     return Role(role.iri, not role.inverse)
 
 
-def _domain(role: Role, cls: ClassExpr) -> DlAxiom:
-    return SubClassOf(Some(role, TOP), cls)
+def _domain(e: _Env, role: Role, cls: ClassExpr, key: str, decl_id: str) -> AnnotatedAxiom:
+    return AnnotatedAxiom(SubClassOf(Some(role, TOP), cls), key,
+                          f"The domain of {e.role_name(role)} is {e.class_name(cls)}.", decl_id)
 
 
-def _global_range(role: Role, cls: ClassExpr) -> DlAxiom:
-    return SubClassOf(TOP, All(role, cls))
+def _global_range(e: _Env, role: Role, cls: ClassExpr, key: str, decl_id: str,
+                  inverse: bool = False) -> AnnotatedAxiom:
+    """TOP below All(role, cls), or with `inverse` its form Some(role-, TOP) below cls."""
+    axiom = SubClassOf(Some(_inv(role), TOP), cls) if inverse else SubClassOf(TOP, All(role, cls))
+    how = ", written with the inverse" if inverse else ""
+    return AnnotatedAxiom(axiom, key, f"The range of {e.role_name(role)} is "
+                          f"{e.class_name(cls)}{how}.", decl_id)
 
 
-def core_statement_axioms(decl: StatementDecl, table: NamespaceTable) -> list[AnnotatedAxiom]:
+def _ranges_over(e: _Env, cls: ClassExpr, role: Role, filler: ClassExpr, key: str,
+                 decl_id: str) -> AnnotatedAxiom:
+    return AnnotatedAxiom(SubClassOf(cls, All(role, filler)), key,
+                          f"On a {e.class_name(cls)}, {e.role_name(role)} ranges over "
+                          f"{e.class_name(filler)}.", decl_id)
+
+
+def _core_axioms(e: _Env) -> Iterator[AnnotatedAxiom]:
     """Reification core: Ax1-8, the chain, and its wdt: corollaries.
 
     Fillers stay at wikibase:Item here; declared classes only enter via
@@ -187,94 +194,65 @@ def core_statement_axioms(decl: StatementDecl, table: NamespaceTable) -> list[An
     (Ax6/Ax7 and the inverse corollaries), which the substituted value
     sets replace.
     """
-    e = _Env(decl, table)
+    decl = e.decl
     name = decl.property_name
     p_n, ps_n, wdt_n = e.role_name(e.p), e.role_name(e.ps), e.role_name(e.wdt)
     data_valued = decl.object_spec.datatype is not None
-    out = [
-        AnnotatedAxiom(_domain(e.p, e.item), "Ax1",
-                       f"The domain of {p_n} is wikibase:Item.", name),
-        AnnotatedAxiom(_global_range(e.p, e.statement), "Ax2",
-                       f"The range of {p_n} is wikibase:Statement.", name),
-        AnnotatedAxiom(SubClassOf(TOP, ExactCard(1, _inv(e.p), e.statement)), "Ax3+4",
-                       f"The inverse of {p_n} has exactly one wikibase:Statement filler.",
-                       name),
-        AnnotatedAxiom(_domain(e.ps, e.statement), "Ax5",
-                       f"The domain of {ps_n} is wikibase:Statement.", name),
-    ]
+    yield _domain(e, e.p, e.item, "Ax1", name)
+    yield _global_range(e, e.p, e.statement, "Ax2", name)
+    yield AnnotatedAxiom(SubClassOf(TOP, ExactCard(1, _inv(e.p), e.statement)), "Ax3+4",
+                         f"The inverse of {p_n} has exactly one wikibase:Statement filler.",
+                         name)
+    yield _domain(e, e.ps, e.statement, "Ax5", name)
     if not data_valued:
-        out.append(AnnotatedAxiom(_global_range(e.ps, e.item), "Ax6",
-                                  f"The range of {ps_n} is wikibase:Item.", name))
-        out.append(AnnotatedAxiom(SubClassOf(TOP, ExactCard(1, e.ps, e.item)), "Ax7",
-                                  f"{ps_n} has exactly one wikibase:Item filler.", name))
+        yield _global_range(e, e.ps, e.item, "Ax6", name)
+        yield AnnotatedAxiom(SubClassOf(TOP, ExactCard(1, e.ps, e.item)), "Ax7",
+                             f"{ps_n} has exactly one wikibase:Item filler.", name)
     for q in decl.qualifiers:
-        pq_n = e.role_name(e.pq(q.name))
-        out.append(AnnotatedAxiom(_domain(e.pq(q.name), e.statement), "Ax8",
-                                  f"The domain of {pq_n} is wikibase:Statement.",
-                                  f"{name}/{q.name}"))
-    out.append(AnnotatedAxiom(SubPropertyChain((e.p, e.ps), e.wdt), "Ax9",
-                              f"The chain {p_n} then {ps_n} entails {wdt_n}.", name))
-    out.append(AnnotatedAxiom(_domain(e.wdt, e.item), "Ax9-c1",
-                              f"The domain of {wdt_n} is wikibase:Item.", name))
+        yield _domain(e, e.role("pq", q.name), e.statement, "Ax8", f"{name}/{q.name}")
+    yield AnnotatedAxiom(SubPropertyChain((e.p, e.ps), e.wdt), "Ax9",
+                         f"The chain {p_n} then {ps_n} entails {wdt_n}.", name)
+    yield _domain(e, e.wdt, e.item, "Ax9-c1", name)
     ax9_c2_filler = DataRange(decl.object_spec.datatype) if data_valued else e.item
-    c2_name = e.class_name(ax9_c2_filler)
-    out.append(AnnotatedAxiom(
+    yield AnnotatedAxiom(
         SubClassOf(Some(e.wdt, ax9_c2_filler), e.item), "Ax9-c2",
-        f"Anything with a {wdt_n} filler in {c2_name} is a wikibase:Item.", name))
+        f"Anything with a {wdt_n} filler in {e.class_name(ax9_c2_filler)} is a wikibase:Item.",
+        name)
     if not data_valued:
-        out.append(AnnotatedAxiom(
-            SubClassOf(Some(_inv(e.wdt), TOP), e.item), "Ax9-c3",
-            f"The range of {wdt_n} is wikibase:Item, written with the inverse.", name))
-        out.append(AnnotatedAxiom(
+        yield _global_range(e, e.wdt, e.item, "Ax9-c3", name, inverse=True)
+        yield AnnotatedAxiom(
             SubClassOf(Some(_inv(e.wdt), e.item), e.item), "Ax9-c4",
-            f"Anything that is a {wdt_n} filler of a wikibase:Item is a wikibase:Item.",
-            name))
-    return out
+            f"Anything that is a {wdt_n} filler of a wikibase:Item is a wikibase:Item.", name)
 
 
-def _time_node_axioms(e: _Env, decl_id: str) -> list[AnnotatedAxiom]:
+def _time_node_axioms(e: _Env, decl_id: str) -> Iterator[AnnotatedAxiom]:
     # value-node metadata axioms are independent of the qualifier name;
     # duplicates across several date qualifiers merge at serialization
     # the calendar model ranges over wd:Item, unlike the quantity unit
-    fields = [(f, e.wd_item if dt is None else DataRange(dt))
+    fields = [(e.wb(f), e.wd_item if dt is None else DataRange(dt))
               for f, _, dt in VALUE_KINDS[Datatype.DATETIME].fields]
-    out: list[AnnotatedAxiom] = []
-    for i, (f, _) in enumerate(fields):
-        out.append(AnnotatedAxiom(_domain(e.wb(f), e.time_value), f"Ax{19 + i}",
-                                  f"The domain of wikibase:{f} is wikibase:TimeValue.",
-                                  decl_id))
-    for i, (f, rng) in enumerate(fields):
-        out.append(AnnotatedAxiom(
-            _global_range(e.wb(f), rng), f"Ax{23 + i}",
-            f"The range of wikibase:{f} is {e.class_name(rng)}.", decl_id))
-    for i, (f, rng) in enumerate(fields):
-        out.append(AnnotatedAxiom(
-            SubClassOf(TOP, ExactCard(1, e.wb(f), rng)), f"Ax{27 + i}",
-            f"wikibase:{f} has exactly one {e.class_name(rng)} filler.", decl_id))
-    return out
+    for i, (role, _) in enumerate(fields):
+        yield _domain(e, role, e.time_value, f"Ax{19 + i}", decl_id)
+    for i, (role, rng) in enumerate(fields):
+        yield _global_range(e, role, rng, f"Ax{23 + i}", decl_id)
+    for i, (role, rng) in enumerate(fields):
+        yield AnnotatedAxiom(
+            SubClassOf(TOP, ExactCard(1, role, rng)), f"Ax{27 + i}",
+            f"{e.role_name(role)} has exactly one {e.class_name(rng)} filler.", decl_id)
 
 
-def _quantity_node_axioms(e: _Env, decl_id: str) -> list[AnnotatedAxiom]:
-    out: list[AnnotatedAxiom] = []
+def _quantity_node_axioms(e: _Env, decl_id: str) -> Iterator[AnnotatedAxiom]:
+    qv = e.quantity_value
     # origin keys AxQ-val-* and AxQ-unit-*, one per field in table order
     for key, (f, _, dt) in zip(("val", "unit"), VALUE_KINDS[Datatype.DECIMAL].fields):
-        rng = e.item if dt is None else DataRange(dt)
-        qv = e.quantity_value
-        rng_n = e.class_name(rng)
-        out.extend([
-            AnnotatedAxiom(_domain(e.wb(f), qv), f"AxQ-{key}-dom",
-                           f"The domain of wikibase:{f} is wikibase:QuantityValue.",
-                           decl_id),
-            AnnotatedAxiom(SubClassOf(qv, All(e.wb(f), rng)), f"AxQ-{key}-range",
-                           f"On a wikibase:QuantityValue, wikibase:{f} ranges over {rng_n}.",
-                           decl_id),
-            AnnotatedAxiom(SubClassOf(qv, Some(e.wb(f), rng)), f"AxQ-{key}-exist",
-                           f"A wikibase:QuantityValue carries a wikibase:{f}.", decl_id),
-            AnnotatedAxiom(SubClassOf(qv, MaxCard(1, e.wb(f), rng)), f"AxQ-{key}-func",
-                           f"A wikibase:QuantityValue carries at most one wikibase:{f}.",
-                           decl_id),
-        ])
-    return out
+        role, rng = e.wb(f), e.item if dt is None else DataRange(dt)
+        yield _domain(e, role, qv, f"AxQ-{key}-dom", decl_id)
+        yield _ranges_over(e, qv, role, rng, f"AxQ-{key}-range", decl_id)
+        yield AnnotatedAxiom(SubClassOf(qv, Some(role, rng)), f"AxQ-{key}-exist",
+                             f"A wikibase:QuantityValue carries a wikibase:{f}.", decl_id)
+        yield AnnotatedAxiom(SubClassOf(qv, MaxCard(1, role, rng)), f"AxQ-{key}-func",
+                             f"A wikibase:QuantityValue carries at most one wikibase:{f}.",
+                             decl_id)
 
 
 def _filler(e: _Env, vtype: ValueType, scoped: bool) -> ClassExpr:
@@ -293,7 +271,7 @@ def _range_axiom(e: _Env, edge: Role, filler: ClassExpr, scoped: bool, key: str,
         return AnnotatedAxiom(SubClassOf(Some(_inv(edge), Some(_inv(e.p), e.item)), filler),
                               key, f"The scoped range of {edge_n} under items is {filler_n}.",
                               decl_id)
-    return AnnotatedAxiom(_global_range(edge, filler), key,
+    return AnnotatedAxiom(SubClassOf(TOP, All(edge, filler)), key,
                           f"The unscoped range of {edge_n} is {filler_n}.", decl_id)
 
 
@@ -304,122 +282,90 @@ def _at_most_one(e: _Env, edge: Role, filler: ClassExpr, decl_id: str) -> Annota
 
 
 def _typed_edge_axioms(e: _Env, edge: Role, value_edge: Role, vtype: ValueType,
-                       scoped: bool, decl_id: str) -> list[AnnotatedAxiom]:
+                       scoped: bool, decl_id: str) -> Iterator[AnnotatedAxiom]:
     """Type-specific set for a pq:/pqv: pair, reused for ps:/psv: by substitution."""
     datatype = vtype.datatype
     keys = TYPED_ORIGINS[datatype]
-    edge_n, value_n = e.role_name(edge), e.role_name(value_edge)
-    out = [AnnotatedAxiom(_domain(edge, e.statement), keys["dom"],
-                          f"The domain of {edge_n} is wikibase:Statement.", decl_id)]
+    yield _domain(e, edge, e.statement, keys["dom"], decl_id)
     if datatype is Datatype.DECIMAL:
         dt_range, qv = DataRange(datatype), e.quantity_value
-        out.extend([
-            AnnotatedAxiom(SubClassOf(e.statement, All(edge, dt_range)), keys["unscoped"],
-                           f"On a wikibase:Statement, {edge_n} ranges over xsd:decimal.",
-                           decl_id),
-            AnnotatedAxiom(SubClassOf(e.statement, MaxCard(1, edge, dt_range)), keys["func"],
-                           f"A wikibase:Statement carries at most one {edge_n} value.",
-                           decl_id),
-            AnnotatedAxiom(_domain(value_edge, e.statement), keys["value_dom"],
-                           f"The domain of {value_n} is wikibase:Statement.", decl_id),
-            AnnotatedAxiom(SubClassOf(e.statement, All(value_edge, qv)), keys["value_range"],
-                           f"On a wikibase:Statement, {value_n} ranges over "
-                           "wikibase:QuantityValue.", decl_id),
-            AnnotatedAxiom(SubClassOf(e.statement, MaxCard(1, value_edge, qv)),
-                           keys["value_func"],
-                           f"A wikibase:Statement carries at most one {value_n} value.",
-                           decl_id),
-        ])
-        return out + _quantity_node_axioms(e, decl_id)
-
-    out.append(_range_axiom(e, edge, _filler(e, vtype, scoped), scoped,
-                            keys["scoped" if scoped else "unscoped"], decl_id))
+        yield _ranges_over(e, e.statement, edge, dt_range, keys["unscoped"], decl_id)
+        yield AnnotatedAxiom(SubClassOf(e.statement, MaxCard(1, edge, dt_range)), keys["func"],
+                             f"A wikibase:Statement carries at most one {e.role_name(edge)} "
+                             "value.", decl_id)
+        yield _domain(e, value_edge, e.statement, keys["value_dom"], decl_id)
+        yield _ranges_over(e, e.statement, value_edge, qv, keys["value_range"], decl_id)
+        yield AnnotatedAxiom(SubClassOf(e.statement, MaxCard(1, value_edge, qv)),
+                             keys["value_func"], f"A wikibase:Statement carries at most one "
+                             f"{e.role_name(value_edge)} value.", decl_id)
+        yield from _quantity_node_axioms(e, decl_id)
+        return
+    yield _range_axiom(e, edge, _filler(e, vtype, scoped), scoped,
+                       keys["scoped" if scoped else "unscoped"], decl_id)
     if datatype is Datatype.DATETIME:
-        tv = e.time_value
-        out.extend([
-            AnnotatedAxiom(_domain(value_edge, e.statement), keys["value_dom"],
-                           f"The domain of {value_n} is wikibase:Statement.", decl_id),
-            AnnotatedAxiom(_global_range(value_edge, tv), keys["value_range"],
-                           f"The range of {value_n} is wikibase:TimeValue.", decl_id),
-            AnnotatedAxiom(SubClassOf(tv, ExactCard(1, _inv(value_edge), e.statement)), "Ax18",
-                           f"A wikibase:TimeValue is the {value_n} filler of exactly one "
-                           "wikibase:Statement.", decl_id),
-            *_time_node_axioms(e, decl_id),
-            AnnotatedAxiom(SubClassOf(Some(edge, DataRange(datatype)), Some(value_edge, tv)),
-                           "Ax31", f"A {edge_n} xsd:dateTime assertion is accompanied by a "
-                           f"{value_n} value node.", decl_id),
-        ])
-    return out
+        tv, value_n = e.time_value, e.role_name(value_edge)
+        yield _domain(e, value_edge, e.statement, keys["value_dom"], decl_id)
+        yield _global_range(e, value_edge, tv, keys["value_range"], decl_id)
+        yield AnnotatedAxiom(SubClassOf(tv, ExactCard(1, _inv(value_edge), e.statement)), "Ax18",
+                             f"A wikibase:TimeValue is the {value_n} filler of exactly one "
+                             "wikibase:Statement.", decl_id)
+        yield from _time_node_axioms(e, decl_id)
+        yield AnnotatedAxiom(SubClassOf(Some(edge, DataRange(datatype)), Some(value_edge, tv)),
+                             "Ax31", f"A {e.role_name(edge)} xsd:dateTime assertion is "
+                             f"accompanied by a {value_n} value node.", decl_id)
 
 
-def qualifier_axioms(decl: StatementDecl, q: QualifierDecl,
-                     table: NamespaceTable) -> list[AnnotatedAxiom]:
+def _qualifier_axioms(e: _Env, q: QualifierDecl) -> Iterator[AnnotatedAxiom]:
     """Generic domain/range pair, the value-type set, then flag axioms."""
-    e = _Env(decl, table)
-    decl_id = f"{decl.property_name}/{q.name}"
-    pq = e.pq(q.name)
+    decl_id = f"{e.decl.property_name}/{q.name}"
+    pq = e.role("pq", q.name)
     vtype = q.qtype
-    out = [AnnotatedAxiom(_domain(pq, e.statement), "Ax12",
-                          f"The domain of {e.role_name(pq)} is wikibase:Statement.", decl_id),
-           _range_axiom(e, pq, _filler(e, vtype, q.scoped), q.scoped,
-                        "Ax10" if q.scoped else "Ax11", decl_id)]
+    yield _domain(e, pq, e.statement, "Ax12", decl_id)
+    yield _range_axiom(e, pq, _filler(e, vtype, q.scoped), q.scoped,
+                       "Ax10" if q.scoped else "Ax11", decl_id)
     if vtype.datatype in TYPED_ORIGINS:
-        out.extend(_typed_edge_axioms(e, pq, e.pqv(q.name), vtype, q.scoped, decl_id))
+        yield from _typed_edge_axioms(e, pq, e.role("pqv", q.name), vtype, q.scoped, decl_id)
     # the decimal set already carries its own functionality axiom
     if vtype.datatype is not Datatype.DECIMAL:
-        out.append(_at_most_one(e, pq, _filler(e, vtype, True), decl_id))
+        yield _at_most_one(e, pq, _filler(e, vtype, True), decl_id)
     if q.required:
-        out.append(AnnotatedAxiom(
+        yield AnnotatedAxiom(
             SubClassOf(e.statement, MinCard(1, pq, _filler(e, vtype, True))), "AxReq",
             f"A wikibase:Statement carries at least one {e.role_name(pq)} value "
-            "(required flag; DSL extension).", decl_id))
-    return out
+            "(required flag; DSL extension).", decl_id)
 
 
-def statement_value_axioms(decl: StatementDecl, table: NamespaceTable) -> list[AnnotatedAxiom]:
+def _statement_value_axioms(e: _Env) -> Iterator[AnnotatedAxiom]:
     """Data-valued objects reuse the qualifier sets with ps:/psv: substituted."""
-    vtype = decl.object_spec
+    vtype, name = e.decl.object_spec, e.decl.property_name
     if vtype.datatype is None:
-        return []
-    e = _Env(decl, table)
-    out = _typed_edge_axioms(e, e.ps, e.psv, vtype, False, decl.property_name)
+        return
+    yield from _typed_edge_axioms(e, e.ps, e.psv, vtype, False, name)
     if vtype.datatype is not Datatype.DECIMAL:
-        out.append(_at_most_one(e, e.ps, _filler(e, vtype, True), decl.property_name))
-    return out
+        yield _at_most_one(e, e.ps, _filler(e, vtype, True), name)
 
 
-def reference_axioms(decl: StatementDecl, r: ReferenceDecl,
-                     table: NamespaceTable) -> list[AnnotatedAxiom]:
-    e = _Env(decl, table)
-    decl_id = f"{decl.property_name}/{r.name}"
-    pr = e.pr(r.name)
+def _reference_axioms(e: _Env, r: ReferenceDecl) -> Iterator[AnnotatedAxiom]:
+    decl_id = f"{e.decl.property_name}/{r.name}"
+    pr = e.role("pr", r.name)
     pr_n, p_n = e.role_name(pr), e.role_name(e.p)
-    prov_n = e.role_name(e.prov)
-    return [
-        AnnotatedAxiom(SubClassOf(Some(e.prov, e.reference), e.statement), "Ax49",
-                       f"Whatever derives a wikibase:Reference via {prov_n} is a "
-                       "wikibase:Statement.", decl_id),
-        AnnotatedAxiom(SubClassOf(e.statement, All(e.prov, e.reference)), "Ax50",
-                       f"On a wikibase:Statement, {prov_n} ranges over "
-                       "wikibase:Reference.", decl_id),
-        AnnotatedAxiom(_domain(pr, e.reference), "Ax51",
-                       f"The domain of {pr_n} is wikibase:Reference.", decl_id),
-        AnnotatedAxiom(
-            SubClassOf(Some(_inv(pr), Some(_inv(e.prov), Some(_inv(e.p), TOP))), e.item),
-            "Ax52",
-            f"A {pr_n} filler on a reference derived from a statement is a "
-            "wikibase:Item.", decl_id),
-        AnnotatedAxiom(_global_range(pr, e.item), "Ax53",
-                       f"The unscoped range of {pr_n} is wikibase:Item.", decl_id),
-        AnnotatedAxiom(
-            SubClassOf(Some(e.p, Some(e.prov, Some(pr, TOP))), e.item), "AxRef-sd",
-            f"An item whose {p_n} statement derives a reference carrying {pr_n} is a "
-            "wikibase:Item.", decl_id),
-        AnnotatedAxiom(
-            SubClassOf(e.reference, ExactCard(1, _inv(e.prov), e.statement)), "Ax54",
-            "A wikibase:Reference is derived from exactly one wikibase:Statement.",
-            decl_id),
-    ]
+    yield AnnotatedAxiom(SubClassOf(Some(e.prov, e.reference), e.statement), "Ax49",
+                         f"Whatever derives a wikibase:Reference via {e.role_name(e.prov)} "
+                         "is a wikibase:Statement.", decl_id)
+    yield _ranges_over(e, e.statement, e.prov, e.reference, "Ax50", decl_id)
+    yield _domain(e, pr, e.reference, "Ax51", decl_id)
+    yield AnnotatedAxiom(
+        SubClassOf(Some(_inv(pr), Some(_inv(e.prov), Some(_inv(e.p), TOP))), e.item), "Ax52",
+        f"A {pr_n} filler on a reference derived from a statement is a wikibase:Item.",
+        decl_id)
+    yield _range_axiom(e, pr, e.item, False, "Ax53", decl_id)
+    yield AnnotatedAxiom(
+        SubClassOf(Some(e.p, Some(e.prov, Some(pr, TOP))), e.item), "AxRef-sd",
+        f"An item whose {p_n} statement derives a reference carrying {pr_n} is a "
+        "wikibase:Item.", decl_id)
+    yield AnnotatedAxiom(
+        SubClassOf(e.reference, ExactCard(1, _inv(e.prov), e.statement)), "Ax54",
+        "A wikibase:Reference is derived from exactly one wikibase:Statement.", decl_id)
 
 
 def nl_approximation(pattern: AxiomPattern, decl: StatementDecl) -> str:
@@ -438,7 +384,11 @@ def instantiate_pattern(pattern: AxiomPattern, decl: StatementDecl,
     InverseExistential has no usable form there (its subject position
     would be a datatype) and is rejected.
     """
-    e = _Env(decl, table)
+    return _pattern_axioms(_Env(decl, table), pattern)
+
+
+def _pattern_axioms(e: _Env, pattern: AxiomPattern) -> list[AnnotatedAxiom]:
+    decl = e.decl
     if pattern is AxiomPattern.INVERSE_EXISTENTIAL and decl.object_spec.datatype is not None:
         raise PatternInapplicableError(pattern.value, decl.property_name)
     sub: ClassExpr = Named(decl.subject_class)
@@ -506,17 +456,17 @@ def instantiate_pattern(pattern: AxiomPattern, decl: StatementDecl,
 
 def schema_axioms(doc: SchemaDocument) -> list[AnnotatedAxiom]:
     """Full annotated axiom list in declaration order."""
-    table = doc.namespaces
     out: list[AnnotatedAxiom] = []
     for decl in doc.statements:
-        out.extend(core_statement_axioms(decl, table))
+        e = _Env(decl, doc.namespaces)
+        out.extend(_core_axioms(e))
         for q in decl.qualifiers:
-            out.extend(qualifier_axioms(decl, q, table))
-        out.extend(statement_value_axioms(decl, table))
+            out.extend(_qualifier_axioms(e, q))
+        out.extend(_statement_value_axioms(e))
         for r in decl.references:
-            out.extend(reference_axioms(decl, r, table))
+            out.extend(_reference_axioms(e, r))
         for pattern in decl.patterns:
-            out.extend(instantiate_pattern(pattern, decl, table))
+            out.extend(_pattern_axioms(e, pattern))
     return out
 
 
@@ -528,13 +478,9 @@ def _render_role(role: Role, table: NamespaceTable) -> str:
     return curie_or_iri(role.iri, table)
 
 
-def _render_card(kind: str, n: int, role: Role, filler: ClassExpr,
-                 table: NamespaceTable) -> str:
-    family = "Data" if isinstance(filler, DataRange) else "Object"
-    head = f"{family}{kind}Cardinality( {n} {_render_role(role, table)}"
-    if isinstance(filler, Top):
-        return head + " )"
-    return f"{head} {_render_class(filler, table)} )"
+# restriction -> OWL keyword, after its Object/Data family
+_RESTRICTIONS = {Some: "SomeValuesFrom", All: "AllValuesFrom", MinCard: "MinCardinality",
+                 MaxCard: "MaxCardinality", ExactCard: "ExactCardinality"}
 
 
 def _render_class(expr: ClassExpr, table: NamespaceTable) -> str:
@@ -544,21 +490,17 @@ def _render_class(expr: ClassExpr, table: NamespaceTable) -> str:
         return curie_or_iri(expr.iri, table)
     if isinstance(expr, DataRange):
         return f"xsd:{expr.datatype.xsd_local}"
-    if isinstance(expr, Some):
-        family = "Data" if isinstance(expr.filler, DataRange) else "Object"
-        return (f"{family}SomeValuesFrom( {_render_role(expr.role, table)} "
-                f"{_render_class(expr.filler, table)} )")
-    if isinstance(expr, All):
-        family = "Data" if isinstance(expr.filler, DataRange) else "Object"
-        return (f"{family}AllValuesFrom( {_render_role(expr.role, table)} "
-                f"{_render_class(expr.filler, table)} )")
-    if isinstance(expr, MaxCard):
-        return _render_card("Max", expr.n, expr.role, expr.filler, table)
-    if isinstance(expr, MinCard):
-        return _render_card("Min", expr.n, expr.role, expr.filler, table)
-    if isinstance(expr, ExactCard):
-        return _render_card("Exact", expr.n, expr.role, expr.filler, table)
-    raise TypeError(f"unknown class expression: {expr!r}")
+    keyword = _RESTRICTIONS.get(type(expr))
+    if keyword is None:
+        raise TypeError(f"unknown class expression: {expr!r}")
+    family = "Data" if isinstance(expr.filler, DataRange) else "Object"
+    card = getattr(expr, "n", None)
+    args = [] if card is None else [str(card)]
+    args.append(_render_role(expr.role, table))
+    # a cardinality over owl:Thing is written unqualified
+    if card is None or not isinstance(expr.filler, Top):
+        args.append(_render_class(expr.filler, table))
+    return f"{family}{keyword}( {' '.join(args)} )"
 
 
 def _render_axiom(axiom: DlAxiom, table: NamespaceTable,

@@ -178,7 +178,12 @@ def _parse_prefix_decl(ts: _Stream, table: NamespaceTable) -> NamespaceTable:
     name = ts.expect(("IDENT",), "a prefix name")
     ts.expect(_WORD, text=":")
     iriref = ts.expect(("IRIREF",), "an IRI in angle brackets")
-    return table.with_prefix(name.text, iriref.text[1:-1])
+    try:
+        return table.with_prefix(name.text, iriref.text[1:-1])
+    except DuplicateDeclarationError:
+        raise
+    except WbforgeError as exc:
+        raise DslSyntaxError(iriref.line, iriref.col, f"a valid prefix base ({exc})") from None
 
 
 def _declare(decls: dict, kind: str, key: object, value: object) -> None:

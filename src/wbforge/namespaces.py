@@ -110,6 +110,7 @@ class NamespaceTable:
     user: tuple[tuple[str, str], ...] = ()
     _bases: dict[str, str] = field(init=False, repr=False, compare=False)
     _terms: dict[tuple[str, str], Iri] = field(init=False, repr=False, compare=False)
+    _curies: dict[str, str | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bases = _fixed_bindings(self.root)
@@ -123,6 +124,7 @@ class NamespaceTable:
             bases[prefix] = base
         object.__setattr__(self, "_bases", bases)
         object.__setattr__(self, "_terms", {})
+        object.__setattr__(self, "_curies", {})
 
     def with_prefix(self, prefix: str, base: str) -> NamespaceTable:
         return NamespaceTable(self.root, self.user + ((prefix, base),))
@@ -153,17 +155,27 @@ class NamespaceTable:
         return out
 
     def curie(self, iri: Iri) -> str | None:
-        """Compress to prefix:local under the longest matching base."""
+        """Compress to prefix:local under the longest matching base.
+
+        Remembered per table: callers ask about predicates, classes and
+        schema terms, never per-node IRIs, so the memo stays small.
+        """
+        value = iri.value
+        try:
+            return self._curies[value]
+        except KeyError:
+            pass
         best: tuple[str, str] | None = None
         for prefix, base in self._bases.items():
-            if iri.value.startswith(base) and (best is None or len(base) > len(best[1])):
+            if value.startswith(base) and (best is None or len(base) > len(best[1])):
                 best = (prefix, base)
-        if best is None:
-            return None
-        local = iri.value[len(best[1]):]
-        if not local or any(c in local for c in "/#:"):
-            return None
-        return f"{best[0]}:{local}"
+        curie = None
+        if best is not None:
+            local = value[len(best[1]):]
+            if local and not any(c in local for c in "/#:"):
+                curie = f"{best[0]}:{local}"
+        self._curies[value] = curie
+        return curie
 
     def split(self, iri: Iri) -> tuple[str, str] | None:
         """(prefix, local) under the longest matching base, if any."""

@@ -151,6 +151,8 @@ _TRIPLE_RE = re.compile(
     rf"^{_IRIREF}\s+{_IRIREF}\s+"
     rf"(?:{_IRIREF}|{_LITERAL}(?:\^\^{_IRIREF}|@([A-Za-z0-9-]+))?)"
     rf"\s*\.\s*$")
+# a line that fails _TRIPLE_RE is a blank-node line if `_:` opens its subject or object
+_BLANK_NODE_RE = re.compile(rf"^(?:_:|{_IRIREF}\s+{_IRIREF}\s+_:)")
 
 
 def parse_ntriples(text: str) -> Graph:
@@ -160,10 +162,10 @@ def parse_ntriples(text: str) -> Graph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("_:") or re.search(r"\s_:", line):
-            raise BlankNodeUnsupportedError(line_no)
         m = _TRIPLE_RE.match(line)
         if m is None:
+            if _BLANK_NODE_RE.match(line):
+                raise BlankNodeUnsupportedError(line_no)
             raise NtSyntaxError(line_no, f"cannot parse triple: {line!r}")
         s_iri, p_iri, o_iri, o_lex, o_dt, o_lang = m.groups()
         if o_lang is not None:

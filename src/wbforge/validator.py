@@ -29,55 +29,33 @@ from .rdf import Graph, Term, Triple
 ERROR = "ERROR"
 WARNING = "WARNING"
 
-# every code the checker can emit, with its severity
-CODES: dict[str, str] = {
-    "BareTruthy": WARNING,
-    "ChainGap": ERROR,
-    "DomainViolation": ERROR,
-    "ExistenceViolation": ERROR,
-    "FunctionalityViolation": ERROR,
-    "HashMismatch": WARNING,
-    "OrphanStatement": ERROR,
-    "QualifierTypeViolation": ERROR,
-    "RangeViolation": ERROR,
-    "SharedReference": ERROR,
-    "SharedStatement": ERROR,
-    "UnknownProperty": WARNING,
-    "ValueNodeMalformed": ERROR,
+# every code the checker can emit: severity, summary, and the axiom origin
+# keys its findings trace back to
+_CODE_TABLE: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    "BareTruthy": (WARNING, "a truthy direct edge has no reified statement behind it",
+                   ("Ax9",)),
+    "ChainGap": (ERROR, "a reified statement is missing its truthy direct edge", ("Ax9",)),
+    "DomainViolation": (ERROR, "a statement subject lacks the declared subject class",
+                        ("Ax1", "Ax9-c1", "Pattern:Domain")),
+    "ExistenceViolation": (ERROR, "a mandatory value, qualifier, or reference is absent",
+                           ("Ax7", "AxReq")),
+    "FunctionalityViolation": (ERROR, "an at-most-one property carries several values",
+                               ("Ax7", "AxFunc")),
+    "HashMismatch": (WARNING, "a node name no longer matches its content hash", ()),
+    "OrphanStatement": (ERROR, "a statement node has no owning item", ("Ax3+4",)),
+    "QualifierTypeViolation": (ERROR, "a qualifier value does not fit its declaration",
+                               ("Ax10", "Ax11")),
+    "RangeViolation": (ERROR, "a statement or reference value lacks the declared class or type",
+                       ("Ax6", "Ax50", "Ax53", "Pattern:Range")),
+    "SharedReference": (ERROR, "a reference node is derived from several statements",
+                        ("Ax54",)),
+    "SharedStatement": (ERROR, "a statement node is claimed by several item edges",
+                        ("Ax3+4",)),
+    "UnknownProperty": (WARNING, "a family property matches no declaration", ()),
+    "ValueNodeMalformed": (ERROR, "a metadata value node has missing or ill-typed fields",
+                           tuple(key for kind in VALUE_KINDS.values() for key in kind.origins)),
 }
-
-# code -> axiom origin keys its findings trace back to
-_CODE_ORIGINS: dict[str, tuple[str, ...]] = {
-    "BareTruthy": ("Ax9",),
-    "ChainGap": ("Ax9",),
-    "DomainViolation": ("Ax1", "Ax9-c1", "Pattern:Domain"),
-    "ExistenceViolation": ("Ax7", "AxReq"),
-    "FunctionalityViolation": ("Ax7", "AxFunc"),
-    "HashMismatch": (),
-    "OrphanStatement": ("Ax3+4",),
-    "QualifierTypeViolation": ("Ax10", "Ax11"),
-    "RangeViolation": ("Ax6", "Ax50", "Ax53", "Pattern:Range"),
-    "SharedReference": ("Ax54",),
-    "SharedStatement": ("Ax3+4",),
-    "UnknownProperty": (),
-    "ValueNodeMalformed": tuple(key for kind in VALUE_KINDS.values() for key in kind.origins),
-}
-
-_CODE_SUMMARY: dict[str, str] = {
-    "BareTruthy": "a truthy direct edge has no reified statement behind it",
-    "ChainGap": "a reified statement is missing its truthy direct edge",
-    "DomainViolation": "a statement subject lacks the declared subject class",
-    "ExistenceViolation": "a mandatory value, qualifier, or reference is absent",
-    "FunctionalityViolation": "an at-most-one property carries several values",
-    "HashMismatch": "a node name no longer matches its content hash",
-    "OrphanStatement": "a statement node has no owning item",
-    "QualifierTypeViolation": "a qualifier value does not fit its declaration",
-    "RangeViolation": "a statement or reference value lacks the declared class or type",
-    "SharedReference": "a reference node is derived from several statements",
-    "SharedStatement": "a statement node is claimed by several item edges",
-    "UnknownProperty": "a family property matches no declaration",
-    "ValueNodeMalformed": "a metadata value node has missing or ill-typed fields",
-}
+CODES: dict[str, str] = {code: row[0] for code, row in _CODE_TABLE.items()}
 
 
 @dataclass(frozen=True, order=True)
@@ -131,11 +109,12 @@ def explain(report: ValidationReport, code: str) -> str:
     if code not in CODES:
         raise UnknownCodeError(code)
     hits = report.by_code(code)
-    lines = [f"{code} ({CODES[code]}, {len(hits)} finding(s)): {_CODE_SUMMARY[code]}."]
-    for key in _CODE_ORIGINS[code]:
+    severity, summary, origins = _CODE_TABLE[code]
+    lines = [f"{code} ({severity}, {len(hits)} finding(s)): {summary}."]
+    for key in origins:
         gloss = CATALOG.get(key, "named axiom pattern chosen in the schema")
         lines.append(f"  {key} | {gloss}")
-    if not _CODE_ORIGINS[code]:
+    if not origins:
         lines.append("  (integrity check; not tied to a generated axiom)")
     return "".join(line + "\n" for line in lines)
 

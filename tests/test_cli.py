@@ -192,3 +192,17 @@ def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", str(SCHEMA)])
     assert exc.value.code == 2
+
+
+def test_exported_literal_holding_blank_node_syntax_reads_back(tmp_path, capsys):
+    schema = tmp_path / "s.wbs"
+    schema.write_text("prefix ex: <http://example.org/>\nclass ex:Person\n"
+                      "statement ex:name {\n  subject ex:Person\n  object string\n}\n")
+    instances = tmp_path / "i.wbi"
+    instances.write_text("prefix ex: <http://example.org/>\n"
+                         'item wd:a : ex:Person {\n  ex:name -> string "see _:note"\n}\n')
+    nt = tmp_path / "out.nt"
+    assert main(["export", str(schema), str(instances), "-o", str(nt)]) == 0
+    assert main(["validate", str(schema), str(nt)]) == 0
+    assert capsys.readouterr().out == "errors=0 warnings=0\n"
+    assert main(["infer", str(schema), str(nt)]) == 0

@@ -281,11 +281,24 @@ def test_repeated_curies_resolve_to_one_iri():
 def test_curie_with_an_invalid_iri_is_a_syntax_error():
     # an invalid prefix base fails at its declaration, before any CURIE uses it
     for parse in (parse_schema, parse_instances):
-        with pytest.raises(WbforgeError) as info:
+        with pytest.raises(DslSyntaxError) as info:
             parse('prefix bad: <http://x"y/>\nitem bad:a : wikibase:Item { }\n')
-        assert str(info.value) == "prefix bad: base is not an absolute IRI: 'http://x\"y/'"
+        assert str(info.value) == ("line 1, col 13: expected a valid prefix base "
+                                   "(prefix bad: base is not an absolute IRI: 'http://x\"y/')")
     for _ in range(2):
         with pytest.raises(DslSyntaxError) as info:
             parse_instances('item <http://x"y/a> : wikibase:Item { }\n')
         assert str(info.value) == ("line 1, col 6: expected a resolvable name "
                                    "(not an absolute IRI: 'http://x\"y/a')")
+
+
+def test_prefix_base_faults_carry_a_position():
+    for parse in (parse_schema, parse_instances):
+        with pytest.raises(DslSyntaxError) as info:
+            parse("\nprefix ex: <http://x.example/a>\n")
+        assert (info.value.line, info.value.col) == (2, 12)
+        # a redeclared or shadowing prefix stays a duplicate declaration
+        for text in ("prefix ex: <http://x.example/> prefix ex: <http://y.example/>",
+                     "prefix wd: <http://y.example/>"):
+            with pytest.raises(DuplicateDeclarationError):
+                parse(text)

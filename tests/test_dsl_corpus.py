@@ -13,7 +13,7 @@ from contextlib import redirect_stdout
 
 import dsl_corpus
 
-DSL_CORPUS_SHA256 = "723b4869eb79613a038add1d53b24dd1a96113122c33c14253f2c5bea542c562"
+DSL_CORPUS_SHA256 = "062eab7baec2dbd6399a5a274087872c3eb344f01397678edd7a4903cb6e44d5"
 
 
 def test_dsl_corpus_is_unchanged():

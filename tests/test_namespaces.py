@@ -3,6 +3,7 @@
 import pytest
 
 from wbforge.errors import DuplicateDeclarationError, UnknownPrefixError, WbforgeError
+from wbforge.fixtures import FIXTURE_NAMES, load_bundle
 from wbforge.namespaces import (
     DEFAULT_ROOT,
     FIXED_PREFIX_ORDER,
@@ -131,6 +132,8 @@ def test_memo_leaves_equality_and_hash_alone():
     used, fresh = NamespaceTable(), NamespaceTable()
     wikibase(used, "Statement")
     namespaced_property("hasJob", "pq", used)
+    assert used.curie(wikibase(used, "Statement")) == "wikibase:Statement"
+    assert used.curie(Iri("http://elsewhere.example/x")) is None
     assert used == fresh
     assert hash(used) == hash(fresh)
     assert {used: 1}[fresh] == 1
@@ -139,7 +142,11 @@ def test_memo_leaves_equality_and_hash_alone():
 def test_with_prefix_does_not_share_the_memo():
     parent = NamespaceTable()
     minted = namespaced_property("hasJob", "p", parent)
+    person = Iri("http://v.example/Person")
+    assert parent.curie(person) is None and parent.split(person) is None
     child = parent.with_prefix("ex", "http://v.example/")
+    assert child.curie(person) == "ex:Person" and child.split(person) == ("ex", "Person")
+    assert parent.curie(person) is None
     again = namespaced_property("hasJob", "p", child)
     assert again == minted and again is not minted
     assert child.term("ex", "Person") == Iri("http://v.example/Person")
@@ -147,6 +154,20 @@ def test_with_prefix_does_not_share_the_memo():
         parent.term("ex", "Person")
     rebased = NamespaceTable("http://other.example/")
     assert namespaced_property("hasJob", "p", rebased) == Iri("http://other.example/prop/hasJob")
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_curie_memo_answers_as_a_fresh_table(name):
+    bundle = load_bundle(name)
+    root, user = bundle.table.root, bundle.table.user
+    a = rdf_type(bundle.table)
+    iris = sorted({t.p for t in bundle.graph} | {t.o for t in bundle.graph if t.p == a})
+    expected = {iri: (NamespaceTable(root, user).curie(iri), NamespaceTable(root, user).split(iri))
+                for iri in iris}
+    used = NamespaceTable(root, user)
+    for _ in range(2):                # the first call fills the memo, the second reads it
+        assert {iri: (used.curie(iri), used.split(iri)) for iri in iris} == expected
+    assert any(c is not None for c, _ in expected.values())
 
 
 def test_memo_keeps_the_namespace_and_iri_checks():

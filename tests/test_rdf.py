@@ -202,6 +202,17 @@ def test_parse_rejects_blank_nodes():
         parse_ntriples("<http://x.example/s> <http://x.example/p> _:b .\n")
 
 
+@pytest.mark.parametrize("lexical", ["see _:note", "see\t_:note"])
+def test_literal_holding_blank_node_syntax_parses(lexical):
+    g = parse_ntriples(f'<http://x.example/s> <http://x.example/p> "{lexical}" .\n')
+    assert list(g)[0].o == Literal(lexical)
+
+
+def test_blank_node_predicate_is_a_syntax_error():
+    with pytest.raises(NtSyntaxError):
+        parse_ntriples("<http://x.example/s> _:p <http://x.example/o> .\n")
+
+
 def test_parse_rejects_language_tags_and_junk():
     with pytest.raises(NtSyntaxError):
         parse_ntriples('<http://x.example/s> <http://x.example/p> "v"@en .\n')
