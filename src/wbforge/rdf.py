@@ -111,7 +111,8 @@ class Graph:
 
         Candidates come from the index of the first bound term in the order
         s, o, p. The indexes are built on the first match after a change,
-        so a graph that is only written never builds them.
+        so a graph that is only written never builds them. Only two or
+        more hits are sorted.
         """
         if self._index is None:
             self._index = ({}, {}, {})
@@ -125,7 +126,8 @@ class Graph:
                  if (s is None or t.s == s)
                  and (p is None or t.p == p)
                  and (o is None or t.o == o)]
-        found.sort(key=lambda t: (t.s.value, t.p.value, render_term(t.o)))
+        if len(found) > 1:
+            found.sort(key=lambda t: (t.s.value, t.p.value, render_term(t.o)))
         return found
 
     def subjects(self, p: Iri, o: Term) -> list[Iri]:
@@ -155,9 +157,21 @@ _TRIPLE_RE = re.compile(
 _BLANK_NODE_RE = re.compile(rf"^(?:_:|{_IRIREF}\s+{_IRIREF}\s+_:)")
 
 
+def _new_iri(raw: str, line_no: int, iris: dict[str, Iri]) -> Iri:
+    """The checked Iri an IRIREF's text spells, remembered in `iris`."""
+    iri = iris[raw] = Iri(_unescape(raw, line_no) if "\\" in raw else raw)
+    return iri
+
+
 def parse_ntriples(text: str) -> Graph:
-    """Parse N-Triples; blank lines and full-line comments are allowed."""
+    """Parse N-Triples; blank lines and full-line comments are allowed.
+
+    Each distinct IRIREF text is unescaped and checked once per call and
+    then read from a memo, so repeats share one Iri. Text without a
+    backslash is not unescaped.
+    """
     g = Graph()
+    iris: dict[str, Iri] = {}     # raw IRIREF text -> Iri, for this call only
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -171,16 +185,17 @@ def parse_ntriples(text: str) -> Graph:
         if o_lang is not None:
             raise NtSyntaxError(line_no, f"language tags are not supported: @{o_lang}")
         try:
-            s = Iri(_unescape(s_iri, line_no))
-            p = Iri(_unescape(p_iri, line_no))
+            s = iris.get(s_iri) or _new_iri(s_iri, line_no, iris)
+            p = iris.get(p_iri) or _new_iri(p_iri, line_no, iris)
             o: Term
             if o_iri is not None:
-                o = Iri(_unescape(o_iri, line_no))
+                o = iris.get(o_iri) or _new_iri(o_iri, line_no, iris)
             else:
                 if LONE_SURROGATE.search(o_lex):
                     raise NtSyntaxError(line_no, "literal holds a lone surrogate")
-                dt = Iri(_unescape(o_dt, line_no)) if o_dt is not None else XSD_STRING
-                o = Literal(_unescape(o_lex, line_no), dt)
+                dt = (XSD_STRING if o_dt is None
+                      else iris.get(o_dt) or _new_iri(o_dt, line_no, iris))
+                o = Literal(_unescape(o_lex, line_no) if "\\" in o_lex else o_lex, dt)
         except NtSyntaxError:
             raise
         except WbforgeError as exc:   # an IRI rule: empty, or a forbidden character

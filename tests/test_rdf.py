@@ -101,6 +101,21 @@ def test_match_agrees_with_a_full_scan(seed):
             assert g.match(*pattern) == _scan(triples, *pattern), pattern
 
 
+@pytest.mark.parametrize("pattern, hits", [
+    ((S, P, Literal("none")), 0),
+    ((S, P, O), 1),
+    ((None, None, Literal("1", INT)), 1),
+    ((S, P, None), 4),
+    ((None, P, None), 5),
+])
+def test_match_sorts_any_number_of_hits_as_a_full_scan(pattern, hits):
+    triples = [Triple(S, P, Literal("b")), Triple(S, P, Literal("1", INT)), Triple(S, P, O),
+               Triple(S, P, Literal("a")), Triple(O, P, S)]
+    found = Graph(triples).match(*pattern)
+    assert len(found) == hits
+    assert found == _scan(triples, *pattern)
+
+
 def test_serialize_sorted_and_newline_terminated():
     g = Graph([Triple(O, P, S), Triple(S, P, O)])
     text = serialize_canonical(g)
@@ -193,6 +208,36 @@ def test_the_first_fault_in_a_line_is_reported_once(line_2, message):
     with pytest.raises(NtSyntaxError) as info:
         parse_ntriples(_LINE_1 + line_2)
     assert str(info.value) == f"line 2: {message}"
+
+
+def test_repeated_iri_text_is_one_object_within_a_parse_only():
+    text = ('<http://x.example/s> <http://x.example/p> <http://x.example/o> .\n'
+            '<http://x.example/s> <http://x.example/p> "x"^^<http://x.example/o> .\n')
+    b, a = sorted(parse_ntriples(text), key=render_triple)   # the literal line sorts first
+    assert a.s is b.s and a.p is b.p and b.o.datatype is a.o
+    again = {id(term) for t in parse_ntriples(text) for term in (t.s, t.p)}
+    assert not again & {id(a.s), id(a.p)}
+
+
+def test_escaped_and_plain_iri_spellings_are_one_term():
+    g = parse_ntriples('<http://x.example/s> <http://x.example/p> "x"^^<http://x.example/o> .\n'
+                       '<http://x.example/\\u0073> <http://x.example/\\U00000070> '
+                       '"x"^^<http://x.example/\\u006f> .\n')
+    assert list(g) == [Triple(S, P, Literal("x", O))]
+
+
+@pytest.mark.parametrize("position", _IRI_POSITIONS)
+@pytest.mark.parametrize("iriref, message", [
+    ("<http://x.example/\\u0073\\q>", "bad escape \\q"),
+    ("<http://x.example/\\u0073\\u12>", "bad escape \\u"),
+    ("<http://x.example/s\\u0020>", "not an absolute IRI: 'http://x.example/s '"),
+])
+def test_a_fault_after_a_valid_use_of_its_iri_names_its_own_line(position, iriref, message):
+    valid = _IRI_POSITIONS[position].format("<http://x.example/s>")
+    with pytest.raises(NtSyntaxError) as info:
+        parse_ntriples(_LINE_1 + valid + valid + _IRI_POSITIONS[position].format(iriref))
+    assert info.value.line == 4
+    assert str(info.value) == f"line 4: {message}"
 
 
 def test_parse_rejects_blank_nodes():
