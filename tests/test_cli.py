@@ -194,6 +194,19 @@ def test_unknown_subcommand_usage_error():
     assert exc.value.code == 2
 
 
+def test_an_item_iri_holding_a_backslash_is_refused_before_export(tmp_path, capsys):
+    # exported raw, `c\b` read back as `c` + U+0008: two false HashMismatch warnings
+    instances = tmp_path / "i.wbi"
+    instances.write_text(INSTANCES.read_text().replace(
+        "wd:census1850", "<http://wikibase.example/entity/c\\b>"))
+    nt = tmp_path / "out.nt"
+    assert main(["export", str(SCHEMA), str(instances), "-o", str(nt)]) == 2
+    assert capsys.readouterr().err == (
+        "wbforge: line 8, col 47: expected a resolvable name "
+        "(not an absolute IRI: 'http://wikibase.example/entity/c\\\\b')\n")
+    assert not nt.exists()
+
+
 def test_exported_literal_holding_blank_node_syntax_reads_back(tmp_path, capsys):
     schema = tmp_path / "s.wbs"
     schema.write_text("prefix ex: <http://example.org/>\nclass ex:Person\n"

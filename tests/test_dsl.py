@@ -292,6 +292,23 @@ def test_curie_with_an_invalid_iri_is_a_syntax_error():
                                    "(not an absolute IRI: 'http://x\"y/a')")
 
 
+def test_an_iriref_holding_a_backslash_is_a_positioned_syntax_error():
+    # written raw into N-Triples, the backslash would read back as an escape
+    for parse in (parse_schema, parse_instances):
+        with pytest.raises(DslSyntaxError) as info:
+            parse("prefix ex: <http://x.example/a\\b/>\n")
+        assert str(info.value) == ("line 1, col 12: expected a valid prefix base "
+                                   "(prefix ex: base is not an absolute IRI: "
+                                   "'http://x.example/a\\\\b/')")
+    with pytest.raises(DslSyntaxError) as info:
+        parse_schema("class <http://x.example/A\\B>\n")
+    assert (info.value.line, info.value.col) == (1, 7)
+    with pytest.raises(DslSyntaxError) as info:
+        parse_instances("\nitem <http://x.example/a\\b> : wikibase:Item { }\n")
+    assert str(info.value) == ("line 2, col 6: expected a resolvable name "
+                               "(not an absolute IRI: 'http://x.example/a\\\\b')")
+
+
 def test_prefix_base_faults_carry_a_position():
     for parse in (parse_schema, parse_instances):
         with pytest.raises(DslSyntaxError) as info:

@@ -13,7 +13,7 @@ from contextlib import redirect_stdout
 
 import nt_corpus
 
-NT_CORPUS_SHA256 = "4e6758eb887736b72385a98742dfd052f7cacc0e151b6030141fd7bf0093a676"
+NT_CORPUS_SHA256 = "af3a8bdeb12ec17ca383314fe02800d4ea27a3b4817e9a98b7ca26dc162f41cd"
 
 
 def test_nt_corpus_is_unchanged():

@@ -196,6 +196,15 @@ def test_an_invalid_iri_is_a_syntax_error_on_its_line(position, iriref, text):
     assert str(info.value) == f"line 2: not an absolute IRI: {text!r}"
 
 
+@pytest.mark.parametrize("position", _IRI_POSITIONS)
+@pytest.mark.parametrize("iriref", ["<http://a\\\\b>", "<http://a\\u005Cb>", "<http://a\\U0000005cb>"])
+def test_an_iri_holding_a_backslash_is_a_syntax_error(position, iriref):
+    # serialize_canonical writes IRIs raw, so a backslash would read back as an escape
+    with pytest.raises(NtSyntaxError) as info:
+        parse_ntriples(_LINE_1 + _IRI_POSITIONS[position].format(iriref))
+    assert str(info.value) == "line 2: not an absolute IRI: 'http://a\\\\b'"
+
+
 @pytest.mark.parametrize("line_2, message", [
     # an escape error already names its line
     ('<http://a\\uD800> <> "x" .\n', "escape \\uD800 is not a Unicode scalar value"),
