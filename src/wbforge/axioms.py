@@ -394,64 +394,48 @@ def _pattern_axioms(e: _Env, pattern: AxiomPattern) -> list[AnnotatedAxiom]:
     sub: ClassExpr = Named(decl.subject_class)
     obj = _filler(e, decl.object_spec, True)
     P = AxiomPattern
-    axiom_sets: dict[AxiomPattern, list[DlAxiom]] = {
-        P.DOMAIN: [
-            SubClassOf(Some(e.p, TOP), sub),
-            SubClassOf(Some(e.wdt, TOP), sub),
-        ],
-        P.RANGE: [
-            SubClassOf(TOP, All(e.ps, obj)),
-            SubClassOf(TOP, All(e.wdt, obj)),
-        ],
-        P.SCOPED_DOMAIN: [
-            SubClassOf(Some(e.p, Some(e.ps, obj)), sub),
-            SubClassOf(Some(e.wdt, obj), sub),
-        ],
-        P.SCOPED_RANGE: [
-            SubClassOf(sub, All(e.wdt, obj)),
-        ],
-        P.FUNCTIONALITY: [
-            SubClassOf(TOP, MaxCard(1, e.p, TOP)),
-            SubClassOf(TOP, MaxCard(1, e.wdt, TOP)),
-        ],
-        P.INVERSE_FUNCTIONALITY: [
-            SubClassOf(TOP, MaxCard(1, _inv(e.ps), TOP)),
-            SubClassOf(TOP, MaxCard(1, _inv(e.wdt), TOP)),
-        ],
-        P.SCOPED_FUNCTIONALITY: [
-            SubClassOf(sub, MaxCard(1, e.p, TOP)),
-            SubClassOf(sub, MaxCard(1, e.wdt, TOP)),
-        ],
-        P.QUALIFIED_FUNCTIONALITY: [
-            SubClassOf(TOP, MaxCard(1, e.p, TOP)),
-            SubClassOf(TOP, MaxCard(1, e.wdt, obj)),
-            SubClassOf(TOP, MaxCard(1, e.ps, obj)),
-        ],
-        P.QUALIFIED_SCOPED_FUNCTIONALITY: [
-            SubClassOf(sub, MaxCard(1, e.p, TOP)),
-            SubClassOf(sub, MaxCard(1, e.wdt, obj)),
-            SubClassOf(sub, MaxCard(1, e.ps, obj)),
-        ],
-        P.INVERSE_QUALIFIED_SCOPED_FUNCTIONALITY: [
-            SubClassOf(obj, MaxCard(1, _inv(e.ps), TOP)),
-            SubClassOf(obj, MaxCard(1, _inv(e.wdt), sub)),
-            SubClassOf(e.statement, MaxCard(1, _inv(e.p), sub)),
-        ],
-        P.EXISTENTIAL: [
-            SubClassOf(sub, Some(e.p, TOP)),
-            SubClassOf(sub, Some(e.wdt, obj)),
-        ],
-        P.INVERSE_EXISTENTIAL: [
-            SubClassOf(obj, Some(_inv(e.ps), TOP)),
-            SubClassOf(obj, Some(_inv(e.wdt), sub)),
-        ],
-    }
+    match pattern:
+        case P.DOMAIN:
+            axioms = [SubClassOf(Some(e.p, TOP), sub), SubClassOf(Some(e.wdt, TOP), sub)]
+        case P.RANGE:
+            axioms = [SubClassOf(TOP, All(e.ps, obj)), SubClassOf(TOP, All(e.wdt, obj))]
+        case P.SCOPED_DOMAIN:
+            axioms = [SubClassOf(Some(e.p, Some(e.ps, obj)), sub),
+                      SubClassOf(Some(e.wdt, obj), sub)]
+        case P.SCOPED_RANGE:
+            axioms = [SubClassOf(sub, All(e.wdt, obj))]
+        case P.FUNCTIONALITY:
+            axioms = [SubClassOf(TOP, MaxCard(1, e.p, TOP)),
+                      SubClassOf(TOP, MaxCard(1, e.wdt, TOP))]
+        case P.INVERSE_FUNCTIONALITY:
+            axioms = [SubClassOf(TOP, MaxCard(1, _inv(e.ps), TOP)),
+                      SubClassOf(TOP, MaxCard(1, _inv(e.wdt), TOP))]
+        case P.SCOPED_FUNCTIONALITY:
+            axioms = [SubClassOf(sub, MaxCard(1, e.p, TOP)),
+                      SubClassOf(sub, MaxCard(1, e.wdt, TOP))]
+        case P.QUALIFIED_FUNCTIONALITY:
+            axioms = [SubClassOf(TOP, MaxCard(1, e.p, TOP)),
+                      SubClassOf(TOP, MaxCard(1, e.wdt, obj)),
+                      SubClassOf(TOP, MaxCard(1, e.ps, obj))]
+        case P.QUALIFIED_SCOPED_FUNCTIONALITY:
+            axioms = [SubClassOf(sub, MaxCard(1, e.p, TOP)),
+                      SubClassOf(sub, MaxCard(1, e.wdt, obj)),
+                      SubClassOf(sub, MaxCard(1, e.ps, obj))]
+        case P.INVERSE_QUALIFIED_SCOPED_FUNCTIONALITY:
+            axioms = [SubClassOf(obj, MaxCard(1, _inv(e.ps), TOP)),
+                      SubClassOf(obj, MaxCard(1, _inv(e.wdt), sub)),
+                      SubClassOf(e.statement, MaxCard(1, _inv(e.p), sub))]
+        case P.EXISTENTIAL:
+            axioms = [SubClassOf(sub, Some(e.p, TOP)), SubClassOf(sub, Some(e.wdt, obj))]
+        case P.INVERSE_EXISTENTIAL:
+            axioms = [SubClassOf(obj, Some(_inv(e.ps), TOP)),
+                      SubClassOf(obj, Some(_inv(e.wdt), sub))]
     nl = nl_approximation(pattern, decl)
     if pattern is P.INVERSE_EXISTENTIAL:
         nl += " Effective only together with a Domain pattern."
     origin = f"Pattern:{pattern.value}"
     return [AnnotatedAxiom(ax, origin, nl, decl.property_name)
-            for ax in axiom_sets[pattern]]
+            for ax in axioms]
 
 
 def schema_axioms(doc: SchemaDocument) -> list[AnnotatedAxiom]:
