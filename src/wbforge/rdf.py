@@ -49,6 +49,9 @@ _SIMPLE_UNESCAPES = {
 
 
 def _unescape(text: str, line_no: int) -> str:
+    if "\\" not in text:        # almost every term: nothing to decode
+        return text
+
     def repl(m: re.Match[str]) -> str:
         body = m.group(1)
         if len(body) > 1:         # \uXXXX or \UXXXXXXXX; a short one is a bad escape
@@ -159,7 +162,7 @@ _BLANK_NODE_RE = re.compile(rf"^(?:_:|{_IRIREF}\s+{_IRIREF}\s+_:)")
 
 def _new_iri(raw: str, line_no: int, iris: dict[str, Iri]) -> Iri:
     """The checked Iri an IRIREF's text spells, remembered in `iris`."""
-    iri = iris[raw] = Iri(_unescape(raw, line_no) if "\\" in raw else raw)
+    iri = iris[raw] = Iri(_unescape(raw, line_no))
     return iri
 
 
@@ -167,8 +170,7 @@ def parse_ntriples(text: str) -> Graph:
     """Parse N-Triples; blank lines and full-line comments are allowed.
 
     Each distinct IRIREF text is unescaped and checked once per call and
-    then read from a memo, so repeats share one Iri. Text without a
-    backslash is not unescaped.
+    then read from a memo, so repeats share one Iri.
     """
     g = Graph()
     iris: dict[str, Iri] = {}     # raw IRIREF text -> Iri, for this call only
@@ -195,7 +197,7 @@ def parse_ntriples(text: str) -> Graph:
                     raise NtSyntaxError(line_no, "literal holds a lone surrogate")
                 dt = (XSD_STRING if o_dt is None
                       else iris.get(o_dt) or _new_iri(o_dt, line_no, iris))
-                o = Literal(_unescape(o_lex, line_no) if "\\" in o_lex else o_lex, dt)
+                o = Literal(_unescape(o_lex, line_no), dt)
         except NtSyntaxError:
             raise
         except WbforgeError as exc:   # an IRI rule: empty, or a forbidden character
