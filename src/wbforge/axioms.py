@@ -510,19 +510,15 @@ def serialize_axioms(axioms: list[AnnotatedAxiom], table: NamespaceTable,
     Entries keep first-occurrence order; logically equal axioms collapse
     to a single line with all their origin comments stacked above it.
     """
-    order: list[DlAxiom] = []
     notes: dict[DlAxiom, list[AnnotatedAxiom]] = {}
     for ann in axioms:
-        if ann.axiom not in notes:
-            notes[ann.axiom] = []
-            order.append(ann.axiom)
-        notes[ann.axiom].append(ann)
+        notes.setdefault(ann.axiom, []).append(ann)
 
     lines = [f"Prefix( {prefix}: = <{base}> )" for prefix, base in table.prefixes()]
     lines += ["", "Ontology("]
-    for axiom in order:
+    for axiom, anns in notes.items():
         if nl_comments:
-            lines.extend(f"# {a.origin} | {a.decl} | {a.nl}" for a in notes[axiom])
+            lines.extend(f"# {a.origin} | {a.decl} | {a.nl}" for a in anns)
         lines.extend(_render_axiom(axiom, table, exact_cardinality))
     lines.append(")")
     return "".join(line + "\n" for line in lines)

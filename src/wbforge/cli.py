@@ -11,6 +11,7 @@ validation found errors, 2 on usage, parse, or data errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -137,9 +138,15 @@ def run(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call and shared by every later one; parse_args
+    # fills a fresh Namespace each time, so only defining it is shared
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return run(args)
     except (OSError, UnicodeDecodeError, WbforgeError) as exc:

@@ -16,9 +16,11 @@ from wbforge.axioms import (
     schema_axioms,
     serialize_axioms,
 )
+from wbforge.dl import AnnotatedAxiom, ExactCard, Named, Role, SubClassOf
 from wbforge.dsl import parse_schema
 from wbforge.errors import PatternInapplicableError
 from wbforge.model import AxiomPattern
+from wbforge.namespaces import Iri
 
 GOLDEN = Path(__file__).parent / "golden" / "axioms_reference.ofn"
 
@@ -83,6 +85,39 @@ def test_duplicate_axioms_merge_with_stacked_comments():
     lines = out.splitlines()
     i = lines.index("SubClassOf( ObjectSomeValuesFrom( pq:atTime owl:Thing ) wikibase:Statement )")
     assert [l.split(" | ")[0] for l in lines[i - 3:i]] == ["# Ax8", "# Ax12", "# Ax13"]
+
+
+def _ex(name: str) -> Named:
+    return Named(Iri(f"http://example.org/{name}"))
+
+
+def _card() -> ExactCard:
+    return ExactCard(1, Role(Iri("http://example.org/r")), _ex("B"))
+
+
+@pytest.mark.parametrize("exact, nl", [(True, True), (True, False), (False, True)])
+def test_a_repeated_axiom_collapses_onto_its_first_line(exact, nl):
+    # each axiom is built anew, so only equality, not identity, links a repeat
+    stream = [(SubClassOf(_ex("A"), _ex("B")), "o1"),
+              (SubClassOf(_ex("A"), _card()), "o2"),
+              (SubClassOf(_ex("C"), _ex("B")), "o3"),
+              (SubClassOf(_ex("A"), _ex("B")), "o4"),
+              (SubClassOf(_ex("A"), _card()), "o5"),
+              (SubClassOf(_ex("A"), _ex("B")), "o6")]
+    anns = [AnnotatedAxiom(axiom, origin, f"reading {origin}.", "d") for axiom, origin in stream]
+    doc = _doc("prefix ex: <http://example.org/>\n")
+    out = serialize_axioms(anns, doc.namespaces, exact_cardinality=exact, nl_comments=nl)
+    body = out.splitlines()[out.splitlines().index("Ontology(") + 1:-1]
+
+    def notes(*origins):
+        return [f"# {o} | d | reading {o}." for o in origins] if nl else []
+
+    card = (["SubClassOf( ex:A ObjectExactCardinality( 1 ex:r ex:B ) )"] if exact else
+            ["SubClassOf( ex:A ObjectMinCardinality( 1 ex:r ex:B ) )",
+             "SubClassOf( ex:A ObjectMaxCardinality( 1 ex:r ex:B ) )"])
+    assert body == (notes("o1", "o4", "o6") + ["SubClassOf( ex:A ex:B )"]
+                    + notes("o2", "o5") + card
+                    + notes("o3") + ["SubClassOf( ex:C ex:B )"])
 
 
 def test_comment_layout():

@@ -8,9 +8,12 @@ from pathlib import Path
 import pytest
 
 import wbforge
-from wbforge.cli import main
+from wbforge import cli
+from wbforge.cli import build_parser, main
+from wbforge.dsl import parse_schema
 from wbforge.fixtures import MUTATIONS, fixture_path, load_bundle
-from wbforge.rdf import serialize_canonical
+from wbforge.rdf import parse_ntriples, serialize_canonical
+from wbforge.validator import render_report, render_report_tsv, validate
 
 SCHEMA = fixture_path("age-record", "wbs")
 INSTANCES = fixture_path("age-record", "wbi")
@@ -219,3 +222,83 @@ def test_exported_literal_holding_blank_node_syntax_reads_back(tmp_path, capsys)
     assert main(["validate", str(schema), str(nt)]) == 0
     assert capsys.readouterr().out == "errors=0 warnings=0\n"
     assert main(["infer", str(schema), str(nt)]) == 0
+
+
+# `main` shares one parser across calls; what one call asks for must not
+# reach the next
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+def test_main_builds_its_parser_once_and_leaves_it_as_built(monkeypatch, capsys):
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    try:
+        for argv in (["check", str(SCHEMA)], ["axioms", str(SCHEMA), "--no-nl"],
+                     ["expand", str(SCHEMA), "--root", "http://other.example/"]) * 5:
+            assert _run(argv, capsys)[0] == 0
+        with pytest.raises(SystemExit):
+            main(["axioms"])
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        assert len(builds) == 1
+        shared = cli._parser()
+    finally:
+        cli._parser.cache_clear()
+    # every default the shared parser fills in is still the built one
+    fresh = build_parser()
+    for argv in (["expand", "s"], ["axioms", "s"], ["shapes", "s"], ["export", "s", "i"],
+                 ["validate", "s", "g"], ["infer", "s", "g"], ["check", "s"]):
+        assert vars(shared.parse_args(argv)) == vars(fresh.parse_args(argv))
+
+
+def test_axioms_flags_do_not_reach_the_next_call(capsys):
+    assert _run(["axioms", str(SCHEMA), "--no-exact-card", "--no-nl"], capsys)[0] == 0
+    assert _run(["axioms", str(SCHEMA)], capsys) == (
+        0, fixture_path("age-record", "ofn").read_text())
+
+
+def test_tsv_does_not_reach_the_next_validate(tmp_path, capsys):
+    mutated = tmp_path / "broken.nt"
+    mut = next(m for m in MUTATIONS["age-record"] if m.code == "DomainViolation")
+    mutated.write_text(serialize_canonical(mut.apply(load_bundle("age-record"))))
+    graph = parse_ntriples(mutated.read_text())
+    report = validate(parse_schema(SCHEMA.read_text()), graph)
+    assert _run(["validate", str(SCHEMA), str(mutated), "--tsv"], capsys) == (
+        1, render_report_tsv(report))
+    assert _run(["validate", str(SCHEMA), str(mutated)], capsys) == (1, render_report(report))
+
+
+def test_root_does_not_reach_the_next_call(capsys, monkeypatch):
+    monkeypatch.delenv("WBFORGE_ROOT", raising=False)
+    code, out = _run(["export", str(SCHEMA), str(INSTANCES), "--root", "http://other.example/"],
+                     capsys)
+    assert code == 0 and "http://other.example/entity/" in out
+    assert _run(["export", str(SCHEMA), str(INSTANCES)], capsys) == (
+        0, fixture_path("age-record", "nt").read_text())
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["axioms"], 2),
+    (["axioms", str(SCHEMA), "--bogus"], 2),
+    (["frobnicate"], 2),
+    (["axioms", "--help"], 0),
+    (["--help"], 0),
+])
+def test_a_call_after_a_usage_exit_gives_the_same_bytes(argv, status, capsys):
+    code, before = _run(["axioms", str(SCHEMA), "--no-exact-card"], capsys)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == status
+    capsys.readouterr()
+    assert _run(["axioms", str(SCHEMA), "--no-exact-card"], capsys) == (0, before)
