@@ -51,9 +51,9 @@ PROPERTY_NAMESPACES = ("wdt", "p", "ps", "psv", "pq", "pqv", "pr")
 # lone surrogates come from undecodable bytes (argv and the environment decode
 # with surrogateescape) and cannot be written as UTF-8, so no term may hold one
 LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
-# N-Triples IRIREF and RFC 3987 both exclude a raw backslash; written out
-# raw, it would read back as the start of an escape
-_NOT_IN_IRI = re.compile(r'[ \t\n\r<>"\\\ud800-\udfff]')
+# N-Triples IRIREF and RFC 3987 both exclude a raw backslash (written out
+# raw, it would read back as the start of an escape) and U+0000-U+0020
+_NOT_IN_IRI = re.compile(r'[\x00-\x20<>"\\\ud800-\udfff]')
 
 
 class _IriFields(NamedTuple):

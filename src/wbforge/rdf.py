@@ -48,7 +48,8 @@ _SIMPLE_UNESCAPES = {
 }
 
 
-def _unescape(text: str, line_no: int) -> str:
+def _unescape(text: str, line_no: int, in_iri: bool = False) -> str:
+    """Decode escapes; an IRIREF (`in_iri`) admits only the \\u and \\U forms."""
     if "\\" not in text:        # almost every term: nothing to decode
         return text
 
@@ -59,6 +60,8 @@ def _unescape(text: str, line_no: int) -> str:
             if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
                 raise NtSyntaxError(line_no, f"escape \\{body} is not a Unicode scalar value")
             return chr(code)
+        if in_iri and body in _SIMPLE_UNESCAPES:
+            raise NtSyntaxError(line_no, f"escape \\{body} is not allowed in an IRI")
         try:
             return _SIMPLE_UNESCAPES[body]
         except KeyError:
@@ -162,7 +165,7 @@ _BLANK_NODE_RE = re.compile(rf"^(?:_:|{_IRIREF}\s+{_IRIREF}\s+_:)")
 
 def _new_iri(raw: str, line_no: int, iris: dict[str, Iri]) -> Iri:
     """The checked Iri an IRIREF's text spells, remembered in `iris`."""
-    iri = iris[raw] = Iri(_unescape(raw, line_no))
+    iri = iris[raw] = Iri(_unescape(raw, line_no, in_iri=True))
     return iri
 
 

@@ -13,7 +13,7 @@ from contextlib import redirect_stdout
 
 import nt_corpus
 
-NT_CORPUS_SHA256 = "af3a8bdeb12ec17ca383314fe02800d4ea27a3b4817e9a98b7ca26dc162f41cd"
+NT_CORPUS_SHA256 = "bd28e3b8a065557bd176306eb91e25ec5a51ec222c16627553df86f2a5cdf470"
 
 
 def test_nt_corpus_is_unchanged():

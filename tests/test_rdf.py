@@ -196,13 +196,45 @@ def test_an_invalid_iri_is_a_syntax_error_on_its_line(position, iriref, text):
     assert str(info.value) == f"line 2: not an absolute IRI: {text!r}"
 
 
+_BACKSLASH_MESSAGES = {
+    "<http://a\\\\b>": "escape \\\\ is not allowed in an IRI",   # an ECHAR, refused as such
+    "<http://a\\u005Cb>": "not an absolute IRI: 'http://a\\\\b'",
+    "<http://a\\U0000005cb>": "not an absolute IRI: 'http://a\\\\b'",
+}
+
+
 @pytest.mark.parametrize("position", _IRI_POSITIONS)
-@pytest.mark.parametrize("iriref", ["<http://a\\\\b>", "<http://a\\u005Cb>", "<http://a\\U0000005cb>"])
+@pytest.mark.parametrize("iriref", _BACKSLASH_MESSAGES)
 def test_an_iri_holding_a_backslash_is_a_syntax_error(position, iriref):
     # serialize_canonical writes IRIs raw, so a backslash would read back as an escape
     with pytest.raises(NtSyntaxError) as info:
         parse_ntriples(_LINE_1 + _IRI_POSITIONS[position].format(iriref))
-    assert str(info.value) == "line 2: not an absolute IRI: 'http://a\\\\b'"
+    assert str(info.value) == f"line 2: {_BACKSLASH_MESSAGES[iriref]}"
+
+
+@pytest.mark.parametrize("position", _IRI_POSITIONS)
+@pytest.mark.parametrize("echar", ["t", "b", "n", "r", "f", "'", "\\"])
+def test_an_echar_in_an_iri_is_a_syntax_error_on_its_line(position, echar):
+    # N-Triples allows ECHAR in literals only; `\\'` would otherwise read as a
+    # quote and `\\b` as U+0008 (`\\"` never gets here: a quote ends the IRIREF)
+    with pytest.raises(NtSyntaxError) as info:
+        parse_ntriples(_LINE_1 + _IRI_POSITIONS[position].format(f"<http://x.example/a\\{echar}b>"))
+    assert info.value.line == 2
+    assert str(info.value) == f"line 2: escape \\{echar} is not allowed in an IRI"
+
+
+@pytest.mark.parametrize("position", _IRI_POSITIONS)
+@pytest.mark.parametrize("uchar", ["\\u0000", "\\u0008", "\\U0000001f", "\\u0020"])
+def test_a_uchar_spelling_a_control_character_is_refused_in_an_iri(position, uchar):
+    with pytest.raises(NtSyntaxError) as info:
+        parse_ntriples(_LINE_1 + _IRI_POSITIONS[position].format(f"<http://x.example/a{uchar}>"))
+    assert info.value.line == 2
+    assert str(info.value).startswith("line 2: not an absolute IRI: 'http://x.example/a")
+
+
+def test_echars_still_decode_in_a_literal_next_to_a_uchar_iri():
+    g = parse_ntriples('<http://x.example/\\u0061> <http://x.example/p> "\\b\\f\\\'" .\n')
+    assert list(g) == [Triple(Iri("http://x.example/a"), P, Literal("\b\f'"))]
 
 
 @pytest.mark.parametrize("line_2, message", [
