@@ -140,8 +140,8 @@ def run(args: argparse.Namespace) -> int:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    # built on the first call and shared by every later one; parse_args
-    # fills a fresh Namespace each time, so only defining it is shared
+    # built on the first call and shared by every later one: parse_args
+    # fills a new Namespace each time, so no call may change the parser
     return build_parser()
 
 

@@ -147,14 +147,19 @@ def outcome(text: str) -> str:
         return f"{type(exc).__name__} {exc}\n"
 
 
-def main() -> None:
-    out = sys.stdout
+def texts() -> list[tuple[str, str]]:
+    """(label, text) for every base text and then every variant."""
     bases = base_texts()
-    texts = list(bases)
+    out = list(bases)
     for i in range(VARIANTS):
         label, text = bases[i % len(bases)]
-        texts.append((f"{label} variant {i}", variant(text, random.Random(i))))
-    for label, text in texts:
+        out.append((f"{label} variant {i}", variant(text, random.Random(i))))
+    return out
+
+
+def main() -> None:
+    out = sys.stdout
+    for label, text in texts():
         out.write(f"## {label}\n{outcome(text)}")
 
 

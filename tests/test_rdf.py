@@ -224,17 +224,13 @@ def test_an_echar_in_an_iri_is_a_syntax_error_on_its_line(position, echar):
 
 
 @pytest.mark.parametrize("position", _IRI_POSITIONS)
-@pytest.mark.parametrize("uchar", ["\\u0000", "\\u0008", "\\U0000001f", "\\u0020"])
+@pytest.mark.parametrize("uchar", ["\\u0000", "\\u0008", "\\U0000001f"])
 def test_a_uchar_spelling_a_control_character_is_refused_in_an_iri(position, uchar):
     with pytest.raises(NtSyntaxError) as info:
         parse_ntriples(_LINE_1 + _IRI_POSITIONS[position].format(f"<http://x.example/a{uchar}>"))
+    decoded = "http://x.example/a" + chr(int(uchar[2:], 16))
     assert info.value.line == 2
-    assert str(info.value).startswith("line 2: not an absolute IRI: 'http://x.example/a")
-
-
-def test_echars_still_decode_in_a_literal_next_to_a_uchar_iri():
-    g = parse_ntriples('<http://x.example/\\u0061> <http://x.example/p> "\\b\\f\\\'" .\n')
-    assert list(g) == [Triple(Iri("http://x.example/a"), P, Literal("\b\f'"))]
+    assert str(info.value) == f"line 2: not an absolute IRI: {decoded!r}"
 
 
 @pytest.mark.parametrize("line_2, message", [
