@@ -33,6 +33,7 @@ from .dl import (
     Top,
 )
 from .errors import PatternInapplicableError
+from .expander import ExpandedStatement, expand, expand_statement
 from .model import (
     TYPED_ORIGINS,
     VALUE_KINDS,
@@ -44,8 +45,7 @@ from .model import (
     StatementDecl,
     ValueType,
 )
-from .namespaces import (
-    NamespaceTable, curie_or_iri, namespaced_property, prov_was_derived_from, wikibase)
+from .namespaces import NamespaceTable, curie_or_iri, prov_was_derived_from, wikibase
 
 # origin key -> generic reading, used by finding explanations
 CATALOG: dict[str, str] = {
@@ -134,12 +134,15 @@ _PATTERN_NL = {
 class _Env:
     """Per-declaration naming context shared by the generator functions."""
 
-    def __init__(self, decl: StatementDecl, table: NamespaceTable) -> None:
-        self.decl = decl
+    def __init__(self, st: ExpandedStatement, table: NamespaceTable) -> None:
+        self.decl = st.source
         self.table = table
-        name = decl.property_name
-        self.p, self.ps, self.psv, self.wdt = (
-            self.role(ns, name) for ns in ("p", "ps", "psv", "wdt"))
+        props, quals = st.statement_properties, st.qualifier_properties
+        self.p, self.ps, self.wdt = (Role(props[ns]) for ns in ("p", "ps", "wdt"))
+        self.psv = Role(props["psv"]) if "psv" in props else None
+        self.pq = {name: Role(fam["pq"]) for name, fam in quals.items()}
+        self.pqv = {name: Role(fam["pqv"]) for name, fam in quals.items() if "pqv" in fam}
+        self.pr = {name: Role(iri) for name, iri in st.reference_properties.items()}
         self.item = Named(wikibase(table, "Item"))
         self.statement = Named(wikibase(table, "Statement"))
         self.reference = Named(wikibase(table, "Reference"))
@@ -147,9 +150,6 @@ class _Env:
         self.quantity_value = Named(wikibase(table, VALUE_KINDS[Datatype.DECIMAL].node_class))
         self.wd_item = Named(table.term("wd", "Item"))
         self.prov = Role(prov_was_derived_from(table))
-
-    def role(self, ns: str, name: str) -> Role:
-        return Role(namespaced_property(name, ns, self.table))
 
     def wb(self, local: str) -> Role:
         return Role(wikibase(self.table, local))
@@ -209,7 +209,7 @@ def _core_axioms(e: _Env) -> Iterator[AnnotatedAxiom]:
         yield AnnotatedAxiom(SubClassOf(TOP, ExactCard(1, e.ps, e.item)), "Ax7",
                              f"{ps_n} has exactly one wikibase:Item filler.", name)
     for q in decl.qualifiers:
-        yield _domain(e, e.role("pq", q.name), e.statement, "Ax8", f"{name}/{q.name}")
+        yield _domain(e, e.pq[q.name], e.statement, "Ax8", f"{name}/{q.name}")
     yield AnnotatedAxiom(SubPropertyChain((e.p, e.ps), e.wdt), "Ax9",
                          f"The chain {p_n} then {ps_n} entails {wdt_n}.", name)
     yield _domain(e, e.wdt, e.item, "Ax9-c1", name)
@@ -281,7 +281,7 @@ def _at_most_one(e: _Env, edge: Role, filler: ClassExpr, decl_id: str) -> Annota
                           "value (functional flag; DSL extension).", decl_id)
 
 
-def _typed_edge_axioms(e: _Env, edge: Role, value_edge: Role, vtype: ValueType,
+def _typed_edge_axioms(e: _Env, edge: Role, value_edge: Role | None, vtype: ValueType,
                        scoped: bool, decl_id: str) -> Iterator[AnnotatedAxiom]:
     """Type-specific set for a pq:/pqv: pair, reused for ps:/psv: by substitution."""
     datatype = vtype.datatype
@@ -318,13 +318,13 @@ def _typed_edge_axioms(e: _Env, edge: Role, value_edge: Role, vtype: ValueType,
 def _qualifier_axioms(e: _Env, q: QualifierDecl) -> Iterator[AnnotatedAxiom]:
     """Generic domain/range pair, the value-type set, then flag axioms."""
     decl_id = f"{e.decl.property_name}/{q.name}"
-    pq = e.role("pq", q.name)
+    pq = e.pq[q.name]
     vtype = q.qtype
     yield _domain(e, pq, e.statement, "Ax12", decl_id)
     yield _range_axiom(e, pq, _filler(e, vtype, q.scoped), q.scoped,
                        "Ax10" if q.scoped else "Ax11", decl_id)
     if vtype.datatype in TYPED_ORIGINS:
-        yield from _typed_edge_axioms(e, pq, e.role("pqv", q.name), vtype, q.scoped, decl_id)
+        yield from _typed_edge_axioms(e, pq, e.pqv.get(q.name), vtype, q.scoped, decl_id)
     # the decimal set already carries its own functionality axiom
     if vtype.datatype is not Datatype.DECIMAL:
         yield _at_most_one(e, pq, _filler(e, vtype, True), decl_id)
@@ -347,7 +347,7 @@ def _statement_value_axioms(e: _Env) -> Iterator[AnnotatedAxiom]:
 
 def _reference_axioms(e: _Env, r: ReferenceDecl) -> Iterator[AnnotatedAxiom]:
     decl_id = f"{e.decl.property_name}/{r.name}"
-    pr = e.role("pr", r.name)
+    pr = e.pr[r.name]
     pr_n, p_n = e.role_name(pr), e.role_name(e.p)
     yield AnnotatedAxiom(SubClassOf(Some(e.prov, e.reference), e.statement), "Ax49",
                          f"Whatever derives a wikibase:Reference via {e.role_name(e.prov)} "
@@ -384,7 +384,7 @@ def instantiate_pattern(pattern: AxiomPattern, decl: StatementDecl,
     InverseExistential has no usable form there (its subject position
     would be a datatype) and is rejected.
     """
-    return _pattern_axioms(_Env(decl, table), pattern)
+    return _pattern_axioms(_Env(expand_statement(decl, table), table), pattern)
 
 
 def _pattern_axioms(e: _Env, pattern: AxiomPattern) -> list[AnnotatedAxiom]:
@@ -441,15 +441,15 @@ def _pattern_axioms(e: _Env, pattern: AxiomPattern) -> list[AnnotatedAxiom]:
 def schema_axioms(doc: SchemaDocument) -> list[AnnotatedAxiom]:
     """Full annotated axiom list in declaration order."""
     out: list[AnnotatedAxiom] = []
-    for decl in doc.statements:
-        e = _Env(decl, doc.namespaces)
+    for st in expand(doc).statements:
+        e = _Env(st, doc.namespaces)
         out.extend(_core_axioms(e))
-        for q in decl.qualifiers:
+        for q in e.decl.qualifiers:
             out.extend(_qualifier_axioms(e, q))
         out.extend(_statement_value_axioms(e))
-        for r in decl.references:
+        for r in e.decl.references:
             out.extend(_reference_axioms(e, r))
-        for pattern in decl.patterns:
+        for pattern in e.decl.patterns:
             out.extend(_pattern_axioms(e, pattern))
     return out
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .model import VALUE_KINDS, Datatype, SchemaDocument, StatementDecl, needed_value_kinds
-from .namespaces import Iri, NamespaceTable, namespaced_property, prov_was_derived_from, wikibase
+from .namespaces import Iri, NamespaceTable, prov_was_derived_from, wikibase
 
 
 def object_datatype(decl: StatementDecl) -> Datatype | None:
@@ -44,22 +44,32 @@ class ExpandedSchema:
     source: SchemaDocument
     classes: tuple[Iri, ...]
     statements: tuple[ExpandedStatement, ...] = field(default=())
+    _by_name: dict[str, ExpandedStatement] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # reversed, so the first declaration of a name wins, as in SchemaDocument
+        object.__setattr__(self, "_by_name",
+                           {st.source.property_name: st for st in reversed(self.statements)})
+
+    def statement(self, property_name: str) -> ExpandedStatement | None:
+        return self._by_name.get(property_name)
 
 
 def expand_statement(decl: StatementDecl, table: NamespaceTable) -> ExpandedStatement:
+    """The family: the one place that mints its IRIs and decides psv:/pqv:."""
     name = decl.property_name
-    stmt_props = {ns: namespaced_property(name, ns, table) for ns in ("wdt", "p", "ps")}
+    stmt_props = {ns: table.term(ns, name) for ns in ("wdt", "p", "ps")}
     if object_datatype(decl) in VALUE_KINDS:
-        stmt_props["psv"] = namespaced_property(name, "psv", table)
+        stmt_props["psv"] = table.term("psv", name)
 
     qual_props: dict[str, dict[str, Iri]] = {}
     for q in decl.qualifiers:
-        fam = {"pq": namespaced_property(q.name, "pq", table)}
+        fam = {"pq": table.term("pq", q.name)}
         if q.qtype.datatype in VALUE_KINDS:
-            fam["pqv"] = namespaced_property(q.name, "pqv", table)
+            fam["pqv"] = table.term("pqv", q.name)
         qual_props[q.name] = fam
 
-    ref_props = {r.name: namespaced_property(r.name, "pr", table) for r in decl.references}
+    ref_props = {r.name: table.term("pr", r.name) for r in decl.references}
 
     fixed: list[tuple[str, Iri]] = []
     if decl.references:

@@ -17,6 +17,7 @@ from .errors import (
     TypeMismatchError,
     UnresolvedNameError,
 )
+from .expander import ExpandedSchema, ExpandedStatement, expand
 from .model import (
     VALUE_KINDS,
     Datatype,
@@ -30,7 +31,6 @@ from .model import (
     SchemaDocument,
     SnakData,
     StatementData,
-    StatementDecl,
     StringValue,
     Value,
     ValueKind,
@@ -38,7 +38,7 @@ from .model import (
     is_canonical,
     value_kind,
 )
-from .namespaces import Iri, NamespaceTable, namespaced_property, prov_was_derived_from, rdf_type, wikibase, xsd
+from .namespaces import Iri, NamespaceTable, prov_was_derived_from, rdf_type, wikibase, xsd
 from .rdf import Graph, Literal, Term, Triple, escape_literal
 
 HASH_LENGTH = 40                  # hex digits kept from the SHA-256 digest
@@ -59,11 +59,11 @@ def canonical_value(value: Value) -> str:
 
 def canonical_content(subject: Iri, stmt: StatementData, table: NamespaceTable) -> str:
     """The statement's hash preimage: S, P, V, sorted Q, sorted R lines."""
-    wdt = namespaced_property(stmt.property, "wdt", table)
+    wdt = table.term("wdt", stmt.property)
     lines = [f"S|{subject.value}", f"P|{wdt.value}", f"V|{canonical_value(stmt.value)}"]
     q_lines = []
     for q in stmt.qualifiers:
-        pq = namespaced_property(q.name, "pq", table)
+        pq = table.term("pq", q.name)
         q_lines.append(f"Q|{pq.value}|{canonical_value(q.value)}")
     lines.extend(sorted(q_lines))
     r_lines = ["R|" + ";".join(sorted(_snak_text(s, table) for s in ref.snaks))
@@ -77,7 +77,7 @@ def _snak_text(snak: SnakData, table: NamespaceTable) -> str:
     target = snak.target.value
     if "|" in target or ";" in target:
         raise PreimageDelimiterError(target)
-    return f"{namespaced_property(snak.name, 'pr', table).value}|{target}"
+    return f"{table.term('pr', snak.name).value}|{target}"
 
 
 def statement_hash(subject: Iri, stmt: StatementData, table: NamespaceTable) -> str:
@@ -128,16 +128,21 @@ def _literal(value: Value, table: NamespaceTable) -> Term:
     return Literal(value.iso, xsd(table, "dateTime"))
 
 
-def _emit_value_node(g: Graph, value: DateTimeValue | DecimalValue,
-                     table: NamespaceTable) -> Iri:
-    kind = value_kind(value)
-    node = value_node(value, table)
-    g.add(Triple(node, rdf_type(table), wikibase(table, kind.node_class)))
-    for local, attr, dt in kind.fields:
-        field = getattr(value, attr)
-        g.add(Triple(node, wikibase(table, local),
-                     field if dt is None else Literal(str(field), xsd(table, dt.xsd_local))))
-    return node
+def _add_value(g: Graph, node: Iri, edge: Iri, value_edge: Iri | None, value: Value,
+               table: NamespaceTable) -> Term:
+    """The edge to the literal, then the edge to the value node if the family has one."""
+    term = _literal(value, table)
+    g.add(Triple(node, edge, term))
+    if value_edge is not None:
+        kind = value_kind(value)
+        vnode = value_node(value, table)
+        g.add(Triple(node, value_edge, vnode))
+        g.add(Triple(vnode, rdf_type(table), wikibase(table, kind.node_class)))
+        for local, attr, dt in kind.fields:
+            field = getattr(value, attr)
+            g.add(Triple(vnode, wikibase(table, local),
+                         field if dt is None else Literal(str(field), xsd(table, dt.xsd_local))))
+    return term
 
 
 def _check_item_target(iri: Iri, instances: InstanceDoc, context: str) -> None:
@@ -164,6 +169,7 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
     items that no declaration covers.
     """
     table = schema.namespaces
+    expanded = expand(schema)
     g = Graph()
     wb_item = wikibase(table, "Item")
     a = rdf_type(table)
@@ -174,16 +180,17 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
         g.add(Triple(item.iri, a, item.type_class))
         g.add(Triple(item.iri, a, wb_item))
         for stmt in item.statements:
-            _export_statement(g, item.iri, stmt, schema, instances)
+            _export_statement(g, item.iri, stmt, expanded, instances)
     return g
 
 
 def _export_statement(g: Graph, subject: Iri, stmt: StatementData,
-                      schema: SchemaDocument, instances: InstanceDoc) -> None:
-    table = schema.namespaces
-    decl = schema.statement_decl(stmt.property)
-    if decl is None:
+                      expanded: ExpandedSchema, instances: InstanceDoc) -> None:
+    table = expanded.source.namespaces
+    st = expanded.statement(stmt.property)
+    if st is None:
         raise UnresolvedNameError(stmt.property, "statement property not declared")
+    decl = st.source
     _check_value(decl.object_spec, stmt.value, instances, stmt.property)
 
     quals_by_name: dict[str, QualifierDecl] = {q.name: q for q in decl.qualifiers}
@@ -197,10 +204,9 @@ def _export_statement(g: Graph, subject: Iri, stmt: StatementData,
         if decl_q.required and decl_q.name not in present:
             raise MissingRequiredError(f"{stmt.property}/{decl_q.name}")
 
-    refs_by_name = {r.name: r for r in decl.references}
     for ref in stmt.references:
         for snak in ref.snaks:
-            if snak.name not in refs_by_name:
+            if snak.name not in st.reference_properties:
                 raise UnresolvedNameError(
                     snak.name, f"reference not declared on {stmt.property}")
             _check_item_target(snak.target, instances, f"{stmt.property}/{snak.name}")
@@ -212,21 +218,14 @@ def _export_statement(g: Graph, subject: Iri, stmt: StatementData,
     a = rdf_type(table)
     h = statement_hash(subject, stmt, table)
     node = _statement_iri(subject, h, table)
-    value_term = _literal(stmt.value, table)
-    g.add(Triple(subject, namespaced_property(stmt.property, "p", table), node))
+    props = st.statement_properties
+    g.add(Triple(subject, props["p"], node))
     g.add(Triple(node, a, wikibase(table, "Statement")))
-    g.add(Triple(node, namespaced_property(stmt.property, "ps", table), value_term))
-    g.add(Triple(subject, namespaced_property(stmt.property, "wdt", table), value_term))
-
-    if value_kind(stmt.value) is not None:
-        g.add(Triple(node, namespaced_property(stmt.property, "psv", table),
-                     _emit_value_node(g, stmt.value, table)))
+    value_term = _add_value(g, node, props["ps"], props.get("psv"), stmt.value, table)
+    g.add(Triple(subject, props["wdt"], value_term))
     for q in stmt.qualifiers:
-        g.add(Triple(node, namespaced_property(q.name, "pq", table),
-                     _literal(q.value, table)))
-        if value_kind(q.value) is not None:
-            g.add(Triple(node, namespaced_property(q.name, "pqv", table),
-                         _emit_value_node(g, q.value, table)))
+        fam = st.qualifier_properties[q.name]
+        _add_value(g, node, fam["pq"], fam.get("pqv"), q.value, table)
 
     prov = prov_was_derived_from(table)
     for ref in stmt.references:
@@ -234,8 +233,7 @@ def _export_statement(g: Graph, subject: Iri, stmt: StatementData,
         g.add(Triple(node, prov, rnode))
         g.add(Triple(rnode, a, wikibase(table, "Reference")))
         for snak in ref.snaks:
-            g.add(Triple(rnode, namespaced_property(snak.name, "pr", table),
-                         snak.target))
+            g.add(Triple(rnode, st.reference_properties[snak.name], snak.target))
 
 
 # reading a graph back ------------------------------------------------------
@@ -255,8 +253,7 @@ def read_value_node(g: Graph, node: Iri, kind: ValueKind,
                     table: NamespaceTable) -> DateTimeValue | DecimalValue | list[str]:
     """The value a `kind` node holds, or its field problems in field order.
 
-    Each field is read from the graph once; the value is what
-    `_emit_value_node` wrote the node from.
+    Each field is read from the graph once; the value is what `_add_value` wrote the node from.
     """
     problems: list[str] = []
     fields: dict[str, object] = {}
@@ -298,26 +295,26 @@ def _read_value(g: Graph, node: Iri, value_prop: Iri, v: Term,
     return None
 
 
-def read_statement(g: Graph, node: Iri, decl: StatementDecl,
+def read_statement(g: Graph, node: Iri, st: ExpandedStatement,
                    table: NamespaceTable) -> StatementData | None:
     """The statement content behind `node`, the inverse of export.
 
-    Only declared qualifiers and reference snaks are read. None when the
-    node is too broken to hash: not one ps: value, a date or quantity
-    without a well-formed matching value node, or a malformed reference.
+    Only declared qualifiers and reference snaks are read, and psv:/pqv:
+    edges by name, minted or not. None when the node is too broken to hash:
+    not one ps: value, a date or quantity without a well-formed matching
+    value node, or a malformed reference.
     """
-    name = decl.property_name
-    ps_values = g.objects(node, namespaced_property(name, "ps", table))
+    name = st.source.property_name
+    ps_values = g.objects(node, st.statement_properties["ps"])
     if len(ps_values) != 1:
         return None
-    value = _read_value(g, node, namespaced_property(name, "psv", table),
-                        ps_values[0], table)
+    value = _read_value(g, node, table.term("psv", name), ps_values[0], table)
     if value is None:
         return None
     quals: list[QualifierData] = []
-    for q in decl.qualifiers:
-        pqv = namespaced_property(q.name, "pqv", table)
-        for v in g.objects(node, namespaced_property(q.name, "pq", table)):
+    for q in st.source.qualifiers:
+        pqv = table.term("pqv", q.name)
+        for v in g.objects(node, st.qualifier_properties[q.name]["pq"]):
             qv = _read_value(g, node, pqv, v, table)
             if qv is None:
                 return None
@@ -328,8 +325,8 @@ def read_statement(g: Graph, node: Iri, decl: StatementDecl,
         if not isinstance(rnode, Iri) or Triple(rnode, rdf_type(table), ref_class) not in g:
             return None
         snaks: list[SnakData] = []
-        for rname in sorted({r.name for r in decl.references}):
-            for target in g.objects(rnode, namespaced_property(rname, "pr", table)):
+        for rname, pr in sorted(st.reference_properties.items()):
+            for target in g.objects(rnode, pr):
                 if not isinstance(target, Iri):
                     return None
                 snaks.append(SnakData(rname, target))

@@ -19,7 +19,7 @@ from .errors import UnknownFixtureError
 from .exporter import export, statement_node, value_node
 from .model import VALUE_KINDS, Datatype, DateTimeValue, InstanceDoc, SchemaDocument
 from .namespaces import (
-    Iri, NamespaceTable, namespaced_property, prov_was_derived_from, rdf_type, wikibase, xsd)
+    Iri, NamespaceTable, prov_was_derived_from, rdf_type, wikibase, xsd)
 from .rdf import Graph, Literal, Triple
 
 _DIR = Path(__file__).parent / "fixtures"
@@ -110,7 +110,7 @@ def _mut_range(b: FixtureBundle) -> Graph:
 
 def _mut_existence(b: FixtureBundle) -> Graph:
     node = _snode(b, "a2")
-    return _without(b, Triple(node, namespaced_property("ageValue", "pq", b.table),
+    return _without(b, Triple(node, b.table.term("pq", "ageValue"),
                               Literal("31", xsd(b.table, "decimal"))))
 
 
@@ -124,13 +124,13 @@ def _mut_value_node(b: FixtureBundle) -> Graph:
 
 def _mut_functionality(b: FixtureBundle) -> Graph:
     node = _snode(b, "a1", 0)
-    return _with(b, Triple(node, namespaced_property("atTime", "pq", b.table),
+    return _with(b, Triple(node, b.table.term("pq", "atTime"),
                            Literal("1851-02-04T00:00:00Z", xsd(b.table, "dateTime"))))
 
 
 def _mut_qualifier_type(b: FixtureBundle) -> Graph:
     node = _snode(b, "a1", 1)
-    return _with(b, Triple(node, namespaced_property("atTime", "pq", b.table),
+    return _with(b, Triple(node, b.table.term("pq", "atTime"),
                            Literal("yesterday", xsd(b.table, "string"))))
 
 
@@ -142,13 +142,13 @@ def _mut_orphan(b: FixtureBundle) -> Graph:
 
 def _mut_chain_gap(b: FixtureBundle) -> Graph:
     return _without(b, Triple(_wd(b, "a1"),
-                              namespaced_property("hasSexRecord", "wdt", b.table),
+                              b.table.term("wdt", "hasSexRecord"),
                               _wd(b, "male")))
 
 
 def _mut_bare_truthy(b: FixtureBundle) -> Graph:
     return _with(b, Triple(_wd(b, "a2"),
-                           namespaced_property("hasSexRecord", "wdt", b.table),
+                           b.table.term("wdt", "hasSexRecord"),
                            _wd(b, "female")))
 
 
@@ -162,19 +162,19 @@ def _mut_shared_reference(b: FixtureBundle) -> Graph:
 def _mut_shared_statement(b: FixtureBundle) -> Graph:
     node = _snode(b, "a1", 0)
     return _with(b, Triple(_wd(b, "a2"),
-                           namespaced_property("mentionedWith", "p", b.table), node))
+                           b.table.term("p", "mentionedWith"), node))
 
 
 def _mut_hash_mismatch(b: FixtureBundle) -> Graph:
     node = _snode(b, "a1", 0)
-    return _with(b, Triple(node, namespaced_property("note", "pq", b.table),
+    return _with(b, Triple(node, b.table.term("pq", "note"),
                            Literal("checked against the index", xsd(b.table, "string"))))
 
 
 def _mut_unknown_property(b: FixtureBundle) -> Graph:
     node = _snode(b, "a1", 0)
     return _with(b, Triple(node,
-                           namespaced_property("transcriberInitials", "pq", b.table),
+                           b.table.term("pq", "transcriberInitials"),
                            Literal("M.L.", xsd(b.table, "string"))))
 
 

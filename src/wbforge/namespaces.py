@@ -51,9 +51,10 @@ PROPERTY_NAMESPACES = ("wdt", "p", "ps", "psv", "pq", "pqv", "pr")
 # lone surrogates come from undecodable bytes (argv and the environment decode
 # with surrogateescape) and cannot be written as UTF-8, so no term may hold one
 LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
-# N-Triples IRIREF and RFC 3987 both exclude a raw backslash (written out
-# raw, it would read back as the start of an escape) and U+0000-U+0020
-_NOT_IN_IRI = re.compile(r'[\x00-\x20<>"\\\ud800-\udfff]')
+# outside both N-Triples IRIREF and RFC 3987; the N-Triples reader's IRIREF uses it
+# as is, and an Iri also refuses a raw backslash, which would read back as an escape
+IRI_EXCLUDED = r'\x00-\x20<>"'
+_NOT_IN_IRI = re.compile(rf'[{IRI_EXCLUDED}\\\ud800-\udfff]')
 
 
 class _IriFields(NamedTuple):
@@ -207,13 +208,6 @@ def curie_or_iri(iri: Iri, table: NamespaceTable) -> str:
     """`prefix:local` where the table can compress `iri`, else `<iri>`."""
     c = table.curie(iri)
     return c if c is not None else f"<{iri.value}>"
-
-
-def namespaced_property(name: str, ns: str, table: NamespaceTable) -> Iri:
-    """Place a bare property local name into one of the family namespaces."""
-    if ns not in PROPERTY_NAMESPACES:
-        raise WbforgeError(f"not a property namespace: {ns!r}")
-    return table.term(ns, name)
 
 
 # well-known term helpers

@@ -12,7 +12,7 @@ import re
 from typing import NamedTuple
 
 from .errors import BlankNodeUnsupportedError, NtSyntaxError, WbforgeError
-from .namespaces import LONE_SURROGATE, Iri
+from .namespaces import IRI_EXCLUDED, LONE_SURROGATE, Iri
 
 XSD_STRING = Iri("http://www.w3.org/2001/XMLSchema#string")
 
@@ -153,7 +153,7 @@ def serialize_canonical(g: Graph) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-_IRIREF = r"<([^<>\"\s]*)>"
+_IRIREF = rf"<([^{IRI_EXCLUDED}]*)>"    # a backslash starts a UCHAR
 _LITERAL = r'"((?:[^"\\]|\\.)*)"'
 _TRIPLE_RE = re.compile(
     rf"^{_IRIREF}\s+{_IRIREF}\s+"

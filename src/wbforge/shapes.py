@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .expander import ExpandedSchema, ExpandedStatement, expand
 from .model import (
     TYPED_ORIGINS,
     VALUE_KINDS,
@@ -23,8 +24,7 @@ from .model import (
     ValueType,
     needed_value_kinds,
 )
-from .namespaces import (
-    Iri, NamespaceTable, curie_or_iri, namespaced_property, prov_was_derived_from, wikibase)
+from .namespaces import Iri, NamespaceTable, curie_or_iri, prov_was_derived_from, wikibase
 
 
 @dataclass(frozen=True)
@@ -104,57 +104,56 @@ def _value_expr(vtype: ValueType, doc: SchemaDocument) -> ValueExpr:
     return DatatypeExpr(f"xsd:{vtype.datatype.xsd_local}")
 
 
-def _item_shape(cls_iri: Iri, doc: SchemaDocument) -> Shape:
+def _item_shape(cls_iri: Iri, expanded: ExpandedSchema) -> Shape:
+    doc = expanded.source
     table = doc.namespaces
     tcs: list[TripleConstraint] = []
     origins = ["Ax1", "Ax9-c1"]
-    for decl in doc.statements:
+    for st in expanded.statements:
+        decl = st.source
         if decl.subject_class != cls_iri:
             continue
-        name = decl.property_name
         card = (AT_LEAST_ONE if AxiomPattern.EXISTENTIAL in decl.patterns else ANY)
         if AxiomPattern.EXISTENTIAL in decl.patterns:
             origins.append("Pattern:Existential")
-        tcs.append(TripleConstraint(namespaced_property(name, "p", table),
+        tcs.append(TripleConstraint(st.statement_properties["p"],
                                     ShapeRef(statement_label(decl, table)), card))
-        tcs.append(TripleConstraint(namespaced_property(name, "wdt", table),
+        tcs.append(TripleConstraint(st.statement_properties["wdt"],
                                     _value_expr(decl.object_spec, doc), card))
     comment = "# origin: " + ", ".join(dict.fromkeys(origins))
     return Shape(class_label(cls_iri, table), tuple(tcs), closed=False,
                  comments=(comment,))
 
 
-def _statement_shape(decl: StatementDecl, doc: SchemaDocument) -> Shape:
+def _statement_shape(st: ExpandedStatement, doc: SchemaDocument) -> Shape:
     table = doc.namespaces
-    name = decl.property_name
+    decl = st.source
     tcs: list[TripleConstraint] = []
     origins = ["Ax2", "Ax3+4", "Ax5"]
     dt = decl.object_spec.datatype
-    tcs.append(TripleConstraint(namespaced_property(name, "ps", table),
+    tcs.append(TripleConstraint(st.statement_properties["ps"],
                                 _value_expr(decl.object_spec, doc)))
     if dt is None:
         origins.extend(["Ax6", "Ax7"])
     else:
         origins.append(TYPED_ORIGINS[dt]["unscoped"])
-    if dt in VALUE_KINDS:
-        tcs.append(TripleConstraint(namespaced_property(name, "psv", table),
-                                    ShapeRef(VALUE_KINDS[dt].node_class)))
+    if (psv := st.statement_properties.get("psv")) is not None:
+        tcs.append(TripleConstraint(psv, ShapeRef(VALUE_KINDS[dt].node_class)))
         origins.append(TYPED_ORIGINS[dt]["value_range"])
 
     for q in decl.qualifiers:
         card = EXACTLY_ONE if q.required else OPTIONAL
         dt = q.qtype.datatype
-        tcs.append(TripleConstraint(namespaced_property(q.name, "pq", table),
-                                    _value_expr(q.qtype, doc), card))
+        fam = st.qualifier_properties[q.name]
+        tcs.append(TripleConstraint(fam["pq"], _value_expr(q.qtype, doc), card))
         if dt is None:
             origins.append("Ax10" if q.scoped else "Ax11")
         else:
             # an unscoped date qualifier cites its value-node link, not the range axiom
             origins.append("Ax31" if dt is Datatype.DATETIME and not q.scoped
                            else TYPED_ORIGINS[dt]["scoped" if q.scoped else "unscoped"])
-        if dt in VALUE_KINDS:
-            tcs.append(TripleConstraint(namespaced_property(q.name, "pqv", table),
-                                        ShapeRef(VALUE_KINDS[dt].node_class), card))
+        if (pqv := fam.get("pqv")) is not None:
+            tcs.append(TripleConstraint(pqv, ShapeRef(VALUE_KINDS[dt].node_class), card))
         origins.append("AxFunc")
         if q.required:
             origins.append("AxReq")
@@ -171,12 +170,13 @@ def _statement_shape(decl: StatementDecl, doc: SchemaDocument) -> Shape:
                  comments=tuple(comments))
 
 
-def _reference_shape(decl: StatementDecl, doc: SchemaDocument) -> Shape:
+def _reference_shape(st: ExpandedStatement, doc: SchemaDocument) -> Shape:
     table = doc.namespaces
+    decl = st.source
     # a lone declared snak property must appear on every non-empty reference
     card = AT_LEAST_ONE if len(decl.references) == 1 else ANY
     tcs = tuple(
-        TripleConstraint(namespaced_property(r.name, "pr", table),
+        TripleConstraint(st.reference_properties[r.name],
                          _class_expr(r.target_class, doc), card)
         for r in decl.references)
     return Shape(reference_label(decl, table), tcs, closed=True,
@@ -195,11 +195,12 @@ def _value_shape(kind: ValueKind, table: NamespaceTable) -> Shape:
 def schema_shapes(doc: SchemaDocument) -> ShapeDoc:
     """All shapes for the document, item shapes first, in declaration order."""
     table = doc.namespaces
-    shapes = [_item_shape(c.iri, doc) for c in doc.classes]
-    for decl in doc.statements:
-        shapes.append(_statement_shape(decl, doc))
-        if decl.references:
-            shapes.append(_reference_shape(decl, doc))
+    expanded = expand(doc)
+    shapes = [_item_shape(c.iri, expanded) for c in doc.classes]
+    for st in expanded.statements:
+        shapes.append(_statement_shape(st, doc))
+        if st.source.references:
+            shapes.append(_reference_shape(st, doc))
     shapes.extend(_value_shape(kind, table) for kind in needed_value_kinds(doc.statements))
     return ShapeDoc(table, tuple(shapes))
 

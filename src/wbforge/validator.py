@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .axioms import CATALOG
 from .errors import UnknownCodeError
+from .expander import ExpandedSchema, ExpandedStatement, expand
 from .exporter import literal_problem, read_statement, read_value_node, statement_hash, value_hash
 from .model import (
     VALUE_KINDS,
@@ -23,7 +24,7 @@ from .model import (
     SchemaDocument,
     StatementDecl,
 )
-from .namespaces import PROPERTY_NAMESPACES, Iri, namespaced_property, prov_was_derived_from, rdf_type, wikibase
+from .namespaces import PROPERTY_NAMESPACES, Iri, prov_was_derived_from, rdf_type, wikibase
 from .rdf import Graph, Term, Triple
 
 ERROR = "ERROR"
@@ -122,16 +123,17 @@ def explain(report: ValidationReport, code: str) -> str:
 # ---------------------------------------------------------------------------
 
 class _Checker:
-    def __init__(self, schema: SchemaDocument, graph: Graph) -> None:
-        self.schema = schema
+    def __init__(self, expanded: ExpandedSchema, graph: Graph) -> None:
+        self.expanded = expanded
         self.g = graph
-        self.table = schema.namespaces
+        self.table = expanded.source.namespaces
         self.a = rdf_type(self.table)
         self.prov = prov_was_derived_from(self.table)
         self.findings: set[Finding] = set()
-        # qualifier and reference names some statement declares
-        self.qual_names = dict.fromkeys(q.name for d in schema.statements for q in d.qualifiers)
-        self.ref_names = {r.name for d in schema.statements for r in d.references}
+        # the pq: edge of every qualifier name, and the reference names, some statement declares
+        self.pq_by_name = {name: fam["pq"] for st in expanded.statements
+                           for name, fam in st.qualifier_properties.items()}
+        self.ref_names = {name for st in expanded.statements for name in st.reference_properties}
 
     def wb(self, local: str) -> Iri:
         return wikibase(self.table, local)
@@ -146,21 +148,19 @@ class _Checker:
     # -- property name coverage -------------------------------------------
 
     def check_unknown_properties(self) -> None:
-        stmt_names = {d.property_name for d in self.schema.statements}
-        family = {spl for p in {t.p for t in self.g}
+        # by name: the psv:/pqv: edge of a declared name is known, minted or not
+        family = {(p, *spl) for p in {t.p for t in self.g}
                   if (spl := self.table.split(p)) is not None
                   and spl[0] in PROPERTY_NAMESPACES}
-        for (prefix, local) in sorted(family):
+        for p, prefix, local in family:
             if prefix in ("wdt", "p", "ps", "psv"):
-                known = local in stmt_names
+                known = self.expanded.statement(local) is not None
             elif prefix in ("pq", "pqv"):
-                known = local in self.qual_names
+                known = local in self.pq_by_name
             else:
                 known = local in self.ref_names
             if not known:
-                self.add("UnknownProperty",
-                         namespaced_property(local, prefix, self.table),
-                         f"{prefix}:{local} matches no declaration")
+                self.add("UnknownProperty", p, f"{prefix}:{local} matches no declaration")
 
     # -- reification shape --------------------------------------------------
 
@@ -174,15 +174,14 @@ class _Checker:
         return [(t.s, local) for t, local in self.family_edges(self.g.match(None, None, node), "p")]
 
     def resolve_decl(self, node: Iri, edges: list[tuple[Iri, str]]
-                     ) -> tuple[StatementDecl | None, Iri | None]:
+                     ) -> tuple[ExpandedStatement | None, Iri | None]:
         """(declaration, owning subject) for a statement node and its `in_edges`, best effort."""
         subject = edges[0][0] if len(edges) == 1 else None
         names = {name for _, name in edges}
         if len(names) != 1:
             names = {local for _, local in self.family_edges(self.g.match(node), "ps")}
         if len(names) == 1:
-            decl = self.schema.statement_decl(next(iter(names)))
-            return decl, subject
+            return self.expanded.statement(next(iter(names))), subject
         return None, subject
 
     def check_statement_nodes(self) -> None:
@@ -194,12 +193,13 @@ class _Checker:
             elif len(edges) > 1:
                 self.add("SharedStatement", node,
                          f"{len(edges)} incoming p: edges")
-            decl, subject = self.resolve_decl(node, edges)
-            if decl is not None:
-                self.check_against_decl(node, decl, subject)
+            st, subject = self.resolve_decl(node, edges)
+            if st is not None:
+                self.check_against_decl(node, st, subject)
 
-    def check_against_decl(self, node: Iri, decl: StatementDecl,
+    def check_against_decl(self, node: Iri, st: ExpandedStatement,
                            subject: Iri | None) -> None:
+        decl = st.source
         name = decl.property_name
         if subject is not None:
             if not self.has_type(subject, decl.subject_class):
@@ -210,7 +210,7 @@ class _Checker:
                 self.add("DomainViolation", subject,
                          f"subject of p:{name} lacks rdf:type wikibase:Item")
 
-        ps_values = self.g.objects(node, namespaced_property(name, "ps", self.table))
+        ps_values = self.g.objects(node, st.statement_properties["ps"])
         if not ps_values:
             self.add("ExistenceViolation", node, f"statement has no ps:{name} value")
         elif len(ps_values) > 1:
@@ -219,9 +219,9 @@ class _Checker:
         for v in ps_values:
             self.check_object_value(node, decl, v)
 
-        self.check_qualifiers(node, decl)
-        self.check_references(node, decl)
-        self.check_hash(node, decl, subject)
+        self.check_qualifiers(node, st)
+        self.check_references(node, st)
+        self.check_hash(node, st, subject)
 
     def check_object_value(self, node: Iri, decl: StatementDecl, v: Term) -> None:
         name = decl.property_name
@@ -241,15 +241,15 @@ class _Checker:
             self.add("RangeViolation", v,
                      f"value of ps:{name} lacks rdf:type wikibase:Item")
 
-    def check_qualifiers(self, node: Iri, decl: StatementDecl) -> None:
-        declared = {q.name: q for q in decl.qualifiers}
-        for qname in self.qual_names:     # globally unknown names are covered elsewhere
-            values = self.g.objects(node, namespaced_property(qname, "pq", self.table))
+    def check_qualifiers(self, node: Iri, st: ExpandedStatement) -> None:
+        declared = {q.name: q for q in st.source.qualifiers}
+        for qname, pq in self.pq_by_name.items():   # globally unknown names are covered elsewhere
+            values = self.g.objects(node, pq)
             q = declared.get(qname)
             if q is None:
                 if values:
                     self.add("QualifierTypeViolation", node,
-                             f"qualifier pq:{qname} not declared for {decl.property_name}")
+                             f"qualifier pq:{qname} not declared for {st.source.property_name}")
                 continue
             if q.required and not values:
                 self.add("ExistenceViolation", node,
@@ -271,8 +271,8 @@ class _Checker:
         if problem:
             self.add("QualifierTypeViolation", node, f"value of pq:{qname} {problem}")
 
-    def check_references(self, node: Iri, decl: StatementDecl) -> None:
-        declared = {r.name: r for r in decl.references}
+    def check_references(self, node: Iri, st: ExpandedStatement) -> None:
+        declared = {r.name: r for r in st.source.references}
         snak_names: set[str] = set()
         for rnode in self.g.objects(node, self.prov):
             if not self.has_type(rnode, self.wb("Reference")):
@@ -280,7 +280,7 @@ class _Checker:
                          "prov:wasDerivedFrom value is not typed wikibase:Reference")
                 continue
             for local, r in declared.items():
-                targets = self.g.objects(rnode, namespaced_property(local, "pr", self.table))
+                targets = self.g.objects(rnode, st.reference_properties[local])
                 if targets:
                     snak_names.add(local)
                 for target in targets:
@@ -310,10 +310,10 @@ class _Checker:
     # -- truthy chain ----------------------------------------------------------
 
     def check_chain(self) -> None:
-        names = {namespaced_property(d.property_name, "wdt", self.table): d.property_name
-                 for d in self.schema.statements}
+        names = {st.statement_properties["wdt"]: st.source.property_name
+                 for st in self.expanded.statements}
         implied: set[Triple] = set()
-        for node, t in implied_truthy(self.schema, self.g):
+        for node, t in implied_truthy(self.expanded, self.g):
             implied.add(t)
             if t not in self.g:
                 self.add("ChainGap", node, f"missing truthy edge wdt:{names[t.p]}")
@@ -346,14 +346,14 @@ class _Checker:
 
     # -- content-hash recomputation ---------------------------------------------
 
-    def check_hash(self, node: Iri, decl: StatementDecl, subject: Iri | None) -> None:
+    def check_hash(self, node: Iri, st: ExpandedStatement, subject: Iri | None) -> None:
         base = self.table.base("s")
         if subject is None or not node.value.startswith(base):
             return
         tail = node.value.rsplit("-", 1)
         if len(tail) != 2 or len(tail[1]) != 40:
             return
-        stmt = read_statement(self.g, node, decl, self.table)
+        stmt = read_statement(self.g, node, st, self.table)
         if stmt is None:
             return
         want = statement_hash(subject, stmt, self.table)
@@ -372,17 +372,15 @@ class _Checker:
 
 
 def validate(schema: SchemaDocument, graph: Graph) -> ValidationReport:
-    return _Checker(schema, graph).run()
+    return _Checker(expand(schema), graph).run()
 
 
-def implied_truthy(schema: SchemaDocument, graph: Graph) -> Iterator[tuple[Iri, Triple]]:
+def implied_truthy(expanded: ExpandedSchema, graph: Graph) -> Iterator[tuple[Iri, Triple]]:
     """(statement node, wdt: edge) for every p:/ps: chain of a declared property."""
-    table = schema.namespaces
-    for decl in schema.statements:
-        name = decl.property_name
-        ps = namespaced_property(name, "ps", table)
-        wdt = namespaced_property(name, "wdt", table)
-        for t in graph.match(None, namespaced_property(name, "p", table), None):
+    for st in expanded.statements:
+        props = st.statement_properties
+        ps, wdt = props["ps"], props["wdt"]
+        for t in graph.match(None, props["p"], None):
             if isinstance(t.o, Iri):
                 for y in graph.objects(t.o, ps):
                     yield t.o, Triple(t.s, wdt, y)
@@ -396,6 +394,6 @@ def infer_truthy(schema: SchemaDocument, graph: Graph) -> Graph:
     fixed point and never removes triples.
     """
     out = graph.copy()
-    for _, t in implied_truthy(schema, graph):
+    for _, t in implied_truthy(expand(schema), graph):
         out.add(t)
     return out

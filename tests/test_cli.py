@@ -137,6 +137,15 @@ def test_root_that_is_no_iri_exits_2_naming_the_root(command, capsys):
     assert captured.out == ""
 
 
+def test_a_root_holding_a_no_break_space_exports_and_validates(tmp_path, capsys):
+    root = "http://x\u00a0y/"          # U+00A0 is allowed in an IRIREF and in an Iri
+    nt = tmp_path / "out.nt"
+    assert main(["export", str(SCHEMA), str(INSTANCES), "--root", root, "-o", str(nt)]) == 0
+    assert "\u00a0" in nt.read_text(encoding="utf-8")
+    assert main(["validate", str(SCHEMA), str(nt), "--root", root]) == 0
+    assert capsys.readouterr().out == "errors=0 warnings=0\n"
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["check", "/no/such/file.wbs"]) == 2
     assert "wbforge:" in capsys.readouterr().err

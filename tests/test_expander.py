@@ -1,12 +1,20 @@
 """Property-family expansion: one declared name mints the whole family."""
 
+import dataclasses
 import random
 
-from generators import random_schema
+import pytest
+
+from generators import random_instances, random_schema
+from wbforge.axioms import schema_axioms
+from wbforge.dl import Role
 from wbforge.dsl import parse_schema
 from wbforge.expander import expand, expand_statement, expansion_report, object_datatype
+from wbforge.exporter import export
+from wbforge.fixtures import FIXTURE_NAMES, load_fixture
 from wbforge.model import Datatype
-from wbforge.namespaces import DEFAULT_ROOT, Iri, NamespaceTable
+from wbforge.namespaces import DEFAULT_ROOT, Iri, NamespaceTable, rdf_type
+from wbforge.shapes import schema_shapes
 
 TABLE = NamespaceTable()
 
@@ -98,3 +106,37 @@ def test_report_layout():
     assert "hasJob/since" in body and "provenance edge" in body
     # deterministic
     assert expansion_report(expand(ITEM_OBJECT)) == report
+
+
+def _role_iris(node):
+    """Every Role IRI inside a DL axiom or class expression."""
+    if isinstance(node, Role):
+        yield node.iri
+    elif dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            yield from _role_iris(getattr(node, f.name))
+    elif isinstance(node, tuple) and not isinstance(node, Iri):
+        for part in node:
+            yield from _role_iris(part)
+
+
+def _case(case):
+    if isinstance(case, str):
+        return load_fixture(case)
+    rng = random.Random(3000 + case)
+    schema = random_schema(rng)
+    return schema, random_instances(rng, schema)
+
+
+@pytest.mark.parametrize("case", [*FIXTURE_NAMES, *range(60)])
+def test_every_layer_uses_only_the_expanded_family(case):
+    schema, instances = _case(case)
+    family = set().union(*(st.property_set() for st in expand(schema).statements))
+    a = rdf_type(schema.namespaces)
+    exported = {t.p for t in export(schema, instances)} - {a}
+    shaped = {tc.predicate for sh in schema_shapes(schema).shapes for tc in sh.constraints}
+    roles = {iri for ax in schema_axioms(schema) for iri in _role_iris(ax.axiom)}
+    assert shaped and roles           # every generated schema declares a statement
+    assert exported <= family
+    assert shaped <= family
+    assert roles <= family

@@ -10,7 +10,6 @@ from wbforge.namespaces import (
     Iri,
     NamespaceTable,
     expand_iri,
-    namespaced_property,
     prov_was_derived_from,
     rdf_type,
     wikibase,
@@ -110,17 +109,11 @@ def test_expand_iri():
         expand_iri("noseparator", t)
 
 
-def test_namespaced_property():
-    t = NamespaceTable()
-    assert namespaced_property("hasJob", "pq", t) == Iri(DEFAULT_ROOT + "prop/qualifier/hasJob")
-    with pytest.raises(WbforgeError):
-        namespaced_property("hasJob", "wd", t)
-
-
 def test_minted_terms_are_memoised_per_table():
     t = NamespaceTable()
-    first = namespaced_property("hasJob", "ps", t)
-    assert namespaced_property("hasJob", "ps", t) is first
+    assert t.term("pq", "hasJob") == Iri(DEFAULT_ROOT + "prop/qualifier/hasJob")
+    first = t.term("ps", "hasJob")
+    assert t.term("ps", "hasJob") is first
     assert wikibase(t, "Item") is wikibase(t, "Item")
     assert xsd(t, "decimal") is t.term("xsd", "decimal")
     assert rdf_type(t) == Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
@@ -131,7 +124,7 @@ def test_minted_terms_are_memoised_per_table():
 def test_memo_leaves_equality_and_hash_alone():
     used, fresh = NamespaceTable(), NamespaceTable()
     wikibase(used, "Statement")
-    namespaced_property("hasJob", "pq", used)
+    used.term("pq", "hasJob")
     assert used.curie(wikibase(used, "Statement")) == "wikibase:Statement"
     assert used.curie(Iri("http://elsewhere.example/x")) is None
     assert used == fresh
@@ -141,19 +134,19 @@ def test_memo_leaves_equality_and_hash_alone():
 
 def test_with_prefix_does_not_share_the_memo():
     parent = NamespaceTable()
-    minted = namespaced_property("hasJob", "p", parent)
+    minted = parent.term("p", "hasJob")
     person = Iri("http://v.example/Person")
     assert parent.curie(person) is None and parent.split(person) is None
     child = parent.with_prefix("ex", "http://v.example/")
     assert child.curie(person) == "ex:Person" and child.split(person) == ("ex", "Person")
     assert parent.curie(person) is None
-    again = namespaced_property("hasJob", "p", child)
+    again = child.term("p", "hasJob")
     assert again == minted and again is not minted
     assert child.term("ex", "Person") == Iri("http://v.example/Person")
     with pytest.raises(UnknownPrefixError):
         parent.term("ex", "Person")
     rebased = NamespaceTable("http://other.example/")
-    assert namespaced_property("hasJob", "p", rebased) == Iri("http://other.example/prop/hasJob")
+    assert rebased.term("p", "hasJob") == Iri("http://other.example/prop/hasJob")
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -172,15 +165,11 @@ def test_curie_memo_answers_as_a_fresh_table(name):
 
 def test_memo_keeps_the_namespace_and_iri_checks():
     t = NamespaceTable()
-    t.term("wd", "hasJob")            # a minted non-property term must not open the door
-    for ns in ("wd", "wikibase", "s", "xsd"):
-        with pytest.raises(WbforgeError):
-            namespaced_property("hasJob", ns, t)
     with pytest.raises(UnknownPrefixError):
         t.term("nope", "x")
     for _ in range(2):                # a failed mint is not remembered
         with pytest.raises(WbforgeError):
-            namespaced_property("has job", "p", t)
+            t.term("p", "has job")
 
 
 def test_expand_iri_resolves_curies_through_the_memo():

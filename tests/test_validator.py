@@ -12,7 +12,7 @@ import pytest
 from generators import random_instances, random_schema
 from wbforge.dsl import parse_instances, parse_schema
 from wbforge.errors import UnknownCodeError
-from wbforge.exporter import export
+from wbforge.exporter import export, statement_node, value_node
 from wbforge.validator import (
     CODES,
     ERROR,
@@ -25,7 +25,9 @@ from wbforge.validator import (
     render_report_tsv,
     validate,
 )
-from wbforge.namespaces import DEFAULT_ROOT, Iri
+from wbforge.fixtures import load_bundle
+from wbforge.model import DecimalValue
+from wbforge.namespaces import DEFAULT_ROOT, Iri, rdf_type, wikibase, xsd
 from wbforge.rdf import Literal, Triple
 
 SCHEMA = parse_schema("""
@@ -307,3 +309,43 @@ def test_validation_report_passed_logic():
     assert rep.passed and rep.warnings == 1
     rep = ValidationReport((Finding("ChainGap", "x", "d", ERROR),))
     assert not rep.passed
+
+
+def _fixture_snode(bundle):
+    item = bundle.instances.items[0]
+    return statement_node(item.iri, item.statements[0], bundle.table)
+
+
+def test_read_back_follows_a_psv_edge_the_declaration_does_not_mint():
+    # name-record's object is a string, so its family has no psv: edge; a graph
+    # that holds one anyway is read back, and hashed, from what it holds
+    b = load_bundle("name-record")
+    t, node = b.table, _fixture_snode(b)
+    ps, value = t.term("ps", "hasNameRecord"), DecimalValue("5")
+    vnode = value_node(value, t)
+    g = b.graph.copy()
+    for old in b.graph.objects(node, ps):
+        g.discard(Triple(node, ps, old))
+    five = Literal("5", xsd(t, "decimal"))
+    for triple in (Triple(node, ps, five),
+                   Triple(node, t.term("psv", "hasNameRecord"), vnode),
+                   Triple(vnode, rdf_type(t), wikibase(t, "QuantityValue")),
+                   Triple(vnode, wikibase(t, "quantityValue"), five),
+                   Triple(vnode, wikibase(t, "quantityUnit"), value.unit)):
+        g.add(triple)
+    rep = validate(b.schema, g)
+    assert node.value in {f.focus for f in rep.by_code("HashMismatch")}
+
+
+@pytest.mark.parametrize("local, report", [
+    # an item object mints no psv:, but the name is declared, so the edge is known
+    ("hasSexRecord", "errors=0 warnings=0\n"),
+    ("hasNoSuchThing",
+     f"WARNING UnknownProperty <{DEFAULT_ROOT}prop/statement/value/hasNoSuchThing> : "
+     "psv:hasNoSuchThing matches no declaration\nerrors=0 warnings=1\n"),
+])
+def test_unknown_property_rule_goes_by_name(local, report):
+    b = load_bundle("sex-record")
+    g = b.graph.copy()
+    g.add(Triple(_fixture_snode(b), b.table.term("psv", local), Iri(b.table.base("v") + "x")))
+    assert render_report(validate(b.schema, g)) == report
