@@ -10,6 +10,7 @@ exported triple set is byte-deterministic under canonical ordering.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 
 from .errors import (
     MissingRequiredError,
@@ -249,16 +250,23 @@ def literal_problem(v: Term, dt: Datatype, table: NamespaceTable) -> str | None:
     return None
 
 
-def read_value_node(g: Graph, node: Iri, kind: ValueKind,
-                    table: NamespaceTable) -> DateTimeValue | DecimalValue | list[str]:
+# what reading a value node gives: its value, or its field problems
+NodeValue = DateTimeValue | DecimalValue | list[str]
+EdgeView = dict[Iri, list[Term]]              # one node's objects by predicate
+ValueReader = Callable[[Iri, ValueKind], NodeValue]
+
+
+def read_value_node(g: Graph, node: Iri, kind: ValueKind, table: NamespaceTable) -> NodeValue:
     """The value a `kind` node holds, or its field problems in field order.
 
-    Each field is read from the graph once; the value is what `_add_value` wrote the node from.
+    One look at the node: every field comes from one `Graph.edges` view.
+    The value is what `_add_value` wrote the node from.
     """
+    view = g.edges(node)
     problems: list[str] = []
     fields: dict[str, object] = {}
     for local, attr, dt in kind.fields:
-        values = g.objects(node, wikibase(table, local))
+        values = view.get(wikibase(table, local), ())
         if not values:
             problems.append(f"missing wikibase:{local}")
         elif len(values) > 1:
@@ -276,8 +284,8 @@ def read_value_node(g: Graph, node: Iri, kind: ValueKind,
     return problems or kind.value_type(**fields)
 
 
-def _read_value(g: Graph, node: Iri, value_prop: Iri, v: Term,
-                table: NamespaceTable) -> Value | None:
+def _read_value(view: EdgeView, value_prop: Iri, v: Term, table: NamespaceTable,
+                value_of: ValueReader) -> Value | None:
     """A ps:/pq: object as a value; dates and quantities need a matching node."""
     if isinstance(v, Iri):
         return ItemRef(v)
@@ -287,46 +295,59 @@ def _read_value(g: Graph, node: Iri, value_prop: Iri, v: Term,
         if v.datatype != xsd(table, dt.xsd_local):
             continue
         main = kind.fields[0][1]
-        for vnode in g.objects(node, value_prop):
+        for vnode in view.get(value_prop, ()):
             if isinstance(vnode, Iri):
-                value = read_value_node(g, vnode, kind, table)
+                value = value_of(vnode, kind)
                 if not isinstance(value, list) and getattr(value, main) == v.lexical:
                     return value
     return None
 
 
-def read_statement(g: Graph, node: Iri, st: ExpandedStatement,
-                   table: NamespaceTable) -> StatementData | None:
+def read_statement(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceTable,
+                   edges: Callable[[Iri], EdgeView] | None = None,
+                   value_of: ValueReader | None = None) -> StatementData | None:
     """The statement content behind `node`, the inverse of export.
 
     Only declared qualifiers and reference snaks are read, and psv:/pqv:
     edges by name, minted or not. None when the node is too broken to hash:
     not one ps: value, a date or quantity without a well-formed matching
     value node, or a malformed reference.
+
+    The statement node and each reference node are looked at once, through
+    `edges` (`g.edges` by default); each value node is read through
+    `value_of` (`read_value_node` on `g` by default). A caller that has
+    already read some of these nodes passes memoised readers.
     """
+    if edges is None:
+        edges = g.edges
+    if value_of is None:
+        def value_of(vnode: Iri, kind: ValueKind) -> NodeValue:
+            return read_value_node(g, vnode, kind, table)
+    view = edges(node)
     name = st.source.property_name
-    ps_values = g.objects(node, st.statement_properties["ps"])
+    ps_values = view.get(st.statement_properties["ps"], ())
     if len(ps_values) != 1:
         return None
-    value = _read_value(g, node, table.term("psv", name), ps_values[0], table)
+    value = _read_value(view, table.term("psv", name), ps_values[0], table, value_of)
     if value is None:
         return None
     quals: list[QualifierData] = []
     for q in st.source.qualifiers:
         pqv = table.term("pqv", q.name)
-        for v in g.objects(node, st.qualifier_properties[q.name]["pq"]):
-            qv = _read_value(g, node, pqv, v, table)
+        for v in view.get(st.qualifier_properties[q.name]["pq"], ()):
+            qv = _read_value(view, pqv, v, table, value_of)
             if qv is None:
                 return None
             quals.append(QualifierData(q.name, qv))
     refs: list[RefData] = []
     ref_class = wikibase(table, "Reference")
-    for rnode in g.objects(node, prov_was_derived_from(table)):
+    for rnode in view.get(prov_was_derived_from(table), ()):
         if not isinstance(rnode, Iri) or Triple(rnode, rdf_type(table), ref_class) not in g:
             return None
+        rview = edges(rnode)
         snaks: list[SnakData] = []
         for rname, pr in sorted(st.reference_properties.items()):
-            for target in g.objects(rnode, pr):
+            for target in rview.get(pr, ()):
                 if not isinstance(target, Iri):
                     return None
                 snaks.append(SnakData(rname, target))

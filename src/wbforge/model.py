@@ -28,8 +28,11 @@ class Datatype(Enum):
 
     @property
     def xsd_local(self) -> str:
-        return {"string": "string", "decimal": "decimal",
-                "datetime": "dateTime", "int": "int"}[self.value]
+        return _XSD_LOCAL[self._value_]
+
+
+# the xsd: local name of each Datatype's literals, by the member's value
+_XSD_LOCAL = {"string": "string", "decimal": "decimal", "datetime": "dateTime", "int": "int"}
 
 
 class AxiomPattern(Enum):

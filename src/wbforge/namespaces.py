@@ -53,8 +53,15 @@ PROPERTY_NAMESPACES = ("wdt", "p", "ps", "psv", "pq", "pqv", "pr")
 LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
 # outside both N-Triples IRIREF and RFC 3987; the N-Triples reader's IRIREF uses it
 # as is, and an Iri also refuses a raw backslash, which would read back as an escape
-IRI_EXCLUDED = r'\x00-\x20<>"'
-_NOT_IN_IRI = re.compile(rf'[{IRI_EXCLUDED}\\\ud800-\udfff]')
+IRI_EXCLUDED = r'\x00-\x20<>"{}|^`'
+# An absolute IRI: a scheme and a colon, then no excluded character, backslash
+# or lone surrogate. The characters are spelled as a positive class, the ASCII
+# ones IRI_EXCLUDED leaves and every non-surrogate above, which the regex engine
+# tests faster per character than the negated class.
+_IRI_ASCII = "".join(re.escape(c) for c in map(chr, range(0x80))
+                     if not re.match(rf'[{IRI_EXCLUDED}\\]', c))
+_is_iri = re.compile(
+    rf'[A-Za-z][A-Za-z0-9+.-]*:[{_IRI_ASCII}\x80-\ud7ff\ue000-\U0010ffff]*').fullmatch
 
 
 class _IriFields(NamedTuple):
@@ -67,7 +74,7 @@ class Iri(_IriFields):
     __slots__ = ()
 
     def __new__(cls, value: str) -> Iri:
-        if not value or _NOT_IN_IRI.search(value):
+        if _is_iri(value) is None:
             raise WbforgeError(f"not an absolute IRI: {value!r}")
         return tuple.__new__(cls, (value,))
 

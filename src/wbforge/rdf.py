@@ -9,6 +9,7 @@ are equal iff their canonical N-Triples bytes are equal.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import BlankNodeUnsupportedError, NtSyntaxError, WbforgeError
@@ -81,6 +82,19 @@ def render_triple(t: Triple) -> str:
     return f"<{t.s.value}> <{t.p.value}> {render_term(t.o)} ."
 
 
+# `match` sort keys by which of (s, p, o) are unbound. An Iri is the
+# 1-tuple of its text, so it sorts as its `.value` does.
+_SORT_KEYS = {
+    (True, True, True): lambda t: (t.s, t.p, render_term(t.o)),
+    (True, True, False): itemgetter(0, 1),
+    (True, False, True): lambda t: (t.s, render_term(t.o)),
+    (True, False, False): itemgetter(0),
+    (False, True, True): lambda t: (t.p, render_term(t.o)),
+    (False, True, False): itemgetter(1),
+    (False, False, True): lambda t: render_term(t.o),
+}
+
+
 class Graph:
     """A set of ground triples with pattern matching."""
 
@@ -111,21 +125,29 @@ class Graph:
     def copy(self) -> "Graph":
         return Graph(self._triples)
 
-    def match(self, s: Iri | None = None, p: Iri | None = None,
-              o: Term | None = None) -> list[Triple]:
-        """Triples matching the pattern; None is a wildcard. Sorted output.
+    def _indexes(self) -> tuple[dict[Term, list[Triple]], ...]:
+        """The by-s, by-p and by-o indexes, built on the first read after a change.
 
-        Candidates come from the index of the first bound term in the order
-        s, o, p. The indexes are built on the first match after a change,
-        so a graph that is only written never builds them. Only two or
-        more hits are sorted.
+        A graph that is only written never builds them.
         """
         if self._index is None:
             self._index = ({}, {}, {})
             for t in self._triples:
                 for index, term in zip(self._index, (t.s, t.p, t.o)):
                     index.setdefault(term, []).append(t)
-        by_s, by_p, by_o = self._index
+        return self._index
+
+    def match(self, s: Iri | None = None, p: Iri | None = None,
+              o: Term | None = None) -> list[Triple]:
+        """Triples matching the pattern; None is a wildcard. Sorted output.
+
+        Candidates come from the index of the first bound term in the order
+        s, o, p. Only two or more hits are sorted, and only on the unbound
+        positions, which orders them as a full scan sorted on
+        `(s, p, render_term(o))` would: the bound positions are equal in
+        every hit, and a bound object is never rendered.
+        """
+        by_s, by_p, by_o = self._indexes()
         pool = (by_s.get(s, ()) if s is not None else by_o.get(o, ()) if o is not None
                 else by_p.get(p, ()) if p is not None else self._triples)
         found = [t for t in pool
@@ -133,8 +155,23 @@ class Graph:
                  and (p is None or t.p == p)
                  and (o is None or t.o == o)]
         if len(found) > 1:
-            found.sort(key=lambda t: (t.s.value, t.p.value, render_term(t.o)))
+            found.sort(key=_SORT_KEYS[s is None, p is None, o is None])
         return found
+
+    def edges(self, s: Iri) -> dict[Iri, list[Term]]:
+        """The objects of `s` grouped by predicate, one pass over its index entry.
+
+        `edges(s)[p] == objects(s, p)` for every predicate `s` has, in the
+        same order, and a predicate `s` lacks is absent. The view is built
+        afresh on each call, so the caller owns it.
+        """
+        view: dict[Iri, list[Term]] = {}
+        for _, p, o in self._indexes()[0].get(s, ()):
+            view.setdefault(p, []).append(o)
+        for objs in view.values():
+            if len(objs) > 1:
+                objs.sort(key=render_term)
+        return view
 
     def subjects(self, p: Iri, o: Term) -> list[Iri]:
         return [t.s for t in self.match(None, p, o)]

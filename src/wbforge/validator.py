@@ -16,13 +16,22 @@ from dataclasses import dataclass
 from .axioms import CATALOG
 from .errors import UnknownCodeError
 from .expander import ExpandedSchema, ExpandedStatement, expand
-from .exporter import literal_problem, read_statement, read_value_node, statement_hash, value_hash
+from .exporter import (
+    EdgeView,
+    NodeValue,
+    literal_problem,
+    read_statement,
+    read_value_node,
+    statement_hash,
+    value_hash,
+)
 from .model import (
     VALUE_KINDS,
     DateTimeValue,
     DecimalValue,
     SchemaDocument,
     StatementDecl,
+    ValueKind,
 )
 from .namespaces import PROPERTY_NAMESPACES, Iri, prov_was_derived_from, rdf_type, wikibase
 from .rdf import Graph, Term, Triple
@@ -133,7 +142,12 @@ class _Checker:
         # the pq: edge of every qualifier name, and the reference names, some statement declares
         self.pq_by_name = {name: fam["pq"] for st in expanded.statements
                            for name, fam in st.qualifier_properties.items()}
+        self.name_by_pq = {pq: name for name, pq in self.pq_by_name.items()}
         self.ref_names = {name for st in expanded.statements for name in st.reference_properties}
+        # edge views of the statement node in hand and its reference nodes
+        self.views: dict[Iri, EdgeView] = {}
+        # every value node read so far, by (node, kind tag), for the whole run
+        self.values: dict[tuple[Iri, str], NodeValue] = {}
 
     def wb(self, local: str) -> Iri:
         return wikibase(self.table, local)
@@ -144,6 +158,21 @@ class _Checker:
 
     def has_type(self, node: Term, cls: Iri) -> bool:
         return isinstance(node, Iri) and Triple(node, self.a, cls) in self.g
+
+    def edges(self, node: Iri) -> EdgeView:
+        """`node`'s edge view, fetched once per statement node being checked."""
+        view = self.views.get(node)
+        if view is None:
+            view = self.views[node] = self.g.edges(node)
+        return view
+
+    def value_node(self, node: Iri, kind: ValueKind) -> NodeValue:
+        """`read_value_node`, once per node and kind in a run."""
+        key = (node, kind.tag)
+        value = self.values.get(key)
+        if value is None:
+            value = self.values[key] = read_value_node(self.g, node, kind, self.table)
+        return value
 
     # -- property name coverage -------------------------------------------
 
@@ -164,14 +193,15 @@ class _Checker:
 
     # -- reification shape --------------------------------------------------
 
-    def family_edges(self, triples: list[Triple], prefix: str) -> list[tuple[Triple, str]]:
-        """(triple, property local name) for the triples whose predicate is under `prefix`."""
-        return [(t, spl[1]) for t in triples
-                if (spl := self.table.split(t.p)) is not None and spl[0] == prefix]
+    def family_name(self, p: Iri, prefix: str) -> str | None:
+        """The property local name of `p` if `p` is under `prefix`."""
+        spl = self.table.split(p)
+        return spl[1] if spl is not None and spl[0] == prefix else None
 
     def in_edges(self, node: Iri) -> list[tuple[Iri, str]]:
         """Incoming p: edges as (subject, property local name), sorted."""
-        return [(t.s, local) for t, local in self.family_edges(self.g.match(None, None, node), "p")]
+        return [(t.s, local) for t in self.g.match(None, None, node)
+                if (local := self.family_name(t.p, "p")) is not None]
 
     def resolve_decl(self, node: Iri, edges: list[tuple[Iri, str]]
                      ) -> tuple[ExpandedStatement | None, Iri | None]:
@@ -179,13 +209,15 @@ class _Checker:
         subject = edges[0][0] if len(edges) == 1 else None
         names = {name for _, name in edges}
         if len(names) != 1:
-            names = {local for _, local in self.family_edges(self.g.match(node), "ps")}
+            names = {local for p in self.edges(node)
+                     if (local := self.family_name(p, "ps")) is not None}
         if len(names) == 1:
             return self.expanded.statement(next(iter(names))), subject
         return None, subject
 
     def check_statement_nodes(self) -> None:
         for node in self.g.subjects(self.a, self.wb("Statement")):
+            self.views = {}
             edges = self.in_edges(node)
             if not edges:
                 self.add("OrphanStatement", node,
@@ -210,7 +242,8 @@ class _Checker:
                 self.add("DomainViolation", subject,
                          f"subject of p:{name} lacks rdf:type wikibase:Item")
 
-        ps_values = self.g.objects(node, st.statement_properties["ps"])
+        view = self.edges(node)
+        ps_values = view.get(st.statement_properties["ps"], ())
         if not ps_values:
             self.add("ExistenceViolation", node, f"statement has no ps:{name} value")
         elif len(ps_values) > 1:
@@ -219,8 +252,8 @@ class _Checker:
         for v in ps_values:
             self.check_object_value(node, decl, v)
 
-        self.check_qualifiers(node, st)
-        self.check_references(node, st)
+        self.check_qualifiers(node, st, view)
+        self.check_references(node, st, view)
         self.check_hash(node, st, subject)
 
     def check_object_value(self, node: Iri, decl: StatementDecl, v: Term) -> None:
@@ -241,16 +274,16 @@ class _Checker:
             self.add("RangeViolation", v,
                      f"value of ps:{name} lacks rdf:type wikibase:Item")
 
-    def check_qualifiers(self, node: Iri, st: ExpandedStatement) -> None:
-        declared = {q.name: q for q in st.source.qualifiers}
-        for qname, pq in self.pq_by_name.items():   # globally unknown names are covered elsewhere
-            values = self.g.objects(node, pq)
-            q = declared.get(qname)
-            if q is None:
-                if values:
-                    self.add("QualifierTypeViolation", node,
-                             f"qualifier pq:{qname} not declared for {st.source.property_name}")
-                continue
+    def check_qualifiers(self, node: Iri, st: ExpandedStatement, view: EdgeView) -> None:
+        declared = st.qualifier_properties
+        for p in view:                 # globally unknown names are covered elsewhere
+            qname = self.name_by_pq.get(p)
+            if qname is not None and qname not in declared:
+                self.add("QualifierTypeViolation", node,
+                         f"qualifier pq:{qname} not declared for {st.source.property_name}")
+        for q in st.source.qualifiers:
+            qname = q.name
+            values = view.get(declared[qname]["pq"], ())
             if q.required and not values:
                 self.add("ExistenceViolation", node,
                          f"required qualifier pq:{qname} missing")
@@ -271,16 +304,17 @@ class _Checker:
         if problem:
             self.add("QualifierTypeViolation", node, f"value of pq:{qname} {problem}")
 
-    def check_references(self, node: Iri, st: ExpandedStatement) -> None:
+    def check_references(self, node: Iri, st: ExpandedStatement, view: EdgeView) -> None:
         declared = {r.name: r for r in st.source.references}
         snak_names: set[str] = set()
-        for rnode in self.g.objects(node, self.prov):
+        for rnode in view.get(self.prov, ()):
             if not self.has_type(rnode, self.wb("Reference")):
                 self.add("RangeViolation", node,
                          "prov:wasDerivedFrom value is not typed wikibase:Reference")
                 continue
+            rview = self.edges(rnode)
             for local, r in declared.items():
-                targets = self.g.objects(rnode, st.reference_properties[local])
+                targets = rview.get(st.reference_properties[local], ())
                 if targets:
                     snak_names.add(local)
                 for target in targets:
@@ -328,7 +362,7 @@ class _Checker:
     def check_value_nodes(self) -> None:
         for kind in VALUE_KINDS.values():
             for node in self.g.subjects(self.a, self.wb(kind.node_class)):
-                value = read_value_node(self.g, node, kind, self.table)
+                value = self.value_node(node, kind)
                 if isinstance(value, list):
                     self.add("ValueNodeMalformed", node, "; ".join(value))
                 else:
@@ -353,7 +387,7 @@ class _Checker:
         tail = node.value.rsplit("-", 1)
         if len(tail) != 2 or len(tail[1]) != 40:
             return
-        stmt = read_statement(self.g, node, st, self.table)
+        stmt = read_statement(self.g, node, st, self.table, self.edges, self.value_node)
         if stmt is None:
             return
         want = statement_hash(subject, stmt, self.table)
@@ -382,7 +416,7 @@ def implied_truthy(expanded: ExpandedSchema, graph: Graph) -> Iterator[tuple[Iri
         ps, wdt = props["ps"], props["wdt"]
         for t in graph.match(None, props["p"], None):
             if isinstance(t.o, Iri):
-                for y in graph.objects(t.o, ps):
+                for y in graph.edges(t.o).get(ps, ()):
                     yield t.o, Triple(t.s, wdt, y)
 
 

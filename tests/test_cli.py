@@ -190,14 +190,28 @@ def test_export_delimiter_in_reference_target_exits_2(tmp_path, capsys):
         "item wd:a1 : rec:Agent {\n"
         "  rec:hasAgeRecord -> item wd:cat30s {\n"
         "    qualifier rec:ageValue = decimal 34\n"
-        "    reference { rec:isDirectlyBasedOn -> item <http://records.example/d;x|y> }\n"
+        "    reference { rec:isDirectlyBasedOn -> item <http://records.example/d;x> }\n"
         "  }\n"
         "}\n"
         "item wd:cat30s : rec:AgeCategory { }\n"
-        "item <http://records.example/d;x|y> : rec:SourceDocument { }\n")
+        "item <http://records.example/d;x> : rec:SourceDocument { }\n")
     assert main(["export", str(SCHEMA), str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("wbforge: reference target") and "'|' or ';'" in err
+
+
+def test_a_relative_item_iri_holding_braces_and_a_bar_is_refused_before_export(tmp_path, capsys):
+    # N-Triples wants absolute IRIs without `{ } | ^` or a backtick, so export must not write one
+    instances = tmp_path / "i.wbi"
+    instances.write_text(fixture_path("sex-record", "wbi").read_text().replace(
+        "item wd:a1 :", "item <rel{a}|b> :"))
+    nt = tmp_path / "out.nt"
+    schema = fixture_path("sex-record", "wbs")
+    assert main(["export", str(schema), str(instances), "-o", str(nt)]) == 2
+    assert capsys.readouterr().err == (
+        "wbforge: line 5, col 6: expected a resolvable name "
+        "(not an absolute IRI: 'rel{a}|b')\n")
+    assert not nt.exists()
 
 
 def test_unknown_subcommand_usage_error():

@@ -12,6 +12,7 @@ from wbforge.errors import (
     PreimageDelimiterError,
     TypeMismatchError,
     UnresolvedNameError,
+    WbforgeError,
 )
 from wbforge.expander import expand
 from wbforge.exporter import (
@@ -140,14 +141,16 @@ def test_reference_target_delimiters_cannot_merge_statements():
     # one reference with two snaks, against one snak whose target spells out both
     two_snaks = StatementData("hasJob", JOB, (), (RefData((
         SnakData("taxRecord", Iri(WD + "T1")), SnakData("payslip", Iri(WD + "T2")))),))
-    spelled = Iri(f"{WD}T1;{PR}payslip|{WD}T2")
-    one_snak = StatementData("hasJob", JOB, (), (RefData((SnakData("taxRecord", spelled),)),))
     assert f"R|{PR}payslip|{WD}T2;{PR}taxRecord|{WD}T1\n" in \
         canonical_content(EMPLOYEE, two_snaks, TABLE)
+    with pytest.raises(WbforgeError, match="not an absolute IRI"):
+        Iri(f"{WD}T1;{PR}payslip|{WD}T2")     # an Iri cannot spell out both snaks
+    half = Iri(f"{WD}T1;{PR}payslip")
+    one_snak = StatementData("hasJob", JOB, (), (RefData((SnakData("taxRecord", half),)),))
     for stmt_fn in (canonical_content, statement_hash, statement_node):
         with pytest.raises(PreimageDelimiterError):
             stmt_fn(EMPLOYEE, one_snak, TABLE)
-    for target in (WD + "T1|x", WD + "T1;x", "|", ";"):
+    for target in (WD + "T1;x", "urn:;"):
         ref = RefData((SnakData("taxRecord", Iri(target)),))
         with pytest.raises(PreimageDelimiterError):
             reference_hash(ref, TABLE)
@@ -159,10 +162,10 @@ def _adversarial_statement(rng: random.Random) -> StatementData:
     """A small statement whose IRIs and strings often hold `|`, `;` and
     text copied from other preimage lines. Each qualifier name has one
     value kind, as a schema declares it."""
-    def iri() -> Iri:
+    def iri() -> Iri:                   # an Iri cannot hold `|`
         return Iri(rng.choice((
-            WD + "T1", WD + "T2", WD + "T1|x", WD + "T1;x",
-            f"{WD}T1;{PR}b|{WD}T2", f"{WD}T1|{PR}b;{WD}T2")))
+            WD + "T1", WD + "T2", WD + "T1;x", WD + "T1;",
+            f"{WD}T1;{PR}b", f"{WD}T1;{PR}b;{WD}T2")))
 
     def value(kind: str):
         if kind == "item":

@@ -28,6 +28,21 @@ def test_iri_rejects_garbage():
     assert Iri("http://x.example/a-b_c#d?e=f").value == "http://x.example/a-b_c#d?e=f"
 
 
+def test_iri_requires_a_scheme():
+    for bad in ("x", "/x", "//x.example/", ":x", "1a:x", "+a:x", "a b:x", "a_b:x", "é:x"):
+        with pytest.raises(WbforgeError, match="not an absolute IRI"):
+            Iri(bad)
+    for good in ("a:", "urn:x", "H:x", "a1+b.c-d:x", "http://x.example/a:b"):
+        assert Iri(good).value == good
+
+
+def test_iri_refuses_the_characters_n_triples_excludes():
+    for c in "{}|^`":
+        for bad in ("http://x.example/" + c, "http://x.exa" + c + "mple/", c + "http://x.example/"):
+            with pytest.raises(WbforgeError, match="not an absolute IRI"):
+                Iri(bad)
+
+
 def test_iri_rejects_lone_surrogates_only():
     for c in ("\ud800", "\udcff", "\udfff"):
         with pytest.raises(WbforgeError):

@@ -13,7 +13,7 @@ from contextlib import redirect_stdout
 
 import nt_corpus
 
-NT_CORPUS_SHA256 = "bd28e3b8a065557bd176306eb91e25ec5a51ec222c16627553df86f2a5cdf470"
+NT_CORPUS_SHA256 = "d12bc17120e0590f9b1e59f8eee0a65689fb107e796f283ae4e6d015e146dbf7"
 
 
 def test_nt_corpus_is_unchanged():

@@ -99,6 +99,11 @@ def test_match_agrees_with_a_full_scan(seed):
                 g, triples = h, triples | {t}
         for pattern in product((None, t.s), (None, t.p), (None, t.o)):
             assert g.match(*pattern) == _scan(triples, *pattern), pattern
+        for s in NODES:                   # the edge view agrees with objects()
+            view = g.edges(s)
+            assert set(view) == {t.p for t in triples if t.s == s}
+            for p in PREDICATES:
+                assert view.get(p, []) == g.objects(s, p)
 
 
 @pytest.mark.parametrize("pattern, hits", [
@@ -114,6 +119,20 @@ def test_match_sorts_any_number_of_hits_as_a_full_scan(pattern, hits):
     found = Graph(triples).match(*pattern)
     assert len(found) == hits
     assert found == _scan(triples, *pattern)
+
+
+def test_match_renders_no_bound_object(monkeypatch):
+    # the sort keys cover the unbound positions only
+    from wbforge import rdf
+    rendered = []
+    monkeypatch.setattr(rdf, "render_term", lambda t: rendered.append(t) or "")
+    g = Graph([Triple(n, P, O) for n in NODES] + [Triple(S, p, O) for p in PREDICATES])
+    assert g.subjects(P, O) == NODES
+    assert [t.p for t in g.match(S, None, O)] == PREDICATES
+    assert len(g.match(None, None, O)) == len(NODES) + len(PREDICATES)
+    assert rendered == []
+    g.match(S)
+    assert len(rendered) == len(PREDICATES)
 
 
 def test_serialize_sorted_and_newline_terminated():
@@ -188,12 +207,24 @@ _IRI_POSITIONS = {
 
 
 @pytest.mark.parametrize("position", _IRI_POSITIONS)
-@pytest.mark.parametrize("iriref, text", [("<>", ""), ("<http://a\\u003Eb>", "http://a>b")])
+@pytest.mark.parametrize("iriref, text", [
+    ("<>", ""), ("<http://a\\u003Eb>", "http://a>b"),
+    ("<x>", "x"), ("<1a:b>", "1a:b"), ("<http://a\\u007Cb>", "http://a|b"),
+])
 def test_an_invalid_iri_is_a_syntax_error_on_its_line(position, iriref, text):
     with pytest.raises(NtSyntaxError) as info:
         parse_ntriples(_LINE_1 + _IRI_POSITIONS[position].format(iriref))
     assert info.value.line == 2
     assert str(info.value) == f"line 2: not an absolute IRI: {text!r}"
+
+
+@pytest.mark.parametrize("position", _IRI_POSITIONS)
+@pytest.mark.parametrize("char", "{}|^`")
+def test_a_raw_character_outside_iriref_is_a_syntax_error_on_its_line(position, char):
+    line = _IRI_POSITIONS[position].format(f"<http://a{char}b>")
+    with pytest.raises(NtSyntaxError) as info:
+        parse_ntriples(_LINE_1 + line)
+    assert str(info.value) == f"line 2: cannot parse triple: {line.strip()!r}"
 
 
 _BACKSLASH_MESSAGES = {

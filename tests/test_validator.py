@@ -6,9 +6,15 @@ minimal handmade trigger so failures localize.
 """
 
 import random
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import corpus  # noqa: E402
 from generators import random_instances, random_schema
 from wbforge.dsl import parse_instances, parse_schema
 from wbforge.errors import UnknownCodeError
@@ -28,7 +34,7 @@ from wbforge.validator import (
 from wbforge.fixtures import load_bundle
 from wbforge.model import DecimalValue
 from wbforge.namespaces import DEFAULT_ROOT, Iri, rdf_type, wikibase, xsd
-from wbforge.rdf import Literal, Triple
+from wbforge.rdf import Graph, Literal, Triple
 
 SCHEMA = parse_schema("""
 prefix ex: <http://example.org/>
@@ -349,3 +355,30 @@ def test_unknown_property_rule_goes_by_name(local, report):
     g = b.graph.copy()
     g.add(Triple(_fixture_snode(b), b.table.term("psv", local), Iri(b.table.base("v") + "x")))
     assert render_report(validate(b.schema, g)) == report
+
+
+# one more declaration whose forty qualifier names no record statement carries
+_FORTY_QUALIFIERS = ("statement bench:ledger {\n  subject bench:Person\n  object string\n"
+                     + "".join(f"  qualifier bench:q{i} : string\n" for i in range(40)) + "}\n")
+
+
+@pytest.mark.parametrize("persons", [4, 24])
+@pytest.mark.parametrize("extra", ["", _FORTY_QUALIFIERS], ids=["record", "forty-qualifiers"])
+def test_validate_looks_at_each_statement_node_a_bounded_number_of_times(
+        persons, extra, monkeypatch):
+    # graph reads (Graph.match and Graph.edges calls) per statement node: about 5;
+    # one match per predicate would make about 21, or 61 with the extra names
+    schema = parse_schema(corpus.RECORD_SCHEMA)
+    instances = parse_instances(corpus.record_instances(random.Random(7), persons).text)
+    g = export(schema, instances)
+    nodes = len(g.subjects(RDF_TYPE, Iri(corpus.WIKIBASE + "Statement")))
+    reads: Counter[str] = Counter()
+    for name in ("match", "edges"):
+        def counted(self, *args, _name=name, _read=getattr(Graph, name)):
+            reads[_name] += 1
+            return _read(self, *args)
+        monkeypatch.setattr(Graph, name, counted)
+    report = validate(parse_schema(corpus.RECORD_SCHEMA + extra), g)
+    assert report.findings == ()
+    assert reads["edges"] > 0
+    assert reads["match"] + reads["edges"] <= 7 * nodes
