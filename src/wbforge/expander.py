@@ -3,8 +3,10 @@
 One declared statement property fans out into its namespace family
 (wdt:, p:, ps:, and psv: when the object is a date or quantity), every
 qualifier into pq: (and pqv: for dates and quantities), every reference
-into pr:. Value-node classes and their metadata properties appear only
-when some declaration needs them.
+into pr:. `expand` builds only these families, which every layer reads.
+`expansion_report` derives the class, provenance and value-field rows
+itself; value-node classes and fields appear only when some declaration
+needs them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ class ExpandedStatement:
     statement_properties: dict[str, Iri]            # wdt/p/ps and psv if valued
     qualifier_properties: dict[str, dict[str, Iri]]  # name -> {pq[, pqv]}
     reference_properties: dict[str, Iri]            # name -> pr
-    fixed_properties: tuple[tuple[str, Iri], ...]   # (role label, iri)
 
     def family_properties(self) -> list[Iri]:
         """All minted family IRIs; the count is 3 + psv + per-qualifier + refs."""
@@ -35,15 +36,11 @@ class ExpandedStatement:
         out.extend(self.reference_properties.values())
         return out
 
-    def property_set(self) -> set[Iri]:
-        return set(self.family_properties()) | {iri for _, iri in self.fixed_properties}
-
 
 @dataclass(frozen=True)
 class ExpandedSchema:
     source: SchemaDocument
-    classes: tuple[Iri, ...]
-    statements: tuple[ExpandedStatement, ...] = field(default=())
+    statements: tuple[ExpandedStatement, ...]
     _by_name: dict[str, ExpandedStatement] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -70,24 +67,12 @@ def expand_statement(decl: StatementDecl, table: NamespaceTable) -> ExpandedStat
         qual_props[q.name] = fam
 
     ref_props = {r.name: table.term("pr", r.name) for r in decl.references}
-
-    fixed: list[tuple[str, Iri]] = []
-    if decl.references:
-        fixed.append(("provenance edge", prov_was_derived_from(table)))
-    for kind in needed_value_kinds((decl,)):
-        fixed.extend(("value field", wikibase(table, f)) for f, _, _ in kind.fields)
-
-    return ExpandedStatement(decl, stmt_props, qual_props, ref_props, tuple(fixed))
+    return ExpandedStatement(decl, stmt_props, qual_props, ref_props)
 
 
 def expand(doc: SchemaDocument) -> ExpandedSchema:
-    table = doc.namespaces
-    classes = [wikibase(table, "Item"), wikibase(table, "Statement"),
-               wikibase(table, "Reference")]
-    classes.extend(wikibase(table, kind.node_class)
-                   for kind in needed_value_kinds(doc.statements))
-    expanded = tuple(expand_statement(d, table) for d in doc.statements)
-    return ExpandedSchema(doc, tuple(classes), expanded)
+    return ExpandedSchema(doc, tuple(expand_statement(d, doc.namespaces)
+                                     for d in doc.statements))
 
 
 _ROLE_LABELS = {
@@ -103,9 +88,10 @@ _ROLE_LABELS = {
 
 def expansion_report(expanded: ExpandedSchema) -> str:
     """Fixed-width `IRI | ROLE | ORIGIN` table, sorted by origin then role."""
-    rows: list[tuple[str, str, str]] = []
-    for cls in expanded.classes:
-        rows.append((cls.value, "class", "schema"))
+    table = expanded.source.namespaces
+    classes = ["Item", "Statement", "Reference"]
+    classes.extend(kind.node_class for kind in needed_value_kinds(expanded.source.statements))
+    rows = [(wikibase(table, cls).value, "class", "schema") for cls in classes]
     for st in expanded.statements:
         origin = st.source.property_name
         for ns, iri in st.statement_properties.items():
@@ -115,13 +101,15 @@ def expansion_report(expanded: ExpandedSchema) -> str:
                 rows.append((iri.value, _ROLE_LABELS[ns], f"{origin}/{qname}"))
         for rname, iri in st.reference_properties.items():
             rows.append((iri.value, _ROLE_LABELS["pr"], f"{origin}/{rname}"))
-        for role, iri in st.fixed_properties:
-            rows.append((iri.value, role, origin))
+        if st.source.references:
+            rows.append((prov_was_derived_from(table).value, "provenance edge", origin))
+        for kind in needed_value_kinds((st.source,)):
+            rows.extend((wikibase(table, f).value, "value field", origin)
+                        for f, _, _ in kind.fields)
     rows.sort(key=lambda r: (r[2], r[1], r[0]))
 
     header = ("IRI", "ROLE", "ORIGIN")
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-              for i in range(3)]
+    widths = [max(len(r[i]) for r in (header, *rows)) for i in range(3)]
     lines = [" | ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
     for r in rows:
         lines.append(" | ".join(r[i].ljust(widths[i]) for i in range(3)).rstrip())

@@ -342,7 +342,7 @@ def read_statement(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceT
     refs: list[RefData] = []
     ref_class = wikibase(table, "Reference")
     for rnode in view.get(prov_was_derived_from(table), ()):
-        if not isinstance(rnode, Iri) or Triple(rnode, rdf_type(table), ref_class) not in g:
+        if not isinstance(rnode, Iri) or (rnode, rdf_type(table), ref_class) not in g:
             return None
         rview = edges(rnode)
         snaks: list[SnakData] = []

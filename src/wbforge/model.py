@@ -110,19 +110,17 @@ class SchemaDocument:
     classes: tuple[ClassDecl, ...] = ()
     statements: tuple[StatementDecl, ...] = ()
     _class_by_iri: dict[Iri, ClassDecl] = field(init=False, repr=False, compare=False)
-    _statement_by_name: dict[str, StatementDecl] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # reversed, so the first declaration of a name wins
+        # reversed, so the first declaration of an IRI wins
         object.__setattr__(self, "_class_by_iri", {c.iri: c for c in reversed(self.classes)})
-        object.__setattr__(self, "_statement_by_name",
-                           {s.property_name: s for s in reversed(self.statements)})
 
     def class_decl(self, iri: Iri) -> ClassDecl | None:
         return self._class_by_iri.get(iri)
 
     def statement_decl(self, property_name: str) -> StatementDecl | None:
-        return self._statement_by_name.get(property_name)
+        """The first declaration of `property_name`, or None."""
+        return next((s for s in self.statements if s.property_name == property_name), None)
 
 
 # instance values --------------------------------------------------------

@@ -82,17 +82,13 @@ def render_triple(t: Triple) -> str:
     return f"<{t.s.value}> <{t.p.value}> {render_term(t.o)} ."
 
 
-# `match` sort keys by which of (s, p, o) are unbound. An Iri is the
+# `match` sort keys for a wildcard and for a bound object. An Iri is the
 # 1-tuple of its text, so it sorts as its `.value` does.
-_SORT_KEYS = {
-    (True, True, True): lambda t: (t.s, t.p, render_term(t.o)),
-    (True, True, False): itemgetter(0, 1),
-    (True, False, True): lambda t: (t.s, render_term(t.o)),
-    (True, False, False): itemgetter(0),
-    (False, True, True): lambda t: (t.p, render_term(t.o)),
-    (False, True, False): itemgetter(1),
-    (False, False, True): lambda t: render_term(t.o),
-}
+def _render_key(t: Triple) -> tuple[Iri, Iri, str]:
+    return t.s, t.p, render_term(t.o)
+
+
+_BOUND_O_KEY = itemgetter(0, 1)
 
 
 class Graph:
@@ -110,7 +106,7 @@ class Graph:
         self._triples.discard(t)
         self._index = None
 
-    def __contains__(self, t: Triple) -> bool:
+    def __contains__(self, t: tuple[Iri, Iri, Term]) -> bool:
         return t in self._triples
 
     def __len__(self) -> int:
@@ -142,10 +138,10 @@ class Graph:
         """Triples matching the pattern; None is a wildcard. Sorted output.
 
         Candidates come from the index of the first bound term in the order
-        s, o, p. Only two or more hits are sorted, and only on the unbound
-        positions, which orders them as a full scan sorted on
-        `(s, p, render_term(o))` would: the bound positions are equal in
-        every hit, and a bound object is never rendered.
+        s, o, p. Two or more hits are sorted on `(s, p, render_term(o))`,
+        or on `(s, p)` when `o` is bound: the bound positions are equal in
+        every hit, so the order is the same, and a bound object is never
+        rendered.
         """
         by_s, by_p, by_o = self._indexes()
         pool = (by_s.get(s, ()) if s is not None else by_o.get(o, ()) if o is not None
@@ -155,7 +151,7 @@ class Graph:
                  and (p is None or t.p == p)
                  and (o is None or t.o == o)]
         if len(found) > 1:
-            found.sort(key=_SORT_KEYS[s is None, p is None, o is None])
+            found.sort(key=_render_key if o is None else _BOUND_O_KEY)
         return found
 
     def edges(self, s: Iri) -> dict[Iri, list[Term]]:

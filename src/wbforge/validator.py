@@ -157,7 +157,8 @@ class _Checker:
         self.findings.add(Finding(code, f, detail, CODES[code]))
 
     def has_type(self, node: Term, cls: Iri) -> bool:
-        return isinstance(node, Iri) and Triple(node, self.a, cls) in self.g
+        # a plain tuple equals and hashes as its Triple, without Triple.__new__
+        return isinstance(node, Iri) and (node, self.a, cls) in self.g
 
     def edges(self, node: Iri) -> EdgeView:
         """`node`'s edge view, fetched once per statement node being checked."""

@@ -9,11 +9,12 @@ from generators import random_instances, random_schema
 from wbforge.axioms import schema_axioms
 from wbforge.dl import Role
 from wbforge.dsl import parse_schema
-from wbforge.expander import expand, expand_statement, expansion_report, object_datatype
+from wbforge.expander import (ExpandedSchema, ExpandedStatement, expand, expand_statement,
+                              expansion_report, object_datatype)
 from wbforge.exporter import export
 from wbforge.fixtures import FIXTURE_NAMES, load_fixture
 from wbforge.model import Datatype
-from wbforge.namespaces import DEFAULT_ROOT, Iri, NamespaceTable, rdf_type
+from wbforge.namespaces import DEFAULT_ROOT, Iri, NamespaceTable, prov_was_derived_from, rdf_type
 from wbforge.shapes import schema_shapes
 
 TABLE = NamespaceTable()
@@ -41,6 +42,12 @@ statement ex:heightCm {
 """)
 
 
+def _report_rows(expanded):
+    """The report's `(IRI, ROLE, ORIGIN)` rows, header dropped."""
+    return [tuple(cell.strip() for cell in line.split(" | "))
+            for line in expansion_report(expanded).splitlines()[1:]]
+
+
 def test_item_object_family():
     st = expand_statement(ITEM_OBJECT.statements[0], TABLE)
     assert set(st.statement_properties) == {"wdt", "p", "ps"}
@@ -52,15 +59,24 @@ def test_item_object_family():
     assert st.reference_properties["statedIn"] == Iri(DEFAULT_ROOT + "prop/reference/statedIn")
     # 3 statement + 2 + 1 qualifier + 1 reference = 7 family properties
     assert len(st.family_properties()) == 7
-    roles = {role for role, _ in st.fixed_properties}
-    assert roles == {"provenance edge", "value field"}
+    # the report adds the declaration's fixed rows: its provenance edge, and
+    # the value fields of the time node its datetime qualifier carries
+    fixed = {(iri, role) for iri, role, origin in _report_rows(expand(ITEM_OBJECT))
+             if origin == "hasJob" and role in ("provenance edge", "value field")}
+    assert {role for _, role in fixed} == {"provenance edge", "value field"}
+    assert (prov_was_derived_from(TABLE).value, "provenance edge") in fixed
+    assert {Iri(iri).local_name for iri, role in fixed if role == "value field"} == {
+        "timeValue", "timePrecision", "timeTimezone", "timeCalendarModel"}
 
 
 def test_data_object_mints_psv():
     st = expand_statement(DATA_OBJECT.statements[0], TABLE)
     assert set(st.statement_properties) == {"wdt", "p", "ps", "psv"}
-    fields = {iri.local_name for role, iri in st.fixed_properties if role == "value field"}
+    rows = _report_rows(expand(DATA_OBJECT))
+    fields = {Iri(iri).local_name for iri, role, _ in rows if role == "value field"}
     assert fields == {"quantityValue", "quantityUnit"}
+    # no references, so no provenance edge
+    assert not any(role == "provenance edge" for _, role, _ in rows)
 
 
 def test_object_datatype():
@@ -69,10 +85,18 @@ def test_object_datatype():
 
 
 def test_expand_collects_value_classes():
-    classes = {c.local_name for c in expand(ITEM_OBJECT).classes}
-    assert classes == {"Item", "Statement", "Reference", "TimeValue"}
-    classes = {c.local_name for c in expand(DATA_OBJECT).classes}
-    assert classes == {"Item", "Statement", "Reference", "QuantityValue"}
+    def classes(doc):
+        return {Iri(iri).local_name for iri, role, origin in _report_rows(expand(doc))
+                if role == "class" and origin == "schema"}
+    assert classes(ITEM_OBJECT) == {"Item", "Statement", "Reference", "TimeValue"}
+    assert classes(DATA_OBJECT) == {"Item", "Statement", "Reference", "QuantityValue"}
+
+
+def test_expand_builds_only_the_families():
+    assert [f.name for f in dataclasses.fields(ExpandedSchema) if f.init] == [
+        "source", "statements"]
+    assert [f.name for f in dataclasses.fields(ExpandedStatement)] == [
+        "source", "statement_properties", "qualifier_properties", "reference_properties"]
 
 
 def test_family_count_arithmetic():
@@ -98,11 +122,18 @@ def test_report_layout():
     report = expansion_report(expand(ITEM_OBJECT))
     lines = report.splitlines()
     assert lines[0].startswith("IRI") and "| ROLE" in lines[0] and "ORIGIN" in lines[0]
-    # every minted property appears exactly once
+    # every minted property appears exactly once: the family, the
+    # provenance edge and the time node's value fields
     st = expand_statement(ITEM_OBJECT.statements[0], TABLE)
+    minted = {iri.value for iri in st.family_properties()}
+    minted.add(prov_was_derived_from(TABLE).value)
+    minted.update("http://wikiba.se/ontology#" + f
+                  for f in ("timeValue", "timePrecision", "timeTimezone", "timeCalendarModel"))
+    assert {iri for iri, role, _ in _report_rows(expand(ITEM_OBJECT))
+            if role != "class"} == minted
     body = "\n".join(lines[1:])
-    for iri in st.property_set():
-        assert body.count(iri.value) == 1
+    for iri in minted:
+        assert body.count(iri) == 1
     assert "hasJob/since" in body and "provenance edge" in body
     # deterministic
     assert expansion_report(expand(ITEM_OBJECT)) == report
@@ -131,7 +162,7 @@ def _case(case):
 @pytest.mark.parametrize("case", [*FIXTURE_NAMES, *range(60)])
 def test_every_layer_uses_only_the_expanded_family(case):
     schema, instances = _case(case)
-    family = set().union(*(st.property_set() for st in expand(schema).statements))
+    family = {Iri(iri) for iri, role, _ in _report_rows(expand(schema)) if role != "class"}
     a = rdf_type(schema.namespaces)
     exported = {t.p for t in export(schema, instances)} - {a}
     shaped = {tc.predicate for sh in schema_shapes(schema).shapes for tc in sh.constraints}
