@@ -62,11 +62,13 @@ class Token(NamedTuple):
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_-]*"
 # (group, pattern) in priority order: the first alternative that matches wins.
-# Newlines, spaces and comments make no token. ERROR takes any other
-# character, so the matches tile the whole text.
+# Each match takes the run of spaces in front of it, so there is one match
+# per token, newline or comment. No alternative starts on a space, so the
+# run is never handed back to start a token. Newlines and comments make no
+# token. ERROR takes any other character but a space, so the matches tile
+# the text up to its trailing spaces.
 _TOKEN_PATTERNS = (
     ("NEWLINE", r"\n"),
-    ("SPACE", r"[ \t\r]+"),
     ("COMMENT", r"#[^\n]*"),
     ("IRIREF", r"<[^<>\s]*>"),
     ("DATETIME", r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z"),
@@ -76,30 +78,41 @@ _TOKEN_PATTERNS = (
     ("CURIE", rf"{_NAME}:{_NAME}"),
     ("IDENT", _NAME),
     ("PUNCT", r"->|[{}:=,]"),
-    ("ERROR", r"."),
+    ("ERROR", r"[^ \t\r\n]"),
 )
-_TOKEN_RE = re.compile("|".join(f"(?P<{group}>{rx})" for group, rx in _TOKEN_PATTERNS))
+_SPACES = " \t\r"
+_TOKEN_RE = re.compile(
+    f"[{_SPACES}]*(?:" + "|".join(f"(?P<{group}>{rx})" for group, rx in _TOKEN_PATTERNS) + ")")
 
 _STRING_UNESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 _STRING_ESCAPE = re.compile(r"\\(.)")
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, ending in EOF; columns count from 1.
+
+    EOF's column counts trailing spaces, but a final comment leaves it at
+    the comment's start. The scan stops before the trailing spaces: no
+    match can start there, and trying each start would take time
+    quadratic in their number.
+    """
     tokens: list[Token] = []
-    line, col = 1, 1
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastgroup
-        if group == "NEWLINE":
+    new = tuple.__new__
+    line, line_start = 1, 0
+    m = None
+    for m in _TOKEN_RE.finditer(text, 0, len(text.rstrip(_SPACES))):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
             line += 1
-            col = 1
-        elif group != "COMMENT":  # col stays: a newline follows, or EOF keeps its column
-            lexeme = m.group()
-            if group == "ERROR":
-                raise DslSyntaxError(line, col, f"a token (found {lexeme!r})")
-            if group != "SPACE":
-                tokens.append(Token(group, lexeme, line, col))
-            col += len(lexeme)
-    tokens.append(Token("EOF", "", line, col))
+            line_start = m.end()
+        elif kind != "COMMENT":
+            if kind == "ERROR":
+                raise DslSyntaxError(line, m.start(kind) - line_start + 1,
+                                     f"a token (found {m.group(kind)!r})")
+            tokens.append(new(Token, (kind, m.group(kind), line, m.start(kind) - line_start + 1)))
+    # `m` is the last match: after a comment only trailing spaces can follow
+    end = m.start("COMMENT") if m is not None and m.lastgroup == "COMMENT" else len(text)
+    tokens.append(new(Token, ("EOF", "", line, end - line_start + 1)))
     return tokens
 
 

@@ -182,8 +182,9 @@ def serialize_canonical(g: Graph) -> str:
     Plain strings stay bare (xsd:string is the implied datatype), so a
     parse/serialize round trip is byte-stable.
     """
-    lines = sorted(render_triple(t) for t in g)
-    return "".join(line + "\n" for line in lines)
+    lines = sorted(map(render_triple, g))
+    lines.append("")          # the final newline; an empty graph gives ""
+    return "\n".join(lines)
 
 
 _IRIREF = rf"<([^{IRI_EXCLUDED}]*)>"    # a backslash starts a UCHAR

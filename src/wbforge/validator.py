@@ -417,7 +417,7 @@ def implied_truthy(expanded: ExpandedSchema, graph: Graph) -> Iterator[tuple[Iri
         ps, wdt = props["ps"], props["wdt"]
         for t in graph.match(None, props["p"], None):
             if isinstance(t.o, Iri):
-                for y in graph.edges(t.o).get(ps, ()):
+                for y in graph.objects(t.o, ps):
                     yield t.o, Triple(t.s, wdt, y)
 
 

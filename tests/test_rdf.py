@@ -1,11 +1,19 @@
 """Graph model and canonical N-Triples round trips."""
 
 import random
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import corpus  # noqa: E402
+from wbforge.dsl import parse_instances, parse_schema
 from wbforge.errors import BlankNodeUnsupportedError, NtSyntaxError, WbforgeError
+from wbforge.exporter import export
+from wbforge.fixtures import FIXTURE_NAMES, load_fixture
 from wbforge.namespaces import Iri
 from wbforge.rdf import (
     XSD_STRING,
@@ -142,6 +150,28 @@ def test_serialize_sorted_and_newline_terminated():
     assert text.endswith("\n")
     assert lines == sorted(lines)
     assert len(lines) == 2
+
+
+def test_serialize_an_empty_graph_is_empty():
+    assert serialize_canonical(Graph()) == ""
+
+
+def test_serialize_one_triple_ends_in_one_newline():
+    text = serialize_canonical(Graph([Triple(S, P, O)]))
+    assert text == render_triple(Triple(S, P, O)) + "\n"
+
+
+def _export(name: str) -> Graph:
+    if name == "record":
+        schema = parse_schema(corpus.RECORD_SCHEMA)
+        return export(schema, parse_instances(corpus.record_instances(random.Random(3), 40).text))
+    return export(*load_fixture(name))
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "record"])
+def test_serialize_matches_one_line_per_sorted_triple(name):
+    g = _export(name)
+    assert serialize_canonical(g) == "".join(l + "\n" for l in sorted(map(render_triple, g)))
 
 
 def test_parse_serialize_round_trip():

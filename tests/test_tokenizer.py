@@ -8,6 +8,7 @@ column and message where the input has no valid token.
 
 import random
 import re
+import time
 
 import pytest
 
@@ -115,6 +116,17 @@ EDGE_CASES = [
     "\r\n\t",
     "{ } : = , ->",
     "item wd:a : ex:P { ex:v -> decimal 1e3 }",
+    # each match takes the spaces in front of it: trailing spaces, a final
+    # comment, an error after spaces and a CRLF line end
+    "x   ",
+    "   ",
+    "x \t\r",
+    "x  # c",
+    "x #",
+    "x \t # c\n  y  ",
+    "  @",
+    "x\n \t~",
+    "a\r\n  b",
 ]
 
 
@@ -131,6 +143,14 @@ def test_bad_input_raises_at_the_same_position(text):
         reference_tokenize(text)
     assert (ours.value.line, ours.value.col) == (ref.value.line, ref.value.col)
     assert ours.value.expected == ref.value.expected
+
+
+def test_trailing_spaces_take_linear_time():
+    # a scan that tried a match at each trailing space would take seconds here
+    text = "x" + " \t" * 10_000
+    started = time.perf_counter()
+    assert_same(text)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_mutated_fixtures_match():

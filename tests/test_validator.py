@@ -18,6 +18,7 @@ import corpus  # noqa: E402
 from generators import random_instances, random_schema
 from wbforge.dsl import parse_instances, parse_schema
 from wbforge.errors import UnknownCodeError
+from wbforge.expander import expand
 from wbforge.exporter import export, statement_node, value_node
 from wbforge.validator import (
     CODES,
@@ -26,6 +27,7 @@ from wbforge.validator import (
     Finding,
     ValidationReport,
     explain,
+    implied_truthy,
     infer_truthy,
     render_report,
     render_report_tsv,
@@ -34,7 +36,7 @@ from wbforge.validator import (
 from wbforge.fixtures import load_bundle
 from wbforge.model import DecimalValue
 from wbforge.namespaces import DEFAULT_ROOT, Iri, rdf_type, wikibase, xsd
-from wbforge.rdf import Graph, Literal, Triple
+from wbforge.rdf import Graph, Literal, Triple, render_term
 
 SCHEMA = parse_schema("""
 prefix ex: <http://example.org/>
@@ -294,6 +296,21 @@ def test_infer_truthy_restores_chain():
     assert infer_truthy(SCHEMA, fixed) == fixed
     # input graph untouched
     assert t not in g
+
+
+def test_implied_truthy_yields_each_ps_value_in_rendered_order():
+    g = _graph()
+    node = _snode(g)
+    ps = Iri(DEFAULT_ROOT + "prop/statement/hasJob")
+    wdt = Iri(DEFAULT_ROOT + "prop/direct/hasJob")
+    (job,) = g.objects(node, ps)
+    employee = Iri(DEFAULT_ROOT + "entity/employee0")
+    extra = [Iri(DEFAULT_ROOT + f"entity/{name}") for name in "job9 a z job00 b y c x".split()]
+    for o in extra:
+        g.add(Triple(node, ps, o))
+    ordered = sorted([job, *extra], key=render_term)  # job00 before job0
+    assert list(implied_truthy(expand(SCHEMA), g)) == [
+        (node, Triple(employee, wdt, o)) for o in ordered]
 
 
 def test_infer_truthy_random_graphs():
