@@ -81,11 +81,12 @@ class Iri(_IriFields):
     @property
     def local_name(self) -> str:
         v = self.value
-        for sep in ("#", "/", ":"):
-            i = v.rfind(sep)
-            if i >= 0:
-                return v[i + 1:]
-        return v
+        i = v.rfind("#")
+        if i < 0:
+            i = v.rfind("/")
+        if i < 0:
+            i = v.rfind(":")      # every Iri has a scheme, so this one is found
+        return v[i + 1:]
 
     def __str__(self) -> str:
         return self.value

@@ -127,11 +127,32 @@ class Graph:
         A graph that is only written never builds them.
         """
         if self._index is None:
-            self._index = ({}, {}, {})
+            by_s: dict[Term, list[Triple]] = {}
+            by_p: dict[Term, list[Triple]] = {}
+            by_o: dict[Term, list[Triple]] = {}
             for t in self._triples:
-                for index, term in zip(self._index, (t.s, t.p, t.o)):
-                    index.setdefault(term, []).append(t)
+                s, p, o = t
+                hits = by_s.get(s)
+                if hits is None:
+                    by_s[s] = [t]
+                else:
+                    hits.append(t)
+                hits = by_p.get(p)
+                if hits is None:
+                    by_p[p] = [t]
+                else:
+                    hits.append(t)
+                hits = by_o.get(o)
+                if hits is None:
+                    by_o[o] = [t]
+                else:
+                    hits.append(t)
+            self._index = (by_s, by_p, by_o)
         return self._index
+
+    def predicates(self) -> set[Iri]:
+        """Every predicate the graph uses, read from the by-p index."""
+        return set(self._indexes()[1])
 
     def match(self, s: Iri | None = None, p: Iri | None = None,
               o: Term | None = None) -> list[Triple]:
@@ -187,8 +208,14 @@ def serialize_canonical(g: Graph) -> str:
     return "\n".join(lines)
 
 
-_IRIREF = rf"<([^{IRI_EXCLUDED}]*)>"    # a backslash starts a UCHAR
-_LITERAL = r'"((?:[^"\\]|\\.)*)"'
+# An IRIREF is any character outside IRI_EXCLUDED (a backslash starts a
+# UCHAR), spelled as a positive class as namespaces._is_iri is, and a
+# literal body is unrolled to runs between escapes: the engine takes a run
+# of plain characters in one loop where an alternation branches per character.
+_IRIREF_ASCII = "".join(re.escape(c) for c in map(chr, range(0x80))
+                        if not re.match(rf"[{IRI_EXCLUDED}]", c))
+_IRIREF = rf"<([{_IRIREF_ASCII}\x80-\U0010ffff]*)>"
+_LITERAL = r'"([^"\\]*(?:\\.[^"\\]*)*)"'
 _TRIPLE_RE = re.compile(
     rf"^{_IRIREF}\s+{_IRIREF}\s+"
     rf"(?:{_IRIREF}|{_LITERAL}(?:\^\^{_IRIREF}|@([A-Za-z0-9-]+))?)"
@@ -203,14 +230,30 @@ def _new_iri(raw: str, line_no: int, iris: dict[str, Iri]) -> Iri:
     return iri
 
 
+def _new_literal(lexical: str, datatype: str | None, line_no: int, iris: dict[str, Iri],
+                 literals: dict[tuple[str, str | None], Literal]) -> Literal:
+    """The checked Literal a literal's raw text spells, remembered in `literals`."""
+    if LONE_SURROGATE.search(lexical):
+        raise NtSyntaxError(line_no, "literal holds a lone surrogate")
+    dt = (XSD_STRING if datatype is None
+          else iris.get(datatype) or _new_iri(datatype, line_no, iris))
+    lit = literals[lexical, datatype] = tuple.__new__(
+        Literal, (_unescape(lexical, line_no), dt))
+    return lit
+
+
 def parse_ntriples(text: str) -> Graph:
     """Parse N-Triples; blank lines and full-line comments are allowed.
 
-    Each distinct IRIREF text is unescaped and checked once per call and
-    then read from a memo, so repeats share one Iri.
+    Each distinct IRIREF text, and each distinct literal text with its
+    datatype text, is unescaped and checked once per call and then read
+    from a memo, so repeats share one term. The graph is built once, from
+    every triple read.
     """
-    g = Graph()
+    triples: list[Triple] = []
     iris: dict[str, Iri] = {}     # raw IRIREF text -> Iri, for this call only
+    literals: dict[tuple[str, str | None], Literal] = {}   # raw (lexical, datatype)
+    new = tuple.__new__
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -230,14 +273,11 @@ def parse_ntriples(text: str) -> Graph:
             if o_iri is not None:
                 o = iris.get(o_iri) or _new_iri(o_iri, line_no, iris)
             else:
-                if LONE_SURROGATE.search(o_lex):
-                    raise NtSyntaxError(line_no, "literal holds a lone surrogate")
-                dt = (XSD_STRING if o_dt is None
-                      else iris.get(o_dt) or _new_iri(o_dt, line_no, iris))
-                o = Literal(_unescape(o_lex, line_no), dt)
+                o = literals.get((o_lex, o_dt)) or _new_literal(o_lex, o_dt, line_no,
+                                                                 iris, literals)
         except NtSyntaxError:
             raise
         except WbforgeError as exc:   # an IRI rule: empty, or a forbidden character
             raise NtSyntaxError(line_no, str(exc)) from None
-        g.add(Triple(s, p, o))
-    return g
+        triples.append(new(Triple, (s, p, o)))
+    return Graph(triples)

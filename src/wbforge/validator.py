@@ -10,6 +10,7 @@ declaration covers). Validation never mutates the graph.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ from .axioms import CATALOG
 from .errors import UnknownCodeError
 from .expander import ExpandedSchema, ExpandedStatement, expand
 from .exporter import (
+    HASH_LENGTH,
     EdgeView,
     NodeValue,
     literal_problem,
@@ -66,6 +68,11 @@ _CODE_TABLE: dict[str, tuple[str, str, tuple[str, ...]]] = {
                            tuple(key for kind in VALUE_KINDS.values() for key in kind.origins)),
 }
 CODES: dict[str, str] = {code: row[0] for code, row in _CODE_TABLE.items()}
+
+# the local part of a content-addressed node name under its base: a statement
+# node's ends in `-` and its hash, a value node's is the hash alone
+_STATEMENT_NAME = re.compile(rf".*-([0-9a-f]{{{HASH_LENGTH}}})", re.DOTALL)
+_VALUE_NAME = re.compile(rf"([0-9a-f]{{{HASH_LENGTH}}})")
 
 
 @dataclass(frozen=True, order=True)
@@ -179,7 +186,7 @@ class _Checker:
 
     def check_unknown_properties(self) -> None:
         # by name: the psv:/pqv: edge of a declared name is known, minted or not
-        family = {(p, *spl) for p in {t.p for t in self.g}
+        family = {(p, *spl) for p in self.g.predicates()
                   if (spl := self.table.split(p)) is not None
                   and spl[0] in PROPERTY_NAMESPACES}
         for p, prefix, local in family:
@@ -370,31 +377,42 @@ class _Checker:
                     self.check_value_node_hash(node, value)
 
     def check_value_node_hash(self, node: Iri, value: DateTimeValue | DecimalValue) -> None:
-        base = self.table.base("v")
-        if not node.value.startswith(base):
+        got = self.name_hash(node, "v", _VALUE_NAME)
+        if got is None:
             return
         want = value_hash(value)
-        got = node.value[len(base):]
         if got != want:
             self.add("HashMismatch", node,
                      f"node hash {got} does not match content hash {want}")
 
     # -- content-hash recomputation ---------------------------------------------
 
+    def name_hash(self, node: Iri, prefix: str, local: re.Pattern[str]) -> str | None:
+        """The hash `node`'s name carries under `prefix`'s base.
+
+        A name outside the base, or whose local part `local` does not
+        match, is not content-addressed: that is a finding, and None.
+        """
+        base = self.table.base(prefix)
+        m = local.fullmatch(node.value, len(base)) if node.value.startswith(base) else None
+        if m is None:
+            self.add("HashMismatch", node, "node name is not content-addressed")
+            return None
+        return m.group(1)
+
     def check_hash(self, node: Iri, st: ExpandedStatement, subject: Iri | None) -> None:
-        base = self.table.base("s")
-        if subject is None or not node.value.startswith(base):
+        if subject is None:
             return
-        tail = node.value.rsplit("-", 1)
-        if len(tail) != 2 or len(tail[1]) != 40:
+        got = self.name_hash(node, "s", _STATEMENT_NAME)
+        if got is None:
             return
         stmt = read_statement(self.g, node, st, self.table, self.edges, self.value_node)
         if stmt is None:
             return
         want = statement_hash(subject, stmt, self.table)
-        if tail[1] != want:
+        if got != want:
             self.add("HashMismatch", node,
-                     f"node hash {tail[1]} does not match content hash {want}")
+                     f"node hash {got} does not match content hash {want}")
 
     def run(self) -> ValidationReport:
         self.check_unknown_properties()

@@ -325,3 +325,19 @@ def test_a_call_after_a_usage_exit_gives_the_same_bytes(argv, status, capsys):
     assert exc.value.code == status
     capsys.readouterr()
     assert _run(["axioms", str(SCHEMA), "--no-exact-card"], capsys) == (0, before)
+
+
+def test_an_unknown_string_escape_exits_2(tmp_path, capsys):
+    schema = tmp_path / "escape.wbs"
+    schema.write_text('class wikibase:Item "\\q"\n', encoding="utf-8")
+    assert main(["check", str(schema)]) == 2
+    assert capsys.readouterr().err == (
+        "wbforge: line 1, col 21: expected 'prefix', 'flag', 'class', 'controlled' "
+        "or 'statement'\n")
+    instances = tmp_path / "escape.wbi"
+    instances.write_text('prefix rec: <http://records.example/vocab/>\n'
+                         'item wd:a1 : rec:Agent {\n  rec:hasAgeRecord -> string "\\q"\n}\n',
+                         encoding="utf-8")
+    assert main(["export", str(SCHEMA), str(instances)]) == 2
+    assert capsys.readouterr().err == (
+        "wbforge: line 3, col 30: expected a valid escape (found \\q)\n")

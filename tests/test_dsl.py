@@ -319,3 +319,15 @@ def test_prefix_base_faults_carry_a_position():
                      "prefix wd: <http://y.example/>"):
             with pytest.raises(DuplicateDeclarationError):
                 parse(text)
+
+
+def test_an_unknown_string_escape_is_a_positioned_syntax_error():
+    # a schema holds no string values, so its string token is refused where it stands
+    with pytest.raises(DslSyntaxError) as info:
+        parse_schema('prefix ex: <http://x.example/>\nclass ex:A\n  "a\\q"\n')
+    assert (info.value.line, info.value.col) == (3, 3)
+    # an instance string value is decoded, and the escape names the string's position
+    with pytest.raises(DslSyntaxError) as info:
+        parse_instances('prefix ex: <http://x.example/>\nitem wd:a : ex:A {\n'
+                        '  ex:p -> string "ok \\q"\n}\n')
+    assert str(info.value) == "line 3, col 18: expected a valid escape (found \\q)"

@@ -427,3 +427,18 @@ def test_export_hashes_each_statement_once(name, monkeypatch):
     for item in instances.items:
         for stmt in item.statements:
             assert statement_node(item.iri, stmt, schema.namespaces) in {t.o for t in g}
+
+
+def test_read_back_of_a_literal_reference_target_is_none():
+    schema, instances = load_fixture("age-record")
+    table = schema.namespaces
+    st = expand(schema).statement("hasAgeRecord")
+    (pr,) = st.reference_properties.values()
+    g = export(schema, instances)
+    item = instances.items[0]
+    node = statement_node(item.iri, item.statements[0], table)
+    assert read_statement(g, node, st, table) is not None
+    for t in g.match(None, pr, None):
+        g.discard(t)
+        g.add(Triple(t.s, pr, Literal(t.o.local_name)))
+    assert read_statement(g, node, st, table) is None

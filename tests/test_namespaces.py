@@ -211,3 +211,12 @@ def test_root_must_be_an_iri(root):
     with pytest.raises(WbforgeError, match="namespace root is not an absolute IRI") as info:
         NamespaceTable(root)
     assert repr(root) in str(info.value)
+
+
+def test_local_name_takes_the_text_after_the_first_separator_kind_found():
+    # '#' wins over a later '/', '/' over ':', and a scheme's ':' always exists
+    assert Iri("http://x.example/a#b/c").local_name == "b/c"
+    assert Iri("http://x.example/a:b/c").local_name == "c"
+    assert Iri("urn:isbn:0451450523").local_name == "0451450523"
+    assert Iri("urn:x").local_name == "x"
+    assert Iri("tag:").local_name == ""

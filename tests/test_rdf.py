@@ -1,6 +1,7 @@
 """Graph model and canonical N-Triples round trips."""
 
 import random
+import re
 import sys
 from itertools import product
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import corpus  # noqa: E402
+from wbforge import rdf
 from wbforge.dsl import parse_instances, parse_schema
 from wbforge.errors import BlankNodeUnsupportedError, NtSyntaxError, WbforgeError
 from wbforge.exporter import export
@@ -368,3 +370,98 @@ def test_parse_rejects_language_tags_and_junk():
 def test_render_triple():
     assert render_triple(Triple(S, P, Literal("v"))) == \
         '<http://x.example/s> <http://x.example/p> "v" .'
+
+
+# The line patterns as they stood before the IRIREF class was spelled
+# positively and the literal body unrolled, frozen as the reference the
+# reader's patterns must agree with.
+_REFERENCE_TRIPLE_RE = re.compile(
+    r'^<([^\x00-\x20<>"{}|^`]*)>\s+<([^\x00-\x20<>"{}|^`]*)>\s+'
+    r'(?:<([^\x00-\x20<>"{}|^`]*)>|"((?:[^"\\]|\\.)*)"'
+    r'(?:\^\^<([^\x00-\x20<>"{}|^`]*)>|@([A-Za-z0-9-]+))?)\s*\.\s*$')
+_REFERENCE_BLANK_NODE_RE = re.compile(
+    r'^(?:_:|<([^\x00-\x20<>"{}|^`]*)>\s+<([^\x00-\x20<>"{}|^`]*)>\s+_:)')
+
+# characters the patterns treat specially, plus ordinary ones either side of them
+_FUZZ_ALPHABET = ['<', '>', '"', '\\', '^', '@', '{', '}', '|', ' ', '\t', '\ud800',
+                  'a', 'u', '0', '.', ':', '/', '_', '-', '`', '\x00', '\x0b', '\x7f',
+                  '\x85', '\xa0', '\u00e9', '\u3000', '\U0001f600']
+_FUZZ_IRIS = ['<http://x.example/s>', '<urn:a>', '<>', '<a\\u0041>']
+_FUZZ_TERMS = _FUZZ_IRIS + ['"v"', '""', '"a\\"b"', '"\\\\"', '"x"^^<http://x.example/d>',
+                            '"x"@en', '_:b']
+
+
+def _fuzz_line(rng: random.Random) -> str:
+    """A triple-like line, then a few single-character edits."""
+    terms = ([rng.choice(_FUZZ_IRIS), rng.choice(_FUZZ_IRIS), rng.choice(_FUZZ_TERMS)]
+             if rng.randrange(4) else rng.choices(_FUZZ_TERMS, k=rng.randint(1, 4)))
+    chars = list(rng.choice([" ", "\t", "  "]).join(terms)
+                 + rng.choice([" .", ".", " . ", "", " ;"]))
+    for _ in range(rng.randrange(4)):
+        i = rng.randrange(len(chars) + 1)
+        op = rng.randrange(3)
+        if op == 0 or not chars[i:]:
+            chars.insert(i, rng.choice(_FUZZ_ALPHABET))
+        elif op == 1:
+            chars[i] = rng.choice(_FUZZ_ALPHABET)
+        else:
+            del chars[i]
+    return "".join(chars)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_line_patterns_agree_with_the_frozen_reference(seed):
+    rng = random.Random(seed)
+    matched = 0
+    for _ in range(5000):
+        line = _fuzz_line(rng)
+        want = _REFERENCE_TRIPLE_RE.match(line)
+        got = rdf._TRIPLE_RE.match(line)
+        assert (got and got.groups()) == (want and want.groups()), repr(line)
+        matched += got is not None
+        want = _REFERENCE_BLANK_NODE_RE.match(line)
+        got = rdf._BLANK_NODE_RE.match(line)
+        assert (got and got.groups()) == (want and want.groups()), repr(line)
+    assert 0 < matched < 5000      # the fuzz reaches both outcomes
+
+
+def _brute_indexes(triples):
+    return tuple({term: sorted(t for t in triples if t[i] == term)
+                  for term in {t[i] for t in triples}} for i in range(3))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_indexes_equal_a_brute_force_build(seed):
+    rng = random.Random(seed)
+    g, triples = Graph(), set()
+    for _ in range(60):
+        t = Triple(rng.choice(NODES), rng.choice(PREDICATES), rng.choice(OBJECTS))
+        if rng.randrange(3):
+            g.add(t)
+            triples.add(t)
+        else:
+            g.discard(t)
+            triples.discard(t)
+        built = tuple({term: sorted(hits) for term, hits in index.items()}
+                      for index in g._indexes())
+        assert built == _brute_indexes(triples)
+        assert g.predicates() == {t.p for t in triples}
+
+
+def test_duplicate_lines_parse_to_one_triple():
+    line = '<http://x.example/s> <http://x.example/p> "v"^^<http://x.example/o> .\n'
+    g = parse_ntriples(line + line + "\n" + line)
+    assert list(g) == [Triple(S, P, Literal("v", O))]
+
+
+def test_repeated_literal_text_is_one_object_within_a_parse_only():
+    text = ('<http://x.example/s> <http://x.example/p> "a\\tb" .\n'
+            '<http://x.example/o> <http://x.example/p> "a\\tb" .\n'
+            '<http://x.example/s> <http://x.example/p> "a\\tb"^^<http://x.example/o> .\n')
+    by_s = {}
+    for t in parse_ntriples(text):
+        by_s.setdefault(t.s, []).append(t.o)
+    (plain, typed), (other,) = sorted(by_s[S], key=render_term), by_s[O]
+    assert plain == Literal("a\tb") and typed == Literal("a\tb", O)
+    assert plain is other and type(plain) is Literal
+    assert not any(t.o is plain for t in parse_ntriples(text))

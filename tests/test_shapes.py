@@ -177,3 +177,9 @@ def test_serialization_layout():
     for i, l in enumerate(lines):
         if l.startswith("# origin: ") and "scoped" not in l:
             assert lines[i + 1].startswith("<") or lines[i + 1].startswith("#")
+
+
+def test_a_label_no_shape_has_is_none():
+    doc = schema_shapes(parse_schema(SCHEMA))
+    assert doc.shape("ex_st_statement") is None
+    assert doc.shape(doc.shapes[0].label) is doc.shapes[0]

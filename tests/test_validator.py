@@ -35,7 +35,7 @@ from wbforge.validator import (
 )
 from wbforge.fixtures import load_bundle
 from wbforge.model import DecimalValue
-from wbforge.namespaces import DEFAULT_ROOT, Iri, rdf_type, wikibase, xsd
+from wbforge.namespaces import DEFAULT_ROOT, Iri, prov_was_derived_from, rdf_type, wikibase, xsd
 from wbforge.rdf import Graph, Literal, Triple, render_term
 
 SCHEMA = parse_schema("""
@@ -399,3 +399,67 @@ def test_validate_looks_at_each_statement_node_a_bounded_number_of_times(
     assert report.findings == ()
     assert reads["edges"] > 0
     assert reads["match"] + reads["edges"] <= 7 * nodes
+
+
+def _renamed(g, old, new):
+    """`g` with every occurrence of node `old` renamed to `new`."""
+    def sub(term):
+        return new if term == old else term
+    return Graph([Triple(sub(t.s), t.p, sub(t.o)) for t in g])
+
+
+_NOT_ADDRESSED = "node name is not content-addressed"
+
+
+@pytest.mark.parametrize("fixture", ["sex-record", "name-record"])
+@pytest.mark.parametrize("name", [
+    lambda node: "http://elsewhere.example/s1",               # outside the s: base
+    lambda node: node.value.rsplit("-", 1)[0] + "-abc",       # a short tail
+    lambda node: node.value.rsplit("-", 1)[0] + "-" + "Z" * 40,   # not hex
+    lambda node: node.value.rsplit("-", 1)[0],                # no tail at all
+], ids=["elsewhere", "short", "not-hex", "no-tail"])
+def test_a_statement_node_not_content_addressed_is_a_finding(fixture, name):
+    b = load_bundle(fixture)
+    node = _fixture_snode(b)
+    new = Iri(name(node))
+    rep = validate(b.schema, _renamed(b.graph, node, new))
+    assert rep.findings == (Finding("HashMismatch", new.value, _NOT_ADDRESSED, WARNING),)
+    assert rep.passed
+
+
+@pytest.mark.parametrize("name", [
+    "http://elsewhere.example/v1",
+    DEFAULT_ROOT + "value/abc",
+    DEFAULT_ROOT + "value/" + "0" * 39,
+], ids=["elsewhere", "short", "39-digits"])
+def test_a_value_node_not_content_addressed_is_a_finding(name):
+    b = load_bundle("name-record")
+    (node,) = b.graph.subjects(rdf_type(b.table), wikibase(b.table, "TimeValue"))
+    rep = validate(b.schema, _renamed(b.graph, node, Iri(name)))
+    assert rep.findings == (Finding("HashMismatch", name, _NOT_ADDRESSED, WARNING),)
+
+
+def test_a_forked_statement_without_a_reference_is_a_finding():
+    # one claim under two nodes: only the content-addressed one may stay silent
+    b = load_bundle("name-record")
+    item = b.instances.items[0]
+    node = statement_node(item.iri, item.statements[1], b.table)
+    assert not b.graph.objects(node, prov_was_derived_from(b.table))
+    fork = Iri("http://elsewhere.example/s1")
+    g = b.graph.copy()
+    for t in b.graph.match(node):
+        g.add(Triple(fork, t.p, t.o))
+    g.add(Triple(item.iri, b.table.term("p", "hasNameRecord"), fork))
+    assert render_report(validate(b.schema, g)) == (
+        f"WARNING HashMismatch <{fork.value}> : {_NOT_ADDRESSED}\nerrors=0 warnings=1\n")
+
+
+def test_a_discard_is_seen_by_the_next_validation():
+    # the first run builds the graph's indexes; the discard must drop them
+    b = load_bundle("sex-record")
+    g = b.graph.copy()
+    stray = Triple(_fixture_snode(b), b.table.term("pq", "noSuchQualifier"), Literal("x"))
+    g.add(stray)
+    assert [f.code for f in validate(b.schema, g).findings] == ["UnknownProperty"]
+    g.discard(stray)
+    assert validate(b.schema, g).findings == ()
