@@ -11,8 +11,6 @@ fixpoint byte-for-byte.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
-
 from .errors import (
     DslSyntaxError,
     DuplicateDeclarationError,
@@ -53,11 +51,16 @@ KNOWN_FLAGS = (ITEM_QUALIFIER_FLAG,)
 
 # tokenizer ---------------------------------------------------------------
 
-class Token(NamedTuple):
-    kind: str                     # IRIREF CURIE IDENT STRING DATETIME DECIMAL INT PUNCT EOF
-    text: str
-    line: int
-    col: int
+# A token is a plain `(kind, text, line, col)` tuple, which the collector
+# stops tracking at its first pass: kind is one of IRIREF CURIE IDENT STRING
+# DATETIME DECIMAL INT PUNCT EOF, and the parser reads `tok[0]` for the kind,
+# `tok[1]` for the text and `tok[2:]` for the position.
+Token = tuple[str, str, int, int]
+
+
+def _syntax_error(tok: Token, what: str) -> DslSyntaxError:
+    """A parse error at `tok`'s line and column."""
+    return DslSyntaxError(tok[2], tok[3], what)
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_-]*"
@@ -97,7 +100,6 @@ def tokenize(text: str) -> list[Token]:
     quadratic in their number.
     """
     tokens: list[Token] = []
-    new = tuple.__new__
     line, line_start = 1, 0
     m = None
     for m in _TOKEN_RE.finditer(text, 0, len(text.rstrip(_SPACES))):
@@ -109,24 +111,23 @@ def tokenize(text: str) -> list[Token]:
             if kind == "ERROR":
                 raise DslSyntaxError(line, m.start(kind) - line_start + 1,
                                      f"a token (found {m.group(kind)!r})")
-            tokens.append(new(Token, (kind, m.group(kind), line, m.start(kind) - line_start + 1)))
+            tokens.append((kind, m.group(kind), line, m.start(kind) - line_start + 1))
     # `m` is the last match: after a comment only trailing spaces can follow
     end = m.start("COMMENT") if m is not None and m.lastgroup == "COMMENT" else len(text)
-    tokens.append(new(Token, ("EOF", "", line, end - line_start + 1)))
+    tokens.append(("EOF", "", line, end - line_start + 1))
     return tokens
 
 
 def _decode_string(tok: Token) -> str:
-    body = tok.text[1:-1]
+    body = tok[1][1:-1]
     if LONE_SURROGATE.search(body):
-        raise DslSyntaxError(tok.line, tok.col, "a string without lone surrogates")
+        raise _syntax_error(tok, "a string without lone surrogates")
 
     def unescape(m: re.Match[str]) -> str:
         try:
             return _STRING_UNESCAPES[m.group(1)]
         except KeyError:
-            raise DslSyntaxError(tok.line, tok.col,
-                                 f"a valid escape (found \\{m.group(1)})") from None
+            raise _syntax_error(tok, f"a valid escape (found \\{m.group(1)})") from None
     return _STRING_ESCAPE.sub(unescape, body)
 
 
@@ -148,28 +149,27 @@ class _Stream:
 
     def next(self) -> Token:
         tok = self._tokens[self._pos]
-        if tok.kind != "EOF":
+        if tok[0] != "EOF":
             self._pos += 1
         return tok
 
     def at(self, *words: str) -> bool:
-        return self._tokens[self._pos].text in words
+        return self._tokens[self._pos][1] in words
 
     def accept(self, word: str) -> bool:
         """Step over `word` if it comes next."""
-        if self._tokens[self._pos].text == word:
+        if self._tokens[self._pos][1] == word:
             self._pos += 1
             return True
         return False
 
     def error(self, what: str) -> DslSyntaxError:
-        tok = self._tokens[self._pos]
-        return DslSyntaxError(tok.line, tok.col, what)
+        return _syntax_error(self._tokens[self._pos], what)
 
     def expect(self, kinds: tuple[str, ...], what: str = "", text: str | None = None) -> Token:
         """The next token, which must have a kind in `kinds` (and the text `text`)."""
         tok = self._tokens[self._pos]
-        if tok.kind not in kinds or text is not None and tok.text != text:
+        if tok[0] not in kinds or text is not None and tok[1] != text:
             raise self.error(what or f"'{text}'")
         self._pos += 1            # never EOF: no caller expects it
         return tok
@@ -177,9 +177,9 @@ class _Stream:
 
 def _resolve(tok: Token, table: NamespaceTable) -> Iri:
     try:
-        return expand_iri(tok.text, table)
+        return expand_iri(tok[1], table)
     except WbforgeError as exc:
-        raise DslSyntaxError(tok.line, tok.col, f"a resolvable name ({exc})") from None
+        raise _syntax_error(tok, f"a resolvable name ({exc})") from None
 
 
 def _parse_name(ts: _Stream, table: NamespaceTable, what: str,
@@ -192,11 +192,11 @@ def _parse_prefix_decl(ts: _Stream, table: NamespaceTable) -> NamespaceTable:
     ts.expect(_WORD, text=":")
     iriref = ts.expect(("IRIREF",), "an IRI in angle brackets")
     try:
-        return table.with_prefix(name.text, iriref.text[1:-1])
+        return table.with_prefix(name[1], iriref[1][1:-1])
     except DuplicateDeclarationError:
         raise
     except WbforgeError as exc:
-        raise DslSyntaxError(iriref.line, iriref.col, f"a valid prefix base ({exc})") from None
+        raise _syntax_error(iriref, f"a valid prefix base ({exc})") from None
 
 
 def _declare(decls: dict, kind: str, key: object, value: object) -> None:
@@ -224,7 +224,7 @@ def _parse_class(ts: _Stream, table: NamespaceTable, class_refs: _ClassRefs) -> 
 def _parse_type(ts: _Stream, table: NamespaceTable, what: str,
                 class_refs: _ClassRefs) -> ValueType:
     """A datatype keyword or `item <class>`."""
-    datatype = _DATATYPE_KEYWORDS.get(ts.peek().text)
+    datatype = _DATATYPE_KEYWORDS.get(ts.peek()[1])
     if datatype is not None:
         ts.next()
         return ValueType(datatype)
@@ -249,17 +249,17 @@ def _parse_statement_decl(ts: _Stream, table: NamespaceTable,
         if ts.accept("subject"):
             cls = _parse_class(ts, table, class_refs)
             if subject is not None:
-                raise DuplicateDeclarationError(f"subject in statement {prop_tok.text}")
+                raise DuplicateDeclarationError(f"subject in statement {prop_tok[1]}")
             subject = cls
         elif ts.accept("object"):
             if object_spec is not None:
-                raise DuplicateDeclarationError(f"object in statement {prop_tok.text}")
+                raise DuplicateDeclarationError(f"object in statement {prop_tok[1]}")
             object_spec = _parse_type(ts, table, "an object spec", class_refs)
         elif ts.accept("qualifier"):
             name_tok = ts.expect(_CURIE, "a qualifier name")
             ts.expect(_WORD, text=":")
             qtype = _parse_type(ts, table, "a qualifier type", class_refs)
-            scoped = ts.at("scoped", "unscoped") and ts.next().text == "scoped"
+            scoped = ts.at("scoped", "unscoped") and ts.next()[1] == "scoped"
             ts.accept("functional")   # accepted and inert: every qualifier is functional
             required = ts.accept("required")
             name = _resolve(name_tok, table).local_name
@@ -278,9 +278,9 @@ def _parse_statement_decl(ts: _Stream, table: NamespaceTable,
             ts.expect(_WORD, text="{")
             while True:
                 ptok = ts.next()
-                if ptok.text not in PATTERN_BY_NAME:
-                    raise DslSyntaxError(ptok.line, ptok.col, "an axiom pattern name")
-                patterns[PATTERN_BY_NAME[ptok.text]] = None
+                if ptok[1] not in PATTERN_BY_NAME:
+                    raise _syntax_error(ptok, "an axiom pattern name")
+                patterns[PATTERN_BY_NAME[ptok[1]]] = None
                 if not ts.accept(","):
                     break
             ts.expect(_WORD, text="}")
@@ -302,14 +302,14 @@ def parse_schema(text: str, root: str = DEFAULT_ROOT) -> SchemaDocument:
     classes: dict[Iri, ClassDecl] = {}
     statements: dict[str, StatementDecl] = {}
     class_refs: _ClassRefs = []
-    while ts.peek().kind != "EOF":
+    while ts.peek()[0] != "EOF":
         if ts.accept("prefix"):
             table = _parse_prefix_decl(ts, table)
         elif ts.accept("flag"):
             ftok = ts.expect(("IDENT",), "a feature flag name")
-            if ftok.text not in KNOWN_FLAGS:
-                raise DslSyntaxError(ftok.line, ftok.col, "a known feature flag")
-            _declare(flags, "flag", ftok.text, None)
+            if ftok[1] not in KNOWN_FLAGS:
+                raise _syntax_error(ftok, "a known feature flag")
+            _declare(flags, "flag", ftok[1], None)
         elif ts.at("class", "controlled"):
             controlled = ts.accept("controlled")
             ts.expect(_WORD, text="class")
@@ -327,7 +327,7 @@ def parse_schema(text: str, root: str = DEFAULT_ROOT) -> SchemaDocument:
     item = wikibase(table, "Item")
     for iri, tok in class_refs:
         if iri not in classes and iri != item:
-            raise UnknownClassError(tok.text)
+            raise UnknownClassError(tok[1])
     return SchemaDocument(table, tuple(flags), tuple(classes.values()),
                           tuple(statements.values()))
 
@@ -344,19 +344,18 @@ def _parse_value(ts: _Stream, table: NamespaceTable) -> Value:
         unit = (_parse_name(ts, table, "a unit item", _CURIE) if ts.accept("unit")
                 else table.term("wd", "One"))
         try:
-            return DecimalValue(num.text, unit)
+            return DecimalValue(num[1], unit)
         except MalformedValueError:
-            raise DslSyntaxError(num.line, num.col,
-                                 "a canonical decimal (no leading/trailing zeros)") from None
+            raise _syntax_error(num, "a canonical decimal (no leading/trailing zeros)") from None
     if ts.accept("datetime"):
         dtok = ts.expect(("DATETIME",), "an ISO dateTime like 2009-01-01T00:00:00Z")
-        precision = (int(ts.expect(("INT",), "a precision integer").text)
+        precision = (int(ts.expect(("INT",), "a precision integer")[1])
                      if ts.accept("precision") else DEFAULT_PRECISION)
-        tz = (int(ts.expect(("INT",), "a timezone offset in minutes").text)
+        tz = (int(ts.expect(("INT",), "a timezone offset in minutes")[1])
               if ts.accept("tz") else DEFAULT_TIMEZONE)
         calendar = (_parse_name(ts, table, "a calendar item", _CURIE) if ts.accept("calendar")
                     else table.term("wd", "ProlepticGregorian"))
-        return DateTimeValue(dtok.text, precision, tz, calendar)
+        return DateTimeValue(dtok[1], precision, tz, calendar)
     raise ts.error("'item', 'string', 'decimal' or 'datetime'")
 
 
@@ -397,7 +396,7 @@ def parse_instances(text: str, root: str = DEFAULT_ROOT) -> InstanceDoc:
     ts = _Stream(tokenize(text))
     table = NamespaceTable(root)
     items: dict[Iri, ItemData] = {}
-    while ts.peek().kind != "EOF":
+    while ts.peek()[0] != "EOF":
         if ts.accept("prefix"):
             table = _parse_prefix_decl(ts, table)
         elif ts.accept("item"):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Callable
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import (
     MissingRequiredError,
@@ -18,7 +20,7 @@ from .errors import (
     TypeMismatchError,
     UnresolvedNameError,
 )
-from .expander import ExpandedSchema, ExpandedStatement, expand
+from .expander import ExpandedStatement, expand
 from .model import (
     VALUE_KINDS,
     Datatype,
@@ -49,13 +51,19 @@ def _sha40(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:HASH_LENGTH]
 
 
+# Each value node kind's attributes in field order, read in one call. Every
+# kind has two or more fields, so each getter returns a tuple.
+_FIELDS = {kind.value_type: attrgetter(*(attr for _, attr, _ in kind.fields))
+           for kind in VALUE_KINDS.values()}
+
+
 def canonical_value(value: Value) -> str:
     """Stable one-line text form used inside hash preimages."""
     if isinstance(value, ItemRef):
         return value.iri.value
     if isinstance(value, StringValue):
         return escape_literal(value.text)
-    return "|".join(str(getattr(value, attr)) for _, attr, _ in value_kind(value).fields)
+    return "|".join(map(str, _FIELDS[type(value)](value)))
 
 
 def canonical_content(subject: Iri, stmt: StatementData, table: NamespaceTable) -> str:
@@ -118,31 +126,33 @@ _KIND = {
     DateTimeValue: "datetime",
 }
 
+Add = Callable[[Triple], None]    # appends a triple to the export being built
+
 
 def _literal(value: Value, table: NamespaceTable) -> Term:
     if isinstance(value, ItemRef):
         return value.iri
     if isinstance(value, StringValue):
-        return Literal(value.text, xsd(table, "string"))
+        return tuple.__new__(Literal, (value.text, xsd(table, "string")))
     if isinstance(value, DecimalValue):
-        return Literal(value.amount, xsd(table, "decimal"))
-    return Literal(value.iso, xsd(table, "dateTime"))
+        return tuple.__new__(Literal, (value.amount, xsd(table, "decimal")))
+    return tuple.__new__(Literal, (value.iso, xsd(table, "dateTime")))
 
 
-def _add_value(g: Graph, node: Iri, edge: Iri, value_edge: Iri | None, value: Value,
+def _add_value(add: Add, node: Iri, edge: Iri, value_edge: Iri | None, value: Value,
                table: NamespaceTable) -> Term:
     """The edge to the literal, then the edge to the value node if the family has one."""
+    new = tuple.__new__
     term = _literal(value, table)
-    g.add(Triple(node, edge, term))
+    add(new(Triple, (node, edge, term)))
     if value_edge is not None:
         kind = value_kind(value)
         vnode = value_node(value, table)
-        g.add(Triple(node, value_edge, vnode))
-        g.add(Triple(vnode, rdf_type(table), wikibase(table, kind.node_class)))
-        for local, attr, dt in kind.fields:
-            field = getattr(value, attr)
-            g.add(Triple(vnode, wikibase(table, local),
-                         field if dt is None else Literal(str(field), xsd(table, dt.xsd_local))))
+        add(new(Triple, (node, value_edge, vnode)))
+        add(new(Triple, (vnode, rdf_type(table), wikibase(table, kind.node_class))))
+        for (local, _, dt), field in zip(kind.fields, _FIELDS[type(value)](value)):
+            add(new(Triple, (vnode, wikibase(table, local), field if dt is None else
+                             new(Literal, (str(field), xsd(table, dt.xsd_local))))))
     return term
 
 
@@ -162,79 +172,104 @@ def _check_value(vtype: ValueType, value: Value, instances: InstanceDoc,
         _check_item_target(value.iri, instances, context)
 
 
+class _DeclChecks(NamedTuple):
+    """What export checks a statement against, worked out once per declaration."""
+
+    st: ExpandedStatement
+    qualifiers: dict[str, QualifierDecl]    # by name
+    required_qualifiers: tuple[str, ...]    # names, in declaration order
+    required_references: tuple[str, ...]
+
+
+def _decl_checks(st: ExpandedStatement) -> _DeclChecks:
+    decl = st.source
+    return _DeclChecks(st, {q.name: q for q in decl.qualifiers},
+                       tuple(q.name for q in decl.qualifiers if q.required),
+                       tuple(r.name for r in decl.references if r.required))
+
+
 def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
     """Deterministic instance graph for the declared statements.
 
     Raises on data that cannot be exported faithfully: values of the
     wrong kind, missing required qualifiers or references, and names or
-    items that no declaration covers.
+    items that no declaration covers. The triples are collected in a list
+    and the graph is built once, from all of them.
     """
     table = schema.namespaces
     expanded = expand(schema)
-    g = Graph()
+    triples: list[Triple] = []
+    add = triples.append
+    new = tuple.__new__
+    checks: dict[str, _DeclChecks] = {}       # by statement property name
     wb_item = wikibase(table, "Item")
     a = rdf_type(table)
     for item in instances.items:
         if (schema.class_decl(item.type_class) is None
                 and item.type_class != wb_item):
             raise UnresolvedNameError(item.type_class.value, "class not declared")
-        g.add(Triple(item.iri, a, item.type_class))
-        g.add(Triple(item.iri, a, wb_item))
+        add(new(Triple, (item.iri, a, item.type_class)))
+        add(new(Triple, (item.iri, a, wb_item)))
         for stmt in item.statements:
-            _export_statement(g, item.iri, stmt, expanded, instances)
-    return g
+            decl_checks = checks.get(stmt.property)
+            if decl_checks is None:
+                st = expanded.statement(stmt.property)
+                if st is None:
+                    raise UnresolvedNameError(stmt.property, "statement property not declared")
+                decl_checks = checks[stmt.property] = _decl_checks(st)
+            _export_statement(add, item.iri, stmt, decl_checks, instances, table)
+    return Graph(triples)
 
 
-def _export_statement(g: Graph, subject: Iri, stmt: StatementData,
-                      expanded: ExpandedSchema, instances: InstanceDoc) -> None:
-    table = expanded.source.namespaces
-    st = expanded.statement(stmt.property)
-    if st is None:
-        raise UnresolvedNameError(stmt.property, "statement property not declared")
-    decl = st.source
-    _check_value(decl.object_spec, stmt.value, instances, stmt.property)
+def _export_statement(add: Add, subject: Iri, stmt: StatementData, decl_checks: _DeclChecks,
+                      instances: InstanceDoc, table: NamespaceTable) -> None:
+    st, quals_by_name, required_quals, required_refs = decl_checks
+    _check_value(st.source.object_spec, stmt.value, instances, stmt.property)
 
-    quals_by_name: dict[str, QualifierDecl] = {q.name: q for q in decl.qualifiers}
     for q in stmt.qualifiers:
         decl_q = quals_by_name.get(q.name)
         if decl_q is None:
             raise UnresolvedNameError(q.name, f"qualifier not declared on {stmt.property}")
         _check_value(decl_q.qtype, q.value, instances, f"{stmt.property}/{q.name}")
-    present = {q.name for q in stmt.qualifiers}
-    for decl_q in decl.qualifiers:
-        if decl_q.required and decl_q.name not in present:
-            raise MissingRequiredError(f"{stmt.property}/{decl_q.name}")
+    if required_quals:
+        present = {q.name for q in stmt.qualifiers}
+        for name in required_quals:
+            if name not in present:
+                raise MissingRequiredError(f"{stmt.property}/{name}")
 
+    ref_props = st.reference_properties
     for ref in stmt.references:
         for snak in ref.snaks:
-            if snak.name not in st.reference_properties:
+            if snak.name not in ref_props:
                 raise UnresolvedNameError(
                     snak.name, f"reference not declared on {stmt.property}")
             _check_item_target(snak.target, instances, f"{stmt.property}/{snak.name}")
-    snak_names = {s.name for ref in stmt.references for s in ref.snaks}
-    for decl_r in decl.references:
-        if decl_r.required and decl_r.name not in snak_names:
-            raise MissingRequiredError(f"{stmt.property}/{decl_r.name}")
+    if required_refs:
+        snak_names = {s.name for ref in stmt.references for s in ref.snaks}
+        for name in required_refs:
+            if name not in snak_names:
+                raise MissingRequiredError(f"{stmt.property}/{name}")
 
+    new = tuple.__new__
     a = rdf_type(table)
     h = statement_hash(subject, stmt, table)
     node = _statement_iri(subject, h, table)
     props = st.statement_properties
-    g.add(Triple(subject, props["p"], node))
-    g.add(Triple(node, a, wikibase(table, "Statement")))
-    value_term = _add_value(g, node, props["ps"], props.get("psv"), stmt.value, table)
-    g.add(Triple(subject, props["wdt"], value_term))
+    add(new(Triple, (subject, props["p"], node)))
+    add(new(Triple, (node, a, wikibase(table, "Statement"))))
+    value_term = _add_value(add, node, props["ps"], props.get("psv"), stmt.value, table)
+    add(new(Triple, (subject, props["wdt"], value_term)))
     for q in stmt.qualifiers:
         fam = st.qualifier_properties[q.name]
-        _add_value(g, node, fam["pq"], fam.get("pqv"), q.value, table)
+        _add_value(add, node, fam["pq"], fam.get("pqv"), q.value, table)
 
     prov = prov_was_derived_from(table)
     for ref in stmt.references:
         rnode = reference_node(ref, h, table)
-        g.add(Triple(node, prov, rnode))
-        g.add(Triple(rnode, a, wikibase(table, "Reference")))
+        add(new(Triple, (node, prov, rnode)))
+        add(new(Triple, (rnode, a, wikibase(table, "Reference"))))
         for snak in ref.snaks:
-            g.add(Triple(rnode, st.reference_properties[snak.name], snak.target))
+            add(new(Triple, (rnode, ref_props[snak.name], snak.target)))
 
 
 # reading a graph back ------------------------------------------------------

@@ -36,10 +36,23 @@ class Triple(NamedTuple):
 
 _ESCAPES = str.maketrans(
     {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
+_NEEDS_ESCAPE = re.compile(r'[\\"\n\r\t]').search
 
 
 def escape_literal(text: str) -> str:
-    return text.translate(_ESCAPES)
+    """`text` with each backslash, quote, newline, return and tab escaped.
+
+    Almost no lexical form holds one, so the text is searched for one
+    before it is translated.
+    """
+    return text if _NEEDS_ESCAPE(text) is None else text.translate(_ESCAPES)
+
+
+def render_literal(lexical: str, datatype: Iri) -> str:
+    """A literal's N-Triples form; an xsd:string literal stays bare."""
+    if datatype == XSD_STRING:
+        return f'"{escape_literal(lexical)}"'
+    return f'"{escape_literal(lexical)}"^^<{datatype.value}>'
 
 
 _UNESCAPE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
@@ -73,9 +86,7 @@ def _unescape(text: str, line_no: int, in_iri: bool = False) -> str:
 def render_term(term: Term) -> str:
     if isinstance(term, Iri):
         return f"<{term.value}>"
-    if term.datatype == XSD_STRING:
-        return f'"{escape_literal(term.lexical)}"'
-    return f'"{escape_literal(term.lexical)}"^^<{term.datatype.value}>'
+    return render_literal(*term)
 
 
 def render_triple(t: Triple) -> str:
@@ -203,7 +214,16 @@ def serialize_canonical(g: Graph) -> str:
     Plain strings stay bare (xsd:string is the implied datatype), so a
     parse/serialize round trip is byte-stable.
     """
-    lines = sorted(map(render_triple, g))
+    lines: list[str] = []
+    add = lines.append
+    # each triple is rendered inline, as `render_triple` would; an Iri is
+    # the 1-tuple of its text, so `s[0]` is `s.value`
+    for s, p, o in g:
+        if type(o) is Iri:
+            add(f"<{s[0]}> <{p[0]}> <{o[0]}> .")
+        else:
+            add(f"<{s[0]}> <{p[0]}> {render_literal(*o)} .")
+    lines.sort()
     lines.append("")          # the final newline; an empty graph gives ""
     return "\n".join(lines)
 

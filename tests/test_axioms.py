@@ -5,6 +5,7 @@ hand before the generator existed; byte equality against it is the
 contract for the whole serialization pipeline.
 """
 
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -16,11 +17,11 @@ from wbforge.axioms import (
     schema_axioms,
     serialize_axioms,
 )
-from wbforge.dl import AnnotatedAxiom, ExactCard, Named, Role, SubClassOf
+from wbforge.dl import AnnotatedAxiom, ExactCard, Named, Role, Some, SubClassOf
 from wbforge.dsl import parse_schema
 from wbforge.errors import PatternInapplicableError
 from wbforge.model import AxiomPattern
-from wbforge.namespaces import Iri
+from wbforge.namespaces import Iri, NamespaceTable
 
 GOLDEN = Path(__file__).parent / "golden" / "axioms_reference.ofn"
 
@@ -264,3 +265,15 @@ def test_serializer_is_deterministic():
     a = serialize_axioms(schema_axioms(doc), doc.namespaces)
     b = serialize_axioms(schema_axioms(doc), doc.namespaces)
     assert a == b
+
+
+@dataclass(frozen=True)
+class _Unknown:
+    """A class expression the renderer has no form for."""
+
+
+def test_an_unknown_class_expression_is_a_type_error():
+    employee = Iri("http://example.org/Employee")
+    axiom = SubClassOf(Named(employee), Some(Role(employee), _Unknown()))
+    with pytest.raises(TypeError, match="unknown class expression"):
+        serialize_axioms([AnnotatedAxiom(axiom, "X", "x.", "d")], NamespaceTable())

@@ -111,6 +111,12 @@ def test_print_empty_document():
     assert print_schema(parse_schema("")) == ""
 
 
+def test_print_refuses_an_iri_no_prefix_covers():
+    doc = SchemaDocument(classes=(ClassDecl(Iri("http://elsewhere.example/Person")),))
+    with pytest.raises(WbforgeError, match="no declared prefix covers"):
+        print_schema(doc)
+
+
 # error paths -------------------------------------------------------------
 
 def _bad(text: str, exc: type[Exception]) -> None:

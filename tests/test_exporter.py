@@ -5,7 +5,7 @@ import random
 import pytest
 
 import hash_oracle as oracle
-from generators import random_instances, random_schema
+from generators import random_datetime, random_decimal, random_instances, random_schema
 from wbforge.dsl import parse_instances, parse_schema
 from wbforge.errors import (
     MissingRequiredError,
@@ -17,6 +17,7 @@ from wbforge.errors import (
 from wbforge.expander import expand
 from wbforge.exporter import (
     canonical_content,
+    canonical_value,
     export,
     read_statement,
     read_value_node,
@@ -361,6 +362,71 @@ def test_export_rejections():
             "  reference { ex:taxRecord -> item wd:doc1 }",
             "}",
         ], extra_items=["item wd:doc1 : ex:Job { }"]))
+
+
+ORDER_SCHEMA = parse_schema("""
+prefix ex: <http://example.org/>
+class ex:Employee
+class ex:Job
+statement ex:hasJob {
+  subject ex:Employee
+  object item ex:Job
+  qualifier ex:atTime : datetime required
+  reference ex:taxRecord -> item ex:Job required
+  reference ex:payslip -> item ex:Job
+}
+""")
+DELIMITED = WD + "doc;1"                 # a declared item whose IRI holds `;`
+AT = "qualifier ex:atTime = datetime 2001-01-01T00:00:00Z"
+TAX = "reference { ex:taxRecord -> item wd:job0 }"
+
+
+@pytest.mark.parametrize("statements, error, name", [
+    # the object's kind, then each qualifier, then the required qualifiers,
+    # then each snak, then the required references, then the preimage
+    (['ex:hasJob -> string "x" { qualifier ex:mystery = string "y" }'],
+     TypeMismatchError, "hasJob"),
+    (['ex:hasJob -> item wd:job0 { qualifier ex:mystery = string "y" }'],
+     UnresolvedNameError, "mystery"),
+    (['ex:hasJob -> item wd:job0 { qualifier ex:atTime = string "y" }'],
+     TypeMismatchError, "hasJob/atTime"),
+    (["ex:hasJob -> item wd:job0 { reference { ex:mystery -> item wd:job0 } }"],
+     MissingRequiredError, "hasJob/atTime"),
+    ([f"ex:hasJob -> item wd:job0 {{ {AT} reference {{ ex:mystery -> item wd:job0 }} }}"],
+     UnresolvedNameError, "mystery"),
+    ([f"ex:hasJob -> item wd:job0 {{ {AT} reference {{ ex:payslip -> item wd:ghost }} }}"],
+     UnresolvedNameError, WD + "ghost"),
+    ([f"ex:hasJob -> item wd:job0 {{ {AT} reference {{ ex:payslip -> item <{DELIMITED}> }} }}"],
+     MissingRequiredError, "hasJob/taxRecord"),
+    ([f"ex:hasJob -> item wd:job0 {{ {AT} {TAX} "
+      f"reference {{ ex:payslip -> item <{DELIMITED}> }} }}"],
+     PreimageDelimiterError, DELIMITED),
+    # a declaration's checks, worked out once, still apply to its later statements
+    ([f"ex:hasJob -> item wd:job0 {{ {AT} {TAX} }}", f"ex:hasJob -> item wd:job0 {{ {TAX} }}"],
+     MissingRequiredError, "hasJob/atTime"),
+    ([f"ex:hasJob -> item wd:job0 {{ {AT} {TAX} }}", "ex:nope -> item wd:job0"],
+     UnresolvedNameError, "nope"),
+])
+def test_export_checks_run_in_order(statements, error, name):
+    inst = _instances(statements, extra_items=[f"item <{DELIMITED}> : ex:Job {{ }}"])
+    with pytest.raises(error) as exc:
+        export(ORDER_SCHEMA, inst)
+    assert (exc.value.iri if error is PreimageDelimiterError else exc.value.name) == name
+
+
+def test_canonical_value_joins_the_value_fields():
+    # the fields in ValueKind order, as the generator over `getattr` joined them
+    rng = random.Random(11)
+    units = (Iri(WD + "One"), Iri(WD + "metre"), Iri("urn:x:unit"))
+    values = []
+    for _ in range(200):
+        d, t = random_decimal(rng), random_datetime(rng)
+        values.append(DecimalValue(d.amount, rng.choice(units)))
+        values.append(DateTimeValue(t.iso, t.precision, t.timezone, rng.choice(units)))
+    for value in values:
+        fields = value_kind(value).fields
+        assert canonical_value(value) == "|".join(
+            str(getattr(value, attr)) for _, attr, _ in fields)
 
 
 def test_generic_item_class_is_always_allowed():

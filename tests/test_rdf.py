@@ -176,6 +176,53 @@ def test_serialize_matches_one_line_per_sorted_triple(name):
     assert serialize_canonical(g) == "".join(l + "\n" for l in sorted(map(render_triple, g)))
 
 
+# the canonical form as rendered before the inline serializer: one
+# `render_triple` per triple, with every literal translated
+_FROZEN_ESCAPES = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
+
+
+def _frozen_render_triple(t: Triple) -> str:
+    if isinstance(t.o, Iri):
+        o = f"<{t.o.value}>"
+    elif t.o.datatype == XSD_STRING:
+        o = f'"{t.o.lexical.translate(_FROZEN_ESCAPES)}"'
+    else:
+        o = f'"{t.o.lexical.translate(_FROZEN_ESCAPES)}"^^<{t.o.datatype.value}>'
+    return f"<{t.s.value}> <{t.p.value}> {o} ."
+
+
+def _frozen_serialize(g: Graph) -> str:
+    return "".join(line + "\n" for line in sorted(map(_frozen_render_triple, g)))
+
+
+ESCAPE_TEXTS = ["plain", "", "a\\b", 'say "hi"', "two\nlines", "cr\rhere", "tab\there",
+                'all \\ " \n \r \t of them', "\\\\", '""', "x\n\ny\t"]
+
+
+@pytest.mark.parametrize("text", ESCAPE_TEXTS)
+def test_serialize_escapes_literals_as_the_per_triple_form(text):
+    g = Graph([Triple(S, P, Literal(text)), Triple(S, P, Literal(text, INT)),
+               Triple(O, P, Literal(text + "!", INT))])
+    assert serialize_canonical(g) == _frozen_serialize(g)
+    for t in g:
+        assert render_triple(t) == _frozen_render_triple(t)
+
+
+def test_serialize_keeps_an_iri_and_a_literal_of_one_text_apart():
+    g = Graph([Triple(S, P, O), Triple(S, P, Literal(O.value)),
+               Triple(S, P, Literal(O.value, INT))])
+    text = serialize_canonical(g)
+    assert text == _frozen_serialize(g)
+    assert text.count(f"<{O.value}> .") == 1 and len(text.splitlines()) == 3
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "record"])
+def test_serialize_matches_the_frozen_per_triple_form(name):
+    g = _export(name)
+    assert serialize_canonical(g) == _frozen_serialize(g)
+
+
 def test_parse_serialize_round_trip():
     rng = random.Random(7)
     g = Graph()

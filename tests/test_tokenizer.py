@@ -1,11 +1,13 @@
 """The one-regex tokenizer against the per-pattern loop it replaced.
 
-`reference_tokenize` is the earlier tokenizer, kept verbatim: it tries
-each pattern in turn at every position. `dsl.tokenize` must give the
-same `Token` list on every input, and the same `DslSyntaxError` line,
+`reference_tokenize` is the earlier tokenizer, kept verbatim but for
+building plain `(kind, text, line, col)` tuples, as tokens now are: it
+tries each pattern in turn at every position. `dsl.tokenize` must give
+the same token list on every input, and the same `DslSyntaxError` line,
 column and message where the input has no valid token.
 """
 
+import gc
 import random
 import re
 import time
@@ -53,13 +55,13 @@ def reference_tokenize(text: str) -> list[Token]:
         for kind, rx in _REFERENCE_RES:
             m = rx.match(text, i)
             if m:
-                tokens.append(Token(kind, m.group(), line, col))
+                tokens.append((kind, m.group(), line, col))
                 col += m.end() - i
                 i = m.end()
                 break
         else:
             raise DslSyntaxError(line, col, f"a token (found {c!r})")
-    tokens.append(Token("EOF", "", line, col))
+    tokens.append(("EOF", "", line, col))
     return tokens
 
 
@@ -84,6 +86,14 @@ def test_fixture_token_streams_match(text):
     tokens = tokenize(text)
     assert isinstance(tokens, list)
     assert tokens == reference_tokenize(text)
+
+
+@pytest.mark.parametrize("text", FIXTURE_TEXTS)
+def test_tokens_are_plain_tuples_the_collector_untracks(text):
+    tokens = tokenize(text)
+    assert {type(tok) for tok in tokens} == {tuple}
+    gc.collect()
+    assert not any(gc.is_tracked(tok) for tok in tokens)
 
 
 @pytest.mark.parametrize("seed", range(30))
