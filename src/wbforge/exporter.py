@@ -10,7 +10,7 @@ exported triple set is byte-deterministic under canonical ordering.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -41,7 +41,7 @@ from .model import (
     is_canonical,
     value_kind,
 )
-from .namespaces import Iri, NamespaceTable, prov_was_derived_from, rdf_type, wikibase, xsd
+from .namespaces import Iri, NamespaceTable
 from .rdf import Graph, Literal, Term, Triple, escape_literal
 
 HASH_LENGTH = 40                  # hex digits kept from the SHA-256 digest
@@ -57,40 +57,117 @@ _FIELDS = {kind.value_type: attrgetter(*(attr for _, attr, _ in kind.fields))
            for kind in VALUE_KINDS.values()}
 
 
-def canonical_value(value: Value) -> str:
-    """Stable one-line text form used inside hash preimages."""
-    if isinstance(value, ItemRef):
+class KindTerms(NamedTuple):
+    """A value node kind's terms under one namespace table."""
+
+    node_class: Iri               # the wikibase: class
+    predicates: tuple[Iri, ...]   # the wikibase: field predicates, in `kind.fields` order
+
+
+class Vocabulary(NamedTuple):
+    """The fixed terms that export and read-back use, resolved once per table."""
+
+    a: Iri                        # rdf:type
+    item: Iri                     # wikibase:Item
+    statement: Iri                # wikibase:Statement
+    reference: Iri                # wikibase:Reference
+    derived_from: Iri             # prov:wasDerivedFrom
+    xsd: dict[Datatype, Iri]      # each datatype's literal type
+    kind_by_xsd: dict[Iri, ValueKind]  # by the literal type of the value a node holds
+    kinds: dict[str, KindTerms]   # by kind tag, filled by `kind_terms`
+
+    @staticmethod
+    def build(table: NamespaceTable) -> Vocabulary:
+        term = table.term
+        xsd_of = {dt: term("xsd", dt.xsd_local) for dt in Datatype}
+        return Vocabulary(
+            term("rdf", "type"), term("wikibase", "Item"), term("wikibase", "Statement"),
+            term("wikibase", "Reference"), term("prov", "wasDerivedFrom"), xsd_of,
+            {xsd_of[dt]: kind for dt, kind in VALUE_KINDS.items()}, {})
+
+    def kind_terms(self, kind: ValueKind, table: NamespaceTable) -> KindTerms:
+        """`kind`'s terms under `table`, the table this vocabulary was built for.
+
+        Minted when the first node of the kind is written or read, so an
+        export without dates or quantities mints none of them.
+        """
+        terms = self.kinds.get(kind.tag)
+        if terms is None:
+            term = table.term
+            terms = self.kinds[kind.tag] = KindTerms(
+                term("wikibase", kind.node_class),
+                tuple([term("wikibase", local) for local, _, _ in kind.fields]))
+        return terms
+
+
+def vocabulary(table: NamespaceTable) -> Vocabulary:
+    """`table`'s `Vocabulary`, built on the first call and kept with the table."""
+    return table.derived(Vocabulary.build)
+
+
+def canonical_value(value: Value | ReadValue) -> str:
+    """Stable one-line text form used inside hash preimages.
+
+    Of a model value, or of what `read_content` reads back for one: an
+    item's IRI, a string literal, or a value node's value.
+    """
+    t = type(value)
+    if t is Iri:
+        return value.value
+    if t is ItemRef:
         return value.iri.value
-    if isinstance(value, StringValue):
+    if t is StringValue:
         return escape_literal(value.text)
-    return "|".join(map(str, _FIELDS[type(value)](value)))
+    if t is Literal:
+        return escape_literal(value.lexical)
+    return "|".join(map(str, _FIELDS[t](value)))
 
 
-def canonical_content(subject: Iri, stmt: StatementData, table: NamespaceTable) -> str:
-    """The statement's hash preimage: S, P, V, sorted Q, sorted R lines."""
-    wdt = table.term("wdt", stmt.property)
-    lines = [f"S|{subject.value}", f"P|{wdt.value}", f"V|{canonical_value(stmt.value)}"]
-    q_lines = []
-    for q in stmt.qualifiers:
-        pq = table.term("pq", q.name)
-        q_lines.append(f"Q|{pq.value}|{canonical_value(q.value)}")
-    lines.extend(sorted(q_lines))
-    r_lines = ["R|" + ";".join(sorted(_snak_text(s, table) for s in ref.snaks))
-               for ref in stmt.references]
-    lines.extend(sorted(r_lines))
+def assemble_preimage(subject: Iri, prop: str, value: Value | ReadValue,
+                      qualifiers: Iterable[tuple[str, Value | ReadValue]],
+                      references: Iterable[Iterable[tuple[str, Iri]]],
+                      table: NamespaceTable) -> str:
+    """A statement's hash preimage: S, P, V, sorted Q, sorted R lines.
+
+    `qualifiers` are (name, value) pairs, and each reference is its
+    (name, target) snaks; values are as `canonical_value` takes them.
+    """
+    term = table.term
+    lines = [f"S|{subject.value}", f"P|{term('wdt', prop).value}",
+             f"V|{canonical_value(value)}"]
+    lines.extend(sorted([f"Q|{term('pq', name).value}|{canonical_value(v)}"
+                         for name, v in qualifiers]))
+    lines.extend(sorted(["R|" + ";".join(sorted([_snak_text(name, target, table)
+                                                  for name, target in snaks]))
+                         for snaks in references]))
     return "".join(line + "\n" for line in lines)
 
 
-def _snak_text(snak: SnakData, table: NamespaceTable) -> str:
+_NAME_VALUE = attrgetter("name", "value")      # of a QualifierData
+_NAME_TARGET = attrgetter("name", "target")    # of a SnakData
+
+
+def canonical_content(subject: Iri, stmt: StatementData, table: NamespaceTable) -> str:
+    """The statement's hash preimage, from its model data."""
+    return assemble_preimage(
+        subject, stmt.property, stmt.value, map(_NAME_VALUE, stmt.qualifiers),
+        [map(_NAME_TARGET, ref.snaks) for ref in stmt.references], table)
+
+
+def _snak_text(name: str, target: Iri, table: NamespaceTable) -> str:
     """`pr: IRI|target` in an R line; a delimiter in the target could merge two lines."""
-    target = snak.target.value
-    if "|" in target or ";" in target:
-        raise PreimageDelimiterError(target)
-    return f"{table.term('pr', snak.name).value}|{target}"
+    value = target.value
+    if "|" in value or ";" in value:
+        raise PreimageDelimiterError(value)
+    return f"{table.term('pr', name).value}|{value}"
 
 
-def statement_hash(subject: Iri, stmt: StatementData, table: NamespaceTable) -> str:
-    return _sha40(canonical_content(subject, stmt, table))
+def statement_hash(subject: Iri, stmt: StatementData | StatementContent,
+                   table: NamespaceTable) -> str:
+    """The content hash: of model data, or of the content `read_content` reads back."""
+    if type(stmt) is StatementData:
+        return _sha40(canonical_content(subject, stmt, table))
+    return _sha40(assemble_preimage(subject, *stmt, table))
 
 
 def statement_node(subject: Iri, stmt: StatementData, table: NamespaceTable) -> Iri:
@@ -111,7 +188,8 @@ def value_node(value: DateTimeValue | DecimalValue, table: NamespaceTable) -> Ir
 
 
 def reference_hash(ref: RefData, table: NamespaceTable) -> str:
-    return _sha40("".join(sorted(f"R|{_snak_text(s, table)}\n" for s in ref.snaks)))
+    return _sha40("".join(sorted(f"R|{_snak_text(s.name, s.target, table)}\n"
+                                 for s in ref.snaks)))
 
 
 def reference_node(ref: RefData, stmt_hash: str, table: NamespaceTable) -> Iri:
@@ -129,30 +207,33 @@ _KIND = {
 Add = Callable[[Triple], None]    # appends a triple to the export being built
 
 
-def _literal(value: Value, table: NamespaceTable) -> Term:
-    if isinstance(value, ItemRef):
+def _literal(value: Value, vocab: Vocabulary) -> Term:
+    t = type(value)
+    if t is ItemRef:
         return value.iri
-    if isinstance(value, StringValue):
-        return tuple.__new__(Literal, (value.text, xsd(table, "string")))
-    if isinstance(value, DecimalValue):
-        return tuple.__new__(Literal, (value.amount, xsd(table, "decimal")))
-    return tuple.__new__(Literal, (value.iso, xsd(table, "dateTime")))
+    if t is StringValue:
+        return tuple.__new__(Literal, (value.text, vocab.xsd[Datatype.STRING]))
+    if t is DecimalValue:
+        return tuple.__new__(Literal, (value.amount, vocab.xsd[Datatype.DECIMAL]))
+    return tuple.__new__(Literal, (value.iso, vocab.xsd[Datatype.DATETIME]))
 
 
 def _add_value(add: Add, node: Iri, edge: Iri, value_edge: Iri | None, value: Value,
-               table: NamespaceTable) -> Term:
+               vocab: Vocabulary, table: NamespaceTable) -> Term:
     """The edge to the literal, then the edge to the value node if the family has one."""
     new = tuple.__new__
-    term = _literal(value, table)
+    term = _literal(value, vocab)
     add(new(Triple, (node, edge, term)))
     if value_edge is not None:
         kind = value_kind(value)
+        node_class, predicates = vocab.kind_terms(kind, table)
         vnode = value_node(value, table)
         add(new(Triple, (node, value_edge, vnode)))
-        add(new(Triple, (vnode, rdf_type(table), wikibase(table, kind.node_class))))
-        for (local, _, dt), field in zip(kind.fields, _FIELDS[type(value)](value)):
-            add(new(Triple, (vnode, wikibase(table, local), field if dt is None else
-                             new(Literal, (str(field), xsd(table, dt.xsd_local))))))
+        add(new(Triple, (vnode, vocab.a, node_class)))
+        xsd_of = vocab.xsd
+        for pred, (_, _, dt), field in zip(predicates, kind.fields, _FIELDS[type(value)](value)):
+            add(new(Triple, (vnode, pred, field if dt is None else
+                             new(Literal, (str(field), xsd_of[dt])))))
     return term
 
 
@@ -202,8 +283,8 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
     add = triples.append
     new = tuple.__new__
     checks: dict[str, _DeclChecks] = {}       # by statement property name
-    wb_item = wikibase(table, "Item")
-    a = rdf_type(table)
+    vocab = vocabulary(table)
+    a, wb_item = vocab.a, vocab.item
     for item in instances.items:
         if (schema.class_decl(item.type_class) is None
                 and item.type_class != wb_item):
@@ -217,12 +298,12 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
                 if st is None:
                     raise UnresolvedNameError(stmt.property, "statement property not declared")
                 decl_checks = checks[stmt.property] = _decl_checks(st)
-            _export_statement(add, item.iri, stmt, decl_checks, instances, table)
+            _export_statement(add, item.iri, stmt, decl_checks, instances, vocab, table)
     return Graph(triples)
 
 
 def _export_statement(add: Add, subject: Iri, stmt: StatementData, decl_checks: _DeclChecks,
-                      instances: InstanceDoc, table: NamespaceTable) -> None:
+                      instances: InstanceDoc, vocab: Vocabulary, table: NamespaceTable) -> None:
     st, quals_by_name, required_quals, required_refs = decl_checks
     _check_value(st.source.object_spec, stmt.value, instances, stmt.property)
 
@@ -251,34 +332,32 @@ def _export_statement(add: Add, subject: Iri, stmt: StatementData, decl_checks: 
                 raise MissingRequiredError(f"{stmt.property}/{name}")
 
     new = tuple.__new__
-    a = rdf_type(table)
     h = statement_hash(subject, stmt, table)
     node = _statement_iri(subject, h, table)
     props = st.statement_properties
     add(new(Triple, (subject, props["p"], node)))
-    add(new(Triple, (node, a, wikibase(table, "Statement"))))
-    value_term = _add_value(add, node, props["ps"], props.get("psv"), stmt.value, table)
+    add(new(Triple, (node, vocab.a, vocab.statement)))
+    value_term = _add_value(add, node, props["ps"], props.get("psv"), stmt.value, vocab, table)
     add(new(Triple, (subject, props["wdt"], value_term)))
     for q in stmt.qualifiers:
         fam = st.qualifier_properties[q.name]
-        _add_value(add, node, fam["pq"], fam.get("pqv"), q.value, table)
+        _add_value(add, node, fam["pq"], fam.get("pqv"), q.value, vocab, table)
 
-    prov = prov_was_derived_from(table)
     for ref in stmt.references:
         rnode = reference_node(ref, h, table)
-        add(new(Triple, (node, prov, rnode)))
-        add(new(Triple, (rnode, a, wikibase(table, "Reference"))))
+        add(new(Triple, (node, vocab.derived_from, rnode)))
+        add(new(Triple, (rnode, vocab.a, vocab.reference)))
         for snak in ref.snaks:
             add(new(Triple, (rnode, ref_props[snak.name], snak.target)))
 
 
 # reading a graph back ------------------------------------------------------
 
-def literal_problem(v: Term, dt: Datatype, table: NamespaceTable) -> str | None:
+def literal_problem(v: Term, dt: Datatype, vocab: Vocabulary) -> str | None:
     """Why `v` is not a canonical `dt` literal, or None when it is one."""
     if not isinstance(v, Literal):
         return f"is not an xsd:{dt.xsd_local} literal"
-    if v.datatype != xsd(table, dt.xsd_local):
+    if v.datatype != vocab.xsd[dt]:
         return f"is not typed xsd:{dt.xsd_local}"
     if not is_canonical(dt, v.lexical):
         return f"has non-canonical xsd:{dt.xsd_local} lexical {v.lexical!r}"
@@ -289,6 +368,14 @@ def literal_problem(v: Term, dt: Datatype, table: NamespaceTable) -> str | None:
 NodeValue = DateTimeValue | DecimalValue | list[str]
 EdgeView = dict[Iri, list[Term]]              # one node's objects by predicate
 ValueReader = Callable[[Iri, ValueKind], NodeValue]
+# a ps:/pq: value as read back: an item's IRI, a string literal, or the value
+# of a date or quantity node
+ReadValue = Iri | Literal | DateTimeValue | DecimalValue
+# a statement node's content as read back, in plain tuples laid out as
+# StatementData: the property name, the ps: value, a (name, value) pair for
+# each declared qualifier value, and each reference's (name, target) snaks
+StatementContent = tuple[str, ReadValue, tuple[tuple[str, ReadValue], ...],
+                         tuple[tuple[tuple[str, Iri], ...], ...]]
 
 
 def read_value_node(g: Graph, node: Iri, kind: ValueKind, table: NamespaceTable) -> NodeValue:
@@ -297,11 +384,12 @@ def read_value_node(g: Graph, node: Iri, kind: ValueKind, table: NamespaceTable)
     One look at the node: every field comes from one `Graph.edges` view.
     The value is what `_add_value` wrote the node from.
     """
+    vocab = vocabulary(table)
     view = g.edges(node)
     problems: list[str] = []
     fields: dict[str, object] = {}
-    for local, attr, dt in kind.fields:
-        values = view.get(wikibase(table, local), ())
+    for pred, (local, attr, dt) in zip(vocab.kind_terms(kind, table).predicates, kind.fields):
+        values = view.get(pred, ())
         if not values:
             problems.append(f"missing wikibase:{local}")
         elif len(values) > 1:
@@ -311,7 +399,7 @@ def read_value_node(g: Graph, node: Iri, kind: ValueKind, table: NamespaceTable)
                 fields[attr] = values[0]
             else:
                 problems.append(f"wikibase:{local} is not an IRI")
-        elif (problem := literal_problem(values[0], dt, table)) is not None:
+        elif (problem := literal_problem(values[0], dt, vocab)) is not None:
             problems.append(f"wikibase:{local} {problem}")
         else:
             lexical = values[0].lexical
@@ -319,28 +407,26 @@ def read_value_node(g: Graph, node: Iri, kind: ValueKind, table: NamespaceTable)
     return problems or kind.value_type(**fields)
 
 
-def _read_value(view: EdgeView, value_prop: Iri, v: Term, table: NamespaceTable,
-                value_of: ValueReader) -> Value | None:
-    """A ps:/pq: object as a value; dates and quantities need a matching node."""
-    if isinstance(v, Iri):
-        return ItemRef(v)
-    if v.datatype == xsd(table, "string"):
-        return StringValue(v.lexical)
-    for dt, kind in VALUE_KINDS.items():
-        if v.datatype != xsd(table, dt.xsd_local):
-            continue
-        main = kind.fields[0][1]
-        for vnode in view.get(value_prop, ()):
-            if isinstance(vnode, Iri):
-                value = value_of(vnode, kind)
-                if not isinstance(value, list) and getattr(value, main) == v.lexical:
-                    return value
+def _read_value(view: EdgeView, value_prop: Iri, v: Term, vocab: Vocabulary,
+                value_of: ValueReader) -> ReadValue | None:
+    """A ps:/pq: object as read back; dates and quantities need a matching node."""
+    if isinstance(v, Iri) or v.datatype == vocab.xsd[Datatype.STRING]:
+        return v
+    kind = vocab.kind_by_xsd.get(v.datatype)
+    if kind is None:
+        return None
+    main = kind.fields[0][1]
+    for vnode in view.get(value_prop, ()):
+        if isinstance(vnode, Iri):
+            value = value_of(vnode, kind)
+            if not isinstance(value, list) and getattr(value, main) == v.lexical:
+                return value
     return None
 
 
-def read_statement(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceTable,
-                   edges: Callable[[Iri], EdgeView] | None = None,
-                   value_of: ValueReader | None = None) -> StatementData | None:
+def read_content(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceTable,
+                 edges: Callable[[Iri], EdgeView] | None = None,
+                 value_of: ValueReader | None = None) -> StatementContent | None:
     """The statement content behind `node`, the inverse of export.
 
     Only declared qualifiers and reference snaks are read, and psv:/pqv:
@@ -358,33 +444,54 @@ def read_statement(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceT
     if value_of is None:
         def value_of(vnode: Iri, kind: ValueKind) -> NodeValue:
             return read_value_node(g, vnode, kind, table)
+    vocab = vocabulary(table)
     view = edges(node)
     name = st.source.property_name
     ps_values = view.get(st.statement_properties["ps"], ())
     if len(ps_values) != 1:
         return None
-    value = _read_value(view, table.term("psv", name), ps_values[0], table, value_of)
+    value = _read_value(view, table.term("psv", name), ps_values[0], vocab, value_of)
     if value is None:
         return None
-    quals: list[QualifierData] = []
+    quals: list[tuple[str, ReadValue]] = []
     for q in st.source.qualifiers:
         pqv = table.term("pqv", q.name)
         for v in view.get(st.qualifier_properties[q.name]["pq"], ()):
-            qv = _read_value(view, pqv, v, table, value_of)
+            qv = _read_value(view, pqv, v, vocab, value_of)
             if qv is None:
                 return None
-            quals.append(QualifierData(q.name, qv))
-    refs: list[RefData] = []
-    ref_class = wikibase(table, "Reference")
-    for rnode in view.get(prov_was_derived_from(table), ()):
-        if not isinstance(rnode, Iri) or (rnode, rdf_type(table), ref_class) not in g:
+            quals.append((q.name, qv))
+    refs: list[tuple[tuple[str, Iri], ...]] = []
+    for rnode in view.get(vocab.derived_from, ()):
+        if not isinstance(rnode, Iri) or (rnode, vocab.a, vocab.reference) not in g:
             return None
         rview = edges(rnode)
-        snaks: list[SnakData] = []
+        snaks: list[tuple[str, Iri]] = []
         for rname, pr in sorted(st.reference_properties.items()):
             for target in rview.get(pr, ()):
                 if not isinstance(target, Iri):
                     return None
-                snaks.append(SnakData(rname, target))
-        refs.append(RefData(tuple(snaks)))
-    return StatementData(name, value, tuple(quals), tuple(refs))
+                snaks.append((rname, target))
+        refs.append(tuple(snaks))
+    return name, value, tuple(quals), tuple(refs)
+
+
+def _model_value(v: ReadValue) -> Value:
+    t = type(v)
+    if t is Iri:
+        return ItemRef(v)
+    if t is Literal:
+        return StringValue(v.lexical)
+    return v
+
+
+def read_statement(g: Graph, node: Iri, st: ExpandedStatement,
+                   table: NamespaceTable) -> StatementData | None:
+    """`read_content` as model data: what export would write `node` from."""
+    content = read_content(g, node, st, table)
+    if content is None:
+        return None
+    name, value, quals, refs = content
+    return StatementData(
+        name, _model_value(value), tuple(QualifierData(n, _model_value(v)) for n, v in quals),
+        tuple(RefData(tuple(SnakData(n, t) for n, t in snaks)) for snaks in refs))

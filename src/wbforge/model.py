@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
+from functools import cached_property
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -98,8 +99,10 @@ class StatementDecl:
     references: tuple[ReferenceDecl, ...] = ()
     patterns: tuple[AxiomPattern, ...] = ()
 
-    @property
+    @cached_property
     def property_name(self) -> str:
+        # worked out on first use and kept in the instance's __dict__, which
+        # the frozen dataclass's equality, hash and repr never read
         return self.property_iri.local_name
 
 

@@ -9,8 +9,9 @@ single root so the whole pipeline can be rebased with one switch.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 from .errors import DuplicateDeclarationError, UnknownPrefixError, WbforgeError
 
@@ -62,6 +63,9 @@ _IRI_ASCII = "".join(re.escape(c) for c in map(chr, range(0x80))
                      if not re.match(rf'[{IRI_EXCLUDED}\\]', c))
 _is_iri = re.compile(
     rf'[A-Za-z][A-Za-z0-9+.-]*:[{_IRI_ASCII}\x80-\ud7ff\ue000-\U0010ffff]*').fullmatch
+
+
+T = TypeVar("T")
 
 
 class _IriFields(NamedTuple):
@@ -122,6 +126,9 @@ class NamespaceTable:
     _bases: dict[str, str] = field(init=False, repr=False, compare=False)
     _terms: dict[tuple[str, str], Iri] = field(init=False, repr=False, compare=False)
     _curies: dict[str, str | None] = field(init=False, repr=False, compare=False)
+    # base -> its first prefix, built on the first `curie` miss
+    _prefix_of_base: dict[str, str] = field(init=False, repr=False, compare=False)
+    _derived: dict[Callable, object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bases = _fixed_bindings(self.root)
@@ -136,6 +143,8 @@ class NamespaceTable:
         object.__setattr__(self, "_bases", bases)
         object.__setattr__(self, "_terms", {})
         object.__setattr__(self, "_curies", {})
+        object.__setattr__(self, "_prefix_of_base", {})
+        object.__setattr__(self, "_derived", {})
 
     def with_prefix(self, prefix: str, base: str) -> NamespaceTable:
         return NamespaceTable(self.root, self.user + ((prefix, base),))
@@ -153,11 +162,22 @@ class NamespaceTable:
         repeats, and the CURIEs of a parsed document; the memo keeps each
         term asked for, and no term whose IRI is invalid.
         """
-        try:
-            return self._terms[prefix, local]
-        except KeyError:
+        iri = self._terms.get((prefix, local))
+        if iri is None:
             iri = self._terms[prefix, local] = Iri(self.base(prefix) + local)
-            return iri
+        return iri
+
+    def derived(self, build: Callable[[NamespaceTable], T]) -> T:
+        """`build(self)`, worked out once per table and kept with it.
+
+        For the fixed vocabularies that the layers above resolve through
+        the table; like the other memos it takes no part in equality.
+        """
+        try:
+            return self._derived[build]
+        except KeyError:
+            value = self._derived[build] = build(self)
+            return value
 
     def prefixes(self) -> list[tuple[str, str]]:
         """All bindings, fixed first in canonical order, then user order."""
@@ -168,23 +188,30 @@ class NamespaceTable:
     def curie(self, iri: Iri) -> str | None:
         """Compress to prefix:local under the longest matching base.
 
-        Remembered per table: callers ask about predicates, classes and
-        schema terms, never per-node IRIs, so the memo stays small.
+        A local part holds no '/', '#' or ':', and every base ends in '/'
+        or '#', so the one base that can compress an IRI is its text up to
+        the last '/' or '#'; a base bound twice compresses under its first
+        prefix. Remembered per table: callers ask about predicates, classes
+        and schema terms, never per-node IRIs, so the memo stays small.
         """
         value = iri.value
         try:
             return self._curies[value]
         except KeyError:
             pass
-        best: tuple[str, str] | None = None
-        for prefix, base in self._bases.items():
-            if value.startswith(base) and (best is None or len(base) > len(best[1])):
-                best = (prefix, base)
+        cut = max(value.rfind("/"), value.rfind("#")) + 1
+        local = value[cut:]
         curie = None
-        if best is not None:
-            local = value[len(best[1]):]
-            if local and not any(c in local for c in "/#:"):
-                curie = f"{best[0]}:{local}"
+        if local and ":" not in local:
+            prefix_of_base = self._prefix_of_base
+            if not prefix_of_base:
+                # built here, not in __post_init__: with_prefix makes a table
+                # for every prefix line of a document
+                for prefix, base in self._bases.items():
+                    prefix_of_base.setdefault(base, prefix)
+            prefix = prefix_of_base.get(value[:cut])
+            if prefix is not None:
+                curie = f"{prefix}:{local}"
         self._curies[value] = curie
         return curie
 

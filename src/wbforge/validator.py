@@ -15,17 +15,18 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .axioms import CATALOG
-from .errors import UnknownCodeError
+from .errors import PreimageDelimiterError, UnknownCodeError
 from .expander import ExpandedSchema, ExpandedStatement, expand
 from .exporter import (
     HASH_LENGTH,
     EdgeView,
     NodeValue,
     literal_problem,
-    read_statement,
+    read_content,
     read_value_node,
     statement_hash,
     value_hash,
+    vocabulary,
 )
 from .model import (
     VALUE_KINDS,
@@ -35,7 +36,7 @@ from .model import (
     StatementDecl,
     ValueKind,
 )
-from .namespaces import PROPERTY_NAMESPACES, Iri, prov_was_derived_from, rdf_type, wikibase
+from .namespaces import PROPERTY_NAMESPACES, Iri
 from .rdf import Graph, Term, Triple
 
 ERROR = "ERROR"
@@ -143,8 +144,9 @@ class _Checker:
         self.expanded = expanded
         self.g = graph
         self.table = expanded.source.namespaces
-        self.a = rdf_type(self.table)
-        self.prov = prov_was_derived_from(self.table)
+        self.vocab = vocabulary(self.table)
+        self.a = self.vocab.a
+        self.prov = self.vocab.derived_from
         self.findings: set[Finding] = set()
         # the pq: edge of every qualifier name, and the reference names, some statement declares
         self.pq_by_name = {name: fam["pq"] for st in expanded.statements
@@ -155,9 +157,6 @@ class _Checker:
         self.views: dict[Iri, EdgeView] = {}
         # every value node read so far, by (node, kind tag), for the whole run
         self.values: dict[tuple[Iri, str], NodeValue] = {}
-
-    def wb(self, local: str) -> Iri:
-        return wikibase(self.table, local)
 
     def add(self, code: str, focus: Iri | str, detail: str) -> None:
         f = focus.value if isinstance(focus, Iri) else focus
@@ -224,7 +223,7 @@ class _Checker:
         return None, subject
 
     def check_statement_nodes(self) -> None:
-        for node in self.g.subjects(self.a, self.wb("Statement")):
+        for node in self.g.subjects(self.a, self.vocab.statement):
             self.views = {}
             edges = self.in_edges(node)
             if not edges:
@@ -246,7 +245,7 @@ class _Checker:
                 cls = self.table.curie(decl.subject_class) or decl.subject_class.value
                 self.add("DomainViolation", subject,
                          f"subject of p:{name} lacks rdf:type {cls}")
-            if not self.has_type(subject, self.wb("Item")):
+            if not self.has_type(subject, self.vocab.item):
                 self.add("DomainViolation", subject,
                          f"subject of p:{name} lacks rdf:type wikibase:Item")
 
@@ -268,7 +267,7 @@ class _Checker:
         name = decl.property_name
         cls = decl.object_spec.item_class
         if cls is None:
-            problem = literal_problem(v, decl.object_spec.datatype, self.table)
+            problem = literal_problem(v, decl.object_spec.datatype, self.vocab)
             if problem:
                 self.add("RangeViolation", node, f"value of ps:{name} {problem}")
             return
@@ -278,7 +277,7 @@ class _Checker:
         if not self.has_type(v, cls):
             curie = self.table.curie(cls) or cls.value
             self.add("RangeViolation", v, f"value of ps:{name} lacks rdf:type {curie}")
-        if not self.has_type(v, self.wb("Item")):
+        if not self.has_type(v, self.vocab.item):
             self.add("RangeViolation", v,
                      f"value of ps:{name} lacks rdf:type wikibase:Item")
 
@@ -308,7 +307,7 @@ class _Checker:
                 self.add("QualifierTypeViolation", node,
                          f"value of pq:{qname} is not an item of {cls}")
             return
-        problem = literal_problem(v, q.qtype.datatype, self.table)
+        problem = literal_problem(v, q.qtype.datatype, self.vocab)
         if problem:
             self.add("QualifierTypeViolation", node, f"value of pq:{qname} {problem}")
 
@@ -316,7 +315,7 @@ class _Checker:
         declared = {r.name: r for r in st.source.references}
         snak_names: set[str] = set()
         for rnode in view.get(self.prov, ()):
-            if not self.has_type(rnode, self.wb("Reference")):
+            if not self.has_type(rnode, self.vocab.reference):
                 self.add("RangeViolation", node,
                          "prov:wasDerivedFrom value is not typed wikibase:Reference")
                 continue
@@ -340,7 +339,7 @@ class _Checker:
     def check_references_shared(self) -> None:
         derived: dict[Iri, set[Iri]] = {}
         for t in self.g.match(None, self.prov, None):
-            if not self.has_type(t.s, self.wb("Statement")):
+            if not self.has_type(t.s, self.vocab.statement):
                 continue          # non-statement provenance is out of scope
             if isinstance(t.o, Iri):
                 derived.setdefault(t.o, set()).add(t.s)
@@ -369,7 +368,8 @@ class _Checker:
 
     def check_value_nodes(self) -> None:
         for kind in VALUE_KINDS.values():
-            for node in self.g.subjects(self.a, self.wb(kind.node_class)):
+            node_class = self.vocab.kind_terms(kind, self.table).node_class
+            for node in self.g.subjects(self.a, node_class):
                 value = self.value_node(node, kind)
                 if isinstance(value, list):
                     self.add("ValueNodeMalformed", node, "; ".join(value))
@@ -406,10 +406,16 @@ class _Checker:
         got = self.name_hash(node, "s", _STATEMENT_NAME)
         if got is None:
             return
-        stmt = read_statement(self.g, node, st, self.table, self.edges, self.value_node)
-        if stmt is None:
+        content = read_content(self.g, node, st, self.table, self.edges, self.value_node)
+        if content is None:
             return
-        want = statement_hash(subject, stmt, self.table)
+        try:
+            want = statement_hash(subject, content, self.table)
+        except PreimageDelimiterError as exc:
+            # an Iri never holds '|', so the delimiter is ';'
+            self.add("HashMismatch", node,
+                     f"content cannot be hashed: reference target <{exc.iri}> contains ';'")
+            return
         if got != want:
             self.add("HashMismatch", node,
                      f"node hash {got} does not match content hash {want}")

@@ -27,10 +27,12 @@ from wbforge.exporter import (
     statement_node,
     value_hash,
     value_node,
+    vocabulary,
 )
-from wbforge.fixtures import FIXTURE_NAMES, load_fixture
+from wbforge.fixtures import FIXTURE_NAMES, fixture_path, load_fixture
 from wbforge.model import (
     VALUE_KINDS,
+    Datatype,
     DateTimeValue,
     DecimalValue,
     ItemRef,
@@ -508,3 +510,57 @@ def test_read_back_of_a_literal_reference_target_is_none():
         g.discard(t)
         g.add(Triple(t.s, pr, Literal(t.o.local_name)))
     assert read_statement(g, node, st, table) is None
+
+
+def test_export_resolves_its_vocabulary_once_per_table(monkeypatch):
+    schema, instances = load_fixture("name-record")
+    asked = []
+    term = NamespaceTable.term
+
+    def counted(self, prefix, local):
+        if prefix in ("rdf", "wikibase", "xsd", "prov"):
+            asked.append((prefix, local))
+        return term(self, prefix, local)
+
+    monkeypatch.setattr(NamespaceTable, "term", counted)
+    first = export(schema, instances)
+    # each vocabulary term once: the fixed ones, then a kind's when its first node is written
+    assert len(asked) == len(set(asked))
+    assert {("rdf", "type"), ("wikibase", "Statement"), ("xsd", "dateTime"),
+            ("wikibase", "TimeValue"), ("wikibase", "timePrecision")} <= set(asked)
+    assert ("wikibase", "QuantityValue") not in asked      # no quantity in the fixture
+    asked.clear()
+    assert export(schema, instances) == first
+    assert asked == []                # the table keeps what the first export resolved
+    fresh = parse_schema(fixture_path("name-record", "wbs").read_text())
+    assert export(fresh, instances) == first
+    assert asked                      # a new table resolves its own
+
+
+def test_vocabulary_terms_are_the_tables_terms():
+    table = NamespaceTable()
+    vocab = vocabulary(table)
+    assert vocabulary(table) is vocab
+    assert vocab.a == Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
+    assert vocab.item == Iri("http://wikiba.se/ontology#Item")
+    assert vocab.statement == Iri("http://wikiba.se/ontology#Statement")
+    assert vocab.reference == Iri("http://wikiba.se/ontology#Reference")
+    assert vocab.derived_from == Iri("http://www.w3.org/ns/prov#wasDerivedFrom")
+    assert vocab.xsd == {dt: Iri("http://www.w3.org/2001/XMLSchema#" + dt.xsd_local)
+                         for dt in Datatype}
+    assert vocab.kinds == {}
+    for dt, kind in VALUE_KINDS.items():
+        assert vocab.kind_by_xsd[vocab.xsd[dt]] is kind
+        terms = vocab.kind_terms(kind, table)
+        assert vocab.kind_terms(kind, table) is terms
+        assert terms.node_class == Iri("http://wikiba.se/ontology#" + kind.node_class)
+        assert terms.predicates == tuple(Iri("http://wikiba.se/ontology#" + local)
+                                         for local, _, _ in kind.fields)
+    assert vocabulary(NamespaceTable()) is not vocab
+
+
+def test_property_name_is_kept_without_touching_equality():
+    decl, twin = (load_fixture("sex-record")[0].statements[0] for _ in range(2))
+    assert decl.property_name == "hasSexRecord"
+    assert decl.property_name is decl.property_name
+    assert decl == twin and hash(decl) == hash(twin) and repr(decl) == repr(twin)

@@ -220,3 +220,75 @@ def test_local_name_takes_the_text_after_the_first_separator_kind_found():
     assert Iri("urn:isbn:0451450523").local_name == "0451450523"
     assert Iri("urn:x").local_name == "x"
     assert Iri("tag:").local_name == ""
+
+
+def _longest_base_curie(table: NamespaceTable, iri: Iri) -> str | None:
+    """`curie` as a scan over every base, keeping the longest one that matches.
+
+    `prefixes()` lists the fixed bindings, then the user ones in declaration
+    order. Two fixed bases never coincide, and user bindings come after the
+    fixed ones here as in the table, so among equal bases the first one
+    listed is the first one bound, and the strict `>` keeps it.
+    """
+    best = None
+    for prefix, base in table.prefixes():
+        if iri.value.startswith(base) and (best is None or len(base) > len(best[1])):
+            best = (prefix, base)
+    if best is None:
+        return None
+    local = iri.value[len(best[1]):]
+    if not local or any(c in local for c in "/#:"):
+        return None
+    return f"{best[0]}:{local}"
+
+
+_USER_BASES = (
+    ("ex", "http://example.org/"),
+    ("exv", "http://example.org/vocab#"),             # ends in '#', under ex:
+    ("deep", "http://example.org/vocab#part/"),        # a '/' base under a '#' base
+    ("mywd", DEFAULT_ROOT + "entity/"),                # equal to the fixed wd: base
+    ("ex2", "http://example.org/"),                    # equal to an earlier user base
+    ("colon", "http://example.org/a:b/"),              # a ':' inside the base
+)
+_LOCALS = ("", "a", "Agent", "x-1", "a:b", "a/b", "a#b", "a/", "a#", ":", "/", "#",
+           "p:q/r", "é")
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("root", [DEFAULT_ROOT, "http://kb.example/kb#"])
+def test_curie_and_split_agree_with_the_longest_base_scan(seed, root):
+    import random
+
+    rng = random.Random(seed)
+    table = NamespaceTable(root, _USER_BASES)
+    bases = [base for _, base in table.prefixes()]
+    iris = {Iri(base + local) for base in bases for local in _LOCALS}
+    iris |= {Iri(base[:-1]) for base in bases}                  # a base without its separator
+    for _ in range(200):
+        base = rng.choice(bases)
+        local = "".join(rng.choice(("a", "b", "7", ":", "/", "#", "-", ".", "~"))
+                        for _ in range(rng.randrange(6)))
+        iris.add(Iri(rng.choice(("", "http://elsewhere.example/")) + base + local))
+    iris |= {Iri("urn:x:y"), Iri("http://elsewhere.example/z"), Iri("http:")}
+    fresh = NamespaceTable(root, _USER_BASES)
+    for iri in sorted(iris, key=lambda i: rng.random()):
+        want = _longest_base_curie(fresh, iri)
+        assert table.curie(iri) == want, iri
+        assert table.curie(iri) == want, iri          # again, from the memo
+        assert table.split(iri) == (None if want is None else tuple(want.split(":", 1)))
+    assert table.curie(Iri(DEFAULT_ROOT + "entity/x")) == (
+        "wd:x" if root == DEFAULT_ROOT else "mywd:x")   # the first prefix of a base wins
+    assert table.curie(Iri("http://example.org/x")) == "ex:x"
+    assert table.curie(Iri("http://example.org/vocab#x")) == "exv:x"
+    assert table.curie(Iri(root + "prop/statement/x")) == "ps:x"
+    assert table.curie(Iri(root + "prop/x")) == "p:x"
+
+
+def test_curie_builds_its_base_map_on_the_first_miss():
+    # a table that is only extended (one per prefix line) never builds it
+    t = NamespaceTable()
+    t = t.with_prefix("ex", "http://example.org/").with_prefix("rec", "http://rec.example/")
+    assert t._prefix_of_base == {}
+    assert t.curie(Iri("http://rec.example/Person")) == "rec:Person"
+    assert t._prefix_of_base["http://rec.example/"] == "rec"
+    assert t.with_prefix("x", "http://x.example/")._prefix_of_base == {}

@@ -1,0 +1,191 @@
+"""Read-back: the hash check's preimage against the model read.
+
+The validator hashes a statement node from `read_content`'s plain tuples,
+sent straight to `assemble_preimage`; `read_statement` builds the model
+`StatementData` from the same walk, and `canonical_content` renders that
+through the same assembler. Both must give one preimage for every node,
+and None together, on clean, mutated and randomly edited graphs.
+"""
+
+import random
+
+import pytest
+
+import hash_oracle as oracle
+from generators import random_instances, random_schema
+from report_corpus import _edit
+from wbforge import validator
+from wbforge.errors import PreimageDelimiterError
+from wbforge.expander import expand
+from wbforge.exporter import (
+    assemble_preimage,
+    canonical_content,
+    export,
+    read_content,
+    read_statement,
+    statement_hash,
+    vocabulary,
+)
+from wbforge.fixtures import FIXTURE_NAMES, MUTATIONS, load_bundle
+from wbforge.model import DateTimeValue
+from wbforge.namespaces import DEFAULT_ROOT, Iri, NamespaceTable
+from wbforge.rdf import Graph, Literal, Triple
+from wbforge.validator import validate
+
+_ELSEWHERE = Iri("http://elsewhere.example/subject")
+
+
+def _model_preimage(g, node, st, table, subject):
+    """`canonical_content` of the model read, or the error it raises, or None."""
+    stmt = read_statement(g, node, st, table)
+    if stmt is None:
+        return None
+    try:
+        return canonical_content(subject, stmt, table)
+    except PreimageDelimiterError as exc:
+        return exc.iri
+
+
+def _content_preimage(content, table, subject):
+    try:
+        return assemble_preimage(subject, *content, table)
+    except PreimageDelimiterError as exc:
+        return exc.iri
+
+
+def _assert_reads_agree(schema, g):
+    """Every statement node under every declaration, read both ways."""
+    table = schema.namespaces
+    vocab = vocabulary(table)
+    expanded = expand(schema)
+    ps = {st.statement_properties["ps"] for st in expanded.statements}
+    nodes = g.subjects(vocab.a, vocab.statement) + [t.s for t in g if t.p in ps]
+    read = 0
+    for node in sorted(set(nodes)):
+        subjects = [t.s for t in g.match(None, None, node)] or [_ELSEWHERE]
+        for st in expanded.statements:
+            content = read_content(g, node, st, table)
+            for subject in subjects:
+                want = _model_preimage(g, node, st, table, subject)
+                if content is None:
+                    assert want is None, node
+                else:
+                    assert _content_preimage(content, table, subject) == want, node
+                    read += 1
+    return read
+
+
+def _assert_check_hashes_the_model_read(schema, g, monkeypatch):
+    """What the hash check hashes is what `read_statement` reads, node by node."""
+    table = schema.namespaces
+    expanded = expand(schema)
+    reads, hashed = [], []
+
+    def recording_read(g_, node, st, table_, edges, value_of):
+        content = read_content(g_, node, st, table_, edges, value_of)
+        reads.append((node, st, content))
+        return content
+
+    def recording_hash(subject, content, table_):
+        hashed.append((subject, content))
+        return statement_hash(subject, content, table_)
+
+    monkeypatch.setattr(validator, "read_content", recording_read)
+    monkeypatch.setattr(validator, "statement_hash", recording_hash)
+    validate(schema, g)
+    monkeypatch.undo()
+    assert [c for _, c in hashed] == [c for _, _, c in reads if c is not None]
+    subjects = iter(s for s, _ in hashed)
+    for node, st, content in reads:
+        assert st == expanded.statement(st.source.property_name)
+        if content is None:
+            assert read_statement(g, node, st, table) is None
+            continue
+        subject = next(subjects)
+        assert (_content_preimage(content, table, subject)
+                == _model_preimage(g, node, st, table, subject))
+
+
+def _recipe_cases():
+    cases = []
+    for owner, mutations in MUTATIONS.items():
+        for m in mutations:
+            for name in FIXTURE_NAMES:
+                try:
+                    m.apply(load_bundle(name))
+                except (IndexError, AttributeError):
+                    assert name != owner       # a recipe applies to its own fixture
+                    continue                   # names a node this fixture lacks
+                cases.append(pytest.param(name, m, id=f"{name}-{m.code}"))
+    return cases
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_clean_fixtures_read_back_alike(name, monkeypatch):
+    b = load_bundle(name)
+    assert _assert_reads_agree(b.schema, b.graph) > 0
+    _assert_check_hashes_the_model_read(b.schema, b.graph, monkeypatch)
+
+
+@pytest.mark.parametrize("name,mutation", _recipe_cases())
+def test_mutated_fixtures_read_back_alike(name, mutation, monkeypatch):
+    b = load_bundle(name)
+    g = mutation.apply(b)
+    _assert_reads_agree(b.schema, g)
+    _assert_check_hashes_the_model_read(b.schema, g, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_edited_random_exports_read_back_alike(seed, monkeypatch):
+    # the report corpus's graphs: a seeded export, then five seeded edits
+    rng = random.Random(seed)
+    schema = random_schema(rng)
+    g = export(schema, random_instances(rng, schema))
+    _assert_reads_agree(schema, g)
+    for _ in range(5):
+        edited = _edit(g, rng)
+        _assert_reads_agree(schema, edited)
+        _assert_check_hashes_the_model_read(schema, edited, monkeypatch)
+
+
+def test_a_semicolon_target_fails_both_reads_alike():
+    b = load_bundle("sex-record")
+    manifest = Iri(DEFAULT_ROOT + "entity/manifest")
+    semi = Iri(DEFAULT_ROOT + "entity/mani;fest")
+    g = Graph([Triple(*(semi if x == manifest else x for x in t)) for t in b.graph])
+    assert _assert_reads_agree(b.schema, g) > 0
+    node, st = next((n, st) for st in expand(b.schema).statements
+                    for n in g.subjects(vocabulary(b.table).a, vocabulary(b.table).statement)
+                    if read_content(g, n, st, b.table) is not None)
+    with pytest.raises(PreimageDelimiterError):
+        assemble_preimage(_ELSEWHERE, *read_content(g, node, st, b.table), b.table)
+
+
+def test_frozen_preimages_through_the_assembler():
+    table = NamespaceTable()
+    wd = DEFAULT_ROOT + "entity/"
+    employee, job = Iri(wd + "employee0"), Iri(wd + "job0")
+    at_time = ("atTime", DateTimeValue("2001-01-01T00:00:00Z"))
+    snaks = (("taxRecord", Iri(wd + "doc1")),)
+    cases = [
+        ((), (), oracle.PREIMAGE_BARE, oracle.HASH_BARE),
+        ((at_time,), (), oracle.PREIMAGE_QUALIFIED, oracle.HASH_QUALIFIED),
+        ((at_time,), (snaks,), oracle.PREIMAGE_REFERENCED, oracle.HASH_REFERENCED),
+    ]
+    for quals, refs, preimage, digest in cases:
+        content = ("hasJob", job, quals, refs)
+        assert assemble_preimage(employee, *content, table) == preimage
+        assert statement_hash(employee, content, table) == digest
+
+
+def test_a_string_value_reads_back_as_its_literal():
+    b = load_bundle("name-record")
+    table = b.table
+    st = next(st for st in expand(b.schema).statements
+              if st.source.object_spec.datatype is not None)
+    node = next(n for n in b.graph.subjects(vocabulary(table).a, vocabulary(table).statement)
+                if read_content(b.graph, n, st, table) is not None)
+    content = read_content(b.graph, node, st, table)
+    assert type(content[1]) is Literal
+    assert (assemble_preimage(_ELSEWHERE, *content, table)
+            == canonical_content(_ELSEWHERE, read_statement(b.graph, node, st, table), table))

@@ -16,6 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import corpus  # noqa: E402
 from generators import random_instances, random_schema
+from wbforge.cli import main
 from wbforge.dsl import parse_instances, parse_schema
 from wbforge.errors import UnknownCodeError
 from wbforge.expander import expand
@@ -33,7 +34,7 @@ from wbforge.validator import (
     render_report_tsv,
     validate,
 )
-from wbforge.fixtures import load_bundle
+from wbforge.fixtures import fixture_path, load_bundle
 from wbforge.model import DecimalValue
 from wbforge.namespaces import DEFAULT_ROOT, Iri, prov_was_derived_from, rdf_type, wikibase, xsd
 from wbforge.rdf import Graph, Literal, Triple, render_term
@@ -463,3 +464,29 @@ def test_a_discard_is_seen_by_the_next_validation():
     assert [f.code for f in validate(b.schema, g).findings] == ["UnknownProperty"]
     g.discard(stray)
     assert validate(b.schema, g).findings == ()
+
+
+@pytest.mark.parametrize("drop_truthy", [False, True], ids=["alone", "with-chain-gap"])
+def test_a_reference_target_holding_a_semicolon_is_a_hash_mismatch(
+        drop_truthy, tmp_path, capsys):
+    # `Iri` allows ';', which joins the snaks of a hash preimage's R line: the
+    # node's content cannot be hashed, which is a finding, and the other
+    # checks still run
+    b = load_bundle("sex-record")
+    lines = fixture_path("sex-record", "nt").read_text().replace(
+        "/entity/manifest>", "/entity/mani;fest>").splitlines(keepends=True)
+    truthy = [line for line in lines if "/prop/direct/hasSexRecord>" in line]
+    assert len(truthy) == 1
+    if drop_truthy:
+        lines.remove(truthy[0])
+    path = tmp_path / "sex-record.nt"
+    path.write_text("".join(lines))
+    status = main(["validate", str(fixture_path("sex-record", "wbs")), str(path)])
+    node = _fixture_snode(b).value
+    gap = f"ERROR ChainGap <{node}> : missing truthy edge wdt:hasSexRecord\n"
+    assert capsys.readouterr().out == (
+        (gap if drop_truthy else "")
+        + f"WARNING HashMismatch <{node}> : content cannot be hashed: reference target "
+        f"<{DEFAULT_ROOT}entity/mani;fest> contains ';'\n"
+        + f"errors={int(drop_truthy)} warnings=1\n")
+    assert status == int(drop_truthy)
