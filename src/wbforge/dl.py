@@ -5,93 +5,98 @@ from Top, named classes, datatype ranges, existential/universal
 restrictions and cardinalities, plus role-chain inclusion axioms. Roles
 are named properties or their single inverse; class expressions never
 contain chains.
+
+Every node is a `NamedTuple`, so the serializer's merge of equal axioms
+hashes and compares whole trees in C. A tuple equals any tuple with the
+same items, so each DL node ends in a `kind` field holding its class
+name, which no caller passes: without it `Some(r, f)` would equal
+`All(r, f)`, and `MinCard(1, r, f)` would equal `MaxCard(1, r, f)`.
+`AnnotatedAxiom` is never a key and carries no tag.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import Datatype
 from .namespaces import Iri
 
 
-@dataclass(frozen=True)
-class Role:
+class Role(NamedTuple):
     iri: Iri
     inverse: bool = False
+    kind: str = "Role"
 
 
-@dataclass(frozen=True)
-class Top:
-    pass
+class Top(NamedTuple):
+    kind: str = "Top"
 
 
 TOP = Top()
 
 
-@dataclass(frozen=True)
-class Named:
+class Named(NamedTuple):
     iri: Iri
+    kind: str = "Named"
 
 
-@dataclass(frozen=True)
-class DataRange:
+class DataRange(NamedTuple):
     datatype: Datatype
+    kind: str = "DataRange"
 
 
-@dataclass(frozen=True)
-class Some:
+class Some(NamedTuple):
     role: Role
     filler: "ClassExpr"
+    kind: str = "Some"
 
 
-@dataclass(frozen=True)
-class All:
+class All(NamedTuple):
     role: Role
     filler: "ClassExpr"
+    kind: str = "All"
 
 
-@dataclass(frozen=True)
-class MaxCard:
+class MaxCard(NamedTuple):
     n: int
     role: Role
     filler: "ClassExpr"
+    kind: str = "MaxCard"
 
 
-@dataclass(frozen=True)
-class MinCard:
+class MinCard(NamedTuple):
     n: int
     role: Role
     filler: "ClassExpr"
+    kind: str = "MinCard"
 
 
-@dataclass(frozen=True)
-class ExactCard:
+class ExactCard(NamedTuple):
     n: int
     role: Role
     filler: "ClassExpr"
+    kind: str = "ExactCard"
 
 
 ClassExpr = Top | Named | DataRange | Some | All | MaxCard | MinCard | ExactCard
 
 
-@dataclass(frozen=True)
-class SubClassOf:
+class SubClassOf(NamedTuple):
     sub: ClassExpr
     sup: ClassExpr
+    kind: str = "SubClassOf"
 
 
-@dataclass(frozen=True)
-class SubPropertyChain:
+class SubPropertyChain(NamedTuple):
     chain: tuple[Role, ...]
     sup: Role
+    kind: str = "SubPropertyChain"
 
 
 DlAxiom = SubClassOf | SubPropertyChain
 
 
-@dataclass(frozen=True)
-class AnnotatedAxiom:
+class AnnotatedAxiom(NamedTuple):
     """A DL axiom with its citation key, NL reading, and source declaration."""
 
     axiom: DlAxiom

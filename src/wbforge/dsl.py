@@ -16,6 +16,7 @@ from .errors import (
     DuplicateDeclarationError,
     FeatureDisabledError,
     MalformedValueError,
+    PatternInapplicableError,
     UnknownClassError,
     WbforgeError,
 )
@@ -291,8 +292,14 @@ def _parse_statement_decl(ts: _Stream, table: NamespaceTable,
     if object_spec is None:
         raise ts.error("an object declaration")
     ts.next()
-    return StatementDecl(prop_iri, subject, object_spec, tuple(qualifiers.values()),
+    decl = StatementDecl(prop_iri, subject, object_spec, tuple(qualifiers.values()),
                          tuple(references.values()), tuple(patterns))
+    # no axiom set fits it, so every subcommand refuses it; checked once the
+    # block is closed, since the `axioms` clause may come before `object`
+    if object_spec.datatype is not None and AxiomPattern.INVERSE_EXISTENTIAL in patterns:
+        raise PatternInapplicableError(AxiomPattern.INVERSE_EXISTENTIAL.value,
+                                       decl.property_name)
+    return decl
 
 
 def parse_schema(text: str, root: str = DEFAULT_ROOT) -> SchemaDocument:

@@ -27,6 +27,10 @@ class Datatype(Enum):
     DATETIME = "datetime"
     INT = "int"                   # metadata fields only, not a declarable type
 
+    # members are singletons and compare by identity, so object's hash (in C)
+    # agrees with ==; Enum.__hash__ is a Python-level call on every dict lookup
+    __hash__ = object.__hash__
+
     @property
     def xsd_local(self) -> str:
         return _XSD_LOCAL[self._value_]

@@ -277,3 +277,45 @@ def test_an_unknown_class_expression_is_a_type_error():
     axiom = SubClassOf(Named(employee), Some(Role(employee), _Unknown()))
     with pytest.raises(TypeError, match="unknown class expression"):
         serialize_axioms([AnnotatedAxiom(axiom, "X", "x.", "d")], NamespaceTable())
+
+
+COLLIDING = """prefix ex: <http://example.org/>
+class ex:A
+class xsd:decimal
+statement ex:p {
+  subject ex:A
+  object item xsd:decimal
+  qualifier ex:r : decimal required
+  axioms { ScopedRange, Existential }
+}
+"""
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("nl", [True, False])
+def test_axioms_of_different_kinds_with_equal_fields_keep_their_lines(exact, nl):
+    # All/Some over one role and filler, and the AxReq MinCard against the
+    # decimal set's MaxCard: each pair would merge if its nodes compared equal
+    doc = _doc(COLLIDING)
+    out = serialize_axioms(schema_axioms(doc), doc.namespaces,
+                           exact_cardinality=exact, nl_comments=nl)
+    blocks = [
+        ["# AxQ-pq-func | p/r | A wikibase:Statement carries at most one pq:r value.",
+         "SubClassOf( wikibase:Statement DataMaxCardinality( 1 pq:r xsd:decimal ) )"],
+        ["# AxReq | p/r | A wikibase:Statement carries at least one pq:r value "
+         "(required flag; DSL extension).",
+         "SubClassOf( wikibase:Statement DataMinCardinality( 1 pq:r xsd:decimal ) )"],
+        ["# Pattern:ScopedRange | p | A p Statement that is about a A always refers to "
+         "a decimal.",
+         "SubClassOf( ex:A ObjectAllValuesFrom( wdt:p xsd:decimal ) )"],
+        ["# Pattern:Existential | p | A p Statement refers to at least one decimal.",
+         "SubClassOf( ex:A ObjectSomeValuesFrom( wdt:p xsd:decimal ) )"],
+    ]
+    lines = out.splitlines()
+    for comment, axiom in blocks:
+        assert lines.count(axiom) == 1
+        i = lines.index(axiom)
+        # one comment, so no other axiom merged into this line
+        above = lines[i - 2:i] if nl else lines[i - 1:i]
+        assert not above[0].startswith("# ")
+        assert above[1:] == ([comment] if nl else [])

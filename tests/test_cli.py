@@ -341,3 +341,24 @@ def test_an_unknown_string_escape_exits_2(tmp_path, capsys):
     assert main(["export", str(SCHEMA), str(instances)]) == 2
     assert capsys.readouterr().err == (
         "wbforge: line 3, col 30: expected a valid escape (found \\q)\n")
+
+
+@pytest.mark.parametrize("command", ["check", "expand", "axioms", "shapes", "export",
+                                     "validate", "infer"])
+@pytest.mark.parametrize("axioms_first", [False, True])
+def test_every_subcommand_refuses_inverse_existential_on_a_data_object(
+        tmp_path, capsys, command, axioms_first):
+    clauses = ["object decimal", "axioms { InverseExistential }"]
+    if axioms_first:
+        clauses.reverse()
+    schema = tmp_path / "q.wbs"
+    schema.write_text("prefix ex: <http://example.org/>\nclass ex:A\n"
+                      f"statement ex:q {{ subject ex:A {' '.join(clauses)} }}\n")
+    instances = tmp_path / "q.wbi"
+    instances.write_text("prefix ex: <http://example.org/>\n")
+    graph = tmp_path / "q.nt"
+    graph.write_text("")
+    extra = {"export": [str(instances)], "validate": [str(graph)], "infer": [str(graph)]}
+    assert main([command, str(schema), *extra.get(command, [])]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "wbforge: pattern InverseExistential is not applicable to q\n")

@@ -11,6 +11,7 @@ from wbforge.errors import (
     DuplicateDeclarationError,
     FeatureDisabledError,
     MalformedValueError,
+    PatternInapplicableError,
     UnknownClassError,
     WbforgeError,
 )
@@ -337,3 +338,21 @@ def test_an_unknown_string_escape_is_a_positioned_syntax_error():
         parse_instances('prefix ex: <http://x.example/>\nitem wd:a : ex:A {\n'
                         '  ex:p -> string "ok \\q"\n}\n')
     assert str(info.value) == "line 3, col 18: expected a valid escape (found \\q)"
+
+
+@pytest.mark.parametrize("object_spec", ["decimal", "string", "datetime"])
+@pytest.mark.parametrize("axioms_first", [False, True])
+def test_inverse_existential_on_a_data_object_is_refused_at_parse_time(object_spec,
+                                                                       axioms_first):
+    clauses = [f"object {object_spec}", "axioms { Domain, InverseExistential }"]
+    if axioms_first:
+        clauses.reverse()
+    text = ("prefix ex: <http://example.org/>\nclass ex:A\n"
+            f"statement ex:q {{ subject ex:A {' '.join(clauses)} }}\n")
+    with pytest.raises(PatternInapplicableError,
+                       match="^pattern InverseExistential is not applicable to q$"):
+        parse_schema(text)
+    # on an item object the same pattern parses
+    doc = parse_schema(text.replace(f"object {object_spec}", "object item ex:A"))
+    assert doc.statements[0].patterns == (AxiomPattern.DOMAIN,
+                                          AxiomPattern.INVERSE_EXISTENTIAL)
