@@ -31,6 +31,7 @@ from .model import (
     InstanceDoc,
     ItemData,
     ItemRef,
+    MAX_INT_DIGITS,
     PATTERN_BY_NAME,
     QualifierData,
     QualifierDecl,
@@ -43,6 +44,7 @@ from .model import (
     StringValue,
     Value,
     ValueType,
+    bounded_int,
 )
 from .namespaces import DEFAULT_ROOT, LONE_SURROGATE, Iri, NamespaceTable, expand_iri, wikibase
 
@@ -341,6 +343,14 @@ def parse_schema(text: str, root: str = DEFAULT_ROOT) -> SchemaDocument:
 
 # instance parsing --------------------------------------------------------
 
+def _parse_int(ts: _Stream, what: str) -> int:
+    tok = ts.expect(("INT",), what)
+    value = bounded_int(tok[1])
+    if value is None:
+        raise _syntax_error(tok, f"{what} of at most {MAX_INT_DIGITS} digits")
+    return value
+
+
 def _parse_value(ts: _Stream, table: NamespaceTable) -> Value:
     if ts.accept("item"):
         return ItemRef(_parse_name(ts, table, "an item name"))
@@ -356,9 +366,9 @@ def _parse_value(ts: _Stream, table: NamespaceTable) -> Value:
             raise _syntax_error(num, "a canonical decimal (no leading/trailing zeros)") from None
     if ts.accept("datetime"):
         dtok = ts.expect(("DATETIME",), "an ISO dateTime like 2009-01-01T00:00:00Z")
-        precision = (int(ts.expect(("INT",), "a precision integer")[1])
+        precision = (_parse_int(ts, "a precision integer")
                      if ts.accept("precision") else DEFAULT_PRECISION)
-        tz = (int(ts.expect(("INT",), "a timezone offset in minutes")[1])
+        tz = (_parse_int(ts, "a timezone offset in minutes")
               if ts.accept("tz") else DEFAULT_TIMEZONE)
         calendar = (_parse_name(ts, table, "a calendar item", _CURIE) if ts.accept("calendar")
                     else table.term("wd", "ProlepticGregorian"))

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .expander import ExpandedStatement, expand
 from .model import (
+    MAX_INT_DIGITS,
     VALUE_KINDS,
     Datatype,
     DateTimeValue,
@@ -38,6 +39,7 @@ from .model import (
     Value,
     ValueKind,
     ValueType,
+    bounded_int,
     is_canonical,
     value_kind,
 )
@@ -64,6 +66,24 @@ class KindTerms(NamedTuple):
     predicates: tuple[Iri, ...]   # the wikibase: field predicates, in `kind.fields` order
 
 
+class LineHeads(dict):
+    """Hash preimage line heads by property name, for the IRIs under one base.
+
+    A name's head is its checked IRI's text in the form `form` gives,
+    worked out on the first lookup of the name and then read from the dict.
+    """
+
+    __slots__ = ("_base", "_form")
+
+    def __init__(self, base: str, form: str) -> None:
+        super().__init__()
+        self._base, self._form = base, form
+
+    def __missing__(self, name: str) -> str:
+        head = self[name] = self._form.format(Iri(self._base + name).value)
+        return head
+
+
 class Vocabulary(NamedTuple):
     """The fixed terms that export and read-back use, resolved once per table."""
 
@@ -75,6 +95,9 @@ class Vocabulary(NamedTuple):
     xsd: dict[Datatype, Iri]      # each datatype's literal type
     kind_by_xsd: dict[Iri, ValueKind]  # by the literal type of the value a node holds
     kinds: dict[str, KindTerms]   # by kind tag, filled by `kind_terms`
+    p_line: LineHeads             # a statement's P line, `P|<wdt: IRI>`
+    q_head: LineHeads             # a Q line up to its value, `Q|<pq: IRI>|`
+    r_head: LineHeads             # a snak in an R line up to its target, `<pr: IRI>|`
 
     @staticmethod
     def build(table: NamespaceTable) -> Vocabulary:
@@ -83,7 +106,9 @@ class Vocabulary(NamedTuple):
         return Vocabulary(
             term("rdf", "type"), term("wikibase", "Item"), term("wikibase", "Statement"),
             term("wikibase", "Reference"), term("prov", "wasDerivedFrom"), xsd_of,
-            {xsd_of[dt]: kind for dt, kind in VALUE_KINDS.items()}, {})
+            {xsd_of[dt]: kind for dt, kind in VALUE_KINDS.items()}, {},
+            LineHeads(table.base("wdt"), "P|{}"), LineHeads(table.base("pq"), "Q|{}|"),
+            LineHeads(table.base("pr"), "{}|"))
 
     def kind_terms(self, kind: ValueKind, table: NamespaceTable) -> KindTerms:
         """`kind`'s terms under `table`, the table this vocabulary was built for.
@@ -130,17 +155,19 @@ def assemble_preimage(subject: Iri, prop: str, value: Value | ReadValue,
     """A statement's hash preimage: S, P, V, sorted Q, sorted R lines.
 
     `qualifiers` are (name, value) pairs, and each reference is its
-    (name, target) snaks; values are as `canonical_value` takes them.
+    (name, target) snaks; values are as `canonical_value` takes them. The
+    IRI text that starts each P, Q and snak line comes from the table's
+    vocabulary, worked out once per name.
     """
-    term = table.term
-    lines = [f"S|{subject.value}", f"P|{term('wdt', prop).value}",
-             f"V|{canonical_value(value)}"]
-    lines.extend(sorted([f"Q|{term('pq', name).value}|{canonical_value(v)}"
-                         for name, v in qualifiers]))
-    lines.extend(sorted(["R|" + ";".join(sorted([_snak_text(name, target, table)
+    vocab = vocabulary(table)
+    q_head, r_head = vocab.q_head, vocab.r_head
+    lines = [f"S|{subject.value}", vocab.p_line[prop], f"V|{canonical_value(value)}"]
+    lines.extend(sorted([q_head[name] + canonical_value(v) for name, v in qualifiers]))
+    lines.extend(sorted(["R|" + ";".join(sorted([_snak_text(r_head, name, target)
                                                   for name, target in snaks]))
                          for snaks in references]))
-    return "".join(line + "\n" for line in lines)
+    lines.append("")              # the final newline
+    return "\n".join(lines)
 
 
 _NAME_VALUE = attrgetter("name", "value")      # of a QualifierData
@@ -154,12 +181,12 @@ def canonical_content(subject: Iri, stmt: StatementData, table: NamespaceTable) 
         [map(_NAME_TARGET, ref.snaks) for ref in stmt.references], table)
 
 
-def _snak_text(name: str, target: Iri, table: NamespaceTable) -> str:
+def _snak_text(r_head: LineHeads, name: str, target: Iri) -> str:
     """`pr: IRI|target` in an R line; a delimiter in the target could merge two lines."""
     value = target.value
     if "|" in value or ";" in value:
         raise PreimageDelimiterError(value)
-    return f"{table.term('pr', name).value}|{value}"
+    return r_head[name] + value
 
 
 def statement_hash(subject: Iri, stmt: StatementData | StatementContent,
@@ -188,7 +215,8 @@ def value_node(value: DateTimeValue | DecimalValue, table: NamespaceTable) -> Ir
 
 
 def reference_hash(ref: RefData, table: NamespaceTable) -> str:
-    return _sha40("".join(sorted(f"R|{_snak_text(s.name, s.target, table)}\n"
+    r_head = vocabulary(table).r_head
+    return _sha40("".join(sorted(f"R|{_snak_text(r_head, s.name, s.target)}\n"
                                  for s in ref.snaks)))
 
 
@@ -401,9 +429,12 @@ def read_value_node(g: Graph, node: Iri, kind: ValueKind, table: NamespaceTable)
                 problems.append(f"wikibase:{local} is not an IRI")
         elif (problem := literal_problem(values[0], dt, vocab)) is not None:
             problems.append(f"wikibase:{local} {problem}")
+        elif dt is not Datatype.INT:
+            fields[attr] = values[0].lexical
+        elif (number := bounded_int(values[0].lexical)) is None:
+            problems.append(f"wikibase:{local} has more than {MAX_INT_DIGITS} digits")
         else:
-            lexical = values[0].lexical
-            fields[attr] = int(lexical) if dt is Datatype.INT else lexical
+            fields[attr] = number
     return problems or kind.value_type(**fields)
 
 
@@ -430,9 +461,9 @@ def read_content(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceTab
     """The statement content behind `node`, the inverse of export.
 
     Only declared qualifiers and reference snaks are read, and psv:/pqv:
-    edges by name, minted or not. None when the node is too broken to hash:
-    not one ps: value, a date or quantity without a well-formed matching
-    value node, or a malformed reference.
+    edges by name, minted or not, as `st.plan` lists them. None when the
+    node is too broken to hash: not one ps: value, a date or quantity
+    without a well-formed matching value node, or a malformed reference.
 
     The statement node and each reference node are looked at once, through
     `edges` (`g.edges` by default); each value node is read through
@@ -445,18 +476,17 @@ def read_content(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceTab
         def value_of(vnode: Iri, kind: ValueKind) -> NodeValue:
             return read_value_node(g, vnode, kind, table)
     vocab = vocabulary(table)
+    plan = st.plan
     view = edges(node)
-    name = st.source.property_name
-    ps_values = view.get(st.statement_properties["ps"], ())
+    ps_values = view.get(plan.ps, ())
     if len(ps_values) != 1:
         return None
-    value = _read_value(view, table.term("psv", name), ps_values[0], vocab, value_of)
+    value = _read_value(view, plan.psv, ps_values[0], vocab, value_of)
     if value is None:
         return None
     quals: list[tuple[str, ReadValue]] = []
-    for q in st.source.qualifiers:
-        pqv = table.term("pqv", q.name)
-        for v in view.get(st.qualifier_properties[q.name]["pq"], ()):
+    for q, pq, pqv in plan.qualifiers:
+        for v in view.get(pq, ()):
             qv = _read_value(view, pqv, v, vocab, value_of)
             if qv is None:
                 return None
@@ -467,13 +497,13 @@ def read_content(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceTab
             return None
         rview = edges(rnode)
         snaks: list[tuple[str, Iri]] = []
-        for rname, pr in sorted(st.reference_properties.items()):
+        for r, pr in plan.references:
             for target in rview.get(pr, ()):
                 if not isinstance(target, Iri):
                     return None
-                snaks.append((rname, target))
+                snaks.append((r.name, target))
         refs.append(tuple(snaks))
-    return name, value, tuple(quals), tuple(refs)
+    return st.source.property_name, value, tuple(quals), tuple(refs)
 
 
 def _model_value(v: ReadValue) -> Value:

@@ -139,6 +139,18 @@ CANONICAL_DATETIME = re.compile(
 CANONICAL_INT = re.compile(r"-?(0|[1-9][0-9]*)")
 
 
+# The most digits an integer field may have. Python refuses to convert a
+# longer digit string once it passes the interpreter's limit, which
+# PYTHONINTMAXSTRDIGITS sets to 0 (none) or at least 640; so the bound is
+# wbforge's own, at that lowest limit, and no setting changes an outcome.
+MAX_INT_DIGITS = 640
+
+
+def bounded_int(lexical: str) -> int | None:
+    """The value of an integer's digit string, or None past `MAX_INT_DIGITS` digits."""
+    return None if len(lexical.lstrip("-")) > MAX_INT_DIGITS else int(lexical)
+
+
 def is_canonical(datatype: Datatype, lexical: str) -> bool:
     """Whether `lexical` is the canonical form of a `datatype` value."""
     if datatype is Datatype.DECIMAL:

@@ -9,6 +9,7 @@ are equal iff their canonical N-Triples bytes are equal.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -164,6 +165,14 @@ class Graph:
     def predicates(self) -> set[Iri]:
         """Every predicate the graph uses, read from the by-p index."""
         return set(self._indexes()[1])
+
+    def with_predicate(self, p: Iri) -> Iterator[Triple]:
+        """Every triple whose predicate is `p`, in no particular order.
+
+        Read straight from the by-p index: for callers whose result does
+        not depend on order, so nothing is filtered, sorted or rendered.
+        """
+        return iter(self._indexes()[1].get(p, ()))
 
     def match(self, s: Iri | None = None, p: Iri | None = None,
               o: Term | None = None) -> list[Triple]:

@@ -153,6 +153,10 @@ class _Checker:
                            for name, fam in st.qualifier_properties.items()}
         self.name_by_pq = {pq: name for name, pq in self.pq_by_name.items()}
         self.ref_names = {name for st in expanded.statements for name in st.reference_properties}
+        # (prefix, local name) of every predicate the graph uses under a property namespace
+        self.family: dict[Iri, tuple[str, str]] = {
+            p: spl for p in graph.predicates()
+            if (spl := self.table.split(p)) is not None and spl[0] in PROPERTY_NAMESPACES}
         # edge views of the statement node in hand and its reference nodes
         self.views: dict[Iri, EdgeView] = {}
         # every value node read so far, by (node, kind tag), for the whole run
@@ -185,10 +189,7 @@ class _Checker:
 
     def check_unknown_properties(self) -> None:
         # by name: the psv:/pqv: edge of a declared name is known, minted or not
-        family = {(p, *spl) for p in self.g.predicates()
-                  if (spl := self.table.split(p)) is not None
-                  and spl[0] in PROPERTY_NAMESPACES}
-        for p, prefix, local in family:
+        for p, (prefix, local) in self.family.items():
             if prefix in ("wdt", "p", "ps", "psv"):
                 known = self.expanded.statement(local) is not None
             elif prefix in ("pq", "pqv"):
@@ -200,32 +201,37 @@ class _Checker:
 
     # -- reification shape --------------------------------------------------
 
-    def family_name(self, p: Iri, prefix: str) -> str | None:
-        """The property local name of `p` if `p` is under `prefix`."""
-        spl = self.table.split(p)
-        return spl[1] if spl is not None and spl[0] == prefix else None
-
-    def in_edges(self, node: Iri) -> list[tuple[Iri, str]]:
-        """Incoming p: edges as (subject, property local name), sorted."""
-        return [(t.s, local) for t in self.g.match(None, None, node)
-                if (local := self.family_name(t.p, "p")) is not None]
+    def in_edges(self) -> dict[Term, list[tuple[Iri, str]]]:
+        """Each node's incoming p: edges as (subject, property local name), unordered."""
+        incoming: dict[Term, list[tuple[Iri, str]]] = {}
+        for p, (prefix, local) in self.family.items():
+            if prefix == "p":
+                for s, _, o in self.g.with_predicate(p):
+                    incoming.setdefault(o, []).append((s, local))
+        return incoming
 
     def resolve_decl(self, node: Iri, edges: list[tuple[Iri, str]]
                      ) -> tuple[ExpandedStatement | None, Iri | None]:
-        """(declaration, owning subject) for a statement node and its `in_edges`, best effort."""
-        subject = edges[0][0] if len(edges) == 1 else None
+        """(declaration, owning subject) for a statement node and its incoming p: edges.
+
+        One edge gives both. Otherwise there is no owner, and the
+        declaration is the one property name the edges, or failing that
+        the node's ps: edges, agree on, if any.
+        """
+        if len(edges) == 1:
+            subject, name = edges[0]
+            return self.expanded.statement(name), subject
         names = {name for _, name in edges}
         if len(names) != 1:
-            names = {local for p in self.edges(node)
-                     if (local := self.family_name(p, "ps")) is not None}
-        if len(names) == 1:
-            return self.expanded.statement(next(iter(names))), subject
-        return None, subject
+            names = {spl[1] for p in self.edges(node)
+                     if (spl := self.family.get(p)) is not None and spl[0] == "ps"}
+        return (self.expanded.statement(next(iter(names))) if len(names) == 1 else None), None
 
     def check_statement_nodes(self) -> None:
+        incoming = self.in_edges()
         for node in self.g.subjects(self.a, self.vocab.statement):
             self.views = {}
-            edges = self.in_edges(node)
+            edges = incoming.get(node, ())
             if not edges:
                 self.add("OrphanStatement", node,
                          "statement node has no incoming p: edge")
@@ -250,7 +256,7 @@ class _Checker:
                          f"subject of p:{name} lacks rdf:type wikibase:Item")
 
         view = self.edges(node)
-        ps_values = view.get(st.statement_properties["ps"], ())
+        ps_values = view.get(st.plan.ps, ())
         if not ps_values:
             self.add("ExistenceViolation", node, f"statement has no ps:{name} value")
         elif len(ps_values) > 1:
@@ -288,13 +294,13 @@ class _Checker:
             if qname is not None and qname not in declared:
                 self.add("QualifierTypeViolation", node,
                          f"qualifier pq:{qname} not declared for {st.source.property_name}")
-        for q in st.source.qualifiers:
+        for q, pq, _ in st.plan.qualifiers:
             qname = q.name
-            values = view.get(declared[qname]["pq"], ())
+            values = view.get(pq, ())
             if q.required and not values:
                 self.add("ExistenceViolation", node,
                          f"required qualifier pq:{qname} missing")
-            if len(set(values)) > 1:
+            if len(values) > 1 and len(set(values)) > 1:
                 self.add("FunctionalityViolation", node,
                          f"{len(set(values))} values for functional qualifier pq:{qname}")
             for v in values:
@@ -312,7 +318,7 @@ class _Checker:
             self.add("QualifierTypeViolation", node, f"value of pq:{qname} {problem}")
 
     def check_references(self, node: Iri, st: ExpandedStatement, view: EdgeView) -> None:
-        declared = {r.name: r for r in st.source.references}
+        refs = st.plan.references
         snak_names: set[str] = set()
         for rnode in view.get(self.prov, ()):
             if not self.has_type(rnode, self.vocab.reference):
@@ -320,30 +326,30 @@ class _Checker:
                          "prov:wasDerivedFrom value is not typed wikibase:Reference")
                 continue
             rview = self.edges(rnode)
-            for local, r in declared.items():
-                targets = rview.get(st.reference_properties[local], ())
+            for r, pr in refs:
+                targets = rview.get(pr, ())
                 if targets:
-                    snak_names.add(local)
+                    snak_names.add(r.name)
                 for target in targets:
                     if not self.has_type(target, r.target_class):
                         cls = self.table.curie(r.target_class) or r.target_class.value
                         self.add("RangeViolation", target,
-                                 f"target of pr:{local} lacks rdf:type {cls}")
-        for rname, r in declared.items():
-            if r.required and rname not in snak_names:
+                                 f"target of pr:{r.name} lacks rdf:type {cls}")
+        for r, _ in refs:
+            if r.required and r.name not in snak_names:
                 self.add("ExistenceViolation", node,
-                         f"required reference pr:{rname} missing")
+                         f"required reference pr:{r.name} missing")
 
     # -- provenance sharing --------------------------------------------------
 
     def check_references_shared(self) -> None:
         derived: dict[Iri, set[Iri]] = {}
-        for t in self.g.match(None, self.prov, None):
-            if not self.has_type(t.s, self.vocab.statement):
+        for s, _, o in self.g.with_predicate(self.prov):
+            if not self.has_type(s, self.vocab.statement):
                 continue          # non-statement provenance is out of scope
-            if isinstance(t.o, Iri):
-                derived.setdefault(t.o, set()).add(t.s)
-        for rnode, owners in sorted(derived.items()):
+            if isinstance(o, Iri):
+                derived.setdefault(o, set()).add(s)
+        for rnode, owners in derived.items():
             if len(owners) > 1:
                 self.add("SharedReference", rnode,
                          f"reference derived by {len(owners)} statements")
@@ -359,7 +365,7 @@ class _Checker:
             if t not in self.g:
                 self.add("ChainGap", node, f"missing truthy edge wdt:{names[t.p]}")
         for wdt, name in names.items():
-            for t in self.g.match(None, wdt, None):
+            for t in self.g.with_predicate(wdt):
                 if t not in implied:
                     self.add("BareTruthy", t.s,
                              f"truthy edge wdt:{name} has no reified statement")
@@ -435,14 +441,24 @@ def validate(schema: SchemaDocument, graph: Graph) -> ValidationReport:
 
 
 def implied_truthy(expanded: ExpandedSchema, graph: Graph) -> Iterator[tuple[Iri, Triple]]:
-    """(statement node, wdt: edge) for every p:/ps: chain of a declared property."""
+    """(statement node, wdt: edge) for every p:/ps: chain of a declared property.
+
+    In no particular order, since both consumers are order-free: the
+    checker's findings set and `infer_truthy`'s graph. Per declaration,
+    one pass over the graph's ps: triples groups their objects by node,
+    and one pass over its p: triples joins each edge to them; a p: edge
+    to a literal joins nothing, as no literal is a ps: subject.
+    """
+    new = tuple.__new__
     for st in expanded.statements:
         props = st.statement_properties
-        ps, wdt = props["ps"], props["wdt"]
-        for t in graph.match(None, props["p"], None):
-            if isinstance(t.o, Iri):
-                for y in graph.objects(t.o, ps):
-                    yield t.o, Triple(t.s, wdt, y)
+        values: dict[Iri, list[Term]] = {}
+        for node, _, y in graph.with_predicate(props["ps"]):
+            values.setdefault(node, []).append(y)
+        wdt = props["wdt"]
+        for s, _, node in graph.with_predicate(props["p"]):
+            for y in values.get(node, ()):
+                yield node, new(Triple, (s, wdt, y))
 
 
 def infer_truthy(schema: SchemaDocument, graph: Graph) -> Graph:
