@@ -29,11 +29,9 @@ from .model import (
     DecimalValue,
     InstanceDoc,
     ItemRef,
-    QualifierData,
     QualifierDecl,
     RefData,
     SchemaDocument,
-    SnakData,
     StatementData,
     StringValue,
     Value,
@@ -133,7 +131,7 @@ def vocabulary(table: NamespaceTable) -> Vocabulary:
 def canonical_value(value: Value | ReadValue) -> str:
     """Stable one-line text form used inside hash preimages.
 
-    Of a model value, or of what `read_content` reads back for one: an
+    Of a model value, or of what the validator reads back for one: an
     item's IRI, a string literal, or a value node's value.
     """
     t = type(value)
@@ -191,7 +189,7 @@ def _snak_text(r_head: LineHeads, name: str, target: Iri) -> str:
 
 def statement_hash(subject: Iri, stmt: StatementData | StatementContent,
                    table: NamespaceTable) -> str:
-    """The content hash: of model data, or of the content `read_content` reads back."""
+    """The content hash: of model data, or of the content the validator reads back."""
     if type(stmt) is StatementData:
         return _sha40(canonical_content(subject, stmt, table))
     return _sha40(assemble_preimage(subject, *stmt, table))
@@ -395,7 +393,6 @@ def literal_problem(v: Term, dt: Datatype, vocab: Vocabulary) -> str | None:
 # what reading a value node gives: its value, or its field problems
 NodeValue = DateTimeValue | DecimalValue | list[str]
 EdgeView = dict[Iri, list[Term]]              # one node's objects by predicate
-ValueReader = Callable[[Iri, ValueKind], NodeValue]
 # a ps:/pq: value as read back: an item's IRI, a string literal, or the value
 # of a date or quantity node
 ReadValue = Iri | Literal | DateTimeValue | DecimalValue
@@ -439,7 +436,7 @@ def read_value_node(g: Graph, node: Iri, kind: ValueKind, table: NamespaceTable)
 
 
 def _read_value(view: EdgeView, value_prop: Iri, v: Term, vocab: Vocabulary,
-                value_of: ValueReader) -> ReadValue | None:
+                value_of: Callable[[Iri, ValueKind], NodeValue]) -> ReadValue | None:
     """A ps:/pq: object as read back; dates and quantities need a matching node."""
     if isinstance(v, Iri) or v.datatype == vocab.xsd[Datatype.STRING]:
         return v
@@ -453,75 +450,3 @@ def _read_value(view: EdgeView, value_prop: Iri, v: Term, vocab: Vocabulary,
             if not isinstance(value, list) and getattr(value, main) == v.lexical:
                 return value
     return None
-
-
-def read_content(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceTable,
-                 edges: Callable[[Iri], EdgeView] | None = None,
-                 value_of: ValueReader | None = None) -> StatementContent | None:
-    """The statement content behind `node`, the inverse of export.
-
-    Only declared qualifiers and reference snaks are read, and psv:/pqv:
-    edges by name, minted or not, as `st.plan` lists them. None when the
-    node is too broken to hash: not one ps: value, a date or quantity
-    without a well-formed matching value node, or a malformed reference.
-
-    The statement node and each reference node are looked at once, through
-    `edges` (`g.edges` by default); each value node is read through
-    `value_of` (`read_value_node` on `g` by default). A caller that has
-    already read some of these nodes passes memoised readers.
-    """
-    if edges is None:
-        edges = g.edges
-    if value_of is None:
-        def value_of(vnode: Iri, kind: ValueKind) -> NodeValue:
-            return read_value_node(g, vnode, kind, table)
-    vocab = vocabulary(table)
-    plan = st.plan
-    view = edges(node)
-    ps_values = view.get(plan.ps, ())
-    if len(ps_values) != 1:
-        return None
-    value = _read_value(view, plan.psv, ps_values[0], vocab, value_of)
-    if value is None:
-        return None
-    quals: list[tuple[str, ReadValue]] = []
-    for q, pq, pqv in plan.qualifiers:
-        for v in view.get(pq, ()):
-            qv = _read_value(view, pqv, v, vocab, value_of)
-            if qv is None:
-                return None
-            quals.append((q.name, qv))
-    refs: list[tuple[tuple[str, Iri], ...]] = []
-    for rnode in view.get(vocab.derived_from, ()):
-        if not isinstance(rnode, Iri) or (rnode, vocab.a, vocab.reference) not in g:
-            return None
-        rview = edges(rnode)
-        snaks: list[tuple[str, Iri]] = []
-        for r, pr in plan.references:
-            for target in rview.get(pr, ()):
-                if not isinstance(target, Iri):
-                    return None
-                snaks.append((r.name, target))
-        refs.append(tuple(snaks))
-    return st.source.property_name, value, tuple(quals), tuple(refs)
-
-
-def _model_value(v: ReadValue) -> Value:
-    t = type(v)
-    if t is Iri:
-        return ItemRef(v)
-    if t is Literal:
-        return StringValue(v.lexical)
-    return v
-
-
-def read_statement(g: Graph, node: Iri, st: ExpandedStatement,
-                   table: NamespaceTable) -> StatementData | None:
-    """`read_content` as model data: what export would write `node` from."""
-    content = read_content(g, node, st, table)
-    if content is None:
-        return None
-    name, value, quals, refs = content
-    return StatementData(
-        name, _model_value(value), tuple(QualifierData(n, _model_value(v)) for n, v in quals),
-        tuple(RefData(tuple(SnakData(n, t) for n, t in snaks)) for snaks in refs))

@@ -21,8 +21,10 @@ from .exporter import (
     HASH_LENGTH,
     EdgeView,
     NodeValue,
+    ReadValue,
+    StatementContent,
+    _read_value,
     literal_problem,
-    read_content,
     read_value_node,
     statement_hash,
     value_hash,
@@ -157,8 +159,6 @@ class _Checker:
         self.family: dict[Iri, tuple[str, str]] = {
             p: spl for p in graph.predicates()
             if (spl := self.table.split(p)) is not None and spl[0] in PROPERTY_NAMESPACES}
-        # edge views of the statement node in hand and its reference nodes
-        self.views: dict[Iri, EdgeView] = {}
         # every value node read so far, by (node, kind tag), for the whole run
         self.values: dict[tuple[Iri, str], NodeValue] = {}
 
@@ -169,13 +169,6 @@ class _Checker:
     def has_type(self, node: Term, cls: Iri) -> bool:
         # a plain tuple equals and hashes as its Triple, without Triple.__new__
         return isinstance(node, Iri) and (node, self.a, cls) in self.g
-
-    def edges(self, node: Iri) -> EdgeView:
-        """`node`'s edge view, fetched once per statement node being checked."""
-        view = self.views.get(node)
-        if view is None:
-            view = self.views[node] = self.g.edges(node)
-        return view
 
     def value_node(self, node: Iri, kind: ValueKind) -> NodeValue:
         """`read_value_node`, once per node and kind in a run."""
@@ -210,9 +203,9 @@ class _Checker:
                     incoming.setdefault(o, []).append((s, local))
         return incoming
 
-    def resolve_decl(self, node: Iri, edges: list[tuple[Iri, str]]
+    def resolve_decl(self, view: EdgeView, edges: list[tuple[Iri, str]]
                      ) -> tuple[ExpandedStatement | None, Iri | None]:
-        """(declaration, owning subject) for a statement node and its incoming p: edges.
+        """(declaration, owning subject) for a statement node's edge view and incoming p: edges.
 
         One edge gives both. Otherwise there is no owner, and the
         declaration is the one property name the edges, or failing that
@@ -223,14 +216,13 @@ class _Checker:
             return self.expanded.statement(name), subject
         names = {name for _, name in edges}
         if len(names) != 1:
-            names = {spl[1] for p in self.edges(node)
+            names = {spl[1] for p in view
                      if (spl := self.family.get(p)) is not None and spl[0] == "ps"}
         return (self.expanded.statement(next(iter(names))) if len(names) == 1 else None), None
 
     def check_statement_nodes(self) -> None:
         incoming = self.in_edges()
         for node in self.g.subjects(self.a, self.vocab.statement):
-            self.views = {}
             edges = incoming.get(node, ())
             if not edges:
                 self.add("OrphanStatement", node,
@@ -238,12 +230,14 @@ class _Checker:
             elif len(edges) > 1:
                 self.add("SharedStatement", node,
                          f"{len(edges)} incoming p: edges")
-            st, subject = self.resolve_decl(node, edges)
+            view = self.g.edges(node)     # the one look at the node
+            st, subject = self.resolve_decl(view, edges)
             if st is not None:
-                self.check_against_decl(node, st, subject)
+                self.check_against_decl(node, view, st, subject)
 
-    def check_against_decl(self, node: Iri, st: ExpandedStatement,
+    def check_against_decl(self, node: Iri, view: EdgeView, st: ExpandedStatement,
                            subject: Iri | None) -> None:
+        """Every check of a statement node, and its content hash from what they read."""
         decl = st.source
         name = decl.property_name
         if subject is not None:
@@ -255,7 +249,6 @@ class _Checker:
                 self.add("DomainViolation", subject,
                          f"subject of p:{name} lacks rdf:type wikibase:Item")
 
-        view = self.edges(node)
         ps_values = view.get(st.plan.ps, ())
         if not ps_values:
             self.add("ExistenceViolation", node, f"statement has no ps:{name} value")
@@ -264,10 +257,13 @@ class _Checker:
                      f"{len(ps_values)} ps:{name} values")
         for v in ps_values:
             self.check_object_value(node, decl, v)
+        value = (_read_value(view, st.plan.psv, ps_values[0], self.vocab, self.value_node)
+                 if len(ps_values) == 1 else None)
 
-        self.check_qualifiers(node, st, view)
-        self.check_references(node, st, view)
-        self.check_hash(node, st, subject)
+        quals = self.check_qualifiers(node, st, view)
+        refs = self.check_references(node, st, view)
+        readable = value is not None and quals is not None and refs is not None
+        self.check_hash(node, subject, (name, value, quals, refs) if readable else None)
 
     def check_object_value(self, node: Iri, decl: StatementDecl, v: Term) -> None:
         name = decl.property_name
@@ -287,14 +283,18 @@ class _Checker:
             self.add("RangeViolation", v,
                      f"value of ps:{name} lacks rdf:type wikibase:Item")
 
-    def check_qualifiers(self, node: Iri, st: ExpandedStatement, view: EdgeView) -> None:
+    def check_qualifiers(self, node: Iri, st: ExpandedStatement, view: EdgeView
+                         ) -> tuple[tuple[str, ReadValue], ...] | None:
+        """The declared qualifiers' (name, value) pairs as read back, or None
+        when a date or quantity value has no well-formed matching node."""
         declared = st.qualifier_properties
         for p in view:                 # globally unknown names are covered elsewhere
             qname = self.name_by_pq.get(p)
             if qname is not None and qname not in declared:
                 self.add("QualifierTypeViolation", node,
                          f"qualifier pq:{qname} not declared for {st.source.property_name}")
-        for q, pq, _ in st.plan.qualifiers:
+        read: list[tuple[str, ReadValue | None]] = []
+        for q, pq, pqv in st.plan.qualifiers:
             qname = q.name
             values = view.get(pq, ())
             if q.required and not values:
@@ -305,6 +305,8 @@ class _Checker:
                          f"{len(set(values))} values for functional qualifier pq:{qname}")
             for v in values:
                 self.check_qualifier_value(node, qname, q, v)
+                read.append((qname, _read_value(view, pqv, v, self.vocab, self.value_node)))
+        return None if any(qv is None for _, qv in read) else tuple(read)
 
     def check_qualifier_value(self, node: Iri, qname: str, q, v: Term) -> None:
         if q.qtype.item_class is not None:
@@ -317,15 +319,22 @@ class _Checker:
         if problem:
             self.add("QualifierTypeViolation", node, f"value of pq:{qname} {problem}")
 
-    def check_references(self, node: Iri, st: ExpandedStatement, view: EdgeView) -> None:
+    def check_references(self, node: Iri, st: ExpandedStatement, view: EdgeView
+                         ) -> tuple[tuple[tuple[str, Iri], ...], ...] | None:
+        """Each reference node's declared (name, target) snaks as read back, or
+        None when a reference node is not typed or a target is not an IRI."""
         refs = st.plan.references
         snak_names: set[str] = set()
+        read: list[tuple[tuple[str, Iri], ...]] = []
+        readable = True
         for rnode in view.get(self.prov, ()):
             if not self.has_type(rnode, self.vocab.reference):
                 self.add("RangeViolation", node,
                          "prov:wasDerivedFrom value is not typed wikibase:Reference")
+                readable = False
                 continue
-            rview = self.edges(rnode)
+            rview = self.g.edges(rnode)
+            snaks: list[tuple[str, Iri]] = []
             for r, pr in refs:
                 targets = rview.get(pr, ())
                 if targets:
@@ -335,10 +344,14 @@ class _Checker:
                         cls = self.table.curie(r.target_class) or r.target_class.value
                         self.add("RangeViolation", target,
                                  f"target of pr:{r.name} lacks rdf:type {cls}")
+                    readable = readable and isinstance(target, Iri)
+                    snaks.append((r.name, target))
+            read.append(tuple(snaks))
         for r, _ in refs:
             if r.required and r.name not in snak_names:
                 self.add("ExistenceViolation", node,
                          f"required reference pr:{r.name} missing")
+        return tuple(read) if readable else None
 
     # -- provenance sharing --------------------------------------------------
 
@@ -406,14 +419,13 @@ class _Checker:
             return None
         return m.group(1)
 
-    def check_hash(self, node: Iri, st: ExpandedStatement, subject: Iri | None) -> None:
+    def check_hash(self, node: Iri, subject: Iri | None,
+                   content: StatementContent | None) -> None:
+        """The name of a node with one owner, and its hash when `content` was read."""
         if subject is None:
             return
         got = self.name_hash(node, "s", _STATEMENT_NAME)
-        if got is None:
-            return
-        content = read_content(self.g, node, st, self.table, self.edges, self.value_node)
-        if content is None:
+        if got is None or content is None:
             return
         try:
             want = statement_hash(subject, content, self.table)

@@ -6,6 +6,7 @@ import pytest
 
 import hash_oracle as oracle
 from generators import random_datetime, random_decimal, random_instances, random_schema
+from reference_read import read_statement
 from wbforge.dsl import parse_instances, parse_schema
 from wbforge.errors import (
     MissingRequiredError,
@@ -19,7 +20,6 @@ from wbforge.exporter import (
     canonical_content,
     canonical_value,
     export,
-    read_statement,
     read_value_node,
     reference_hash,
     reference_node,

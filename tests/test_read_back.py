@@ -1,18 +1,22 @@
-"""Read-back: the hash check's preimage against the model read.
+"""Read-back: the hash check's preimage against the reference model read.
 
-The validator hashes a statement node from `read_content`'s plain tuples,
-sent straight to `assemble_preimage`; `read_statement` builds the model
-`StatementData` from the same walk, and `canonical_content` renders that
-through the same assembler. Both must give one preimage for every node,
-and None together, on clean, mutated and randomly edited graphs.
+The validator hashes a statement node from the plain tuples its own checks
+read, sent straight to `assemble_preimage`. `reference_read` keeps the
+earlier separate walk: `read_content` gives the same tuples, and
+`read_statement` builds the model `StatementData` from them, which
+`canonical_content` renders through the same assembler. All must give one
+preimage for every node, and fail together, on clean, mutated and randomly
+edited graphs.
 """
 
 import random
+import re
 
 import pytest
 
 import hash_oracle as oracle
 from generators import random_instances, random_schema
+from reference_read import read_content, read_statement
 from report_corpus import _edit
 from wbforge import validator
 from wbforge.errors import PreimageDelimiterError
@@ -21,8 +25,6 @@ from wbforge.exporter import (
     assemble_preimage,
     canonical_content,
     export,
-    read_content,
-    read_statement,
     statement_hash,
     vocabulary,
 )
@@ -76,34 +78,38 @@ def _assert_reads_agree(schema, g):
 
 
 def _assert_check_hashes_the_model_read(schema, g, monkeypatch):
-    """What the hash check hashes is what `read_statement` reads, node by node."""
-    table = schema.namespaces
-    expanded = expand(schema)
-    reads, hashed = [], []
+    """The hash check hashes what `read_statement` reads, node by node.
 
-    def recording_read(g_, node, st, table_, edges, value_of):
-        content = read_content(g_, node, st, table_, edges, value_of)
-        reads.append((node, st, content))
-        return content
+    Of the statement nodes with one p: owner and a content-addressed
+    name, in the order the checker walks them, it hashes exactly those the
+    reference reads, and each content it hashes gives that read's preimage.
+    Gives the number of nodes hashed.
+    """
+    table = schema.namespaces
+    vocab = vocabulary(table)
+    expanded = expand(schema)
+    hashed = []
 
     def recording_hash(subject, content, table_):
-        hashed.append((subject, content))
+        hashed.append((subject, _content_preimage(content, table_, subject)))
         return statement_hash(subject, content, table_)
 
-    monkeypatch.setattr(validator, "read_content", recording_read)
     monkeypatch.setattr(validator, "statement_hash", recording_hash)
     validate(schema, g)
     monkeypatch.undo()
-    assert [c for _, c in hashed] == [c for _, _, c in reads if c is not None]
-    subjects = iter(s for s, _ in hashed)
-    for node, st, content in reads:
-        assert st == expanded.statement(st.source.property_name)
-        if content is None:
-            assert read_statement(g, node, st, table) is None
+    addressed = re.compile(re.escape(table.base("s")) + r".*-[0-9a-f]{40}", re.DOTALL)
+    expected = []
+    for node in g.subjects(vocab.a, vocab.statement):
+        owners = [(t.s, spl[1]) for t in g.match(None, None, node)
+                  if (spl := table.split(t.p)) is not None and spl[0] == "p"]
+        if len(owners) != 1 or addressed.fullmatch(node.value) is None:
             continue
-        subject = next(subjects)
-        assert (_content_preimage(content, table, subject)
-                == _model_preimage(g, node, st, table, subject))
+        subject, name = owners[0]
+        st = expanded.statement(name)
+        if st is not None and read_statement(g, node, st, table) is not None:
+            expected.append((subject, _model_preimage(g, node, st, table, subject)))
+    assert hashed == expected
+    return len(hashed)
 
 
 def _recipe_cases():
@@ -124,7 +130,7 @@ def _recipe_cases():
 def test_clean_fixtures_read_back_alike(name, monkeypatch):
     b = load_bundle(name)
     assert _assert_reads_agree(b.schema, b.graph) > 0
-    _assert_check_hashes_the_model_read(b.schema, b.graph, monkeypatch)
+    assert _assert_check_hashes_the_model_read(b.schema, b.graph, monkeypatch) > 0
 
 
 @pytest.mark.parametrize("name,mutation", _recipe_cases())

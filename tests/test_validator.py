@@ -35,7 +35,7 @@ from wbforge.validator import (
     validate,
 )
 from wbforge.fixtures import fixture_path, load_bundle
-from wbforge.model import DecimalValue
+from wbforge.model import VALUE_KINDS, DecimalValue
 from wbforge.namespaces import (
     DEFAULT_ROOT,
     Iri,
@@ -390,17 +390,21 @@ _FORTY_QUALIFIERS = ("statement bench:ledger {\n  subject bench:Person\n  object
 
 @pytest.mark.parametrize("persons", [4, 24])
 @pytest.mark.parametrize("extra", ["", _FORTY_QUALIFIERS], ids=["record", "forty-qualifiers"])
-def test_validate_looks_at_each_statement_node_a_bounded_number_of_times(
-        persons, extra, monkeypatch):
-    # One Graph.edges view of each statement, reference and value node: about
-    # 2.6 per statement node here, so at most 3. The other lookups do not grow
-    # with the graph: per declaration its p: edges twice (owners, truthy chain)
-    # and its ps: and wdt: edges, and per run the statement and two value-node
-    # classes and the prov: edges. A lookup per statement node breaks that bound.
+def test_validate_looks_at_each_statement_node_once(persons, extra, monkeypatch):
+    # Exactly one Graph.edges view of each statement node, each reference node
+    # and each distinct value node, so a second walk of any of them shows. The
+    # other lookups do not grow with the graph: per declaration its p: edges
+    # twice (owners, truthy chain) and its ps: and wdt: edges, and per run the
+    # statement and two value-node classes and the prov: edges. A lookup per
+    # statement node breaks that bound.
     schema = parse_schema(corpus.RECORD_SCHEMA)
     instances = parse_instances(corpus.record_instances(random.Random(7), persons).text)
     g = export(schema, instances)
     nodes = len(g.subjects(RDF_TYPE, Iri(corpus.WIKIBASE + "Statement")))
+    references = len(g.subjects(RDF_TYPE, Iri(corpus.WIKIBASE + "Reference")))
+    values = sum(len(g.subjects(RDF_TYPE, Iri(corpus.WIKIBASE + kind.node_class)))
+                 for kind in VALUE_KINDS.values())
+    assert references and values
     reads: Counter[str] = Counter()
     for name in ("match", "edges", "with_predicate"):
         def counted(self, *args, _name=name, _read=getattr(Graph, name)):
@@ -410,7 +414,7 @@ def test_validate_looks_at_each_statement_node_a_bounded_number_of_times(
     full = parse_schema(corpus.RECORD_SCHEMA + extra)
     report = validate(full, g)
     assert report.findings == ()
-    assert nodes <= reads["edges"] <= 3 * nodes
+    assert reads["edges"] == nodes + references + values
     assert reads["match"] + reads["with_predicate"] <= 4 * len(full.statements) + 4
 
 
