@@ -73,13 +73,14 @@ _NAME = r"[A-Za-z_][A-Za-z0-9_-]*"
 # run is never handed back to start a token. Newlines and comments make no
 # token. ERROR takes any other character but a space, so the matches tile
 # the text up to its trailing spaces.
+# Numerals are ASCII: `\d` would take any Unicode decimal digit.
 _TOKEN_PATTERNS = (
     ("NEWLINE", r"\n"),
     ("COMMENT", r"#[^\n]*"),
     ("IRIREF", r"<[^<>\s]*>"),
-    ("DATETIME", r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z"),
-    ("DECIMAL", r"-?\d+\.\d+"),
-    ("INT", r"-?\d+"),
+    ("DATETIME", r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z"),
+    ("DECIMAL", r"-?[0-9]+\.[0-9]+"),
+    ("INT", r"-?[0-9]+"),
     ("STRING", r'"(?:[^"\\\n]|\\.)*"'),
     ("CURIE", rf"{_NAME}:{_NAME}"),
     ("IDENT", _NAME),

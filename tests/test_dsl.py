@@ -356,3 +356,24 @@ def test_inverse_existential_on_a_data_object_is_refused_at_parse_time(object_sp
     doc = parse_schema(text.replace(f"object {object_spec}", "object item ex:A"))
     assert doc.statements[0].patterns == (AxiomPattern.DOMAIN,
                                           AxiomPattern.INVERSE_EXISTENTIAL)
+
+
+# `^d` marks where a non-ASCII form of the ASCII digit d replaces it
+@pytest.mark.parametrize("zero", ["٠", "０"], ids=["arabic-indic", "fullwidth"])
+@pytest.mark.parametrize("old, new", [
+    ("precision 9", "precision ^9"),                     # INT
+    ("decimal 34", "decimal 3^4.5"),                     # DECIMAL
+    ("1850-07-01T00:00:00Z", "1850-07-0^1T00:00:00Z"),   # DATETIME
+], ids=["INT", "DECIMAL", "DATETIME"])
+def test_a_non_ascii_digit_is_a_syntax_error_at_its_position(old, new, zero):
+    # `\d` would take any Unicode decimal digit, and `int()` reads them all
+    text = fixture_path("age-record", "wbi").read_text(encoding="utf-8")
+    line_no, line = next((n, line) for n, line in enumerate(text.split("\n"), 1)
+                         if old in line)
+    mark = new.index("^")
+    digit = chr(ord(zero) + int(new[mark + 1]))
+    edited = text.replace(old, new[:mark] + digit + new[mark + 2:], 1)
+    with pytest.raises(DslSyntaxError) as info:
+        parse_instances(edited)
+    assert (info.value.line, info.value.col) == (line_no, line.index(old) + mark + 1)
+    assert info.value.expected == f"a token (found {digit!r})"

@@ -22,10 +22,10 @@ from wbforge.fixtures import FIXTURE_NAMES, fixture_path
 _NAME = r"[A-Za-z_][A-Za-z0-9_-]*"
 _REFERENCE_RES = (
     ("IRIREF", re.compile(r"<[^<>\s]*>")),
-    ("DATETIME", re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z")),
-    ("DECIMAL", re.compile(r"-?\d+\.\d+")),
+    ("DATETIME", re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")),
+    ("DECIMAL", re.compile(r"-?[0-9]+\.[0-9]+")),
     ("PUNCT", re.compile(r"->")),
-    ("INT", re.compile(r"-?\d+")),
+    ("INT", re.compile(r"-?[0-9]+")),
     ("STRING", re.compile(r'"(?:[^"\\\n]|\\.)*"')),
     ("CURIE", re.compile(rf"{_NAME}:{_NAME}")),
     ("IDENT", re.compile(_NAME)),
