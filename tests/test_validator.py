@@ -390,7 +390,8 @@ _FORTY_QUALIFIERS = ("statement bench:ledger {\n  subject bench:Person\n  object
 
 @pytest.mark.parametrize("persons", [4, 24])
 @pytest.mark.parametrize("extra", ["", _FORTY_QUALIFIERS], ids=["record", "forty-qualifiers"])
-def test_validate_looks_at_each_statement_node_once(persons, extra, monkeypatch):
+def test_validate_looks_at_each_statement_node_a_bounded_number_of_times(
+        persons, extra, monkeypatch):
     # Exactly one Graph.edges view of each statement node, each reference node
     # and each distinct value node, so a second walk of any of them shows. The
     # other lookups do not grow with the graph: per declaration its p: edges
