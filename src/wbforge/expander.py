@@ -3,24 +3,19 @@
 One declared statement property fans out into its namespace family
 (wdt:, p:, ps:, and psv: when the object is a date or quantity), every
 qualifier into pq: (and pqv: for dates and quantities), every reference
-into pr:. `expand` builds only these families, which every layer reads;
-what reading a declaration's statement nodes back looks up is its
-`plan`, worked out on first use. `expansion_report` derives the class,
-provenance and value-field rows itself; value-node classes and fields
-appear only when some declaration needs them.
+into pr:. `expand` builds only these families, which every layer reads.
+`expansion_report` derives the class, provenance and value-field rows
+itself; value-node classes and fields appear only when some declaration
+needs them.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
-from functools import cached_property
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 from .model import (
     VALUE_KINDS,
     Datatype,
-    QualifierDecl,
-    ReferenceDecl,
     SchemaDocument,
     StatementDecl,
     needed_value_kinds,
@@ -32,49 +27,12 @@ def object_datatype(decl: StatementDecl) -> Datatype | None:
     return decl.object_spec.datatype
 
 
-class StatementPlan(NamedTuple):
-    """What reading and checking one declaration's statement nodes looks up.
-
-    The `psv:`/`pqv:` edges are read by name, so a value edge that the
-    declaration does not mint is still found; the references are sorted
-    by name, the order of a reference's snaks in the read-back content.
-    """
-
-    ps: Iri
-    psv: Iri                      # by name, minted or not
-    # (declaration, pq:, pqv: by name) in declaration order
-    qualifiers: tuple[tuple[QualifierDecl, Iri, Iri], ...]
-    references: tuple[tuple[ReferenceDecl, Iri], ...]       # (declaration, pr:)
-
-
 @dataclass(frozen=True)
 class ExpandedStatement:
     source: StatementDecl
     statement_properties: dict[str, Iri]            # wdt/p/ps and psv if valued
     qualifier_properties: dict[str, dict[str, Iri]]  # name -> {pq[, pqv]}
     reference_properties: dict[str, Iri]            # name -> pr
-    table: InitVar[NamespaceTable]  # the one the family is minted under, kept for `plan`
-
-    def __post_init__(self, table: NamespaceTable) -> None:
-        # not a field, so the family's equality and repr stay its own
-        object.__setattr__(self, "_table", table)
-
-    @cached_property
-    def plan(self) -> StatementPlan:
-        # worked out on first use and kept in the instance's __dict__, so
-        # each `expand` builds a declaration's plan at most once, and the
-        # schema-author commands, which never read a graph, build none
-        term = self._table.term
-        props = self.statement_properties
-        quals = []
-        for q in self.source.qualifiers:
-            fam = self.qualifier_properties[q.name]
-            quals.append((q, fam["pq"], fam.get("pqv") or term("pqv", q.name)))
-        by_name = {r.name: r for r in self.source.references}
-        refs = tuple((by_name[rname], pr)
-                     for rname, pr in sorted(self.reference_properties.items()))
-        psv = props.get("psv") or term("psv", self.source.property_name)
-        return StatementPlan(props["ps"], psv, tuple(quals), refs)
 
     def family_properties(self) -> list[Iri]:
         """All minted family IRIs; the count is 3 + psv + per-qualifier + refs."""
@@ -115,7 +73,7 @@ def expand_statement(decl: StatementDecl, table: NamespaceTable) -> ExpandedStat
         qual_props[q.name] = fam
 
     ref_props = {r.name: table.term("pr", r.name) for r in decl.references}
-    return ExpandedStatement(decl, stmt_props, qual_props, ref_props, table)
+    return ExpandedStatement(decl, stmt_props, qual_props, ref_props)
 
 
 def expand(doc: SchemaDocument) -> ExpandedSchema:

@@ -435,7 +435,7 @@ def read_value_node(g: Graph, node: Iri, kind: ValueKind, table: NamespaceTable)
     return problems or kind.value_type(**fields)
 
 
-def _read_value(view: EdgeView, value_prop: Iri, v: Term, vocab: Vocabulary,
+def _read_value(view: EdgeView, value_prop: Iri | None, v: Term, vocab: Vocabulary,
                 value_of: Callable[[Iri, ValueKind], NodeValue]) -> ReadValue | None:
     """A ps:/pq: object as read back; dates and quantities need a matching node."""
     if isinstance(v, Iri) or v.datatype == vocab.xsd[Datatype.STRING]:

@@ -108,7 +108,7 @@ class Graph:
 
     def __init__(self, triples: "set[Triple] | list[Triple] | tuple[Triple, ...]" = ()) -> None:
         self._triples: set[Triple] = set(triples)
-        self._index: tuple[dict[Term, list[Triple]], ...] | None = None  # by s, p, o
+        self._index: tuple[dict[Term, list[Triple]], ...] | None = None  # by s, p
 
     def add(self, t: Triple) -> None:
         self._triples.add(t)
@@ -134,16 +134,16 @@ class Graph:
         return Graph(self._triples)
 
     def _indexes(self) -> tuple[dict[Term, list[Triple]], ...]:
-        """The by-s, by-p and by-o indexes, built on the first read after a change.
+        """The by-s and by-p indexes, built on the first read after a change.
 
-        A graph that is only written never builds them.
+        A graph that is only written never builds them. Nothing in the
+        library looks triples up by object alone, so there is no by-o index.
         """
         if self._index is None:
             by_s: dict[Term, list[Triple]] = {}
             by_p: dict[Term, list[Triple]] = {}
-            by_o: dict[Term, list[Triple]] = {}
             for t in self._triples:
-                s, p, o = t
+                s, p, _ = t
                 hits = by_s.get(s)
                 if hits is None:
                     by_s[s] = [t]
@@ -154,12 +154,7 @@ class Graph:
                     by_p[p] = [t]
                 else:
                     hits.append(t)
-                hits = by_o.get(o)
-                if hits is None:
-                    by_o[o] = [t]
-                else:
-                    hits.append(t)
-            self._index = (by_s, by_p, by_o)
+            self._index = (by_s, by_p)
         return self._index
 
     def predicates(self) -> set[Iri]:
@@ -178,15 +173,15 @@ class Graph:
               o: Term | None = None) -> list[Triple]:
         """Triples matching the pattern; None is a wildcard. Sorted output.
 
-        Candidates come from the index of the first bound term in the order
-        s, o, p. Two or more hits are sorted on `(s, p, render_term(o))`,
-        or on `(s, p)` when `o` is bound: the bound positions are equal in
-        every hit, so the order is the same, and a bound object is never
-        rendered.
+        Candidates come from the by-s index if `s` is bound, else from the
+        by-p index if `p` is, else from every triple. Two or more hits are
+        sorted on `(s, p, render_term(o))`, or on `(s, p)` when `o` is
+        bound: the bound positions are equal in every hit, so the order is
+        the same, and a bound object is never rendered.
         """
-        by_s, by_p, by_o = self._indexes()
-        pool = (by_s.get(s, ()) if s is not None else by_o.get(o, ()) if o is not None
-                else by_p.get(p, ()) if p is not None else self._triples)
+        by_s, by_p = self._indexes()
+        pool = (by_s.get(s, ()) if s is not None else by_p.get(p, ()) if p is not None
+                else self._triples)
         found = [t for t in pool
                  if (s is None or t.s == s)
                  and (p is None or t.p == p)
@@ -211,7 +206,10 @@ class Graph:
         return view
 
     def subjects(self, p: Iri, o: Term) -> list[Iri]:
-        return [t.s for t in self.match(None, p, o)]
+        """The subjects of every `(s, p, o)`, sorted, filtered from the by-p index."""
+        found = [s for s, _, obj in self._indexes()[1].get(p, ()) if obj == o]
+        found.sort()
+        return found
 
     def objects(self, s: Iri, p: Iri) -> list[Term]:
         return [t.o for t in self.match(s, p, None)]

@@ -159,6 +159,9 @@ class _Checker:
         self.family: dict[Iri, tuple[str, str]] = {
             p: spl for p in graph.predicates()
             if (spl := self.table.split(p)) is not None and spl[0] in PROPERTY_NAMESPACES}
+        # the same predicates by (prefix, local name), where a psv:/pqv: edge is
+        # found by name, minted or not; an edge the graph lacks is in no view
+        self.by_name: dict[tuple[str, str], Iri] = {spl: p for p, spl in self.family.items()}
         # every value node read so far, by (node, kind tag), for the whole run
         self.values: dict[tuple[Iri, str], NodeValue] = {}
 
@@ -249,7 +252,7 @@ class _Checker:
                 self.add("DomainViolation", subject,
                          f"subject of p:{name} lacks rdf:type wikibase:Item")
 
-        ps_values = view.get(st.plan.ps, ())
+        ps_values = view.get(st.statement_properties["ps"], ())
         if not ps_values:
             self.add("ExistenceViolation", node, f"statement has no ps:{name} value")
         elif len(ps_values) > 1:
@@ -257,7 +260,8 @@ class _Checker:
                      f"{len(ps_values)} ps:{name} values")
         for v in ps_values:
             self.check_object_value(node, decl, v)
-        value = (_read_value(view, st.plan.psv, ps_values[0], self.vocab, self.value_node)
+        value = (_read_value(view, self.by_name.get(("psv", name)), ps_values[0], self.vocab,
+                             self.value_node)
                  if len(ps_values) == 1 else None)
 
         quals = self.check_qualifiers(node, st, view)
@@ -294,15 +298,16 @@ class _Checker:
                 self.add("QualifierTypeViolation", node,
                          f"qualifier pq:{qname} not declared for {st.source.property_name}")
         read: list[tuple[str, ReadValue | None]] = []
-        for q, pq, pqv in st.plan.qualifiers:
+        for q in st.source.qualifiers:
             qname = q.name
-            values = view.get(pq, ())
+            values = view.get(declared[qname]["pq"], ())
             if q.required and not values:
                 self.add("ExistenceViolation", node,
                          f"required qualifier pq:{qname} missing")
-            if len(values) > 1 and len(set(values)) > 1:
+            if len(values) > 1:        # a graph is a set, so the values are distinct
                 self.add("FunctionalityViolation", node,
-                         f"{len(set(values))} values for functional qualifier pq:{qname}")
+                         f"{len(values)} values for functional qualifier pq:{qname}")
+            pqv = self.by_name.get(("pqv", qname))
             for v in values:
                 self.check_qualifier_value(node, qname, q, v)
                 read.append((qname, _read_value(view, pqv, v, self.vocab, self.value_node)))
@@ -323,7 +328,9 @@ class _Checker:
                          ) -> tuple[tuple[tuple[str, Iri], ...], ...] | None:
         """Each reference node's declared (name, target) snaks as read back, or
         None when a reference node is not typed or a target is not an IRI."""
-        refs = st.plan.references
+        # by name: which of several ';' targets check_hash names ignores declaration order
+        refs = sorted(st.source.references, key=lambda r: r.name)
+        prs = st.reference_properties
         snak_names: set[str] = set()
         read: list[tuple[tuple[str, Iri], ...]] = []
         readable = True
@@ -335,8 +342,8 @@ class _Checker:
                 continue
             rview = self.g.edges(rnode)
             snaks: list[tuple[str, Iri]] = []
-            for r, pr in refs:
-                targets = rview.get(pr, ())
+            for r in refs:
+                targets = rview.get(prs[r.name], ())
                 if targets:
                     snak_names.add(r.name)
                 for target in targets:
@@ -347,7 +354,7 @@ class _Checker:
                     readable = readable and isinstance(target, Iri)
                     snaks.append((r.name, target))
             read.append(tuple(snaks))
-        for r, _ in refs:
+        for r in refs:
             if r.required and r.name not in snak_names:
                 self.add("ExistenceViolation", node,
                          f"required reference pr:{r.name} missing")

@@ -4,8 +4,10 @@ walk of a statement node became the only one, kept as the reference for
 
 `read_content` reads a statement node back as plain tuples, the inverse
 of export, and `read_statement` builds the model `StatementData` from
-them. The function bodies are the earlier definitions; only the imports
-differ.
+them. The function bodies are the earlier definitions, except that
+`read_content` mints the by-name psv:/pqv: IRIs and orders the
+references by name itself, as the expander's read plan once did; the
+imports differ too.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ def read_content(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceTab
     """The statement content behind `node`, the inverse of export.
 
     Only declared qualifiers and reference snaks are read, and psv:/pqv:
-    edges by name, minted or not, as `st.plan` lists them. None when the
-    node is too broken to hash: not one ps: value, a date or quantity
-    without a well-formed matching value node, or a malformed reference.
+    edges by name, minted or not. None when the node is too broken to
+    hash: not one ps: value, a date or quantity without a well-formed
+    matching value node, or a malformed reference.
 
     The statement node and each reference node are looked at once, through
     `edges` (`g.edges` by default); each value node is read through
@@ -59,17 +61,19 @@ def read_content(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceTab
         def value_of(vnode: Iri, kind: ValueKind) -> NodeValue:
             return read_value_node(g, vnode, kind, table)
     vocab = vocabulary(table)
-    plan = st.plan
+    decl = st.source
     view = edges(node)
-    ps_values = view.get(plan.ps, ())
+    ps_values = view.get(st.statement_properties["ps"], ())
     if len(ps_values) != 1:
         return None
-    value = _read_value(view, plan.psv, ps_values[0], vocab, value_of)
+    value = _read_value(view, table.term("psv", decl.property_name), ps_values[0], vocab,
+                        value_of)
     if value is None:
         return None
     quals: list[tuple[str, ReadValue]] = []
-    for q, pq, pqv in plan.qualifiers:
-        for v in view.get(pq, ()):
+    for q in decl.qualifiers:
+        pqv = table.term("pqv", q.name)
+        for v in view.get(st.qualifier_properties[q.name]["pq"], ()):
             qv = _read_value(view, pqv, v, vocab, value_of)
             if qv is None:
                 return None
@@ -80,11 +84,11 @@ def read_content(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceTab
             return None
         rview = edges(rnode)
         snaks: list[tuple[str, Iri]] = []
-        for r, pr in plan.references:
+        for rname, pr in sorted(st.reference_properties.items()):
             for target in rview.get(pr, ()):
                 if not isinstance(target, Iri):
                     return None
-                snaks.append((r.name, target))
+                snaks.append((rname, target))
         refs.append(tuple(snaks))
     return st.source.property_name, value, tuple(quals), tuple(refs)
 

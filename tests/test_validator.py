@@ -369,6 +369,28 @@ def test_read_back_follows_a_psv_edge_the_declaration_does_not_mint():
     assert node.value in {f.focus for f in rep.by_code("HashMismatch")}
 
 
+@pytest.mark.parametrize("with_pqv", [True, False])
+def test_read_back_follows_a_pqv_edge_the_declaration_does_not_mint(with_pqv):
+    # relationship-record's note qualifier is a string, so its family has no
+    # pqv: edge; a decimal note is read back, and hashed, only through a pqv:
+    # edge the graph holds, and without one the content is not hashed at all
+    b = load_bundle("relationship-record")
+    t, node = b.table, _fixture_snode(b)
+    value = DecimalValue("5")
+    vnode = value_node(value, t)
+    five = Literal("5", xsd(t, "decimal"))
+    g = b.graph.copy()
+    for triple in (Triple(node, t.term("pq", "note"), five),
+                   Triple(vnode, rdf_type(t), wikibase(t, "QuantityValue")),
+                   Triple(vnode, wikibase(t, "quantityValue"), five),
+                   Triple(vnode, wikibase(t, "quantityUnit"), value.unit)):
+        g.add(triple)
+    if with_pqv:
+        g.add(Triple(node, t.term("pqv", "note"), vnode))
+    rep = validate(b.schema, g)
+    assert (node.value in {f.focus for f in rep.by_code("HashMismatch")}) is with_pqv
+
+
 @pytest.mark.parametrize("local, report", [
     # an item object mints no psv:, but the name is declared, so the edge is known
     ("hasSexRecord", "errors=0 warnings=0\n"),
@@ -419,26 +441,36 @@ def test_validate_looks_at_each_statement_node_a_bounded_number_of_times(
     assert reads["match"] + reads["with_predicate"] <= 4 * len(full.statements) + 4
 
 
+def _term_calls(monkeypatch, run):
+    """What `run()` gives, and the `NamespaceTable.term` calls it makes by prefix."""
+    calls = Counter()
+    with monkeypatch.context() as m:
+        def counted(self, prefix, local, _term=NamespaceTable.term):
+            calls[prefix] += 1
+            return _term(self, prefix, local)
+        m.setattr(NamespaceTable, "term", counted)
+        return run(), calls
+
+
 def test_validate_resolves_no_term_per_statement_node(monkeypatch):
-    # the vocabulary, property families, plans and preimage line heads are
-    # resolved per table or per declaration, so the count is the same at
-    # every graph size
+    # the vocabulary, property families and preimage line heads are resolved
+    # per table or per declaration, so the count is the same at every graph
+    # size; psv:/pqv: edges are found by name among the graph's predicates,
+    # so validate mints no more of them than expansion does
     counts = []
     for persons in (4, 24):
         schema = parse_schema(corpus.RECORD_SCHEMA)
         g = export(schema, parse_instances(
             corpus.record_instances(random.Random(7), persons).text))
         schema = parse_schema(corpus.RECORD_SCHEMA)   # a new table, its memos empty
-        calls = Counter()
-        with monkeypatch.context() as m:
-            def counted(self, prefix, local, _term=NamespaceTable.term):
-                calls[prefix] += 1
-                return _term(self, prefix, local)
-            m.setattr(NamespaceTable, "term", counted)
-            assert validate(schema, g).findings == ()
+        report, calls = _term_calls(monkeypatch, lambda: validate(schema, g))
+        assert report.findings == ()
         counts.append(calls)
     assert counts[0] == counts[1]
     assert counts[0]["wdt"] == len(schema.statements)     # as each family is minted
+    schema = parse_schema(corpus.RECORD_SCHEMA)
+    _, minted = _term_calls(monkeypatch, lambda: expand(schema))
+    assert [counts[0][ns] for ns in ("psv", "pqv")] == [minted[ns] for ns in ("psv", "pqv")]
 
 
 def _renamed(g, old, new):
@@ -529,3 +561,26 @@ def test_a_reference_target_holding_a_semicolon_is_a_hash_mismatch(
         f"<{DEFAULT_ROOT}entity/mani;fest> contains ';'\n"
         + f"errors={int(drop_truthy)} warnings=1\n")
     assert status == int(drop_truthy)
+
+
+@pytest.mark.parametrize("order", [("zeta", "alpha"), ("alpha", "zeta")])
+def test_the_first_semicolon_target_by_reference_name_is_named(order):
+    # two snaks of one reference node hold ';': the finding names the target
+    # of the reference that sorts first by name, whatever the declaration order
+    schema = parse_schema(
+        "prefix ex: <http://example.org/>\nclass ex:P\nclass ex:D\n"
+        "statement ex:has {\n  subject ex:P\n  object item ex:P\n"
+        + "".join(f"  reference ex:{name} -> item ex:D\n" for name in order) + "}\n")
+    g = export(schema, parse_instances(
+        "prefix ex: <http://example.org/>\n"
+        "item wd:a : ex:P {\n  ex:has -> item wd:b {\n"
+        "    reference { ex:zeta -> item wd:z  ex:alpha -> item wd:a1 }\n  }\n}\n"
+        "item wd:b : ex:P { }\nitem wd:z : ex:D { }\nitem wd:a1 : ex:D { }\n"))
+    t = schema.namespaces
+    for name in order:
+        (snak,) = g.match(None, t.term("pr", name))
+        g.discard(snak)
+        g.add(Triple(snak.s, snak.p, Iri(snak.o.value + ";x")))
+    (finding,) = validate(schema, g).by_code("HashMismatch")   # the targets are untyped too
+    assert finding.detail == (f"content cannot be hashed: reference target "
+                              f"<{DEFAULT_ROOT}entity/a1;x> contains ';'")
