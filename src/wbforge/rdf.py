@@ -206,10 +206,7 @@ class Graph:
         return view
 
     def subjects(self, p: Iri, o: Term) -> list[Iri]:
-        """The subjects of every `(s, p, o)`, sorted, filtered from the by-p index."""
-        found = [s for s, _, obj in self._indexes()[1].get(p, ()) if obj == o]
-        found.sort()
-        return found
+        return [t.s for t in self.match(None, p, o)]
 
     def objects(self, s: Iri, p: Iri) -> list[Term]:
         return [t.o for t in self.match(s, p, None)]
