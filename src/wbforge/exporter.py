@@ -22,7 +22,6 @@ from .errors import (
 )
 from .expander import ExpandedStatement, expand
 from .model import (
-    MAX_INT_DIGITS,
     VALUE_KINDS,
     Datatype,
     DateTimeValue,
@@ -37,8 +36,6 @@ from .model import (
     Value,
     ValueKind,
     ValueType,
-    bounded_int,
-    is_canonical,
     value_kind,
 )
 from .namespaces import Iri, NamespaceTable
@@ -377,22 +374,8 @@ def _export_statement(add: Add, subject: Iri, stmt: StatementData, decl_checks: 
             add(new(Triple, (rnode, ref_props[snak.name], snak.target)))
 
 
-# reading a graph back ------------------------------------------------------
+# what the validator reads back -------------------------------------------
 
-def literal_problem(v: Term, dt: Datatype, vocab: Vocabulary) -> str | None:
-    """Why `v` is not a canonical `dt` literal, or None when it is one."""
-    if not isinstance(v, Literal):
-        return f"is not an xsd:{dt.xsd_local} literal"
-    if v.datatype != vocab.xsd[dt]:
-        return f"is not typed xsd:{dt.xsd_local}"
-    if not is_canonical(dt, v.lexical):
-        return f"has non-canonical xsd:{dt.xsd_local} lexical {v.lexical!r}"
-    return None
-
-
-# what reading a value node gives: its value, or its field problems
-NodeValue = DateTimeValue | DecimalValue | list[str]
-EdgeView = dict[Iri, list[Term]]              # one node's objects by predicate
 # a ps:/pq: value as read back: an item's IRI, a string literal, or the value
 # of a date or quantity node
 ReadValue = Iri | Literal | DateTimeValue | DecimalValue
@@ -401,52 +384,3 @@ ReadValue = Iri | Literal | DateTimeValue | DecimalValue
 # each declared qualifier value, and each reference's (name, target) snaks
 StatementContent = tuple[str, ReadValue, tuple[tuple[str, ReadValue], ...],
                          tuple[tuple[tuple[str, Iri], ...], ...]]
-
-
-def read_value_node(g: Graph, node: Iri, kind: ValueKind, table: NamespaceTable) -> NodeValue:
-    """The value a `kind` node holds, or its field problems in field order.
-
-    One look at the node: every field comes from one `Graph.edges` view.
-    The value is what `_add_value` wrote the node from.
-    """
-    vocab = vocabulary(table)
-    view = g.edges(node)
-    problems: list[str] = []
-    fields: dict[str, object] = {}
-    for pred, (local, attr, dt) in zip(vocab.kind_terms(kind, table).predicates, kind.fields):
-        values = view.get(pred, ())
-        if not values:
-            problems.append(f"missing wikibase:{local}")
-        elif len(values) > 1:
-            problems.append(f"{len(values)} wikibase:{local} values")
-        elif dt is None:
-            if isinstance(values[0], Iri):
-                fields[attr] = values[0]
-            else:
-                problems.append(f"wikibase:{local} is not an IRI")
-        elif (problem := literal_problem(values[0], dt, vocab)) is not None:
-            problems.append(f"wikibase:{local} {problem}")
-        elif dt is not Datatype.INT:
-            fields[attr] = values[0].lexical
-        elif (number := bounded_int(values[0].lexical)) is None:
-            problems.append(f"wikibase:{local} has more than {MAX_INT_DIGITS} digits")
-        else:
-            fields[attr] = number
-    return problems or kind.value_type(**fields)
-
-
-def _read_value(view: EdgeView, value_prop: Iri | None, v: Term, vocab: Vocabulary,
-                value_of: Callable[[Iri, ValueKind], NodeValue]) -> ReadValue | None:
-    """A ps:/pq: object as read back; dates and quantities need a matching node."""
-    if isinstance(v, Iri) or v.datatype == vocab.xsd[Datatype.STRING]:
-        return v
-    kind = vocab.kind_by_xsd.get(v.datatype)
-    if kind is None:
-        return None
-    main = kind.fields[0][1]
-    for vnode in view.get(value_prop, ()):
-        if isinstance(vnode, Iri):
-            value = value_of(vnode, kind)
-            if not isinstance(value, list) and getattr(value, main) == v.lexical:
-                return value
-    return None

@@ -108,15 +108,15 @@ class Graph:
 
     def __init__(self, triples: "set[Triple] | list[Triple] | tuple[Triple, ...]" = ()) -> None:
         self._triples: set[Triple] = set(triples)
-        self._index: tuple[dict[Term, list[Triple]], ...] | None = None  # by s, p
+        self._indexes: list[dict[Term, list[Triple]] | None] = [None, None]  # by s, by p
 
     def add(self, t: Triple) -> None:
         self._triples.add(t)
-        self._index = None
+        self._indexes = [None, None]
 
     def discard(self, t: Triple) -> None:
         self._triples.discard(t)
-        self._index = None
+        self._indexes = [None, None]
 
     def __contains__(self, t: tuple[Iri, Iri, Term]) -> bool:
         return t in self._triples
@@ -133,33 +133,29 @@ class Graph:
     def copy(self) -> "Graph":
         return Graph(self._triples)
 
-    def _indexes(self) -> tuple[dict[Term, list[Triple]], ...]:
-        """The by-s and by-p indexes, built on the first read after a change.
+    def _index(self, i: int) -> dict[Term, list[Triple]]:
+        """The triples by subject (`i` 0) or by predicate (1), built on its first read.
 
-        A graph that is only written never builds them. Nothing in the
-        library looks triples up by object alone, so there is no by-o index.
+        A change drops both indexes, and each is rebuilt only when it is
+        next read, so a graph that is only written builds neither, and one
+        read only by predicate never builds the subject index. Nothing in
+        the library looks triples up by object alone, so there is no
+        object index.
         """
-        if self._index is None:
-            by_s: dict[Term, list[Triple]] = {}
-            by_p: dict[Term, list[Triple]] = {}
+        index = self._indexes[i]
+        if index is None:
+            index = self._indexes[i] = {}
             for t in self._triples:
-                s, p, _ = t
-                hits = by_s.get(s)
+                hits = index.get(t[i])
                 if hits is None:
-                    by_s[s] = [t]
+                    index[t[i]] = [t]
                 else:
                     hits.append(t)
-                hits = by_p.get(p)
-                if hits is None:
-                    by_p[p] = [t]
-                else:
-                    hits.append(t)
-            self._index = (by_s, by_p)
-        return self._index
+        return index
 
     def predicates(self) -> set[Iri]:
         """Every predicate the graph uses, read from the by-p index."""
-        return set(self._indexes()[1])
+        return set(self._index(1))
 
     def with_predicate(self, p: Iri) -> Iterator[Triple]:
         """Every triple whose predicate is `p`, in no particular order.
@@ -167,7 +163,7 @@ class Graph:
         Read straight from the by-p index: for callers whose result does
         not depend on order, so nothing is filtered, sorted or rendered.
         """
-        return iter(self._indexes()[1].get(p, ()))
+        return iter(self._index(1).get(p, ()))
 
     def match(self, s: Iri | None = None, p: Iri | None = None,
               o: Term | None = None) -> list[Triple]:
@@ -179,9 +175,8 @@ class Graph:
         bound: the bound positions are equal in every hit, so the order is
         the same, and a bound object is never rendered.
         """
-        by_s, by_p = self._indexes()
-        pool = (by_s.get(s, ()) if s is not None else by_p.get(p, ()) if p is not None
-                else self._triples)
+        pool = (self._index(0).get(s, ()) if s is not None
+                else self._index(1).get(p, ()) if p is not None else self._triples)
         found = [t for t in pool
                  if (s is None or t.s == s)
                  and (p is None or t.p == p)
@@ -198,7 +193,7 @@ class Graph:
         afresh on each call, so the caller owns it.
         """
         view: dict[Iri, list[Term]] = {}
-        for _, p, o in self._indexes()[0].get(s, ()):
+        for _, p, o in self._index(0).get(s, ()):
             view.setdefault(p, []).append(o)
         for objs in view.values():
             if len(objs) > 1:

@@ -71,12 +71,6 @@ class ShapeDoc:
     namespaces: NamespaceTable
     shapes: tuple[Shape, ...]
 
-    def shape(self, label: str) -> Shape | None:
-        for s in self.shapes:
-            if s.label == label:
-                return s
-        return None
-
 
 def class_label(iri: Iri, table: NamespaceTable) -> str:
     c = table.curie(iri)

@@ -19,27 +19,27 @@ from .errors import PreimageDelimiterError, UnknownCodeError
 from .expander import ExpandedSchema, ExpandedStatement, expand
 from .exporter import (
     HASH_LENGTH,
-    EdgeView,
-    NodeValue,
     ReadValue,
     StatementContent,
-    _read_value,
-    literal_problem,
-    read_value_node,
+    Vocabulary,
     statement_hash,
     value_hash,
     vocabulary,
 )
 from .model import (
+    MAX_INT_DIGITS,
     VALUE_KINDS,
+    Datatype,
     DateTimeValue,
     DecimalValue,
     SchemaDocument,
     StatementDecl,
     ValueKind,
+    bounded_int,
+    is_canonical,
 )
 from .namespaces import PROPERTY_NAMESPACES, Iri
-from .rdf import Graph, Term, Triple
+from .rdf import Graph, Literal, Term, Triple
 
 ERROR = "ERROR"
 WARNING = "WARNING"
@@ -77,11 +77,15 @@ CODES: dict[str, str] = {code: row[0] for code, row in _CODE_TABLE.items()}
 _STATEMENT_NAME = re.compile(rf".*-([0-9a-f]{{{HASH_LENGTH}}})", re.DOTALL)
 _VALUE_NAME = re.compile(rf"([0-9a-f]{{{HASH_LENGTH}}})")
 
+# what reading a value node gives: its value, or its field problems
+NodeValue = DateTimeValue | DecimalValue | list[str]
+EdgeView = dict[Iri, list[Term]]              # one node's objects by predicate
+
 
 @dataclass(frozen=True, order=True)
 class Finding:
     code: str
-    focus: str                    # IRI or name the finding is about
+    focus: str                    # the IRI the finding is about, as text
     detail: str
     severity: str
 
@@ -139,6 +143,17 @@ def explain(report: ValidationReport, code: str) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def literal_problem(v: Term, dt: Datatype, vocab: Vocabulary) -> str | None:
+    """Why `v` is not a canonical `dt` literal, or None when it is one."""
+    if not isinstance(v, Literal):
+        return f"is not an xsd:{dt.xsd_local} literal"
+    if v.datatype != vocab.xsd[dt]:
+        return f"is not typed xsd:{dt.xsd_local}"
+    if not is_canonical(dt, v.lexical):
+        return f"has non-canonical xsd:{dt.xsd_local} lexical {v.lexical!r}"
+    return None
+
+
 # ---------------------------------------------------------------------------
 
 class _Checker:
@@ -165,21 +180,63 @@ class _Checker:
         # every value node read so far, by (node, kind tag), for the whole run
         self.values: dict[tuple[Iri, str], NodeValue] = {}
 
-    def add(self, code: str, focus: Iri | str, detail: str) -> None:
-        f = focus.value if isinstance(focus, Iri) else focus
-        self.findings.add(Finding(code, f, detail, CODES[code]))
+    def add(self, code: str, focus: Iri, detail: str) -> None:
+        self.findings.add(Finding(code, focus.value, detail, CODES[code]))
 
     def has_type(self, node: Term, cls: Iri) -> bool:
         # a plain tuple equals and hashes as its Triple, without Triple.__new__
         return isinstance(node, Iri) and (node, self.a, cls) in self.g
 
     def value_node(self, node: Iri, kind: ValueKind) -> NodeValue:
-        """`read_value_node`, once per node and kind in a run."""
+        """The value a `kind` node holds, or its field problems in field order.
+
+        Read once per node and kind in a run, every field from one
+        `Graph.edges` view. The value is what export wrote the node from.
+        """
         key = (node, kind.tag)
         value = self.values.get(key)
-        if value is None:
-            value = self.values[key] = read_value_node(self.g, node, kind, self.table)
+        if value is not None:
+            return value
+        view = self.g.edges(node)
+        problems: list[str] = []
+        fields: dict[str, object] = {}
+        for pred, (local, attr, dt) in zip(self.vocab.kind_terms(kind, self.table).predicates,
+                                           kind.fields):
+            values = view.get(pred, ())
+            if not values:
+                problems.append(f"missing wikibase:{local}")
+            elif len(values) > 1:
+                problems.append(f"{len(values)} wikibase:{local} values")
+            elif dt is None:
+                if isinstance(values[0], Iri):
+                    fields[attr] = values[0]
+                else:
+                    problems.append(f"wikibase:{local} is not an IRI")
+            elif (problem := literal_problem(values[0], dt, self.vocab)) is not None:
+                problems.append(f"wikibase:{local} {problem}")
+            elif dt is not Datatype.INT:
+                fields[attr] = values[0].lexical
+            elif (number := bounded_int(values[0].lexical)) is None:
+                problems.append(f"wikibase:{local} has more than {MAX_INT_DIGITS} digits")
+            else:
+                fields[attr] = number
+        value = self.values[key] = problems or kind.value_type(**fields)
         return value
+
+    def read_value(self, view: EdgeView, value_prop: Iri | None, v: Term) -> ReadValue | None:
+        """A ps:/pq: object as read back; dates and quantities need a matching node."""
+        if isinstance(v, Iri) or v.datatype == self.vocab.xsd[Datatype.STRING]:
+            return v
+        kind = self.vocab.kind_by_xsd.get(v.datatype)
+        if kind is None:
+            return None
+        main = kind.fields[0][1]
+        for vnode in view.get(value_prop, ()):
+            if isinstance(vnode, Iri):
+                value = self.value_node(vnode, kind)
+                if not isinstance(value, list) and getattr(value, main) == v.lexical:
+                    return value
+        return None
 
     # -- property name coverage -------------------------------------------
 
@@ -260,8 +317,7 @@ class _Checker:
                      f"{len(ps_values)} ps:{name} values")
         for v in ps_values:
             self.check_object_value(node, decl, v)
-        value = (_read_value(view, self.by_name.get(("psv", name)), ps_values[0], self.vocab,
-                             self.value_node)
+        value = (self.read_value(view, self.by_name.get(("psv", name)), ps_values[0])
                  if len(ps_values) == 1 else None)
 
         quals = self.check_qualifiers(node, st, view)
@@ -310,7 +366,7 @@ class _Checker:
             pqv = self.by_name.get(("pqv", qname))
             for v in values:
                 self.check_qualifier_value(node, qname, q, v)
-                read.append((qname, _read_value(view, pqv, v, self.vocab, self.value_node)))
+                read.append((qname, self.read_value(view, pqv, v)))
         return None if any(qv is None for _, qv in read) else tuple(read)
 
     def check_qualifier_value(self, node: Iri, qname: str, q, v: Term) -> None:
@@ -347,11 +403,13 @@ class _Checker:
                 if targets:
                     snak_names.add(r.name)
                 for target in targets:
-                    if not self.has_type(target, r.target_class):
+                    if not isinstance(target, Iri):
+                        self.add("RangeViolation", rnode, f"target of pr:{r.name} is not an item")
+                        readable = False
+                    elif not self.has_type(target, r.target_class):
                         cls = self.table.curie(r.target_class) or r.target_class.value
                         self.add("RangeViolation", target,
                                  f"target of pr:{r.name} lacks rdf:type {cls}")
-                    readable = readable and isinstance(target, Iri)
                     snaks.append((r.name, target))
             read.append(tuple(snaks))
         for r in refs:

@@ -1,13 +1,16 @@
-"""The read path that `wbforge.exporter` held before the validator's own
-walk of a statement node became the only one, kept as the reference for
-`test_read_back.py` and `test_exporter.py`.
+"""The read path that `wbforge.exporter` held before the validator became
+the one reader of a graph, kept as the reference for `test_read_back.py`
+and `test_exporter.py`.
 
 `read_content` reads a statement node back as plain tuples, the inverse
 of export, and `read_statement` builds the model `StatementData` from
-them. The function bodies are the earlier definitions, except that
-`read_content` mints the by-name psv:/pqv: IRIs and orders the
-references by name itself, as the expander's read plan once did; the
-imports differ too.
+them. `read_value_node` reads a date or quantity node, and `_read_value`
+a ps:/pq: object; `literal_problem` says why a literal is not canonical.
+The function bodies are the earlier definitions, so that the reference
+shares no reading code with the validator it checks, except that
+`read_content` mints the by-name psv:/pqv: IRIs and orders the references
+by name itself, as the expander's read plan once did; the imports differ
+too, and no underscore-prefixed name is imported from `wbforge`.
 """
 
 from __future__ import annotations
@@ -15,16 +18,12 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from wbforge.expander import ExpandedStatement
-from wbforge.exporter import (
-    EdgeView,
-    NodeValue,
-    ReadValue,
-    StatementContent,
-    _read_value,
-    read_value_node,
-    vocabulary,
-)
+from wbforge.exporter import ReadValue, StatementContent, Vocabulary, vocabulary
 from wbforge.model import (
+    MAX_INT_DIGITS,
+    Datatype,
+    DateTimeValue,
+    DecimalValue,
     ItemRef,
     QualifierData,
     RefData,
@@ -33,9 +32,76 @@ from wbforge.model import (
     StringValue,
     Value,
     ValueKind,
+    bounded_int,
+    is_canonical,
 )
 from wbforge.namespaces import Iri, NamespaceTable
-from wbforge.rdf import Graph, Literal
+from wbforge.rdf import Graph, Literal, Term
+
+# what reading a value node gives: its value, or its field problems
+NodeValue = DateTimeValue | DecimalValue | list[str]
+EdgeView = dict[Iri, list[Term]]              # one node's objects by predicate
+
+
+def literal_problem(v: Term, dt: Datatype, vocab: Vocabulary) -> str | None:
+    """Why `v` is not a canonical `dt` literal, or None when it is one."""
+    if not isinstance(v, Literal):
+        return f"is not an xsd:{dt.xsd_local} literal"
+    if v.datatype != vocab.xsd[dt]:
+        return f"is not typed xsd:{dt.xsd_local}"
+    if not is_canonical(dt, v.lexical):
+        return f"has non-canonical xsd:{dt.xsd_local} lexical {v.lexical!r}"
+    return None
+
+
+def read_value_node(g: Graph, node: Iri, kind: ValueKind, table: NamespaceTable) -> NodeValue:
+    """The value a `kind` node holds, or its field problems in field order.
+
+    One look at the node: every field comes from one `Graph.edges` view.
+    The value is what `_add_value` wrote the node from.
+    """
+    vocab = vocabulary(table)
+    view = g.edges(node)
+    problems: list[str] = []
+    fields: dict[str, object] = {}
+    for pred, (local, attr, dt) in zip(vocab.kind_terms(kind, table).predicates, kind.fields):
+        values = view.get(pred, ())
+        if not values:
+            problems.append(f"missing wikibase:{local}")
+        elif len(values) > 1:
+            problems.append(f"{len(values)} wikibase:{local} values")
+        elif dt is None:
+            if isinstance(values[0], Iri):
+                fields[attr] = values[0]
+            else:
+                problems.append(f"wikibase:{local} is not an IRI")
+        elif (problem := literal_problem(values[0], dt, vocab)) is not None:
+            problems.append(f"wikibase:{local} {problem}")
+        elif dt is not Datatype.INT:
+            fields[attr] = values[0].lexical
+        elif (number := bounded_int(values[0].lexical)) is None:
+            problems.append(f"wikibase:{local} has more than {MAX_INT_DIGITS} digits")
+        else:
+            fields[attr] = number
+    return problems or kind.value_type(**fields)
+
+
+def _read_value(view: EdgeView, value_prop: Iri | None, v: Term, vocab: Vocabulary,
+                value_of: Callable[[Iri, ValueKind], NodeValue]) -> ReadValue | None:
+    """A ps:/pq: object as read back; dates and quantities need a matching node."""
+    if isinstance(v, Iri) or v.datatype == vocab.xsd[Datatype.STRING]:
+        return v
+    kind = vocab.kind_by_xsd.get(v.datatype)
+    if kind is None:
+        return None
+    main = kind.fields[0][1]
+    for vnode in view.get(value_prop, ()):
+        if isinstance(vnode, Iri):
+            value = value_of(vnode, kind)
+            if not isinstance(value, list) and getattr(value, main) == v.lexical:
+                return value
+    return None
+
 
 ValueReader = Callable[[Iri, ValueKind], NodeValue]
 

@@ -6,7 +6,7 @@ import pytest
 
 import hash_oracle as oracle
 from generators import random_datetime, random_decimal, random_instances, random_schema
-from reference_read import read_statement
+from reference_read import read_statement, read_value_node
 from wbforge.dsl import parse_instances, parse_schema
 from wbforge.errors import (
     MissingRequiredError,
@@ -20,7 +20,6 @@ from wbforge.exporter import (
     canonical_content,
     canonical_value,
     export,
-    read_value_node,
     reference_hash,
     reference_node,
     statement_hash,

@@ -2,10 +2,12 @@
 
 Character-level edits of the six N-Triples fixtures go through the
 whole read path: parse, validate, render, infer, serialize and encode
-as UTF-8. The CLI runs on bad paths and bad namespace roots and must
-exit with status 2. The `.wbs`/`.wbi` parsers are fuzzed by the corpus
-in `dsl_corpus.py`. Every case is a pure function of its seed, so a
-failure replays exactly.
+as UTF-8. Triple-level edits of the fixture graphs, which parse cleanly
+but put terms where the schema expects others, must validate, render
+and infer without raising at all. The CLI runs on bad paths and bad
+namespace roots and must exit with status 2. The `.wbs`/`.wbi` parsers
+are fuzzed by the corpus in `dsl_corpus.py`. Every case is a pure
+function of its seed, so a failure replays exactly.
 """
 
 import random
@@ -14,11 +16,21 @@ import pytest
 
 from wbforge.cli import ROOT_ENV, main
 from wbforge.errors import WbforgeError
-from wbforge.fixtures import FIXTURE_NAMES, fixture_path, load_fixture
-from wbforge.rdf import parse_ntriples, serialize_canonical
+from wbforge.fixtures import FIXTURE_NAMES, fixture_path, load_bundle, load_fixture
+from wbforge.namespaces import Iri
+from wbforge.rdf import (
+    XSD_STRING,
+    Graph,
+    Literal,
+    Triple,
+    parse_ntriples,
+    render_triple,
+    serialize_canonical,
+)
 from wbforge.validator import infer_truthy, render_report, validate
 
 NT_CASES_PER_FIXTURE = 500
+GRAPH_CASES_PER_FIXTURE = 400
 
 # N-Triples punctuation and escapes, whitespace, name characters, a
 # non-ASCII letter and a lone surrogate (what an undecodable byte becomes)
@@ -49,6 +61,42 @@ def test_mutated_ntriples_raise_only_wbforge_errors(name):
             pass
         except Exception as exc:
             raise AssertionError(f"{name} seed {seed}: {exc!r}") from exc
+
+
+def _edit_triples(g: Graph, rng: random.Random) -> Graph:
+    """One to three edits, each of a triple in place: its object swapped
+    between IRI and literal, or its object or subject taken from another."""
+    triples = sorted(g, key=render_triple)
+    datatypes = sorted({XSD_STRING} | {t.o.datatype for t in triples if isinstance(t.o, Literal)})
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(triples))
+        s, p, o = triples[i]
+        other = rng.choice(triples)
+        kind = rng.randrange(3)
+        if kind == 0 and isinstance(o, Iri):
+            o = Literal(o.local_name, rng.choice(datatypes))
+        elif kind == 0:
+            o = other.s
+        elif kind == 1:
+            o = other.o
+        else:
+            s = other.s
+        triples[i] = Triple(s, p, o)
+    return Graph(triples)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_edited_graphs_validate_render_and_infer(name):
+    b = load_bundle(name)
+    for seed in range(GRAPH_CASES_PER_FIXTURE):
+        g = _edit_triples(b.graph, random.Random(seed))
+        try:
+            report = validate(b.schema, g)
+            render_report(report)
+            infer_truthy(b.schema, g)
+        except Exception as exc:
+            raise AssertionError(f"{name} seed {seed}: {exc!r}") from exc
+        assert all(type(f.focus) is str for f in report.findings), (name, seed)
 
 
 def _argv(command: str, paths: dict[str, str]) -> list[str]:

@@ -473,15 +473,16 @@ def test_line_patterns_agree_with_the_frozen_reference(seed):
     assert 0 < matched < 5000      # the fuzz reaches both outcomes
 
 
-def _brute_indexes(triples):
-    # by s and by p; patterns that bind only o are covered by
+def _brute_index(triples, i):
+    # by s (0) or by p (1); patterns that bind only o are covered by
     # test_match_agrees_with_a_full_scan
-    return tuple({term: sorted(t for t in triples if t[i] == term)
-                  for term in {t[i] for t in triples}} for i in range(2))
+    return {term: sorted(t for t in triples if t[i] == term) for term in {t[i] for t in triples}}
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_indexes_equal_a_brute_force_build(seed):
+    # each step reads neither, one or both indexes, so an index read before
+    # a change and read again after it would show up stale
     rng = random.Random(seed)
     g, triples = Graph(), set()
     for _ in range(60):
@@ -492,10 +493,12 @@ def test_indexes_equal_a_brute_force_build(seed):
         else:
             g.discard(t)
             triples.discard(t)
-        built = tuple({term: sorted(hits) for term, hits in index.items()}
-                      for index in g._indexes())
-        assert built == _brute_indexes(triples)
-        assert g.predicates() == {t.p for t in triples}
+        for i in (0, 1):
+            for _ in range(rng.randrange(3)):
+                built = {term: sorted(hits) for term, hits in g._index(i).items()}
+                assert built == _brute_index(triples, i)
+        if rng.randrange(2):
+            assert g.predicates() == {t.p for t in triples}
 
 
 def test_duplicate_lines_parse_to_one_triple():

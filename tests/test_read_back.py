@@ -6,7 +6,8 @@ earlier separate walk: `read_content` gives the same tuples, and
 `read_statement` builds the model `StatementData` from them, which
 `canonical_content` renders through the same assembler. All must give one
 preimage for every node, and fail together, on clean, mutated and randomly
-edited graphs.
+edited graphs. The checker's value-node reader is held to the reference's
+`read_value_node` on the same graphs.
 """
 
 import random
@@ -16,7 +17,7 @@ import pytest
 
 import hash_oracle as oracle
 from generators import random_instances, random_schema
-from reference_read import read_content, read_statement
+from reference_read import read_content, read_statement, read_value_node
 from report_corpus import _edit
 from wbforge import validator
 from wbforge.errors import PreimageDelimiterError
@@ -29,7 +30,7 @@ from wbforge.exporter import (
     vocabulary,
 )
 from wbforge.fixtures import FIXTURE_NAMES, MUTATIONS, load_bundle
-from wbforge.model import DateTimeValue
+from wbforge.model import VALUE_KINDS, DateTimeValue
 from wbforge.namespaces import DEFAULT_ROOT, Iri, NamespaceTable
 from wbforge.rdf import Graph, Literal, Triple
 from wbforge.validator import validate
@@ -195,3 +196,48 @@ def test_a_string_value_reads_back_as_its_literal():
     assert type(content[1]) is Literal
     assert (assemble_preimage(_ELSEWHERE, *content, table)
             == canonical_content(_ELSEWHERE, read_statement(b.graph, node, st, table), table))
+
+
+def _assert_value_nodes_read_alike(schema, g):
+    """`_Checker.value_node` against `read_value_node` on every node, as every kind.
+
+    Each node is read twice through one checker, so the second read comes
+    from its memo. Gives the number of well-formed value nodes.
+    """
+    checker = validator._Checker(expand(schema), g)
+    nodes = {t.s for t in g} | {t.o for t in g if isinstance(t.o, Iri)}
+    values = 0
+    for node in sorted(nodes):
+        for kind in VALUE_KINDS.values():
+            want = read_value_node(g, node, kind, schema.namespaces)
+            assert checker.value_node(node, kind) == want, node
+            assert checker.value_node(node, kind) == want, node
+            values += not isinstance(want, list)
+    return values
+
+
+def test_value_nodes_read_alike_on_fixtures_mutations_and_edits():
+    values = 0
+    for name in FIXTURE_NAMES:
+        b = load_bundle(name)
+        values += _assert_value_nodes_read_alike(b.schema, b.graph)
+        rng = random.Random(name)
+        g = b.graph
+        for _ in range(20):
+            g = _edit(g, rng)
+            _assert_value_nodes_read_alike(b.schema, g)
+    for owner, mutations in MUTATIONS.items():
+        b = load_bundle(owner)
+        for m in mutations:
+            _assert_value_nodes_read_alike(b.schema, m.apply(b))
+    assert values > 0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_value_nodes_read_alike_on_edited_random_exports(seed):
+    rng = random.Random(seed)
+    schema = random_schema(rng)
+    g = export(schema, random_instances(rng, schema))
+    for _ in range(5):
+        g = _edit(g, rng)
+        _assert_value_nodes_read_alike(schema, g)

@@ -45,7 +45,7 @@ statement ex:height {
 
 
 def _shape(doc, label):
-    return doc.shape(label)
+    return next(s for s in doc.shapes if s.label == label)
 
 
 def _by_pred(doc, shape):
@@ -136,7 +136,7 @@ def test_reference_shape_snak_cardinality():
         "prefix ex: <http://v.example/>\nclass ex:A\n"
         "statement ex:st { subject ex:A object item ex:A\n"
         "  reference ex:only -> item ex:A }")
-    ref2 = schema_shapes(single).shape("ex_st_reference")
+    ref2 = _shape(schema_shapes(single), "ex_st_reference")
     assert ref2.constraints[0].cardinality == "+"
 
 
@@ -145,7 +145,7 @@ def test_undeclared_class_target_renders_iri_kind():
         "prefix ex: <http://v.example/>\n"
         "statement ex:st { subject wikibase:Item object item wikibase:Item }")
     shapes = schema_shapes(doc)
-    st = shapes.shape("ex_st_statement")
+    st = _shape(shapes, "ex_st_statement")
     assert isinstance(st.constraints[0].value_expr, IriKind)
 
 
@@ -177,9 +177,3 @@ def test_serialization_layout():
     for i, l in enumerate(lines):
         if l.startswith("# origin: ") and "scoped" not in l:
             assert lines[i + 1].startswith("<") or lines[i + 1].startswith("#")
-
-
-def test_a_label_no_shape_has_is_none():
-    doc = schema_shapes(parse_schema(SCHEMA))
-    assert doc.shape("ex_st_statement") is None
-    assert doc.shape(doc.shapes[0].label) is doc.shapes[0]

@@ -125,3 +125,12 @@ def test_edge_cases():
     wdt = st.statement_properties["wdt"]
     assert want[edge.o, Triple(edge.s, wdt, other)] == 1
     assert {node for node, _ in want} == {t.o for t in b.graph if t.p == p}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_infer_reads_its_input_by_predicate_only(name):
+    b = load_bundle(name)
+    g = b.graph.copy()            # a graph no index of which is built yet
+    infer_truthy(b.schema, g)
+    by_s, by_p = g._indexes
+    assert by_s is None and by_p is not None

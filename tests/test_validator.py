@@ -584,3 +584,22 @@ def test_the_first_semicolon_target_by_reference_name_is_named(order):
     (finding,) = validate(schema, g).by_code("HashMismatch")   # the targets are untyped too
     assert finding.detail == (f"content cannot be hashed: reference target "
                               f"<{DEFAULT_ROOT}entity/a1;x> contains ';'")
+
+
+def test_a_literal_reference_target_is_a_range_violation_on_its_reference(tmp_path, capsys):
+    # a target that is not an IRI is named by its reference node; with a
+    # second RangeViolation the findings still sort, as every focus is text
+    lines = fixture_path("occupation-record", "nt").read_text().splitlines(keepends=True)
+    snaks = [i for i, line in enumerate(lines) if "/prop/reference/isDirectlyBasedOn>" in line]
+    rnode = lines[snaks[0]].split()[0][1:-1]
+    lines[snaks[0]] = lines[snaks[0]].replace(f"<{DEFAULT_ROOT}entity/ledger>", '"doc"')
+    lines = [line for line in lines if not line.endswith("/vocab/SourceDocument> .\n")]
+    path = tmp_path / "occupation-record.nt"
+    path.write_text("".join(lines))
+    status = main(["validate", str(fixture_path("occupation-record", "wbs")), str(path)])
+    assert capsys.readouterr().out == (
+        f"ERROR RangeViolation <{DEFAULT_ROOT}entity/ledger> : "
+        "target of pr:isDirectlyBasedOn lacks rdf:type rec:SourceDocument\n"
+        f"ERROR RangeViolation <{rnode}> : target of pr:isDirectlyBasedOn is not an item\n"
+        "errors=2 warnings=0\n")
+    assert status == 1
