@@ -37,6 +37,7 @@ from .expander import ExpandedStatement, expand, expand_statement
 from .model import (
     TYPED_ORIGINS,
     VALUE_KINDS,
+    XSD,
     AxiomPattern,
     Datatype,
     QualifierDecl,
@@ -45,7 +46,8 @@ from .model import (
     StatementDecl,
     ValueType,
 )
-from .namespaces import NamespaceTable, curie_or_iri, prov_was_derived_from, wikibase
+from .namespaces import (
+    PROV_WAS_DERIVED_FROM, WB_ITEM, WB_REFERENCE, WB_STATEMENT, NamespaceTable, curie_or_iri)
 
 # origin key -> generic reading, used by finding explanations
 CATALOG: dict[str, str] = {
@@ -143,16 +145,12 @@ class _Env:
         self.pq = {name: Role(fam["pq"]) for name, fam in quals.items()}
         self.pqv = {name: Role(fam["pqv"]) for name, fam in quals.items() if "pqv" in fam}
         self.pr = {name: Role(iri) for name, iri in st.reference_properties.items()}
-        self.item = Named(wikibase(table, "Item"))
-        self.statement = Named(wikibase(table, "Statement"))
-        self.reference = Named(wikibase(table, "Reference"))
-        self.time_value = Named(wikibase(table, VALUE_KINDS[Datatype.DATETIME].node_class))
-        self.quantity_value = Named(wikibase(table, VALUE_KINDS[Datatype.DECIMAL].node_class))
+        self.item, self.statement, self.reference = (
+            Named(WB_ITEM), Named(WB_STATEMENT), Named(WB_REFERENCE))
+        self.time_value = Named(VALUE_KINDS[Datatype.DATETIME].class_iri)
+        self.quantity_value = Named(VALUE_KINDS[Datatype.DECIMAL].class_iri)
         self.wd_item = Named(table.term("wd", "Item"))
-        self.prov = Role(prov_was_derived_from(table))
-
-    def wb(self, local: str) -> Role:
-        return Role(wikibase(self.table, local))
+        self.prov = Role(PROV_WAS_DERIVED_FROM)
 
     def role_name(self, role: Role) -> str:
         return curie_or_iri(role.iri, self.table)
@@ -229,8 +227,9 @@ def _time_node_axioms(e: _Env, decl_id: str) -> Iterator[AnnotatedAxiom]:
     # value-node metadata axioms are independent of the qualifier name;
     # duplicates across several date qualifiers merge at serialization
     # the calendar model ranges over wd:Item, unlike the quantity unit
-    fields = [(e.wb(f), e.wd_item if dt is None else DataRange(dt))
-              for f, _, dt in VALUE_KINDS[Datatype.DATETIME].fields]
+    kind = VALUE_KINDS[Datatype.DATETIME]
+    fields = [(Role(pred), e.wd_item if dt is None else DataRange(dt))
+              for pred, (_, _, dt) in zip(kind.predicates, kind.fields)]
     for i, (role, _) in enumerate(fields):
         yield _domain(e, role, e.time_value, f"Ax{19 + i}", decl_id)
     for i, (role, rng) in enumerate(fields):
@@ -242,10 +241,10 @@ def _time_node_axioms(e: _Env, decl_id: str) -> Iterator[AnnotatedAxiom]:
 
 
 def _quantity_node_axioms(e: _Env, decl_id: str) -> Iterator[AnnotatedAxiom]:
-    qv = e.quantity_value
+    qv, kind = e.quantity_value, VALUE_KINDS[Datatype.DECIMAL]
     # origin keys AxQ-val-* and AxQ-unit-*, one per field in table order
-    for key, (f, _, dt) in zip(("val", "unit"), VALUE_KINDS[Datatype.DECIMAL].fields):
-        role, rng = e.wb(f), e.item if dt is None else DataRange(dt)
+    for key, pred, (f, _, dt) in zip(("val", "unit"), kind.predicates, kind.fields):
+        role, rng = Role(pred), e.item if dt is None else DataRange(dt)
         yield _domain(e, role, qv, f"AxQ-{key}-dom", decl_id)
         yield _ranges_over(e, qv, role, rng, f"AxQ-{key}-range", decl_id)
         yield AnnotatedAxiom(SubClassOf(qv, Some(role, rng)), f"AxQ-{key}-exist",
@@ -473,7 +472,7 @@ def _render_class(expr: ClassExpr, table: NamespaceTable) -> str:
     if isinstance(expr, Named):
         return curie_or_iri(expr.iri, table)
     if isinstance(expr, DataRange):
-        return f"xsd:{expr.datatype.xsd_local}"
+        return f"xsd:{XSD[expr.datatype].local_name}"
     keyword = _RESTRICTIONS.get(type(expr))
     if keyword is None:
         raise TypeError(f"unknown class expression: {expr!r}")

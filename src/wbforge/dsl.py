@@ -46,7 +46,7 @@ from .model import (
     ValueType,
     bounded_int,
 )
-from .namespaces import DEFAULT_ROOT, LONE_SURROGATE, Iri, NamespaceTable, expand_iri, wikibase
+from .namespaces import DEFAULT_ROOT, LONE_SURROGATE, WB_ITEM, Iri, NamespaceTable, expand_iri
 
 ITEM_QUALIFIER_FLAG = "allow-item-qualifiers"
 KNOWN_FLAGS = (ITEM_QUALIFIER_FLAG,)
@@ -334,9 +334,8 @@ def parse_schema(text: str, root: str = DEFAULT_ROOT) -> SchemaDocument:
     if ITEM_QUALIFIER_FLAG not in flags and any(
             q.qtype.item_class is not None for s in statements.values() for q in s.qualifiers):
         raise FeatureDisabledError(ITEM_QUALIFIER_FLAG)
-    item = wikibase(table, "Item")
     for iri, tok in class_refs:
-        if iri not in classes and iri != item:
+        if iri not in classes and iri != WB_ITEM:
             raise UnknownClassError(tok[1])
     return SchemaDocument(table, tuple(flags), tuple(classes.values()),
                           tuple(statements.values()))

@@ -20,7 +20,8 @@ from .model import (
     StatementDecl,
     needed_value_kinds,
 )
-from .namespaces import Iri, NamespaceTable, prov_was_derived_from, wikibase
+from .namespaces import (
+    PROV_WAS_DERIVED_FROM, WB_ITEM, WB_REFERENCE, WB_STATEMENT, Iri, NamespaceTable)
 
 
 def object_datatype(decl: StatementDecl) -> Datatype | None:
@@ -94,10 +95,9 @@ _ROLE_LABELS = {
 
 def expansion_report(expanded: ExpandedSchema) -> str:
     """Fixed-width `IRI | ROLE | ORIGIN` table, sorted by origin then role."""
-    table = expanded.source.namespaces
-    classes = ["Item", "Statement", "Reference"]
-    classes.extend(kind.node_class for kind in needed_value_kinds(expanded.source.statements))
-    rows = [(wikibase(table, cls).value, "class", "schema") for cls in classes]
+    classes = [WB_ITEM, WB_STATEMENT, WB_REFERENCE]
+    classes.extend(kind.class_iri for kind in needed_value_kinds(expanded.source.statements))
+    rows = [(cls.value, "class", "schema") for cls in classes]
     for st in expanded.statements:
         origin = st.source.property_name
         for ns, iri in st.statement_properties.items():
@@ -108,10 +108,9 @@ def expansion_report(expanded: ExpandedSchema) -> str:
         for rname, iri in st.reference_properties.items():
             rows.append((iri.value, _ROLE_LABELS["pr"], f"{origin}/{rname}"))
         if st.source.references:
-            rows.append((prov_was_derived_from(table).value, "provenance edge", origin))
+            rows.append((PROV_WAS_DERIVED_FROM.value, "provenance edge", origin))
         for kind in needed_value_kinds((st.source,)):
-            rows.extend((wikibase(table, f).value, "value field", origin)
-                        for f, _, _ in kind.fields)
+            rows.extend((pred.value, "value field", origin) for pred in kind.predicates)
     rows.sort(key=lambda r: (r[2], r[1], r[0]))
 
     header = ("IRI", "ROLE", "ORIGIN")

@@ -23,6 +23,7 @@ from .errors import (
 from .expander import ExpandedStatement, expand
 from .model import (
     VALUE_KINDS,
+    XSD,
     Datatype,
     DateTimeValue,
     DecimalValue,
@@ -34,11 +35,11 @@ from .model import (
     StatementData,
     StringValue,
     Value,
-    ValueKind,
     ValueType,
     value_kind,
 )
-from .namespaces import Iri, NamespaceTable
+from .namespaces import (
+    PROV_WAS_DERIVED_FROM, RDF_TYPE, WB_ITEM, WB_REFERENCE, WB_STATEMENT, Iri, NamespaceTable)
 from .rdf import Graph, Literal, Term, Triple, escape_literal
 
 HASH_LENGTH = 40                  # hex digits kept from the SHA-256 digest
@@ -52,13 +53,6 @@ def _sha40(text: str) -> str:
 # kind has two or more fields, so each getter returns a tuple.
 _FIELDS = {kind.value_type: attrgetter(*(attr for _, attr, _ in kind.fields))
            for kind in VALUE_KINDS.values()}
-
-
-class KindTerms(NamedTuple):
-    """A value node kind's terms under one namespace table."""
-
-    node_class: Iri               # the wikibase: class
-    predicates: tuple[Iri, ...]   # the wikibase: field predicates, in `kind.fields` order
 
 
 class LineHeads(dict):
@@ -79,50 +73,23 @@ class LineHeads(dict):
         return head
 
 
-class Vocabulary(NamedTuple):
-    """The fixed terms that export and read-back use, resolved once per table."""
+class PreimageHeads(NamedTuple):
+    """The hash preimage line heads under one table, whose root they move with."""
 
-    a: Iri                        # rdf:type
-    item: Iri                     # wikibase:Item
-    statement: Iri                # wikibase:Statement
-    reference: Iri                # wikibase:Reference
-    derived_from: Iri             # prov:wasDerivedFrom
-    xsd: dict[Datatype, Iri]      # each datatype's literal type
-    kind_by_xsd: dict[Iri, ValueKind]  # by the literal type of the value a node holds
-    kinds: dict[str, KindTerms]   # by kind tag, filled by `kind_terms`
     p_line: LineHeads             # a statement's P line, `P|<wdt: IRI>`
     q_head: LineHeads             # a Q line up to its value, `Q|<pq: IRI>|`
     r_head: LineHeads             # a snak in an R line up to its target, `<pr: IRI>|`
 
     @staticmethod
-    def build(table: NamespaceTable) -> Vocabulary:
-        term = table.term
-        xsd_of = {dt: term("xsd", dt.xsd_local) for dt in Datatype}
-        return Vocabulary(
-            term("rdf", "type"), term("wikibase", "Item"), term("wikibase", "Statement"),
-            term("wikibase", "Reference"), term("prov", "wasDerivedFrom"), xsd_of,
-            {xsd_of[dt]: kind for dt, kind in VALUE_KINDS.items()}, {},
+    def build(table: NamespaceTable) -> PreimageHeads:
+        return PreimageHeads(
             LineHeads(table.base("wdt"), "P|{}"), LineHeads(table.base("pq"), "Q|{}|"),
             LineHeads(table.base("pr"), "{}|"))
 
-    def kind_terms(self, kind: ValueKind, table: NamespaceTable) -> KindTerms:
-        """`kind`'s terms under `table`, the table this vocabulary was built for.
 
-        Minted when the first node of the kind is written or read, so an
-        export without dates or quantities mints none of them.
-        """
-        terms = self.kinds.get(kind.tag)
-        if terms is None:
-            term = table.term
-            terms = self.kinds[kind.tag] = KindTerms(
-                term("wikibase", kind.node_class),
-                tuple([term("wikibase", local) for local, _, _ in kind.fields]))
-        return terms
-
-
-def vocabulary(table: NamespaceTable) -> Vocabulary:
-    """`table`'s `Vocabulary`, built on the first call and kept with the table."""
-    return table.derived(Vocabulary.build)
+def preimage_heads(table: NamespaceTable) -> PreimageHeads:
+    """`table`'s `PreimageHeads`, built on the first call and kept with the table."""
+    return table.derived(PreimageHeads.build)
 
 
 def canonical_value(value: Value | ReadValue) -> str:
@@ -152,11 +119,10 @@ def assemble_preimage(subject: Iri, prop: str, value: Value | ReadValue,
     `qualifiers` are (name, value) pairs, and each reference is its
     (name, target) snaks; values are as `canonical_value` takes them. The
     IRI text that starts each P, Q and snak line comes from the table's
-    vocabulary, worked out once per name.
+    `PreimageHeads`, worked out once per name.
     """
-    vocab = vocabulary(table)
-    q_head, r_head = vocab.q_head, vocab.r_head
-    lines = [f"S|{subject.value}", vocab.p_line[prop], f"V|{canonical_value(value)}"]
+    p_line, q_head, r_head = preimage_heads(table)
+    lines = [f"S|{subject.value}", p_line[prop], f"V|{canonical_value(value)}"]
     lines.extend(sorted([q_head[name] + canonical_value(v) for name, v in qualifiers]))
     lines.extend(sorted(["R|" + ";".join(sorted([_snak_text(r_head, name, target)
                                                   for name, target in snaks]))
@@ -210,7 +176,7 @@ def value_node(value: DateTimeValue | DecimalValue, table: NamespaceTable) -> Ir
 
 
 def reference_hash(ref: RefData, table: NamespaceTable) -> str:
-    r_head = vocabulary(table).r_head
+    r_head = preimage_heads(table).r_head
     return _sha40("".join(sorted(f"R|{_snak_text(r_head, s.name, s.target)}\n"
                                  for s in ref.snaks)))
 
@@ -230,33 +196,32 @@ _KIND = {
 Add = Callable[[Triple], None]    # appends a triple to the export being built
 
 
-def _literal(value: Value, vocab: Vocabulary) -> Term:
+def _literal(value: Value) -> Term:
     t = type(value)
     if t is ItemRef:
         return value.iri
     if t is StringValue:
-        return tuple.__new__(Literal, (value.text, vocab.xsd[Datatype.STRING]))
+        return tuple.__new__(Literal, (value.text, XSD[Datatype.STRING]))
     if t is DecimalValue:
-        return tuple.__new__(Literal, (value.amount, vocab.xsd[Datatype.DECIMAL]))
-    return tuple.__new__(Literal, (value.iso, vocab.xsd[Datatype.DATETIME]))
+        return tuple.__new__(Literal, (value.amount, XSD[Datatype.DECIMAL]))
+    return tuple.__new__(Literal, (value.iso, XSD[Datatype.DATETIME]))
 
 
 def _add_value(add: Add, node: Iri, edge: Iri, value_edge: Iri | None, value: Value,
-               vocab: Vocabulary, table: NamespaceTable) -> Term:
+               table: NamespaceTable) -> Term:
     """The edge to the literal, then the edge to the value node if the family has one."""
     new = tuple.__new__
-    term = _literal(value, vocab)
+    term = _literal(value)
     add(new(Triple, (node, edge, term)))
     if value_edge is not None:
         kind = value_kind(value)
-        node_class, predicates = vocab.kind_terms(kind, table)
         vnode = value_node(value, table)
         add(new(Triple, (node, value_edge, vnode)))
-        add(new(Triple, (vnode, vocab.a, node_class)))
-        xsd_of = vocab.xsd
-        for pred, (_, _, dt), field in zip(predicates, kind.fields, _FIELDS[type(value)](value)):
+        add(new(Triple, (vnode, RDF_TYPE, kind.class_iri)))
+        for pred, (_, _, dt), field in zip(kind.predicates, kind.fields,
+                                           _FIELDS[type(value)](value)):
             add(new(Triple, (vnode, pred, field if dt is None else
-                             new(Literal, (str(field), xsd_of[dt])))))
+                             new(Literal, (str(field), XSD[dt])))))
     return term
 
 
@@ -306,14 +271,12 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
     add = triples.append
     new = tuple.__new__
     checks: dict[str, _DeclChecks] = {}       # by statement property name
-    vocab = vocabulary(table)
-    a, wb_item = vocab.a, vocab.item
     for item in instances.items:
         if (schema.class_decl(item.type_class) is None
-                and item.type_class != wb_item):
+                and item.type_class != WB_ITEM):
             raise UnresolvedNameError(item.type_class.value, "class not declared")
-        add(new(Triple, (item.iri, a, item.type_class)))
-        add(new(Triple, (item.iri, a, wb_item)))
+        add(new(Triple, (item.iri, RDF_TYPE, item.type_class)))
+        add(new(Triple, (item.iri, RDF_TYPE, WB_ITEM)))
         for stmt in item.statements:
             decl_checks = checks.get(stmt.property)
             if decl_checks is None:
@@ -321,12 +284,12 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
                 if st is None:
                     raise UnresolvedNameError(stmt.property, "statement property not declared")
                 decl_checks = checks[stmt.property] = _decl_checks(st)
-            _export_statement(add, item.iri, stmt, decl_checks, instances, vocab, table)
+            _export_statement(add, item.iri, stmt, decl_checks, instances, table)
     return Graph(triples)
 
 
 def _export_statement(add: Add, subject: Iri, stmt: StatementData, decl_checks: _DeclChecks,
-                      instances: InstanceDoc, vocab: Vocabulary, table: NamespaceTable) -> None:
+                      instances: InstanceDoc, table: NamespaceTable) -> None:
     st, quals_by_name, required_quals, required_refs = decl_checks
     _check_value(st.source.object_spec, stmt.value, instances, stmt.property)
 
@@ -359,17 +322,17 @@ def _export_statement(add: Add, subject: Iri, stmt: StatementData, decl_checks: 
     node = _statement_iri(subject, h, table)
     props = st.statement_properties
     add(new(Triple, (subject, props["p"], node)))
-    add(new(Triple, (node, vocab.a, vocab.statement)))
-    value_term = _add_value(add, node, props["ps"], props.get("psv"), stmt.value, vocab, table)
+    add(new(Triple, (node, RDF_TYPE, WB_STATEMENT)))
+    value_term = _add_value(add, node, props["ps"], props.get("psv"), stmt.value, table)
     add(new(Triple, (subject, props["wdt"], value_term)))
     for q in stmt.qualifiers:
         fam = st.qualifier_properties[q.name]
-        _add_value(add, node, fam["pq"], fam.get("pqv"), q.value, vocab, table)
+        _add_value(add, node, fam["pq"], fam.get("pqv"), q.value, table)
 
     for ref in stmt.references:
         rnode = reference_node(ref, h, table)
-        add(new(Triple, (node, vocab.derived_from, rnode)))
-        add(new(Triple, (rnode, vocab.a, vocab.reference)))
+        add(new(Triple, (node, PROV_WAS_DERIVED_FROM, rnode)))
+        add(new(Triple, (rnode, RDF_TYPE, WB_REFERENCE)))
         for snak in ref.snaks:
             add(new(Triple, (rnode, ref_props[snak.name], snak.target)))
 

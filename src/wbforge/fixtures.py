@@ -17,9 +17,8 @@ from typing import Callable
 from .dsl import parse_instances, parse_schema
 from .errors import UnknownFixtureError
 from .exporter import export, statement_node, value_node
-from .model import VALUE_KINDS, Datatype, DateTimeValue, InstanceDoc, SchemaDocument
-from .namespaces import (
-    Iri, NamespaceTable, prov_was_derived_from, rdf_type, wikibase, xsd)
+from .model import VALUE_KINDS, XSD, Datatype, DateTimeValue, InstanceDoc, SchemaDocument
+from .namespaces import PROV_WAS_DERIVED_FROM, RDF_TYPE, WB_STATEMENT, Iri, NamespaceTable
 from .rdf import Graph, Literal, Triple
 
 _DIR = Path(__file__).parent / "fixtures"
@@ -100,44 +99,43 @@ def _with(bundle: FixtureBundle, *triples: Triple) -> Graph:
 
 
 def _mut_domain(b: FixtureBundle) -> Graph:
-    return _without(b, Triple(_wd(b, "a1"), rdf_type(b.table), _vocab(b, "Agent")))
+    return _without(b, Triple(_wd(b, "a1"), RDF_TYPE, _vocab(b, "Agent")))
 
 
 def _mut_range(b: FixtureBundle) -> Graph:
-    return _without(b, Triple(_wd(b, "cat30s"), rdf_type(b.table),
+    return _without(b, Triple(_wd(b, "cat30s"), RDF_TYPE,
                               _vocab(b, "AgeCategory")))
 
 
 def _mut_existence(b: FixtureBundle) -> Graph:
     node = _snode(b, "a2")
     return _without(b, Triple(node, b.table.term("pq", "ageValue"),
-                              Literal("31", xsd(b.table, "decimal"))))
+                              Literal("31", XSD[Datatype.DECIMAL])))
 
 
 def _mut_value_node(b: FixtureBundle) -> Graph:
     vnode = value_node(DateTimeValue("1850-07-01T00:00:00Z", 9), b.table)
-    precision = next(local for local, attr, _ in VALUE_KINDS[Datatype.DATETIME].fields
+    kind = VALUE_KINDS[Datatype.DATETIME]
+    precision = next(pred for pred, (_, attr, _) in zip(kind.predicates, kind.fields)
                      if attr == "precision")
-    return _without(b, Triple(vnode, wikibase(b.table, precision),
-                              Literal("9", xsd(b.table, "int"))))
+    return _without(b, Triple(vnode, precision, Literal("9", XSD[Datatype.INT])))
 
 
 def _mut_functionality(b: FixtureBundle) -> Graph:
     node = _snode(b, "a1", 0)
     return _with(b, Triple(node, b.table.term("pq", "atTime"),
-                           Literal("1851-02-04T00:00:00Z", xsd(b.table, "dateTime"))))
+                           Literal("1851-02-04T00:00:00Z", XSD[Datatype.DATETIME])))
 
 
 def _mut_qualifier_type(b: FixtureBundle) -> Graph:
     node = _snode(b, "a1", 1)
     return _with(b, Triple(node, b.table.term("pq", "atTime"),
-                           Literal("yesterday", xsd(b.table, "string"))))
+                           Literal("yesterday", XSD[Datatype.STRING])))
 
 
 def _mut_orphan(b: FixtureBundle) -> Graph:
     node = Iri(b.table.base("s") + "orphan")
-    return _with(b, Triple(node, rdf_type(b.table),
-                           wikibase(b.table, "Statement")))
+    return _with(b, Triple(node, RDF_TYPE, WB_STATEMENT))
 
 
 def _mut_chain_gap(b: FixtureBundle) -> Graph:
@@ -155,8 +153,8 @@ def _mut_bare_truthy(b: FixtureBundle) -> Graph:
 def _mut_shared_reference(b: FixtureBundle) -> Graph:
     donor = _snode(b, "a1")
     taker = _snode(b, "a2")
-    ref = b.graph.objects(donor, prov_was_derived_from(b.table))[0]
-    return _with(b, Triple(taker, prov_was_derived_from(b.table), ref))
+    ref = b.graph.objects(donor, PROV_WAS_DERIVED_FROM)[0]
+    return _with(b, Triple(taker, PROV_WAS_DERIVED_FROM, ref))
 
 
 def _mut_shared_statement(b: FixtureBundle) -> Graph:
@@ -168,14 +166,14 @@ def _mut_shared_statement(b: FixtureBundle) -> Graph:
 def _mut_hash_mismatch(b: FixtureBundle) -> Graph:
     node = _snode(b, "a1", 0)
     return _with(b, Triple(node, b.table.term("pq", "note"),
-                           Literal("checked against the index", xsd(b.table, "string"))))
+                           Literal("checked against the index", XSD[Datatype.STRING])))
 
 
 def _mut_unknown_property(b: FixtureBundle) -> Graph:
     node = _snode(b, "a1", 0)
     return _with(b, Triple(node,
                            b.table.term("pq", "transcriberInitials"),
-                           Literal("M.L.", xsd(b.table, "string"))))
+                           Literal("M.L.", XSD[Datatype.STRING])))
 
 
 # fixture name -> mutations the checker must answer with exactly one code;

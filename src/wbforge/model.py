@@ -18,7 +18,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import MalformedValueError
-from .namespaces import DEFAULT_ROOT, Iri, NamespaceTable
+from .namespaces import DEFAULT_ROOT, Iri, NamespaceTable, fixed_term
 
 
 class Datatype(Enum):
@@ -31,13 +31,11 @@ class Datatype(Enum):
     # agrees with ==; Enum.__hash__ is a Python-level call on every dict lookup
     __hash__ = object.__hash__
 
-    @property
-    def xsd_local(self) -> str:
-        return _XSD_LOCAL[self._value_]
 
-
-# the xsd: local name of each Datatype's literals, by the member's value
-_XSD_LOCAL = {"string": "string", "decimal": "decimal", "datetime": "dateTime", "int": "int"}
+# the xsd: type of each Datatype's literals
+XSD: dict[Datatype, Iri] = {
+    Datatype.STRING: fixed_term("xsd", "string"), Datatype.DECIMAL: fixed_term("xsd", "decimal"),
+    Datatype.DATETIME: fixed_term("xsd", "dateTime"), Datatype.INT: fixed_term("xsd", "int")}
 
 
 class AxiomPattern(Enum):
@@ -158,7 +156,7 @@ def is_canonical(datatype: Datatype, lexical: str) -> bool:
     if datatype is Datatype.DATETIME:
         return CANONICAL_DATETIME.fullmatch(lexical) is not None
     if datatype is Datatype.INT:
-        return CANONICAL_INT.fullmatch(lexical) is not None
+        return CANONICAL_INT.fullmatch(lexical) is not None and lexical != "-0"
     return True
 
 
@@ -216,17 +214,27 @@ class ValueKind(NamedTuple):
     tag: str                      # leads the value node's hash preimage
     fields: tuple[tuple[str, str, Datatype | None], ...]
     origins: tuple[str, ...]      # cited by the node's shape and ValueNodeMalformed
+    class_iri: Iri                # the wikibase: node class
+    predicates: tuple[Iri, ...]   # the wikibase: field predicates, in `fields` order
+
+
+def _value_kind(node_class: str, value_type: type, tag: str,
+                fields: tuple[tuple[str, str, Datatype | None], ...],
+                origins: tuple[str, ...]) -> ValueKind:
+    return ValueKind(node_class, value_type, tag, fields, origins,
+                     fixed_term("wikibase", node_class),
+                     tuple(fixed_term("wikibase", local) for local, _, _ in fields))
 
 
 # keyed by the literal datatype whose values carry a node
 VALUE_KINDS: dict[Datatype, ValueKind] = {
-    Datatype.DATETIME: ValueKind("TimeValue", DateTimeValue, "T", (
+    Datatype.DATETIME: _value_kind("TimeValue", DateTimeValue, "T", (
         ("timeValue", "iso", Datatype.DATETIME),
         ("timePrecision", "precision", Datatype.INT),
         ("timeTimezone", "timezone", Datatype.INT),
         ("timeCalendarModel", "calendar", None),
     ), ("Ax19", "Ax23", "Ax27")),
-    Datatype.DECIMAL: ValueKind("QuantityValue", DecimalValue, "N", (
+    Datatype.DECIMAL: _value_kind("QuantityValue", DecimalValue, "N", (
         ("quantityValue", "amount", Datatype.DECIMAL),
         ("quantityUnit", "unit", None),
     ), ("AxQ-val-dom", "AxQ-val-range", "AxQ-unit-range")),
@@ -249,6 +257,8 @@ TYPED_ORIGINS: dict[Datatype, dict[str, str]] = {
 
 # by exact class: the value classes have no subclasses
 _KIND_BY_TYPE = {kind.value_type: kind for kind in VALUE_KINDS.values()}
+# by the literal type of the value a node holds
+KIND_BY_XSD: dict[Iri, ValueKind] = {XSD[dt]: kind for dt, kind in VALUE_KINDS.items()}
 
 
 def value_kind(value: Value) -> ValueKind | None:

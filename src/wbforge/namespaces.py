@@ -158,9 +158,10 @@ class NamespaceTable:
     def term(self, prefix: str, local: str) -> Iri:
         """`local` under `prefix`, minted and checked once per table.
 
-        For the vocabulary and property family terms that every statement
-        repeats, and the CURIEs of a parsed document; the memo keeps each
-        term asked for, and no term whose IRI is invalid.
+        For the property family terms that every statement repeats, and
+        the CURIEs of a parsed document; the memo keeps each term asked
+        for, and no term whose IRI is invalid. A term under a fixed prefix
+        is the same under every table: `fixed_term` gives it without one.
         """
         iri = self._terms.get((prefix, local))
         if iri is None:
@@ -170,8 +171,9 @@ class NamespaceTable:
     def derived(self, build: Callable[[NamespaceTable], T]) -> T:
         """`build(self)`, worked out once per table and kept with it.
 
-        For the fixed vocabularies that the layers above resolve through
-        the table; like the other memos it takes no part in equality.
+        For what the layers above work out from the root-relative bases,
+        such as the hash preimage line heads; like the other memos it
+        takes no part in equality.
         """
         try:
             return self._derived[build]
@@ -245,19 +247,13 @@ def curie_or_iri(iri: Iri, table: NamespaceTable) -> str:
     return c if c is not None else f"<{iri.value}>"
 
 
-# well-known term helpers
-
-def wikibase(table: NamespaceTable, local: str) -> Iri:
-    return table.term("wikibase", local)
-
-
-def xsd(table: NamespaceTable, local: str) -> Iri:
-    return table.term("xsd", local)
+def fixed_term(prefix: str, local: str) -> Iri:
+    """`local` under a fixed prefix, which every table binds alike and none may rebind."""
+    return Iri(_ABSOLUTE[prefix] + local)
 
 
-def rdf_type(table: NamespaceTable) -> Iri:
-    return table.term("rdf", "type")
-
-
-def prov_was_derived_from(table: NamespaceTable) -> Iri:
-    return table.term("prov", "wasDerivedFrom")
+RDF_TYPE = fixed_term("rdf", "type")
+WB_ITEM = fixed_term("wikibase", "Item")
+WB_STATEMENT = fixed_term("wikibase", "Statement")
+WB_REFERENCE = fixed_term("wikibase", "Reference")
+PROV_WAS_DERIVED_FROM = fixed_term("prov", "wasDerivedFrom")

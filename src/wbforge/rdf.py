@@ -14,9 +14,9 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import BlankNodeUnsupportedError, NtSyntaxError, WbforgeError
-from .namespaces import IRI_EXCLUDED, LONE_SURROGATE, Iri
+from .namespaces import IRI_EXCLUDED, LONE_SURROGATE, Iri, fixed_term
 
-XSD_STRING = Iri("http://www.w3.org/2001/XMLSchema#string")
+XSD_STRING = fixed_term("xsd", "string")
 
 
 # Terms and triples are tuples of different lengths (Iri 1, Literal 2,

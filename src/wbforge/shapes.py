@@ -16,6 +16,7 @@ from .expander import ExpandedSchema, ExpandedStatement, expand
 from .model import (
     TYPED_ORIGINS,
     VALUE_KINDS,
+    XSD,
     Datatype,
     SchemaDocument,
     StatementDecl,
@@ -24,7 +25,7 @@ from .model import (
     ValueType,
     needed_value_kinds,
 )
-from .namespaces import Iri, NamespaceTable, curie_or_iri, prov_was_derived_from, wikibase
+from .namespaces import PROV_WAS_DERIVED_FROM, Iri, NamespaceTable, curie_or_iri
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ def _class_expr(cls: Iri, doc: SchemaDocument) -> ValueExpr:
 def _value_expr(vtype: ValueType, doc: SchemaDocument) -> ValueExpr:
     if vtype.item_class is not None:
         return _class_expr(vtype.item_class, doc)
-    return DatatypeExpr(f"xsd:{vtype.datatype.xsd_local}")
+    return DatatypeExpr(f"xsd:{XSD[vtype.datatype].local_name}")
 
 
 def _item_shape(cls_iri: Iri, expanded: ExpandedSchema) -> Shape:
@@ -154,7 +155,7 @@ def _statement_shape(st: ExpandedStatement, doc: SchemaDocument) -> Shape:
 
     if decl.references:
         card = AT_LEAST_ONE if any(r.required for r in decl.references) else ANY
-        tcs.append(TripleConstraint(prov_was_derived_from(table),
+        tcs.append(TripleConstraint(PROV_WAS_DERIVED_FROM,
                                     ShapeRef(reference_label(decl, table)), card))
         origins.append("Ax50")
     comments = ["# origin: " + ", ".join(dict.fromkeys(origins))]
@@ -177,11 +178,11 @@ def _reference_shape(st: ExpandedStatement, doc: SchemaDocument) -> Shape:
                  comments=("# origin: Ax51, Ax53, Ax54",))
 
 
-def _value_shape(kind: ValueKind, table: NamespaceTable) -> Shape:
+def _value_shape(kind: ValueKind) -> Shape:
     tcs = tuple(
-        TripleConstraint(wikibase(table, local),
-                         IriKind() if dt is None else DatatypeExpr(f"xsd:{dt.xsd_local}"))
-        for local, _, dt in kind.fields)
+        TripleConstraint(pred, IriKind() if dt is None
+                         else DatatypeExpr(f"xsd:{XSD[dt].local_name}"))
+        for pred, (_, _, dt) in zip(kind.predicates, kind.fields))
     return Shape(kind.node_class, tcs, closed=True,
                  comments=("# origin: " + ", ".join(kind.origins),))
 
@@ -195,7 +196,7 @@ def schema_shapes(doc: SchemaDocument) -> ShapeDoc:
         shapes.append(_statement_shape(st, doc))
         if st.source.references:
             shapes.append(_reference_shape(st, doc))
-    shapes.extend(_value_shape(kind, table) for kind in needed_value_kinds(doc.statements))
+    shapes.extend(_value_shape(kind) for kind in needed_value_kinds(doc.statements))
     return ShapeDoc(table, tuple(shapes))
 
 

@@ -21,14 +21,14 @@ from .exporter import (
     HASH_LENGTH,
     ReadValue,
     StatementContent,
-    Vocabulary,
     statement_hash,
     value_hash,
-    vocabulary,
 )
 from .model import (
+    KIND_BY_XSD,
     MAX_INT_DIGITS,
     VALUE_KINDS,
+    XSD,
     Datatype,
     DateTimeValue,
     DecimalValue,
@@ -38,8 +38,9 @@ from .model import (
     bounded_int,
     is_canonical,
 )
-from .namespaces import PROPERTY_NAMESPACES, Iri
-from .rdf import Graph, Literal, Term, Triple
+from .namespaces import (
+    PROPERTY_NAMESPACES, PROV_WAS_DERIVED_FROM, RDF_TYPE, WB_ITEM, WB_REFERENCE, WB_STATEMENT, Iri)
+from .rdf import XSD_STRING, Graph, Literal, Term, Triple
 
 ERROR = "ERROR"
 WARNING = "WARNING"
@@ -143,14 +144,15 @@ def explain(report: ValidationReport, code: str) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def literal_problem(v: Term, dt: Datatype, vocab: Vocabulary) -> str | None:
+def literal_problem(v: Term, dt: Datatype) -> str | None:
     """Why `v` is not a canonical `dt` literal, or None when it is one."""
+    xsd = XSD[dt]
     if not isinstance(v, Literal):
-        return f"is not an xsd:{dt.xsd_local} literal"
-    if v.datatype != vocab.xsd[dt]:
-        return f"is not typed xsd:{dt.xsd_local}"
+        return f"is not an xsd:{xsd.local_name} literal"
+    if v.datatype != xsd:
+        return f"is not typed xsd:{xsd.local_name}"
     if not is_canonical(dt, v.lexical):
-        return f"has non-canonical xsd:{dt.xsd_local} lexical {v.lexical!r}"
+        return f"has non-canonical xsd:{xsd.local_name} lexical {v.lexical!r}"
     return None
 
 
@@ -161,9 +163,6 @@ class _Checker:
         self.expanded = expanded
         self.g = graph
         self.table = expanded.source.namespaces
-        self.vocab = vocabulary(self.table)
-        self.a = self.vocab.a
-        self.prov = self.vocab.derived_from
         self.findings: set[Finding] = set()
         # the pq: edge of every qualifier name, and the reference names, some statement declares
         self.pq_by_name = {name: fam["pq"] for st in expanded.statements
@@ -185,7 +184,7 @@ class _Checker:
 
     def has_type(self, node: Term, cls: Iri) -> bool:
         # a plain tuple equals and hashes as its Triple, without Triple.__new__
-        return isinstance(node, Iri) and (node, self.a, cls) in self.g
+        return isinstance(node, Iri) and (node, RDF_TYPE, cls) in self.g
 
     def value_node(self, node: Iri, kind: ValueKind) -> NodeValue:
         """The value a `kind` node holds, or its field problems in field order.
@@ -200,8 +199,7 @@ class _Checker:
         view = self.g.edges(node)
         problems: list[str] = []
         fields: dict[str, object] = {}
-        for pred, (local, attr, dt) in zip(self.vocab.kind_terms(kind, self.table).predicates,
-                                           kind.fields):
+        for pred, (local, attr, dt) in zip(kind.predicates, kind.fields):
             values = view.get(pred, ())
             if not values:
                 problems.append(f"missing wikibase:{local}")
@@ -212,7 +210,7 @@ class _Checker:
                     fields[attr] = values[0]
                 else:
                     problems.append(f"wikibase:{local} is not an IRI")
-            elif (problem := literal_problem(values[0], dt, self.vocab)) is not None:
+            elif (problem := literal_problem(values[0], dt)) is not None:
                 problems.append(f"wikibase:{local} {problem}")
             elif dt is not Datatype.INT:
                 fields[attr] = values[0].lexical
@@ -225,9 +223,9 @@ class _Checker:
 
     def read_value(self, view: EdgeView, value_prop: Iri | None, v: Term) -> ReadValue | None:
         """A ps:/pq: object as read back; dates and quantities need a matching node."""
-        if isinstance(v, Iri) or v.datatype == self.vocab.xsd[Datatype.STRING]:
+        if isinstance(v, Iri) or v.datatype == XSD_STRING:
             return v
-        kind = self.vocab.kind_by_xsd.get(v.datatype)
+        kind = KIND_BY_XSD.get(v.datatype)
         if kind is None:
             return None
         main = kind.fields[0][1]
@@ -282,7 +280,7 @@ class _Checker:
 
     def check_statement_nodes(self) -> None:
         incoming = self.in_edges()
-        for node in self.g.subjects(self.a, self.vocab.statement):
+        for node in self.g.subjects(RDF_TYPE, WB_STATEMENT):
             edges = incoming.get(node, ())
             if not edges:
                 self.add("OrphanStatement", node,
@@ -305,7 +303,7 @@ class _Checker:
                 cls = self.table.curie(decl.subject_class) or decl.subject_class.value
                 self.add("DomainViolation", subject,
                          f"subject of p:{name} lacks rdf:type {cls}")
-            if not self.has_type(subject, self.vocab.item):
+            if not self.has_type(subject, WB_ITEM):
                 self.add("DomainViolation", subject,
                          f"subject of p:{name} lacks rdf:type wikibase:Item")
 
@@ -329,7 +327,7 @@ class _Checker:
         name = decl.property_name
         cls = decl.object_spec.item_class
         if cls is None:
-            problem = literal_problem(v, decl.object_spec.datatype, self.vocab)
+            problem = literal_problem(v, decl.object_spec.datatype)
             if problem:
                 self.add("RangeViolation", node, f"value of ps:{name} {problem}")
             return
@@ -339,7 +337,7 @@ class _Checker:
         if not self.has_type(v, cls):
             curie = self.table.curie(cls) or cls.value
             self.add("RangeViolation", v, f"value of ps:{name} lacks rdf:type {curie}")
-        if not self.has_type(v, self.vocab.item):
+        if not self.has_type(v, WB_ITEM):
             self.add("RangeViolation", v,
                      f"value of ps:{name} lacks rdf:type wikibase:Item")
 
@@ -376,7 +374,7 @@ class _Checker:
                 self.add("QualifierTypeViolation", node,
                          f"value of pq:{qname} is not an item of {cls}")
             return
-        problem = literal_problem(v, q.qtype.datatype, self.vocab)
+        problem = literal_problem(v, q.qtype.datatype)
         if problem:
             self.add("QualifierTypeViolation", node, f"value of pq:{qname} {problem}")
 
@@ -390,8 +388,8 @@ class _Checker:
         snak_names: set[str] = set()
         read: list[tuple[tuple[str, Iri], ...]] = []
         readable = True
-        for rnode in view.get(self.prov, ()):
-            if not self.has_type(rnode, self.vocab.reference):
+        for rnode in view.get(PROV_WAS_DERIVED_FROM, ()):
+            if not self.has_type(rnode, WB_REFERENCE):
                 self.add("RangeViolation", node,
                          "prov:wasDerivedFrom value is not typed wikibase:Reference")
                 readable = False
@@ -422,8 +420,8 @@ class _Checker:
 
     def check_references_shared(self) -> None:
         derived: dict[Iri, set[Iri]] = {}
-        for s, _, o in self.g.with_predicate(self.prov):
-            if not self.has_type(s, self.vocab.statement):
+        for s, _, o in self.g.with_predicate(PROV_WAS_DERIVED_FROM):
+            if not self.has_type(s, WB_STATEMENT):
                 continue          # non-statement provenance is out of scope
             if isinstance(o, Iri):
                 derived.setdefault(o, set()).add(s)
@@ -452,8 +450,7 @@ class _Checker:
 
     def check_value_nodes(self) -> None:
         for kind in VALUE_KINDS.values():
-            node_class = self.vocab.kind_terms(kind, self.table).node_class
-            for node in self.g.subjects(self.a, node_class):
+            for node in self.g.subjects(RDF_TYPE, kind.class_iri):
                 value = self.value_node(node, kind)
                 if isinstance(value, list):
                     self.add("ValueNodeMalformed", node, "; ".join(value))

@@ -9,8 +9,11 @@ a ps:/pq: object; `literal_problem` says why a literal is not canonical.
 The function bodies are the earlier definitions, so that the reference
 shares no reading code with the validator it checks, except that
 `read_content` mints the by-name psv:/pqv: IRIs and orders the references
-by name itself, as the expander's read plan once did; the imports differ
-too, and no underscore-prefixed name is imported from `wbforge`.
+by name itself, as the expander's read plan once did, and that every
+fixed term (`rdf:type`, `wikibase:`, `xsd:`, `prov:`) is minted here
+through `NamespaceTable.term`, not taken from the library's constants; the
+imports differ too, and no underscore-prefixed name is imported from
+`wbforge`.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from wbforge.expander import ExpandedStatement
-from wbforge.exporter import ReadValue, StatementContent, Vocabulary, vocabulary
+from wbforge.exporter import ReadValue, StatementContent
 from wbforge.model import (
     MAX_INT_DIGITS,
+    VALUE_KINDS,
     Datatype,
     DateTimeValue,
     DecimalValue,
@@ -41,16 +45,19 @@ from wbforge.rdf import Graph, Literal, Term
 # what reading a value node gives: its value, or its field problems
 NodeValue = DateTimeValue | DecimalValue | list[str]
 EdgeView = dict[Iri, list[Term]]              # one node's objects by predicate
+# the xsd: local name of each Datatype's literals
+XSD_LOCAL = {Datatype.STRING: "string", Datatype.DECIMAL: "decimal",
+             Datatype.DATETIME: "dateTime", Datatype.INT: "int"}
 
 
-def literal_problem(v: Term, dt: Datatype, vocab: Vocabulary) -> str | None:
+def literal_problem(v: Term, dt: Datatype, table: NamespaceTable) -> str | None:
     """Why `v` is not a canonical `dt` literal, or None when it is one."""
     if not isinstance(v, Literal):
-        return f"is not an xsd:{dt.xsd_local} literal"
-    if v.datatype != vocab.xsd[dt]:
-        return f"is not typed xsd:{dt.xsd_local}"
+        return f"is not an xsd:{XSD_LOCAL[dt]} literal"
+    if v.datatype != table.term("xsd", XSD_LOCAL[dt]):
+        return f"is not typed xsd:{XSD_LOCAL[dt]}"
     if not is_canonical(dt, v.lexical):
-        return f"has non-canonical xsd:{dt.xsd_local} lexical {v.lexical!r}"
+        return f"has non-canonical xsd:{XSD_LOCAL[dt]} lexical {v.lexical!r}"
     return None
 
 
@@ -60,12 +67,11 @@ def read_value_node(g: Graph, node: Iri, kind: ValueKind, table: NamespaceTable)
     One look at the node: every field comes from one `Graph.edges` view.
     The value is what `_add_value` wrote the node from.
     """
-    vocab = vocabulary(table)
     view = g.edges(node)
     problems: list[str] = []
     fields: dict[str, object] = {}
-    for pred, (local, attr, dt) in zip(vocab.kind_terms(kind, table).predicates, kind.fields):
-        values = view.get(pred, ())
+    for local, attr, dt in kind.fields:
+        values = view.get(table.term("wikibase", local), ())
         if not values:
             problems.append(f"missing wikibase:{local}")
         elif len(values) > 1:
@@ -75,7 +81,7 @@ def read_value_node(g: Graph, node: Iri, kind: ValueKind, table: NamespaceTable)
                 fields[attr] = values[0]
             else:
                 problems.append(f"wikibase:{local} is not an IRI")
-        elif (problem := literal_problem(values[0], dt, vocab)) is not None:
+        elif (problem := literal_problem(values[0], dt, table)) is not None:
             problems.append(f"wikibase:{local} {problem}")
         elif dt is not Datatype.INT:
             fields[attr] = values[0].lexical
@@ -86,12 +92,13 @@ def read_value_node(g: Graph, node: Iri, kind: ValueKind, table: NamespaceTable)
     return problems or kind.value_type(**fields)
 
 
-def _read_value(view: EdgeView, value_prop: Iri | None, v: Term, vocab: Vocabulary,
+def _read_value(view: EdgeView, value_prop: Iri | None, v: Term, table: NamespaceTable,
                 value_of: Callable[[Iri, ValueKind], NodeValue]) -> ReadValue | None:
     """A ps:/pq: object as read back; dates and quantities need a matching node."""
-    if isinstance(v, Iri) or v.datatype == vocab.xsd[Datatype.STRING]:
+    if isinstance(v, Iri) or v.datatype == table.term("xsd", "string"):
         return v
-    kind = vocab.kind_by_xsd.get(v.datatype)
+    kind = next((k for dt, k in VALUE_KINDS.items()
+                 if v.datatype == table.term("xsd", XSD_LOCAL[dt])), None)
     if kind is None:
         return None
     main = kind.fields[0][1]
@@ -126,13 +133,12 @@ def read_content(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceTab
     if value_of is None:
         def value_of(vnode: Iri, kind: ValueKind) -> NodeValue:
             return read_value_node(g, vnode, kind, table)
-    vocab = vocabulary(table)
     decl = st.source
     view = edges(node)
     ps_values = view.get(st.statement_properties["ps"], ())
     if len(ps_values) != 1:
         return None
-    value = _read_value(view, table.term("psv", decl.property_name), ps_values[0], vocab,
+    value = _read_value(view, table.term("psv", decl.property_name), ps_values[0], table,
                         value_of)
     if value is None:
         return None
@@ -140,13 +146,14 @@ def read_content(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceTab
     for q in decl.qualifiers:
         pqv = table.term("pqv", q.name)
         for v in view.get(st.qualifier_properties[q.name]["pq"], ()):
-            qv = _read_value(view, pqv, v, vocab, value_of)
+            qv = _read_value(view, pqv, v, table, value_of)
             if qv is None:
                 return None
             quals.append((q.name, qv))
     refs: list[tuple[tuple[str, Iri], ...]] = []
-    for rnode in view.get(vocab.derived_from, ()):
-        if not isinstance(rnode, Iri) or (rnode, vocab.a, vocab.reference) not in g:
+    a, reference = table.term("rdf", "type"), table.term("wikibase", "Reference")
+    for rnode in view.get(table.term("prov", "wasDerivedFrom"), ()):
+        if not isinstance(rnode, Iri) or (rnode, a, reference) not in g:
             return None
         rview = edges(rnode)
         snaks: list[tuple[str, Iri]] = []

@@ -226,6 +226,7 @@ def test_canonical_forms_reject_a_trailing_newline():
     with pytest.raises(MalformedValueError):
         DateTimeValue("1850-07-01T00:00:00Z\n")
     assert not is_canonical(Datatype.INT, "5\n")
+    assert not is_canonical(Datatype.INT, "-0")
 
 
 def test_item_lookup_first_item_wins():

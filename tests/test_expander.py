@@ -14,7 +14,7 @@ from wbforge.expander import (ExpandedSchema, ExpandedStatement, expand, expand_
 from wbforge.exporter import export
 from wbforge.fixtures import FIXTURE_NAMES, load_fixture
 from wbforge.model import Datatype
-from wbforge.namespaces import DEFAULT_ROOT, Iri, NamespaceTable, prov_was_derived_from, rdf_type
+from wbforge.namespaces import DEFAULT_ROOT, Iri, NamespaceTable
 from wbforge.shapes import schema_shapes
 
 TABLE = NamespaceTable()
@@ -64,7 +64,7 @@ def test_item_object_family():
     fixed = {(iri, role) for iri, role, origin in _report_rows(expand(ITEM_OBJECT))
              if origin == "hasJob" and role in ("provenance edge", "value field")}
     assert {role for _, role in fixed} == {"provenance edge", "value field"}
-    assert (prov_was_derived_from(TABLE).value, "provenance edge") in fixed
+    assert (TABLE.term("prov", "wasDerivedFrom").value, "provenance edge") in fixed
     assert {Iri(iri).local_name for iri, role in fixed if role == "value field"} == {
         "timeValue", "timePrecision", "timeTimezone", "timeCalendarModel"}
 
@@ -126,7 +126,7 @@ def test_report_layout():
     # provenance edge and the time node's value fields
     st = expand_statement(ITEM_OBJECT.statements[0], TABLE)
     minted = {iri.value for iri in st.family_properties()}
-    minted.add(prov_was_derived_from(TABLE).value)
+    minted.add(TABLE.term("prov", "wasDerivedFrom").value)
     minted.update("http://wikiba.se/ontology#" + f
                   for f in ("timeValue", "timePrecision", "timeTimezone", "timeCalendarModel"))
     assert {iri for iri, role, _ in _report_rows(expand(ITEM_OBJECT))
@@ -163,7 +163,7 @@ def _case(case):
 def test_every_layer_uses_only_the_expanded_family(case):
     schema, instances = _case(case)
     family = {Iri(iri) for iri, role, _ in _report_rows(expand(schema)) if role != "class"}
-    a = rdf_type(schema.namespaces)
+    a = schema.namespaces.term("rdf", "type")
     exported = {t.p for t in export(schema, instances)} - {a}
     shaped = {tc.predicate for sh in schema_shapes(schema).shapes for tc in sh.constraints}
     roles = {iri for ax in schema_axioms(schema) for iri in _role_iris(ax.axiom)}

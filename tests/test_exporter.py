@@ -15,22 +15,25 @@ from wbforge.errors import (
     UnresolvedNameError,
     WbforgeError,
 )
-from wbforge.expander import expand
+from wbforge.axioms import schema_axioms
+from wbforge.expander import expand, expansion_report
 from wbforge.exporter import (
     canonical_content,
     canonical_value,
     export,
+    preimage_heads,
     reference_hash,
     reference_node,
     statement_hash,
     statement_node,
     value_hash,
     value_node,
-    vocabulary,
 )
-from wbforge.fixtures import FIXTURE_NAMES, fixture_path, load_fixture
+from wbforge.fixtures import FIXTURE_NAMES, load_fixture
 from wbforge.model import (
+    KIND_BY_XSD,
     VALUE_KINDS,
+    XSD,
     Datatype,
     DateTimeValue,
     DecimalValue,
@@ -42,8 +45,20 @@ from wbforge.model import (
     StringValue,
     value_kind,
 )
-from wbforge.namespaces import DEFAULT_ROOT, Iri, NamespaceTable
-from wbforge.rdf import Literal, Triple, serialize_canonical
+from wbforge.namespaces import (
+    DEFAULT_ROOT,
+    PROV_WAS_DERIVED_FROM,
+    RDF_TYPE,
+    WB_ITEM,
+    WB_REFERENCE,
+    WB_STATEMENT,
+    Iri,
+    NamespaceTable,
+    fixed_term,
+)
+from wbforge.rdf import XSD_STRING, Literal, Triple, serialize_canonical
+from wbforge.shapes import schema_shapes
+from wbforge.validator import validate
 
 TABLE = NamespaceTable()
 WD = DEFAULT_ROOT + "entity/"
@@ -511,8 +526,11 @@ def test_read_back_of_a_literal_reference_target_is_none():
     assert read_statement(g, node, st, table) is None
 
 
-def test_export_resolves_its_vocabulary_once_per_table(monkeypatch):
-    schema, instances = load_fixture("name-record")
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_no_layer_resolves_a_fixed_term_through_a_table(name, monkeypatch):
+    # the fixed terms are the same under every table, so they are constants;
+    # a new table, whose memos are empty, shows every term a layer asks for
+    schema, instances = load_fixture(name)
     asked = []
     term = NamespaceTable.term
 
@@ -522,40 +540,49 @@ def test_export_resolves_its_vocabulary_once_per_table(monkeypatch):
         return term(self, prefix, local)
 
     monkeypatch.setattr(NamespaceTable, "term", counted)
-    first = export(schema, instances)
-    # each vocabulary term once: the fixed ones, then a kind's when its first node is written
-    assert len(asked) == len(set(asked))
-    assert {("rdf", "type"), ("wikibase", "Statement"), ("xsd", "dateTime"),
-            ("wikibase", "TimeValue"), ("wikibase", "timePrecision")} <= set(asked)
-    assert ("wikibase", "QuantityValue") not in asked      # no quantity in the fixture
-    asked.clear()
-    assert export(schema, instances) == first
-    assert asked == []                # the table keeps what the first export resolved
-    fresh = parse_schema(fixture_path("name-record", "wbs").read_text())
-    assert export(fresh, instances) == first
-    assert asked                      # a new table resolves its own
+    g = export(schema, instances)
+    assert validate(schema, g).passed
+    assert schema_axioms(schema) and schema_shapes(schema).shapes
+    assert expansion_report(expand(schema))
+    assert asked == []
 
 
-def test_vocabulary_terms_are_the_tables_terms():
-    table = NamespaceTable()
-    vocab = vocabulary(table)
-    assert vocabulary(table) is vocab
-    assert vocab.a == Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
-    assert vocab.item == Iri("http://wikiba.se/ontology#Item")
-    assert vocab.statement == Iri("http://wikiba.se/ontology#Statement")
-    assert vocab.reference == Iri("http://wikiba.se/ontology#Reference")
-    assert vocab.derived_from == Iri("http://www.w3.org/ns/prov#wasDerivedFrom")
-    assert vocab.xsd == {dt: Iri("http://www.w3.org/2001/XMLSchema#" + dt.xsd_local)
-                         for dt in Datatype}
-    assert vocab.kinds == {}
-    for dt, kind in VALUE_KINDS.items():
-        assert vocab.kind_by_xsd[vocab.xsd[dt]] is kind
-        terms = vocab.kind_terms(kind, table)
-        assert vocab.kind_terms(kind, table) is terms
-        assert terms.node_class == Iri("http://wikiba.se/ontology#" + kind.node_class)
-        assert terms.predicates == tuple(Iri("http://wikiba.se/ontology#" + local)
-                                         for local, _, _ in kind.fields)
-    assert vocabulary(NamespaceTable()) is not vocab
+_FIXED_PREFIXES = ("wikibase", "prov", "xsd", "rdf", "rdfs", "owl")
+
+
+@pytest.mark.parametrize("table", [
+    NamespaceTable(),
+    NamespaceTable("http://other.example/"),
+    NamespaceTable().with_prefix("ex", "http://example.org/").with_prefix(
+        "rec", "http://records.example/vocab#"),
+], ids=["default", "rebased", "user-prefixes"])
+def test_fixed_terms_are_every_tables_terms(table):
+    term = table.term
+    for prefix in _FIXED_PREFIXES:
+        assert fixed_term(prefix, "x") == term(prefix, "x")
+    assert RDF_TYPE == term("rdf", "type")
+    assert WB_ITEM == term("wikibase", "Item")
+    assert WB_STATEMENT == term("wikibase", "Statement")
+    assert WB_REFERENCE == term("wikibase", "Reference")
+    assert PROV_WAS_DERIVED_FROM == term("prov", "wasDerivedFrom")
+    assert XSD == {Datatype.STRING: term("xsd", "string"), Datatype.DECIMAL: term("xsd", "decimal"),
+                   Datatype.DATETIME: term("xsd", "dateTime"), Datatype.INT: term("xsd", "int")}
+    assert XSD_STRING == term("xsd", "string")
+    assert KIND_BY_XSD == {term("xsd", "dateTime"): VALUE_KINDS[Datatype.DATETIME],
+                           term("xsd", "decimal"): VALUE_KINDS[Datatype.DECIMAL]}
+    for kind in VALUE_KINDS.values():
+        assert kind.class_iri == term("wikibase", kind.node_class)
+        assert kind.predicates == tuple(term("wikibase", local) for local, _, _ in kind.fields)
+
+
+def test_preimage_heads_move_with_the_root_and_are_kept_per_table():
+    table = NamespaceTable("http://other.example/")
+    heads = preimage_heads(table)
+    assert preimage_heads(table) is heads
+    assert preimage_heads(NamespaceTable("http://other.example/")) is not heads
+    assert heads.p_line["hasJob"] == "P|http://other.example/prop/direct/hasJob"
+    assert heads.q_head["atTime"] == "Q|http://other.example/prop/qualifier/atTime|"
+    assert heads.r_head["taxRecord"] == "http://other.example/prop/reference/taxRecord|"
 
 
 def test_property_name_is_kept_without_touching_equality():

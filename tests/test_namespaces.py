@@ -1,7 +1,10 @@
 """Namespace table: derivation from the root, curie compression, prefixes."""
 
+from pathlib import Path
+
 import pytest
 
+import wbforge
 from wbforge.errors import DuplicateDeclarationError, UnknownPrefixError, WbforgeError
 from wbforge.fixtures import FIXTURE_NAMES, load_bundle
 from wbforge.namespaces import (
@@ -10,10 +13,6 @@ from wbforge.namespaces import (
     Iri,
     NamespaceTable,
     expand_iri,
-    prov_was_derived_from,
-    rdf_type,
-    wikibase,
-    xsd,
 )
 
 
@@ -129,18 +128,14 @@ def test_minted_terms_are_memoised_per_table():
     assert t.term("pq", "hasJob") == Iri(DEFAULT_ROOT + "prop/qualifier/hasJob")
     first = t.term("ps", "hasJob")
     assert t.term("ps", "hasJob") is first
-    assert wikibase(t, "Item") is wikibase(t, "Item")
-    assert xsd(t, "decimal") is t.term("xsd", "decimal")
-    assert rdf_type(t) == Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
-    assert prov_was_derived_from(t) == Iri("http://www.w3.org/ns/prov#wasDerivedFrom")
     assert t.term("wd", "One") == Iri(DEFAULT_ROOT + "entity/One")
 
 
 def test_memo_leaves_equality_and_hash_alone():
     used, fresh = NamespaceTable(), NamespaceTable()
-    wikibase(used, "Statement")
+    used.term("wikibase", "Statement")
     used.term("pq", "hasJob")
-    assert used.curie(wikibase(used, "Statement")) == "wikibase:Statement"
+    assert used.curie(used.term("wikibase", "Statement")) == "wikibase:Statement"
     assert used.curie(Iri("http://elsewhere.example/x")) is None
     assert used == fresh
     assert hash(used) == hash(fresh)
@@ -168,7 +163,7 @@ def test_with_prefix_does_not_share_the_memo():
 def test_curie_memo_answers_as_a_fresh_table(name):
     bundle = load_bundle(name)
     root, user = bundle.table.root, bundle.table.user
-    a = rdf_type(bundle.table)
+    a = bundle.table.term("rdf", "type")
     iris = sorted({t.p for t in bundle.graph} | {t.o for t in bundle.graph if t.p == a})
     expected = {iri: (NamespaceTable(root, user).curie(iri), NamespaceTable(root, user).split(iri))
                 for iri in iris}
@@ -292,3 +287,20 @@ def test_curie_builds_its_base_map_on_the_first_miss():
     assert t.curie(Iri("http://rec.example/Person")) == "rec:Person"
     assert t._prefix_of_base["http://rec.example/"] == "rec"
     assert t.with_prefix("x", "http://x.example/")._prefix_of_base == {}
+
+
+def test_each_fixed_base_is_spelled_in_namespaces_only():
+    # a base that is the same under two roots is fixed; other modules take
+    # its terms from `fixed_term` and the constants built with it
+    bases = {base for (_, base), (_, other) in zip(
+        NamespaceTable().prefixes(), NamespaceTable("http://other.example/").prefixes())
+        if base == other}
+    assert len(bases) == 6
+    src = Path(wbforge.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        spelled = sorted(base for base in bases if base in text)
+        if path.name == "namespaces.py":
+            assert all(text.count(base) == 1 for base in bases)
+        else:
+            assert spelled == [], path.name

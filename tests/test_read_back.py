@@ -27,11 +27,10 @@ from wbforge.exporter import (
     canonical_content,
     export,
     statement_hash,
-    vocabulary,
 )
 from wbforge.fixtures import FIXTURE_NAMES, MUTATIONS, load_bundle
 from wbforge.model import VALUE_KINDS, DateTimeValue
-from wbforge.namespaces import DEFAULT_ROOT, Iri, NamespaceTable
+from wbforge.namespaces import DEFAULT_ROOT, RDF_TYPE, WB_STATEMENT, Iri, NamespaceTable
 from wbforge.rdf import Graph, Literal, Triple
 from wbforge.validator import validate
 
@@ -59,10 +58,9 @@ def _content_preimage(content, table, subject):
 def _assert_reads_agree(schema, g):
     """Every statement node under every declaration, read both ways."""
     table = schema.namespaces
-    vocab = vocabulary(table)
     expanded = expand(schema)
     ps = {st.statement_properties["ps"] for st in expanded.statements}
-    nodes = g.subjects(vocab.a, vocab.statement) + [t.s for t in g if t.p in ps]
+    nodes = g.subjects(RDF_TYPE, WB_STATEMENT) + [t.s for t in g if t.p in ps]
     read = 0
     for node in sorted(set(nodes)):
         subjects = [t.s for t in g.match(None, None, node)] or [_ELSEWHERE]
@@ -87,7 +85,6 @@ def _assert_check_hashes_the_model_read(schema, g, monkeypatch):
     Gives the number of nodes hashed.
     """
     table = schema.namespaces
-    vocab = vocabulary(table)
     expanded = expand(schema)
     hashed = []
 
@@ -100,7 +97,7 @@ def _assert_check_hashes_the_model_read(schema, g, monkeypatch):
     monkeypatch.undo()
     addressed = re.compile(re.escape(table.base("s")) + r".*-[0-9a-f]{40}", re.DOTALL)
     expected = []
-    for node in g.subjects(vocab.a, vocab.statement):
+    for node in g.subjects(RDF_TYPE, WB_STATEMENT):
         owners = [(t.s, spl[1]) for t in g.match(None, None, node)
                   if (spl := table.split(t.p)) is not None and spl[0] == "p"]
         if len(owners) != 1 or addressed.fullmatch(node.value) is None:
@@ -162,7 +159,7 @@ def test_a_semicolon_target_fails_both_reads_alike():
     g = Graph([Triple(*(semi if x == manifest else x for x in t)) for t in b.graph])
     assert _assert_reads_agree(b.schema, g) > 0
     node, st = next((n, st) for st in expand(b.schema).statements
-                    for n in g.subjects(vocabulary(b.table).a, vocabulary(b.table).statement)
+                    for n in g.subjects(RDF_TYPE, WB_STATEMENT)
                     if read_content(g, n, st, b.table) is not None)
     with pytest.raises(PreimageDelimiterError):
         assemble_preimage(_ELSEWHERE, *read_content(g, node, st, b.table), b.table)
@@ -190,7 +187,7 @@ def test_a_string_value_reads_back_as_its_literal():
     table = b.table
     st = next(st for st in expand(b.schema).statements
               if st.source.object_spec.datatype is not None)
-    node = next(n for n in b.graph.subjects(vocabulary(table).a, vocabulary(table).statement)
+    node = next(n for n in b.graph.subjects(RDF_TYPE, WB_STATEMENT)
                 if read_content(b.graph, n, st, table) is not None)
     content = read_content(b.graph, node, st, table)
     assert type(content[1]) is Literal

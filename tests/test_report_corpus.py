@@ -12,7 +12,7 @@ from contextlib import redirect_stdout
 
 import report_corpus
 
-REPORT_CORPUS_SHA256 = "9426d85d5dc08a5fc7dbb89cc362ca328263823c8d9118afa7b9121401605f5e"
+REPORT_CORPUS_SHA256 = "2a5735ee94055ef8e327d80bc2faea953342346bbdd98966aefe0c0fab85497a"
 
 
 def test_report_corpus_is_unchanged():

@@ -40,10 +40,6 @@ from wbforge.namespaces import (
     DEFAULT_ROOT,
     Iri,
     NamespaceTable,
-    prov_was_derived_from,
-    rdf_type,
-    wikibase,
-    xsd,
 )
 from wbforge.rdf import Graph, Literal, Triple
 
@@ -358,12 +354,12 @@ def test_read_back_follows_a_psv_edge_the_declaration_does_not_mint():
     g = b.graph.copy()
     for old in b.graph.objects(node, ps):
         g.discard(Triple(node, ps, old))
-    five = Literal("5", xsd(t, "decimal"))
+    five = Literal("5", t.term("xsd", "decimal"))
     for triple in (Triple(node, ps, five),
                    Triple(node, t.term("psv", "hasNameRecord"), vnode),
-                   Triple(vnode, rdf_type(t), wikibase(t, "QuantityValue")),
-                   Triple(vnode, wikibase(t, "quantityValue"), five),
-                   Triple(vnode, wikibase(t, "quantityUnit"), value.unit)):
+                   Triple(vnode, t.term("rdf", "type"), t.term("wikibase", "QuantityValue")),
+                   Triple(vnode, t.term("wikibase", "quantityValue"), five),
+                   Triple(vnode, t.term("wikibase", "quantityUnit"), value.unit)):
         g.add(triple)
     rep = validate(b.schema, g)
     assert node.value in {f.focus for f in rep.by_code("HashMismatch")}
@@ -378,12 +374,12 @@ def test_read_back_follows_a_pqv_edge_the_declaration_does_not_mint(with_pqv):
     t, node = b.table, _fixture_snode(b)
     value = DecimalValue("5")
     vnode = value_node(value, t)
-    five = Literal("5", xsd(t, "decimal"))
+    five = Literal("5", t.term("xsd", "decimal"))
     g = b.graph.copy()
     for triple in (Triple(node, t.term("pq", "note"), five),
-                   Triple(vnode, rdf_type(t), wikibase(t, "QuantityValue")),
-                   Triple(vnode, wikibase(t, "quantityValue"), five),
-                   Triple(vnode, wikibase(t, "quantityUnit"), value.unit)):
+                   Triple(vnode, t.term("rdf", "type"), t.term("wikibase", "QuantityValue")),
+                   Triple(vnode, t.term("wikibase", "quantityValue"), five),
+                   Triple(vnode, t.term("wikibase", "quantityUnit"), value.unit)):
         g.add(triple)
     if with_pqv:
         g.add(Triple(node, t.term("pqv", "note"), vnode))
@@ -453,8 +449,8 @@ def _term_calls(monkeypatch, run):
 
 
 def test_validate_resolves_no_term_per_statement_node(monkeypatch):
-    # the vocabulary, property families and preimage line heads are resolved
-    # per table or per declaration, so the count is the same at every graph
+    # the property families and preimage line heads are resolved per table
+    # or per declaration, so the count is the same at every graph
     # size; psv:/pqv: edges are found by name among the graph's predicates,
     # so validate mints no more of them than expansion does
     counts = []
@@ -506,7 +502,7 @@ def test_a_statement_node_not_content_addressed_is_a_finding(fixture, name):
 ], ids=["elsewhere", "short", "39-digits"])
 def test_a_value_node_not_content_addressed_is_a_finding(name):
     b = load_bundle("name-record")
-    (node,) = b.graph.subjects(rdf_type(b.table), wikibase(b.table, "TimeValue"))
+    (node,) = b.graph.subjects(b.table.term("rdf", "type"), b.table.term("wikibase", "TimeValue"))
     rep = validate(b.schema, _renamed(b.graph, node, Iri(name)))
     assert rep.findings == (Finding("HashMismatch", name, _NOT_ADDRESSED, WARNING),)
 
@@ -516,7 +512,7 @@ def test_a_forked_statement_without_a_reference_is_a_finding():
     b = load_bundle("name-record")
     item = b.instances.items[0]
     node = statement_node(item.iri, item.statements[1], b.table)
-    assert not b.graph.objects(node, prov_was_derived_from(b.table))
+    assert not b.graph.objects(node, b.table.term("prov", "wasDerivedFrom"))
     fork = Iri("http://elsewhere.example/s1")
     g = b.graph.copy()
     for t in b.graph.match(node):
@@ -602,4 +598,21 @@ def test_a_literal_reference_target_is_a_range_violation_on_its_reference(tmp_pa
         "target of pr:isDirectlyBasedOn lacks rdf:type rec:SourceDocument\n"
         f"ERROR RangeViolation <{rnode}> : target of pr:isDirectlyBasedOn is not an item\n"
         "errors=2 warnings=0\n")
+    assert status == 1
+
+
+def test_a_negative_zero_int_field_is_not_canonical(tmp_path, capsys):
+    # "-0" and "0" are one integer, so a node holding "-0" would carry the
+    # content-addressed name of the node export writes with "0"
+    lines = fixture_path("age-record", "nt").read_text().splitlines(keepends=True)
+    (i,) = [i for i, line in enumerate(lines) if "#timeTimezone>" in line]
+    vnode = lines[i].split()[0][1:-1]
+    lines[i] = lines[i].replace('"0"^^', '"-0"^^')
+    path = tmp_path / "age-record.nt"
+    path.write_text("".join(lines))
+    status = main(["validate", str(fixture_path("age-record", "wbs")), str(path)])
+    assert capsys.readouterr().out == (
+        f"ERROR ValueNodeMalformed <{vnode}> : "
+        "wikibase:timeTimezone has non-canonical xsd:int lexical '-0'\n"
+        "errors=1 warnings=0\n")
     assert status == 1
