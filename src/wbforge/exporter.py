@@ -39,8 +39,9 @@ from .model import (
     value_kind,
 )
 from .namespaces import (
-    PROV_WAS_DERIVED_FROM, RDF_TYPE, WB_ITEM, WB_REFERENCE, WB_STATEMENT, Iri, NamespaceTable)
-from .rdf import Graph, Literal, Term, Triple, escape_literal
+    PROV_WAS_DERIVED_FROM, RDF_TYPE, WB_ITEM, WB_REFERENCE, WB_STATEMENT, Iri, NamespaceTable,
+    iri_text, local_name)
+from .rdf import Graph, PlainTerm, PlainTriple, escape_literal
 
 HASH_LENGTH = 40                  # hex digits kept from the SHA-256 digest
 
@@ -69,7 +70,7 @@ class LineHeads(dict):
         self._base, self._form = base, form
 
     def __missing__(self, name: str) -> str:
-        head = self[name] = self._form.format(Iri(self._base + name).value)
+        head = self[name] = self._form.format(iri_text(self._base + name))
         return head
 
 
@@ -96,23 +97,24 @@ def canonical_value(value: Value | ReadValue) -> str:
     """Stable one-line text form used inside hash preimages.
 
     Of a model value, or of what the validator reads back for one: an
-    item's IRI, a string literal, or a value node's value.
+    item's IRI, a string literal's `(lexical, datatype)`, or a value
+    node's value.
     """
     t = type(value)
-    if t is Iri:
-        return value.value
     if t is ItemRef:
-        return value.iri.value
+        return value.iri
     if t is StringValue:
         return escape_literal(value.text)
-    if t is Literal:
-        return escape_literal(value.lexical)
+    if isinstance(value, str):            # an IRI
+        return value
+    if isinstance(value, tuple):          # a literal
+        return escape_literal(value[0])
     return "|".join(map(str, _FIELDS[t](value)))
 
 
-def assemble_preimage(subject: Iri, prop: str, value: Value | ReadValue,
+def assemble_preimage(subject: str, prop: str, value: Value | ReadValue,
                       qualifiers: Iterable[tuple[str, Value | ReadValue]],
-                      references: Iterable[Iterable[tuple[str, Iri]]],
+                      references: Iterable[Iterable[tuple[str, str]]],
                       table: NamespaceTable) -> str:
     """A statement's hash preimage: S, P, V, sorted Q, sorted R lines.
 
@@ -122,7 +124,7 @@ def assemble_preimage(subject: Iri, prop: str, value: Value | ReadValue,
     `PreimageHeads`, worked out once per name.
     """
     p_line, q_head, r_head = preimage_heads(table)
-    lines = [f"S|{subject.value}", p_line[prop], f"V|{canonical_value(value)}"]
+    lines = [f"S|{subject}", p_line[prop], f"V|{canonical_value(value)}"]
     lines.extend(sorted([q_head[name] + canonical_value(v) for name, v in qualifiers]))
     lines.extend(sorted(["R|" + ";".join(sorted([_snak_text(r_head, name, target)
                                                   for name, target in snaks]))
@@ -135,22 +137,21 @@ _NAME_VALUE = attrgetter("name", "value")      # of a QualifierData
 _NAME_TARGET = attrgetter("name", "target")    # of a SnakData
 
 
-def canonical_content(subject: Iri, stmt: StatementData, table: NamespaceTable) -> str:
+def canonical_content(subject: str, stmt: StatementData, table: NamespaceTable) -> str:
     """The statement's hash preimage, from its model data."""
     return assemble_preimage(
         subject, stmt.property, stmt.value, map(_NAME_VALUE, stmt.qualifiers),
         [map(_NAME_TARGET, ref.snaks) for ref in stmt.references], table)
 
 
-def _snak_text(r_head: LineHeads, name: str, target: Iri) -> str:
+def _snak_text(r_head: LineHeads, name: str, target: str) -> str:
     """`pr: IRI|target` in an R line; a delimiter in the target could merge two lines."""
-    value = target.value
-    if "|" in value or ";" in value:
-        raise PreimageDelimiterError(value)
-    return r_head[name] + value
+    if "|" in target or ";" in target:
+        raise PreimageDelimiterError(target)
+    return r_head[name] + target
 
 
-def statement_hash(subject: Iri, stmt: StatementData | StatementContent,
+def statement_hash(subject: str, stmt: StatementData | StatementContent,
                    table: NamespaceTable) -> str:
     """The content hash: of model data, or of the content the validator reads back."""
     if type(stmt) is StatementData:
@@ -158,13 +159,16 @@ def statement_hash(subject: Iri, stmt: StatementData | StatementContent,
     return _sha40(assemble_preimage(subject, *stmt, table))
 
 
+# Each node kind's name is minted by one function, which checks it and gives
+# the exact `str` a graph stores; the public `*_node` functions type it.
+
 def statement_node(subject: Iri, stmt: StatementData, table: NamespaceTable) -> Iri:
-    return _statement_iri(subject, statement_hash(subject, stmt, table), table)
+    return Iri(_statement_name(subject, statement_hash(subject, stmt, table), table))
 
 
-def _statement_iri(subject: Iri, stmt_hash: str, table: NamespaceTable) -> Iri:
+def _statement_name(subject: str, stmt_hash: str, table: NamespaceTable) -> str:
     """The statement node's name: the subject's local name and the content hash."""
-    return Iri(f"{table.base('s')}{subject.local_name}-{stmt_hash}")
+    return iri_text(f"{table.base('s')}{local_name(subject)}-{stmt_hash}")
 
 
 def value_hash(value: DateTimeValue | DecimalValue) -> str:
@@ -172,7 +176,11 @@ def value_hash(value: DateTimeValue | DecimalValue) -> str:
 
 
 def value_node(value: DateTimeValue | DecimalValue, table: NamespaceTable) -> Iri:
-    return Iri(table.base("v") + value_hash(value))
+    return Iri(_value_name(value, table))
+
+
+def _value_name(value: DateTimeValue | DecimalValue, table: NamespaceTable) -> str:
+    return iri_text(table.base("v") + value_hash(value))
 
 
 def reference_hash(ref: RefData, table: NamespaceTable) -> str:
@@ -182,8 +190,12 @@ def reference_hash(ref: RefData, table: NamespaceTable) -> str:
 
 
 def reference_node(ref: RefData, stmt_hash: str, table: NamespaceTable) -> Iri:
+    return Iri(_reference_name(ref, stmt_hash, table))
+
+
+def _reference_name(ref: RefData, stmt_hash: str, table: NamespaceTable) -> str:
     # scoped to the owning statement so provenance stays one-to-one
-    return Iri(f"{table.base('ref')}{reference_hash(ref, table)}-{stmt_hash[:8]}")
+    return iri_text(f"{table.base('ref')}{reference_hash(ref, table)}-{stmt_hash[:8]}")
 
 
 _KIND = {
@@ -193,35 +205,55 @@ _KIND = {
     DateTimeValue: "datetime",
 }
 
-Add = Callable[[Triple], None]    # appends a triple to the export being built
+Add = Callable[[PlainTriple], None]    # adds a triple to the export being built
+
+# A graph stores exact `str` IRIs (see `rdf.Literal`), so export writes the
+# exact text of each fixed term, worked out here once.
+_TYPE, _ITEM, _STATEMENT, _REFERENCE, _DERIVED_FROM = map(
+    str, (RDF_TYPE, WB_ITEM, WB_STATEMENT, WB_REFERENCE, PROV_WAS_DERIVED_FROM))
+_XSD_TEXT = {dt: str(iri) for dt, iri in XSD.items()}
+# by value class: the node class, and each field's predicate with the
+# datatype of its literal (None for an IRI field), in field order
+_KIND_TEXT = {
+    kind.value_type: (str(kind.class_iri),
+                      tuple((str(pred), None if dt is None else _XSD_TEXT[dt])
+                            for pred, (_, _, dt) in zip(kind.predicates, kind.fields)))
+    for kind in VALUE_KINDS.values()}
 
 
-def _literal(value: Value) -> Term:
+class _Texts(dict):
+    """The exact `str` of each model `Iri` one export writes, copied on its first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, iri: Iri) -> str:
+        text = self[iri] = str(iri)
+        return text
+
+
+def _literal(value: Value, texts: _Texts) -> PlainTerm:
     t = type(value)
     if t is ItemRef:
-        return value.iri
+        return texts[value.iri]
     if t is StringValue:
-        return tuple.__new__(Literal, (value.text, XSD[Datatype.STRING]))
+        return (value.text, _XSD_TEXT[Datatype.STRING])
     if t is DecimalValue:
-        return tuple.__new__(Literal, (value.amount, XSD[Datatype.DECIMAL]))
-    return tuple.__new__(Literal, (value.iso, XSD[Datatype.DATETIME]))
+        return (value.amount, _XSD_TEXT[Datatype.DECIMAL])
+    return (value.iso, _XSD_TEXT[Datatype.DATETIME])
 
 
-def _add_value(add: Add, node: Iri, edge: Iri, value_edge: Iri | None, value: Value,
-               table: NamespaceTable) -> Term:
+def _add_value(add: Add, texts: _Texts, node: str, edge: str, value_edge: str | None,
+               value: Value, table: NamespaceTable) -> PlainTerm:
     """The edge to the literal, then the edge to the value node if the family has one."""
-    new = tuple.__new__
-    term = _literal(value)
-    add(new(Triple, (node, edge, term)))
+    term = _literal(value, texts)
+    add((node, edge, term))
     if value_edge is not None:
-        kind = value_kind(value)
-        vnode = value_node(value, table)
-        add(new(Triple, (node, value_edge, vnode)))
-        add(new(Triple, (vnode, RDF_TYPE, kind.class_iri)))
-        for pred, (_, _, dt), field in zip(kind.predicates, kind.fields,
-                                           _FIELDS[type(value)](value)):
-            add(new(Triple, (vnode, pred, field if dt is None else
-                             new(Literal, (str(field), XSD[dt])))))
+        class_text, fields = _KIND_TEXT[type(value)]
+        vnode = _value_name(value, table)
+        add((node, value_edge, vnode))
+        add((vnode, _TYPE, class_text))
+        for (pred, dt), field in zip(fields, _FIELDS[type(value)](value)):
+            add((vnode, pred, texts[field] if dt is None else (str(field), dt)))
     return term
 
 
@@ -242,19 +274,30 @@ def _check_value(vtype: ValueType, value: Value, instances: InstanceDoc,
 
 
 class _DeclChecks(NamedTuple):
-    """What export checks a statement against, worked out once per declaration."""
+    """What export checks a statement against and writes, worked out once per declaration."""
 
     st: ExpandedStatement
     qualifiers: dict[str, QualifierDecl]    # by name
     required_qualifiers: tuple[str, ...]    # names, in declaration order
     required_references: tuple[str, ...]
+    # the exact text of `st`'s property family, laid out as in `st`
+    statement_properties: dict[str, str]
+    qualifier_properties: dict[str, dict[str, str]]
+    reference_properties: dict[str, str]
+
+
+def _texts_of(iris: dict[str, Iri]) -> dict[str, str]:
+    return {key: str(iri) for key, iri in iris.items()}
 
 
 def _decl_checks(st: ExpandedStatement) -> _DeclChecks:
     decl = st.source
     return _DeclChecks(st, {q.name: q for q in decl.qualifiers},
                        tuple(q.name for q in decl.qualifiers if q.required),
-                       tuple(r.name for r in decl.references if r.required))
+                       tuple(r.name for r in decl.references if r.required),
+                       _texts_of(st.statement_properties),
+                       {name: _texts_of(fam) for name, fam in st.qualifier_properties.items()},
+                       _texts_of(st.reference_properties))
 
 
 def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
@@ -262,21 +305,22 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
 
     Raises on data that cannot be exported faithfully: values of the
     wrong kind, missing required qualifiers or references, and names or
-    items that no declaration covers. The triples are collected in a list
-    and the graph is built once, from all of them.
+    items that no declaration covers. The triples are collected plain in
+    one set, which becomes the graph's store.
     """
     table = schema.namespaces
     expanded = expand(schema)
-    triples: list[Triple] = []
-    add = triples.append
-    new = tuple.__new__
+    triples: set[PlainTriple] = set()
+    add = triples.add
+    texts = _Texts()
     checks: dict[str, _DeclChecks] = {}       # by statement property name
     for item in instances.items:
         if (schema.class_decl(item.type_class) is None
                 and item.type_class != WB_ITEM):
             raise UnresolvedNameError(item.type_class.value, "class not declared")
-        add(new(Triple, (item.iri, RDF_TYPE, item.type_class)))
-        add(new(Triple, (item.iri, RDF_TYPE, WB_ITEM)))
+        subject = texts[item.iri]
+        add((subject, _TYPE, texts[item.type_class]))
+        add((subject, _TYPE, _ITEM))
         for stmt in item.statements:
             decl_checks = checks.get(stmt.property)
             if decl_checks is None:
@@ -284,13 +328,15 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
                 if st is None:
                     raise UnresolvedNameError(stmt.property, "statement property not declared")
                 decl_checks = checks[stmt.property] = _decl_checks(st)
-            _export_statement(add, item.iri, stmt, decl_checks, instances, table)
-    return Graph(triples)
+            _export_statement(add, texts, subject, stmt, decl_checks, instances, table)
+    return Graph.of_plain(triples)
 
 
-def _export_statement(add: Add, subject: Iri, stmt: StatementData, decl_checks: _DeclChecks,
-                      instances: InstanceDoc, table: NamespaceTable) -> None:
-    st, quals_by_name, required_quals, required_refs = decl_checks
+def _export_statement(add: Add, texts: _Texts, subject: str, stmt: StatementData,
+                      decl_checks: _DeclChecks, instances: InstanceDoc,
+                      table: NamespaceTable) -> None:
+    (st, quals_by_name, required_quals, required_refs,
+     props, qual_props, ref_props) = decl_checks
     _check_value(st.source.object_spec, stmt.value, instances, stmt.property)
 
     for q in stmt.qualifiers:
@@ -304,7 +350,6 @@ def _export_statement(add: Add, subject: Iri, stmt: StatementData, decl_checks: 
             if name not in present:
                 raise MissingRequiredError(f"{stmt.property}/{name}")
 
-    ref_props = st.reference_properties
     for ref in stmt.references:
         for snak in ref.snaks:
             if snak.name not in ref_props:
@@ -317,33 +362,31 @@ def _export_statement(add: Add, subject: Iri, stmt: StatementData, decl_checks: 
             if name not in snak_names:
                 raise MissingRequiredError(f"{stmt.property}/{name}")
 
-    new = tuple.__new__
     h = statement_hash(subject, stmt, table)
-    node = _statement_iri(subject, h, table)
-    props = st.statement_properties
-    add(new(Triple, (subject, props["p"], node)))
-    add(new(Triple, (node, RDF_TYPE, WB_STATEMENT)))
-    value_term = _add_value(add, node, props["ps"], props.get("psv"), stmt.value, table)
-    add(new(Triple, (subject, props["wdt"], value_term)))
+    node = _statement_name(subject, h, table)
+    add((subject, props["p"], node))
+    add((node, _TYPE, _STATEMENT))
+    value_term = _add_value(add, texts, node, props["ps"], props.get("psv"), stmt.value, table)
+    add((subject, props["wdt"], value_term))
     for q in stmt.qualifiers:
-        fam = st.qualifier_properties[q.name]
-        _add_value(add, node, fam["pq"], fam.get("pqv"), q.value, table)
+        fam = qual_props[q.name]
+        _add_value(add, texts, node, fam["pq"], fam.get("pqv"), q.value, table)
 
     for ref in stmt.references:
-        rnode = reference_node(ref, h, table)
-        add(new(Triple, (node, PROV_WAS_DERIVED_FROM, rnode)))
-        add(new(Triple, (rnode, RDF_TYPE, WB_REFERENCE)))
+        rnode = _reference_name(ref, h, table)
+        add((node, _DERIVED_FROM, rnode))
+        add((rnode, _TYPE, _REFERENCE))
         for snak in ref.snaks:
-            add(new(Triple, (rnode, ref_props[snak.name], snak.target)))
+            add((rnode, ref_props[snak.name], texts[snak.target]))
 
 
 # what the validator reads back -------------------------------------------
 
-# a ps:/pq: value as read back: an item's IRI, a string literal, or the value
-# of a date or quantity node
-ReadValue = Iri | Literal | DateTimeValue | DecimalValue
+# a ps:/pq: value as read back: an item's IRI, a string literal's (lexical,
+# datatype), or the value of a date or quantity node
+ReadValue = str | tuple[str, str] | DateTimeValue | DecimalValue
 # a statement node's content as read back, in plain tuples laid out as
 # StatementData: the property name, the ps: value, a (name, value) pair for
 # each declared qualifier value, and each reference's (name, target) snaks
 StatementContent = tuple[str, ReadValue, tuple[tuple[str, ReadValue], ...],
-                         tuple[tuple[tuple[str, Iri], ...], ...]]
+                         tuple[tuple[tuple[str, str], ...], ...]]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import NamedTuple, TypeVar
+from typing import TypeVar
 
 from .errors import DuplicateDeclarationError, UnknownPrefixError, WbforgeError
 
@@ -68,37 +68,57 @@ _is_iri = re.compile(
 T = TypeVar("T")
 
 
-class _IriFields(NamedTuple):
-    value: str
+def iri_text(text: str) -> str:
+    """`text` itself if it is an absolute IRI, else a `WbforgeError`.
+
+    The one IRI check: `Iri` runs it, and so do the names export mints
+    and the IRIs the N-Triples reader reads, which a graph keeps as
+    exact `str`.
+    """
+    if _is_iri(text) is None:
+        raise WbforgeError(f"not an absolute IRI: {text!r}")
+    return text
 
 
-class Iri(_IriFields):
-    """An absolute IRI; comparison is textual. A tuple, so it equals `(value,)`."""
+def local_name(iri: str) -> str:
+    """The text after an IRI's last '#', or else its last '/', or else its scheme's ':'."""
+    i = iri.rfind("#")
+    if i < 0:
+        i = iri.rfind("/")
+    if i < 0:
+        i = iri.rfind(":")        # every IRI has a scheme, so this one is found
+    return iri[i + 1:]
+
+
+class Iri(str):
+    """An absolute IRI: a `str` that passed `iri_text`, equal to and hashed as its text.
+
+    A graph stores the same IRI as an exact `str`, which the collector
+    never tracks; `Iri` is the checked, typed form the model and the
+    graph's views hand out.
+    """
 
     __slots__ = ()
 
     def __new__(cls, value: str) -> Iri:
-        if _is_iri(value) is None:
-            raise WbforgeError(f"not an absolute IRI: {value!r}")
-        return tuple.__new__(cls, (value,))
+        return str.__new__(cls, iri_text(value))
+
+    @property
+    def value(self) -> str:
+        """The text as an exact `str`."""
+        return str.__str__(self)
 
     @property
     def local_name(self) -> str:
-        v = self.value
-        i = v.rfind("#")
-        if i < 0:
-            i = v.rfind("/")
-        if i < 0:
-            i = v.rfind(":")      # every Iri has a scheme, so this one is found
-        return v[i + 1:]
+        return local_name(self)
 
-    def __str__(self) -> str:
-        return self.value
+    def __repr__(self) -> str:
+        return f"Iri(value={str.__repr__(self)})"
 
 
 def _check_iri(text: str, what: str) -> None:
     try:
-        Iri(text)
+        iri_text(text)
     except WbforgeError as exc:
         raise WbforgeError(f"{what} is {exc}") from None
 
@@ -187,7 +207,7 @@ class NamespaceTable:
         out.extend(self.user)
         return out
 
-    def curie(self, iri: Iri) -> str | None:
+    def curie(self, iri: str) -> str | None:
         """Compress to prefix:local under the longest matching base.
 
         A local part holds no '/', '#' or ':', and every base ends in '/'
@@ -196,13 +216,12 @@ class NamespaceTable:
         prefix. Remembered per table: callers ask about predicates, classes
         and schema terms, never per-node IRIs, so the memo stays small.
         """
-        value = iri.value
         try:
-            return self._curies[value]
+            return self._curies[iri]
         except KeyError:
             pass
-        cut = max(value.rfind("/"), value.rfind("#")) + 1
-        local = value[cut:]
+        cut = max(iri.rfind("/"), iri.rfind("#")) + 1
+        local = iri[cut:]
         curie = None
         if local and ":" not in local:
             prefix_of_base = self._prefix_of_base
@@ -211,13 +230,13 @@ class NamespaceTable:
                 # for every prefix line of a document
                 for prefix, base in self._bases.items():
                     prefix_of_base.setdefault(base, prefix)
-            prefix = prefix_of_base.get(value[:cut])
+            prefix = prefix_of_base.get(iri[:cut])
             if prefix is not None:
                 curie = f"{prefix}:{local}"
-        self._curies[value] = curie
+        self._curies[iri] = curie
         return curie
 
-    def split(self, iri: Iri) -> tuple[str, str] | None:
+    def split(self, iri: str) -> tuple[str, str] | None:
         """(prefix, local) under the longest matching base, if any."""
         c = self.curie(iri)
         if c is None:
@@ -241,10 +260,10 @@ def expand_iri(text: str, table: NamespaceTable) -> Iri:
     return table.term(prefix, local)
 
 
-def curie_or_iri(iri: Iri, table: NamespaceTable) -> str:
+def curie_or_iri(iri: str, table: NamespaceTable) -> str:
     """`prefix:local` where the table can compress `iri`, else `<iri>`."""
     c = table.curie(iri)
-    return c if c is not None else f"<{iri.value}>"
+    return c if c is not None else f"<{iri}>"
 
 
 def fixed_term(prefix: str, local: str) -> Iri:

@@ -9,18 +9,27 @@ are equal iff their canonical N-Triples bytes are equal.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import BlankNodeUnsupportedError, NtSyntaxError, WbforgeError
-from .namespaces import IRI_EXCLUDED, LONE_SURROGATE, Iri, fixed_term
+from .namespaces import IRI_EXCLUDED, LONE_SURROGATE, Iri, fixed_term, iri_text
 
 XSD_STRING = fixed_term("xsd", "string")
+_XSD_STRING_TEXT = str(XSD_STRING)
 
 
-# Terms and triples are tuples of different lengths (Iri 1, Literal 2,
-# Triple 3), so no two kinds compare equal or collide as keys.
+# Inside a Graph an IRI is an exact `str`, a literal a plain `(lexical,
+# datatype)` tuple and a triple a plain `(s, p, o)` tuple: a `str` caches its
+# hash, and the collector stops tracking a plain tuple of strings after its
+# first pass, where it tracks a tuple or `str` subclass for as long as it
+# lives. Code reading the stored terms tells an IRI from a literal by
+# `type(o) is str`. `Iri`, `Literal` and `Triple` are the typed views the
+# graph hands out; each equals and hashes as the plain term it shows, so a
+# view finds and discards the stored term. No two kinds of term meet: a `str`
+# never equals a tuple, and a literal has two items where a triple has three.
 class Literal(NamedTuple):
     lexical: str
     datatype: Iri = XSD_STRING
@@ -33,6 +42,37 @@ class Triple(NamedTuple):
     s: Iri
     p: Iri
     o: Term
+
+
+PlainTerm = str | tuple[str, str]             # an IRI's text, or (lexical, datatype)
+PlainTriple = tuple[str, str, PlainTerm]
+
+# the text a graph stores was checked on its way in, so a view skips the check
+_iri_view = partial(str.__new__, Iri)
+# an exact `str` as it is, and the text of an `Iri` as an exact `str`
+_text = str.__str__
+
+
+def _term_view(o: PlainTerm) -> Term:
+    if type(o) is str:
+        return _iri_view(o)
+    return tuple.__new__(Literal, (o[0], _iri_view(o[1])))
+
+
+def _view(t: PlainTriple) -> Triple:
+    s, p, o = t
+    return tuple.__new__(Triple, (_iri_view(s), _iri_view(p), _term_view(o)))
+
+
+def _stored(t: Triple | PlainTriple) -> PlainTriple:
+    """`t`, a view or already plain, as a graph stores it."""
+    s, p, o = t
+    if isinstance(o, str):
+        o = _text(o)
+    else:
+        lexical, datatype = o
+        o = (_text(lexical), _text(datatype))
+    return (_text(s), _text(p), o)
 
 
 _ESCAPES = str.maketrans(
@@ -49,11 +89,11 @@ def escape_literal(text: str) -> str:
     return text if _NEEDS_ESCAPE(text) is None else text.translate(_ESCAPES)
 
 
-def render_literal(lexical: str, datatype: Iri) -> str:
+def render_literal(lexical: str, datatype: str) -> str:
     """A literal's N-Triples form; an xsd:string literal stays bare."""
-    if datatype == XSD_STRING:
+    if datatype == _XSD_STRING_TEXT:
         return f'"{escape_literal(lexical)}"'
-    return f'"{escape_literal(lexical)}"^^<{datatype.value}>'
+    return f'"{escape_literal(lexical)}"^^<{datatype}>'
 
 
 _UNESCAPE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
@@ -84,56 +124,70 @@ def _unescape(text: str, line_no: int, in_iri: bool = False) -> str:
     return _UNESCAPE.sub(repl, text)
 
 
-def render_term(term: Term) -> str:
-    if isinstance(term, Iri):
-        return f"<{term.value}>"
+def render_term(term: Term | PlainTerm) -> str:
+    if isinstance(term, str):
+        return f"<{term}>"
     return render_literal(*term)
 
 
-def render_triple(t: Triple) -> str:
-    return f"<{t.s.value}> <{t.p.value}> {render_term(t.o)} ."
+def render_triple(t: Triple | PlainTriple) -> str:
+    s, p, o = t
+    return f"<{s}> <{p}> {render_term(o)} ."
 
 
-# `match` sort keys for a wildcard and for a bound object. An Iri is the
-# 1-tuple of its text, so it sorts as its `.value` does.
-def _render_key(t: Triple) -> tuple[Iri, Iri, str]:
-    return t.s, t.p, render_term(t.o)
+# `match` sort keys for a wildcard and for a bound object, over stored
+# triples, whose IRIs are their text
+def _render_key(t: PlainTriple) -> tuple[str, str, str]:
+    return t[0], t[1], render_term(t[2])
 
 
 _BOUND_O_KEY = itemgetter(0, 1)
 
 
 class Graph:
-    """A set of ground triples with pattern matching."""
+    """A set of ground triples with pattern matching.
 
-    def __init__(self, triples: "set[Triple] | list[Triple] | tuple[Triple, ...]" = ()) -> None:
-        self._triples: set[Triple] = set(triples)
-        self._indexes: list[dict[Term, list[Triple]] | None] = [None, None]  # by s, by p
+    The graph stores its triples plain (see `Literal`). `add`, `discard`,
+    `in` and `Graph(...)` take views or plain triples; `__iter__`, `match`,
+    `subjects` and `objects` hand out views. `edges`, `with_predicate` and
+    `predicates` give the stored terms, for the library's own readers.
+    """
 
-    def add(self, t: Triple) -> None:
-        self._triples.add(t)
+    def __init__(self, triples: Iterable[Triple | PlainTriple] = ()) -> None:
+        self._triples: set[PlainTriple] = set(map(_stored, triples))
+        self._indexes: list[dict[str, list[PlainTriple]] | None] = [None, None]  # by s, by p
+
+    @classmethod
+    def of_plain(cls, triples: set[PlainTriple]) -> Graph:
+        """A graph whose store is `triples`, each already plain, taken as it is."""
+        g = cls()
+        g._triples = triples
+        return g
+
+    def add(self, t: Triple | PlainTriple) -> None:
+        self._triples.add(_stored(t))
         self._indexes = [None, None]
 
-    def discard(self, t: Triple) -> None:
-        self._triples.discard(t)
+    def discard(self, t: Triple | PlainTriple) -> None:
+        self._triples.discard(t)      # a view equals and hashes as the stored triple
         self._indexes = [None, None]
 
-    def __contains__(self, t: tuple[Iri, Iri, Term]) -> bool:
+    def __contains__(self, t: Triple | PlainTriple) -> bool:
         return t in self._triples
 
     def __len__(self) -> int:
         return len(self._triples)
 
-    def __iter__(self):
-        return iter(self._triples)
+    def __iter__(self) -> Iterator[Triple]:
+        return map(_view, self._triples)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self._triples == other._triples
 
-    def copy(self) -> "Graph":
-        return Graph(self._triples)
+    def copy(self) -> Graph:
+        return Graph.of_plain(set(self._triples))
 
-    def _index(self, i: int) -> dict[Term, list[Triple]]:
+    def _index(self, i: int) -> dict[str, list[PlainTriple]]:
         """The triples by subject (`i` 0) or by predicate (1), built on its first read.
 
         A change drops both indexes, and each is rebuilt only when it is
@@ -153,21 +207,21 @@ class Graph:
                     hits.append(t)
         return index
 
-    def predicates(self) -> set[Iri]:
+    def predicates(self) -> set[str]:
         """Every predicate the graph uses, read from the by-p index."""
         return set(self._index(1))
 
-    def with_predicate(self, p: Iri) -> Iterator[Triple]:
-        """Every triple whose predicate is `p`, in no particular order.
+    def with_predicate(self, p: str) -> Iterator[PlainTriple]:
+        """Every stored triple whose predicate is `p`, in no particular order.
 
         Read straight from the by-p index: for callers whose result does
         not depend on order, so nothing is filtered, sorted or rendered.
         """
         return iter(self._index(1).get(p, ()))
 
-    def match(self, s: Iri | None = None, p: Iri | None = None,
-              o: Term | None = None) -> list[Triple]:
-        """Triples matching the pattern; None is a wildcard. Sorted output.
+    def _match(self, s: str | None, p: str | None, o: Term | PlainTerm | None
+               ) -> list[PlainTriple]:
+        """The stored triples `match` shows, in its order.
 
         Candidates come from the by-s index if `s` is bound, else from the
         by-p index if `p` is, else from every triple. Two or more hits are
@@ -178,21 +232,26 @@ class Graph:
         pool = (self._index(0).get(s, ()) if s is not None
                 else self._index(1).get(p, ()) if p is not None else self._triples)
         found = [t for t in pool
-                 if (s is None or t.s == s)
-                 and (p is None or t.p == p)
-                 and (o is None or t.o == o)]
+                 if (s is None or t[0] == s)
+                 and (p is None or t[1] == p)
+                 and (o is None or t[2] == o)]
         if len(found) > 1:
             found.sort(key=_render_key if o is None else _BOUND_O_KEY)
         return found
 
-    def edges(self, s: Iri) -> dict[Iri, list[Term]]:
-        """The objects of `s` grouped by predicate, one pass over its index entry.
+    def match(self, s: Iri | None = None, p: Iri | None = None,
+              o: Term | None = None) -> list[Triple]:
+        """Triples matching the pattern; None is a wildcard. Sorted output."""
+        return list(map(_view, self._match(s, p, o)))
+
+    def edges(self, s: str) -> dict[str, list[PlainTerm]]:
+        """The stored objects of `s` grouped by predicate, one pass over its index entry.
 
         `edges(s)[p] == objects(s, p)` for every predicate `s` has, in the
-        same order, and a predicate `s` lacks is absent. The view is built
+        same order, and a predicate `s` lacks is absent. The dict is built
         afresh on each call, so the caller owns it.
         """
-        view: dict[Iri, list[Term]] = {}
+        view: dict[str, list[PlainTerm]] = {}
         for _, p, o in self._index(0).get(s, ()):
             view.setdefault(p, []).append(o)
         for objs in view.values():
@@ -201,10 +260,10 @@ class Graph:
         return view
 
     def subjects(self, p: Iri, o: Term) -> list[Iri]:
-        return [t.s for t in self.match(None, p, o)]
+        return [_iri_view(t[0]) for t in self._match(None, p, o)]
 
     def objects(self, s: Iri, p: Iri) -> list[Term]:
-        return [t.o for t in self.match(s, p, None)]
+        return [_term_view(t[2]) for t in self._match(s, p, None)]
 
 
 def serialize_canonical(g: Graph) -> str:
@@ -215,13 +274,12 @@ def serialize_canonical(g: Graph) -> str:
     """
     lines: list[str] = []
     add = lines.append
-    # each triple is rendered inline, as `render_triple` would; an Iri is
-    # the 1-tuple of its text, so `s[0]` is `s.value`
-    for s, p, o in g:
-        if type(o) is Iri:
-            add(f"<{s[0]}> <{p[0]}> <{o[0]}> .")
+    # each stored triple is rendered inline, as `render_triple` would
+    for s, p, o in g._triples:
+        if type(o) is str:
+            add(f"<{s}> <{p}> <{o}> .")
         else:
-            add(f"<{s[0]}> <{p[0]}> {render_literal(*o)} .")
+            add(f"<{s}> <{p}> {render_literal(*o)} .")
     lines.sort()
     lines.append("")          # the final newline; an empty graph gives ""
     return "\n".join(lines)
@@ -235,29 +293,29 @@ _IRIREF_ASCII = "".join(re.escape(c) for c in map(chr, range(0x80))
                         if not re.match(rf"[{IRI_EXCLUDED}]", c))
 _IRIREF = rf"<([{_IRIREF_ASCII}\x80-\U0010ffff]*)>"
 _LITERAL = r'"([^"\\]*(?:\\.[^"\\]*)*)"'
+# terms are separated by N-Triples whitespace, space and tab, and by nothing else
 _TRIPLE_RE = re.compile(
-    rf"^{_IRIREF}\s+{_IRIREF}\s+"
+    rf"^{_IRIREF}[ \t]+{_IRIREF}[ \t]+"
     rf"(?:{_IRIREF}|{_LITERAL}(?:\^\^{_IRIREF}|@([A-Za-z0-9-]+))?)"
-    rf"\s*\.\s*$")
+    rf"[ \t]*\.[ \t]*$")
 # a line that fails _TRIPLE_RE is a blank-node line if `_:` opens its subject or object
-_BLANK_NODE_RE = re.compile(rf"^(?:_:|{_IRIREF}\s+{_IRIREF}\s+_:)")
+_BLANK_NODE_RE = re.compile(rf"^(?:_:|{_IRIREF}[ \t]+{_IRIREF}[ \t]+_:)")
 
 
-def _new_iri(raw: str, line_no: int, iris: dict[str, Iri]) -> Iri:
-    """The checked Iri an IRIREF's text spells, remembered in `iris`."""
-    iri = iris[raw] = Iri(_unescape(raw, line_no, in_iri=True))
+def _new_iri(raw: str, line_no: int, iris: dict[str, str]) -> str:
+    """The checked IRI an IRIREF's text spells, remembered in `iris`."""
+    iri = iris[raw] = iri_text(_unescape(raw, line_no, in_iri=True))
     return iri
 
 
-def _new_literal(lexical: str, datatype: str | None, line_no: int, iris: dict[str, Iri],
-                 literals: dict[tuple[str, str | None], Literal]) -> Literal:
-    """The checked Literal a literal's raw text spells, remembered in `literals`."""
+def _new_literal(lexical: str, datatype: str | None, line_no: int, iris: dict[str, str],
+                 literals: dict[tuple[str, str | None], tuple[str, str]]) -> tuple[str, str]:
+    """The checked literal a literal's raw text spells, remembered in `literals`."""
     if LONE_SURROGATE.search(lexical):
         raise NtSyntaxError(line_no, "literal holds a lone surrogate")
-    dt = (XSD_STRING if datatype is None
+    dt = (_XSD_STRING_TEXT if datatype is None
           else iris.get(datatype) or _new_iri(datatype, line_no, iris))
-    lit = literals[lexical, datatype] = tuple.__new__(
-        Literal, (_unescape(lexical, line_no), dt))
+    lit = literals[lexical, datatype] = (_unescape(lexical, line_no), dt)
     return lit
 
 
@@ -266,15 +324,15 @@ def parse_ntriples(text: str) -> Graph:
 
     Each distinct IRIREF text, and each distinct literal text with its
     datatype text, is unescaped and checked once per call and then read
-    from a memo, so repeats share one term. The graph is built once, from
-    every triple read.
+    from a memo, so repeats share one term. A line may end in a carriage
+    return, so CRLF text reads as well.
     """
-    triples: list[Triple] = []
-    iris: dict[str, Iri] = {}     # raw IRIREF text -> Iri, for this call only
-    literals: dict[tuple[str, str | None], Literal] = {}   # raw (lexical, datatype)
-    new = tuple.__new__
+    triples: set[PlainTriple] = set()
+    add = triples.add
+    iris: dict[str, str] = {}     # raw IRIREF text -> IRI, for this call only
+    literals: dict[tuple[str, str | None], tuple[str, str]] = {}   # raw (lexical, datatype)
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
+        line = raw.strip(" \t\r")
         if not line or line.startswith("#"):
             continue
         m = _TRIPLE_RE.match(line)
@@ -288,7 +346,7 @@ def parse_ntriples(text: str) -> Graph:
         try:
             s = iris.get(s_iri) or _new_iri(s_iri, line_no, iris)
             p = iris.get(p_iri) or _new_iri(p_iri, line_no, iris)
-            o: Term
+            o: PlainTerm
             if o_iri is not None:
                 o = iris.get(o_iri) or _new_iri(o_iri, line_no, iris)
             else:
@@ -298,5 +356,5 @@ def parse_ntriples(text: str) -> Graph:
             raise
         except WbforgeError as exc:   # an IRI rule: empty, or a forbidden character
             raise NtSyntaxError(line_no, str(exc)) from None
-        triples.append(new(Triple, (s, p, o)))
-    return Graph(triples)
+        add((s, p, o))
+    return Graph.of_plain(triples)

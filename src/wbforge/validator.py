@@ -40,7 +40,7 @@ from .model import (
 )
 from .namespaces import (
     PROPERTY_NAMESPACES, PROV_WAS_DERIVED_FROM, RDF_TYPE, WB_ITEM, WB_REFERENCE, WB_STATEMENT, Iri)
-from .rdf import XSD_STRING, Graph, Literal, Term, Triple
+from .rdf import XSD_STRING, Graph, PlainTerm, PlainTriple
 
 ERROR = "ERROR"
 WARNING = "WARNING"
@@ -80,7 +80,9 @@ _VALUE_NAME = re.compile(rf"([0-9a-f]{{{HASH_LENGTH}}})")
 
 # what reading a value node gives: its value, or its field problems
 NodeValue = DateTimeValue | DecimalValue | list[str]
-EdgeView = dict[Iri, list[Term]]              # one node's objects by predicate
+# one node's stored objects by predicate; an IRI is an exact `str`, a
+# literal a plain `(lexical, datatype)` tuple
+EdgeView = dict[str, list[PlainTerm]]
 
 
 @dataclass(frozen=True, order=True)
@@ -144,15 +146,16 @@ def explain(report: ValidationReport, code: str) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def literal_problem(v: Term, dt: Datatype) -> str | None:
+def literal_problem(v: PlainTerm, dt: Datatype) -> str | None:
     """Why `v` is not a canonical `dt` literal, or None when it is one."""
     xsd = XSD[dt]
-    if not isinstance(v, Literal):
+    if isinstance(v, str):
         return f"is not an xsd:{xsd.local_name} literal"
-    if v.datatype != xsd:
+    lexical, datatype = v
+    if datatype != xsd:
         return f"is not typed xsd:{xsd.local_name}"
-    if not is_canonical(dt, v.lexical):
-        return f"has non-canonical xsd:{xsd.local_name} lexical {v.lexical!r}"
+    if not is_canonical(dt, lexical):
+        return f"has non-canonical xsd:{xsd.local_name} lexical {lexical!r}"
     return None
 
 
@@ -170,23 +173,26 @@ class _Checker:
         self.name_by_pq = {pq: name for name, pq in self.pq_by_name.items()}
         self.ref_names = {name for st in expanded.statements for name in st.reference_properties}
         # (prefix, local name) of every predicate the graph uses under a property namespace
-        self.family: dict[Iri, tuple[str, str]] = {
+        self.family: dict[str, tuple[str, str]] = {
             p: spl for p in graph.predicates()
             if (spl := self.table.split(p)) is not None and spl[0] in PROPERTY_NAMESPACES}
         # the same predicates by (prefix, local name), where a psv:/pqv: edge is
         # found by name, minted or not; an edge the graph lacks is in no view
-        self.by_name: dict[tuple[str, str], Iri] = {spl: p for p, spl in self.family.items()}
+        self.by_name: dict[tuple[str, str], str] = {spl: p for p, spl in self.family.items()}
         # every value node read so far, by (node, kind tag), for the whole run
-        self.values: dict[tuple[Iri, str], NodeValue] = {}
+        self.values: dict[tuple[str, str], NodeValue] = {}
 
-    def add(self, code: str, focus: Iri, detail: str) -> None:
-        self.findings.add(Finding(code, focus.value, detail, CODES[code]))
+    def add(self, code: str, focus: str, detail: str) -> None:
+        self.findings.add(Finding(code, focus, detail, CODES[code]))
 
-    def has_type(self, node: Term, cls: Iri) -> bool:
-        # a plain tuple equals and hashes as its Triple, without Triple.__new__
-        return isinstance(node, Iri) and (node, RDF_TYPE, cls) in self.g
+    def has_type(self, node: PlainTerm, cls: Iri) -> bool:
+        return type(node) is str and (node, RDF_TYPE, cls) in self.g
 
-    def value_node(self, node: Iri, kind: ValueKind) -> NodeValue:
+    def typed(self, cls: Iri) -> list[str]:
+        """Every node typed `cls`, in text order, as `Graph.subjects` lists them."""
+        return sorted([s for s, _, o in self.g.with_predicate(RDF_TYPE) if o == cls])
+
+    def value_node(self, node: str, kind: ValueKind) -> NodeValue:
         """The value a `kind` node holds, or its field problems in field order.
 
         Read once per node and kind in a run, every field from one
@@ -206,33 +212,34 @@ class _Checker:
             elif len(values) > 1:
                 problems.append(f"{len(values)} wikibase:{local} values")
             elif dt is None:
-                if isinstance(values[0], Iri):
+                if type(values[0]) is str:
                     fields[attr] = values[0]
                 else:
                     problems.append(f"wikibase:{local} is not an IRI")
             elif (problem := literal_problem(values[0], dt)) is not None:
                 problems.append(f"wikibase:{local} {problem}")
             elif dt is not Datatype.INT:
-                fields[attr] = values[0].lexical
-            elif (number := bounded_int(values[0].lexical)) is None:
+                fields[attr] = values[0][0]
+            elif (number := bounded_int(values[0][0])) is None:
                 problems.append(f"wikibase:{local} has more than {MAX_INT_DIGITS} digits")
             else:
                 fields[attr] = number
         value = self.values[key] = problems or kind.value_type(**fields)
         return value
 
-    def read_value(self, view: EdgeView, value_prop: Iri | None, v: Term) -> ReadValue | None:
+    def read_value(self, view: EdgeView, value_prop: str | None, v: PlainTerm
+                   ) -> ReadValue | None:
         """A ps:/pq: object as read back; dates and quantities need a matching node."""
-        if isinstance(v, Iri) or v.datatype == XSD_STRING:
+        if type(v) is str or v[1] == XSD_STRING:
             return v
-        kind = KIND_BY_XSD.get(v.datatype)
+        kind = KIND_BY_XSD.get(v[1])
         if kind is None:
             return None
         main = kind.fields[0][1]
         for vnode in view.get(value_prop, ()):
-            if isinstance(vnode, Iri):
+            if type(vnode) is str:
                 value = self.value_node(vnode, kind)
-                if not isinstance(value, list) and getattr(value, main) == v.lexical:
+                if not isinstance(value, list) and getattr(value, main) == v[0]:
                     return value
         return None
 
@@ -252,17 +259,17 @@ class _Checker:
 
     # -- reification shape --------------------------------------------------
 
-    def in_edges(self) -> dict[Term, list[tuple[Iri, str]]]:
+    def in_edges(self) -> dict[PlainTerm, list[tuple[str, str]]]:
         """Each node's incoming p: edges as (subject, property local name), unordered."""
-        incoming: dict[Term, list[tuple[Iri, str]]] = {}
+        incoming: dict[PlainTerm, list[tuple[str, str]]] = {}
         for p, (prefix, local) in self.family.items():
             if prefix == "p":
                 for s, _, o in self.g.with_predicate(p):
                     incoming.setdefault(o, []).append((s, local))
         return incoming
 
-    def resolve_decl(self, view: EdgeView, edges: list[tuple[Iri, str]]
-                     ) -> tuple[ExpandedStatement | None, Iri | None]:
+    def resolve_decl(self, view: EdgeView, edges: list[tuple[str, str]]
+                     ) -> tuple[ExpandedStatement | None, str | None]:
         """(declaration, owning subject) for a statement node's edge view and incoming p: edges.
 
         One edge gives both. Otherwise there is no owner, and the
@@ -280,7 +287,7 @@ class _Checker:
 
     def check_statement_nodes(self) -> None:
         incoming = self.in_edges()
-        for node in self.g.subjects(RDF_TYPE, WB_STATEMENT):
+        for node in self.typed(WB_STATEMENT):
             edges = incoming.get(node, ())
             if not edges:
                 self.add("OrphanStatement", node,
@@ -293,14 +300,14 @@ class _Checker:
             if st is not None:
                 self.check_against_decl(node, view, st, subject)
 
-    def check_against_decl(self, node: Iri, view: EdgeView, st: ExpandedStatement,
-                           subject: Iri | None) -> None:
+    def check_against_decl(self, node: str, view: EdgeView, st: ExpandedStatement,
+                           subject: str | None) -> None:
         """Every check of a statement node, and its content hash from what they read."""
         decl = st.source
         name = decl.property_name
         if subject is not None:
             if not self.has_type(subject, decl.subject_class):
-                cls = self.table.curie(decl.subject_class) or decl.subject_class.value
+                cls = self.table.curie(decl.subject_class) or decl.subject_class
                 self.add("DomainViolation", subject,
                          f"subject of p:{name} lacks rdf:type {cls}")
             if not self.has_type(subject, WB_ITEM):
@@ -323,7 +330,7 @@ class _Checker:
         readable = value is not None and quals is not None and refs is not None
         self.check_hash(node, subject, (name, value, quals, refs) if readable else None)
 
-    def check_object_value(self, node: Iri, decl: StatementDecl, v: Term) -> None:
+    def check_object_value(self, node: str, decl: StatementDecl, v: PlainTerm) -> None:
         name = decl.property_name
         cls = decl.object_spec.item_class
         if cls is None:
@@ -331,17 +338,17 @@ class _Checker:
             if problem:
                 self.add("RangeViolation", node, f"value of ps:{name} {problem}")
             return
-        if not isinstance(v, Iri):
+        if type(v) is not str:
             self.add("RangeViolation", node, f"value of ps:{name} is not an item")
             return
         if not self.has_type(v, cls):
-            curie = self.table.curie(cls) or cls.value
+            curie = self.table.curie(cls) or cls
             self.add("RangeViolation", v, f"value of ps:{name} lacks rdf:type {curie}")
         if not self.has_type(v, WB_ITEM):
             self.add("RangeViolation", v,
                      f"value of ps:{name} lacks rdf:type wikibase:Item")
 
-    def check_qualifiers(self, node: Iri, st: ExpandedStatement, view: EdgeView
+    def check_qualifiers(self, node: str, st: ExpandedStatement, view: EdgeView
                          ) -> tuple[tuple[str, ReadValue], ...] | None:
         """The declared qualifiers' (name, value) pairs as read back, or None
         when a date or quantity value has no well-formed matching node."""
@@ -367,10 +374,10 @@ class _Checker:
                 read.append((qname, self.read_value(view, pqv, v)))
         return None if any(qv is None for _, qv in read) else tuple(read)
 
-    def check_qualifier_value(self, node: Iri, qname: str, q, v: Term) -> None:
+    def check_qualifier_value(self, node: str, qname: str, q, v: PlainTerm) -> None:
         if q.qtype.item_class is not None:
             if not self.has_type(v, q.qtype.item_class):
-                cls = self.table.curie(q.qtype.item_class) or q.qtype.item_class.value
+                cls = self.table.curie(q.qtype.item_class) or q.qtype.item_class
                 self.add("QualifierTypeViolation", node,
                          f"value of pq:{qname} is not an item of {cls}")
             return
@@ -378,15 +385,15 @@ class _Checker:
         if problem:
             self.add("QualifierTypeViolation", node, f"value of pq:{qname} {problem}")
 
-    def check_references(self, node: Iri, st: ExpandedStatement, view: EdgeView
-                         ) -> tuple[tuple[tuple[str, Iri], ...], ...] | None:
+    def check_references(self, node: str, st: ExpandedStatement, view: EdgeView
+                         ) -> tuple[tuple[tuple[str, str], ...], ...] | None:
         """Each reference node's declared (name, target) snaks as read back, or
         None when a reference node is not typed or a target is not an IRI."""
         # by name: which of several ';' targets check_hash names ignores declaration order
         refs = sorted(st.source.references, key=lambda r: r.name)
         prs = st.reference_properties
         snak_names: set[str] = set()
-        read: list[tuple[tuple[str, Iri], ...]] = []
+        read: list[tuple[tuple[str, str], ...]] = []
         readable = True
         for rnode in view.get(PROV_WAS_DERIVED_FROM, ()):
             if not self.has_type(rnode, WB_REFERENCE):
@@ -395,17 +402,17 @@ class _Checker:
                 readable = False
                 continue
             rview = self.g.edges(rnode)
-            snaks: list[tuple[str, Iri]] = []
+            snaks: list[tuple[str, str]] = []
             for r in refs:
                 targets = rview.get(prs[r.name], ())
                 if targets:
                     snak_names.add(r.name)
                 for target in targets:
-                    if not isinstance(target, Iri):
+                    if type(target) is not str:
                         self.add("RangeViolation", rnode, f"target of pr:{r.name} is not an item")
                         readable = False
                     elif not self.has_type(target, r.target_class):
-                        cls = self.table.curie(r.target_class) or r.target_class.value
+                        cls = self.table.curie(r.target_class) or r.target_class
                         self.add("RangeViolation", target,
                                  f"target of pr:{r.name} lacks rdf:type {cls}")
                     snaks.append((r.name, target))
@@ -419,11 +426,11 @@ class _Checker:
     # -- provenance sharing --------------------------------------------------
 
     def check_references_shared(self) -> None:
-        derived: dict[Iri, set[Iri]] = {}
+        derived: dict[str, set[str]] = {}
         for s, _, o in self.g.with_predicate(PROV_WAS_DERIVED_FROM):
             if not self.has_type(s, WB_STATEMENT):
                 continue          # non-statement provenance is out of scope
-            if isinstance(o, Iri):
+            if type(o) is str:
                 derived.setdefault(o, set()).add(s)
         for rnode, owners in derived.items():
             if len(owners) > 1:
@@ -435,29 +442,29 @@ class _Checker:
     def check_chain(self) -> None:
         names = {st.statement_properties["wdt"]: st.source.property_name
                  for st in self.expanded.statements}
-        implied: set[Triple] = set()
+        implied: set[PlainTriple] = set()
         for node, t in implied_truthy(self.expanded, self.g):
             implied.add(t)
             if t not in self.g:
-                self.add("ChainGap", node, f"missing truthy edge wdt:{names[t.p]}")
+                self.add("ChainGap", node, f"missing truthy edge wdt:{names[t[1]]}")
         for wdt, name in names.items():
             for t in self.g.with_predicate(wdt):
                 if t not in implied:
-                    self.add("BareTruthy", t.s,
+                    self.add("BareTruthy", t[0],
                              f"truthy edge wdt:{name} has no reified statement")
 
     # -- metadata value nodes ---------------------------------------------------
 
     def check_value_nodes(self) -> None:
         for kind in VALUE_KINDS.values():
-            for node in self.g.subjects(RDF_TYPE, kind.class_iri):
+            for node in self.typed(kind.class_iri):
                 value = self.value_node(node, kind)
                 if isinstance(value, list):
                     self.add("ValueNodeMalformed", node, "; ".join(value))
                 else:
                     self.check_value_node_hash(node, value)
 
-    def check_value_node_hash(self, node: Iri, value: DateTimeValue | DecimalValue) -> None:
+    def check_value_node_hash(self, node: str, value: DateTimeValue | DecimalValue) -> None:
         got = self.name_hash(node, "v", _VALUE_NAME)
         if got is None:
             return
@@ -468,20 +475,20 @@ class _Checker:
 
     # -- content-hash recomputation ---------------------------------------------
 
-    def name_hash(self, node: Iri, prefix: str, local: re.Pattern[str]) -> str | None:
+    def name_hash(self, node: str, prefix: str, local: re.Pattern[str]) -> str | None:
         """The hash `node`'s name carries under `prefix`'s base.
 
         A name outside the base, or whose local part `local` does not
         match, is not content-addressed: that is a finding, and None.
         """
         base = self.table.base(prefix)
-        m = local.fullmatch(node.value, len(base)) if node.value.startswith(base) else None
+        m = local.fullmatch(node, len(base)) if node.startswith(base) else None
         if m is None:
             self.add("HashMismatch", node, "node name is not content-addressed")
             return None
         return m.group(1)
 
-    def check_hash(self, node: Iri, subject: Iri | None,
+    def check_hash(self, node: str, subject: str | None,
                    content: StatementContent | None) -> None:
         """The name of a node with one owner, and its hash when `content` was read."""
         if subject is None:
@@ -492,7 +499,7 @@ class _Checker:
         try:
             want = statement_hash(subject, content, self.table)
         except PreimageDelimiterError as exc:
-            # an Iri never holds '|', so the delimiter is ';'
+            # an IRI never holds '|', so the delimiter is ';'
             self.add("HashMismatch", node,
                      f"content cannot be hashed: reference target <{exc.iri}> contains ';'")
             return
@@ -514,7 +521,8 @@ def validate(schema: SchemaDocument, graph: Graph) -> ValidationReport:
     return _Checker(expand(schema), graph).run()
 
 
-def implied_truthy(expanded: ExpandedSchema, graph: Graph) -> Iterator[tuple[Iri, Triple]]:
+def implied_truthy(expanded: ExpandedSchema, graph: Graph
+                   ) -> Iterator[tuple[str, PlainTriple]]:
     """(statement node, wdt: edge) for every p:/ps: chain of a declared property.
 
     In no particular order, since both consumers are order-free: the
@@ -523,16 +531,15 @@ def implied_truthy(expanded: ExpandedSchema, graph: Graph) -> Iterator[tuple[Iri
     and one pass over its p: triples joins each edge to them; a p: edge
     to a literal joins nothing, as no literal is a ps: subject.
     """
-    new = tuple.__new__
     for st in expanded.statements:
         props = st.statement_properties
-        values: dict[Iri, list[Term]] = {}
+        values: dict[str, list[PlainTerm]] = {}
         for node, _, y in graph.with_predicate(props["ps"]):
             values.setdefault(node, []).append(y)
-        wdt = props["wdt"]
+        wdt = str(props["wdt"])       # exact text once, which `Graph.add` stores as it is
         for s, _, node in graph.with_predicate(props["p"]):
             for y in values.get(node, ()):
-                yield node, new(Triple, (s, wdt, y))
+                yield node, (s, wdt, y)
 
 
 def infer_truthy(schema: SchemaDocument, graph: Graph) -> Graph:

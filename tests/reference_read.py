@@ -13,7 +13,9 @@ by name itself, as the expander's read plan once did, and that every
 fixed term (`rdf:type`, `wikibase:`, `xsd:`, `prov:`) is minted here
 through `NamespaceTable.term`, not taken from the library's constants; the
 imports differ too, and no underscore-prefixed name is imported from
-`wbforge`.
+`wbforge`. A node is looked at through `edge_view`, which groups the typed
+views `Graph.match` gives, where the library's readers take the stored
+terms from `Graph.edges`.
 """
 
 from __future__ import annotations
@@ -45,6 +47,16 @@ from wbforge.rdf import Graph, Literal, Term
 # what reading a value node gives: its value, or its field problems
 NodeValue = DateTimeValue | DecimalValue | list[str]
 EdgeView = dict[Iri, list[Term]]              # one node's objects by predicate
+
+
+def edge_view(g: Graph, node: Iri) -> EdgeView:
+    """`node`'s objects by predicate as views, in the order `Graph.edges` gives them."""
+    view: EdgeView = {}
+    for t in g.match(s=node):
+        view.setdefault(t.p, []).append(t.o)
+    return view
+
+
 # the xsd: local name of each Datatype's literals
 XSD_LOCAL = {Datatype.STRING: "string", Datatype.DECIMAL: "decimal",
              Datatype.DATETIME: "dateTime", Datatype.INT: "int"}
@@ -67,7 +79,7 @@ def read_value_node(g: Graph, node: Iri, kind: ValueKind, table: NamespaceTable)
     One look at the node: every field comes from one `Graph.edges` view.
     The value is what `_add_value` wrote the node from.
     """
-    view = g.edges(node)
+    view = edge_view(g, node)
     problems: list[str] = []
     fields: dict[str, object] = {}
     for local, attr, dt in kind.fields:
@@ -124,12 +136,13 @@ def read_content(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceTab
     matching value node, or a malformed reference.
 
     The statement node and each reference node are looked at once, through
-    `edges` (`g.edges` by default); each value node is read through
+    `edges` (`edge_view` on `g` by default); each value node is read through
     `value_of` (`read_value_node` on `g` by default). A caller that has
     already read some of these nodes passes memoised readers.
     """
     if edges is None:
-        edges = g.edges
+        def edges(n: Iri) -> EdgeView:
+            return edge_view(g, n)
     if value_of is None:
         def value_of(vnode: Iri, kind: ValueKind) -> NodeValue:
             return read_value_node(g, vnode, kind, table)

@@ -359,12 +359,13 @@ def test_the_first_fault_in_a_line_is_reported_once(line_2, message):
 
 
 def test_repeated_iri_text_is_one_object_within_a_parse_only():
+    # the stored terms: a view is built afresh on each read
     text = ('<http://x.example/s> <http://x.example/p> <http://x.example/o> .\n'
             '<http://x.example/s> <http://x.example/p> "x"^^<http://x.example/o> .\n')
-    b, a = sorted(parse_ntriples(text), key=render_triple)   # the literal line sorts first
-    assert a.s is b.s and a.p is b.p and b.o.datatype is a.o
-    again = {id(term) for t in parse_ntriples(text) for term in (t.s, t.p)}
-    assert not again & {id(a.s), id(a.p)}
+    b, a = sorted(parse_ntriples(text)._triples, key=render_triple)   # the literal sorts first
+    assert a[0] is b[0] and a[1] is b[1] and b[2][1] is a[2]
+    again = {id(term) for t in parse_ntriples(text)._triples for term in t[:2]}
+    assert not again & {id(a[0]), id(a[1])}
 
 
 def test_escaped_and_plain_iri_spellings_are_one_term():
@@ -415,6 +416,31 @@ def test_parse_rejects_language_tags_and_junk():
         parse_ntriples('<http://x.example/s> <http://x.example/p> "v"\n')  # missing dot
 
 
+# N-Triples whitespace is space and tab; no other space or break separates terms
+_NOT_NT_WHITESPACE = ["\x0b", "\x0c", "\x85", "\xa0", "\u2003", "\u3000"]
+_WHITESPACE_PLACES = {
+    "between terms": "<http://x.example/s>{}<http://x.example/p> <http://x.example/o> .",
+    "before the dot": '<http://x.example/s> <http://x.example/p> "v"{}.',
+    "at the end": "<http://x.example/s> <http://x.example/p> <http://x.example/o> .{}",
+}
+
+
+@pytest.mark.parametrize("place", _WHITESPACE_PLACES)
+@pytest.mark.parametrize("char", _NOT_NT_WHITESPACE)
+def test_only_space_and_tab_are_whitespace(place, char):
+    line = _WHITESPACE_PLACES[place].format(char)
+    with pytest.raises(NtSyntaxError) as info:
+        parse_ntriples(_LINE_1 + line + "\n")
+    assert info.value.line == 2
+    assert str(info.value) == f"line 2: cannot parse triple: {line!r}"
+    assert len(parse_ntriples(_LINE_1 + _WHITESPACE_PLACES[place].format(" \t") + "\n")) == 2
+
+
+def test_crlf_lines_read_as_lf_lines():
+    text = _LINE_1 + '<http://x.example/s> <http://x.example/p> "y" .\n'
+    assert parse_ntriples(text.replace("\n", "\r\n")) == parse_ntriples(text)
+
+
 def test_render_triple():
     assert render_triple(Triple(S, P, Literal("v"))) == \
         '<http://x.example/s> <http://x.example/p> "v" .'
@@ -422,13 +448,15 @@ def test_render_triple():
 
 # The line patterns as they stood before the IRIREF class was spelled
 # positively and the literal body unrolled, frozen as the reference the
-# reader's patterns must agree with.
+# reader's patterns must agree with. Terms are separated by N-Triples
+# whitespace, `[ \t]`: the reference once had `\s`, which also takes
+# U+000B, U+000C, U+0085, U+00A0, U+2003, U+3000 and the like.
 _REFERENCE_TRIPLE_RE = re.compile(
-    r'^<([^\x00-\x20<>"{}|^`]*)>\s+<([^\x00-\x20<>"{}|^`]*)>\s+'
+    r'^<([^\x00-\x20<>"{}|^`]*)>[ \t]+<([^\x00-\x20<>"{}|^`]*)>[ \t]+'
     r'(?:<([^\x00-\x20<>"{}|^`]*)>|"((?:[^"\\]|\\.)*)"'
-    r'(?:\^\^<([^\x00-\x20<>"{}|^`]*)>|@([A-Za-z0-9-]+))?)\s*\.\s*$')
+    r'(?:\^\^<([^\x00-\x20<>"{}|^`]*)>|@([A-Za-z0-9-]+))?)[ \t]*\.[ \t]*$')
 _REFERENCE_BLANK_NODE_RE = re.compile(
-    r'^(?:_:|<([^\x00-\x20<>"{}|^`]*)>\s+<([^\x00-\x20<>"{}|^`]*)>\s+_:)')
+    r'^(?:_:|<([^\x00-\x20<>"{}|^`]*)>[ \t]+<([^\x00-\x20<>"{}|^`]*)>[ \t]+_:)')
 
 # characters the patterns treat specially, plus ordinary ones either side of them
 _FUZZ_ALPHABET = ['<', '>', '"', '\\', '^', '@', '{', '}', '|', ' ', '\t', '\ud800',
@@ -475,8 +503,10 @@ def test_line_patterns_agree_with_the_frozen_reference(seed):
 
 def _brute_index(triples, i):
     # by s (0) or by p (1); patterns that bind only o are covered by
-    # test_match_agrees_with_a_full_scan
-    return {term: sorted(t for t in triples if t[i] == term) for term in {t[i] for t in triples}}
+    # test_match_agrees_with_a_full_scan. An IRI and a literal do not order
+    # against each other, so each bucket is sorted on its rendered text.
+    return {term: sorted((t for t in triples if t[i] == term), key=render_triple)
+            for term in {t[i] for t in triples}}
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -495,7 +525,8 @@ def test_indexes_equal_a_brute_force_build(seed):
             triples.discard(t)
         for i in (0, 1):
             for _ in range(rng.randrange(3)):
-                built = {term: sorted(hits) for term, hits in g._index(i).items()}
+                built = {term: sorted(hits, key=render_triple)
+                         for term, hits in g._index(i).items()}
                 assert built == _brute_index(triples, i)
         if rng.randrange(2):
             assert g.predicates() == {t.p for t in triples}
@@ -512,9 +543,9 @@ def test_repeated_literal_text_is_one_object_within_a_parse_only():
             '<http://x.example/o> <http://x.example/p> "a\\tb" .\n'
             '<http://x.example/s> <http://x.example/p> "a\\tb"^^<http://x.example/o> .\n')
     by_s = {}
-    for t in parse_ntriples(text):
-        by_s.setdefault(t.s, []).append(t.o)
+    for s, _, o in parse_ntriples(text)._triples:      # the stored terms
+        by_s.setdefault(s, []).append(o)
     (plain, typed), (other,) = sorted(by_s[S], key=render_term), by_s[O]
     assert plain == Literal("a\tb") and typed == Literal("a\tb", O)
-    assert plain is other and type(plain) is Literal
-    assert not any(t.o is plain for t in parse_ntriples(text))
+    assert plain is other and type(plain) is tuple
+    assert not any(t[2] is plain for t in parse_ntriples(text)._triples)
