@@ -1,16 +1,21 @@
 """Schema (.wbs) and instance (.wbi) document parsing and printing.
 
 Both grammars are line-oriented block languages with `#` comments.
-Parsing is a single recursive descent over a shared token stream;
-semantic checks (declared classes, unique names, feature flags) run
-after the syntactic pass so declaration order never matters. The
-printer emits one canonical layout, so print(parse(print(x))) is a
-fixpoint byte-for-byte.
+Parsing is a single recursive descent over the token texts that one
+C-level scan gives (`_texts`), with no position kept per token; a
+fault's line and column are worked out, by `tokenize`, only once a
+parse fails. Semantic checks (declared classes, unique names, feature
+flags) run after the syntactic pass so declaration order never
+matters. The printer emits one canonical layout, so
+print(parse(print(x))) is a fixpoint byte-for-byte.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
+from typing import TypeVar
+
 from .errors import (
     DslSyntaxError,
     DuplicateDeclarationError,
@@ -51,19 +56,16 @@ from .namespaces import DEFAULT_ROOT, LONE_SURROGATE, WB_ITEM, Iri, NamespaceTab
 ITEM_QUALIFIER_FLAG = "allow-item-qualifiers"
 KNOWN_FLAGS = (ITEM_QUALIFIER_FLAG,)
 
+_Doc = TypeVar("_Doc", SchemaDocument, InstanceDoc)
+
 
 # tokenizer ---------------------------------------------------------------
 
-# A token is a plain `(kind, text, line, col)` tuple, which the collector
-# stops tracking at its first pass: kind is one of IRIREF CURIE IDENT STRING
-# DATETIME DECIMAL INT PUNCT EOF, and the parser reads `tok[0]` for the kind,
-# `tok[1]` for the text and `tok[2:]` for the position.
+# A token is a plain `(kind, text, line, col)` tuple: kind is one of IRIREF
+# CURIE IDENT STRING DATETIME DECIMAL INT PUNCT EOF. `tokenize` is the one
+# definition of a token's position. The parsers read token texts alone and
+# work out a position only for a fault, from `tokenize`.
 Token = tuple[str, str, int, int]
-
-
-def _syntax_error(tok: Token, what: str) -> DslSyntaxError:
-    """A parse error at `tok`'s line and column."""
-    return DslSyntaxError(tok[2], tok[3], what)
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_-]*"
@@ -90,6 +92,13 @@ _TOKEN_PATTERNS = (
 _SPACES = " \t\r"
 _TOKEN_RE = re.compile(
     f"[{_SPACES}]*(?:" + "|".join(f"(?P<{group}>{rx})" for group, rx in _TOKEN_PATTERNS) + ")")
+# The same tiling with newlines among the leading spaces, and the token
+# alternatives in one group, so a comment's match gives "" to `findall`.
+# No token holds a raw newline.
+_TEXT_RE = re.compile(
+    r"[ \t\r\n]*(?:#[^\n]*|("
+    + "|".join(rx for group, rx in _TOKEN_PATTERNS if group not in ("NEWLINE", "COMMENT"))
+    + "))")
 
 _STRING_UNESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 _STRING_ESCAPE = re.compile(r"\\(.)")
@@ -122,85 +131,162 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-def _decode_string(tok: Token) -> str:
-    body = tok[1][1:-1]
+def _texts(text: str) -> list[str]:
+    """The token texts of `text`, ending in EOF's "", in one scan in C.
+
+    Where `tokenize` raises no error they are its tokens' texts; where it
+    does, a bad character is a text of its own, of kind ERROR. Like
+    `tokenize`, the scan stops before the trailing spaces and newlines.
+    """
+    texts = list(filter(None, _TEXT_RE.findall(text, 0, len(text.rstrip(" \t\r\n")))))
+    texts.append("")
+    return texts
+
+
+class _Fault(WbforgeError):
+    """A syntax fault, `(token index, what was expected)`, not yet given a position."""
+
+
+_NAME_KINDS = ("CURIE", "IRIREF")
+_CURIE = ("CURIE",)
+
+
+class _Stream:
+    """A parse's token texts, read in order, and what it works out from them.
+
+    A text's kind depends on the text alone, so keywords and punctuation
+    are checked by text, and `kinds` keeps each distinct text's kind once
+    `kind_at` has given it for one token index. Each name resolves once
+    under the current table: a prefix declaration, which replaces the
+    table, starts the name memos afresh. A fault is a `_Fault` at a token
+    index; `_parse` gives it its line and column.
+    """
+
+    def __init__(self, texts: list[str], table: NamespaceTable,
+                 kind_at: Callable[[int], str]) -> None:
+        self.texts = texts
+        self.pos = 0
+        self.kind_at = kind_at
+        self.kinds = {"": "EOF"}          # "" matches no token pattern
+        self.use(table)
+
+    def use(self, table: NamespaceTable) -> None:
+        self.table = table
+        self.names: dict[str, tuple[str, Iri]] = {}     # text -> (kind, IRI)
+        self.locals: dict[str, str] = {}                # CURIE text -> local name
+
+    def peek(self) -> str:
+        return self.texts[self.pos]
+
+    def next(self) -> int:
+        """The index of the next token, stepped over even at EOF: a caller
+        that may be there checks the token before it reads on."""
+        self.pos += 1
+        return self.pos - 1
+
+    def at(self, *words: str) -> bool:
+        return self.texts[self.pos] in words
+
+    def accept(self, word: str) -> bool:
+        """Step over `word` if it comes next."""
+        if self.texts[self.pos] == word:
+            self.pos += 1
+            return True
+        return False
+
+    def error(self, what: str) -> _Fault:
+        return _Fault(self.pos, what)
+
+    def expect(self, kinds: tuple[str, ...], what: str) -> int:
+        """The index of the next token, which must have a kind in `kinds`."""
+        i = self.pos
+        text = self.texts[i]
+        kind = self.kinds.get(text)
+        if kind is None:
+            kind = self.kinds[text] = self.kind_at(i)
+        if kind not in kinds:
+            raise _Fault(i, what)
+        self.pos = i + 1          # never EOF: no caller expects it
+        return i
+
+    def expect_word(self, word: str) -> None:
+        if self.texts[self.pos] != word:
+            raise self.error(f"'{word}'")
+        self.pos += 1
+
+    def iri(self, i: int) -> Iri:
+        """The IRI of the name at `i`, whose kind has been checked."""
+        text = self.texts[i]
+        hit = self.names.get(text)
+        if hit is None:
+            try:
+                iri = expand_iri(text, self.table)
+            except WbforgeError as exc:
+                raise _Fault(i, f"a resolvable name ({exc})") from None
+            hit = self.names[text] = (self.kinds[text], iri)
+        return hit[1]
+
+    def name(self, what: str, kinds: tuple[str, ...] = _NAME_KINDS) -> Iri:
+        """The IRI of the next token, a name of a kind in `kinds`."""
+        hit = self.names.get(self.texts[self.pos])
+        if hit is None or hit[0] not in kinds:
+            return self.iri(self.expect(kinds, what))
+        self.pos += 1
+        return hit[1]
+
+    def local_name(self, i: int) -> str:
+        """The local name of the CURIE at `i`, whose kind has been checked."""
+        text = self.texts[i]
+        local = self.locals.get(text)
+        if local is None:
+            local = self.locals[text] = self.iri(i).local_name
+        return local
+
+
+def _parse(parse: Callable[[_Stream], _Doc], texts: list[str], kind_at: Callable[[int], str],
+           root: str, tokens: Callable[[], list[Token]]) -> _Doc:
+    """`parse` over `texts`, whose kinds `kind_at` gives by token index,
+    with a fault placed at its token's position.
+
+    `tokens()` runs on every fault, before it is raised: a bad character
+    raises there, so it is reported ahead of any other fault, as when the
+    text was tokenized before parsing.
+    """
+    try:
+        return parse(_Stream(texts, NamespaceTable(root), kind_at))
+    except WbforgeError as exc:
+        fault = exc
+    placed = tokens()
+    if type(fault) is _Fault:
+        i, what = fault.args
+        raise DslSyntaxError(placed[i][2], placed[i][3], what)
+    raise fault
+
+
+def _decode_string(ts: _Stream, i: int) -> str:
+    body = ts.texts[i][1:-1]
     if LONE_SURROGATE.search(body):
-        raise _syntax_error(tok, "a string without lone surrogates")
+        raise _Fault(i, "a string without lone surrogates")
 
     def unescape(m: re.Match[str]) -> str:
         try:
             return _STRING_UNESCAPES[m.group(1)]
         except KeyError:
-            raise _syntax_error(tok, f"a valid escape (found \\{m.group(1)})") from None
+            raise _Fault(i, f"a valid escape (found \\{m.group(1)})") from None
     return _STRING_ESCAPE.sub(unescape, body)
 
 
-_NAME_KINDS = ("CURIE", "IRIREF")
-_CURIE = ("CURIE",)
-_WORD = ("IDENT", "PUNCT")
-
-
-class _Stream:
-    """Keyword and punctuation texts belong to one token kind each, so
-    `at` and `accept` compare the text alone."""
-
-    def __init__(self, tokens: list[Token]) -> None:
-        self._tokens = tokens
-        self._pos = 0
-
-    def peek(self) -> Token:
-        return self._tokens[self._pos]
-
-    def next(self) -> Token:
-        tok = self._tokens[self._pos]
-        if tok[0] != "EOF":
-            self._pos += 1
-        return tok
-
-    def at(self, *words: str) -> bool:
-        return self._tokens[self._pos][1] in words
-
-    def accept(self, word: str) -> bool:
-        """Step over `word` if it comes next."""
-        if self._tokens[self._pos][1] == word:
-            self._pos += 1
-            return True
-        return False
-
-    def error(self, what: str) -> DslSyntaxError:
-        return _syntax_error(self._tokens[self._pos], what)
-
-    def expect(self, kinds: tuple[str, ...], what: str = "", text: str | None = None) -> Token:
-        """The next token, which must have a kind in `kinds` (and the text `text`)."""
-        tok = self._tokens[self._pos]
-        if tok[0] not in kinds or text is not None and tok[1] != text:
-            raise self.error(what or f"'{text}'")
-        self._pos += 1            # never EOF: no caller expects it
-        return tok
-
-
-def _resolve(tok: Token, table: NamespaceTable) -> Iri:
+def _parse_prefix_decl(ts: _Stream) -> None:
+    name = ts.texts[ts.expect(("IDENT",), "a prefix name")]
+    ts.expect_word(":")
+    i = ts.expect(("IRIREF",), "an IRI in angle brackets")
     try:
-        return expand_iri(tok[1], table)
-    except WbforgeError as exc:
-        raise _syntax_error(tok, f"a resolvable name ({exc})") from None
-
-
-def _parse_name(ts: _Stream, table: NamespaceTable, what: str,
-                kinds: tuple[str, ...] = _NAME_KINDS) -> Iri:
-    return _resolve(ts.expect(kinds, what), table)
-
-
-def _parse_prefix_decl(ts: _Stream, table: NamespaceTable) -> NamespaceTable:
-    name = ts.expect(("IDENT",), "a prefix name")
-    ts.expect(_WORD, text=":")
-    iriref = ts.expect(("IRIREF",), "an IRI in angle brackets")
-    try:
-        return table.with_prefix(name[1], iriref[1][1:-1])
+        table = ts.table.with_prefix(name, ts.texts[i][1:-1])
     except DuplicateDeclarationError:
         raise
     except WbforgeError as exc:
-        raise _syntax_error(iriref, f"a valid prefix base ({exc})") from None
+        raise _Fault(i, f"a valid prefix base ({exc})") from None
+    ts.use(table)
 
 
 def _declare(decls: dict, kind: str, key: object, value: object) -> None:
@@ -214,34 +300,32 @@ def _declare(decls: dict, kind: str, key: object, value: object) -> None:
 _DATATYPE_KEYWORDS = {"string": Datatype.STRING, "decimal": Datatype.DECIMAL,
                       "datetime": Datatype.DATETIME}
 
-# (class, name token) for each class a declaration uses, checked at the end
-_ClassRefs = list[tuple[Iri, Token]]
+# (class, name text) for each class a declaration uses, checked at the end
+_ClassRefs = list[tuple[Iri, str]]
 
 
-def _parse_class(ts: _Stream, table: NamespaceTable, class_refs: _ClassRefs) -> Iri:
-    tok = ts.peek()
-    iri = _parse_name(ts, table, "a class name")
-    class_refs.append((iri, tok))
+def _parse_class(ts: _Stream, class_refs: _ClassRefs) -> Iri:
+    text = ts.peek()
+    iri = ts.name("a class name")
+    class_refs.append((iri, text))
     return iri
 
 
-def _parse_type(ts: _Stream, table: NamespaceTable, what: str,
-                class_refs: _ClassRefs) -> ValueType:
+def _parse_type(ts: _Stream, what: str, class_refs: _ClassRefs) -> ValueType:
     """A datatype keyword or `item <class>`."""
-    datatype = _DATATYPE_KEYWORDS.get(ts.peek()[1])
+    datatype = _DATATYPE_KEYWORDS.get(ts.peek())
     if datatype is not None:
         ts.next()
         return ValueType(datatype)
     if ts.accept("item"):
-        return ValueType(item_class=_parse_class(ts, table, class_refs))
+        return ValueType(item_class=_parse_class(ts, class_refs))
     raise ts.error(what)
 
 
-def _parse_statement_decl(ts: _Stream, table: NamespaceTable,
-                          class_refs: _ClassRefs) -> StatementDecl:
-    prop_tok = ts.expect(_CURIE, "a statement property name")
-    prop_iri = _resolve(prop_tok, table)
-    ts.expect(_WORD, text="{")
+def _parse_statement_decl(ts: _Stream, class_refs: _ClassRefs) -> StatementDecl:
+    prop_text = ts.peek()
+    prop_iri = ts.name("a statement property name", _CURIE)
+    ts.expect_word("{")
     subject: Iri | None = None
     object_spec: ValueType | None = None
     qualifiers: dict[str, QualifierDecl] = {}
@@ -251,43 +335,44 @@ def _parse_statement_decl(ts: _Stream, table: NamespaceTable,
     # two faults in one clause, which is reported is observable, so keep it
     while not ts.at("}"):
         if ts.accept("subject"):
-            cls = _parse_class(ts, table, class_refs)
+            cls = _parse_class(ts, class_refs)
             if subject is not None:
-                raise DuplicateDeclarationError(f"subject in statement {prop_tok[1]}")
+                raise DuplicateDeclarationError(f"subject in statement {prop_text}")
             subject = cls
         elif ts.accept("object"):
             if object_spec is not None:
-                raise DuplicateDeclarationError(f"object in statement {prop_tok[1]}")
-            object_spec = _parse_type(ts, table, "an object spec", class_refs)
+                raise DuplicateDeclarationError(f"object in statement {prop_text}")
+            object_spec = _parse_type(ts, "an object spec", class_refs)
         elif ts.accept("qualifier"):
-            name_tok = ts.expect(_CURIE, "a qualifier name")
-            ts.expect(_WORD, text=":")
-            qtype = _parse_type(ts, table, "a qualifier type", class_refs)
-            scoped = ts.at("scoped", "unscoped") and ts.next()[1] == "scoped"
+            name_at = ts.expect(_CURIE, "a qualifier name")
+            ts.expect_word(":")
+            qtype = _parse_type(ts, "a qualifier type", class_refs)
+            scoped = ts.at("scoped", "unscoped") and ts.texts[ts.next()] == "scoped"
             ts.accept("functional")   # accepted and inert: every qualifier is functional
             required = ts.accept("required")
-            name = _resolve(name_tok, table).local_name
+            name = ts.local_name(name_at)
             _declare(qualifiers, "qualifier", name,
                      QualifierDecl(name, qtype, scoped=scoped, required=required))
         elif ts.accept("reference"):
-            name_tok = ts.expect(_CURIE, "a reference name")
-            ts.expect(_WORD, text="->")
-            ts.expect(_WORD, text="item")
-            target = _parse_class(ts, table, class_refs)
+            name_at = ts.expect(_CURIE, "a reference name")
+            ts.expect_word("->")
+            ts.expect_word("item")
+            target = _parse_class(ts, class_refs)
             required = ts.accept("required")
-            name = _resolve(name_tok, table).local_name
+            name = ts.local_name(name_at)
             _declare(references, "reference", name,
                      ReferenceDecl(name, target, required=required))
         elif ts.accept("axioms"):
-            ts.expect(_WORD, text="{")
+            ts.expect_word("{")
             while True:
-                ptok = ts.next()
-                if ptok[1] not in PATTERN_BY_NAME:
-                    raise _syntax_error(ptok, "an axiom pattern name")
-                patterns[PATTERN_BY_NAME[ptok[1]]] = None
+                i = ts.next()
+                pattern = PATTERN_BY_NAME.get(ts.texts[i])
+                if pattern is None:
+                    raise _Fault(i, "an axiom pattern name")
+                patterns[pattern] = None
                 if not ts.accept(","):
                     break
-            ts.expect(_WORD, text="}")
+            ts.expect_word("}")
         else:
             raise ts.error("'subject', 'object', 'qualifier', 'reference', 'axioms' or '}'")
     if subject is None:
@@ -305,28 +390,26 @@ def _parse_statement_decl(ts: _Stream, table: NamespaceTable,
     return decl
 
 
-def parse_schema(text: str, root: str = DEFAULT_ROOT) -> SchemaDocument:
-    ts = _Stream(tokenize(text))
-    table = NamespaceTable(root)
+def _parse_schema(ts: _Stream) -> SchemaDocument:
     flags: dict[str, None] = {}
     classes: dict[Iri, ClassDecl] = {}
     statements: dict[str, StatementDecl] = {}
     class_refs: _ClassRefs = []
-    while ts.peek()[0] != "EOF":
+    while ts.peek():              # EOF's text is ""
         if ts.accept("prefix"):
-            table = _parse_prefix_decl(ts, table)
+            _parse_prefix_decl(ts)
         elif ts.accept("flag"):
-            ftok = ts.expect(("IDENT",), "a feature flag name")
-            if ftok[1] not in KNOWN_FLAGS:
-                raise _syntax_error(ftok, "a known feature flag")
-            _declare(flags, "flag", ftok[1], None)
+            i = ts.expect(("IDENT",), "a feature flag name")
+            if ts.texts[i] not in KNOWN_FLAGS:
+                raise _Fault(i, "a known feature flag")
+            _declare(flags, "flag", ts.texts[i], None)
         elif ts.at("class", "controlled"):
             controlled = ts.accept("controlled")
-            ts.expect(_WORD, text="class")
-            iri = _parse_name(ts, table, "a class name")
+            ts.expect_word("class")
+            iri = ts.name("a class name")
             _declare(classes, "class", iri, ClassDecl(iri, controlled=controlled))
         elif ts.accept("statement"):
-            decl = _parse_statement_decl(ts, table, class_refs)
+            decl = _parse_statement_decl(ts, class_refs)
             _declare(statements, "statement", decl.property_name, decl)
         else:
             raise ts.error("'prefix', 'flag', 'class', 'controlled' or 'statement'")
@@ -334,72 +417,77 @@ def parse_schema(text: str, root: str = DEFAULT_ROOT) -> SchemaDocument:
     if ITEM_QUALIFIER_FLAG not in flags and any(
             q.qtype.item_class is not None for s in statements.values() for q in s.qualifiers):
         raise FeatureDisabledError(ITEM_QUALIFIER_FLAG)
-    for iri, tok in class_refs:
+    for iri, text in class_refs:
         if iri not in classes and iri != WB_ITEM:
-            raise UnknownClassError(tok[1])
-    return SchemaDocument(table, tuple(flags), tuple(classes.values()),
+            raise UnknownClassError(text)
+    return SchemaDocument(ts.table, tuple(flags), tuple(classes.values()),
                           tuple(statements.values()))
+
+
+def parse_schema(text: str, root: str = DEFAULT_ROOT) -> SchemaDocument:
+    tokens = tokenize(text)
+    return _parse(_parse_schema, [tok[1] for tok in tokens], lambda i: tokens[i][0],
+                  root, lambda: tokens)
 
 
 # instance parsing --------------------------------------------------------
 
 def _parse_int(ts: _Stream, what: str) -> int:
-    tok = ts.expect(("INT",), what)
-    value = bounded_int(tok[1])
+    i = ts.expect(("INT",), what)
+    value = bounded_int(ts.texts[i])
     if value is None:
-        raise _syntax_error(tok, f"{what} of at most {MAX_INT_DIGITS} digits")
+        raise _Fault(i, f"{what} of at most {MAX_INT_DIGITS} digits")
     return value
 
 
-def _parse_value(ts: _Stream, table: NamespaceTable) -> Value:
+def _parse_value(ts: _Stream) -> Value:
     if ts.accept("item"):
-        return ItemRef(_parse_name(ts, table, "an item name"))
+        return ItemRef(ts.name("an item name"))
     if ts.accept("string"):
-        return StringValue(_decode_string(ts.expect(("STRING",), "a quoted string")))
+        return StringValue(_decode_string(ts, ts.expect(("STRING",), "a quoted string")))
     if ts.accept("decimal"):
         num = ts.expect(("DECIMAL", "INT"), "a decimal amount")
-        unit = (_parse_name(ts, table, "a unit item", _CURIE) if ts.accept("unit")
-                else table.term("wd", "One"))
+        unit = (ts.name("a unit item", _CURIE) if ts.accept("unit")
+                else ts.table.term("wd", "One"))
         try:
-            return DecimalValue(num[1], unit)
+            return DecimalValue(ts.texts[num], unit)
         except MalformedValueError:
-            raise _syntax_error(num, "a canonical decimal (no leading/trailing zeros)") from None
+            raise _Fault(num, "a canonical decimal (no leading/trailing zeros)") from None
     if ts.accept("datetime"):
-        dtok = ts.expect(("DATETIME",), "an ISO dateTime like 2009-01-01T00:00:00Z")
+        iso = ts.texts[ts.expect(("DATETIME",), "an ISO dateTime like 2009-01-01T00:00:00Z")]
         precision = (_parse_int(ts, "a precision integer")
                      if ts.accept("precision") else DEFAULT_PRECISION)
         tz = (_parse_int(ts, "a timezone offset in minutes")
               if ts.accept("tz") else DEFAULT_TIMEZONE)
-        calendar = (_parse_name(ts, table, "a calendar item", _CURIE) if ts.accept("calendar")
-                    else table.term("wd", "ProlepticGregorian"))
-        return DateTimeValue(dtok[1], precision, tz, calendar)
+        calendar = (ts.name("a calendar item", _CURIE) if ts.accept("calendar")
+                    else ts.table.term("wd", "ProlepticGregorian"))
+        return DateTimeValue(iso, precision, tz, calendar)
     raise ts.error("'item', 'string', 'decimal' or 'datetime'")
 
 
-def _parse_statement_data(ts: _Stream, table: NamespaceTable) -> StatementData:
-    prop = _parse_name(ts, table, "a statement property name", _CURIE).local_name
-    ts.expect(_WORD, text="->")
-    value = _parse_value(ts, table)
+def _parse_statement_data(ts: _Stream) -> StatementData:
+    prop = ts.local_name(ts.expect(_CURIE, "a statement property name"))
+    ts.expect_word("->")
+    value = _parse_value(ts)
     qualifiers: list[QualifierData] = []
     references: list[RefData] = []
     # as in a schema, a qualifier or snak name resolves after the rest of its clause
     if ts.accept("{"):
         while not ts.accept("}"):
             if ts.accept("qualifier"):
-                name_tok = ts.expect(_CURIE, "a qualifier name")
-                ts.expect(_WORD, text="=")
-                qvalue = _parse_value(ts, table)
-                qualifiers.append(QualifierData(_resolve(name_tok, table).local_name, qvalue))
+                name_at = ts.expect(_CURIE, "a qualifier name")
+                ts.expect_word("=")
+                qvalue = _parse_value(ts)
+                qualifiers.append(QualifierData(ts.local_name(name_at), qvalue))
             elif ts.accept("reference"):
-                ts.expect(_WORD, text="{")
+                ts.expect_word("{")
                 snaks: list[SnakData] = []
                 while not ts.at("}"):
-                    snak_tok = ts.expect(_CURIE, "a reference property name")
-                    ts.expect(_WORD, text="->")
-                    ts.expect(_WORD, text="item")
-                    target_tok = ts.expect(_NAME_KINDS, "an item name")
-                    snaks.append(SnakData(_resolve(snak_tok, table).local_name,
-                                          _resolve(target_tok, table)))
+                    snak_at = ts.expect(_CURIE, "a reference property name")
+                    ts.expect_word("->")
+                    ts.expect_word("item")
+                    target_at = ts.expect(_NAME_KINDS, "an item name")
+                    snaks.append(SnakData(ts.local_name(snak_at), ts.iri(target_at)))
                 if not snaks:
                     raise ts.error("at least one snak")
                 ts.next()
@@ -409,25 +497,30 @@ def _parse_statement_data(ts: _Stream, table: NamespaceTable) -> StatementData:
     return StatementData(prop, value, tuple(qualifiers), tuple(references))
 
 
-def parse_instances(text: str, root: str = DEFAULT_ROOT) -> InstanceDoc:
-    ts = _Stream(tokenize(text))
-    table = NamespaceTable(root)
+def _parse_instances(ts: _Stream) -> InstanceDoc:
     items: dict[Iri, ItemData] = {}
-    while ts.peek()[0] != "EOF":
+    while ts.peek():              # EOF's text is ""
         if ts.accept("prefix"):
-            table = _parse_prefix_decl(ts, table)
+            _parse_prefix_decl(ts)
         elif ts.accept("item"):
-            iri = _parse_name(ts, table, "an item name")
-            ts.expect(_WORD, text=":")
-            type_class = _parse_name(ts, table, "a class name")
-            ts.expect(_WORD, text="{")
+            iri = ts.name("an item name")
+            ts.expect_word(":")
+            type_class = ts.name("a class name")
+            ts.expect_word("{")
             statements: list[StatementData] = []
             while not ts.accept("}"):
-                statements.append(_parse_statement_data(ts, table))
+                statements.append(_parse_statement_data(ts))
             _declare(items, "item", iri, ItemData(iri, type_class, tuple(statements)))
         else:
             raise ts.error("'prefix' or 'item'")
-    return InstanceDoc(table, tuple(items.values()))
+    return InstanceDoc(ts.table, tuple(items.values()))
+
+
+def parse_instances(text: str, root: str = DEFAULT_ROOT) -> InstanceDoc:
+    texts = _texts(text)
+    # a text's kind is that of its match alone, in place of a kind per token
+    return _parse(_parse_instances, texts, lambda i: _TOKEN_RE.match(texts[i]).lastgroup,
+                  root, lambda: tokenize(text))
 
 
 # printing ----------------------------------------------------------------

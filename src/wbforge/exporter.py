@@ -10,6 +10,7 @@ exported triple set is byte-deterministic under canonical ordering.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from collections.abc import Callable, Iterable
 from operator import attrgetter
 from typing import NamedTuple
@@ -88,9 +89,17 @@ class PreimageHeads(NamedTuple):
             LineHeads(table.base("pr"), "{}|"))
 
 
+# by the `id` of a live table, whose dataclass hash would walk its fields
+_HEADS: dict[int, PreimageHeads] = {}
+
+
 def preimage_heads(table: NamespaceTable) -> PreimageHeads:
-    """`table`'s `PreimageHeads`, built on the first call and kept with the table."""
-    return table.derived(PreimageHeads.build)
+    """`table`'s `PreimageHeads`, built on the first call and dropped with the table."""
+    heads = _HEADS.get(id(table))
+    if heads is None:
+        heads = _HEADS[id(table)] = PreimageHeads.build(table)
+        weakref.finalize(table, _HEADS.pop, id(table), None)
+    return heads
 
 
 def canonical_value(value: Value | ReadValue) -> str:
@@ -160,7 +169,7 @@ def statement_hash(subject: str, stmt: StatementData | StatementContent,
 
 
 # Each node kind's name is minted by one function, which checks it and gives
-# the exact `str` a graph stores; the public `*_node` functions type it.
+# the exact `str` a graph stores; `statement_node` and `value_node` type theirs.
 
 def statement_node(subject: Iri, stmt: StatementData, table: NamespaceTable) -> Iri:
     return Iri(_statement_name(subject, statement_hash(subject, stmt, table), table))
@@ -187,10 +196,6 @@ def reference_hash(ref: RefData, table: NamespaceTable) -> str:
     r_head = preimage_heads(table).r_head
     return _sha40("".join(sorted(f"R|{_snak_text(r_head, s.name, s.target)}\n"
                                  for s in ref.snaks)))
-
-
-def reference_node(ref: RefData, stmt_hash: str, table: NamespaceTable) -> Iri:
-    return Iri(_reference_name(ref, stmt_hash, table))
 
 
 def _reference_name(ref: RefData, stmt_hash: str, table: NamespaceTable) -> str:

@@ -9,9 +9,7 @@ single root so the whole pipeline can be rebased with one switch.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TypeVar
 
 from .errors import DuplicateDeclarationError, UnknownPrefixError, WbforgeError
 
@@ -63,9 +61,6 @@ _IRI_ASCII = "".join(re.escape(c) for c in map(chr, range(0x80))
                      if not re.match(rf'[{IRI_EXCLUDED}\\]', c))
 _is_iri = re.compile(
     rf'[A-Za-z][A-Za-z0-9+.-]*:[{_IRI_ASCII}\x80-\ud7ff\ue000-\U0010ffff]*').fullmatch
-
-
-T = TypeVar("T")
 
 
 def iri_text(text: str) -> str:
@@ -148,7 +143,6 @@ class NamespaceTable:
     _curies: dict[str, str | None] = field(init=False, repr=False, compare=False)
     # base -> its first prefix, built on the first `curie` miss
     _prefix_of_base: dict[str, str] = field(init=False, repr=False, compare=False)
-    _derived: dict[Callable, object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bases = _fixed_bindings(self.root)
@@ -164,7 +158,6 @@ class NamespaceTable:
         object.__setattr__(self, "_terms", {})
         object.__setattr__(self, "_curies", {})
         object.__setattr__(self, "_prefix_of_base", {})
-        object.__setattr__(self, "_derived", {})
 
     def with_prefix(self, prefix: str, base: str) -> NamespaceTable:
         return NamespaceTable(self.root, self.user + ((prefix, base),))
@@ -187,19 +180,6 @@ class NamespaceTable:
         if iri is None:
             iri = self._terms[prefix, local] = Iri(self.base(prefix) + local)
         return iri
-
-    def derived(self, build: Callable[[NamespaceTable], T]) -> T:
-        """`build(self)`, worked out once per table and kept with it.
-
-        For what the layers above work out from the root-relative bases,
-        such as the hash preimage line heads; like the other memos it
-        takes no part in equality.
-        """
-        try:
-            return self._derived[build]
-        except KeyError:
-            value = self._derived[build] = build(self)
-            return value
 
     def prefixes(self) -> list[tuple[str, str]]:
         """All bindings, fixed first in canonical order, then user order."""

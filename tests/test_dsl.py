@@ -1,11 +1,15 @@
 """Schema/instance DSL: parsing, canonical printing, error reporting."""
 
 import random
+import time
 
 import pytest
 
+import dsl_corpus
 from generators import random_schema
-from wbforge.dsl import parse_instances, parse_schema, print_schema
+from test_tokenizer import EDGE_CASES
+from wbforge import dsl
+from wbforge.dsl import parse_instances, parse_schema, print_schema, tokenize
 from wbforge.errors import (
     DslSyntaxError,
     DuplicateDeclarationError,
@@ -378,3 +382,73 @@ def test_a_non_ascii_digit_is_a_syntax_error_at_its_position(old, new, zero):
         parse_instances(edited)
     assert (info.value.line, info.value.col) == (line_no, line.index(old) + mark + 1)
     assert info.value.expected == f"a token (found {digit!r})"
+
+
+# The parsers read token texts from one scan and place a fault only once it
+# is raised, by tokenizing the source; these pin what that must keep.
+
+def test_a_statement_property_name_resolves_before_its_value():
+    with pytest.raises(DslSyntaxError) as info:
+        parse_instances("item wd:a : wd:C {\n  zz:p -> decimal 01.0\n}")
+    assert str(info.value) == "line 2, col 3: expected a resolvable name (unknown prefix 'zz')"
+
+
+@pytest.mark.parametrize("clause, fault", [
+    ("qualifier zz:q = decimal 01.0",
+     "line 3, col 30: expected a canonical decimal (no leading/trailing zeros)"),
+    ("reference { zz:r -> item 7 }", "line 3, col 30: expected an item name"),
+])
+def test_a_qualifier_or_snak_name_resolves_after_the_rest_of_its_clause(clause, fault):
+    with pytest.raises(DslSyntaxError) as info:
+        parse_instances(f"item wd:a : wd:C {{\n  wd:p -> item wd:b {{\n    {clause}\n  }}\n}}")
+    assert str(info.value) == fault
+
+
+def test_a_memoised_name_still_checks_the_kinds_its_place_takes():
+    # `<...>` resolves as an item name first; as a unit it must still be refused
+    text = "item <http://x.example/u> : wd:C {\n  wd:p -> decimal 1 unit <http://x.example/u>\n}"
+    with pytest.raises(DslSyntaxError) as info:
+        parse_instances(text)
+    assert str(info.value) == "line 2, col 26: expected a unit item"
+    assert parse_instances(text.replace("unit <http://x.example/u>", "unit wd:u")).items
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_instances, "item wd:a : wd:C { }\nitem wd:a : wd:C { }\n  wd:b @"),
+    (parse_instances, "item zz:a : wd:C { }\n\n  wd:b @"),
+    (parse_schema, "class wd:C\nclass wd:C\n  wd:b @"),
+    (parse_schema, "class zz:C\n\n  wd:b @"),
+])
+def test_a_bad_character_is_reported_ahead_of_an_earlier_fault(parse, text):
+    with pytest.raises(DslSyntaxError) as info:
+        parse(text)
+    assert str(info.value) == "line 3, col 8: expected a token (found '@')"
+    with pytest.raises(DslSyntaxError) as info:
+        parse(text, root="http://x y/")      # an invalid root is a fault too
+    assert str(info.value) == "line 3, col 8: expected a token (found '@')"
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_schema, SCHEMA),
+    (parse_instances, fixture_path("age-record", "wbi").read_text(encoding="utf-8")),
+])
+@pytest.mark.parametrize("tail", [" " * 10_000, "# note\n" * 10_000],
+                         ids=["spaces", "comment-lines"])
+def test_a_long_blank_or_comment_tail_takes_linear_time(parse, text, tail):
+    # a scan that tried a match at each trailing space would take seconds here
+    started = time.perf_counter()
+    assert parse(text + tail) == parse(text)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_the_text_scan_gives_the_token_texts():
+    """On every DSL corpus text, and each of the tokenizer's edge cases:
+    the texts of `tokenize`'s tokens, or, where it raises, a bad character."""
+    for text in [text for _, text in dsl_corpus.texts()] + EDGE_CASES:
+        texts = dsl._texts(text)
+        try:
+            tokens = tokenize(text)
+        except DslSyntaxError:
+            assert "ERROR" in {dsl._TOKEN_RE.match(t).lastgroup for t in texts[:-1]}
+        else:
+            assert texts == [tok[1] for tok in tokens], repr(text)

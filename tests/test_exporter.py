@@ -17,13 +17,13 @@ from wbforge.errors import (
 )
 from wbforge.axioms import schema_axioms
 from wbforge.expander import expand, expansion_report
+from wbforge import exporter
 from wbforge.exporter import (
     canonical_content,
     canonical_value,
     export,
     preimage_heads,
     reference_hash,
-    reference_node,
     statement_hash,
     statement_node,
     value_hash,
@@ -80,6 +80,11 @@ EMPLOYEE = Iri(WD + "employee0")
 JOB = ItemRef(Iri(WD + "job0"))
 AT_TIME = QualifierData("atTime", DateTimeValue("2001-01-01T00:00:00Z"))
 TAX_REF = RefData((SnakData("taxRecord", Iri(WD + "doc1")),))
+
+
+def reference_node(ref: RefData, stmt_hash: str, table: NamespaceTable) -> Iri:
+    """The node export names for `ref` under the statement whose hash is `stmt_hash`."""
+    return Iri(exporter._reference_name(ref, stmt_hash, table))
 
 
 def test_frozen_statement_hashes():
@@ -583,6 +588,13 @@ def test_preimage_heads_move_with_the_root_and_are_kept_per_table():
     assert heads.p_line["hasJob"] == "P|http://other.example/prop/direct/hasJob"
     assert heads.q_head["atTime"] == "Q|http://other.example/prop/qualifier/atTime|"
     assert heads.r_head["taxRecord"] == "http://other.example/prop/reference/taxRecord|"
+
+
+def test_preimage_heads_are_dropped_with_their_table():
+    kept = len(exporter._HEADS)
+    for _ in range(50):
+        preimage_heads(NamespaceTable("http://other.example/"))
+    assert len(exporter._HEADS) == kept
 
 
 def test_property_name_is_kept_without_touching_equality():
