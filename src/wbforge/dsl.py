@@ -1,13 +1,13 @@
 """Schema (.wbs) and instance (.wbi) document parsing and printing.
 
-Both grammars are line-oriented block languages with `#` comments.
-Parsing is a single recursive descent over the token texts that one
-C-level scan gives (`_texts`), with no position kept per token; a
-fault's line and column are worked out, by `tokenize`, only once a
-parse fails. Semantic checks (declared classes, unique names, feature
-flags) run after the syntactic pass so declaration order never
-matters. The printer emits one canonical layout, so
-print(parse(print(x))) is a fixpoint byte-for-byte.
+Both grammars are line-oriented block languages with `#` comments, read
+by one recursive descent over token texts alone: an instance file's
+come from one C-level scan (`_texts`), a schema's from `tokenize`. A
+token's kind is worked out from its text, and a fault's line and column,
+by `tokenize`, only once a parse fails. Semantic checks (declared
+classes, unique names, feature flags) run after the syntactic pass so
+declaration order never matters. The printer emits one canonical
+layout, so print(parse(print(x))) is a fixpoint byte-for-byte.
 """
 
 from __future__ import annotations
@@ -155,23 +155,19 @@ class _Stream:
     """A parse's token texts, read in order, and what it works out from them.
 
     A text's kind depends on the text alone, so keywords and punctuation
-    are checked by text, and `kinds` keeps each distinct text's kind once
-    `kind_at` has given it for one token index. Each name resolves once
-    under the current table: a prefix declaration, which replaces the
-    table, starts the name memos afresh. A fault is a `_Fault` at a token
-    index; `_parse` gives it its line and column.
+    are checked by text, and `kinds` keeps each distinct text's kind, its
+    `_TOKEN_RE` match, once `expect` has needed it. Each name resolves once
+    per parse: a prefix declaration only adds a binding, never rebinds one,
+    and a name that fails to resolve ends the parse, so a memo hit is the
+    IRI under every later table. A fault is a `_Fault` at a token index;
+    `_parse` gives it its line and column.
     """
 
-    def __init__(self, texts: list[str], table: NamespaceTable,
-                 kind_at: Callable[[int], str]) -> None:
+    def __init__(self, texts: list[str], table: NamespaceTable) -> None:
         self.texts = texts
         self.pos = 0
-        self.kind_at = kind_at
-        self.kinds = {"": "EOF"}          # "" matches no token pattern
-        self.use(table)
-
-    def use(self, table: NamespaceTable) -> None:
         self.table = table
+        self.kinds = {"": "EOF"}          # "" matches no token pattern
         self.names: dict[str, tuple[str, Iri]] = {}     # text -> (kind, IRI)
         self.locals: dict[str, str] = {}                # CURIE text -> local name
 
@@ -203,7 +199,7 @@ class _Stream:
         text = self.texts[i]
         kind = self.kinds.get(text)
         if kind is None:
-            kind = self.kinds[text] = self.kind_at(i)
+            kind = self.kinds[text] = _TOKEN_RE.match(text).lastgroup
         if kind not in kinds:
             raise _Fault(i, what)
         self.pos = i + 1          # never EOF: no caller expects it
@@ -243,20 +239,19 @@ class _Stream:
         return local
 
 
-def _parse(parse: Callable[[_Stream], _Doc], texts: list[str], kind_at: Callable[[int], str],
-           root: str, tokens: Callable[[], list[Token]]) -> _Doc:
-    """`parse` over `texts`, whose kinds `kind_at` gives by token index,
-    with a fault placed at its token's position.
+def _parse(parse: Callable[[_Stream], _Doc], texts: list[str], text: str, root: str) -> _Doc:
+    """`parse` over `texts`, the token texts of `text`, with a fault placed
+    at its token's position.
 
-    `tokens()` runs on every fault, before it is raised: a bad character
-    raises there, so it is reported ahead of any other fault, as when the
-    text was tokenized before parsing.
+    `tokenize(text)` runs on every fault, before it is raised: a bad
+    character raises there, so it is reported ahead of any other fault, as
+    when the text was tokenized before parsing.
     """
     try:
-        return parse(_Stream(texts, NamespaceTable(root), kind_at))
+        return parse(_Stream(texts, NamespaceTable(root)))
     except WbforgeError as exc:
         fault = exc
-    placed = tokens()
+    placed = tokenize(text)
     if type(fault) is _Fault:
         i, what = fault.args
         raise DslSyntaxError(placed[i][2], placed[i][3], what)
@@ -281,12 +276,11 @@ def _parse_prefix_decl(ts: _Stream) -> None:
     ts.expect_word(":")
     i = ts.expect(("IRIREF",), "an IRI in angle brackets")
     try:
-        table = ts.table.with_prefix(name, ts.texts[i][1:-1])
+        ts.table = ts.table.with_prefix(name, ts.texts[i][1:-1])
     except DuplicateDeclarationError:
         raise
     except WbforgeError as exc:
         raise _Fault(i, f"a valid prefix base ({exc})") from None
-    ts.use(table)
 
 
 def _declare(decls: dict, kind: str, key: object, value: object) -> None:
@@ -425,9 +419,7 @@ def _parse_schema(ts: _Stream) -> SchemaDocument:
 
 
 def parse_schema(text: str, root: str = DEFAULT_ROOT) -> SchemaDocument:
-    tokens = tokenize(text)
-    return _parse(_parse_schema, [tok[1] for tok in tokens], lambda i: tokens[i][0],
-                  root, lambda: tokens)
+    return _parse(_parse_schema, [tok[1] for tok in tokenize(text)], text, root)
 
 
 # instance parsing --------------------------------------------------------
@@ -517,10 +509,7 @@ def _parse_instances(ts: _Stream) -> InstanceDoc:
 
 
 def parse_instances(text: str, root: str = DEFAULT_ROOT) -> InstanceDoc:
-    texts = _texts(text)
-    # a text's kind is that of its match alone, in place of a kind per token
-    return _parse(_parse_instances, texts, lambda i: _TOKEN_RE.match(texts[i]).lastgroup,
-                  root, lambda: tokenize(text))
+    return _parse(_parse_instances, _texts(text), text, root)
 
 
 # printing ----------------------------------------------------------------

@@ -177,7 +177,12 @@ def statement_node(subject: Iri, stmt: StatementData, table: NamespaceTable) -> 
 
 def _statement_name(subject: str, stmt_hash: str, table: NamespaceTable) -> str:
     """The statement node's name: the subject's local name and the content hash."""
-    return iri_text(f"{table.base('s')}{local_name(subject)}-{stmt_hash}")
+    return iri_text(statement_name_head(subject, table) + stmt_hash)
+
+
+def statement_name_head(subject: str, table: NamespaceTable) -> str:
+    """What a statement node's name holds before its hash."""
+    return f"{table.base('s')}{local_name(subject)}-"
 
 
 def value_hash(value: DateTimeValue | DecimalValue) -> str:
@@ -192,15 +197,19 @@ def _value_name(value: DateTimeValue | DecimalValue, table: NamespaceTable) -> s
     return iri_text(table.base("v") + value_hash(value))
 
 
-def reference_hash(ref: RefData, table: NamespaceTable) -> str:
+def reference_hash(ref: RefData | Iterable[tuple[str, str]], table: NamespaceTable) -> str:
+    """The snaks' hash: of model data, or of the (name, target) pairs the
+    validator reads back, in any order."""
     r_head = preimage_heads(table).r_head
-    return _sha40("".join(sorted(f"R|{_snak_text(r_head, s.name, s.target)}\n"
-                                 for s in ref.snaks)))
+    snaks = map(_NAME_TARGET, ref.snaks) if type(ref) is RefData else ref
+    return _sha40("".join(sorted(f"R|{_snak_text(r_head, name, target)}\n"
+                                 for name, target in snaks)))
 
 
-def _reference_name(ref: RefData, stmt_hash: str, table: NamespaceTable) -> str:
-    # scoped to the owning statement so provenance stays one-to-one
-    return iri_text(f"{table.base('ref')}{reference_hash(ref, table)}-{stmt_hash[:8]}")
+def reference_name(ref_hash: str, stmt_hash: str, table: NamespaceTable) -> str:
+    """The reference node's name: its snaks' hash, scoped to the owning
+    statement's hash so provenance stays one-to-one."""
+    return iri_text(f"{table.base('ref')}{ref_hash}-{stmt_hash[:8]}")
 
 
 _KIND = {
@@ -378,7 +387,7 @@ def _export_statement(add: Add, texts: _Texts, subject: str, stmt: StatementData
         _add_value(add, texts, node, fam["pq"], fam.get("pqv"), q.value, table)
 
     for ref in stmt.references:
-        rnode = _reference_name(ref, h, table)
+        rnode = reference_name(reference_hash(ref, table), h, table)
         add((node, _DERIVED_FROM, rnode))
         add((rnode, _TYPE, _REFERENCE))
         for snak in ref.snaks:

@@ -21,7 +21,10 @@ from .exporter import (
     HASH_LENGTH,
     ReadValue,
     StatementContent,
+    reference_hash,
+    reference_name,
     statement_hash,
+    statement_name_head,
     value_hash,
 )
 from .model import (
@@ -73,10 +76,8 @@ _CODE_TABLE: dict[str, tuple[str, str, tuple[str, ...]]] = {
 }
 CODES: dict[str, str] = {code: row[0] for code, row in _CODE_TABLE.items()}
 
-# the local part of a content-addressed node name under its base: a statement
-# node's ends in `-` and its hash, a value node's is the hash alone
-_STATEMENT_NAME = re.compile(rf".*-([0-9a-f]{{{HASH_LENGTH}}})", re.DOTALL)
-_VALUE_NAME = re.compile(rf"([0-9a-f]{{{HASH_LENGTH}}})")
+# what follows a content-addressed node name's head: the content hash
+_HASH = re.compile(rf"[0-9a-f]{{{HASH_LENGTH}}}")
 
 # what reading a value node gives: its value, or its field problems
 NodeValue = DateTimeValue | DecimalValue | list[str]
@@ -181,6 +182,9 @@ class _Checker:
         self.by_name: dict[tuple[str, str], str] = {spl: p for p, spl in self.family.items()}
         # every value node read so far, by (node, kind tag), for the whole run
         self.values: dict[tuple[str, str], NodeValue] = {}
+        # the name of each reference node whose statement's content hashed:
+        # its snaks as read, scoped by the hash the statement's name carries
+        self.ref_node_names: dict[str, str] = {}
 
     def add(self, code: str, focus: str, detail: str) -> None:
         self.findings.add(Finding(code, focus, detail, CODES[code]))
@@ -328,7 +332,12 @@ class _Checker:
         quals = self.check_qualifiers(node, st, view)
         refs = self.check_references(node, st, view)
         readable = value is not None and quals is not None and refs is not None
-        self.check_hash(node, subject, (name, value, quals, refs) if readable else None)
+        got = self.check_hash(node, subject,
+                              (name, value, quals, tuple(refs.values())) if readable else None)
+        if got is not None:
+            for rnode, snaks in refs.items():
+                self.ref_node_names[rnode] = reference_name(
+                    reference_hash(snaks, self.table), got, self.table)
 
     def check_object_value(self, node: str, decl: StatementDecl, v: PlainTerm) -> None:
         name = decl.property_name
@@ -386,14 +395,14 @@ class _Checker:
             self.add("QualifierTypeViolation", node, f"value of pq:{qname} {problem}")
 
     def check_references(self, node: str, st: ExpandedStatement, view: EdgeView
-                         ) -> tuple[tuple[tuple[str, str], ...], ...] | None:
-        """Each reference node's declared (name, target) snaks as read back, or
-        None when a reference node is not typed or a target is not an IRI."""
+                         ) -> dict[str, tuple[tuple[str, str], ...]] | None:
+        """Each reference node's declared (name, target) snaks as read back, by
+        node, or None when a reference node is not typed or a target is not an IRI."""
         # by name: which of several ';' targets check_hash names ignores declaration order
         refs = sorted(st.source.references, key=lambda r: r.name)
         prs = st.reference_properties
         snak_names: set[str] = set()
-        read: list[tuple[tuple[str, str], ...]] = []
+        read: dict[str, tuple[tuple[str, str], ...]] = {}
         readable = True
         for rnode in view.get(PROV_WAS_DERIVED_FROM, ()):
             if not self.has_type(rnode, WB_REFERENCE):
@@ -416,12 +425,12 @@ class _Checker:
                         self.add("RangeViolation", target,
                                  f"target of pr:{r.name} lacks rdf:type {cls}")
                     snaks.append((r.name, target))
-            read.append(tuple(snaks))
+            read[rnode] = tuple(snaks)
         for r in refs:
             if r.required and r.name not in snak_names:
                 self.add("ExistenceViolation", node,
                          f"required reference pr:{r.name} missing")
-        return tuple(read) if readable else None
+        return read if readable else None
 
     # -- provenance sharing --------------------------------------------------
 
@@ -436,6 +445,8 @@ class _Checker:
             if len(owners) > 1:
                 self.add("SharedReference", rnode,
                          f"reference derived by {len(owners)} statements")
+            elif (want := self.ref_node_names.get(rnode, rnode)) != rnode:
+                self.add("HashMismatch", rnode, f"node name does not match content name <{want}>")
 
     # -- truthy chain ----------------------------------------------------------
 
@@ -465,7 +476,7 @@ class _Checker:
                     self.check_value_node_hash(node, value)
 
     def check_value_node_hash(self, node: str, value: DateTimeValue | DecimalValue) -> None:
-        got = self.name_hash(node, "v", _VALUE_NAME)
+        got = self.name_hash(node, self.table.base("v"))
         if got is None:
             return
         want = value_hash(value)
@@ -475,37 +486,38 @@ class _Checker:
 
     # -- content-hash recomputation ---------------------------------------------
 
-    def name_hash(self, node: str, prefix: str, local: re.Pattern[str]) -> str | None:
-        """The hash `node`'s name carries under `prefix`'s base.
+    def name_hash(self, node: str, head: str) -> str | None:
+        """The hash `node`'s name carries after `head`.
 
-        A name outside the base, or whose local part `local` does not
-        match, is not content-addressed: that is a finding, and None.
+        A name that does not start with `head`, or does not go on with a
+        hash alone, is not content-addressed: that is a finding, and None.
         """
-        base = self.table.base(prefix)
-        m = local.fullmatch(node, len(base)) if node.startswith(base) else None
-        if m is None:
+        if not (node.startswith(head) and _HASH.fullmatch(node, len(head))):
             self.add("HashMismatch", node, "node name is not content-addressed")
             return None
-        return m.group(1)
+        return node[len(head):]
 
     def check_hash(self, node: str, subject: str | None,
-                   content: StatementContent | None) -> None:
-        """The name of a node with one owner, and its hash when `content` was read."""
+                   content: StatementContent | None) -> str | None:
+        """The name of a node with one owner, and its hash when `content` was
+        read; gives the name's hash once the content hashes, else None."""
         if subject is None:
-            return
-        got = self.name_hash(node, "s", _STATEMENT_NAME)
+            return None
+        # only the name export mints for this owner: one claim has one clean name
+        got = self.name_hash(node, statement_name_head(subject, self.table))
         if got is None or content is None:
-            return
+            return None
         try:
             want = statement_hash(subject, content, self.table)
         except PreimageDelimiterError as exc:
             # an IRI never holds '|', so the delimiter is ';'
             self.add("HashMismatch", node,
                      f"content cannot be hashed: reference target <{exc.iri}> contains ';'")
-            return
+            return None
         if got != want:
             self.add("HashMismatch", node,
                      f"node hash {got} does not match content hash {want}")
+        return got
 
     def run(self) -> ValidationReport:
         self.check_unknown_properties()

@@ -452,3 +452,79 @@ def test_the_text_scan_gives_the_token_texts():
             assert "ERROR" in {dsl._TOKEN_RE.match(t).lastgroup for t in texts[:-1]}
         else:
             assert texts == [tok[1] for tok in tokens], repr(text)
+
+
+# Each name resolves once per parse: a later prefix line only adds a
+# binding, so a memoised name is the IRI under every later table.
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_schema, "prefix ex: <http://x.example/>\nclass ex:A\nprefix ey: <http://y.example/>\n"
+                   "statement ey:s {\n  subject ex:A\n  object item ex:A\n}\n"),
+    (parse_instances, "prefix ex: <http://x.example/>\nitem wd:a : ex:A { }\n"
+                      "prefix ey: <http://y.example/>\nitem wd:b : ex:A { ey:s -> item wd:a }\n"),
+], ids=["schema", "instances"])
+def test_a_curie_before_and_after_a_later_prefix_is_one_iri(parse, text):
+    doc = parse(text)
+    a = Iri("http://x.example/A")
+    if parse is parse_schema:
+        ((cls,), (st,)) = doc.classes, doc.statements
+        assert cls.iri == st.subject_class == st.object_spec.item_class == a
+    else:
+        assert [item.type_class for item in doc.items] == [a, a]
+        assert doc.items[1].statements[0].value == ItemRef(doc.items[0].iri)
+
+
+@pytest.mark.parametrize("parse, text, fault", [
+    (parse_schema, "class ex:A\nprefix ex: <http://x.example/>\nclass ex:B\n",
+     "line 1, col 7: expected a resolvable name (unknown prefix 'ex')"),
+    (parse_schema, "prefix ex: <http://x.example/>\nclass ex:A\nstatement ex:s {\n"
+                   "  subject ex:A\n  object item ey:B\n}\nprefix ey: <http://y.example/>\n"
+                   "class ey:B\n",
+     "line 5, col 15: expected a resolvable name (unknown prefix 'ey')"),
+    (parse_instances, "item wd:a : ex:P { }\nprefix ex: <http://x.example/>\n",
+     "line 1, col 13: expected a resolvable name (unknown prefix 'ex')"),
+    (parse_instances, "item wd:a : wd:C {\n  wd:p -> item ex:b\n}\n"
+                      "prefix ex: <http://x.example/>\nitem ex:b : wd:C { }\n",
+     "line 2, col 16: expected a resolvable name (unknown prefix 'ex')"),
+], ids=["schema-class", "schema-object", "instances-class", "instances-value"])
+def test_a_curie_whose_prefix_comes_later_is_refused_at_its_first_use(parse, text, fault):
+    with pytest.raises(DslSyntaxError) as info:
+        parse(text)
+    assert str(info.value) == fault
+
+
+_EX = "prefix ex: <http://x.example/>\nclass ex:A\n"
+_STMT = _EX + "statement ex:s {\n  subject ex:A\n  object string\n  "
+
+
+# A token of a kind its place does not take, at the schema sites the DSL
+# corpus does not reach with that kind; an IRIREF first resolved as a class
+# name is refused where a CURIE must stand.
+@pytest.mark.parametrize("text, fault", [
+    ("flag <http://x.example/f>\n", "line 1, col 6: expected a feature flag name"),
+    ('flag "allow-item-qualifiers"\n', "line 1, col 6: expected a feature flag name"),
+    ("flag 3\n", "line 1, col 6: expected a feature flag name"),
+    ("prefix 3: <http://x.example/>\n", "line 1, col 8: expected a prefix name"),
+    ('prefix ex: "http://x.example/"\n', "line 1, col 12: expected an IRI in angle brackets"),
+    ("prefix ex: 2020-01-01T00:00:00Z\n",
+     "line 1, col 12: expected an IRI in angle brackets"),
+    (_EX + "class", "line 3, col 6: expected a class name"),
+    (_EX + "statement ex:s {\n  subject", "line 4, col 10: expected a class name"),
+    ("class <http://x.example/s>\nstatement <http://x.example/s> {\n"
+     "  subject <http://x.example/s>\n  object string\n}\n",
+     "line 2, col 11: expected a statement property name"),
+    (_EX + "statement 1.5 {\n  subject ex:A\n  object string\n}\n",
+     "line 3, col 11: expected a statement property name"),
+    (_STMT + "qualifier <http://x.example/A> : string\n}\n",
+     "line 6, col 13: expected a qualifier name"),
+    (_STMT + "qualifier 2020-01-01T00:00:00Z : string\n}\n",
+     "line 6, col 13: expected a qualifier name"),
+    (_STMT + "reference <http://x.example/A> -> item ex:A\n}\n",
+     "line 6, col 13: expected a reference name"),
+    (_STMT + "reference 1.5 -> item ex:A\n}\n", "line 6, col 13: expected a reference name"),
+    (_STMT + "reference 7 -> item ex:A\n}\n", "line 6, col 13: expected a reference name"),
+])
+def test_a_schema_token_of_the_wrong_kind_is_refused_where_it_stands(text, fault):
+    with pytest.raises(DslSyntaxError) as info:
+        parse_schema(text)
+    assert str(info.value) == fault

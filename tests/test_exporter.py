@@ -84,7 +84,7 @@ TAX_REF = RefData((SnakData("taxRecord", Iri(WD + "doc1")),))
 
 def reference_node(ref: RefData, stmt_hash: str, table: NamespaceTable) -> Iri:
     """The node export names for `ref` under the statement whose hash is `stmt_hash`."""
-    return Iri(exporter._reference_name(ref, stmt_hash, table))
+    return Iri(exporter.reference_name(reference_hash(ref, table), stmt_hash, table))
 
 
 def test_frozen_statement_hashes():

@@ -79,9 +79,10 @@ def _assert_reads_agree(schema, g):
 def _assert_check_hashes_the_model_read(schema, g, monkeypatch):
     """The hash check hashes what `read_statement` reads, node by node.
 
-    Of the statement nodes with one p: owner and a content-addressed
-    name, in the order the checker walks them, it hashes exactly those the
-    reference reads, and each content it hashes gives that read's preimage.
+    Of the statement nodes with one p: owner and the name export mints
+    for that owner, in the order the checker walks them, it hashes exactly
+    those the reference reads, and each content it hashes gives that
+    read's preimage.
     Gives the number of nodes hashed.
     """
     table = schema.namespaces
@@ -95,14 +96,17 @@ def _assert_check_hashes_the_model_read(schema, g, monkeypatch):
     monkeypatch.setattr(validator, "statement_hash", recording_hash)
     validate(schema, g)
     monkeypatch.undo()
-    addressed = re.compile(re.escape(table.base("s")) + r".*-[0-9a-f]{40}", re.DOTALL)
     expected = []
     for node in g.subjects(RDF_TYPE, WB_STATEMENT):
         owners = [(t.s, spl[1]) for t in g.match(None, None, node)
                   if (spl := table.split(t.p)) is not None and spl[0] == "p"]
-        if len(owners) != 1 or addressed.fullmatch(node.value) is None:
+        if len(owners) != 1:
             continue
         subject, name = owners[0]
+        # the name export mints for this owner: its local name, '-' and a hash
+        addressed = re.escape(f"{table.base('s')}{subject.local_name}-") + "[0-9a-f]{40}"
+        if re.fullmatch(addressed, node.value) is None:
+            continue
         st = expanded.statement(name)
         if st is not None and read_statement(g, node, st, table) is not None:
             expected.append((subject, _model_preimage(g, node, st, table, subject)))

@@ -283,7 +283,9 @@ def test_hash_mismatch_is_a_warning():
     (t,) = g.match(snode, pq, None)
     g.discard(t)
     rep = validate(SCHEMA, g)
-    assert rep.by_code("HashMismatch")
+    # one finding, on the statement node: its reference stays named by the
+    # hash the statement's name carries, not the recomputed one
+    assert [(f.code, f.focus) for f in rep.findings] == [("HashMismatch", snode.value)]
     assert rep.passed  # warnings never fail a report
 
 
@@ -485,7 +487,8 @@ _NOT_ADDRESSED = "node name is not content-addressed"
     lambda node: node.value.rsplit("-", 1)[0] + "-abc",       # a short tail
     lambda node: node.value.rsplit("-", 1)[0] + "-" + "Z" * 40,   # not hex
     lambda node: node.value.rsplit("-", 1)[0],                # no tail at all
-], ids=["elsewhere", "short", "not-hex", "no-tail"])
+    lambda node: DEFAULT_ROOT + "entity/statement/zzz-" + node.value[-40:],  # another owner's
+], ids=["elsewhere", "short", "not-hex", "no-tail", "other-owner"])
 def test_a_statement_node_not_content_addressed_is_a_finding(fixture, name):
     b = load_bundle(fixture)
     node = _fixture_snode(b)
@@ -616,3 +619,56 @@ def test_a_negative_zero_int_field_is_not_canonical(tmp_path, capsys):
         "wikibase:timeTimezone has non-canonical xsd:int lexical '-0'\n"
         "errors=1 warnings=0\n")
     assert status == 1
+
+
+_DASHED = parse_schema("prefix ex: <http://example.org/>\nclass ex:P\n"
+                       "statement ex:knows {\n  subject ex:P\n  object item ex:P\n}\n")
+
+
+@pytest.mark.parametrize("owner,name,clean", [
+    ("a-b", "a-b-{h}", True),
+    ("a-b", "a-{h}", False),           # the name owner `a` would get
+    ("a-b", "a-b-x-{h}", False),
+    ("a", "a-b-{h}", False),           # the name owner `a-b` would get
+], ids=["own", "shorter-owner", "longer-tail", "longer-owner"])
+def test_an_owner_with_a_dash_in_its_local_name(owner, name, clean):
+    g = export(_DASHED, parse_instances(
+        f"prefix ex: <http://example.org/>\n"
+        f"item wd:{owner} : ex:P {{\n  ex:knows -> item wd:{owner}\n}}\n"))
+    (t,) = g.match(None, Iri(DEFAULT_ROOT + "prop/knows"), None)
+    node = t.o
+    assert node.value == f"{DEFAULT_ROOT}entity/statement/{owner}-{node.value[-40:]}"
+    new = Iri(f"{DEFAULT_ROOT}entity/statement/" + name.format(h=node.value[-40:]))
+    rep = validate(_DASHED, _renamed(g, node, new))
+    assert rep.findings == (() if clean else
+                            (Finding("HashMismatch", new.value, _NOT_ADDRESSED, WARNING),))
+
+
+@pytest.mark.parametrize("name", [
+    lambda rnode: rnode[:-8] + "00000000",                   # another statement's scope
+    lambda rnode: rnode[:-8] + "0" * 40,                     # the whole statement hash
+    lambda rnode: rnode.replace("reference/", "reference/0"),
+    lambda rnode: "http://elsewhere.example/r1",
+    lambda rnode: DEFAULT_ROOT + "reference/anything",
+], ids=["other-scope", "long-scope", "long-hash", "elsewhere", "anything"])
+def test_a_reference_node_not_named_by_its_snaks_and_owner_is_a_finding(name):
+    g = _graph()
+    (t,) = g.match(None, Iri("http://www.w3.org/ns/prov#wasDerivedFrom"), None)
+    new = Iri(name(t.o.value))
+    rep = validate(SCHEMA, _renamed(g, t.o, new))
+    assert rep.findings == (Finding(
+        "HashMismatch", new.value, f"node name does not match content name <{t.o.value}>",
+        WARNING),)
+    assert rep.passed
+
+
+def test_a_reference_whose_snak_moved_is_a_finding():
+    # a new target changes both content hashes: the statement's and the reference's
+    g = _graph()
+    pr = Iri(DEFAULT_ROOT + "prop/reference/taxRecord")
+    (t,) = g.match(None, pr, None)
+    g.discard(t)
+    g.add(Triple(t.s, pr, Iri(DEFAULT_ROOT + "entity/job0")))
+    rep = validate(SCHEMA, g)
+    assert sorted((f.code, f.focus) for f in rep.findings) == sorted(
+        [("HashMismatch", t.s.value), ("HashMismatch", _snode(g).value)])
