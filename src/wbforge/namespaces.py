@@ -128,6 +128,16 @@ def _fixed_bindings(root: str) -> dict[str, str]:
     return out
 
 
+def _bind(bases: dict[str, str], prefix: str, base: str) -> None:
+    """Bind a user prefix in `bases`: no shadowing, and an IRI base ending in '/' or '#'."""
+    if prefix in bases:
+        raise DuplicateDeclarationError(f"prefix {prefix}:")
+    if not base.endswith(("/", "#")):
+        raise WbforgeError(f"prefix base must end in '/' or '#': {prefix}: <{base}>")
+    _check_iri(base, f"prefix {prefix}: base")
+    bases[prefix] = base
+
+
 @dataclass(frozen=True)
 class NamespaceTable:
     """Fixed Wikibase namespaces plus user-declared prefixes.
@@ -147,20 +157,21 @@ class NamespaceTable:
     def __post_init__(self) -> None:
         bases = _fixed_bindings(self.root)
         for prefix, base in self.user:
-            if prefix in bases:
-                raise DuplicateDeclarationError(f"prefix {prefix}:")
-            if not base.endswith(("/", "#")):
-                raise WbforgeError(
-                    f"prefix base must end in '/' or '#': {prefix}: <{base}>")
-            _check_iri(base, f"prefix {prefix}: base")
-            bases[prefix] = base
-        object.__setattr__(self, "_bases", bases)
-        object.__setattr__(self, "_terms", {})
-        object.__setattr__(self, "_curies", {})
-        object.__setattr__(self, "_prefix_of_base", {})
+            _bind(bases, prefix, base)
+        self._start(bases)
+
+    def _start(self, bases: dict[str, str]) -> None:
+        # past the frozen __setattr__: the bindings, and empty memos
+        self.__dict__.update(_bases=bases, _terms={}, _curies={}, _prefix_of_base={})
 
     def with_prefix(self, prefix: str, base: str) -> NamespaceTable:
-        return NamespaceTable(self.root, self.user + ((prefix, base),))
+        """This table plus one user prefix; only the new base is checked."""
+        bases = dict(self._bases)
+        _bind(bases, prefix, base)
+        table = object.__new__(NamespaceTable)
+        table.__dict__.update(root=self.root, user=self.user + ((prefix, base),))
+        table._start(bases)
+        return table
 
     def base(self, prefix: str) -> str:
         try:

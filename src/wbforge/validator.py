@@ -168,18 +168,12 @@ class _Checker:
         self.g = graph
         self.table = expanded.source.namespaces
         self.findings: set[Finding] = set()
-        # the pq: edge of every qualifier name, and the reference names, some statement declares
-        self.pq_by_name = {name: fam["pq"] for st in expanded.statements
-                           for name, fam in st.qualifier_properties.items()}
-        self.name_by_pq = {pq: name for name, pq in self.pq_by_name.items()}
-        self.ref_names = {name for st in expanded.statements for name in st.reference_properties}
+        # every family IRI some declaration's expansion mints, as exact text
+        self.minted = {str(p) for st in expanded.statements for p in st.family_properties()}
         # (prefix, local name) of every predicate the graph uses under a property namespace
         self.family: dict[str, tuple[str, str]] = {
             p: spl for p in graph.predicates()
             if (spl := self.table.split(p)) is not None and spl[0] in PROPERTY_NAMESPACES}
-        # the same predicates by (prefix, local name), where a psv:/pqv: edge is
-        # found by name, minted or not; an edge the graph lacks is in no view
-        self.by_name: dict[tuple[str, str], str] = {spl: p for p, spl in self.family.items()}
         # every value node read so far, by (node, kind tag), for the whole run
         self.values: dict[tuple[str, str], NodeValue] = {}
         # the name of each reference node whose statement's content hashed:
@@ -250,15 +244,9 @@ class _Checker:
     # -- property name coverage -------------------------------------------
 
     def check_unknown_properties(self) -> None:
-        # by name: the psv:/pqv: edge of a declared name is known, minted or not
+        # known means minted: a psv:/pqv: edge no declaration mints is unknown
         for p, (prefix, local) in self.family.items():
-            if prefix in ("wdt", "p", "ps", "psv"):
-                known = self.expanded.statement(local) is not None
-            elif prefix in ("pq", "pqv"):
-                known = local in self.pq_by_name
-            else:
-                known = local in self.ref_names
-            if not known:
+            if p not in self.minted:
                 self.add("UnknownProperty", p, f"{prefix}:{local} matches no declaration")
 
     # -- reification shape --------------------------------------------------
@@ -291,6 +279,7 @@ class _Checker:
 
     def check_statement_nodes(self) -> None:
         incoming = self.in_edges()
+        owners: dict[str, int] = {}       # statement nodes per prov:wasDerivedFrom object
         for node in self.typed(WB_STATEMENT):
             edges = incoming.get(node, ())
             if not edges:
@@ -300,9 +289,13 @@ class _Checker:
                 self.add("SharedStatement", node,
                          f"{len(edges)} incoming p: edges")
             view = self.g.edges(node)     # the one look at the node
+            for rnode in view.get(PROV_WAS_DERIVED_FROM, ()):
+                if type(rnode) is str:
+                    owners[rnode] = owners.get(rnode, 0) + 1
             st, subject = self.resolve_decl(view, edges)
             if st is not None:
                 self.check_against_decl(node, view, st, subject)
+        self.check_references_shared(owners)
 
     def check_against_decl(self, node: str, view: EdgeView, st: ExpandedStatement,
                            subject: str | None) -> None:
@@ -326,7 +319,7 @@ class _Checker:
                      f"{len(ps_values)} ps:{name} values")
         for v in ps_values:
             self.check_object_value(node, decl, v)
-        value = (self.read_value(view, self.by_name.get(("psv", name)), ps_values[0])
+        value = (self.read_value(view, st.statement_properties.get("psv"), ps_values[0])
                  if len(ps_values) == 1 else None)
 
         quals = self.check_qualifiers(node, st, view)
@@ -362,11 +355,11 @@ class _Checker:
         """The declared qualifiers' (name, value) pairs as read back, or None
         when a date or quantity value has no well-formed matching node."""
         declared = st.qualifier_properties
-        for p in view:                 # globally unknown names are covered elsewhere
-            qname = self.name_by_pq.get(p)
-            if qname is not None and qname not in declared:
+        for p in view:                 # another declaration's pq: edge; an unminted one is unknown
+            spl = self.family.get(p)
+            if spl is not None and spl[0] == "pq" and spl[1] not in declared and p in self.minted:
                 self.add("QualifierTypeViolation", node,
-                         f"qualifier pq:{qname} not declared for {st.source.property_name}")
+                         f"qualifier pq:{spl[1]} not declared for {st.source.property_name}")
         read: list[tuple[str, ReadValue | None]] = []
         for q in st.source.qualifiers:
             qname = q.name
@@ -377,7 +370,7 @@ class _Checker:
             if len(values) > 1:        # a graph is a set, so the values are distinct
                 self.add("FunctionalityViolation", node,
                          f"{len(values)} values for functional qualifier pq:{qname}")
-            pqv = self.by_name.get(("pqv", qname))
+            pqv = declared[qname].get("pqv")
             for v in values:
                 self.check_qualifier_value(node, qname, q, v)
                 read.append((qname, self.read_value(view, pqv, v)))
@@ -434,17 +427,13 @@ class _Checker:
 
     # -- provenance sharing --------------------------------------------------
 
-    def check_references_shared(self) -> None:
-        derived: dict[str, set[str]] = {}
-        for s, _, o in self.g.with_predicate(PROV_WAS_DERIVED_FROM):
-            if not self.has_type(s, WB_STATEMENT):
-                continue          # non-statement provenance is out of scope
-            if type(o) is str:
-                derived.setdefault(o, set()).add(s)
-        for rnode, owners in derived.items():
-            if len(owners) > 1:
+    def check_references_shared(self, owners: dict[str, int]) -> None:
+        """`owners`: how many statement nodes derive each reference node;
+        provenance of other nodes is out of scope."""
+        for rnode, count in owners.items():
+            if count > 1:
                 self.add("SharedReference", rnode,
-                         f"reference derived by {len(owners)} statements")
+                         f"reference derived by {count} statements")
             elif (want := self.ref_node_names.get(rnode, rnode)) != rnode:
                 self.add("HashMismatch", rnode, f"node name does not match content name <{want}>")
 
@@ -522,7 +511,6 @@ class _Checker:
     def run(self) -> ValidationReport:
         self.check_unknown_properties()
         self.check_statement_nodes()
-        self.check_references_shared()
         self.check_chain()
         self.check_value_nodes()
         ordered = sorted(self.findings, key=lambda f: (f.code, f.focus, f.detail))

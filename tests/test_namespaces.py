@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 import wbforge
+from wbforge import namespaces
+from wbforge.dsl import parse_schema
 from wbforge.errors import DuplicateDeclarationError, UnknownPrefixError, WbforgeError
 from wbforge.fixtures import FIXTURE_NAMES, load_bundle
 from wbforge.namespaces import (
@@ -304,3 +306,20 @@ def test_each_fixed_base_is_spelled_in_namespaces_only():
             assert all(text.count(base) == 1 for base in bases)
         else:
             assert spelled == [], path.name
+
+
+def test_a_parse_with_prefix_lines_builds_the_fixed_bindings_once(monkeypatch):
+    # each prefix line extends the table, checking only its own base
+    calls = []
+
+    def counted(root, _fixed=namespaces._fixed_bindings):
+        calls.append(root)
+        return _fixed(root)
+    monkeypatch.setattr(namespaces, "_fixed_bindings", counted)
+    doc = parse_schema("prefix ex: <http://example.org/>\n"
+                       "prefix rec: <http://rec.example/vocab#>\n"
+                       "class ex:Person\n")
+    assert calls == [DEFAULT_ROOT]
+    user = (("ex", "http://example.org/"), ("rec", "http://rec.example/vocab#"))
+    whole = NamespaceTable(DEFAULT_ROOT, user)
+    assert doc.namespaces == whole and doc.namespaces.prefixes() == whole.prefixes()

@@ -34,7 +34,7 @@ from wbforge.validator import (
     render_report_tsv,
     validate,
 )
-from wbforge.fixtures import fixture_path, load_bundle
+from wbforge.fixtures import FIXTURE_NAMES, fixture_path, load_bundle
 from wbforge.model import VALUE_KINDS, DecimalValue
 from wbforge.namespaces import (
     DEFAULT_ROOT,
@@ -42,6 +42,7 @@ from wbforge.namespaces import (
     NamespaceTable,
 )
 from wbforge.rdf import Graph, Literal, Triple
+from wbforge.shapes import schema_shapes, statement_label
 
 SCHEMA = parse_schema("""
 prefix ex: <http://example.org/>
@@ -346,9 +347,10 @@ def _fixture_snode(bundle):
     return statement_node(item.iri, item.statements[0], bundle.table)
 
 
-def test_read_back_follows_a_psv_edge_the_declaration_does_not_mint():
+def test_a_psv_edge_the_declaration_does_not_mint_is_unknown_and_not_read_back():
     # name-record's object is a string, so its family has no psv: edge; a graph
-    # that holds one anyway is read back, and hashed, from what it holds
+    # that holds one anyway gets it reported, and the decimal ps: value is not
+    # read back through it, so the statement's content is not hashed
     b = load_bundle("name-record")
     t, node = b.table, _fixture_snode(b)
     ps, value = t.term("ps", "hasNameRecord"), DecimalValue("5")
@@ -357,26 +359,29 @@ def test_read_back_follows_a_psv_edge_the_declaration_does_not_mint():
     for old in b.graph.objects(node, ps):
         g.discard(Triple(node, ps, old))
     five = Literal("5", t.term("xsd", "decimal"))
+    psv = t.term("psv", "hasNameRecord")
     for triple in (Triple(node, ps, five),
-                   Triple(node, t.term("psv", "hasNameRecord"), vnode),
+                   Triple(node, psv, vnode),
                    Triple(vnode, t.term("rdf", "type"), t.term("wikibase", "QuantityValue")),
                    Triple(vnode, t.term("wikibase", "quantityValue"), five),
                    Triple(vnode, t.term("wikibase", "quantityUnit"), value.unit)):
         g.add(triple)
     rep = validate(b.schema, g)
-    assert node.value in {f.focus for f in rep.by_code("HashMismatch")}
+    assert [f.focus for f in rep.by_code("UnknownProperty")] == [psv.value]
+    assert node.value not in {f.focus for f in rep.by_code("HashMismatch")}
 
 
 @pytest.mark.parametrize("with_pqv", [True, False])
-def test_read_back_follows_a_pqv_edge_the_declaration_does_not_mint(with_pqv):
+def test_a_pqv_edge_the_declaration_does_not_mint_is_unknown_and_not_read_back(with_pqv):
     # relationship-record's note qualifier is a string, so its family has no
-    # pqv: edge; a decimal note is read back, and hashed, only through a pqv:
-    # edge the graph holds, and without one the content is not hashed at all
+    # pqv: edge; a decimal note is not read back, with or without a pqv: edge
+    # in the graph, and such an edge is reported
     b = load_bundle("relationship-record")
     t, node = b.table, _fixture_snode(b)
     value = DecimalValue("5")
     vnode = value_node(value, t)
     five = Literal("5", t.term("xsd", "decimal"))
+    pqv = t.term("pqv", "note")
     g = b.graph.copy()
     for triple in (Triple(node, t.term("pq", "note"), five),
                    Triple(vnode, t.term("rdf", "type"), t.term("wikibase", "QuantityValue")),
@@ -384,23 +389,62 @@ def test_read_back_follows_a_pqv_edge_the_declaration_does_not_mint(with_pqv):
                    Triple(vnode, t.term("wikibase", "quantityUnit"), value.unit)):
         g.add(triple)
     if with_pqv:
-        g.add(Triple(node, t.term("pqv", "note"), vnode))
+        g.add(Triple(node, pqv, vnode))
     rep = validate(b.schema, g)
-    assert (node.value in {f.focus for f in rep.by_code("HashMismatch")}) is with_pqv
+    assert [f.focus for f in rep.by_code("UnknownProperty")] == ([pqv.value] if with_pqv else [])
+    assert node.value not in {f.focus for f in rep.by_code("HashMismatch")}
 
 
 @pytest.mark.parametrize("local, report", [
-    # an item object mints no psv:, but the name is declared, so the edge is known
-    ("hasSexRecord", "errors=0 warnings=0\n"),
+    # an item object mints no psv:, so the edge is unknown although the name is declared
+    ("hasSexRecord",
+     f"WARNING UnknownProperty <{DEFAULT_ROOT}prop/statement/value/hasSexRecord> : "
+     "psv:hasSexRecord matches no declaration\nerrors=0 warnings=1\n"),
     ("hasNoSuchThing",
      f"WARNING UnknownProperty <{DEFAULT_ROOT}prop/statement/value/hasNoSuchThing> : "
      "psv:hasNoSuchThing matches no declaration\nerrors=0 warnings=1\n"),
-])
-def test_unknown_property_rule_goes_by_name(local, report):
+], ids=["hasSexRecord", "hasNoSuchThing"])
+def test_unknown_property_rule_goes_by_what_expansion_mints(local, report):
     b = load_bundle("sex-record")
     g = b.graph.copy()
     g.add(Triple(_fixture_snode(b), b.table.term("psv", local), Iri(b.table.base("v") + "x")))
     assert render_report(validate(b.schema, g)) == report
+
+
+def _unlisted_value_edges(bundle):
+    """(statement node, predicate) for each value edge the closed statement
+    shapes do not list: per declaration its own psv: edge, and a pqv: edge
+    under each qualifier name no shape lists one for; read from the shapes."""
+    t = bundle.table
+    shapes = {shape.label: shape for shape in schema_shapes(bundle.schema).shapes}
+    listed = {tc.predicate for shape in shapes.values() if shape.closed
+              for tc in shape.constraints}
+    qnames = {q.name for decl in bundle.schema.statements for q in decl.qualifiers}
+    for decl in bundle.schema.statements:
+        shape = shapes[statement_label(decl, t)]
+        assert shape.closed
+        node = min(tr.o for tr in bundle.graph.match(None, t.term("p", decl.property_name), None))
+        psv = t.term("psv", decl.property_name)
+        if psv not in {tc.predicate for tc in shape.constraints}:
+            yield node, psv
+        for qname in sorted(qnames):
+            if (pqv := t.term("pqv", qname)) not in listed:
+                yield node, pqv
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_a_value_edge_no_shape_lists_is_one_unknown_property(name):
+    b = load_bundle(name)
+    clean = validate(b.schema, b.graph).findings
+    edges = list(_unlisted_value_edges(b))
+    assert edges
+    for node, pred in edges:
+        g = b.graph.copy()
+        g.add(Triple(node, pred, Iri(b.table.base("v") + "x")))
+        findings = validate(b.schema, g).findings
+        assert set(clean) <= set(findings)
+        assert [(f.code, f.focus) for f in set(findings) - set(clean)] == [
+            ("UnknownProperty", pred.value)], (node, pred)
 
 
 # one more declaration whose forty qualifier names no record statement carries
@@ -416,8 +460,8 @@ def test_validate_looks_at_each_statement_node_a_bounded_number_of_times(
     # and each distinct value node, so a second walk of any of them shows. The
     # other lookups do not grow with the graph: per declaration its p: edges
     # twice (owners, truthy chain) and its ps: and wdt: edges, and per run the
-    # statement and two value-node classes and the prov: edges. A lookup per
-    # statement node breaks that bound.
+    # statement and two value-node classes; the prov: edges are read from the
+    # statement nodes' views. A lookup per statement node breaks that bound.
     schema = parse_schema(corpus.RECORD_SCHEMA)
     instances = parse_instances(corpus.record_instances(random.Random(7), persons).text)
     g = export(schema, instances)
@@ -436,7 +480,7 @@ def test_validate_looks_at_each_statement_node_a_bounded_number_of_times(
     report = validate(full, g)
     assert report.findings == ()
     assert reads["edges"] == nodes + references + values
-    assert reads["match"] + reads["with_predicate"] <= 4 * len(full.statements) + 4
+    assert reads["match"] + reads["with_predicate"] <= 4 * len(full.statements) + 3
 
 
 def _term_calls(monkeypatch, run):
@@ -453,7 +497,7 @@ def _term_calls(monkeypatch, run):
 def test_validate_resolves_no_term_per_statement_node(monkeypatch):
     # the property families and preimage line heads are resolved per table
     # or per declaration, so the count is the same at every graph
-    # size; psv:/pqv: edges are found by name among the graph's predicates,
+    # size; psv:/pqv: edges are the ones each declaration's expansion mints,
     # so validate mints no more of them than expansion does
     counts = []
     for persons in (4, 24):
