@@ -47,7 +47,8 @@ from .model import (
     ValueType,
 )
 from .namespaces import (
-    PROV_WAS_DERIVED_FROM, WB_ITEM, WB_REFERENCE, WB_STATEMENT, NamespaceTable, curie_or_iri)
+    PROV_WAS_DERIVED_FROM, WB_ITEM, WB_REFERENCE, WB_STATEMENT, NamespaceTable, curie_or_iri,
+    local_name)
 
 # origin key -> generic reading, used by finding explanations
 CATALOG: dict[str, str] = {
@@ -472,7 +473,7 @@ def _render_class(expr: ClassExpr, table: NamespaceTable) -> str:
     if isinstance(expr, Named):
         return curie_or_iri(expr.iri, table)
     if isinstance(expr, DataRange):
-        return f"xsd:{XSD[expr.datatype].local_name}"
+        return f"xsd:{local_name(XSD[expr.datatype])}"
     keyword = _RESTRICTIONS.get(type(expr))
     if keyword is None:
         raise TypeError(f"unknown class expression: {expr!r}")

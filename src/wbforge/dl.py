@@ -19,11 +19,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .model import Datatype
-from .namespaces import Iri
 
 
 class Role(NamedTuple):
-    iri: Iri
+    iri: str
     inverse: bool = False
     kind: str = "Role"
 
@@ -36,7 +35,7 @@ TOP = Top()
 
 
 class Named(NamedTuple):
-    iri: Iri
+    iri: str
     kind: str = "Named"
 
 

@@ -3,7 +3,8 @@
 One declared statement property fans out into its namespace family
 (wdt:, p:, ps:, and psv: when the object is a date or quantity), every
 qualifier into pq: (and pqv: for dates and quantities), every reference
-into pr:. `expand` builds only these families, which every layer reads.
+into pr:. `expand` builds only these families, which every layer reads,
+each IRI as the exact `str` a graph stores.
 `expansion_report` derives the class, provenance and value-field rows
 itself; value-node classes and fields appear only when some declaration
 needs them.
@@ -20,8 +21,7 @@ from .model import (
     StatementDecl,
     needed_value_kinds,
 )
-from .namespaces import (
-    PROV_WAS_DERIVED_FROM, WB_ITEM, WB_REFERENCE, WB_STATEMENT, Iri, NamespaceTable)
+from .namespaces import PROV_WAS_DERIVED_FROM, WB_ITEM, WB_REFERENCE, WB_STATEMENT, NamespaceTable
 
 
 def object_datatype(decl: StatementDecl) -> Datatype | None:
@@ -31,11 +31,11 @@ def object_datatype(decl: StatementDecl) -> Datatype | None:
 @dataclass(frozen=True)
 class ExpandedStatement:
     source: StatementDecl
-    statement_properties: dict[str, Iri]            # wdt/p/ps and psv if valued
-    qualifier_properties: dict[str, dict[str, Iri]]  # name -> {pq[, pqv]}
-    reference_properties: dict[str, Iri]            # name -> pr
+    statement_properties: dict[str, str]            # wdt/p/ps and psv if valued
+    qualifier_properties: dict[str, dict[str, str]]  # name -> {pq[, pqv]}
+    reference_properties: dict[str, str]            # name -> pr
 
-    def family_properties(self) -> list[Iri]:
+    def family_properties(self) -> list[str]:
         """All minted family IRIs; the count is 3 + psv + per-qualifier + refs."""
         out = list(self.statement_properties.values())
         for fam in self.qualifier_properties.values():
@@ -60,20 +60,20 @@ class ExpandedSchema:
 
 
 def expand_statement(decl: StatementDecl, table: NamespaceTable) -> ExpandedStatement:
-    """The family: the one place that mints its IRIs and decides psv:/pqv:."""
+    """The family: the one place that mints its IRIs, as exact text, and decides psv:/pqv:."""
     name = decl.property_name
-    stmt_props = {ns: table.term(ns, name) for ns in ("wdt", "p", "ps")}
+    stmt_props = {ns: table.term(ns, name).value for ns in ("wdt", "p", "ps")}
     if object_datatype(decl) in VALUE_KINDS:
-        stmt_props["psv"] = table.term("psv", name)
+        stmt_props["psv"] = table.term("psv", name).value
 
-    qual_props: dict[str, dict[str, Iri]] = {}
+    qual_props: dict[str, dict[str, str]] = {}
     for q in decl.qualifiers:
-        fam = {"pq": table.term("pq", q.name)}
+        fam = {"pq": table.term("pq", q.name).value}
         if q.qtype.datatype in VALUE_KINDS:
-            fam["pqv"] = table.term("pqv", q.name)
+            fam["pqv"] = table.term("pqv", q.name).value
         qual_props[q.name] = fam
 
-    ref_props = {r.name: table.term("pr", r.name) for r in decl.references}
+    ref_props = {r.name: table.term("pr", r.name).value for r in decl.references}
     return ExpandedStatement(decl, stmt_props, qual_props, ref_props)
 
 
@@ -97,20 +97,20 @@ def expansion_report(expanded: ExpandedSchema) -> str:
     """Fixed-width `IRI | ROLE | ORIGIN` table, sorted by origin then role."""
     classes = [WB_ITEM, WB_STATEMENT, WB_REFERENCE]
     classes.extend(kind.class_iri for kind in needed_value_kinds(expanded.source.statements))
-    rows = [(cls.value, "class", "schema") for cls in classes]
+    rows = [(cls, "class", "schema") for cls in classes]
     for st in expanded.statements:
         origin = st.source.property_name
         for ns, iri in st.statement_properties.items():
-            rows.append((iri.value, _ROLE_LABELS[ns], origin))
+            rows.append((iri, _ROLE_LABELS[ns], origin))
         for qname, fam in st.qualifier_properties.items():
             for ns, iri in fam.items():
-                rows.append((iri.value, _ROLE_LABELS[ns], f"{origin}/{qname}"))
+                rows.append((iri, _ROLE_LABELS[ns], f"{origin}/{qname}"))
         for rname, iri in st.reference_properties.items():
-            rows.append((iri.value, _ROLE_LABELS["pr"], f"{origin}/{rname}"))
+            rows.append((iri, _ROLE_LABELS["pr"], f"{origin}/{rname}"))
         if st.source.references:
-            rows.append((PROV_WAS_DERIVED_FROM.value, "provenance edge", origin))
+            rows.append((PROV_WAS_DERIVED_FROM, "provenance edge", origin))
         for kind in needed_value_kinds((st.source,)):
-            rows.extend((pred.value, "value field", origin) for pred in kind.predicates)
+            rows.extend((pred, "value field", origin) for pred in kind.predicates)
     rows.sort(key=lambda r: (r[2], r[1], r[0]))
 
     header = ("IRI", "ROLE", "ORIGIN")

@@ -221,19 +221,6 @@ _KIND = {
 
 Add = Callable[[PlainTriple], None]    # adds a triple to the export being built
 
-# A graph stores exact `str` IRIs (see `rdf.Literal`), so export writes the
-# exact text of each fixed term, worked out here once.
-_TYPE, _ITEM, _STATEMENT, _REFERENCE, _DERIVED_FROM = map(
-    str, (RDF_TYPE, WB_ITEM, WB_STATEMENT, WB_REFERENCE, PROV_WAS_DERIVED_FROM))
-_XSD_TEXT = {dt: str(iri) for dt, iri in XSD.items()}
-# by value class: the node class, and each field's predicate with the
-# datatype of its literal (None for an IRI field), in field order
-_KIND_TEXT = {
-    kind.value_type: (str(kind.class_iri),
-                      tuple((str(pred), None if dt is None else _XSD_TEXT[dt])
-                            for pred, (_, _, dt) in zip(kind.predicates, kind.fields)))
-    for kind in VALUE_KINDS.values()}
-
 
 class _Texts(dict):
     """The exact `str` of each model `Iri` one export writes, copied on its first use."""
@@ -250,10 +237,10 @@ def _literal(value: Value, texts: _Texts) -> PlainTerm:
     if t is ItemRef:
         return texts[value.iri]
     if t is StringValue:
-        return (value.text, _XSD_TEXT[Datatype.STRING])
+        return (value.text, XSD[Datatype.STRING])
     if t is DecimalValue:
-        return (value.amount, _XSD_TEXT[Datatype.DECIMAL])
-    return (value.iso, _XSD_TEXT[Datatype.DATETIME])
+        return (value.amount, XSD[Datatype.DECIMAL])
+    return (value.iso, XSD[Datatype.DATETIME])
 
 
 def _add_value(add: Add, texts: _Texts, node: str, edge: str, value_edge: str | None,
@@ -262,12 +249,13 @@ def _add_value(add: Add, texts: _Texts, node: str, edge: str, value_edge: str | 
     term = _literal(value, texts)
     add((node, edge, term))
     if value_edge is not None:
-        class_text, fields = _KIND_TEXT[type(value)]
+        kind = value_kind(value)
         vnode = _value_name(value, table)
         add((node, value_edge, vnode))
-        add((vnode, _TYPE, class_text))
-        for (pred, dt), field in zip(fields, _FIELDS[type(value)](value)):
-            add((vnode, pred, texts[field] if dt is None else (str(field), dt)))
+        add((vnode, RDF_TYPE, kind.class_iri))
+        fields = _FIELDS[type(value)](value)
+        for pred, (_, _, dt), field in zip(kind.predicates, kind.fields, fields):
+            add((vnode, pred, texts[field] if dt is None else (str(field), XSD[dt])))
     return term
 
 
@@ -294,24 +282,13 @@ class _DeclChecks(NamedTuple):
     qualifiers: dict[str, QualifierDecl]    # by name
     required_qualifiers: tuple[str, ...]    # names, in declaration order
     required_references: tuple[str, ...]
-    # the exact text of `st`'s property family, laid out as in `st`
-    statement_properties: dict[str, str]
-    qualifier_properties: dict[str, dict[str, str]]
-    reference_properties: dict[str, str]
-
-
-def _texts_of(iris: dict[str, Iri]) -> dict[str, str]:
-    return {key: str(iri) for key, iri in iris.items()}
 
 
 def _decl_checks(st: ExpandedStatement) -> _DeclChecks:
     decl = st.source
     return _DeclChecks(st, {q.name: q for q in decl.qualifiers},
                        tuple(q.name for q in decl.qualifiers if q.required),
-                       tuple(r.name for r in decl.references if r.required),
-                       _texts_of(st.statement_properties),
-                       {name: _texts_of(fam) for name, fam in st.qualifier_properties.items()},
-                       _texts_of(st.reference_properties))
+                       tuple(r.name for r in decl.references if r.required))
 
 
 def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
@@ -333,8 +310,8 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
                 and item.type_class != WB_ITEM):
             raise UnresolvedNameError(item.type_class.value, "class not declared")
         subject = texts[item.iri]
-        add((subject, _TYPE, texts[item.type_class]))
-        add((subject, _TYPE, _ITEM))
+        add((subject, RDF_TYPE, texts[item.type_class]))
+        add((subject, RDF_TYPE, WB_ITEM))
         for stmt in item.statements:
             decl_checks = checks.get(stmt.property)
             if decl_checks is None:
@@ -349,8 +326,8 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
 def _export_statement(add: Add, texts: _Texts, subject: str, stmt: StatementData,
                       decl_checks: _DeclChecks, instances: InstanceDoc,
                       table: NamespaceTable) -> None:
-    (st, quals_by_name, required_quals, required_refs,
-     props, qual_props, ref_props) = decl_checks
+    st, quals_by_name, required_quals, required_refs = decl_checks
+    props, ref_props = st.statement_properties, st.reference_properties
     _check_value(st.source.object_spec, stmt.value, instances, stmt.property)
 
     for q in stmt.qualifiers:
@@ -379,17 +356,17 @@ def _export_statement(add: Add, texts: _Texts, subject: str, stmt: StatementData
     h = statement_hash(subject, stmt, table)
     node = _statement_name(subject, h, table)
     add((subject, props["p"], node))
-    add((node, _TYPE, _STATEMENT))
+    add((node, RDF_TYPE, WB_STATEMENT))
     value_term = _add_value(add, texts, node, props["ps"], props.get("psv"), stmt.value, table)
     add((subject, props["wdt"], value_term))
     for q in stmt.qualifiers:
-        fam = qual_props[q.name]
+        fam = st.qualifier_properties[q.name]
         _add_value(add, texts, node, fam["pq"], fam.get("pqv"), q.value, table)
 
     for ref in stmt.references:
         rnode = reference_name(reference_hash(ref, table), h, table)
-        add((node, _DERIVED_FROM, rnode))
-        add((rnode, _TYPE, _REFERENCE))
+        add((node, PROV_WAS_DERIVED_FROM, rnode))
+        add((rnode, RDF_TYPE, WB_REFERENCE))
         for snak in ref.snaks:
             add((rnode, ref_props[snak.name], texts[snak.target]))
 

@@ -33,7 +33,7 @@ class Datatype(Enum):
 
 
 # the xsd: type of each Datatype's literals
-XSD: dict[Datatype, Iri] = {
+XSD: dict[Datatype, str] = {
     Datatype.STRING: fixed_term("xsd", "string"), Datatype.DECIMAL: fixed_term("xsd", "decimal"),
     Datatype.DATETIME: fixed_term("xsd", "dateTime"), Datatype.INT: fixed_term("xsd", "int")}
 
@@ -214,8 +214,8 @@ class ValueKind(NamedTuple):
     tag: str                      # leads the value node's hash preimage
     fields: tuple[tuple[str, str, Datatype | None], ...]
     origins: tuple[str, ...]      # cited by the node's shape and ValueNodeMalformed
-    class_iri: Iri                # the wikibase: node class
-    predicates: tuple[Iri, ...]   # the wikibase: field predicates, in `fields` order
+    class_iri: str                # the wikibase: node class
+    predicates: tuple[str, ...]   # the wikibase: field predicates, in `fields` order
 
 
 def _value_kind(node_class: str, value_type: type, tag: str,
@@ -258,7 +258,7 @@ TYPED_ORIGINS: dict[Datatype, dict[str, str]] = {
 # by exact class: the value classes have no subclasses
 _KIND_BY_TYPE = {kind.value_type: kind for kind in VALUE_KINDS.values()}
 # by the literal type of the value a node holds
-KIND_BY_XSD: dict[Iri, ValueKind] = {XSD[dt]: kind for dt, kind in VALUE_KINDS.items()}
+KIND_BY_XSD: dict[str, ValueKind] = {XSD[dt]: kind for dt, kind in VALUE_KINDS.items()}
 
 
 def value_kind(value: Value) -> ValueKind | None:

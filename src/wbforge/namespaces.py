@@ -66,9 +66,9 @@ _is_iri = re.compile(
 def iri_text(text: str) -> str:
     """`text` itself if it is an absolute IRI, else a `WbforgeError`.
 
-    The one IRI check: `Iri` runs it, and so do the names export mints
-    and the IRIs the N-Triples reader reads, which a graph keeps as
-    exact `str`.
+    The one IRI check: `Iri` runs it, and so do the fixed terms, the
+    names export mints and the IRIs the N-Triples reader reads, which a
+    graph keeps as exact `str`.
     """
     if _is_iri(text) is None:
         raise WbforgeError(f"not an absolute IRI: {text!r}")
@@ -88,9 +88,11 @@ def local_name(iri: str) -> str:
 class Iri(str):
     """An absolute IRI: a `str` that passed `iri_text`, equal to and hashed as its text.
 
-    A graph stores the same IRI as an exact `str`, which the collector
-    never tracks; `Iri` is the checked, typed form the model and the
-    graph's views hand out.
+    The type of the names a parsed model holds (items, classes, units,
+    calendars, snak targets) and of the terms the graph's views hand out.
+    A graph stores an IRI as an exact `str`, which the collector never
+    tracks; the fixed vocabulary (`fixed_term`) and each property family
+    `expand_statement` mints are that exact text from the start.
     """
 
     __slots__ = ()
@@ -257,9 +259,13 @@ def curie_or_iri(iri: str, table: NamespaceTable) -> str:
     return c if c is not None else f"<{iri}>"
 
 
-def fixed_term(prefix: str, local: str) -> Iri:
-    """`local` under a fixed prefix, which every table binds alike and none may rebind."""
-    return Iri(_ABSOLUTE[prefix] + local)
+def fixed_term(prefix: str, local: str) -> str:
+    """`local` under a fixed prefix, which every table binds alike and none may rebind.
+
+    Checked, and the exact `str` a graph stores: the fixed vocabulary is
+    graph-side text, not a model name.
+    """
+    return iri_text(_ABSOLUTE[prefix] + local)
 
 
 RDF_TYPE = fixed_term("rdf", "type")

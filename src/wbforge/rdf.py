@@ -18,7 +18,6 @@ from .errors import BlankNodeUnsupportedError, NtSyntaxError, WbforgeError
 from .namespaces import IRI_EXCLUDED, LONE_SURROGATE, Iri, fixed_term, iri_text
 
 XSD_STRING = fixed_term("xsd", "string")
-_XSD_STRING_TEXT = str(XSD_STRING)
 
 
 # Inside a Graph an IRI is an exact `str`, a literal a plain `(lexical,
@@ -32,7 +31,7 @@ _XSD_STRING_TEXT = str(XSD_STRING)
 # never equals a tuple, and a literal has two items where a triple has three.
 class Literal(NamedTuple):
     lexical: str
-    datatype: Iri = XSD_STRING
+    datatype: Iri = Iri(XSD_STRING)   # a view's datatype is an `Iri`, as the graph's are
 
 
 Term = Iri | Literal
@@ -91,7 +90,7 @@ def escape_literal(text: str) -> str:
 
 def render_literal(lexical: str, datatype: str) -> str:
     """A literal's N-Triples form; an xsd:string literal stays bare."""
-    if datatype == _XSD_STRING_TEXT:
+    if datatype == XSD_STRING:
         return f'"{escape_literal(lexical)}"'
     return f'"{escape_literal(lexical)}"^^<{datatype}>'
 
@@ -313,7 +312,7 @@ def _new_literal(lexical: str, datatype: str | None, line_no: int, iris: dict[st
     """The checked literal a literal's raw text spells, remembered in `literals`."""
     if LONE_SURROGATE.search(lexical):
         raise NtSyntaxError(line_no, "literal holds a lone surrogate")
-    dt = (_XSD_STRING_TEXT if datatype is None
+    dt = (XSD_STRING if datatype is None
           else iris.get(datatype) or _new_iri(datatype, line_no, iris))
     lit = literals[lexical, datatype] = (_unescape(lexical, line_no), dt)
     return lit

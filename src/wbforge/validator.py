@@ -42,7 +42,8 @@ from .model import (
     is_canonical,
 )
 from .namespaces import (
-    PROPERTY_NAMESPACES, PROV_WAS_DERIVED_FROM, RDF_TYPE, WB_ITEM, WB_REFERENCE, WB_STATEMENT, Iri)
+    PROPERTY_NAMESPACES, PROV_WAS_DERIVED_FROM, RDF_TYPE, WB_ITEM, WB_REFERENCE, WB_STATEMENT,
+    local_name)
 from .rdf import XSD_STRING, Graph, PlainTerm, PlainTriple
 
 ERROR = "ERROR"
@@ -151,12 +152,12 @@ def literal_problem(v: PlainTerm, dt: Datatype) -> str | None:
     """Why `v` is not a canonical `dt` literal, or None when it is one."""
     xsd = XSD[dt]
     if isinstance(v, str):
-        return f"is not an xsd:{xsd.local_name} literal"
+        return f"is not an xsd:{local_name(xsd)} literal"
     lexical, datatype = v
     if datatype != xsd:
-        return f"is not typed xsd:{xsd.local_name}"
+        return f"is not typed xsd:{local_name(xsd)}"
     if not is_canonical(dt, lexical):
-        return f"has non-canonical xsd:{xsd.local_name} lexical {lexical!r}"
+        return f"has non-canonical xsd:{local_name(xsd)} lexical {lexical!r}"
     return None
 
 
@@ -168,12 +169,17 @@ class _Checker:
         self.g = graph
         self.table = expanded.source.namespaces
         self.findings: set[Finding] = set()
-        # every family IRI some declaration's expansion mints, as exact text
-        self.minted = {str(p) for st in expanded.statements for p in st.family_properties()}
+        # every family IRI some declaration's expansion mints
+        self.minted = {p for st in expanded.statements for p in st.family_properties()}
         # (prefix, local name) of every predicate the graph uses under a property namespace
         self.family: dict[str, tuple[str, str]] = {
             p: spl for p in graph.predicates()
             if (spl := self.table.split(p)) is not None and spl[0] in PROPERTY_NAMESPACES}
+        # the nodes typed with each class, in no order: what is found lands
+        # in `findings`, which `run` sorts
+        self.typed: dict[PlainTerm, list[str]] = {}
+        for s, _, cls in graph.with_predicate(RDF_TYPE):
+            self.typed.setdefault(cls, []).append(s)
         # every value node read so far, by (node, kind tag), for the whole run
         self.values: dict[tuple[str, str], NodeValue] = {}
         # the name of each reference node whose statement's content hashed:
@@ -183,12 +189,8 @@ class _Checker:
     def add(self, code: str, focus: str, detail: str) -> None:
         self.findings.add(Finding(code, focus, detail, CODES[code]))
 
-    def has_type(self, node: PlainTerm, cls: Iri) -> bool:
+    def has_type(self, node: PlainTerm, cls: str) -> bool:
         return type(node) is str and (node, RDF_TYPE, cls) in self.g
-
-    def typed(self, cls: Iri) -> list[str]:
-        """Every node typed `cls`, in text order, as `Graph.subjects` lists them."""
-        return sorted([s for s, _, o in self.g.with_predicate(RDF_TYPE) if o == cls])
 
     def value_node(self, node: str, kind: ValueKind) -> NodeValue:
         """The value a `kind` node holds, or its field problems in field order.
@@ -280,7 +282,7 @@ class _Checker:
     def check_statement_nodes(self) -> None:
         incoming = self.in_edges()
         owners: dict[str, int] = {}       # statement nodes per prov:wasDerivedFrom object
-        for node in self.typed(WB_STATEMENT):
+        for node in self.typed.get(WB_STATEMENT, ()):
             edges = incoming.get(node, ())
             if not edges:
                 self.add("OrphanStatement", node,
@@ -457,7 +459,7 @@ class _Checker:
 
     def check_value_nodes(self) -> None:
         for kind in VALUE_KINDS.values():
-            for node in self.typed(kind.class_iri):
+            for node in self.typed.get(kind.class_iri, ()):
                 value = self.value_node(node, kind)
                 if isinstance(value, list):
                     self.add("ValueNodeMalformed", node, "; ".join(value))
@@ -536,7 +538,7 @@ def implied_truthy(expanded: ExpandedSchema, graph: Graph
         values: dict[str, list[PlainTerm]] = {}
         for node, _, y in graph.with_predicate(props["ps"]):
             values.setdefault(node, []).append(y)
-        wdt = str(props["wdt"])       # exact text once, which `Graph.add` stores as it is
+        wdt = props["wdt"]
         for s, _, node in graph.with_predicate(props["p"]):
             for y in values.get(node, ()):
                 yield node, (s, wdt, y)

@@ -1,9 +1,10 @@
 """Line-coverage gate for `src/wbforge`, standard library only.
 
 Runs the Tier-1 tests in this process under a `sys.settrace` line tracer
-and exits non-zero if any test fails, or if an executable line of
-`src/wbforge/` never ran and is not in `ALLOWED`. Run it from the
-repository root:
+and exits non-zero if any test fails, if an executable line of
+`src/wbforge/` never ran and is not in `ALLOWED`, or if an `ALLOWED`
+entry names no executable line of its module, so that no allowance
+outlives its line. Run it from the repository root:
 
     PYTHONPATH=src python tests/line_coverage.py
 
@@ -104,6 +105,19 @@ def unrun_lines(hits: dict[str, set[int]]) -> list[tuple[str, int, str]]:
     return out
 
 
+def stale_allowances(allowed: dict[tuple[str, str], str]) -> list[tuple[str, str]]:
+    """Each (module file, source line) of `allowed` that names no executable line."""
+    out = []
+    for name, text in allowed:
+        path = PACKAGE / name
+        if path.is_file():
+            source = path.read_text(encoding="utf-8").splitlines()
+            if any(source[line - 1].strip() == text for line in executable_lines(path)):
+                continue
+        out.append((name, text))
+    return out
+
+
 def main() -> int:
     if "wbforge" in sys.modules:
         sys.exit("wbforge is already imported, so its module-level lines cannot be traced")
@@ -122,13 +136,16 @@ def main() -> int:
     unrun = unrun_lines(tracer.hits())
     for name, line, text in unrun:
         print(f"src/wbforge/{name}:{line}: never ran: {text}")
+    stale = stale_allowances(ALLOWED)
+    for name, text in stale:
+        print(f"src/wbforge/{name}: allowed, but no executable line reads: {text}")
     total = sum(len(executable_lines(p)) for p in PACKAGE.glob("*.py"))
     print(f"line coverage: {len(unrun)} of {total} executable lines unrun and not allowed "
           f"({len(ALLOWED)} allowed); traced tests took {elapsed:.1f} s")
     if status != 0:
         print(f"the tests failed (pytest exit status {int(status)})")
         return 1
-    return 1 if unrun else 0
+    return 1 if unrun or stale else 0
 
 
 if __name__ == "__main__":

@@ -13,8 +13,11 @@ from wbforge.expander import (ExpandedSchema, ExpandedStatement, expand, expand_
                               expansion_report, object_datatype)
 from wbforge.exporter import export
 from wbforge.fixtures import FIXTURE_NAMES, load_fixture
-from wbforge.model import Datatype
-from wbforge.namespaces import DEFAULT_ROOT, Iri, NamespaceTable
+from wbforge.model import VALUE_KINDS, XSD, Datatype
+from wbforge.namespaces import (
+    DEFAULT_ROOT, PROV_WAS_DERIVED_FROM, RDF_TYPE, WB_ITEM, WB_REFERENCE, WB_STATEMENT, Iri,
+    NamespaceTable)
+from wbforge.rdf import XSD_STRING
 from wbforge.shapes import schema_shapes
 
 TABLE = NamespaceTable()
@@ -125,7 +128,7 @@ def test_report_layout():
     # every minted property appears exactly once: the family, the
     # provenance edge and the time node's value fields
     st = expand_statement(ITEM_OBJECT.statements[0], TABLE)
-    minted = {iri.value for iri in st.family_properties()}
+    minted = set(st.family_properties())
     minted.add(TABLE.term("prov", "wasDerivedFrom").value)
     minted.update("http://wikiba.se/ontology#" + f
                   for f in ("timeValue", "timePrecision", "timeTimezone", "timeCalendarModel"))
@@ -171,3 +174,18 @@ def test_every_layer_uses_only_the_expanded_family(case):
     assert exported <= family
     assert shaped <= family
     assert roles <= family
+
+
+def test_every_graph_side_term_is_minted_as_exact_text():
+    # a graph stores exact `str`, so the fixed vocabulary and each family
+    # IRI are minted as that text, and no layer keeps a second copy of them
+    terms = [RDF_TYPE, WB_ITEM, WB_STATEMENT, WB_REFERENCE, PROV_WAS_DERIVED_FROM, XSD_STRING,
+             *XSD.values()]
+    for kind in VALUE_KINDS.values():
+        terms += [kind.class_iri, *kind.predicates]
+    schemas = [load_fixture(name)[0] for name in FIXTURE_NAMES]
+    schemas += [random_schema(random.Random(seed)) for seed in range(50)]
+    for schema in schemas:
+        for st in expand(schema).statements:
+            terms += st.family_properties()
+    assert [t for t in terms if type(t) is not str] == []

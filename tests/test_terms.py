@@ -29,7 +29,7 @@ from wbforge.rdf import (  # noqa: E402
     XSD_STRING, Graph, Literal, Triple, parse_ntriples, render_term, serialize_canonical)
 from wbforge.validator import infer_truthy  # noqa: E402
 
-_DATATYPES = (XSD_STRING.value, "http://www.w3.org/2001/XMLSchema#decimal", "http://x.example/#d")
+_DATATYPES = (XSD_STRING, "http://www.w3.org/2001/XMLSchema#decimal", "http://x.example/#d")
 
 
 def _plain(term):

@@ -98,7 +98,7 @@ def _props(b, local):
     """The (p, ps) IRIs of the first declaration, under `local` in place of its name."""
     st = expand(b.schema).statements[0]
     name = st.source.property_name
-    return tuple(Iri(st.statement_properties[ns].value[:-len(name)] + local)
+    return tuple(Iri(st.statement_properties[ns][:-len(name)] + local)
                  for ns in ("p", "ps"))
 
 

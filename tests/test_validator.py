@@ -460,8 +460,8 @@ def test_validate_looks_at_each_statement_node_a_bounded_number_of_times(
     # and each distinct value node, so a second walk of any of them shows. The
     # other lookups do not grow with the graph: per declaration its p: edges
     # twice (owners, truthy chain) and its ps: and wdt: edges, and per run the
-    # statement and two value-node classes; the prov: edges are read from the
-    # statement nodes' views. A lookup per statement node breaks that bound.
+    # rdf:type edges once; the prov: edges are read from the statement nodes'
+    # views. A lookup per statement node breaks that bound.
     schema = parse_schema(corpus.RECORD_SCHEMA)
     instances = parse_instances(corpus.record_instances(random.Random(7), persons).text)
     g = export(schema, instances)
@@ -480,7 +480,7 @@ def test_validate_looks_at_each_statement_node_a_bounded_number_of_times(
     report = validate(full, g)
     assert report.findings == ()
     assert reads["edges"] == nodes + references + values
-    assert reads["match"] + reads["with_predicate"] <= 4 * len(full.statements) + 3
+    assert reads["match"] + reads["with_predicate"] <= 4 * len(full.statements) + 1
 
 
 def _term_calls(monkeypatch, run):
