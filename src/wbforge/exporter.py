@@ -33,6 +33,7 @@ from .model import (
     QualifierDecl,
     RefData,
     SchemaDocument,
+    SnakData,
     StatementData,
     StringValue,
     Value,
@@ -168,20 +169,20 @@ def statement_hash(subject: str, stmt: StatementData | StatementContent,
     return _sha40(assemble_preimage(subject, *stmt, table))
 
 
-# Each node kind's name is minted by one function, which checks it and gives
-# the exact `str` a graph stores; `statement_node` and `value_node` type theirs.
+# A node's name is the exact `str` a graph stores, and no name is checked on
+# its own: each is a head that is a valid IRI, then hex digits and '-', which
+# keep it one. A value or reference name's head is a table base, checked with
+# the table. A statement name's head is the `s:` base, then the local name of
+# the item's checked IRI (text an IRI body already holds) and '-', so it cannot
+# fail the check either. `statement_node` and `value_node` type their names as
+# `Iri`, which checks them again.
 
 def statement_node(subject: Iri, stmt: StatementData, table: NamespaceTable) -> Iri:
-    return Iri(_statement_name(subject, statement_hash(subject, stmt, table), table))
-
-
-def _statement_name(subject: str, stmt_hash: str, table: NamespaceTable) -> str:
-    """The statement node's name: the subject's local name and the content hash."""
-    return iri_text(statement_name_head(subject, table) + stmt_hash)
+    return Iri(statement_name_head(subject, table) + statement_hash(subject, stmt, table))
 
 
 def statement_name_head(subject: str, table: NamespaceTable) -> str:
-    """What a statement node's name holds before its hash."""
+    """What a statement node's name holds before its hash: the subject's local name."""
     return f"{table.base('s')}{local_name(subject)}-"
 
 
@@ -194,7 +195,7 @@ def value_node(value: DateTimeValue | DecimalValue, table: NamespaceTable) -> Ir
 
 
 def _value_name(value: DateTimeValue | DecimalValue, table: NamespaceTable) -> str:
-    return iri_text(table.base("v") + value_hash(value))
+    return table.base("v") + value_hash(value)
 
 
 def reference_hash(ref: RefData | Iterable[tuple[str, str]], table: NamespaceTable) -> str:
@@ -209,7 +210,7 @@ def reference_hash(ref: RefData | Iterable[tuple[str, str]], table: NamespaceTab
 def reference_name(ref_hash: str, stmt_hash: str, table: NamespaceTable) -> str:
     """The reference node's name: its snaks' hash, scoped to the owning
     statement's hash so provenance stays one-to-one."""
-    return iri_text(f"{table.base('ref')}{ref_hash}-{stmt_hash[:8]}")
+    return f"{table.base('ref')}{ref_hash}-{stmt_hash[:8]}"
 
 
 _KIND = {
@@ -305,11 +306,13 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
     add = triples.add
     texts = _Texts()
     checks: dict[str, _DeclChecks] = {}       # by statement property name
+    ref_hashes: dict[tuple[SnakData, ...], str] = {}    # by snaks, for this export
     for item in instances.items:
         if (schema.class_decl(item.type_class) is None
                 and item.type_class != WB_ITEM):
             raise UnresolvedNameError(item.type_class.value, "class not declared")
         subject = texts[item.iri]
+        head = statement_name_head(subject, table)
         add((subject, RDF_TYPE, texts[item.type_class]))
         add((subject, RDF_TYPE, WB_ITEM))
         for stmt in item.statements:
@@ -319,13 +322,16 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
                 if st is None:
                     raise UnresolvedNameError(stmt.property, "statement property not declared")
                 decl_checks = checks[stmt.property] = _decl_checks(st)
-            _export_statement(add, texts, subject, stmt, decl_checks, instances, table)
+            _export_statement(add, texts, subject, head, stmt, decl_checks, ref_hashes,
+                              instances, table)
     return Graph.of_plain(triples)
 
 
-def _export_statement(add: Add, texts: _Texts, subject: str, stmt: StatementData,
-                      decl_checks: _DeclChecks, instances: InstanceDoc,
-                      table: NamespaceTable) -> None:
+def _export_statement(add: Add, texts: _Texts, subject: str, head: str, stmt: StatementData,
+                      decl_checks: _DeclChecks, ref_hashes: dict[tuple[SnakData, ...], str],
+                      instances: InstanceDoc, table: NamespaceTable) -> None:
+    """Check `stmt` and add its triples; `head` is its `statement_name_head`,
+    and `ref_hashes` the export's `reference_hash` of each snak tuple seen so far."""
     st, quals_by_name, required_quals, required_refs = decl_checks
     props, ref_props = st.statement_properties, st.reference_properties
     _check_value(st.source.object_spec, stmt.value, instances, stmt.property)
@@ -354,7 +360,7 @@ def _export_statement(add: Add, texts: _Texts, subject: str, stmt: StatementData
                 raise MissingRequiredError(f"{stmt.property}/{name}")
 
     h = statement_hash(subject, stmt, table)
-    node = _statement_name(subject, h, table)
+    node = head + h
     add((subject, props["p"], node))
     add((node, RDF_TYPE, WB_STATEMENT))
     value_term = _add_value(add, texts, node, props["ps"], props.get("psv"), stmt.value, table)
@@ -364,7 +370,10 @@ def _export_statement(add: Add, texts: _Texts, subject: str, stmt: StatementData
         _add_value(add, texts, node, fam["pq"], fam.get("pqv"), q.value, table)
 
     for ref in stmt.references:
-        rnode = reference_name(reference_hash(ref, table), h, table)
+        ref_hash = ref_hashes.get(ref.snaks)
+        if ref_hash is None:
+            ref_hash = ref_hashes[ref.snaks] = reference_hash(ref, table)
+        rnode = reference_name(ref_hash, h, table)
         add((node, PROV_WAS_DERIVED_FROM, rnode))
         add((rnode, RDF_TYPE, WB_REFERENCE))
         for snak in ref.snaks:

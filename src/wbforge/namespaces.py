@@ -66,9 +66,10 @@ _is_iri = re.compile(
 def iri_text(text: str) -> str:
     """`text` itself if it is an absolute IRI, else a `WbforgeError`.
 
-    The one IRI check: `Iri` runs it, and so do the fixed terms, the
-    names export mints and the IRIs the N-Triples reader reads, which a
-    graph keeps as exact `str`.
+    The one IRI check: `Iri` runs it, and so do the fixed terms and the
+    IRIs the N-Triples reader reads, which a graph keeps as exact `str`.
+    The names export mints are built from checked bases and IRIs, so they
+    need no check of their own.
     """
     if _is_iri(text) is None:
         raise WbforgeError(f"not an absolute IRI: {text!r}")

@@ -1,6 +1,8 @@
 """Exporter: content hashing, node identity, triple emission, rejection."""
 
+import dataclasses
 import random
+import re
 
 import pytest
 
@@ -29,7 +31,7 @@ from wbforge.exporter import (
     value_hash,
     value_node,
 )
-from wbforge.fixtures import FIXTURE_NAMES, load_fixture
+from wbforge.fixtures import FIXTURE_NAMES, fixture_path, load_fixture
 from wbforge.model import (
     KIND_BY_XSD,
     VALUE_KINDS,
@@ -55,6 +57,7 @@ from wbforge.namespaces import (
     Iri,
     NamespaceTable,
     fixed_term,
+    iri_text,
 )
 from wbforge.rdf import XSD_STRING, Literal, Triple, serialize_canonical
 from wbforge.shapes import schema_shapes
@@ -63,7 +66,7 @@ from wbforge.validator import validate
 TABLE = NamespaceTable()
 WD = DEFAULT_ROOT + "entity/"
 
-SCHEMA = parse_schema("""
+SCHEMA_TEXT = """
 prefix ex: <http://example.org/>
 class ex:Employee
 class ex:Job
@@ -74,7 +77,8 @@ statement ex:hasJob {
   qualifier ex:amount : decimal
   reference ex:taxRecord -> item ex:Job required
 }
-""")
+"""
+SCHEMA = parse_schema(SCHEMA_TEXT)
 
 EMPLOYEE = Iri(WD + "employee0")
 JOB = ItemRef(Iri(WD + "job0"))
@@ -514,6 +518,133 @@ def test_export_hashes_each_statement_once(name, monkeypatch):
     for item in instances.items:
         for stmt in item.statements:
             assert statement_node(item.iri, stmt, schema.namespaces) in {t.o for t in g}
+
+
+_HASH_ROOT = "http://hash.example/ns#"     # a root ending in '#', so item local names hold '/'
+_HEX40 = "[0-9a-f]{40}"
+
+
+def _rooted(case, root: str):
+    """A fixture, or a `random_schema`/`random_instances` seed, under `root`."""
+    if isinstance(case, str):
+        return (parse_schema(fixture_path(case, "wbs").read_text(), root),
+                parse_instances(fixture_path(case, "wbi").read_text(), root))
+    rng = random.Random(case)
+    schema = random_schema(rng)
+    schema = dataclasses.replace(schema, namespaces=NamespaceTable(root, schema.namespaces.user))
+    return schema, random_instances(rng, schema)
+
+
+@pytest.mark.parametrize("root", [DEFAULT_ROOT, _HASH_ROOT], ids=["default", "hash"])
+@pytest.mark.parametrize("case", FIXTURE_NAMES + tuple(range(50)))
+def test_minted_names_are_a_checked_head_and_hex_digits(case, root):
+    # export checks no minted name itself: each is a checked head followed by
+    # hex digits and '-', which keep an absolute IRI one
+    schema, instances = _rooted(case, root)
+    table = schema.namespaces
+    g = export(schema, instances)
+    owner = {node: s for st in expand(schema).statements
+             for s, _, node in g.with_predicate(st.statement_properties["p"])}
+    typed = {}
+    for node, _, cls in g.with_predicate(RDF_TYPE):
+        typed.setdefault(cls, []).append(node)
+    shapes = [(node, re.escape(exporter.statement_name_head(owner[node], table)) + _HEX40)
+              for node in typed.get(WB_STATEMENT, ())]
+    shapes += [(node, re.escape(table.base("v")) + _HEX40)
+               for kind in VALUE_KINDS.values() for node in typed.get(kind.class_iri, ())]
+    shapes += [(node, re.escape(table.base("ref")) + _HEX40 + "-[0-9a-f]{8}")
+               for node in typed.get(WB_REFERENCE, ())]
+    claims = {(item.iri, stmt) for item in instances.items for stmt in item.statements}
+    assert len(typed.get(WB_STATEMENT, ())) == len(claims)
+    for node, shape in shapes:
+        assert iri_text(node) == node
+        assert re.fullmatch(shape, node), node
+
+
+def _snak_tuples(instances):
+    """Each reference's snaks as export meets them, first meeting only."""
+    return list(dict.fromkeys(ref.snaks for item in instances.items
+                              for stmt in item.statements for ref in stmt.references))
+
+
+# two statements share one reference's snaks and two share another's
+_SHARED_SOURCES_TEXT = """
+prefix ex: <http://example.org/>
+item wd:employee0 : ex:Employee {
+  ex:hasJob -> item wd:job0 {
+    qualifier ex:atTime = datetime 2001-01-01T00:00:00Z
+    reference { ex:taxRecord -> item wd:doc1 }
+  }
+  ex:hasJob -> item wd:job1 {
+    reference { ex:taxRecord -> item wd:doc1 }
+    reference { ex:taxRecord -> item wd:doc2 }
+  }
+}
+item wd:employee1 : ex:Employee {
+  ex:hasJob -> item wd:job0 {
+    qualifier ex:atTime = datetime 2001-01-01T00:00:00Z
+    reference { ex:taxRecord -> item wd:doc2 }
+  }
+}
+item wd:job0 : ex:Job { }
+item wd:job1 : ex:Job { }
+item wd:doc1 : ex:Job { }
+item wd:doc2 : ex:Job { }
+"""
+
+
+@pytest.mark.parametrize("case", ("shared-sources",) + FIXTURE_NAMES + tuple(range(10)))
+def test_export_hashes_each_snak_tuple_once(case, monkeypatch):
+    if case == "shared-sources":
+        schema, instances = SCHEMA, parse_instances(_SHARED_SOURCES_TEXT)
+    else:
+        schema, instances = _rooted(case, DEFAULT_ROOT)
+    calls = []
+
+    def counting(ref, table):
+        calls.append(ref.snaks)
+        return reference_hash(ref, table)
+
+    monkeypatch.setattr(exporter, "reference_hash", counting)
+    for _ in range(2):            # the memo lasts one export
+        calls.clear()
+        g = export(schema, instances)
+        assert calls == _snak_tuples(instances)
+    if case == "shared-sources":
+        assert len(calls) == 2 and len(list(g.with_predicate(PROV_WAS_DERIVED_FROM))) == 4
+
+
+def _typed_names(g, cls, base):
+    """The names of the nodes typed `cls`, each without `base`, which it starts with."""
+    nodes = [s for s, _, o in g.with_predicate(RDF_TYPE) if o == cls]
+    assert nodes and all(node.startswith(base) for node in nodes)
+    return sorted(node[len(base):] for node in nodes)
+
+
+def test_exports_under_two_roots_share_no_state():
+    # what one export hashed is its own: the same instances under a root give
+    # the same bytes whichever export, under whichever root, ran before
+    instances = parse_instances(_SHARED_SOURCES_TEXT)
+    schemas = {root: parse_schema(SCHEMA_TEXT, root)
+               for root in (DEFAULT_ROOT, "http://other.example/")}
+    first = {root: serialize_canonical(export(schema, instances))
+             for root, schema in schemas.items()}
+    graphs = {root: export(schema, instances) for root, schema in reversed(schemas.items())}
+    assert {root: serialize_canonical(g) for root, g in graphs.items()} == first
+    names = {}
+    for root, schema in schemas.items():
+        table, g = schema.namespaces, graphs[root]
+        assert set(g.subjects(RDF_TYPE, WB_REFERENCE)) == {
+            reference_node(ref, statement_hash(item.iri, stmt, table), table)
+            for item in instances.items for stmt in item.statements for ref in stmt.references}
+        names[root] = [_typed_names(g, VALUE_KINDS[Datatype.DATETIME].class_iri,
+                                    table.base("v")),
+                       _typed_names(g, WB_REFERENCE, table.base("ref"))]
+    # a value node's hash holds its value alone, so its name differs only in
+    # the base; a reference node's hash holds its pr: IRIs, which the root moves
+    (values, refs), (other_values, other_refs) = names.values()
+    assert values == other_values
+    assert len(refs) == len(other_refs) == 4 and not set(refs) & set(other_refs)
 
 
 def test_read_back_of_a_literal_reference_target_is_none():

@@ -706,6 +706,34 @@ def test_a_reference_node_not_named_by_its_snaks_and_owner_is_a_finding(name):
     assert rep.passed
 
 
+# two statements, each with a reference node holding the same one snak
+_SHARED_SNAKS = parse_instances("""
+prefix ex: <http://example.org/>
+item wd:employee0 : ex:Employee {
+  ex:hasJob -> item wd:job0 { reference { ex:taxRecord -> item wd:doc1 } }
+}
+item wd:employee1 : ex:Employee {
+  ex:hasJob -> item wd:job0 { reference { ex:taxRecord -> item wd:doc1 } }
+}
+item wd:job0 : ex:Job { }
+item wd:doc1 : ex:Job { }
+""")
+
+
+@pytest.mark.parametrize("renamed", [0, 1])
+def test_of_two_reference_nodes_with_one_snak_tuple_the_renamed_one_is_a_finding(renamed):
+    # both names start with one snak hash; only the one whose owner part moved is a finding
+    g = export(SCHEMA, _SHARED_SNAKS)
+    rnodes = sorted(t.o for t in g.match(None, Iri("http://www.w3.org/ns/prov#wasDerivedFrom")))
+    assert len(rnodes) == 2 and rnodes[0][:-8] == rnodes[1][:-8]
+    old = rnodes[renamed]
+    new = Iri(old[:-8] + "00000000")
+    rep = validate(SCHEMA, _renamed(g, old, new))
+    assert rep.findings == (Finding(
+        "HashMismatch", new.value, f"node name does not match content name <{old.value}>",
+        WARNING),)
+
+
 def test_a_reference_whose_snak_moved_is_a_finding():
     # a new target changes both content hashes: the statement's and the reference's
     g = _graph()
