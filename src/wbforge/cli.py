@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
 
 from .axioms import schema_axioms, serialize_axioms
@@ -29,11 +30,39 @@ ROOT_ENV = "WBFORGE_ROOT"
 
 
 def _write(text: str, path: str) -> None:
+    """Write `text` to stdout (`-`) or to `path`, all or nothing.
+
+    The text goes to a new file beside the one `path` names (through any
+    symlink), which replaces it once the last byte is written; on a
+    failure the new file is removed and `path` is left as it was. A new
+    file gets the mode `open(path, "w")` gives, and an existing one keeps
+    its permission bits. A device or pipe, such as /dev/null, cannot be
+    replaced, so it is written in place.
+    """
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+        return
+    if os.path.islink(path):      # only the last component says which file is replaced
+        path = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(path), f".wbforge-{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read(path: str) -> str:

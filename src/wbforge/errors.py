@@ -69,6 +69,17 @@ class PreimageDelimiterError(WbforgeError):
         self.iri = iri
 
 
+class ReferenceNameCollisionError(WbforgeError):
+    # a reference name holds 32 bits of its statement's hash, so two statements
+    # citing the same snaks can mint one name; export refuses that merge
+    def __init__(self, name: str, first: str, second: str) -> None:
+        super().__init__(f"reference node <{name}> would be shared by a statement "
+                         f"of <{first}> and one of <{second}>")
+        self.name = name
+        self.first = first
+        self.second = second
+
+
 class UnresolvedNameError(WbforgeError):
     def __init__(self, name: str, detail: str = "") -> None:
         msg = f"name {name!r} does not resolve against the schema"

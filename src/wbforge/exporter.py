@@ -18,6 +18,7 @@ from typing import NamedTuple
 from .errors import (
     MissingRequiredError,
     PreimageDelimiterError,
+    ReferenceNameCollisionError,
     TypeMismatchError,
     UnresolvedNameError,
 )
@@ -209,7 +210,11 @@ def reference_hash(ref: RefData | Iterable[tuple[str, str]], table: NamespaceTab
 
 def reference_name(ref_hash: str, stmt_hash: str, table: NamespaceTable) -> str:
     """The reference node's name: its snaks' hash, scoped to the owning
-    statement's hash so provenance stays one-to-one."""
+    statement by the first 8 hex digits (32 bits) of that statement's hash.
+
+    Two statements citing the same snaks can share those digits; `export`
+    refuses such a pair, so provenance stays one-to-one.
+    """
     return f"{table.base('ref')}{ref_hash}-{stmt_hash[:8]}"
 
 
@@ -307,6 +312,7 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
     texts = _Texts()
     checks: dict[str, _DeclChecks] = {}       # by statement property name
     ref_hashes: dict[tuple[SnakData, ...], str] = {}    # by snaks, for this export
+    ref_owners: dict[str, tuple[str, str]] = {}     # reference name -> (statement hash, item)
     for item in instances.items:
         if (schema.class_decl(item.type_class) is None
                 and item.type_class != WB_ITEM):
@@ -323,15 +329,18 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
                     raise UnresolvedNameError(stmt.property, "statement property not declared")
                 decl_checks = checks[stmt.property] = _decl_checks(st)
             _export_statement(add, texts, subject, head, stmt, decl_checks, ref_hashes,
-                              instances, table)
+                              ref_owners, instances, table)
     return Graph.of_plain(triples)
 
 
 def _export_statement(add: Add, texts: _Texts, subject: str, head: str, stmt: StatementData,
                       decl_checks: _DeclChecks, ref_hashes: dict[tuple[SnakData, ...], str],
-                      instances: InstanceDoc, table: NamespaceTable) -> None:
+                      ref_owners: dict[str, tuple[str, str]], instances: InstanceDoc,
+                      table: NamespaceTable) -> None:
     """Check `stmt` and add its triples; `head` is its `statement_name_head`,
-    and `ref_hashes` the export's `reference_hash` of each snak tuple seen so far."""
+    `ref_hashes` the export's `reference_hash` of each snak tuple seen so far,
+    and `ref_owners` the statement hash and item that first minted each
+    reference name."""
     st, quals_by_name, required_quals, required_refs = decl_checks
     props, ref_props = st.statement_properties, st.reference_properties
     _check_value(st.source.object_spec, stmt.value, instances, stmt.property)
@@ -374,6 +383,9 @@ def _export_statement(add: Add, texts: _Texts, subject: str, head: str, stmt: St
         if ref_hash is None:
             ref_hash = ref_hashes[ref.snaks] = reference_hash(ref, table)
         rnode = reference_name(ref_hash, h, table)
+        owner_hash, owner = ref_owners.setdefault(rnode, (h, subject))
+        if owner_hash != h:     # another statement whose hash shares the scope's 8 digits
+            raise ReferenceNameCollisionError(rnode, owner, subject)
         add((node, PROV_WAS_DERIVED_FROM, rnode))
         add((rnode, RDF_TYPE, WB_REFERENCE))
         for snak in ref.snaks:

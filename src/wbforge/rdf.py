@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator
 from functools import partial
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import BlankNodeUnsupportedError, NtSyntaxError, WbforgeError
@@ -102,7 +101,7 @@ _SIMPLE_UNESCAPES = {
 }
 
 
-def _unescape(text: str, line_no: int, in_iri: bool = False) -> str:
+def _unescape(text: str, in_iri: bool = False) -> str:
     """Decode escapes; an IRIREF (`in_iri`) admits only the \\u and \\U forms."""
     if "\\" not in text:        # almost every term: nothing to decode
         return text
@@ -112,14 +111,14 @@ def _unescape(text: str, line_no: int, in_iri: bool = False) -> str:
         if len(body) > 1:         # \uXXXX or \UXXXXXXXX; a short one is a bad escape
             code = int(body[1:], 16)
             if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-                raise NtSyntaxError(line_no, f"escape \\{body} is not a Unicode scalar value")
+                raise WbforgeError(f"escape \\{body} is not a Unicode scalar value")
             return chr(code)
         if in_iri and body in _SIMPLE_UNESCAPES:
-            raise NtSyntaxError(line_no, f"escape \\{body} is not allowed in an IRI")
+            raise WbforgeError(f"escape \\{body} is not allowed in an IRI")
         try:
             return _SIMPLE_UNESCAPES[body]
         except KeyError:
-            raise NtSyntaxError(line_no, f"bad escape \\{body}") from None
+            raise WbforgeError(f"bad escape \\{body}") from None
     return _UNESCAPE.sub(repl, text)
 
 
@@ -134,13 +133,9 @@ def render_triple(t: Triple | PlainTriple) -> str:
     return f"<{s}> <{p}> {render_term(o)} ."
 
 
-# `match` sort keys for a wildcard and for a bound object, over stored
-# triples, whose IRIs are their text
+# `match`'s sort key, over stored triples, whose IRIs are their text
 def _render_key(t: PlainTriple) -> tuple[str, str, str]:
     return t[0], t[1], render_term(t[2])
-
-
-_BOUND_O_KEY = itemgetter(0, 1)
 
 
 class Graph:
@@ -220,22 +215,18 @@ class Graph:
 
     def _match(self, s: str | None, p: str | None, o: Term | PlainTerm | None
                ) -> list[PlainTriple]:
-        """The stored triples `match` shows, in its order.
+        """The stored triples `match` shows, sorted on `(s, p, render_term(o))`.
 
-        Candidates come from the by-s index if `s` is bound, else from the
-        by-p index if `p` is, else from every triple. Two or more hits are
-        sorted on `(s, p, render_term(o))`, or on `(s, p)` when `o` is
-        bound: the bound positions are equal in every hit, so the order is
-        the same, and a bound object is never rendered.
+        Candidates come from the by-s index if `s` is bound, else from
+        every triple: callers look up one subject at a time, while the
+        library's own readers go through `edges` and `with_predicate`.
         """
-        pool = (self._index(0).get(s, ()) if s is not None
-                else self._index(1).get(p, ()) if p is not None else self._triples)
+        pool = self._index(0).get(s, ()) if s is not None else self._triples
         found = [t for t in pool
                  if (s is None or t[0] == s)
                  and (p is None or t[1] == p)
                  and (o is None or t[2] == o)]
-        if len(found) > 1:
-            found.sort(key=_render_key if o is None else _BOUND_O_KEY)
+        found.sort(key=_render_key)
         return found
 
     def match(self, s: Iri | None = None, p: Iri | None = None,
@@ -301,20 +292,19 @@ _TRIPLE_RE = re.compile(
 _BLANK_NODE_RE = re.compile(rf"^(?:_:|{_IRIREF}[ \t]+{_IRIREF}[ \t]+_:)")
 
 
-def _new_iri(raw: str, line_no: int, iris: dict[str, str]) -> str:
+def _new_iri(raw: str, iris: dict[str, str]) -> str:
     """The checked IRI an IRIREF's text spells, remembered in `iris`."""
-    iri = iris[raw] = iri_text(_unescape(raw, line_no, in_iri=True))
+    iri = iris[raw] = iri_text(_unescape(raw, in_iri=True))
     return iri
 
 
-def _new_literal(lexical: str, datatype: str | None, line_no: int, iris: dict[str, str],
+def _new_literal(lexical: str, datatype: str | None, iris: dict[str, str],
                  literals: dict[tuple[str, str | None], tuple[str, str]]) -> tuple[str, str]:
     """The checked literal a literal's raw text spells, remembered in `literals`."""
     if LONE_SURROGATE.search(lexical):
-        raise NtSyntaxError(line_no, "literal holds a lone surrogate")
-    dt = (XSD_STRING if datatype is None
-          else iris.get(datatype) or _new_iri(datatype, line_no, iris))
-    lit = literals[lexical, datatype] = (_unescape(lexical, line_no), dt)
+        raise WbforgeError("literal holds a lone surrogate")
+    dt = XSD_STRING if datatype is None else iris.get(datatype) or _new_iri(datatype, iris)
+    lit = literals[lexical, datatype] = (_unescape(lexical), dt)
     return lit
 
 
@@ -343,17 +333,14 @@ def parse_ntriples(text: str) -> Graph:
         if o_lang is not None:
             raise NtSyntaxError(line_no, f"language tags are not supported: @{o_lang}")
         try:
-            s = iris.get(s_iri) or _new_iri(s_iri, line_no, iris)
-            p = iris.get(p_iri) or _new_iri(p_iri, line_no, iris)
+            s = iris.get(s_iri) or _new_iri(s_iri, iris)
+            p = iris.get(p_iri) or _new_iri(p_iri, iris)
             o: PlainTerm
             if o_iri is not None:
-                o = iris.get(o_iri) or _new_iri(o_iri, line_no, iris)
+                o = iris.get(o_iri) or _new_iri(o_iri, iris)
             else:
-                o = literals.get((o_lex, o_dt)) or _new_literal(o_lex, o_dt, line_no,
-                                                                 iris, literals)
-        except NtSyntaxError:
-            raise
-        except WbforgeError as exc:   # an IRI rule: empty, or a forbidden character
+                o = literals.get((o_lex, o_dt)) or _new_literal(o_lex, o_dt, iris, literals)
+        except WbforgeError as exc:   # a bad escape, a lone surrogate, or an IRI rule
             raise NtSyntaxError(line_no, str(exc)) from None
         add((s, p, o))
     return Graph.of_plain(triples)

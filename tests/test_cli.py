@@ -1,6 +1,7 @@
 """CLI surface: subcommands, output routing, exit codes, root override."""
 
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,8 @@ from wbforge.dsl import parse_schema
 from wbforge.fixtures import MUTATIONS, fixture_path, load_bundle
 from wbforge.rdf import parse_ntriples, serialize_canonical
 from wbforge.validator import render_report, render_report_tsv, validate
+
+from test_exporter import NAME_RECORD_PAIR
 
 SCHEMA = fixture_path("age-record", "wbs")
 INSTANCES = fixture_path("age-record", "wbi")
@@ -60,6 +63,81 @@ def test_output_file(tmp_path):
     target = tmp_path / "out.ofn"
     assert main(["axioms", str(SCHEMA), "-o", str(target)]) == 0
     assert target.read_text() == fixture_path("age-record", "ofn").read_text()
+
+
+# exits 2 once the output passes 1,000 bytes: SIGXFSZ is ignored, so the
+# write fails with EFBIG; the limits are this child process's own
+_WRITE_UNDER_FSIZE_LIMIT = """
+import resource, signal, sys
+from wbforge.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (1000, 1000))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_failed_output_write_leaves_the_old_file(tmp_path):
+    pytest.importorskip("resource")
+    keep = tmp_path / "keep.nt"
+    old = fixture_path("name-record", "nt").read_bytes()
+    keep.write_bytes(old)
+    assert fixture_path("age-record", "nt").stat().st_size > 1000
+    env = {**os.environ, "PYTHONPATH": str(Path(wbforge.__file__).parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WRITE_UNDER_FSIZE_LIMIT,
+         "export", str(SCHEMA), str(INSTANCES), "-o", str(keep)],
+        env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"wbforge: ") and b"Traceback" not in proc.stderr
+    assert keep.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["keep.nt"]
+
+
+def test_a_write_that_cannot_encode_leaves_the_old_file(tmp_path):
+    keep = tmp_path / "keep.nt"
+    keep.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        cli._write("new \udcff\n", str(keep))     # a lone surrogate has no UTF-8 form
+    assert keep.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["keep.nt"]
+
+
+def test_output_keeps_modes_and_writes_through_a_symlink(tmp_path):
+    plain = tmp_path / "plain.ofn"
+    with open(plain, "w"):
+        pass
+    new = tmp_path / "new.ofn"
+    assert main(["axioms", str(SCHEMA), "-o", str(new)]) == 0
+    assert new.stat().st_mode == plain.stat().st_mode     # as open(path, "w") makes it
+    target = tmp_path / "target.ofn"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.ofn"
+    link.symlink_to(target.name)
+    assert main(["axioms", str(SCHEMA), "-o", str(link)]) == 0
+    assert link.is_symlink() and target.read_text() == new.read_text()
+    assert target.stat().st_mode & 0o7777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link.ofn", "new.ofn", "plain.ofn", "target.ofn"]
+
+
+def test_output_to_a_device_is_written_in_place():
+    assert main(["axioms", str(SCHEMA), "-o", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_infer_onto_its_own_input_writes_what_a_separate_output_gets(tmp_path):
+    b = load_bundle("age-record")
+    g = b.graph.copy()
+    for t in [t for t in g if "/prop/direct/" in t.p.value]:
+        g.discard(t)
+    graph, separate = tmp_path / "g.nt", tmp_path / "separate.nt"
+    graph.write_text(serialize_canonical(g))
+    assert main(["infer", str(SCHEMA), str(graph), "-o", str(separate)]) == 0
+    assert main(["infer", str(SCHEMA), str(graph), "-o", str(graph)]) == 0
+    assert graph.read_bytes() == separate.read_bytes()
+    assert separate.read_bytes() == fixture_path("age-record", "nt").read_bytes()
 
 
 def test_validate_pass_and_fail(tmp_path, capsys):
@@ -198,6 +276,16 @@ def test_export_delimiter_in_reference_target_exits_2(tmp_path, capsys):
     assert main(["export", str(SCHEMA), str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("wbforge: reference target") and "'|' or ';'" in err
+
+
+def test_export_of_two_statements_minting_one_reference_name_exits_2(tmp_path, capsys):
+    pair = tmp_path / "pair.wbi"
+    pair.write_text(NAME_RECORD_PAIR)
+    assert main(["export", str(fixture_path("name-record", "wbs")), str(pair)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("wbforge: reference node <") and "-764d46f3>" in captured.err
+    assert "entity/a26779>" in captured.err and "entity/a154832>" in captured.err
 
 
 def test_a_relative_item_iri_holding_braces_and_a_bar_is_refused_before_export(tmp_path, capsys):

@@ -13,6 +13,7 @@ from wbforge.dsl import parse_instances, parse_schema
 from wbforge.errors import (
     MissingRequiredError,
     PreimageDelimiterError,
+    ReferenceNameCollisionError,
     TypeMismatchError,
     UnresolvedNameError,
     WbforgeError,
@@ -341,6 +342,52 @@ item wd:doc1 : ex:Job { }
     # same content hash, different statement suffix
     assert {n.value.rsplit("-", 1)[0] for n in nodes} == \
         {DEFAULT_ROOT + "reference/" + oracle.HASH_REFERENCE}
+
+
+# Two items whose "Anna" statements cite one source and whose statement hashes
+# share their first 8 hex digits, found by hashing that statement under the
+# subjects wd:a0, wd:a1, ...: both would mint one reference name.
+NAME_RECORD_PAIR = """
+prefix rec: <http://records.example/vocab/>
+item wd:a26779 : rec:Agent {
+  rec:hasNameRecord -> string "Anna" { reference { rec:isDirectlyBasedOn -> item wd:src } }
+}
+item wd:a154832 : rec:Agent {
+  rec:hasNameRecord -> string "Anna" { reference { rec:isDirectlyBasedOn -> item wd:src } }
+}
+item wd:src : rec:SourceDocument { }
+"""
+
+
+def test_export_refuses_two_statements_that_mint_one_reference_name():
+    schema = load_fixture("name-record")[0]
+    inst = parse_instances(NAME_RECORD_PAIR)
+    first, second = (statement_hash(item.iri, item.statements[0], schema.namespaces)
+                     for item in inst.items[:2])
+    assert first != second and first[:8] == second[:8] == "764d46f3"
+    with pytest.raises(ReferenceNameCollisionError) as exc:
+        export(schema, inst)
+    assert re.fullmatch(DEFAULT_ROOT + r"reference/5ba0c313[0-9a-f]{32}-764d46f3", exc.value.name)
+    assert (exc.value.first, exc.value.second) == (
+        DEFAULT_ROOT + "entity/a26779", DEFAULT_ROOT + "entity/a154832")
+    assert f"<{exc.value.name}>" in str(exc.value)
+    assert f"<{exc.value.first}>" in str(exc.value) and f"<{exc.value.second}>" in str(exc.value)
+
+
+def test_a_statement_repeated_verbatim_on_one_item_is_one_node_and_exports():
+    schema = load_fixture("name-record")[0]
+    anna = ('  rec:hasNameRecord -> string "Anna" '
+            "{ reference { rec:isDirectlyBasedOn -> item wd:src } }\n")
+
+    def wbi(statements):
+        return ("prefix rec: <http://records.example/vocab/>\n"
+                "item wd:a26779 : rec:Agent {\n" + statements + "}\n"
+                "item wd:src : rec:SourceDocument { }\n")
+
+    g = export(schema, parse_instances(wbi(anna * 2)))
+    assert g == export(schema, parse_instances(wbi(anna)))
+    prov = Iri("http://www.w3.org/ns/prov#wasDerivedFrom")
+    assert len(g.match(None, prov, None)) == 1
 
 
 def test_export_rejections():
