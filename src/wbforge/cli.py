@@ -15,10 +15,12 @@ import functools
 import os
 import stat
 import sys
+from collections.abc import Callable
+from typing import TypeVar
 
 from .axioms import schema_axioms, serialize_axioms
 from .dsl import parse_instances, parse_schema
-from .errors import WbforgeError
+from .errors import BlankNodeUnsupportedError, DslSyntaxError, NtSyntaxError, WbforgeError
 from .expander import expand, expansion_report
 from .exporter import export
 from .namespaces import DEFAULT_ROOT
@@ -27,6 +29,7 @@ from .shapes import schema_shapes, serialize_shapes
 from .validator import infer_truthy, render_report, render_report_tsv, validate
 
 ROOT_ENV = "WBFORGE_ROOT"
+T = TypeVar("T")
 
 
 def _write(text: str, path: str) -> None:
@@ -50,24 +53,34 @@ def _write(text: str, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         return
-    if os.path.islink(path):      # only the last component says which file is replaced
-        path = os.path.realpath(path)
-    tmp = os.path.join(os.path.dirname(path), f".wbforge-{os.urandom(4).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    # only the last component says which file is replaced
+    real = os.path.realpath(path) if os.path.islink(path) else path
+    tmp = os.path.join(os.path.dirname(real), f".wbforge-{os.urandom(4).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:        # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8") as fh:
             if mode is not None:
                 os.fchmod(fd, stat.S_IMODE(mode))
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def _read(path: str) -> str:
+def _parse(parse: Callable[..., T], path: str, *args: str) -> T:
+    """`parse` of the text of `path`; a syntax error names `path` before its place."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        text = fh.read()
+    try:
+        return parse(text, *args)
+    except DslSyntaxError as exc:
+        raise WbforgeError(f"{path}:{exc.line}:{exc.col}: expected {exc.expected}") from None
+    except (NtSyntaxError, BlankNodeUnsupportedError) as exc:
+        raise WbforgeError(f"{path}:{exc.line}: {exc.message}") from None
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -133,7 +146,7 @@ def _root(args: argparse.Namespace) -> str:
 
 def run(args: argparse.Namespace) -> int:
     root = _root(args)
-    schema = parse_schema(_read(args.schema), root)
+    schema = _parse(parse_schema, args.schema, root)
 
     if args.command == "expand":
         _write(expansion_report(expand(schema)), args.output)
@@ -145,16 +158,16 @@ def run(args: argparse.Namespace) -> int:
     elif args.command == "shapes":
         _write(serialize_shapes(schema_shapes(schema)), args.output)
     elif args.command == "export":
-        instances = parse_instances(_read(args.instances), root)
+        instances = _parse(parse_instances, args.instances, root)
         _write(serialize_canonical(export(schema, instances)), args.output)
     elif args.command == "validate":
-        graph = parse_ntriples(_read(args.graph))
+        graph = _parse(parse_ntriples, args.graph)
         report = validate(schema, graph)
         text = render_report_tsv(report) if args.tsv else render_report(report)
         _write(text, args.output)
         return 0 if report.passed else 1
     elif args.command == "infer":
-        graph = parse_ntriples(_read(args.graph))
+        graph = _parse(parse_ntriples, args.graph)
         _write(serialize_canonical(infer_truthy(schema, graph)), args.output)
     else:
         counts = (f"classes={len(schema.classes)}"

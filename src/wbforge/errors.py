@@ -33,7 +33,8 @@ class NtSyntaxError(WbforgeError):
 class BlankNodeUnsupportedError(WbforgeError):
     # the canonical graph model is ground; blank nodes are rejected, not skolemized
     def __init__(self, line: int) -> None:
-        super().__init__(f"line {line}: blank nodes are not supported")
+        self.message = "blank nodes are not supported"
+        super().__init__(f"line {line}: {self.message}")
         self.line = line
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator
 from functools import partial
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import BlankNodeUnsupportedError, NtSyntaxError, WbforgeError
@@ -308,19 +309,85 @@ def _new_literal(lexical: str, datatype: str | None, iris: dict[str, str],
     return lit
 
 
+# a literal as a whole term of a canonical line: no language tag
+_LITERAL_PART = re.compile(rf"{_LITERAL}(?:\^\^{_IRIREF})?").fullmatch
+
+
+def _new_part(part: str, terms: dict[str, PlainTerm], iris: dict[str, str],
+              literals: dict[tuple[str, str | None], tuple[str, str]]) -> PlainTerm | None:
+    """The term one part of a canonical line spells, remembered in `terms`.
+
+    An IRIREF without a backslash has nothing to unescape, and `iri_text`
+    refuses every character `_IRIREF` refuses; a literal matches
+    `_LITERAL_PART`. Any other part, or one that fails its check, is None
+    and enters no memo: the strict loop reads its line and raises its fault.
+    """
+    try:
+        if part[:1] == "<" and part[-1:] == ">" and "\\" not in part:
+            inner = part[1:-1]
+            term: PlainTerm = iris.get(inner) or iris.setdefault(inner, iri_text(inner))
+        else:
+            m = _LITERAL_PART(part)
+            if m is None:
+                return None
+            key = m.groups()      # raw (lexical, datatype), as the strict loop keys it
+            term = literals.get(key) or _new_literal(*key, iris, literals)
+    except WbforgeError:
+        return None
+    terms[part] = term
+    return term
+
+
+# `parse_ntriples` reads its text a block of about this many characters at a
+# time, each cut at a newline, so it never holds a list of every line
+_BLOCK = 1 << 20
+
+
+def _blocks(text: str) -> Iterator[str]:
+    """`text` in pieces of about `_BLOCK` characters, each cut at a newline."""
+    start = 0
+    while (end := text.find("\n", start + _BLOCK)) >= 0:
+        yield text[start:end]
+        start = end + 1
+    yield text[start:]
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines `text.split("\\n")` gives, split one block at a time."""
+    return chain.from_iterable(block.split("\n") for block in _blocks(text))
+
+
 def parse_ntriples(text: str) -> Graph:
     """Parse N-Triples; blank lines and full-line comments are allowed.
 
-    Each distinct IRIREF text, and each distinct literal text with its
-    datatype text, is unescaped and checked once per call and then read
-    from a memo, so repeats share one term. A line may end in a carriage
-    return, so CRLF text reads as well.
+    A canonical line, `<s> <p> o .` with single spaces as `export` writes
+    it, is read by its three parts, each looked up by its raw text in one
+    per-call memo; a part is checked once, on its first use. Every other
+    line, and every line with a part that fails, goes through
+    `_TRIPLE_RE`, the one definition of a line and the only place a fault
+    is raised. There each distinct IRIREF text, and each distinct literal
+    text with its datatype text, is unescaped and checked once per call.
+    A line may end in a carriage return, so CRLF text reads as well.
     """
     triples: set[PlainTriple] = set()
     add = triples.add
+    terms: dict[str, PlainTerm] = {}   # raw part of a canonical line -> term, this call only
     iris: dict[str, str] = {}     # raw IRIREF text -> IRI, for this call only
     literals: dict[tuple[str, str | None], tuple[str, str]] = {}   # raw (lexical, datatype)
-    for line_no, raw in enumerate(text.split("\n"), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
+        if raw[-2:] == " .":
+            parts = raw[:-2].split(" ", 2)
+            if len(parts) == 3:
+                s_raw, p_raw, o_raw = parts
+                # the first part that fails sends the line on, unread further
+                s = terms.get(s_raw) or _new_part(s_raw, terms, iris, literals)
+                if type(s) is str:
+                    p = terms.get(p_raw) or _new_part(p_raw, terms, iris, literals)
+                    if type(p) is str:
+                        o = terms.get(o_raw) or _new_part(o_raw, terms, iris, literals)
+                        if o is not None:
+                            add((s, p, o))
+                            continue
         line = raw.strip(" \t\r")
         if not line or line.startswith("#"):
             continue
@@ -335,7 +402,6 @@ def parse_ntriples(text: str) -> Graph:
         try:
             s = iris.get(s_iri) or _new_iri(s_iri, iris)
             p = iris.get(p_iri) or _new_iri(p_iri, iris)
-            o: PlainTerm
             if o_iri is not None:
                 o = iris.get(o_iri) or _new_iri(o_iri, iris)
             else:

@@ -127,6 +127,34 @@ def test_output_to_a_device_is_written_in_place():
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
+@pytest.mark.parametrize("via_symlink", [False, True])
+def test_output_in_a_missing_directory_names_the_path_asked_for(tmp_path, capsys, via_symlink):
+    target = tmp_path / "nonexist" / "x.nt"
+    if via_symlink:
+        target = tmp_path / "link.nt"
+        target.symlink_to(tmp_path / "nonexist" / "x.nt")
+    assert main(["export", str(SCHEMA), str(INSTANCES), "-o", str(target)]) == 2
+    assert capsys.readouterr() == (
+        "", f"wbforge: [Errno 2] No such file or directory: {str(target)!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == (["link.nt"] if via_symlink else [])
+
+
+@pytest.mark.parametrize("command", ["validate", "infer"])
+@pytest.mark.parametrize("line, message", [
+    ('<http://x.example/s> <http://x.example/p> "x"@en .',
+     "language tags are not supported: @en"),
+    ('<> <http://x.example/p> "x" .', "not an absolute IRI: ''"),
+    ('_:b <http://x.example/p> "x" .', "blank nodes are not supported"),
+])
+def test_a_graph_fault_names_its_file_and_line(tmp_path, capsys, command, line, message):
+    good = fixture_path("age-record", "nt").read_text()
+    nt = tmp_path / "g.nt"
+    nt.write_text(f"{good}{line}\n{good}")
+    assert main([command, str(SCHEMA), str(nt)]) == 2
+    assert capsys.readouterr() == (
+        "", f"wbforge: {nt}:{good.count(chr(10)) + 1}: {message}\n")
+
+
 def test_infer_onto_its_own_input_writes_what_a_separate_output_gets(tmp_path):
     b = load_bundle("age-record")
     g = b.graph.copy()
@@ -246,7 +274,7 @@ def test_parse_error_exits_2(tmp_path, capsys):
     bad.write_text("statement without pieces")
     assert main(["check", str(bad)]) == 2
     err = capsys.readouterr().err
-    assert "wbforge:" in err and "line" in err
+    assert err.startswith(f"wbforge: {bad}:1:") and ": expected " in err
 
 
 def test_export_data_error_exits_2(tmp_path, capsys):
@@ -297,7 +325,7 @@ def test_a_relative_item_iri_holding_braces_and_a_bar_is_refused_before_export(t
     schema = fixture_path("sex-record", "wbs")
     assert main(["export", str(schema), str(instances), "-o", str(nt)]) == 2
     assert capsys.readouterr().err == (
-        "wbforge: line 5, col 6: expected a resolvable name "
+        f"wbforge: {instances}:5:6: expected a resolvable name "
         "(not an absolute IRI: 'rel{a}|b')\n")
     assert not nt.exists()
 
@@ -316,7 +344,7 @@ def test_an_item_iri_holding_a_backslash_is_refused_before_export(tmp_path, caps
     nt = tmp_path / "out.nt"
     assert main(["export", str(SCHEMA), str(instances), "-o", str(nt)]) == 2
     assert capsys.readouterr().err == (
-        "wbforge: line 8, col 47: expected a resolvable name "
+        f"wbforge: {instances}:8:47: expected a resolvable name "
         "(not an absolute IRI: 'http://wikibase.example/entity/c\\\\b')\n")
     assert not nt.exists()
 
@@ -420,7 +448,7 @@ def test_an_unknown_string_escape_exits_2(tmp_path, capsys):
     schema.write_text('class wikibase:Item "\\q"\n', encoding="utf-8")
     assert main(["check", str(schema)]) == 2
     assert capsys.readouterr().err == (
-        "wbforge: line 1, col 21: expected 'prefix', 'flag', 'class', 'controlled' "
+        f"wbforge: {schema}:1:21: expected 'prefix', 'flag', 'class', 'controlled' "
         "or 'statement'\n")
     instances = tmp_path / "escape.wbi"
     instances.write_text('prefix rec: <http://records.example/vocab/>\n'
@@ -428,7 +456,7 @@ def test_an_unknown_string_escape_exits_2(tmp_path, capsys):
                          encoding="utf-8")
     assert main(["export", str(SCHEMA), str(instances)]) == 2
     assert capsys.readouterr().err == (
-        "wbforge: line 3, col 30: expected a valid escape (found \\q)\n")
+        f"wbforge: {instances}:3:30: expected a valid escape (found \\q)\n")
 
 
 @pytest.mark.parametrize("command", ["check", "expand", "axioms", "shapes", "export",

@@ -53,7 +53,7 @@ def test_export_refuses_a_huge_integer_at_its_token(clause, what, col, tmp_path,
     wbi.write_text(text)
     status, out, err = _run(["export", str(SCHEMA), str(wbi)], capsys)
     assert (status, out) == (2, "")
-    assert err == (f"wbforge: line 7, col {col}: expected {what} "
+    assert err == (f"wbforge: {wbi}:7:{col}: expected {what} "
                    f"of at most {MAX_INT_DIGITS} digits\n")
 
 
