@@ -13,7 +13,7 @@ the serializer merges logically equal axioms and stacks their comments.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from .dl import (
     All,
@@ -47,8 +47,7 @@ from .model import (
     ValueType,
 )
 from .namespaces import (
-    PROV_WAS_DERIVED_FROM, WB_ITEM, WB_REFERENCE, WB_STATEMENT, NamespaceTable, curie_or_iri,
-    local_name)
+    PROV_WAS_DERIVED_FROM, WB_ITEM, WB_REFERENCE, WB_STATEMENT, NamespaceTable, local_name)
 
 # origin key -> generic reading, used by finding explanations
 CATALOG: dict[str, str] = {
@@ -134,27 +133,35 @@ _PATTERN_NL = {
 }
 
 
-class _Env:
-    """Per-declaration naming context shared by the generator functions."""
+# an axiom set's (axiom, origin, reading) forms, by the builder that made them
+_Forms = dict[Callable[["_Env"], Iterator[AnnotatedAxiom]], list[tuple[DlAxiom, str, str]]]
 
-    def __init__(self, st: ExpandedStatement, table: NamespaceTable) -> None:
+
+class _Env:
+    """Per-declaration naming context shared by the generator functions.
+
+    The fixed classes are alike under every table. `forms` belongs to one
+    run and is shared by all of its declarations (see `_once`).
+    """
+
+    item, statement, reference = Named(WB_ITEM), Named(WB_STATEMENT), Named(WB_REFERENCE)
+    time_value = Named(VALUE_KINDS[Datatype.DATETIME].class_iri)
+    quantity_value = Named(VALUE_KINDS[Datatype.DECIMAL].class_iri)
+    prov = Role(PROV_WAS_DERIVED_FROM)
+
+    def __init__(self, st: ExpandedStatement, table: NamespaceTable, forms: _Forms) -> None:
         self.decl = st.source
         self.table = table
+        self.forms = forms
         props, quals = st.statement_properties, st.qualifier_properties
         self.p, self.ps, self.wdt = (Role(props[ns]) for ns in ("p", "ps", "wdt"))
         self.psv = Role(props["psv"]) if "psv" in props else None
         self.pq = {name: Role(fam["pq"]) for name, fam in quals.items()}
         self.pqv = {name: Role(fam["pqv"]) for name, fam in quals.items() if "pqv" in fam}
         self.pr = {name: Role(iri) for name, iri in st.reference_properties.items()}
-        self.item, self.statement, self.reference = (
-            Named(WB_ITEM), Named(WB_STATEMENT), Named(WB_REFERENCE))
-        self.time_value = Named(VALUE_KINDS[Datatype.DATETIME].class_iri)
-        self.quantity_value = Named(VALUE_KINDS[Datatype.DECIMAL].class_iri)
-        self.wd_item = Named(table.term("wd", "Item"))
-        self.prov = Role(PROV_WAS_DERIVED_FROM)
 
     def role_name(self, role: Role) -> str:
-        return curie_or_iri(role.iri, self.table)
+        return _render_role(role, self.table)
 
     def class_name(self, expr: ClassExpr) -> str:
         return _render_class(expr, self.table)
@@ -224,35 +231,58 @@ def _core_axioms(e: _Env) -> Iterator[AnnotatedAxiom]:
             f"Anything that is a {wdt_n} filler of a wikibase:Item is a wikibase:Item.", name)
 
 
-def _time_node_axioms(e: _Env, decl_id: str) -> Iterator[AnnotatedAxiom]:
-    # value-node metadata axioms are independent of the qualifier name;
-    # duplicates across several date qualifiers merge at serialization
+def _once(e: _Env, build: Callable[[_Env], Iterator[AnnotatedAxiom]],
+          decl_id: str) -> list[AnnotatedAxiom]:
+    """`build`'s axioms under `decl_id`, for a set whose axioms and readings
+    depend only on the table: built on the run's first use, then reused."""
+    forms = e.forms.get(build)
+    if forms is None:
+        forms = e.forms[build] = [(a.axiom, a.origin, a.nl) for a in build(e)]
+    return [AnnotatedAxiom(axiom, origin, nl, decl_id) for axiom, origin, nl in forms]
+
+
+# The sets below go through `_once`, so they carry no declaration id of their
+# own; several uses of one set merge at serialization.
+
+def _time_node_axioms(e: _Env) -> Iterator[AnnotatedAxiom]:
     # the calendar model ranges over wd:Item, unlike the quantity unit
-    kind = VALUE_KINDS[Datatype.DATETIME]
-    fields = [(Role(pred), e.wd_item if dt is None else DataRange(dt))
+    kind, wd_item = VALUE_KINDS[Datatype.DATETIME], Named(e.table.term("wd", "Item"))
+    fields = [(Role(pred), wd_item if dt is None else DataRange(dt))
               for pred, (_, _, dt) in zip(kind.predicates, kind.fields)]
     for i, (role, _) in enumerate(fields):
-        yield _domain(e, role, e.time_value, f"Ax{19 + i}", decl_id)
+        yield _domain(e, role, e.time_value, f"Ax{19 + i}", "")
     for i, (role, rng) in enumerate(fields):
-        yield _global_range(e, role, rng, f"Ax{23 + i}", decl_id)
+        yield _global_range(e, role, rng, f"Ax{23 + i}", "")
     for i, (role, rng) in enumerate(fields):
         yield AnnotatedAxiom(
             SubClassOf(TOP, ExactCard(1, role, rng)), f"Ax{27 + i}",
-            f"{e.role_name(role)} has exactly one {e.class_name(rng)} filler.", decl_id)
+            f"{e.role_name(role)} has exactly one {e.class_name(rng)} filler.", "")
 
 
-def _quantity_node_axioms(e: _Env, decl_id: str) -> Iterator[AnnotatedAxiom]:
+def _quantity_node_axioms(e: _Env) -> Iterator[AnnotatedAxiom]:
     qv, kind = e.quantity_value, VALUE_KINDS[Datatype.DECIMAL]
     # origin keys AxQ-val-* and AxQ-unit-*, one per field in table order
     for key, pred, (f, _, dt) in zip(("val", "unit"), kind.predicates, kind.fields):
         role, rng = Role(pred), e.item if dt is None else DataRange(dt)
-        yield _domain(e, role, qv, f"AxQ-{key}-dom", decl_id)
-        yield _ranges_over(e, qv, role, rng, f"AxQ-{key}-range", decl_id)
+        yield _domain(e, role, qv, f"AxQ-{key}-dom", "")
+        yield _ranges_over(e, qv, role, rng, f"AxQ-{key}-range", "")
         yield AnnotatedAxiom(SubClassOf(qv, Some(role, rng)), f"AxQ-{key}-exist",
-                             f"A wikibase:QuantityValue carries a wikibase:{f}.", decl_id)
+                             f"A wikibase:QuantityValue carries a wikibase:{f}.", "")
         yield AnnotatedAxiom(SubClassOf(qv, MaxCard(1, role, rng)), f"AxQ-{key}-func",
-                             f"A wikibase:QuantityValue carries at most one wikibase:{f}.",
-                             decl_id)
+                             f"A wikibase:QuantityValue carries at most one wikibase:{f}.", "")
+
+
+def _derivation_axioms(e: _Env) -> Iterator[AnnotatedAxiom]:
+    yield AnnotatedAxiom(SubClassOf(Some(e.prov, e.reference), e.statement), "Ax49",
+                         f"Whatever derives a wikibase:Reference via {e.role_name(e.prov)} "
+                         "is a wikibase:Statement.", "")
+    yield _ranges_over(e, e.statement, e.prov, e.reference, "Ax50", "")
+
+
+def _reference_owner_axiom(e: _Env) -> Iterator[AnnotatedAxiom]:
+    yield AnnotatedAxiom(
+        SubClassOf(e.reference, ExactCard(1, _inv(e.prov), e.statement)), "Ax54",
+        "A wikibase:Reference is derived from exactly one wikibase:Statement.", "")
 
 
 def _filler(e: _Env, vtype: ValueType, scoped: bool) -> ClassExpr:
@@ -298,7 +328,7 @@ def _typed_edge_axioms(e: _Env, edge: Role, value_edge: Role | None, vtype: Valu
         yield AnnotatedAxiom(SubClassOf(e.statement, MaxCard(1, value_edge, qv)),
                              keys["value_func"], f"A wikibase:Statement carries at most one "
                              f"{e.role_name(value_edge)} value.", decl_id)
-        yield from _quantity_node_axioms(e, decl_id)
+        yield from _once(e, _quantity_node_axioms, decl_id)
         return
     yield _range_axiom(e, edge, _filler(e, vtype, scoped), scoped,
                        keys["scoped" if scoped else "unscoped"], decl_id)
@@ -309,7 +339,7 @@ def _typed_edge_axioms(e: _Env, edge: Role, value_edge: Role | None, vtype: Valu
         yield AnnotatedAxiom(SubClassOf(tv, ExactCard(1, _inv(value_edge), e.statement)), "Ax18",
                              f"A wikibase:TimeValue is the {value_n} filler of exactly one "
                              "wikibase:Statement.", decl_id)
-        yield from _time_node_axioms(e, decl_id)
+        yield from _once(e, _time_node_axioms, decl_id)
         yield AnnotatedAxiom(SubClassOf(Some(edge, DataRange(datatype)), Some(value_edge, tv)),
                              "Ax31", f"A {e.role_name(edge)} xsd:dateTime assertion is "
                              f"accompanied by a {value_n} value node.", decl_id)
@@ -349,10 +379,7 @@ def _reference_axioms(e: _Env, r: ReferenceDecl) -> Iterator[AnnotatedAxiom]:
     decl_id = f"{e.decl.property_name}/{r.name}"
     pr = e.pr[r.name]
     pr_n, p_n = e.role_name(pr), e.role_name(e.p)
-    yield AnnotatedAxiom(SubClassOf(Some(e.prov, e.reference), e.statement), "Ax49",
-                         f"Whatever derives a wikibase:Reference via {e.role_name(e.prov)} "
-                         "is a wikibase:Statement.", decl_id)
-    yield _ranges_over(e, e.statement, e.prov, e.reference, "Ax50", decl_id)
+    yield from _once(e, _derivation_axioms, decl_id)
     yield _domain(e, pr, e.reference, "Ax51", decl_id)
     yield AnnotatedAxiom(
         SubClassOf(Some(_inv(pr), Some(_inv(e.prov), Some(_inv(e.p), TOP))), e.item), "Ax52",
@@ -363,9 +390,7 @@ def _reference_axioms(e: _Env, r: ReferenceDecl) -> Iterator[AnnotatedAxiom]:
         SubClassOf(Some(e.p, Some(e.prov, Some(pr, TOP))), e.item), "AxRef-sd",
         f"An item whose {p_n} statement derives a reference carrying {pr_n} is a "
         "wikibase:Item.", decl_id)
-    yield AnnotatedAxiom(
-        SubClassOf(e.reference, ExactCard(1, _inv(e.prov), e.statement)), "Ax54",
-        "A wikibase:Reference is derived from exactly one wikibase:Statement.", decl_id)
+    yield from _once(e, _reference_owner_axiom, decl_id)
 
 
 def nl_approximation(pattern: AxiomPattern, decl: StatementDecl) -> str:
@@ -384,7 +409,7 @@ def instantiate_pattern(pattern: AxiomPattern, decl: StatementDecl,
     InverseExistential has no usable form there (its subject position
     would be a datatype) and is rejected.
     """
-    return _pattern_axioms(_Env(expand_statement(decl, table), table), pattern)
+    return _pattern_axioms(_Env(expand_statement(decl, table), table, {}), pattern)
 
 
 def _pattern_axioms(e: _Env, pattern: AxiomPattern) -> list[AnnotatedAxiom]:
@@ -441,8 +466,9 @@ def _pattern_axioms(e: _Env, pattern: AxiomPattern) -> list[AnnotatedAxiom]:
 def schema_axioms(doc: SchemaDocument) -> list[AnnotatedAxiom]:
     """Full annotated axiom list in declaration order."""
     out: list[AnnotatedAxiom] = []
+    forms: _Forms = {}
     for st in expand(doc).statements:
-        e = _Env(st, doc.namespaces)
+        e = _Env(st, doc.namespaces, forms)
         out.extend(_core_axioms(e))
         for q in e.decl.qualifiers:
             out.extend(_qualifier_axioms(e, q))
@@ -457,34 +483,52 @@ def schema_axioms(doc: SchemaDocument) -> list[AnnotatedAxiom]:
 # serialization -----------------------------------------------------------
 
 def _render_role(role: Role, table: NamespaceTable) -> str:
-    if role.inverse:
-        return f"ObjectInverseOf( {curie_or_iri(role.iri, table)} )"
-    return curie_or_iri(role.iri, table)
-
-
-# restriction -> OWL keyword, after its Object/Data family
-_RESTRICTIONS = {Some: "SomeValuesFrom", All: "AllValuesFrom", MinCard: "MinCardinality",
-                 MaxCard: "MaxCardinality", ExactCard: "ExactCardinality"}
+    name = table.curie(role.iri) or f"<{role.iri}>"
+    return f"ObjectInverseOf( {name} )" if role.inverse else name
 
 
 def _render_class(expr: ClassExpr, table: NamespaceTable) -> str:
-    if isinstance(expr, Top):
-        return "owl:Thing"
-    if isinstance(expr, Named):
-        return curie_or_iri(expr.iri, table)
-    if isinstance(expr, DataRange):
-        return f"xsd:{local_name(XSD[expr.datatype])}"
-    keyword = _RESTRICTIONS.get(type(expr))
-    if keyword is None:
-        raise TypeError(f"unknown class expression: {expr!r}")
-    family = "Data" if isinstance(expr.filler, DataRange) else "Object"
-    card = getattr(expr, "n", None)
-    args = [] if card is None else [str(card)]
-    args.append(_render_role(expr.role, table))
-    # a cardinality over owl:Thing is written unqualified
-    if card is None or not isinstance(expr.filler, Top):
-        args.append(_render_class(expr.filler, table))
-    return f"{family}{keyword}( {' '.join(args)} )"
+    return _CLASS_FORMS.get(type(expr), _unknown)(expr, table)
+
+
+def _unknown(expr: object, table: NamespaceTable) -> str:
+    raise TypeError(f"unknown class expression: {expr!r}")
+
+
+def _restriction(keyword: str) -> Callable[[Some | All, NamespaceTable], str]:
+    """The form of a Some or All node; its Object/Data family follows its filler."""
+    def form(expr: Some | All, table: NamespaceTable) -> str:
+        filler = expr.filler
+        family = "Data" if type(filler) is DataRange else "Object"
+        return (f"{family}{keyword}( {_render_role(expr.role, table)} "
+                f"{_render_class(filler, table)} )")
+    return form
+
+
+def _cardinality(keyword: str) -> Callable[[MinCard | MaxCard | ExactCard, NamespaceTable], str]:
+    """The form of a cardinality node; one over owl:Thing is written unqualified."""
+    def form(expr: MinCard | MaxCard | ExactCard, table: NamespaceTable) -> str:
+        filler, role = expr.filler, _render_role(expr.role, table)
+        if type(filler) is Top:
+            return f"Object{keyword}( {expr.n} {role} )"
+        family = "Data" if type(filler) is DataRange else "Object"
+        return f"{family}{keyword}( {expr.n} {role} {_render_class(filler, table)} )"
+    return form
+
+
+_XSD_NAMES = {dt: f"xsd:{local_name(iri)}" for dt, iri in XSD.items()}
+
+# node type -> its OWL functional-style text
+_CLASS_FORMS: dict[type, Callable[[ClassExpr, NamespaceTable], str]] = {
+    Top: lambda expr, table: "owl:Thing",
+    Named: lambda expr, table: table.curie(expr.iri) or f"<{expr.iri}>",
+    DataRange: lambda expr, table: _XSD_NAMES[expr.datatype],
+    Some: _restriction("SomeValuesFrom"),
+    All: _restriction("AllValuesFrom"),
+    MinCard: _cardinality("MinCardinality"),
+    MaxCard: _cardinality("MaxCardinality"),
+    ExactCard: _cardinality("ExactCardinality"),
+}
 
 
 def _render_axiom(axiom: DlAxiom, table: NamespaceTable,
@@ -493,14 +537,13 @@ def _render_axiom(axiom: DlAxiom, table: NamespaceTable,
         chain = " ".join(_render_role(r, table) for r in axiom.chain)
         return [f"SubObjectPropertyOf( ObjectPropertyChain( {chain} ) "
                 f"{_render_role(axiom.sup, table)} )"]
-    sub, sup = axiom.sub, axiom.sup
+    sub, sup = _render_class(axiom.sub, table), axiom.sup
     if not exact_cardinality and isinstance(sup, ExactCard):
         # the succinct exact form split into its min/max pair
         lo = MinCard(sup.n, sup.role, sup.filler)
         hi = MaxCard(sup.n, sup.role, sup.filler)
-        return [f"SubClassOf( {_render_class(sub, table)} {_render_class(c, table)} )"
-                for c in (lo, hi)]
-    return [f"SubClassOf( {_render_class(sub, table)} {_render_class(sup, table)} )"]
+        return [f"SubClassOf( {sub} {_render_class(c, table)} )" for c in (lo, hi)]
+    return [f"SubClassOf( {sub} {_render_class(sup, table)} )"]
 
 
 def serialize_axioms(axioms: list[AnnotatedAxiom], table: NamespaceTable,
@@ -518,7 +561,8 @@ def serialize_axioms(axioms: list[AnnotatedAxiom], table: NamespaceTable,
     lines += ["", "Ontology("]
     for axiom, anns in notes.items():
         if nl_comments:
-            lines.extend(f"# {a.origin} | {a.decl} | {a.nl}" for a in anns)
-        lines.extend(_render_axiom(axiom, table, exact_cardinality))
+            for a in anns:
+                lines.append(f"# {a.origin} | {a.decl} | {a.nl}")
+        lines += _render_axiom(axiom, table, exact_cardinality)
     lines.append(")")
-    return "".join(line + "\n" for line in lines)
+    return "\n".join(lines) + "\n"

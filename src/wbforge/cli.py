@@ -71,10 +71,24 @@ def _write(text: str, path: str) -> None:
         raise
 
 
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> WbforgeError:
+    """The error for `path`'s first byte that is not UTF-8, placed by line.
+
+    `read()` decodes the whole file in one call, so `exc` holds all of its
+    bytes; the line counts the line ends a text-mode read knows before it.
+    """
+    head, byte = exc.object[:exc.start], exc.object[exc.start]
+    line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    return WbforgeError(f"{path}:{line}: not UTF-8 (byte 0x{byte:02x})")
+
+
 def _parse(parse: Callable[..., T], path: str, *args: str) -> T:
-    """`parse` of the text of `path`; a syntax error names `path` before its place."""
+    """`parse` of the text of `path`; a syntax or decode error names `path` before its place."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
     try:
         return parse(text, *args)
     except DslSyntaxError as exc:

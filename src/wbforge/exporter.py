@@ -265,20 +265,25 @@ def _add_value(add: Add, texts: _Texts, node: str, edge: str, value_edge: str | 
     return term
 
 
-def _check_item_target(iri: Iri, instances: InstanceDoc, context: str) -> None:
+def _field(prop: str, name: str | None) -> str:
+    """How a failed check names a statement's object (`name` None) or its qualifier or snak."""
+    return prop if name is None else f"{prop}/{name}"
+
+
+def _check_item_target(iri: Iri, instances: InstanceDoc, prop: str, name: str | None) -> None:
     if instances.item(iri) is None:
-        raise UnresolvedNameError(iri.value, f"item not declared ({context})")
+        raise UnresolvedNameError(iri.value, f"item not declared ({_field(prop, name)})")
 
 
 def _check_value(vtype: ValueType, value: Value, instances: InstanceDoc,
-                 context: str) -> None:
+                 prop: str, name: str | None) -> None:
     """`value` is of the declared type; an item value must be a declared item."""
     expected = "item" if vtype.item_class is not None else vtype.datatype.value
     got = _KIND[type(value)]
     if got != expected:
-        raise TypeMismatchError(context, expected, got)
+        raise TypeMismatchError(_field(prop, name), expected, got)
     if vtype.item_class is not None:
-        _check_item_target(value.iri, instances, context)
+        _check_item_target(value.iri, instances, prop, name)
 
 
 class _DeclChecks(NamedTuple):
@@ -302,8 +307,9 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
 
     Raises on data that cannot be exported faithfully: values of the
     wrong kind, missing required qualifiers or references, and names or
-    items that no declaration covers. The triples are collected plain in
-    one set, which becomes the graph's store.
+    items that no declaration covers. Such an error raised for a statement
+    names its item and its 1-based place among the item's statements. The
+    triples are collected plain in one set, which becomes the graph's store.
     """
     table = schema.namespaces
     expanded = expand(schema)
@@ -321,15 +327,21 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
         head = statement_name_head(subject, table)
         add((subject, RDF_TYPE, texts[item.type_class]))
         add((subject, RDF_TYPE, WB_ITEM))
-        for stmt in item.statements:
-            decl_checks = checks.get(stmt.property)
-            if decl_checks is None:
-                st = expanded.statement(stmt.property)
-                if st is None:
-                    raise UnresolvedNameError(stmt.property, "statement property not declared")
-                decl_checks = checks[stmt.property] = _decl_checks(st)
-            _export_statement(add, texts, subject, head, stmt, decl_checks, ref_hashes,
-                              ref_owners, instances, table)
+        for index, stmt in enumerate(item.statements, 1):
+            try:
+                decl_checks = checks.get(stmt.property)
+                if decl_checks is None:
+                    st = expanded.statement(stmt.property)
+                    if st is None:
+                        raise UnresolvedNameError(stmt.property,
+                                                  "statement property not declared")
+                    decl_checks = checks[stmt.property] = _decl_checks(st)
+                _export_statement(add, texts, subject, head, stmt, decl_checks, ref_hashes,
+                                  ref_owners, instances, table)
+            except (TypeMismatchError, UnresolvedNameError, MissingRequiredError) as exc:
+                # the same error, its text led by the statement's place
+                exc.args = (f"item <{subject}>, statement {index}: {exc}",)
+                raise
     return Graph.of_plain(triples)
 
 
@@ -343,13 +355,13 @@ def _export_statement(add: Add, texts: _Texts, subject: str, head: str, stmt: St
     reference name."""
     st, quals_by_name, required_quals, required_refs = decl_checks
     props, ref_props = st.statement_properties, st.reference_properties
-    _check_value(st.source.object_spec, stmt.value, instances, stmt.property)
+    _check_value(st.source.object_spec, stmt.value, instances, stmt.property, None)
 
     for q in stmt.qualifiers:
         decl_q = quals_by_name.get(q.name)
         if decl_q is None:
             raise UnresolvedNameError(q.name, f"qualifier not declared on {stmt.property}")
-        _check_value(decl_q.qtype, q.value, instances, f"{stmt.property}/{q.name}")
+        _check_value(decl_q.qtype, q.value, instances, stmt.property, q.name)
     if required_quals:
         present = {q.name for q in stmt.qualifiers}
         for name in required_quals:
@@ -361,7 +373,7 @@ def _export_statement(add: Add, texts: _Texts, subject: str, head: str, stmt: St
             if snak.name not in ref_props:
                 raise UnresolvedNameError(
                     snak.name, f"reference not declared on {stmt.property}")
-            _check_item_target(snak.target, instances, f"{stmt.property}/{snak.name}")
+            _check_item_target(snak.target, instances, stmt.property, snak.name)
     if required_refs:
         snak_names = {s.name for ref in stmt.references for s in ref.snaks}
         for name in required_refs:

@@ -17,7 +17,8 @@ from wbforge.axioms import (
     schema_axioms,
     serialize_axioms,
 )
-from wbforge.dl import AnnotatedAxiom, ExactCard, Named, Role, Some, SubClassOf
+from wbforge.dl import (
+    TOP, All, AnnotatedAxiom, ExactCard, MaxCard, MinCard, Named, Role, Some, SubClassOf)
 from wbforge.dsl import parse_schema
 from wbforge.errors import PatternInapplicableError
 from wbforge.model import AxiomPattern
@@ -277,6 +278,97 @@ def test_an_unknown_class_expression_is_a_type_error():
     axiom = SubClassOf(Named(employee), Some(Role(employee), _Unknown()))
     with pytest.raises(TypeError, match="unknown class expression"):
         serialize_axioms([AnnotatedAxiom(axiom, "X", "x.", "d")], NamespaceTable())
+
+
+_R = Role(Iri("http://example.org/r"))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("sub, sup", [
+    (_Unknown(), _ex("A")),
+    (_ex("A"), _Unknown()),
+    (_ex("A"), Some(_R, _Unknown())),
+    (_ex("A"), All(_R, _Unknown())),
+    (_ex("A"), MinCard(1, _R, _Unknown())),
+    (_ex("A"), MaxCard(1, _R, _Unknown())),
+    # split into its min/max pair when not exact
+    (_ex("A"), ExactCard(1, _R, _Unknown())),
+    (Some(_R, Some(_R, _Unknown())), TOP),
+])
+def test_an_unknown_node_is_the_same_type_error_wherever_it_sits(sub, sup, exact):
+    axiom = AnnotatedAxiom(SubClassOf(sub, sup), "X", "x.", "d")
+    with pytest.raises(TypeError) as exc:
+        serialize_axioms([axiom], NamespaceTable(), exact_cardinality=exact)
+    assert str(exc.value) == "unknown class expression: _Unknown()"
+
+
+VALUE_NODES = """prefix ex: <http://example.org/>
+class ex:A
+statement ex:a {
+  subject ex:A
+  object decimal
+  qualifier ex:t1 : datetime
+  qualifier ex:t2 : datetime
+}
+statement ex:b {
+  subject ex:A
+  object item ex:A
+  qualifier ex:t3 : datetime
+  qualifier ex:n : decimal
+}
+"""
+TIME_NODE_KEYS = [f"Ax{i}" for i in range(19, 31)]
+QUANTITY_NODE_KEYS = [f"AxQ-{f}-{k}" for f in ("val", "unit")
+                      for k in ("dom", "range", "exist", "func")]
+
+
+def test_each_value_node_axiom_is_one_line_with_a_comment_per_use():
+    doc = _doc(VALUE_NODES)
+    out = serialize_axioms(schema_axioms(doc), doc.namespaces)
+    lines = out.splitlines()
+    for keys, uses in ((TIME_NODE_KEYS, ["a/t1", "a/t2", "b/t3"]),
+                       (QUANTITY_NODE_KEYS, ["a", "b/n"])):
+        for key in keys:
+            at = [i for i, line in enumerate(lines) if line.startswith(f"# {key} | ")]
+            # the comments stand together, in declaration order, above one axiom line
+            assert at == list(range(at[0], at[0] + len(uses))), key
+            assert [lines[i].split(" | ")[1] for i in at] == uses
+            end = at[-1] + 1
+            while lines[end].startswith("# "):
+                end += 1
+            assert lines.count(lines[end]) == 1
+
+
+def test_each_use_of_a_value_node_set_holds_the_same_axioms():
+    doc = _doc(VALUE_NODES)
+    axioms = schema_axioms(doc)
+    for keys, uses in ((TIME_NODE_KEYS, ["a/t1", "a/t2", "b/t3"]),
+                       (QUANTITY_NODE_KEYS, ["a", "b/n"])):
+        for key in keys:
+            found = [a for a in axioms if a.origin == key]
+            assert [a.decl for a in found] == uses
+            assert all(a.axiom is found[0].axiom and a.nl is found[0].nl for a in found)
+
+
+CALENDAR = Iri("http://wikiba.se/ontology#timeCalendarModel")
+
+
+@pytest.mark.parametrize("alternate", [False, True])
+def test_runs_under_different_roots_each_get_their_own_calendar_item(alternate):
+    roots = ["http://one.example/", "http://two.example/"]
+    docs = [parse_schema(VALUE_NODES, root) for root in roots]
+    fresh = [schema_axioms(doc) for doc in docs]
+    order = [0, 1, 0, 1] if alternate else [1, 1, 0, 0]
+    for k in order:
+        axioms = schema_axioms(docs[k])
+        assert axioms == fresh[k]
+        item = Named(Iri(roots[k] + "entity/Item"))
+        by_origin = {a.origin: a.axiom for a in axioms}
+        assert by_origin["Ax26"] == SubClassOf(TOP, All(Role(CALENDAR), item))
+        assert by_origin["Ax30"] == SubClassOf(TOP, ExactCard(1, Role(CALENDAR), item))
+        out = serialize_axioms(axioms, docs[k].namespaces)
+        assert f"Prefix( wd: = <{roots[k]}entity/> )" in out
+        assert "SubClassOf( owl:Thing ObjectAllValuesFrom( wikibase:timeCalendarModel wd:Item ) )" in out
 
 
 COLLIDING = """prefix ex: <http://example.org/>

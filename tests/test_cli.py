@@ -266,7 +266,28 @@ def test_non_utf8_schema_exits_2(tmp_path, capsys):
     latin1 = tmp_path / "latin1.wbs"
     latin1.write_bytes("class ex:Caf\xe9\n".encode("latin-1"))
     assert main(["check", str(latin1)]) == 2
-    assert "wbforge:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"wbforge: {latin1}:1: not UTF-8 (byte 0xe9)\n"
+
+
+@pytest.mark.parametrize("command, kind, newline, copies", [
+    ("check", "wbs", "\r\n", 1),
+    ("export", "wbi", "\n", 1),
+    # past the first 64 KiB, so the place is counted over the whole file
+    ("validate", "nt", "\n", 40),
+    ("infer", "nt", "\r", 1),
+])
+def test_a_file_that_is_not_utf8_names_its_path_and_line(tmp_path, capsys, command, kind,
+                                                       newline, copies):
+    good = fixture_path("age-record", kind).read_text().replace("\n", newline) * copies
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_bytes(good.encode() + b"# caf\xc3\xa9 \xff\n" + good.encode())
+    out = tmp_path / "out"
+    out.write_bytes(b"kept\n")
+    argv = [command, str(bad)] if kind == "wbs" else [command, str(SCHEMA), str(bad)]
+    assert main(argv + ["-o", str(out)]) == 2
+    line = good.count(newline) + 1
+    assert capsys.readouterr() == ("", f"wbforge: {bad}:{line}: not UTF-8 (byte 0xff)\n")
+    assert out.read_bytes() == b"kept\n"
 
 
 def test_parse_error_exits_2(tmp_path, capsys):
@@ -278,14 +299,15 @@ def test_parse_error_exits_2(tmp_path, capsys):
 
 
 def test_export_data_error_exits_2(tmp_path, capsys):
-    # missing required reference is a data error, not a crash
+    # a missing required qualifier is a data error, not a crash; it names its statement
     bad = tmp_path / "bad.wbi"
     bad.write_text(
         "prefix rec: <http://records.example/vocab/>\n"
         "item wd:a1 : rec:Agent { rec:hasAgeRecord -> item wd:cat30s }\n"
         "item wd:cat30s : rec:AgeCategory { }\n")
     assert main(["export", str(SCHEMA), str(bad)]) == 2
-    assert "wbforge:" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("wbforge: item <http://wikibase.example/entity/a1>, "
+                                       "statement 1: required hasAgeRecord/ageValue is missing\n")
 
 
 def test_export_delimiter_in_reference_target_exits_2(tmp_path, capsys):

@@ -486,6 +486,50 @@ def test_export_checks_run_in_order(statements, error, name):
     assert (exc.value.iri if error is PreimageDelimiterError else exc.value.name) == name
 
 
+GOOD = f"ex:hasJob -> item wd:job0 {{ {AT} {TAX} }}"
+PLACE = f"item <{WD}employee0>, statement"
+
+
+@pytest.mark.parametrize("statements, error, message", [
+    (['ex:hasJob -> string "x"'], TypeMismatchError,
+     f"{PLACE} 1: hasJob: expected item, got string"),
+    ([GOOD, 'ex:hasJob -> item wd:job0 { qualifier ex:atTime = string "y" }'],
+     TypeMismatchError, f"{PLACE} 2: hasJob/atTime: expected datetime, got string"),
+    ([GOOD, GOOD, 'ex:hasJob -> item wd:job0 { qualifier ex:mystery = string "y" }'],
+     UnresolvedNameError,
+     f"{PLACE} 3: name 'mystery' does not resolve against the schema "
+     "(qualifier not declared on hasJob)"),
+    ([GOOD, f"ex:hasJob -> item wd:job0 {{ {AT} reference {{ ex:payslip -> item wd:ghost }} }}"],
+     UnresolvedNameError,
+     f"{PLACE} 2: name '{WD}ghost' does not resolve against the schema "
+     "(item not declared (hasJob/payslip))"),
+    (["ex:hasJob -> item wd:ghost"], UnresolvedNameError,
+     f"{PLACE} 1: name '{WD}ghost' does not resolve against the schema "
+     "(item not declared (hasJob))"),
+    ([GOOD, "ex:nope -> item wd:job0"], UnresolvedNameError,
+     f"{PLACE} 2: name 'nope' does not resolve against the schema "
+     "(statement property not declared)"),
+    ([f"ex:hasJob -> item wd:job0 {{ {TAX} }}"], MissingRequiredError,
+     f"{PLACE} 1: required hasJob/atTime is missing"),
+    ([GOOD, f"ex:hasJob -> item wd:job0 {{ {AT} }}"], MissingRequiredError,
+     f"{PLACE} 2: required hasJob/taxRecord is missing"),
+])
+def test_a_statement_data_error_names_its_item_and_place(statements, error, message):
+    # the place leads the message; the type and its name are as before
+    with pytest.raises(error) as exc:
+        export(ORDER_SCHEMA, _instances(statements))
+    assert str(exc.value) == message
+    assert exc.value.name in message
+
+
+def test_an_item_error_names_no_statement():
+    with pytest.raises(UnresolvedNameError) as exc:
+        export(ORDER_SCHEMA, parse_instances(
+            "prefix ex: <http://example.org/>\nitem wd:employee0 : ex:Ghost { }"))
+    assert str(exc.value) == ("name 'http://example.org/Ghost' does not resolve against "
+                              "the schema (class not declared)")
+
+
 def test_canonical_value_joins_the_value_fields():
     # the fields in ValueKind order, as the generator over `getattr` joined them
     rng = random.Random(11)
