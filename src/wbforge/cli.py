@@ -173,7 +173,11 @@ def run(args: argparse.Namespace) -> int:
         _write(serialize_shapes(schema_shapes(schema)), args.output)
     elif args.command == "export":
         instances = _parse(parse_instances, args.instances, root)
-        _write(serialize_canonical(export(schema, instances)), args.output)
+        try:
+            graph = export(schema, instances)
+        except WbforgeError as exc:
+            raise WbforgeError(f"{args.instances}: {exc}") from None
+        _write(serialize_canonical(graph), args.output)
     elif args.command == "validate":
         graph = _parse(parse_ntriples, args.graph)
         report = validate(schema, graph)

@@ -94,10 +94,14 @@ _TOKEN_RE = re.compile(
     f"[{_SPACES}]*(?:" + "|".join(f"(?P<{group}>{rx})" for group, rx in _TOKEN_PATTERNS) + ")")
 # The same tiling with newlines among the leading spaces, and the token
 # alternatives in one group, so a comment's match gives "" to `findall`.
-# No token holds a raw newline.
+# No token holds a raw newline. Names, the most common tokens, are tried
+# first, then punctuation: alternatives that cannot match at one place may
+# be tried in any order, and only DATETIME, DECIMAL and INT overlap.
 _TEXT_RE = re.compile(
     r"[ \t\r\n]*(?:#[^\n]*|("
-    + "|".join(rx for group, rx in _TOKEN_PATTERNS if group not in ("NEWLINE", "COMMENT"))
+    + "|".join([rf"{_NAME}(?::{_NAME})?", dict(_TOKEN_PATTERNS)["PUNCT"]]
+               + [rx for group, rx in _TOKEN_PATTERNS
+                  if group not in ("NEWLINE", "COMMENT", "CURIE", "IDENT", "PUNCT")])
     + "))")
 
 _STRING_UNESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
@@ -156,11 +160,11 @@ class _Stream:
 
     A text's kind depends on the text alone, so keywords and punctuation
     are checked by text, and `kinds` keeps each distinct text's kind, its
-    `_TOKEN_RE` match, once `expect` has needed it. Each name resolves once
-    per parse: a prefix declaration only adds a binding, never rebinds one,
-    and a name that fails to resolve ends the parse, so a memo hit is the
-    IRI under every later table. A fault is a `_Fault` at a token index;
-    `_parse` gives it its line and column.
+    `_TOKEN_RE` match, once `expect` or `check` has needed it. Each name
+    resolves once per parse: a prefix declaration only adds a binding,
+    never rebinds one, and a name that fails to resolve ends the parse, so
+    a memo hit is the IRI under every later table. A fault is a `_Fault` at
+    a token index; `_parse` gives it its line and column.
     """
 
     def __init__(self, texts: list[str], table: NamespaceTable) -> None:
@@ -193,14 +197,22 @@ class _Stream:
     def error(self, what: str) -> _Fault:
         return _Fault(self.pos, what)
 
+    def kind(self, text: str) -> str:
+        """The kind of `text`, not yet in `kinds`: a caller reads the memo first."""
+        kind = self.kinds[text] = _TOKEN_RE.match(text).lastgroup
+        return kind
+
+    def check(self, i: int, kinds: tuple[str, ...], what: str) -> None:
+        """The token at `i` must have a kind in `kinds`."""
+        text = self.texts[i]
+        if (self.kinds.get(text) or self.kind(text)) not in kinds:
+            raise _Fault(i, what)
+
     def expect(self, kinds: tuple[str, ...], what: str) -> int:
         """The index of the next token, which must have a kind in `kinds`."""
         i = self.pos
         text = self.texts[i]
-        kind = self.kinds.get(text)
-        if kind is None:
-            kind = self.kinds[text] = _TOKEN_RE.match(text).lastgroup
-        if kind not in kinds:
+        if (self.kinds.get(text) or self.kind(text)) not in kinds:
             raise _Fault(i, what)
         self.pos = i + 1          # never EOF: no caller expects it
         return i
@@ -262,6 +274,8 @@ def _decode_string(ts: _Stream, i: int) -> str:
     body = ts.texts[i][1:-1]
     if LONE_SURROGATE.search(body):
         raise _Fault(i, "a string without lone surrogates")
+    if "\\" not in body:
+        return body
 
     def unescape(m: re.Match[str]) -> str:
         try:
@@ -432,64 +446,121 @@ def _parse_int(ts: _Stream, what: str) -> int:
     return value
 
 
-def _parse_value(ts: _Stream) -> Value:
-    if ts.accept("item"):
-        return ItemRef(ts.name("an item name"))
-    if ts.accept("string"):
-        return StringValue(_decode_string(ts, ts.expect(("STRING",), "a quoted string")))
-    if ts.accept("decimal"):
-        num = ts.expect(("DECIMAL", "INT"), "a decimal amount")
-        unit = (ts.name("a unit item", _CURIE) if ts.accept("unit")
-                else ts.table.term("wd", "One"))
-        try:
-            return DecimalValue(ts.texts[num], unit)
-        except MalformedValueError:
-            raise _Fault(num, "a canonical decimal (no leading/trailing zeros)") from None
-    if ts.accept("datetime"):
-        iso = ts.texts[ts.expect(("DATETIME",), "an ISO dateTime like 2009-01-01T00:00:00Z")]
-        precision = (_parse_int(ts, "a precision integer")
-                     if ts.accept("precision") else DEFAULT_PRECISION)
-        tz = (_parse_int(ts, "a timezone offset in minutes")
-              if ts.accept("tz") else DEFAULT_TIMEZONE)
-        calendar = (ts.name("a calendar item", _CURIE) if ts.accept("calendar")
-                    else ts.table.term("wd", "ProlepticGregorian"))
-        return DateTimeValue(iso, precision, tz, calendar)
-    raise ts.error("'item', 'string', 'decimal' or 'datetime'")
+# A value's default unit and calendar, resolved once per instance parse:
+# each lies under `wd:`, which no prefix declaration can rebind.
+_Defaults = tuple[Iri, Iri]
 
 
-def _parse_statement_data(ts: _Stream) -> StatementData:
-    prop = ts.local_name(ts.expect(_CURIE, "a statement property name"))
-    ts.expect_word("->")
-    value = _parse_value(ts)
+def _item_value(ts: _Stream, defaults: _Defaults) -> ItemRef:
+    return ItemRef(ts.name("an item name"))
+
+
+def _string_value(ts: _Stream, defaults: _Defaults) -> StringValue:
+    return StringValue(_decode_string(ts, ts.expect(("STRING",), "a quoted string")))
+
+
+def _decimal_value(ts: _Stream, defaults: _Defaults) -> DecimalValue:
+    num = ts.expect(("DECIMAL", "INT"), "a decimal amount")
+    unit = ts.name("a unit item", _CURIE) if ts.accept("unit") else defaults[0]
+    try:
+        return DecimalValue(ts.texts[num], unit)
+    except MalformedValueError:
+        raise _Fault(num, "a canonical decimal (no leading/trailing zeros)") from None
+
+
+def _datetime_value(ts: _Stream, defaults: _Defaults) -> DateTimeValue:
+    iso = ts.texts[ts.expect(("DATETIME",), "an ISO dateTime like 2009-01-01T00:00:00Z")]
+    precision = (_parse_int(ts, "a precision integer")
+                 if ts.accept("precision") else DEFAULT_PRECISION)
+    tz = (_parse_int(ts, "a timezone offset in minutes")
+          if ts.accept("tz") else DEFAULT_TIMEZONE)
+    calendar = ts.name("a calendar item", _CURIE) if ts.accept("calendar") else defaults[1]
+    return DateTimeValue(iso, precision, tz, calendar)
+
+
+# the value parser after each value keyword
+_VALUES: dict[str, Callable[[_Stream, _Defaults], Value]] = {
+    "item": _item_value, "string": _string_value,
+    "decimal": _decimal_value, "datetime": _datetime_value}
+
+
+def _parse_value(ts: _Stream, defaults: _Defaults) -> Value:
+    parse = _VALUES.get(ts.texts[ts.pos])
+    if parse is None:
+        raise ts.error("'item', 'string', 'decimal' or 'datetime'")
+    ts.pos += 1
+    return parse(ts, defaults)
+
+
+def _parse_statement_data(ts: _Stream, defaults: _Defaults) -> StatementData:
+    """One statement, its fixed runs of tokens read by index.
+
+    A name found in the `locals` or `names` memo has been checked for the
+    kinds its place takes (a `locals` text is a CURIE, a `names` text a
+    CURIE or IRIREF) and resolved; any other name is checked where it
+    stands. As in a schema, a qualifier or snak name resolves after the
+    rest of its clause, so of two faults in one clause the same is reported.
+    """
+    texts, locals_, names = ts.texts, ts.locals, ts.names
+    i = ts.pos
+    # `NAME ->`: the property name resolves before the arrow is checked
+    prop = locals_.get(texts[i])
+    if prop is None:
+        prop = ts.local_name(ts.expect(_CURIE, "a statement property name"))
+    if texts[i + 1] != "->":
+        raise _Fault(i + 1, "'->'")
+    ts.pos = i + 2
+    value = _parse_value(ts, defaults)
+    j = ts.pos
+    if texts[j] != "{":
+        return StatementData(prop, value)
     qualifiers: list[QualifierData] = []
     references: list[RefData] = []
-    # as in a schema, a qualifier or snak name resolves after the rest of its clause
-    if ts.accept("{"):
-        while not ts.accept("}"):
-            if ts.accept("qualifier"):
-                name_at = ts.expect(_CURIE, "a qualifier name")
-                ts.expect_word("=")
-                qvalue = _parse_value(ts)
-                qualifiers.append(QualifierData(ts.local_name(name_at), qvalue))
-            elif ts.accept("reference"):
-                ts.expect_word("{")
-                snaks: list[SnakData] = []
-                while not ts.at("}"):
-                    snak_at = ts.expect(_CURIE, "a reference property name")
-                    ts.expect_word("->")
-                    ts.expect_word("item")
-                    target_at = ts.expect(_NAME_KINDS, "an item name")
-                    snaks.append(SnakData(ts.local_name(snak_at), ts.iri(target_at)))
-                if not snaks:
-                    raise ts.error("at least one snak")
-                ts.next()
-                references.append(RefData(tuple(snaks)))
-            else:
-                raise ts.error("'qualifier', 'reference' or '}'")
+    j += 1
+    while (word := texts[j]) != "}":
+        if word == "qualifier":
+            # `qualifier NAME =`
+            name = locals_.get(texts[j + 1])
+            if name is None:
+                ts.check(j + 1, _CURIE, "a qualifier name")
+            if texts[j + 2] != "=":
+                raise _Fault(j + 2, "'='")
+            ts.pos = j + 3
+            qvalue = _parse_value(ts, defaults)
+            qualifiers.append(QualifierData(name or ts.local_name(j + 1), qvalue))
+            j = ts.pos
+        elif word == "reference":
+            # `reference {`, then one or more `NAME -> item NAME`
+            if texts[j + 1] != "{":
+                raise _Fault(j + 1, "'{'")
+            j += 2
+            snaks: list[SnakData] = []
+            while texts[j] != "}":
+                snak = locals_.get(texts[j])
+                if snak is None:
+                    ts.check(j, _CURIE, "a reference property name")
+                if texts[j + 1] != "->":
+                    raise _Fault(j + 1, "'->'")
+                if texts[j + 2] != "item":
+                    raise _Fault(j + 2, "'item'")
+                target = names.get(texts[j + 3])
+                if target is None:
+                    ts.check(j + 3, _NAME_KINDS, "an item name")
+                snaks.append(SnakData(snak or ts.local_name(j),
+                                      target[1] if target else ts.iri(j + 3)))
+                j += 4
+            if not snaks:
+                raise _Fault(j, "at least one snak")
+            references.append(RefData(tuple(snaks)))
+            j += 1
+        else:
+            raise _Fault(j, "'qualifier', 'reference' or '}'")
+    ts.pos = j + 1
     return StatementData(prop, value, tuple(qualifiers), tuple(references))
 
 
 def _parse_instances(ts: _Stream) -> InstanceDoc:
+    defaults = (ts.table.term("wd", "One"), ts.table.term("wd", "ProlepticGregorian"))
     items: dict[Iri, ItemData] = {}
     while ts.peek():              # EOF's text is ""
         if ts.accept("prefix"):
@@ -500,8 +571,9 @@ def _parse_instances(ts: _Stream) -> InstanceDoc:
             type_class = ts.name("a class name")
             ts.expect_word("{")
             statements: list[StatementData] = []
-            while not ts.accept("}"):
-                statements.append(_parse_statement_data(ts))
+            while ts.texts[ts.pos] != "}":
+                statements.append(_parse_statement_data(ts, defaults))
+            ts.pos += 1
             _declare(items, "item", iri, ItemData(iri, type_class, tuple(statements)))
         else:
             raise ts.error("'prefix' or 'item'")

@@ -31,15 +31,14 @@ from .model import (
     DecimalValue,
     InstanceDoc,
     ItemRef,
-    QualifierDecl,
     RefData,
     SchemaDocument,
     SnakData,
     StatementData,
     StringValue,
     Value,
+    ValueKind,
     ValueType,
-    value_kind,
 )
 from .namespaces import (
     PROV_WAS_DERIVED_FROM, RDF_TYPE, WB_ITEM, WB_REFERENCE, WB_STATEMENT, Iri, NamespaceTable,
@@ -53,10 +52,35 @@ def _sha40(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:HASH_LENGTH]
 
 
-# Each value node kind's attributes in field order, read in one call. Every
-# kind has two or more fields, so each getter returns a tuple.
-_FIELDS = {kind.value_type: attrgetter(*(attr for _, attr, _ in kind.fields))
-           for kind in VALUE_KINDS.values()}
+class _ValueOut(NamedTuple):
+    """How a value of one type is checked and written: its ps:/pq: term, then its node if any."""
+
+    name: str                           # the value's kind, as a type check names it
+    lexical: Callable[[Value], str]     # the literal's text, or an item's IRI
+    xsd: str | None                     # the literal's xsd: type; None for an item's IRI
+    node: ValueKind | None              # the value node's kind; None for items and strings
+    fields: Callable[[Value], tuple] | None     # the node's field values, read in one call
+    rows: tuple[tuple[str, str | None], ...]    # per field: (predicate, xsd: type or None)
+
+
+def _node_out(datatype: Datatype, kind: ValueKind) -> _ValueOut:
+    # the first field holds the value the literal repeats; every kind has two
+    # or more fields, so `fields` returns a tuple
+    return _ValueOut(datatype.value, attrgetter(kind.fields[0][1]), XSD[datatype], kind,
+                     attrgetter(*(attr for _, attr, _ in kind.fields)),
+                     tuple((pred, None if dt is None else XSD[dt])
+                           for pred, (_, _, dt) in zip(kind.predicates, kind.fields)))
+
+
+# by exact type: the value classes have no subclasses
+_OUT: dict[type, _ValueOut] = {
+    ItemRef: _ValueOut("item", attrgetter("iri"), None, None, None, ()),
+    StringValue: _ValueOut(Datatype.STRING.value, attrgetter("text"), XSD[Datatype.STRING],
+                           None, None, ()),
+    **{kind.value_type: _node_out(dt, kind) for dt, kind in VALUE_KINDS.items()},
+}
+# what a type check expects of a declared datatype
+_EXPECTED = {dt: dt.value for dt in Datatype}
 
 
 class LineHeads(dict):
@@ -120,7 +144,7 @@ def canonical_value(value: Value | ReadValue) -> str:
         return value
     if isinstance(value, tuple):          # a literal
         return escape_literal(value[0])
-    return "|".join(map(str, _FIELDS[t](value)))
+    return "|".join(map(str, _OUT[t].fields(value)))
 
 
 def assemble_preimage(subject: str, prop: str, value: Value | ReadValue,
@@ -188,7 +212,7 @@ def statement_name_head(subject: str, table: NamespaceTable) -> str:
 
 
 def value_hash(value: DateTimeValue | DecimalValue) -> str:
-    return _sha40(f"{value_kind(value).tag}|{canonical_value(value)}")
+    return _sha40(f"{_OUT[type(value)].node.tag}|{canonical_value(value)}")
 
 
 def value_node(value: DateTimeValue | DecimalValue, table: NamespaceTable) -> Iri:
@@ -218,13 +242,6 @@ def reference_name(ref_hash: str, stmt_hash: str, table: NamespaceTable) -> str:
     return f"{table.base('ref')}{ref_hash}-{stmt_hash[:8]}"
 
 
-_KIND = {
-    ItemRef: "item",
-    StringValue: "string",
-    DecimalValue: "decimal",
-    DateTimeValue: "datetime",
-}
-
 Add = Callable[[PlainTriple], None]    # adds a triple to the export being built
 
 
@@ -238,30 +255,18 @@ class _Texts(dict):
         return text
 
 
-def _literal(value: Value, texts: _Texts) -> PlainTerm:
-    t = type(value)
-    if t is ItemRef:
-        return texts[value.iri]
-    if t is StringValue:
-        return (value.text, XSD[Datatype.STRING])
-    if t is DecimalValue:
-        return (value.amount, XSD[Datatype.DECIMAL])
-    return (value.iso, XSD[Datatype.DATETIME])
-
-
 def _add_value(add: Add, texts: _Texts, node: str, edge: str, value_edge: str | None,
                value: Value, table: NamespaceTable) -> PlainTerm:
     """The edge to the literal, then the edge to the value node if the family has one."""
-    term = _literal(value, texts)
+    _, lexical, xsd, kind, fields, rows = _OUT[type(value)]
+    term = texts[lexical(value)] if xsd is None else (lexical(value), xsd)
     add((node, edge, term))
     if value_edge is not None:
-        kind = value_kind(value)
         vnode = _value_name(value, table)
         add((node, value_edge, vnode))
         add((vnode, RDF_TYPE, kind.class_iri))
-        fields = _FIELDS[type(value)](value)
-        for pred, (_, _, dt), field in zip(kind.predicates, kind.fields, fields):
-            add((vnode, pred, texts[field] if dt is None else (str(field), XSD[dt])))
+        for (pred, xsd), field in zip(rows, fields(value)):
+            add((vnode, pred, texts[field] if xsd is None else (str(field), xsd)))
     return term
 
 
@@ -278,8 +283,8 @@ def _check_item_target(iri: Iri, instances: InstanceDoc, prop: str, name: str | 
 def _check_value(vtype: ValueType, value: Value, instances: InstanceDoc,
                  prop: str, name: str | None) -> None:
     """`value` is of the declared type; an item value must be a declared item."""
-    expected = "item" if vtype.item_class is not None else vtype.datatype.value
-    got = _KIND[type(value)]
+    expected = "item" if vtype.item_class is not None else _EXPECTED[vtype.datatype]
+    got = _OUT[type(value)].name
     if got != expected:
         raise TypeMismatchError(_field(prop, name), expected, got)
     if vtype.item_class is not None:
@@ -289,17 +294,23 @@ def _check_value(vtype: ValueType, value: Value, instances: InstanceDoc,
 class _DeclChecks(NamedTuple):
     """What export checks a statement against and writes, worked out once per declaration."""
 
-    st: ExpandedStatement
-    qualifiers: dict[str, QualifierDecl]    # by name
+    object_type: ValueType
+    edges: tuple[str, str, str | None, str]     # p:, ps:, psv: (None without a node), wdt:
+    qualifiers: dict[str, tuple[ValueType, str, str | None]]    # name -> (type, pq:, pqv:)
+    references: dict[str, str]              # name -> pr:
     required_qualifiers: tuple[str, ...]    # names, in declaration order
     required_references: tuple[str, ...]
 
 
 def _decl_checks(st: ExpandedStatement) -> _DeclChecks:
-    decl = st.source
-    return _DeclChecks(st, {q.name: q for q in decl.qualifiers},
-                       tuple(q.name for q in decl.qualifiers if q.required),
-                       tuple(r.name for r in decl.references if r.required))
+    decl, props, fams = st.source, st.statement_properties, st.qualifier_properties
+    return _DeclChecks(
+        decl.object_spec, (props["p"], props["ps"], props.get("psv"), props["wdt"]),
+        {q.name: (q.qtype, fams[q.name]["pq"], fams[q.name].get("pqv"))
+         for q in decl.qualifiers},
+        st.reference_properties,
+        tuple(q.name for q in decl.qualifiers if q.required),
+        tuple(r.name for r in decl.references if r.required))
 
 
 def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
@@ -353,44 +364,43 @@ def _export_statement(add: Add, texts: _Texts, subject: str, head: str, stmt: St
     `ref_hashes` the export's `reference_hash` of each snak tuple seen so far,
     and `ref_owners` the statement hash and item that first minted each
     reference name."""
-    st, quals_by_name, required_quals, required_refs = decl_checks
-    props, ref_props = st.statement_properties, st.reference_properties
-    _check_value(st.source.object_spec, stmt.value, instances, stmt.property, None)
+    object_type, (p, ps, psv, wdt), quals, ref_props, required_quals, required_refs = decl_checks
+    prop, value, qualifiers, references = (
+        stmt.property, stmt.value, stmt.qualifiers, stmt.references)
+    _check_value(object_type, value, instances, prop, None)
 
-    for q in stmt.qualifiers:
-        decl_q = quals_by_name.get(q.name)
+    for q in qualifiers:
+        decl_q = quals.get(q.name)
         if decl_q is None:
-            raise UnresolvedNameError(q.name, f"qualifier not declared on {stmt.property}")
-        _check_value(decl_q.qtype, q.value, instances, stmt.property, q.name)
+            raise UnresolvedNameError(q.name, f"qualifier not declared on {prop}")
+        _check_value(decl_q[0], q.value, instances, prop, q.name)
     if required_quals:
-        present = {q.name for q in stmt.qualifiers}
+        present = {q.name for q in qualifiers}
         for name in required_quals:
             if name not in present:
-                raise MissingRequiredError(f"{stmt.property}/{name}")
+                raise MissingRequiredError(f"{prop}/{name}")
 
-    for ref in stmt.references:
+    for ref in references:
         for snak in ref.snaks:
             if snak.name not in ref_props:
-                raise UnresolvedNameError(
-                    snak.name, f"reference not declared on {stmt.property}")
-            _check_item_target(snak.target, instances, stmt.property, snak.name)
+                raise UnresolvedNameError(snak.name, f"reference not declared on {prop}")
+            _check_item_target(snak.target, instances, prop, snak.name)
     if required_refs:
-        snak_names = {s.name for ref in stmt.references for s in ref.snaks}
+        snak_names = {s.name for ref in references for s in ref.snaks}
         for name in required_refs:
             if name not in snak_names:
-                raise MissingRequiredError(f"{stmt.property}/{name}")
+                raise MissingRequiredError(f"{prop}/{name}")
 
     h = statement_hash(subject, stmt, table)
     node = head + h
-    add((subject, props["p"], node))
+    add((subject, p, node))
     add((node, RDF_TYPE, WB_STATEMENT))
-    value_term = _add_value(add, texts, node, props["ps"], props.get("psv"), stmt.value, table)
-    add((subject, props["wdt"], value_term))
-    for q in stmt.qualifiers:
-        fam = st.qualifier_properties[q.name]
-        _add_value(add, texts, node, fam["pq"], fam.get("pqv"), q.value, table)
+    add((subject, wdt, _add_value(add, texts, node, ps, psv, value, table)))
+    for q in qualifiers:
+        _, pq, pqv = quals[q.name]
+        _add_value(add, texts, node, pq, pqv, q.value, table)
 
-    for ref in stmt.references:
+    for ref in references:
         ref_hash = ref_hashes.get(ref.snaks)
         if ref_hash is None:
             ref_hash = ref_hashes[ref.snaks] = reference_hash(ref, table)

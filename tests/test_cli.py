@@ -299,15 +299,24 @@ def test_parse_error_exits_2(tmp_path, capsys):
 
 
 def test_export_data_error_exits_2(tmp_path, capsys):
-    # a missing required qualifier is a data error, not a crash; it names its statement
+    # a missing required qualifier is a data error, not a crash; it names its file and statement
     bad = tmp_path / "bad.wbi"
     bad.write_text(
         "prefix rec: <http://records.example/vocab/>\n"
         "item wd:a1 : rec:Agent { rec:hasAgeRecord -> item wd:cat30s }\n"
         "item wd:cat30s : rec:AgeCategory { }\n")
     assert main(["export", str(SCHEMA), str(bad)]) == 2
-    assert capsys.readouterr().err == ("wbforge: item <http://wikibase.example/entity/a1>, "
+    assert capsys.readouterr().err == (f"wbforge: {bad}: item <http://wikibase.example/entity/a1>, "
                                        "statement 1: required hasAgeRecord/ageValue is missing\n")
+
+
+def test_an_export_item_error_names_its_file(tmp_path, capsys):
+    bad = tmp_path / "bad.wbi"
+    bad.write_text("item wd:a1 : wd:Ghost { }\n")
+    assert main(["export", str(SCHEMA), str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"wbforge: {bad}: name 'http://wikibase.example/entity/Ghost' does not resolve "
+        "against the schema (class not declared)\n")
 
 
 def test_export_delimiter_in_reference_target_exits_2(tmp_path, capsys):
@@ -325,7 +334,7 @@ def test_export_delimiter_in_reference_target_exits_2(tmp_path, capsys):
         "item <http://records.example/d;x> : rec:SourceDocument { }\n")
     assert main(["export", str(SCHEMA), str(bad)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("wbforge: reference target") and "'|' or ';'" in err
+    assert err.startswith(f"wbforge: {bad}: reference target") and "'|' or ';'" in err
 
 
 def test_export_of_two_statements_minting_one_reference_name_exits_2(tmp_path, capsys):
@@ -334,7 +343,8 @@ def test_export_of_two_statements_minting_one_reference_name_exits_2(tmp_path, c
     assert main(["export", str(fixture_path("name-record", "wbs")), str(pair)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("wbforge: reference node <") and "-764d46f3>" in captured.err
+    assert captured.err.startswith(f"wbforge: {pair}: reference node <")
+    assert "-764d46f3>" in captured.err
     assert "entity/a26779>" in captured.err and "entity/a154832>" in captured.err
 
 

@@ -528,3 +528,81 @@ def test_a_schema_token_of_the_wrong_kind_is_refused_where_it_stands(text, fault
     with pytest.raises(DslSyntaxError) as info:
         parse_schema(text)
     assert str(info.value) == fault
+
+
+# One statement with every clause: a datetime with precision, tz and
+# calendar, a decimal qualifier with a unit, a string and an item qualifier,
+# and a two-snak reference. Each row is a token of the statement, in order,
+# then the (line, col, expected) of the fault when the text is cut after
+# it, and when it is swapped for a token of a kind its place does not take.
+_EVERY_CLAUSE_HEAD = "prefix ex: <http://x.example/>\nitem wd:a : ex:C {\n"
+_EVERY_CLAUSE = (
+    "  ex:p -> datetime 1850-07-01T00:00:00Z precision 9 tz -300 calendar wd:Julian {\n"
+    "    qualifier ex:q = decimal 1.5 unit wd:metre\n"
+    "    qualifier ex:n = string \"x\"\n"
+    "    qualifier ex:k = item wd:b\n"
+    "    reference { ex:r -> item wd:b ex:s -> item <http://x.example/c> }\n"
+    "  }\n")
+_EVERY_CLAUSE_FAULTS = [
+    ('ex:p', (3, 7, "'->'"), (3, 3, 'a statement property name')),
+    ('->', (3, 10, "'item', 'string', 'decimal' or 'datetime'"), (3, 8, "'->'")),
+    ('datetime', (3, 19, 'an ISO dateTime like 2009-01-01T00:00:00Z'),
+     (3, 11, "'item', 'string', 'decimal' or 'datetime'")),
+    ('1850-07-01T00:00:00Z', (3, 40, 'a statement property name'),
+     (3, 20, 'an ISO dateTime like 2009-01-01T00:00:00Z')),
+    ('precision', (3, 50, 'a precision integer'), (3, 41, 'a statement property name')),
+    ('9', (3, 52, 'a statement property name'), (3, 51, 'a precision integer')),
+    ('tz', (3, 55, 'a timezone offset in minutes'), (3, 53, 'a statement property name')),
+    ('-300', (3, 60, 'a statement property name'), (3, 56, 'a timezone offset in minutes')),
+    ('calendar', (3, 69, 'a calendar item'), (3, 61, 'a statement property name')),
+    ('wd:Julian', (3, 79, 'a statement property name'), (3, 70, 'a calendar item')),
+    ('{', (3, 81, "'qualifier', 'reference' or '}'"), (3, 80, 'a statement property name')),
+    ('qualifier', (4, 14, 'a qualifier name'), (4, 5, "'qualifier', 'reference' or '}'")),
+    ('ex:q', (4, 19, "'='"), (4, 15, 'a qualifier name')),
+    ('=', (4, 21, "'item', 'string', 'decimal' or 'datetime'"), (4, 20, "'='")),
+    ('decimal', (4, 29, 'a decimal amount'), (4, 22, "'item', 'string', 'decimal' or 'datetime'")),
+    ('1.5', (4, 33, "'qualifier', 'reference' or '}'"), (4, 30, 'a decimal amount')),
+    ('unit', (4, 38, 'a unit item'), (4, 34, "'qualifier', 'reference' or '}'")),
+    ('wd:metre', (4, 47, "'qualifier', 'reference' or '}'"), (4, 39, 'a unit item')),
+    ('qualifier', (5, 14, 'a qualifier name'), (5, 5, "'qualifier', 'reference' or '}'")),
+    ('ex:n', (5, 19, "'='"), (5, 15, 'a qualifier name')),
+    ('=', (5, 21, "'item', 'string', 'decimal' or 'datetime'"), (5, 20, "'='")),
+    ('string', (5, 28, 'a quoted string'), (5, 22, "'item', 'string', 'decimal' or 'datetime'")),
+    ('"x"', (5, 32, "'qualifier', 'reference' or '}'"), (5, 29, 'a quoted string')),
+    ('qualifier', (6, 14, 'a qualifier name'), (6, 5, "'qualifier', 'reference' or '}'")),
+    ('ex:k', (6, 19, "'='"), (6, 15, 'a qualifier name')),
+    ('=', (6, 21, "'item', 'string', 'decimal' or 'datetime'"), (6, 20, "'='")),
+    ('item', (6, 26, 'an item name'), (6, 22, "'item', 'string', 'decimal' or 'datetime'")),
+    ('wd:b', (6, 31, "'qualifier', 'reference' or '}'"), (6, 27, 'an item name')),
+    ('reference', (7, 14, "'{'"), (7, 5, "'qualifier', 'reference' or '}'")),
+    ('{', (7, 16, 'a reference property name'), (7, 15, "'{'")),
+    ('ex:r', (7, 21, "'->'"), (7, 17, 'a reference property name')),
+    ('->', (7, 24, "'item'"), (7, 22, "'->'")),
+    ('item', (7, 29, 'an item name'), (7, 25, "'item'")),
+    ('wd:b', (7, 34, 'a reference property name'), (7, 30, 'an item name')),
+    ('ex:s', (7, 39, "'->'"), (7, 35, 'a reference property name')),
+    ('->', (7, 42, "'item'"), (7, 40, "'->'")),
+    ('item', (7, 47, 'an item name'), (7, 43, "'item'")),
+    ('<http://x.example/c>', (7, 68, 'a reference property name'), (7, 48, 'an item name')),
+    ('}', (7, 70, "'qualifier', 'reference' or '}'"), (7, 69, 'a reference property name')),
+    ('}', (8, 4, 'a statement property name'), (8, 3, "'qualifier', 'reference' or '}'")),
+]
+
+
+def test_each_statement_token_cut_or_swapped_faults_where_it_stands():
+    text = _EVERY_CLAUSE_HEAD + _EVERY_CLAUSE + "}\n"
+    assert len(parse_instances(text).items[0].statements[0].qualifiers) == 3
+    offsets = [0]
+    for line in text.split("\n"):
+        offsets.append(offsets[-1] + len(line) + 1)
+    tokens = [tok for tok in tokenize(text)
+              if 3 <= tok[2] < 3 + _EVERY_CLAUSE.count("\n")]
+    assert [tok[1] for tok in tokens] == [row[0] for row in _EVERY_CLAUSE_FAULTS]
+    for (kind, word, line, col), (_, cut, swapped) in zip(tokens, _EVERY_CLAUSE_FAULTS):
+        start = offsets[line - 1] + col - 1
+        end = start + len(word)
+        wrong = "7" if kind == "STRING" else '"s"'
+        for variant, fault in ((text[:end], cut), (text[:start] + wrong + text[end:], swapped)):
+            with pytest.raises(DslSyntaxError) as info:
+                parse_instances(variant)
+            assert (info.value.line, info.value.col, info.value.expected) == fault, variant
