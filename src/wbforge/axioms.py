@@ -37,7 +37,7 @@ from .expander import ExpandedStatement, expand, expand_statement
 from .model import (
     TYPED_ORIGINS,
     VALUE_KINDS,
-    XSD,
+    XSD_NAME,
     AxiomPattern,
     Datatype,
     QualifierDecl,
@@ -47,7 +47,7 @@ from .model import (
     ValueType,
 )
 from .namespaces import (
-    PROV_WAS_DERIVED_FROM, WB_ITEM, WB_REFERENCE, WB_STATEMENT, NamespaceTable, local_name)
+    PROV_WAS_DERIVED_FROM, WB_ITEM, WB_REFERENCE, WB_STATEMENT, NamespaceTable)
 
 # origin key -> generic reading, used by finding explanations
 CATALOG: dict[str, str] = {
@@ -516,13 +516,11 @@ def _cardinality(keyword: str) -> Callable[[MinCard | MaxCard | ExactCard, Names
     return form
 
 
-_XSD_NAMES = {dt: f"xsd:{local_name(iri)}" for dt, iri in XSD.items()}
-
 # node type -> its OWL functional-style text
 _CLASS_FORMS: dict[type, Callable[[ClassExpr, NamespaceTable], str]] = {
     Top: lambda expr, table: "owl:Thing",
     Named: lambda expr, table: table.curie(expr.iri) or f"<{expr.iri}>",
-    DataRange: lambda expr, table: _XSD_NAMES[expr.datatype],
+    DataRange: lambda expr, table: XSD_NAME[expr.datatype],
     Some: _restriction("SomeValuesFrom"),
     All: _restriction("AllValuesFrom"),
     MinCard: _cardinality("MinCardinality"),

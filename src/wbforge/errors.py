@@ -66,7 +66,7 @@ class MalformedValueError(WbforgeError):
 class PreimageDelimiterError(WbforgeError):
     # '|' and ';' split a statement hash preimage; inside an IRI they could merge two statements
     def __init__(self, iri: str) -> None:
-        super().__init__(f"reference target {iri!r} contains '|' or ';'")
+        super().__init__(f"reference target <{iri}> contains '|' or ';'")
         self.iri = iri
 
 

@@ -21,6 +21,7 @@ from .errors import (
     ReferenceNameCollisionError,
     TypeMismatchError,
     UnresolvedNameError,
+    WbforgeError,
 )
 from .expander import ExpandedStatement, expand
 from .model import (
@@ -349,7 +350,7 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
                     decl_checks = checks[stmt.property] = _decl_checks(st)
                 _export_statement(add, texts, subject, head, stmt, decl_checks, ref_hashes,
                                   ref_owners, instances, table)
-            except (TypeMismatchError, UnresolvedNameError, MissingRequiredError) as exc:
+            except WbforgeError as exc:
                 # the same error, its text led by the statement's place
                 exc.args = (f"item <{subject}>, statement {index}: {exc}",)
                 raise

@@ -32,10 +32,11 @@ class Datatype(Enum):
     __hash__ = object.__hash__
 
 
-# the xsd: type of each Datatype's literals
-XSD: dict[Datatype, str] = {
-    Datatype.STRING: fixed_term("xsd", "string"), Datatype.DECIMAL: fixed_term("xsd", "decimal"),
-    Datatype.DATETIME: fixed_term("xsd", "dateTime"), Datatype.INT: fixed_term("xsd", "int")}
+# the xsd: type of each Datatype's literals, by name and by IRI
+XSD_NAME: dict[Datatype, str] = {
+    Datatype.STRING: "xsd:string", Datatype.DECIMAL: "xsd:decimal",
+    Datatype.DATETIME: "xsd:dateTime", Datatype.INT: "xsd:int"}
+XSD: dict[Datatype, str] = {dt: fixed_term(*name.split(":")) for dt, name in XSD_NAME.items()}
 
 
 class AxiomPattern(Enum):
@@ -255,15 +256,8 @@ TYPED_ORIGINS: dict[Datatype, dict[str, str]] = {
 }
 
 
-# by exact class: the value classes have no subclasses
-_KIND_BY_TYPE = {kind.value_type: kind for kind in VALUE_KINDS.values()}
 # by the literal type of the value a node holds
 KIND_BY_XSD: dict[str, ValueKind] = {XSD[dt]: kind for dt, kind in VALUE_KINDS.items()}
-
-
-def value_kind(value: Value) -> ValueKind | None:
-    """The value node kind of `value`; None for items and strings."""
-    return _KIND_BY_TYPE.get(type(value))
 
 
 def needed_value_kinds(decls: Iterable[StatementDecl]) -> list[ValueKind]:

@@ -50,17 +50,18 @@ PROPERTY_NAMESPACES = ("wdt", "p", "ps", "psv", "pq", "pqv", "pr")
 # lone surrogates come from undecodable bytes (argv and the environment decode
 # with surrogateescape) and cannot be written as UTF-8, so no term may hold one
 LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
-# outside both N-Triples IRIREF and RFC 3987; the N-Triples reader's IRIREF uses it
-# as is, and an Iri also refuses a raw backslash, which would read back as an escape
+# outside both N-Triples IRIREF and RFC 3987; an Iri also refuses a raw
+# backslash, which would read back as an escape
 IRI_EXCLUDED = r'\x00-\x20<>"{}|^`'
 # An absolute IRI: a scheme and a colon, then no excluded character, backslash
 # or lone surrogate. The characters are spelled as a positive class, the ASCII
 # ones IRI_EXCLUDED leaves and every non-surrogate above, which the regex engine
-# tests faster per character than the negated class.
-_IRI_ASCII = "".join(re.escape(c) for c in map(chr, range(0x80))
-                     if not re.match(rf'[{IRI_EXCLUDED}\\]', c))
+# tests faster per character than the negated class. The N-Triples reader's
+# IRIREF takes IRI_ASCII and a backslash, which starts an escape there.
+IRI_ASCII = "".join(re.escape(c) for c in map(chr, range(0x80))
+                    if not re.match(rf'[{IRI_EXCLUDED}\\]', c))
 _is_iri = re.compile(
-    rf'[A-Za-z][A-Za-z0-9+.-]*:[{_IRI_ASCII}\x80-\ud7ff\ue000-\U0010ffff]*').fullmatch
+    rf'[A-Za-z][A-Za-z0-9+.-]*:[{IRI_ASCII}\x80-\ud7ff\ue000-\U0010ffff]*').fullmatch
 
 
 def iri_text(text: str) -> str:

@@ -15,7 +15,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .errors import BlankNodeUnsupportedError, NtSyntaxError, WbforgeError
-from .namespaces import IRI_EXCLUDED, LONE_SURROGATE, Iri, fixed_term, iri_text
+from .namespaces import IRI_ASCII, LONE_SURROGATE, Iri, fixed_term, iri_text
 
 XSD_STRING = fixed_term("xsd", "string")
 
@@ -276,13 +276,11 @@ def serialize_canonical(g: Graph) -> str:
     return "\n".join(lines)
 
 
-# An IRIREF is any character outside IRI_EXCLUDED (a backslash starts a
-# UCHAR), spelled as a positive class as namespaces._is_iri is, and a
-# literal body is unrolled to runs between escapes: the engine takes a run
-# of plain characters in one loop where an alternation branches per character.
-_IRIREF_ASCII = "".join(re.escape(c) for c in map(chr, range(0x80))
-                        if not re.match(rf"[{IRI_EXCLUDED}]", c))
-_IRIREF = rf"<([{_IRIREF_ASCII}\x80-\U0010ffff]*)>"
+# An IRIREF's text is IRI_ASCII, a backslash (it starts a UCHAR) and every
+# character above ASCII, and a literal's text is unrolled to runs between
+# escapes: the engine takes a run of plain characters in one loop where an
+# alternation branches per character.
+_IRIREF = rf"<([{IRI_ASCII}\\\x80-\U0010ffff]*)>"
 _LITERAL = r'"([^"\\]*(?:\\.[^"\\]*)*)"'
 # terms are separated by N-Triples whitespace, space and tab, and by nothing else
 _TRIPLE_RE = re.compile(
@@ -291,49 +289,31 @@ _TRIPLE_RE = re.compile(
     rf"[ \t]*\.[ \t]*$")
 # a line that fails _TRIPLE_RE is a blank-node line if `_:` opens its subject or object
 _BLANK_NODE_RE = re.compile(rf"^(?:_:|{_IRIREF}[ \t]+{_IRIREF}[ \t]+_:)")
-
-
-def _new_iri(raw: str, iris: dict[str, str]) -> str:
-    """The checked IRI an IRIREF's text spells, remembered in `iris`."""
-    iri = iris[raw] = iri_text(_unescape(raw, in_iri=True))
-    return iri
-
-
-def _new_literal(lexical: str, datatype: str | None, iris: dict[str, str],
-                 literals: dict[tuple[str, str | None], tuple[str, str]]) -> tuple[str, str]:
-    """The checked literal a literal's raw text spells, remembered in `literals`."""
-    if LONE_SURROGATE.search(lexical):
-        raise WbforgeError("literal holds a lone surrogate")
-    dt = XSD_STRING if datatype is None else iris.get(datatype) or _new_iri(datatype, iris)
-    lit = literals[lexical, datatype] = (_unescape(lexical), dt)
-    return lit
-
-
 # a literal as a whole term of a canonical line: no language tag
 _LITERAL_PART = re.compile(rf"{_LITERAL}(?:\^\^{_IRIREF})?").fullmatch
 
 
-def _new_part(part: str, terms: dict[str, PlainTerm], iris: dict[str, str],
-              literals: dict[tuple[str, str | None], tuple[str, str]]) -> PlainTerm | None:
-    """The term one part of a canonical line spells, remembered in `terms`.
+def _term(part: str, terms: dict[str, PlainTerm]) -> PlainTerm:
+    """The term a canonical line's part spells, checked and remembered in `terms`.
 
-    An IRIREF without a backslash has nothing to unescape, and `iri_text`
-    refuses every character `_IRIREF` refuses; a literal matches
-    `_LITERAL_PART`. Any other part, or one that fails its check, is None
-    and enters no memo: the strict loop reads its line and raises its fault.
+    `<…>` is an IRI, and `"…"` or `"…"^^<…>` a literal, whose datatype is
+    read through `terms` as well. A part that is neither, or that fails its
+    check, raises `WbforgeError` and enters no memo. `iri_text` refuses
+    every character `_IRIREF` refuses, so a line whose parts all pass is
+    one `_TRIPLE_RE` takes.
     """
-    try:
-        if part[:1] == "<" and part[-1:] == ">" and "\\" not in part:
-            inner = part[1:-1]
-            term: PlainTerm = iris.get(inner) or iris.setdefault(inner, iri_text(inner))
-        else:
-            m = _LITERAL_PART(part)
-            if m is None:
-                return None
-            key = m.groups()      # raw (lexical, datatype), as the strict loop keys it
-            term = literals.get(key) or _new_literal(*key, iris, literals)
-    except WbforgeError:
-        return None
+    if part[:1] == "<" and part[-1:] == ">":
+        term: PlainTerm = iri_text(_unescape(part[1:-1], in_iri=True))
+    else:
+        m = _LITERAL_PART(part)
+        if m is None:
+            raise WbforgeError(f"not a term: {part!r}")
+        lexical, datatype = m.groups()
+        if LONE_SURROGATE.search(lexical):
+            raise WbforgeError("literal holds a lone surrogate")
+        dt = XSD_STRING if datatype is None else (
+            terms.get(dt_part := f"<{datatype}>") or _term(dt_part, terms))
+        term = (_unescape(lexical), dt)
     terms[part] = term
     return term
 
@@ -360,34 +340,35 @@ def _lines(text: str) -> Iterator[str]:
 def parse_ntriples(text: str) -> Graph:
     """Parse N-Triples; blank lines and full-line comments are allowed.
 
-    A canonical line, `<s> <p> o .` with single spaces as `export` writes
-    it, is read by its three parts, each looked up by its raw text in one
-    per-call memo; a part is checked once, on its first use. Every other
-    line, and every line with a part that fails, goes through
-    `_TRIPLE_RE`, the one definition of a line and the only place a fault
-    is raised. There each distinct IRIREF text, and each distinct literal
-    text with its datatype text, is unescaped and checked once per call.
-    A line may end in a carriage return, so CRLF text reads as well.
+    Every term is read by `_term` and remembered, by the text that spells
+    it, in one per-call memo, so each distinct term is unescaped and
+    checked once. A canonical line, `<s> <p> o .` with single spaces as
+    `export` writes it, is cut into its three parts and each is looked up
+    there. Every other line, and every line with a part that fails or a
+    subject or predicate that is not an IRI, goes through `_TRIPLE_RE`, the
+    one definition of a line and the only place a fault is raised; from its
+    groups each term is spelled as a canonical line spells it and looked up
+    in the same memo. A line may end in a carriage return, so CRLF text
+    reads as well.
     """
     triples: set[PlainTriple] = set()
     add = triples.add
-    terms: dict[str, PlainTerm] = {}   # raw part of a canonical line -> term, this call only
-    iris: dict[str, str] = {}     # raw IRIREF text -> IRI, for this call only
-    literals: dict[tuple[str, str | None], tuple[str, str]] = {}   # raw (lexical, datatype)
+    terms: dict[str, PlainTerm] = {}   # a term's canonical spelling -> term, this call only
     for line_no, raw in enumerate(_lines(text), start=1):
         if raw[-2:] == " .":
             parts = raw[:-2].split(" ", 2)
             if len(parts) == 3:
                 s_raw, p_raw, o_raw = parts
-                # the first part that fails sends the line on, unread further
-                s = terms.get(s_raw) or _new_part(s_raw, terms, iris, literals)
-                if type(s) is str:
-                    p = terms.get(p_raw) or _new_part(p_raw, terms, iris, literals)
-                    if type(p) is str:
-                        o = terms.get(o_raw) or _new_part(o_raw, terms, iris, literals)
-                        if o is not None:
-                            add((s, p, o))
-                            continue
+                try:
+                    s = terms.get(s_raw) or _term(s_raw, terms)
+                    p = terms.get(p_raw) or _term(p_raw, terms)
+                    o = terms.get(o_raw) or _term(o_raw, terms)
+                except WbforgeError:
+                    pass              # the strict loop reads the line and raises its fault
+                else:
+                    if type(s) is str and type(p) is str:
+                        add((s, p, o))
+                        continue
         line = raw.strip(" \t\r")
         if not line or line.startswith("#"):
             continue
@@ -399,13 +380,12 @@ def parse_ntriples(text: str) -> Graph:
         s_iri, p_iri, o_iri, o_lex, o_dt, o_lang = m.groups()
         if o_lang is not None:
             raise NtSyntaxError(line_no, f"language tags are not supported: @{o_lang}")
+        o_raw = (f"<{o_iri}>" if o_iri is not None else
+                 f'"{o_lex}"' if o_dt is None else f'"{o_lex}"^^<{o_dt}>')
         try:
-            s = iris.get(s_iri) or _new_iri(s_iri, iris)
-            p = iris.get(p_iri) or _new_iri(p_iri, iris)
-            if o_iri is not None:
-                o = iris.get(o_iri) or _new_iri(o_iri, iris)
-            else:
-                o = literals.get((o_lex, o_dt)) or _new_literal(o_lex, o_dt, iris, literals)
+            s = terms.get(s_raw := f"<{s_iri}>") or _term(s_raw, terms)
+            p = terms.get(p_raw := f"<{p_iri}>") or _term(p_raw, terms)
+            o = terms.get(o_raw) or _term(o_raw, terms)
         except WbforgeError as exc:   # a bad escape, a lone surrogate, or an IRI rule
             raise NtSyntaxError(line_no, str(exc)) from None
         add((s, p, o))

@@ -16,7 +16,7 @@ from .expander import ExpandedSchema, ExpandedStatement, expand
 from .model import (
     TYPED_ORIGINS,
     VALUE_KINDS,
-    XSD,
+    XSD_NAME,
     Datatype,
     SchemaDocument,
     StatementDecl,
@@ -25,7 +25,7 @@ from .model import (
     ValueType,
     needed_value_kinds,
 )
-from .namespaces import PROV_WAS_DERIVED_FROM, Iri, NamespaceTable, curie_or_iri, local_name
+from .namespaces import PROV_WAS_DERIVED_FROM, Iri, NamespaceTable, curie_or_iri
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def _class_expr(cls: Iri, doc: SchemaDocument) -> ValueExpr:
 def _value_expr(vtype: ValueType, doc: SchemaDocument) -> ValueExpr:
     if vtype.item_class is not None:
         return _class_expr(vtype.item_class, doc)
-    return DatatypeExpr(f"xsd:{local_name(XSD[vtype.datatype])}")
+    return DatatypeExpr(XSD_NAME[vtype.datatype])
 
 
 def _item_shape(cls_iri: Iri, expanded: ExpandedSchema) -> Shape:
@@ -181,7 +181,7 @@ def _reference_shape(st: ExpandedStatement, doc: SchemaDocument) -> Shape:
 def _value_shape(kind: ValueKind) -> Shape:
     tcs = tuple(
         TripleConstraint(pred, IriKind() if dt is None
-                         else DatatypeExpr(f"xsd:{local_name(XSD[dt])}"))
+                         else DatatypeExpr(XSD_NAME[dt]))
         for pred, (_, _, dt) in zip(kind.predicates, kind.fields))
     return Shape(kind.node_class, tcs, closed=True,
                  comments=("# origin: " + ", ".join(kind.origins),))

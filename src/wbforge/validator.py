@@ -32,6 +32,7 @@ from .model import (
     MAX_INT_DIGITS,
     VALUE_KINDS,
     XSD,
+    XSD_NAME,
     Datatype,
     DateTimeValue,
     DecimalValue,
@@ -42,8 +43,7 @@ from .model import (
     is_canonical,
 )
 from .namespaces import (
-    PROPERTY_NAMESPACES, PROV_WAS_DERIVED_FROM, RDF_TYPE, WB_ITEM, WB_REFERENCE, WB_STATEMENT,
-    local_name)
+    PROPERTY_NAMESPACES, PROV_WAS_DERIVED_FROM, RDF_TYPE, WB_ITEM, WB_REFERENCE, WB_STATEMENT)
 from .rdf import XSD_STRING, Graph, PlainTerm, PlainTriple
 
 ERROR = "ERROR"
@@ -150,14 +150,13 @@ def explain(report: ValidationReport, code: str) -> str:
 
 def literal_problem(v: PlainTerm, dt: Datatype) -> str | None:
     """Why `v` is not a canonical `dt` literal, or None when it is one."""
-    xsd = XSD[dt]
     if isinstance(v, str):
-        return f"is not an xsd:{local_name(xsd)} literal"
+        return f"is not an {XSD_NAME[dt]} literal"
     lexical, datatype = v
-    if datatype != xsd:
-        return f"is not typed xsd:{local_name(xsd)}"
+    if datatype != XSD[dt]:
+        return f"is not typed {XSD_NAME[dt]}"
     if not is_canonical(dt, lexical):
-        return f"has non-canonical xsd:{local_name(xsd)} lexical {lexical!r}"
+        return f"has non-canonical {XSD_NAME[dt]} lexical {lexical!r}"
     return None
 
 

@@ -333,8 +333,9 @@ def test_export_delimiter_in_reference_target_exits_2(tmp_path, capsys):
         "item wd:cat30s : rec:AgeCategory { }\n"
         "item <http://records.example/d;x> : rec:SourceDocument { }\n")
     assert main(["export", str(SCHEMA), str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"wbforge: {bad}: reference target") and "'|' or ';'" in err
+    assert capsys.readouterr().err == (
+        f"wbforge: {bad}: item <http://wikibase.example/entity/a1>, statement 1: "
+        "reference target <http://records.example/d;x> contains '|' or ';'\n")
 
 
 def test_export_of_two_statements_minting_one_reference_name_exits_2(tmp_path, capsys):
@@ -343,9 +344,12 @@ def test_export_of_two_statements_minting_one_reference_name_exits_2(tmp_path, c
     assert main(["export", str(fixture_path("name-record", "wbs")), str(pair)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"wbforge: {pair}: reference node <")
-    assert "-764d46f3>" in captured.err
-    assert "entity/a26779>" in captured.err and "entity/a154832>" in captured.err
+    assert captured.err == (
+        f"wbforge: {pair}: item <http://wikibase.example/entity/a154832>, statement 1: "
+        "reference node <http://wikibase.example/reference/"
+        "5ba0c313d09e58bbf9f2e3ebd6e32c92365dc116-764d46f3> would be shared by a statement "
+        "of <http://wikibase.example/entity/a26779> and one of "
+        "<http://wikibase.example/entity/a154832>\n")
 
 
 def test_a_relative_item_iri_holding_braces_and_a_bar_is_refused_before_export(tmp_path, capsys):

@@ -46,7 +46,6 @@ from wbforge.model import (
     SnakData,
     StatementData,
     StringValue,
-    value_kind,
 )
 from wbforge.namespaces import (
     DEFAULT_ROOT,
@@ -236,14 +235,18 @@ def test_distinct_statements_give_distinct_preimages(seed):
     assert rejected and len(seen) > 100
 
 
+# a value's node kind, by its exact class; None for items and strings
+KIND_BY_TYPE = {kind.value_type: kind for kind in VALUE_KINDS.values()}
+
+
 def test_value_kind_is_looked_up_by_exact_class():
-    # value_kind keys on type(value), which is only right while no subclasses exist
+    # the exporter keys on type(value), which is only right while no subclasses exist
     for cls in (ItemRef, StringValue, DecimalValue, DateTimeValue):
         assert cls.__subclasses__() == []
     for kind in VALUE_KINDS.values():
         value = DecimalValue("1") if kind.value_type is DecimalValue else AT_TIME.value
-        assert value_kind(value) is kind
-    assert value_kind(JOB) is None and value_kind(StringValue("x")) is None
+        assert KIND_BY_TYPE.get(type(value)) is kind
+    assert ItemRef not in KIND_BY_TYPE and StringValue not in KIND_BY_TYPE
 
 
 def _instances(statements=(), extra_items=()):
@@ -540,7 +543,7 @@ def test_canonical_value_joins_the_value_fields():
         values.append(DecimalValue(d.amount, rng.choice(units)))
         values.append(DateTimeValue(t.iso, t.precision, t.timezone, rng.choice(units)))
     for value in values:
-        fields = value_kind(value).fields
+        fields = KIND_BY_TYPE[type(value)].fields
         assert canonical_value(value) == "|".join(
             str(getattr(value, attr)) for _, attr, _ in fields)
 
@@ -586,9 +589,10 @@ def test_read_back_inverts_export(case):
             read = read_statement(g, node, expanded.statement(stmt.property), table)
             assert statement_node(item.iri, read, table) == node
             for value in (stmt.value, *(q.value for q in stmt.qualifiers)):
-                if value_kind(value) is not None:
+                kind = KIND_BY_TYPE.get(type(value))
+                if kind is not None:
                     vnode = value_node(value, table)
-                    assert read_value_node(g, vnode, value_kind(value), table) == value
+                    assert read_value_node(g, vnode, kind, table) == value
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

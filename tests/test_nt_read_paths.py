@@ -18,7 +18,8 @@ from wbforge import rdf
 from wbforge.dsl import parse_instances, parse_schema
 from wbforge.errors import BlankNodeUnsupportedError, NtSyntaxError, WbforgeError
 from wbforge.exporter import export
-from wbforge.rdf import parse_ntriples, serialize_canonical
+from wbforge.namespaces import Iri
+from wbforge.rdf import Literal, Triple, parse_ntriples, serialize_canonical
 
 
 def spaced(text: str) -> str:
@@ -52,15 +53,41 @@ def test_corpus_texts_read_alike_both_ways():
         assert outcome(spaced(text)) == outcome(text), label
 
 
-def test_a_canonical_export_never_reaches_the_strict_loop(monkeypatch):
-    text = _record_export(5)
-    strict, match = [], rdf._TRIPLE_RE.match
+@pytest.fixture
+def strict(monkeypatch) -> list[str]:
+    """The lines the strict loop reads, as it reads them."""
+    lines, match = [], rdf._TRIPLE_RE.match
     monkeypatch.setattr(rdf, "_TRIPLE_RE", SimpleNamespace(
-        match=lambda line: strict.append(line) or match(line)))
+        match=lambda line: lines.append(line) or match(line)))
+    return lines
+
+
+def test_a_canonical_export_never_reaches_the_strict_loop(strict):
+    text = _record_export(5)
     g = parse_ntriples(text)
     assert strict == [] and serialize_canonical(g) == text
     assert parse_ntriples(spaced(text)) == g
     assert len(strict) == len(g)
+
+
+def test_escaped_iris_stay_on_the_canonical_path(strict):
+    text = r'<http://x.example/\u0041> <http://x.example/p> "x"^^<http://x.example/\u0064> .'
+    g = parse_ntriples(text)
+    assert strict == []
+    assert list(g) == [Triple(Iri("http://x.example/A"), Iri("http://x.example/p"),
+                              Literal("x", Iri("http://x.example/d")))]
+    assert parse_ntriples(spaced(text)) == g and len(strict) == 1
+
+
+def test_one_iri_read_three_ways_is_one_object():
+    d = "http://x.example/d"
+    g = parse_ntriples(f'<{d}> <http://x.example/p> "x" .\n'
+                       f'<http://x.example/s> <http://x.example/p> "y"^^<{d}> .\n'
+                       f'<http://x.example/s>\t<http://x.example/p>\t<{d}>\t.\n')
+    (subject,) = {t[0] for t in g._triples} - {"http://x.example/s"}
+    (datatype,) = [t[2][1] for t in g._triples if type(t[2]) is tuple and t[2][0] == "y"]
+    (obj,) = [t[2] for t in g._triples if t[2] == d]
+    assert subject == d and subject is datatype is obj
 
 
 GOOD = '<http://x.example/s> <http://x.example/p> "x" .'
