@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import stat
 import sys
@@ -33,7 +34,14 @@ T = TypeVar("T")
 
 
 def _write(text: str, path: str) -> None:
-    """Write `text` to stdout (`-`) or to `path`, all or nothing.
+    """Write `text` as UTF-8 to stdout (`-`) or to `path`, all or nothing.
+
+    Stdout gets the bytes through its binary buffer, after whatever its
+    text layer still holds, so neither its encoding nor its newline
+    setting changes them; a stdout with no buffer, such as the
+    `io.StringIO` of `contextlib.redirect_stdout`, gets the text. Files
+    are opened with `newline=""`, so no line end is translated on any
+    platform.
 
     The text goes to a new file beside the one `path` names (through any
     symlink), which replaces it once the last byte is written; on a
@@ -43,14 +51,19 @@ def _write(text: str, path: str) -> None:
     replaced, so it is written in place.
     """
     if path == "-":
-        sys.stdout.write(text)
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.write(text)
+        else:
+            sys.stdout.flush()
+            buffer.write(text.encode("utf-8"))
         return
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         return
     # only the last component says which file is replaced
@@ -61,7 +74,7 @@ def _write(text: str, path: str) -> None:
     except OSError as exc:        # name the file asked for, not the temporary one
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
             if mode is not None:
                 os.fchmod(fd, stat.S_IMODE(mode))
             fh.write(text)
@@ -206,12 +219,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its exit status.
+
+    The cyclic collector is off while the command runs: a run that
+    succeeds makes no reference cycle, so every collection would walk live
+    data and free nothing. The caller's setting is back on return and on
+    any exception; library functions never change it.
+    """
     args = _parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return run(args)
     except (OSError, UnicodeDecodeError, WbforgeError) as exc:
         print(f"wbforge: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -40,8 +40,8 @@ def fixture_path(name: str, extension: str) -> Path:
 
 
 def load_fixture(name: str) -> tuple[SchemaDocument, InstanceDoc]:
-    schema = parse_schema(fixture_path(name, "wbs").read_text())
-    instances = parse_instances(fixture_path(name, "wbi").read_text())
+    schema = parse_schema(fixture_path(name, "wbs").read_text(encoding="utf-8"))
+    instances = parse_instances(fixture_path(name, "wbi").read_text(encoding="utf-8"))
     return schema, instances
 
 

@@ -1,9 +1,12 @@
 """CLI surface: subcommands, output routing, exit codes, root override."""
 
+import gc
+import io
 import os
 import stat
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,8 @@ import wbforge
 from wbforge import cli
 from wbforge.cli import build_parser, main
 from wbforge.dsl import parse_schema
-from wbforge.fixtures import MUTATIONS, fixture_path, load_bundle
+from wbforge.errors import WbforgeError
+from wbforge.fixtures import FIXTURE_NAMES, MUTATIONS, fixture_path, load_bundle
 from wbforge.rdf import parse_ntriples, serialize_canonical
 from wbforge.validator import render_report, render_report_tsv, validate
 
@@ -125,6 +129,94 @@ def test_output_keeps_modes_and_writes_through_a_symlink(tmp_path):
 def test_output_to_a_device_is_written_in_place():
     assert main(["axioms", str(SCHEMA), "-o", os.devnull]) == 0
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def _non_ascii_pair(d: Path) -> dict[str, str]:
+    """The name record with a vocabulary IRI, an item IRI and a spelling outside
+    ASCII (`ł` is outside Latin-1 too), its export, and a copy of the export
+    that lacks the item's types; paths by role."""
+    paths = {}
+    for ext in ("wbs", "wbi"):
+        text = (fixture_path("name-record", ext).read_text(encoding="utf-8")
+                .replace("/vocab/", "/vocäb/").replace('"J. Bte."', '"Zoë Łoś"')
+                .replace("item wd:a1 ", "item <http://records.example/zoë> "))
+        paths[ext] = str(d / f"u.{ext}")
+        Path(paths[ext]).write_text(text, encoding="utf-8")
+    paths["nt"], paths["bad"] = str(d / "u.nt"), str(d / "bad.nt")
+    assert main(["export", paths["wbs"], paths["wbi"], "-o", paths["nt"]]) == 0
+    with open(paths["nt"], encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    typed = "<http://records.example/zoë> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+    with open(paths["bad"], "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(line for line in lines if not line.startswith(typed))
+    return paths
+
+
+# every subcommand on non-ASCII data: (argv by path role, exit status)
+_NON_ASCII_RUNS = [
+    (["check", "wbs"], 0),
+    (["expand", "wbs"], 0),
+    (["axioms", "wbs"], 0),
+    (["shapes", "wbs"], 0),
+    (["export", "wbs", "wbi"], 0),
+    (["validate", "wbs", "nt"], 0),
+    (["validate", "wbs", "bad"], 1),
+    (["validate", "wbs", "bad", "--tsv"], 1),
+    (["infer", "wbs", "bad"], 0),
+]
+
+
+def _stdout_bytes(paths: dict[str, str], env: dict[str, str]) -> list[tuple[int, bytes]]:
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("PYTHONIOENCODING", "PYTHONUTF8", "LC_ALL", "LC_CTYPE", "LANG")}
+    base["PYTHONPATH"] = str(Path(wbforge.__file__).parents[1])
+    base["PYTHONDONTWRITEBYTECODE"] = "1"
+    results = []
+    for argv, _ in _NON_ASCII_RUNS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wbforge.cli", *(paths.get(a, a) for a in argv)],
+            env={**base, **env}, capture_output=True, timeout=60)
+        assert b"Traceback" not in proc.stderr, proc.stderr
+        results.append((proc.returncode, proc.stdout))
+    return results
+
+
+@pytest.fixture(scope="module")
+def non_ascii(tmp_path_factory):
+    """The non-ASCII files, and each run's exit status and stdout under UTF-8."""
+    paths = _non_ascii_pair(tmp_path_factory.mktemp("non-ascii"))
+    utf8 = _stdout_bytes(paths, {"PYTHONUTF8": "1"})
+    assert [code for code, _ in utf8] == [status for _, status in _NON_ASCII_RUNS]
+    assert sum(not out.isascii() for _, out in utf8) >= 5   # axioms, shapes, export, ...
+    return paths, utf8
+
+
+@pytest.mark.parametrize("env", [{"PYTHONIOENCODING": "ascii"},
+                                 {"PYTHONIOENCODING": "latin-1"},
+                                 {"PYTHONUTF8": "0", "LC_ALL": "C"}],
+                         ids=["ascii", "latin-1", "C-locale"])
+def test_stdout_bytes_do_not_depend_on_its_encoding(non_ascii, env):
+    paths, utf8 = non_ascii
+    assert _stdout_bytes(paths, env) == utf8
+
+
+def test_stdout_gets_utf8_bytes_after_the_text_it_holds(non_ascii):
+    paths, _ = non_ascii
+    raw = io.BytesIO()
+    out = io.TextIOWrapper(raw, encoding="ascii", newline="\r\n")
+    with redirect_stdout(out):
+        print("before")
+        assert main(["export", paths["wbs"], paths["wbi"]]) == 0
+        out.flush()
+    with open(paths["nt"], "rb") as fh:
+        assert raw.getvalue() == b"before\r\n" + fh.read()
+
+
+def test_a_stdout_with_no_buffer_gets_the_text():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["export", str(SCHEMA), str(INSTANCES)]) == 0
+    assert out.getvalue() == fixture_path("age-record", "nt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("via_symlink", [False, True])
@@ -514,3 +606,75 @@ def test_every_subcommand_refuses_inverse_existential_on_a_data_object(
     assert main([command, str(schema), *extra.get(command, [])]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", "wbforge: pattern InverseExistential is not applicable to q\n")
+
+
+# `main` runs its command with the cyclic collector off and gives the
+# caller back the collector as it found it
+
+
+class _Escape(BaseException):
+    """Stands for what no handler in `main` catches, such as a deadline's signal."""
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller-on", "caller-off"])
+@pytest.mark.parametrize("outcome, status", [
+    (0, 0), (1, 1), (WbforgeError("bad data"), 2), (_Escape(), None),
+], ids=["exit-0", "exit-1", "exit-2", "escape"])
+def test_main_runs_its_command_without_the_collector_and_restores_the_callers(
+        monkeypatch, enabled, outcome, status):
+    seen = []
+
+    def recording_run(args):
+        seen.append(gc.isenabled())
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    was, threshold = gc.isenabled(), gc.get_threshold()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if status is None:
+            with pytest.raises(_Escape):
+                main(["check", str(SCHEMA)])
+        else:
+            assert main(["check", str(SCHEMA)]) == status
+        after = gc.isenabled(), gc.get_threshold()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
+    assert after == (enabled, threshold)
+
+
+def test_no_run_that_succeeds_leaves_cyclic_garbage(tmp_path, capsys):
+    # The premise of running without the collector: were a run to make
+    # reference cycles (say, one per triple), memory would grow without bound
+    # under the CLI. Under DEBUG_SAVEALL every unreachable object a
+    # collection finds, made by the run or found by a collection inside it,
+    # is kept in gc.garbage. The runs go untraced: a line tracer such as
+    # tests/line_coverage.py's makes a cycle per frame (a local trace function
+    # that returns itself).
+    runs = []
+    for name in FIXTURE_NAMES:
+        wbs, wbi, nt = (str(fixture_path(name, ext)) for ext in ("wbs", "wbi", "nt"))
+        runs += [["check", wbs], ["expand", wbs], ["axioms", wbs], ["shapes", wbs],
+                 ["export", wbs, wbi], ["validate", wbs, nt], ["infer", wbs, nt]]
+        for i, mutation in enumerate(MUTATIONS.get(name, ())):
+            mutated = tmp_path / f"{name}-{i}.nt"
+            mutated.write_text(serialize_canonical(mutation.apply(load_bundle(name))),
+                               encoding="utf-8")
+            runs.append(["validate", wbs, str(mutated)])
+    flags, kept, trace = gc.get_debug(), len(gc.garbage), sys.gettrace()
+    sys.settrace(None)
+    gc.collect()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        for argv in runs:
+            assert main(argv) in (0, 1), argv
+            capsys.readouterr()
+            gc.collect()
+            assert len(gc.garbage) == kept, argv
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[kept:]
+        sys.settrace(trace)
