@@ -263,11 +263,16 @@ def _parse(parse: Callable[[_Stream], _Doc], texts: list[str], text: str, root: 
         return parse(_Stream(texts, NamespaceTable(root)))
     except WbforgeError as exc:
         fault = exc
-    placed = tokenize(text)
-    if type(fault) is _Fault:
-        i, what = fault.args
-        raise DslSyntaxError(placed[i][2], placed[i][3], what)
-    raise fault
+    try:
+        placed = tokenize(text)
+        if type(fault) is _Fault:
+            i, what = fault.args
+            raise DslSyntaxError(placed[i][2], placed[i][3], what)
+        raise fault
+    finally:
+        # what is raised holds this frame in its traceback: were the frame to
+        # hold the fault in turn, the two would form a cycle
+        del fault
 
 
 def _decode_string(ts: _Stream, i: int) -> str:

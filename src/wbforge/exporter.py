@@ -134,14 +134,14 @@ def canonical_value(value: Value | ReadValue) -> str:
 
     Of a model value, or of what the validator reads back for one: an
     item's IRI, a string literal's `(lexical, datatype)`, or a value
-    node's value.
+    node's field texts joined by '|', which is the text of its value.
     """
     t = type(value)
     if t is ItemRef:
         return value.iri
     if t is StringValue:
         return escape_literal(value.text)
-    if isinstance(value, str):            # an IRI
+    if isinstance(value, str):            # an IRI, or a value node's joined field texts
         return value
     if isinstance(value, tuple):          # a literal
         return escape_literal(value[0])
@@ -212,8 +212,14 @@ def statement_name_head(subject: str, table: NamespaceTable) -> str:
     return f"{table.base('s')}{local_name(subject)}-"
 
 
-def value_hash(value: DateTimeValue | DecimalValue) -> str:
-    return _sha40(f"{_OUT[type(value)].node.tag}|{canonical_value(value)}")
+def value_hash(value: DateTimeValue | DecimalValue | ReadNode) -> str:
+    """The value node's content hash: of a model value, or of the node the
+    validator reads back."""
+    if type(value) is tuple:
+        tag, text = value
+    else:
+        tag, text = _OUT[type(value)].node.tag, canonical_value(value)
+    return _sha40(f"{tag}|{text}")
 
 
 def value_node(value: DateTimeValue | DecimalValue, table: NamespaceTable) -> Iri:
@@ -418,8 +424,11 @@ def _export_statement(add: Add, texts: _Texts, subject: str, head: str, stmt: St
 # what the validator reads back -------------------------------------------
 
 # a ps:/pq: value as read back: an item's IRI, a string literal's (lexical,
-# datatype), or the value of a date or quantity node
-ReadValue = str | tuple[str, str] | DateTimeValue | DecimalValue
+# datatype), or a date or quantity node's stored field texts joined by '|'
+ReadValue = str | tuple[str, str]
+# a date or quantity node as read back: its kind's tag and its stored field
+# texts joined by '|'
+ReadNode = tuple[str, str]
 # a statement node's content as read back, in plain tuples laid out as
 # StatementData: the property name, the ps: value, a (name, value) pair for
 # each declared qualifier value, and each reference's (name, target) snaks

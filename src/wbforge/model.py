@@ -145,9 +145,14 @@ CANONICAL_INT = re.compile(r"-?(0|[1-9][0-9]*)")
 MAX_INT_DIGITS = 640
 
 
+def within_int_bound(lexical: str) -> bool:
+    """Whether an integer's digit string has at most `MAX_INT_DIGITS` digits."""
+    return len(lexical.lstrip("-")) <= MAX_INT_DIGITS
+
+
 def bounded_int(lexical: str) -> int | None:
     """The value of an integer's digit string, or None past `MAX_INT_DIGITS` digits."""
-    return None if len(lexical.lstrip("-")) > MAX_INT_DIGITS else int(lexical)
+    return int(lexical) if within_int_bound(lexical) else None
 
 
 def is_canonical(datatype: Datatype, lexical: str) -> bool:

@@ -11,8 +11,10 @@ declaration covers). Validation never mutates the graph.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .axioms import CATALOG
 from .errors import PreimageDelimiterError, UnknownCodeError
@@ -34,13 +36,13 @@ from .model import (
     XSD,
     XSD_NAME,
     Datatype,
-    DateTimeValue,
-    DecimalValue,
+    QualifierDecl,
+    ReferenceDecl,
     SchemaDocument,
     StatementDecl,
     ValueKind,
-    bounded_int,
     is_canonical,
+    within_int_bound,
 )
 from .namespaces import (
     PROPERTY_NAMESPACES, PROV_WAS_DERIVED_FROM, RDF_TYPE, WB_ITEM, WB_REFERENCE, WB_STATEMENT)
@@ -80,8 +82,9 @@ CODES: dict[str, str] = {code: row[0] for code, row in _CODE_TABLE.items()}
 # what follows a content-addressed node name's head: the content hash
 _HASH = re.compile(rf"[0-9a-f]{{{HASH_LENGTH}}}")
 
-# what reading a value node gives: its value, or its field problems
-NodeValue = DateTimeValue | DecimalValue | list[str]
+# what reading a value node gives: its stored field texts in field order,
+# or its field problems
+NodeValue = tuple[str, ...] | list[str]
 # one node's stored objects by predicate; an IRI is an exact `str`, a
 # literal a plain `(lexical, datatype)` tuple
 EdgeView = dict[str, list[PlainTerm]]
@@ -160,6 +163,30 @@ def literal_problem(v: PlainTerm, dt: Datatype) -> str | None:
     return None
 
 
+class _ReadPlan(NamedTuple):
+    """What a statement node is read and checked against under one declaration."""
+
+    decl: StatementDecl
+    ps: str
+    psv: str | None               # None when the object carries no value node
+    # (name, declaration, pq:, pqv: or None), in declaration order
+    qualifiers: tuple[tuple[str, QualifierDecl, str, str | None], ...]
+    foreign_pq: dict[str, str]    # other declarations' minted pq: IRIs -> local name
+    references: tuple[tuple[ReferenceDecl, str], ...]   # (declaration, pr:), by name
+
+
+def _read_plan(st: ExpandedStatement, minted_pq: dict[str, str]) -> _ReadPlan:
+    """`st`'s plan; `minted_pq` maps minted pq: IRIs to their local names."""
+    decl, props, fams, prs = (st.source, st.statement_properties, st.qualifier_properties,
+                              st.reference_properties)
+    return _ReadPlan(
+        decl, props["ps"], props.get("psv"),
+        tuple((q.name, q, fams[q.name]["pq"], fams[q.name].get("pqv")) for q in decl.qualifiers),
+        {p: local for p, local in minted_pq.items() if local not in fams},
+        # by name: which of several ';' targets check_hash names ignores declaration order
+        tuple((r, prs[r.name]) for r in sorted(decl.references, key=lambda r: r.name)))
+
+
 # ---------------------------------------------------------------------------
 
 class _Checker:
@@ -174,13 +201,22 @@ class _Checker:
         self.family: dict[str, tuple[str, str]] = {
             p: spl for p in graph.predicates()
             if (spl := self.table.split(p)) is not None and spl[0] in PROPERTY_NAMESPACES}
+        # each declared property name's read plan, under the declaration it names;
+        # a plan is asked only about predicates the graph uses, so of the minted
+        # pq: IRIs it holds those alone
+        minted_pq = {p: local for p, (prefix, local) in self.family.items()
+                     if prefix == "pq" and p in self.minted}
+        self.plans = {name: _read_plan(expanded.statement(name), minted_pq)
+                      for name in {st.source.property_name for st in expanded.statements}}
         # the nodes typed with each class, in no order: what is found lands
         # in `findings`, which `run` sorts
-        self.typed: dict[PlainTerm, list[str]] = {}
+        self.typed: dict[PlainTerm, set[str]] = defaultdict(set)
         for s, _, cls in graph.with_predicate(RDF_TYPE):
-            self.typed.setdefault(cls, []).append(s)
+            self.typed[cls].add(s)
         # every value node read so far, by (node, kind tag), for the whole run
         self.values: dict[tuple[str, str], NodeValue] = {}
+        # each statement owner's `statement_name_head`, for the whole run
+        self.heads: dict[str, str] = {}
         # the name of each reference node whose statement's content hashed:
         # its snaks as read, scoped by the hash the statement's name carries
         self.ref_node_names: dict[str, str] = {}
@@ -189,13 +225,15 @@ class _Checker:
         self.findings.add(Finding(code, focus, detail, CODES[code]))
 
     def has_type(self, node: PlainTerm, cls: str) -> bool:
-        return type(node) is str and (node, RDF_TYPE, cls) in self.g
+        return node in self.typed.get(cls, ())
 
     def value_node(self, node: str, kind: ValueKind) -> NodeValue:
-        """The value a `kind` node holds, or its field problems in field order.
+        """The field texts a `kind` node stores, or its field problems, in field order.
 
         Read once per node and kind in a run, every field from one
-        `Graph.edges` view. The value is what export wrote the node from.
+        `Graph.edges` view. A text is an IRI or a canonical lexical form,
+        which for an int is `str` of its value: so the joined texts are
+        `canonical_value` of the model value export wrote the node from.
         """
         key = (node, kind.tag)
         value = self.values.get(key)
@@ -203,8 +241,8 @@ class _Checker:
             return value
         view = self.g.edges(node)
         problems: list[str] = []
-        fields: dict[str, object] = {}
-        for pred, (local, attr, dt) in zip(kind.predicates, kind.fields):
+        texts: list[str] = []
+        for pred, (local, _, dt) in zip(kind.predicates, kind.fields):
             values = view.get(pred, ())
             if not values:
                 problems.append(f"missing wikibase:{local}")
@@ -212,34 +250,36 @@ class _Checker:
                 problems.append(f"{len(values)} wikibase:{local} values")
             elif dt is None:
                 if type(values[0]) is str:
-                    fields[attr] = values[0]
+                    texts.append(values[0])
                 else:
                     problems.append(f"wikibase:{local} is not an IRI")
             elif (problem := literal_problem(values[0], dt)) is not None:
                 problems.append(f"wikibase:{local} {problem}")
-            elif dt is not Datatype.INT:
-                fields[attr] = values[0][0]
-            elif (number := bounded_int(values[0][0])) is None:
+            elif dt is Datatype.INT and not within_int_bound(values[0][0]):
                 problems.append(f"wikibase:{local} has more than {MAX_INT_DIGITS} digits")
             else:
-                fields[attr] = number
-        value = self.values[key] = problems or kind.value_type(**fields)
+                texts.append(values[0][0])
+        value = self.values[key] = problems or tuple(texts)
         return value
 
     def read_value(self, view: EdgeView, value_prop: str | None, v: PlainTerm
                    ) -> ReadValue | None:
-        """A ps:/pq: object as read back; dates and quantities need a matching node."""
+        """A ps:/pq: object as read back, or None.
+
+        A date or quantity needs a well-formed `value_prop` node whose first
+        field is the literal's text, and reads back as that node's field
+        texts joined by '|'.
+        """
         if type(v) is str or v[1] == XSD_STRING:
             return v
         kind = KIND_BY_XSD.get(v[1])
         if kind is None:
             return None
-        main = kind.fields[0][1]
         for vnode in view.get(value_prop, ()):
             if type(vnode) is str:
-                value = self.value_node(vnode, kind)
-                if not isinstance(value, list) and getattr(value, main) == v[0]:
-                    return value
+                fields = self.value_node(vnode, kind)
+                if type(fields) is tuple and fields[0] == v[0]:
+                    return "|".join(fields)
         return None
 
     # -- property name coverage -------------------------------------------
@@ -262,8 +302,9 @@ class _Checker:
         return incoming
 
     def resolve_decl(self, view: EdgeView, edges: list[tuple[str, str]]
-                     ) -> tuple[ExpandedStatement | None, str | None]:
-        """(declaration, owning subject) for a statement node's edge view and incoming p: edges.
+                     ) -> tuple[_ReadPlan | None, str | None]:
+        """(declaration's plan, owning subject) for a statement node's edge view
+        and incoming p: edges.
 
         One edge gives both. Otherwise there is no owner, and the
         declaration is the one property name the edges, or failing that
@@ -271,12 +312,12 @@ class _Checker:
         """
         if len(edges) == 1:
             subject, name = edges[0]
-            return self.expanded.statement(name), subject
+            return self.plans.get(name), subject
         names = {name for _, name in edges}
         if len(names) != 1:
             names = {spl[1] for p in view
                      if (spl := self.family.get(p)) is not None and spl[0] == "ps"}
-        return (self.expanded.statement(next(iter(names))) if len(names) == 1 else None), None
+        return (self.plans.get(next(iter(names))) if len(names) == 1 else None), None
 
     def check_statement_nodes(self) -> None:
         incoming = self.in_edges()
@@ -293,15 +334,15 @@ class _Checker:
             for rnode in view.get(PROV_WAS_DERIVED_FROM, ()):
                 if type(rnode) is str:
                     owners[rnode] = owners.get(rnode, 0) + 1
-            st, subject = self.resolve_decl(view, edges)
-            if st is not None:
-                self.check_against_decl(node, view, st, subject)
+            plan, subject = self.resolve_decl(view, edges)
+            if plan is not None:
+                self.check_against_decl(node, view, plan, subject)
         self.check_references_shared(owners)
 
-    def check_against_decl(self, node: str, view: EdgeView, st: ExpandedStatement,
+    def check_against_decl(self, node: str, view: EdgeView, plan: _ReadPlan,
                            subject: str | None) -> None:
         """Every check of a statement node, and its content hash from what they read."""
-        decl = st.source
+        decl = plan.decl
         name = decl.property_name
         if subject is not None:
             if not self.has_type(subject, decl.subject_class):
@@ -312,7 +353,7 @@ class _Checker:
                 self.add("DomainViolation", subject,
                          f"subject of p:{name} lacks rdf:type wikibase:Item")
 
-        ps_values = view.get(st.statement_properties["ps"], ())
+        ps_values = view.get(plan.ps, ())
         if not ps_values:
             self.add("ExistenceViolation", node, f"statement has no ps:{name} value")
         elif len(ps_values) > 1:
@@ -320,11 +361,10 @@ class _Checker:
                      f"{len(ps_values)} ps:{name} values")
         for v in ps_values:
             self.check_object_value(node, decl, v)
-        value = (self.read_value(view, st.statement_properties.get("psv"), ps_values[0])
-                 if len(ps_values) == 1 else None)
+        value = self.read_value(view, plan.psv, ps_values[0]) if len(ps_values) == 1 else None
 
-        quals = self.check_qualifiers(node, st, view)
-        refs = self.check_references(node, st, view)
+        quals = self.check_qualifiers(node, plan, view)
+        refs = self.check_references(node, plan, view)
         readable = value is not None and quals is not None and refs is not None
         got = self.check_hash(node, subject,
                               (name, value, quals, tuple(refs.values())) if readable else None)
@@ -351,33 +391,31 @@ class _Checker:
             self.add("RangeViolation", v,
                      f"value of ps:{name} lacks rdf:type wikibase:Item")
 
-    def check_qualifiers(self, node: str, st: ExpandedStatement, view: EdgeView
+    def check_qualifiers(self, node: str, plan: _ReadPlan, view: EdgeView
                          ) -> tuple[tuple[str, ReadValue], ...] | None:
         """The declared qualifiers' (name, value) pairs as read back, or None
         when a date or quantity value has no well-formed matching node."""
-        declared = st.qualifier_properties
+        foreign = plan.foreign_pq
         for p in view:                 # another declaration's pq: edge; an unminted one is unknown
-            spl = self.family.get(p)
-            if spl is not None and spl[0] == "pq" and spl[1] not in declared and p in self.minted:
+            if (qname := foreign.get(p)) is not None:
                 self.add("QualifierTypeViolation", node,
-                         f"qualifier pq:{spl[1]} not declared for {st.source.property_name}")
+                         f"qualifier pq:{qname} not declared for {plan.decl.property_name}")
         read: list[tuple[str, ReadValue | None]] = []
-        for q in st.source.qualifiers:
-            qname = q.name
-            values = view.get(declared[qname]["pq"], ())
+        for qname, q, pq, pqv in plan.qualifiers:
+            values = view.get(pq, ())
             if q.required and not values:
                 self.add("ExistenceViolation", node,
                          f"required qualifier pq:{qname} missing")
             if len(values) > 1:        # a graph is a set, so the values are distinct
                 self.add("FunctionalityViolation", node,
                          f"{len(values)} values for functional qualifier pq:{qname}")
-            pqv = declared[qname].get("pqv")
             for v in values:
                 self.check_qualifier_value(node, qname, q, v)
                 read.append((qname, self.read_value(view, pqv, v)))
         return None if any(qv is None for _, qv in read) else tuple(read)
 
-    def check_qualifier_value(self, node: str, qname: str, q, v: PlainTerm) -> None:
+    def check_qualifier_value(self, node: str, qname: str, q: QualifierDecl, v: PlainTerm
+                              ) -> None:
         if q.qtype.item_class is not None:
             if not self.has_type(v, q.qtype.item_class):
                 cls = self.table.curie(q.qtype.item_class) or q.qtype.item_class
@@ -388,13 +426,10 @@ class _Checker:
         if problem:
             self.add("QualifierTypeViolation", node, f"value of pq:{qname} {problem}")
 
-    def check_references(self, node: str, st: ExpandedStatement, view: EdgeView
+    def check_references(self, node: str, plan: _ReadPlan, view: EdgeView
                          ) -> dict[str, tuple[tuple[str, str], ...]] | None:
         """Each reference node's declared (name, target) snaks as read back, by
         node, or None when a reference node is not typed or a target is not an IRI."""
-        # by name: which of several ';' targets check_hash names ignores declaration order
-        refs = sorted(st.source.references, key=lambda r: r.name)
-        prs = st.reference_properties
         snak_names: set[str] = set()
         read: dict[str, tuple[tuple[str, str], ...]] = {}
         readable = True
@@ -406,8 +441,8 @@ class _Checker:
                 continue
             rview = self.g.edges(rnode)
             snaks: list[tuple[str, str]] = []
-            for r in refs:
-                targets = rview.get(prs[r.name], ())
+            for r, pr in plan.references:
+                targets = rview.get(pr, ())
                 if targets:
                     snak_names.add(r.name)
                 for target in targets:
@@ -420,7 +455,7 @@ class _Checker:
                                  f"target of pr:{r.name} lacks rdf:type {cls}")
                     snaks.append((r.name, target))
             read[rnode] = tuple(snaks)
-        for r in refs:
+        for r, _ in plan.references:
             if r.required and r.name not in snak_names:
                 self.add("ExistenceViolation", node,
                          f"required reference pr:{r.name} missing")
@@ -459,17 +494,18 @@ class _Checker:
     def check_value_nodes(self) -> None:
         for kind in VALUE_KINDS.values():
             for node in self.typed.get(kind.class_iri, ()):
-                value = self.value_node(node, kind)
-                if isinstance(value, list):
-                    self.add("ValueNodeMalformed", node, "; ".join(value))
+                fields = self.value_node(node, kind)
+                if type(fields) is list:
+                    self.add("ValueNodeMalformed", node, "; ".join(fields))
                 else:
-                    self.check_value_node_hash(node, value)
+                    self.check_value_node_hash(node, kind, fields)
 
-    def check_value_node_hash(self, node: str, value: DateTimeValue | DecimalValue) -> None:
+    def check_value_node_hash(self, node: str, kind: ValueKind, fields: tuple[str, ...]
+                              ) -> None:
         got = self.name_hash(node, self.table.base("v"))
         if got is None:
             return
-        want = value_hash(value)
+        want = value_hash((kind.tag, "|".join(fields)))
         if got != want:
             self.add("HashMismatch", node,
                      f"node hash {got} does not match content hash {want}")
@@ -494,7 +530,10 @@ class _Checker:
         if subject is None:
             return None
         # only the name export mints for this owner: one claim has one clean name
-        got = self.name_hash(node, statement_name_head(subject, self.table))
+        head = self.heads.get(subject)
+        if head is None:
+            head = self.heads[subject] = statement_name_head(subject, self.table)
+        got = self.name_hash(node, head)
         if got is None or content is None:
             return None
         try:

@@ -49,6 +49,24 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
+class _LocalTracer:
+    """One frame's local trace function: each line the frame runs leaves `unseen`.
+
+    It returns itself and holds only the set, so a traced frame makes no
+    reference cycle.
+    """
+
+    __slots__ = ("unseen",)
+
+    def __init__(self, unseen: set[int]) -> None:
+        self.unseen = unseen
+
+    def __call__(self, frame: types.FrameType, event: str, arg: object) -> _LocalTracer:
+        if event == "line":
+            self.unseen.discard(frame.f_lineno)
+        return self
+
+
 class LineTracer:
     """Records the lines run in files under `root`.
 
@@ -75,12 +93,7 @@ class LineTracer:
         if not unseen:
             return None
         unseen.discard(frame.f_lineno)
-
-        def trace_lines(frame: types.FrameType, event: str, arg: object):
-            if event == "line":
-                unseen.discard(frame.f_lineno)
-            return trace_lines
-        return trace_lines
+        return _LocalTracer(unseen)
 
     def hits(self) -> dict[str, set[int]]:
         """The lines run, by resolved file path."""

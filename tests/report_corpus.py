@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -26,9 +27,10 @@ from generators import random_instances, random_schema  # noqa: E402
 from wbforge.dsl import parse_instances, parse_schema  # noqa: E402
 from wbforge.exporter import export  # noqa: E402
 from wbforge.fixtures import MUTATIONS, load_bundle  # noqa: E402
+from wbforge.model import SchemaDocument  # noqa: E402
 from wbforge.namespaces import Iri  # noqa: E402
 from wbforge.rdf import (  # noqa: E402
-    Literal, Triple, parse_ntriples, render_triple, serialize_canonical)
+    Graph, Literal, Triple, parse_ntriples, render_triple, serialize_canonical)
 from wbforge.validator import render_report, validate  # noqa: E402
 
 # lexical forms that are canonical for no datatype, or only for some
@@ -59,13 +61,12 @@ def _edit(g, rng: random.Random):
     return out
 
 
-def main() -> None:
-    out = sys.stdout
+def graphs() -> Iterator[tuple[str, SchemaDocument, Graph]]:
+    """(label, schema, graph) for every graph of the corpus, in report order."""
     for name, mutations in MUTATIONS.items():
         bundle = load_bundle(name)
         for m in mutations:
-            out.write(f"## mutation {name} {m.code}\n")
-            out.write(render_report(validate(bundle.schema, m.apply(bundle))))
+            yield f"mutation {name} {m.code}", bundle.schema, m.apply(bundle)
 
     schema = parse_schema(corpus.RECORD_SCHEMA)
     for seed in (1, 2, 3):
@@ -74,18 +75,22 @@ def main() -> None:
             schema, parse_instances(corpus.record_instances(rng, 8).text)))
         for kind in corpus.DEFECTS:
             text, _ = corpus.apply_defect(kind, nt, rng)
-            out.write(f"## defect {seed} {kind}\n")
-            out.write(render_report(validate(schema, parse_ntriples(text))))
+            yield f"defect {seed} {kind}", schema, parse_ntriples(text)
 
     for seed in range(100):
         rng = random.Random(seed)
         schema = random_schema(rng)
         g = export(schema, random_instances(rng, schema))
-        out.write(f"## random {seed} clean\n")
-        out.write(render_report(validate(schema, g)))
+        yield f"random {seed} clean", schema, g
         for k in range(5):
-            out.write(f"## random {seed} edit {k}\n")
-            out.write(render_report(validate(schema, _edit(g, rng))))
+            yield f"random {seed} edit {k}", schema, _edit(g, rng)
+
+
+def main() -> None:
+    out = sys.stdout
+    for label, schema, g in graphs():
+        out.write(f"## {label}\n")
+        out.write(render_report(validate(schema, g)))
 
 
 if __name__ == "__main__":

@@ -646,14 +646,34 @@ def test_main_runs_its_command_without_the_collector_and_restores_the_callers(
     assert after == (enabled, threshold)
 
 
+def _assert_no_run_leaves_cyclic_garbage(runs, statuses, capsys):
+    """Each run of `runs` exits with a status in `statuses` and leaves no
+    unreachable object behind.
+
+    Under DEBUG_SAVEALL every unreachable object a collection finds, made by
+    the run or found by a collection inside it, is kept in gc.garbage. The
+    parser that every run shares is built first: argparse leaves cycles
+    behind while it builds one, once per process.
+    """
+    cli._parser()
+    flags, kept = gc.get_debug(), len(gc.garbage)
+    gc.collect()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        for argv in runs:
+            assert main(argv) in statuses, argv
+            capsys.readouterr()
+            gc.collect()
+            assert len(gc.garbage) == kept, argv
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[kept:]
+
+
 def test_no_run_that_succeeds_leaves_cyclic_garbage(tmp_path, capsys):
     # The premise of running without the collector: were a run to make
     # reference cycles (say, one per triple), memory would grow without bound
-    # under the CLI. Under DEBUG_SAVEALL every unreachable object a
-    # collection finds, made by the run or found by a collection inside it,
-    # is kept in gc.garbage. The runs go untraced: a line tracer such as
-    # tests/line_coverage.py's makes a cycle per frame (a local trace function
-    # that returns itself).
+    # under the CLI.
     runs = []
     for name in FIXTURE_NAMES:
         wbs, wbi, nt = (str(fixture_path(name, ext)) for ext in ("wbs", "wbi", "nt"))
@@ -664,17 +684,23 @@ def test_no_run_that_succeeds_leaves_cyclic_garbage(tmp_path, capsys):
             mutated.write_text(serialize_canonical(mutation.apply(load_bundle(name))),
                                encoding="utf-8")
             runs.append(["validate", wbs, str(mutated)])
-    flags, kept, trace = gc.get_debug(), len(gc.garbage), sys.gettrace()
-    sys.settrace(None)
-    gc.collect()
-    gc.set_debug(flags | gc.DEBUG_SAVEALL)
-    try:
-        for argv in runs:
-            assert main(argv) in (0, 1), argv
-            capsys.readouterr()
-            gc.collect()
-            assert len(gc.garbage) == kept, argv
-    finally:
-        gc.set_debug(flags)
-        del gc.garbage[kept:]
-        sys.settrace(trace)
+    _assert_no_run_leaves_cyclic_garbage(runs, (0, 1), capsys)
+
+
+def test_no_run_that_fails_leaves_cyclic_garbage(tmp_path, capsys):
+    # a failed parse or export ends in a caught exception, whose traceback
+    # holds the frames it passed through: none of them may hold it in turn
+    files = {
+        "bad.wbs": "class\n",
+        "bad.wbi": "item\n",
+        "bad.nt": "<http://x.example/a> <http://x.example/b> .\n",
+        "undeclared.wbi": (INSTANCES.read_text(encoding="utf-8")
+                           .replace("rec:hasAgeRecord", "rec:hasNoRecord", 1)),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    bad = {name: str(tmp_path / name) for name in files}
+    runs = [["check", bad["bad.wbs"]], ["export", str(SCHEMA), bad["bad.wbi"]],
+            ["validate", str(SCHEMA), bad["bad.nt"]], ["infer", str(SCHEMA), bad["bad.nt"]],
+            ["export", str(SCHEMA), bad["undeclared.wbi"]]]
+    _assert_no_run_leaves_cyclic_garbage(runs, (2,), capsys)

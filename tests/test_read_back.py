@@ -12,9 +12,14 @@ edited graphs. The checker's value-node reader is held to the reference's
 
 import random
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import corpus  # noqa: E402
 import hash_oracle as oracle
 from generators import random_instances, random_schema
 from reference_read import read_content, read_statement, read_value_node
@@ -22,14 +27,17 @@ from report_corpus import _edit
 from wbforge import validator
 from wbforge.errors import PreimageDelimiterError
 from wbforge.expander import expand
+from wbforge.dsl import parse_instances, parse_schema
 from wbforge.exporter import (
     assemble_preimage,
     canonical_content,
+    canonical_value,
     export,
     statement_hash,
+    value_node,
 )
 from wbforge.fixtures import FIXTURE_NAMES, MUTATIONS, load_bundle
-from wbforge.model import VALUE_KINDS, DateTimeValue
+from wbforge.model import VALUE_KINDS, DateTimeValue, DecimalValue
 from wbforge.namespaces import DEFAULT_ROOT, RDF_TYPE, WB_STATEMENT, Iri, NamespaceTable
 from wbforge.rdf import Graph, Literal, Triple
 from wbforge.validator import validate
@@ -202,8 +210,12 @@ def test_a_string_value_reads_back_as_its_literal():
 def _assert_value_nodes_read_alike(schema, g):
     """`_Checker.value_node` against `read_value_node` on every node, as every kind.
 
-    Each node is read twice through one checker, so the second read comes
-    from its memo. Gives the number of well-formed value nodes.
+    A well-formed node reads as a tuple holding, for each field in order,
+    the text the graph stores for the reference's value: an IRI, or the
+    lexical form, which for an int is `str` of its value. A malformed one
+    reads as the reference's problem list, whole. Each node is read twice
+    through one checker, so the second read comes from its memo. Gives the
+    number of well-formed value nodes.
     """
     checker = validator._Checker(expand(schema), g)
     nodes = {t.s for t in g} | {t.o for t in g if isinstance(t.o, Iri)}
@@ -211,9 +223,17 @@ def _assert_value_nodes_read_alike(schema, g):
     for node in sorted(nodes):
         for kind in VALUE_KINDS.values():
             want = read_value_node(g, node, kind, schema.namespaces)
-            assert checker.value_node(node, kind) == want, node
-            assert checker.value_node(node, kind) == want, node
-            values += not isinstance(want, list)
+            got = checker.value_node(node, kind)
+            assert checker.value_node(node, kind) is got, node
+            if isinstance(want, list):
+                assert got == want, node
+                continue
+            assert type(got) is tuple, node
+            assert len(got) == len(kind.fields), node
+            for text, (_, attr, _) in zip(got, kind.fields):
+                assert type(text) is str, node
+                assert text == str(getattr(want, attr)), node
+            values += 1
     return values
 
 
@@ -242,3 +262,68 @@ def test_value_nodes_read_alike_on_edited_random_exports(seed):
     for _ in range(5):
         g = _edit(g, rng)
         _assert_value_nodes_read_alike(schema, g)
+
+
+# dates and quantities with signs, a unit, a calendar and every int field
+# away from its default, for the record schema
+_SIGNED_RECORDS = """
+item wd:signed0 : bench:Person {
+  bench:height -> decimal -12.5 unit wd:Metre {
+    qualifier bench:measuredAt = datetime 1900-01-01T00:00:00Z precision 14 tz -300
+  }
+  bench:born -> datetime 1706-11-18T00:00:00Z precision 0 tz 720 calendar wd:Julian {
+  }
+}
+item wd:signed1 : bench:Person {
+  bench:height -> decimal -3
+  bench:category -> item wd:cat1 {
+    qualifier bench:age = decimal -0.25
+    qualifier bench:seenAt = datetime 1850-07-01T00:00:00Z precision 9 tz -60
+    reference { bench:basedOn -> item wd:src0 }
+  }
+}
+"""
+
+
+def _node_values(instances):
+    """Every date and quantity value the statements of `instances` carry."""
+    for item in instances.items:
+        for stmt in item.statements:
+            for value in (stmt.value, *(q.value for q in stmt.qualifiers)):
+                if type(value) in (DateTimeValue, DecimalValue):
+                    yield value
+
+
+def _assert_joined_texts_are_canonical(schema, instances):
+    """Each value node of the export reads as the field texts whose join is
+    `canonical_value` of the model value it was written from. Gives the
+    number of value nodes."""
+    table = schema.namespaces
+    g = export(schema, instances)
+    checker = validator._Checker(expand(schema), g)
+    kinds = {kind.value_type: kind for kind in VALUE_KINDS.values()}
+    read = set()
+    for value in _node_values(instances):
+        node = value_node(value, table)
+        assert "|".join(checker.value_node(node, kinds[type(value)])) == canonical_value(value)
+        read.add(node)
+    assert read == {n for kind in VALUE_KINDS.values()
+                    for n in g.subjects(RDF_TYPE, Iri(kind.class_iri))}
+    return len(read)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_joined_field_texts_are_the_canonical_value_on_fixtures(name):
+    b = load_bundle(name)
+    _assert_joined_texts_are_canonical(b.schema, b.instances)
+
+
+def test_joined_field_texts_are_the_canonical_value_on_a_record_export():
+    schema = parse_schema(corpus.RECORD_SCHEMA)
+    text = corpus.record_instances(random.Random(1), 200).text + _SIGNED_RECORDS
+    instances = parse_instances(text)
+    values = list(_node_values(instances))
+    assert any(type(v) is DecimalValue and v.amount.startswith("-") for v in values)
+    assert any(type(v) is DateTimeValue and v.timezone < 0 for v in values)
+    assert {v.precision for v in values if type(v) is DateTimeValue} >= {0, 9, 14}
+    assert _assert_joined_texts_are_canonical(schema, instances) > 200

@@ -15,6 +15,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import corpus  # noqa: E402
+import report_corpus
 from generators import random_instances, random_schema
 from wbforge.cli import main
 from wbforge.dsl import parse_instances, parse_schema
@@ -34,14 +35,14 @@ from wbforge.validator import (
     render_report_tsv,
     validate,
 )
-from wbforge.fixtures import FIXTURE_NAMES, fixture_path, load_bundle
+from wbforge.fixtures import FIXTURE_NAMES, MUTATIONS, fixture_path, load_bundle
 from wbforge.model import VALUE_KINDS, DecimalValue
 from wbforge.namespaces import (
     DEFAULT_ROOT,
     Iri,
     NamespaceTable,
 )
-from wbforge.rdf import Graph, Literal, Triple
+from wbforge.rdf import Graph, Literal, Triple, parse_ntriples, serialize_canonical
 from wbforge.shapes import schema_shapes, statement_label
 
 SCHEMA = parse_schema("""
@@ -744,3 +745,41 @@ def test_a_reference_whose_snak_moved_is_a_finding():
     rep = validate(SCHEMA, g)
     assert sorted((f.code, f.focus) for f in rep.findings) == sorted(
         [("HashMismatch", t.s.value), ("HashMismatch", _snode(g).value)])
+
+
+# input order: a graph read from its lines in any order gives the same bytes
+
+
+def _validate_and_infer(schema, text):
+    """What `validate` and `infer` write for an N-Triples text."""
+    g = parse_ntriples(text)
+    return render_report(validate(schema, g)), serialize_canonical(infer_truthy(schema, g))
+
+
+def _assert_order_free(schema, g, seed):
+    """A seeded shuffle of `g`'s canonical text, never the text itself when it
+    has two lines, validates and infers to its bytes."""
+    text = serialize_canonical(g)
+    lines = text.splitlines(keepends=True)
+    rng = random.Random(seed)
+    shuffled = text
+    while shuffled == text and len(lines) > 1:
+        rng.shuffle(lines)
+        shuffled = "".join(lines)
+    assert _validate_and_infer(schema, shuffled) == _validate_and_infer(schema, text), seed
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_a_shuffled_fixture_export_gives_the_same_bytes(name):
+    b = load_bundle(name)
+    _assert_order_free(b.schema, b.graph, name)
+
+
+def test_shuffled_report_corpus_graphs_give_the_same_bytes():
+    # the corpus starts with every fixtures.MUTATIONS graph
+    labels = []
+    for label, schema, g in report_corpus.graphs():
+        _assert_order_free(schema, g, label)
+        labels.append(label)
+    assert sum(label.startswith("mutation ") for label in labels) == sum(
+        map(len, MUTATIONS.values()))
