@@ -150,15 +150,11 @@ class _Env:
     prov = Role(PROV_WAS_DERIVED_FROM)
 
     def __init__(self, st: ExpandedStatement, table: NamespaceTable, forms: _Forms) -> None:
-        self.decl = st.source
+        self.st, self.decl = st, st.source
         self.table = table
         self.forms = forms
-        props, quals = st.statement_properties, st.qualifier_properties
-        self.p, self.ps, self.wdt = (Role(props[ns]) for ns in ("p", "ps", "wdt"))
-        self.psv = Role(props["psv"]) if "psv" in props else None
-        self.pq = {name: Role(fam["pq"]) for name, fam in quals.items()}
-        self.pqv = {name: Role(fam["pqv"]) for name, fam in quals.items() if "pqv" in fam}
-        self.pr = {name: Role(iri) for name, iri in st.reference_properties.items()}
+        self.p, self.ps, self.wdt = Role(st.p), Role(st.ps), Role(st.wdt)
+        self.psv = None if st.psv is None else Role(st.psv)
 
     def role_name(self, role: Role) -> str:
         return _render_role(role, self.table)
@@ -214,8 +210,8 @@ def _core_axioms(e: _Env) -> Iterator[AnnotatedAxiom]:
         yield _global_range(e, e.ps, e.item, "Ax6", name)
         yield AnnotatedAxiom(SubClassOf(TOP, ExactCard(1, e.ps, e.item)), "Ax7",
                              f"{ps_n} has exactly one wikibase:Item filler.", name)
-    for q in decl.qualifiers:
-        yield _domain(e, e.pq[q.name], e.statement, "Ax8", f"{name}/{q.name}")
+    for qname, (_, pq, _) in e.st.qualifiers.items():
+        yield _domain(e, Role(pq), e.statement, "Ax8", f"{name}/{qname}")
     yield AnnotatedAxiom(SubPropertyChain((e.p, e.ps), e.wdt), "Ax9",
                          f"The chain {p_n} then {ps_n} entails {wdt_n}.", name)
     yield _domain(e, e.wdt, e.item, "Ax9-c1", name)
@@ -348,13 +344,14 @@ def _typed_edge_axioms(e: _Env, edge: Role, value_edge: Role | None, vtype: Valu
 def _qualifier_axioms(e: _Env, q: QualifierDecl) -> Iterator[AnnotatedAxiom]:
     """Generic domain/range pair, the value-type set, then flag axioms."""
     decl_id = f"{e.decl.property_name}/{q.name}"
-    pq = e.pq[q.name]
-    vtype = q.qtype
+    _, pq_iri, pqv_iri = e.st.qualifiers[q.name]
+    pq, vtype = Role(pq_iri), q.qtype
     yield _domain(e, pq, e.statement, "Ax12", decl_id)
     yield _range_axiom(e, pq, _filler(e, vtype, q.scoped), q.scoped,
                        "Ax10" if q.scoped else "Ax11", decl_id)
     if vtype.datatype in TYPED_ORIGINS:
-        yield from _typed_edge_axioms(e, pq, e.pqv.get(q.name), vtype, q.scoped, decl_id)
+        pqv = None if pqv_iri is None else Role(pqv_iri)
+        yield from _typed_edge_axioms(e, pq, pqv, vtype, q.scoped, decl_id)
     # the decimal set already carries its own functionality axiom
     if vtype.datatype is not Datatype.DECIMAL:
         yield _at_most_one(e, pq, _filler(e, vtype, True), decl_id)
@@ -377,7 +374,7 @@ def _statement_value_axioms(e: _Env) -> Iterator[AnnotatedAxiom]:
 
 def _reference_axioms(e: _Env, r: ReferenceDecl) -> Iterator[AnnotatedAxiom]:
     decl_id = f"{e.decl.property_name}/{r.name}"
-    pr = e.pr[r.name]
+    pr = Role(e.st.references[r.name][1])
     pr_n, p_n = e.role_name(pr), e.role_name(e.p)
     yield from _once(e, _derivation_axioms, decl_id)
     yield _domain(e, pr, e.reference, "Ax51", decl_id)

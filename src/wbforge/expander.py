@@ -3,8 +3,9 @@
 One declared statement property fans out into its namespace family
 (wdt:, p:, ps:, and psv: when the object is a date or quantity), every
 qualifier into pq: (and pqv: for dates and quantities), every reference
-into pr:. `expand` builds only these families, which every layer reads,
-each IRI as the exact `str` a graph stores.
+into pr:. `expand_statement` mints each family once, as one
+`ExpandedStatement` of named fields that export, validate, axioms and
+shapes all read; each IRI is the exact `str` a graph stores.
 `expansion_report` derives the class, provenance and value-field rows
 itself; value-node classes and fields appear only when some declaration
 needs them.
@@ -13,10 +14,14 @@ needs them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 from .model import (
     VALUE_KINDS,
     Datatype,
+    QualifierDecl,
+    ReferenceDecl,
     SchemaDocument,
     StatementDecl,
     needed_value_kinds,
@@ -28,19 +33,33 @@ def object_datatype(decl: StatementDecl) -> Datatype | None:
     return decl.object_spec.datatype
 
 
-@dataclass(frozen=True)
-class ExpandedStatement:
+class ExpandedStatement(NamedTuple):
+    """One declaration's family, as `expand_statement` mints it."""
+
     source: StatementDecl
-    statement_properties: dict[str, str]            # wdt/p/ps and psv if valued
-    qualifier_properties: dict[str, dict[str, str]]  # name -> {pq[, pqv]}
-    reference_properties: dict[str, str]            # name -> pr
+    wdt: str
+    p: str
+    ps: str
+    psv: str | None               # None unless the object is a date or quantity
+    # name -> (declaration, pq:, pqv: or None), in declaration order
+    qualifiers: dict[str, tuple[QualifierDecl, str, str | None]]
+    # name -> (declaration, pr:), in name order: the validator reads snaks in
+    # it, so which of several ';' targets a hash finding names does not hang
+    # on declaration order, which `source.references` keeps
+    references: dict[str, tuple[ReferenceDecl, str]]
+    required_qualifiers: tuple[str, ...]    # names, in declaration order
+    required_references: tuple[str, ...]
 
     def family_properties(self) -> list[str]:
         """All minted family IRIs; the count is 3 + psv + per-qualifier + refs."""
-        out = list(self.statement_properties.values())
-        for fam in self.qualifier_properties.values():
-            out.extend(fam.values())
-        out.extend(self.reference_properties.values())
+        out = [self.wdt, self.p, self.ps]
+        if self.psv is not None:
+            out.append(self.psv)
+        for _, pq, pqv in self.qualifiers.values():
+            out.append(pq)
+            if pqv is not None:
+                out.append(pqv)
+        out.extend(pr for _, pr in self.references.values())
         return out
 
 
@@ -59,38 +78,26 @@ class ExpandedSchema:
         return self._by_name.get(property_name)
 
 
+_BY_NAME = attrgetter("name")
+
+
 def expand_statement(decl: StatementDecl, table: NamespaceTable) -> ExpandedStatement:
     """The family: the one place that mints its IRIs, as exact text, and decides psv:/pqv:."""
-    name = decl.property_name
-    stmt_props = {ns: table.term(ns, name).value for ns in ("wdt", "p", "ps")}
-    if object_datatype(decl) in VALUE_KINDS:
-        stmt_props["psv"] = table.term("psv", name).value
-
-    qual_props: dict[str, dict[str, str]] = {}
-    for q in decl.qualifiers:
-        fam = {"pq": table.term("pq", q.name).value}
-        if q.qtype.datatype in VALUE_KINDS:
-            fam["pqv"] = table.term("pqv", q.name).value
-        qual_props[q.name] = fam
-
-    ref_props = {r.name: table.term("pr", r.name).value for r in decl.references}
-    return ExpandedStatement(decl, stmt_props, qual_props, ref_props)
+    name, term = decl.property_name, table.term
+    return ExpandedStatement(
+        decl, term("wdt", name).value, term("p", name).value, term("ps", name).value,
+        term("psv", name).value if object_datatype(decl) in VALUE_KINDS else None,
+        {q.name: (q, term("pq", q.name).value,
+                  term("pqv", q.name).value if q.qtype.datatype in VALUE_KINDS else None)
+         for q in decl.qualifiers},
+        {r.name: (r, term("pr", r.name).value) for r in sorted(decl.references, key=_BY_NAME)},
+        tuple([q.name for q in decl.qualifiers if q.required]),
+        tuple([r.name for r in decl.references if r.required]))
 
 
 def expand(doc: SchemaDocument) -> ExpandedSchema:
     return ExpandedSchema(doc, tuple(expand_statement(d, doc.namespaces)
                                      for d in doc.statements))
-
-
-_ROLE_LABELS = {
-    "wdt": "direct edge",
-    "p": "statement edge",
-    "ps": "statement edge",
-    "psv": "statement value node",
-    "pq": "qualifier edge",
-    "pqv": "qualifier value node",
-    "pr": "reference edge",
-}
 
 
 def expansion_report(expanded: ExpandedSchema) -> str:
@@ -100,13 +107,16 @@ def expansion_report(expanded: ExpandedSchema) -> str:
     rows = [(cls, "class", "schema") for cls in classes]
     for st in expanded.statements:
         origin = st.source.property_name
-        for ns, iri in st.statement_properties.items():
-            rows.append((iri, _ROLE_LABELS[ns], origin))
-        for qname, fam in st.qualifier_properties.items():
-            for ns, iri in fam.items():
-                rows.append((iri, _ROLE_LABELS[ns], f"{origin}/{qname}"))
-        for rname, iri in st.reference_properties.items():
-            rows.append((iri, _ROLE_LABELS["pr"], f"{origin}/{rname}"))
+        rows += [(st.wdt, "direct edge", origin), (st.p, "statement edge", origin),
+                 (st.ps, "statement edge", origin)]
+        if st.psv is not None:
+            rows.append((st.psv, "statement value node", origin))
+        for qname, (_, pq, pqv) in st.qualifiers.items():
+            rows.append((pq, "qualifier edge", f"{origin}/{qname}"))
+            if pqv is not None:
+                rows.append((pqv, "qualifier value node", f"{origin}/{qname}"))
+        for rname, (_, pr) in st.references.items():
+            rows.append((pr, "reference edge", f"{origin}/{rname}"))
         if st.source.references:
             rows.append((PROV_WAS_DERIVED_FROM, "provenance edge", origin))
         for kind in needed_value_kinds((st.source,)):

@@ -298,28 +298,6 @@ def _check_value(vtype: ValueType, value: Value, instances: InstanceDoc,
         _check_item_target(value.iri, instances, prop, name)
 
 
-class _DeclChecks(NamedTuple):
-    """What export checks a statement against and writes, worked out once per declaration."""
-
-    object_type: ValueType
-    edges: tuple[str, str, str | None, str]     # p:, ps:, psv: (None without a node), wdt:
-    qualifiers: dict[str, tuple[ValueType, str, str | None]]    # name -> (type, pq:, pqv:)
-    references: dict[str, str]              # name -> pr:
-    required_qualifiers: tuple[str, ...]    # names, in declaration order
-    required_references: tuple[str, ...]
-
-
-def _decl_checks(st: ExpandedStatement) -> _DeclChecks:
-    decl, props, fams = st.source, st.statement_properties, st.qualifier_properties
-    return _DeclChecks(
-        decl.object_spec, (props["p"], props["ps"], props.get("psv"), props["wdt"]),
-        {q.name: (q.qtype, fams[q.name]["pq"], fams[q.name].get("pqv"))
-         for q in decl.qualifiers},
-        st.reference_properties,
-        tuple(q.name for q in decl.qualifiers if q.required),
-        tuple(r.name for r in decl.references if r.required))
-
-
 def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
     """Deterministic instance graph for the declared statements.
 
@@ -334,7 +312,6 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
     triples: set[PlainTriple] = set()
     add = triples.add
     texts = _Texts()
-    checks: dict[str, _DeclChecks] = {}       # by statement property name
     ref_hashes: dict[tuple[SnakData, ...], str] = {}    # by snaks, for this export
     ref_owners: dict[str, tuple[str, str]] = {}     # reference name -> (statement hash, item)
     for item in instances.items:
@@ -347,15 +324,11 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
         add((subject, RDF_TYPE, WB_ITEM))
         for index, stmt in enumerate(item.statements, 1):
             try:
-                decl_checks = checks.get(stmt.property)
-                if decl_checks is None:
-                    st = expanded.statement(stmt.property)
-                    if st is None:
-                        raise UnresolvedNameError(stmt.property,
-                                                  "statement property not declared")
-                    decl_checks = checks[stmt.property] = _decl_checks(st)
-                _export_statement(add, texts, subject, head, stmt, decl_checks, ref_hashes,
-                                  ref_owners, instances, table)
+                st = expanded.statement(stmt.property)
+                if st is None:
+                    raise UnresolvedNameError(stmt.property, "statement property not declared")
+                _export_statement(add, texts, subject, head, stmt, st, ref_hashes, ref_owners,
+                                  instances, table)
             except WbforgeError as exc:
                 # the same error, its text led by the statement's place
                 exc.args = (f"item <{subject}>, statement {index}: {exc}",)
@@ -364,23 +337,23 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
 
 
 def _export_statement(add: Add, texts: _Texts, subject: str, head: str, stmt: StatementData,
-                      decl_checks: _DeclChecks, ref_hashes: dict[tuple[SnakData, ...], str],
+                      st: ExpandedStatement, ref_hashes: dict[tuple[SnakData, ...], str],
                       ref_owners: dict[str, tuple[str, str]], instances: InstanceDoc,
                       table: NamespaceTable) -> None:
-    """Check `stmt` and add its triples; `head` is its `statement_name_head`,
-    `ref_hashes` the export's `reference_hash` of each snak tuple seen so far,
-    and `ref_owners` the statement hash and item that first minted each
-    reference name."""
-    object_type, (p, ps, psv, wdt), quals, ref_props, required_quals, required_refs = decl_checks
+    """Check `stmt` against its declaration's family `st` and add its triples;
+    `head` is its `statement_name_head`, `ref_hashes` the export's
+    `reference_hash` of each snak tuple seen so far, and `ref_owners` the
+    statement hash and item that first minted each reference name."""
+    decl, wdt, p, ps, psv, quals, refs, required_quals, required_refs = st
     prop, value, qualifiers, references = (
         stmt.property, stmt.value, stmt.qualifiers, stmt.references)
-    _check_value(object_type, value, instances, prop, None)
+    _check_value(decl.object_spec, value, instances, prop, None)
 
     for q in qualifiers:
         decl_q = quals.get(q.name)
         if decl_q is None:
             raise UnresolvedNameError(q.name, f"qualifier not declared on {prop}")
-        _check_value(decl_q[0], q.value, instances, prop, q.name)
+        _check_value(decl_q[0].qtype, q.value, instances, prop, q.name)
     if required_quals:
         present = {q.name for q in qualifiers}
         for name in required_quals:
@@ -389,7 +362,7 @@ def _export_statement(add: Add, texts: _Texts, subject: str, head: str, stmt: St
 
     for ref in references:
         for snak in ref.snaks:
-            if snak.name not in ref_props:
+            if snak.name not in refs:
                 raise UnresolvedNameError(snak.name, f"reference not declared on {prop}")
             _check_item_target(snak.target, instances, prop, snak.name)
     if required_refs:
@@ -418,7 +391,7 @@ def _export_statement(add: Add, texts: _Texts, subject: str, head: str, stmt: St
         add((node, PROV_WAS_DERIVED_FROM, rnode))
         add((rnode, RDF_TYPE, WB_REFERENCE))
         for snak in ref.snaks:
-            add((rnode, ref_props[snak.name], texts[snak.target]))
+            add((rnode, refs[snak.name][1], texts[snak.target]))
 
 
 # what the validator reads back -------------------------------------------

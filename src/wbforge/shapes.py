@@ -111,10 +111,8 @@ def _item_shape(cls_iri: Iri, expanded: ExpandedSchema) -> Shape:
         card = (AT_LEAST_ONE if AxiomPattern.EXISTENTIAL in decl.patterns else ANY)
         if AxiomPattern.EXISTENTIAL in decl.patterns:
             origins.append("Pattern:Existential")
-        tcs.append(TripleConstraint(st.statement_properties["p"],
-                                    ShapeRef(statement_label(decl, table)), card))
-        tcs.append(TripleConstraint(st.statement_properties["wdt"],
-                                    _value_expr(decl.object_spec, doc), card))
+        tcs.append(TripleConstraint(st.p, ShapeRef(statement_label(decl, table)), card))
+        tcs.append(TripleConstraint(st.wdt, _value_expr(decl.object_spec, doc), card))
     comment = "# origin: " + ", ".join(dict.fromkeys(origins))
     return Shape(class_label(cls_iri, table), tuple(tcs), closed=False,
                  comments=(comment,))
@@ -126,28 +124,26 @@ def _statement_shape(st: ExpandedStatement, doc: SchemaDocument) -> Shape:
     tcs: list[TripleConstraint] = []
     origins = ["Ax2", "Ax3+4", "Ax5"]
     dt = decl.object_spec.datatype
-    tcs.append(TripleConstraint(st.statement_properties["ps"],
-                                _value_expr(decl.object_spec, doc)))
+    tcs.append(TripleConstraint(st.ps, _value_expr(decl.object_spec, doc)))
     if dt is None:
         origins.extend(["Ax6", "Ax7"])
     else:
         origins.append(TYPED_ORIGINS[dt]["unscoped"])
-    if (psv := st.statement_properties.get("psv")) is not None:
-        tcs.append(TripleConstraint(psv, ShapeRef(VALUE_KINDS[dt].node_class)))
+    if st.psv is not None:
+        tcs.append(TripleConstraint(st.psv, ShapeRef(VALUE_KINDS[dt].node_class)))
         origins.append(TYPED_ORIGINS[dt]["value_range"])
 
-    for q in decl.qualifiers:
+    for q, pq, pqv in st.qualifiers.values():
         card = EXACTLY_ONE if q.required else OPTIONAL
         dt = q.qtype.datatype
-        fam = st.qualifier_properties[q.name]
-        tcs.append(TripleConstraint(fam["pq"], _value_expr(q.qtype, doc), card))
+        tcs.append(TripleConstraint(pq, _value_expr(q.qtype, doc), card))
         if dt is None:
             origins.append("Ax10" if q.scoped else "Ax11")
         else:
             # an unscoped date qualifier cites its value-node link, not the range axiom
             origins.append("Ax31" if dt is Datatype.DATETIME and not q.scoped
                            else TYPED_ORIGINS[dt]["scoped" if q.scoped else "unscoped"])
-        if (pqv := fam.get("pqv")) is not None:
+        if pqv is not None:
             tcs.append(TripleConstraint(pqv, ShapeRef(VALUE_KINDS[dt].node_class), card))
         origins.append("AxFunc")
         if q.required:
@@ -171,8 +167,7 @@ def _reference_shape(st: ExpandedStatement, doc: SchemaDocument) -> Shape:
     # a lone declared snak property must appear on every non-empty reference
     card = AT_LEAST_ONE if len(decl.references) == 1 else ANY
     tcs = tuple(
-        TripleConstraint(st.reference_properties[r.name],
-                         _class_expr(r.target_class, doc), card)
+        TripleConstraint(st.references[r.name][1], _class_expr(r.target_class, doc), card)
         for r in decl.references)
     return Shape(reference_label(decl, table), tcs, closed=True,
                  comments=("# origin: Ax51, Ax53, Ax54",))

@@ -14,7 +14,6 @@ import re
 from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .axioms import CATALOG
 from .errors import PreimageDelimiterError, UnknownCodeError
@@ -37,7 +36,6 @@ from .model import (
     XSD_NAME,
     Datatype,
     QualifierDecl,
-    ReferenceDecl,
     SchemaDocument,
     StatementDecl,
     ValueKind,
@@ -163,30 +161,6 @@ def literal_problem(v: PlainTerm, dt: Datatype) -> str | None:
     return None
 
 
-class _ReadPlan(NamedTuple):
-    """What a statement node is read and checked against under one declaration."""
-
-    decl: StatementDecl
-    ps: str
-    psv: str | None               # None when the object carries no value node
-    # (name, declaration, pq:, pqv: or None), in declaration order
-    qualifiers: tuple[tuple[str, QualifierDecl, str, str | None], ...]
-    foreign_pq: dict[str, str]    # other declarations' minted pq: IRIs -> local name
-    references: tuple[tuple[ReferenceDecl, str], ...]   # (declaration, pr:), by name
-
-
-def _read_plan(st: ExpandedStatement, minted_pq: dict[str, str]) -> _ReadPlan:
-    """`st`'s plan; `minted_pq` maps minted pq: IRIs to their local names."""
-    decl, props, fams, prs = (st.source, st.statement_properties, st.qualifier_properties,
-                              st.reference_properties)
-    return _ReadPlan(
-        decl, props["ps"], props.get("psv"),
-        tuple((q.name, q, fams[q.name]["pq"], fams[q.name].get("pqv")) for q in decl.qualifiers),
-        {p: local for p, local in minted_pq.items() if local not in fams},
-        # by name: which of several ';' targets check_hash names ignores declaration order
-        tuple((r, prs[r.name]) for r in sorted(decl.references, key=lambda r: r.name)))
-
-
 # ---------------------------------------------------------------------------
 
 class _Checker:
@@ -201,13 +175,9 @@ class _Checker:
         self.family: dict[str, tuple[str, str]] = {
             p: spl for p in graph.predicates()
             if (spl := self.table.split(p)) is not None and spl[0] in PROPERTY_NAMESPACES}
-        # each declared property name's read plan, under the declaration it names;
-        # a plan is asked only about predicates the graph uses, so of the minted
-        # pq: IRIs it holds those alone
-        minted_pq = {p: local for p, (prefix, local) in self.family.items()
-                     if prefix == "pq" and p in self.minted}
-        self.plans = {name: _read_plan(expanded.statement(name), minted_pq)
-                      for name in {st.source.property_name for st in expanded.statements}}
+        # the minted pq: IRIs the graph uses, to their local names
+        self.minted_pq = {p: local for p, (prefix, local) in self.family.items()
+                          if prefix == "pq" and p in self.minted}
         # the nodes typed with each class, in no order: what is found lands
         # in `findings`, which `run` sorts
         self.typed: dict[PlainTerm, set[str]] = defaultdict(set)
@@ -302,9 +272,9 @@ class _Checker:
         return incoming
 
     def resolve_decl(self, view: EdgeView, edges: list[tuple[str, str]]
-                     ) -> tuple[_ReadPlan | None, str | None]:
-        """(declaration's plan, owning subject) for a statement node's edge view
-        and incoming p: edges.
+                     ) -> tuple[ExpandedStatement | None, str | None]:
+        """(declaration's family, owning subject) for a statement node's edge
+        view and incoming p: edges.
 
         One edge gives both. Otherwise there is no owner, and the
         declaration is the one property name the edges, or failing that
@@ -312,12 +282,12 @@ class _Checker:
         """
         if len(edges) == 1:
             subject, name = edges[0]
-            return self.plans.get(name), subject
+            return self.expanded.statement(name), subject
         names = {name for _, name in edges}
         if len(names) != 1:
             names = {spl[1] for p in view
                      if (spl := self.family.get(p)) is not None and spl[0] == "ps"}
-        return (self.plans.get(next(iter(names))) if len(names) == 1 else None), None
+        return (self.expanded.statement(next(iter(names))) if len(names) == 1 else None), None
 
     def check_statement_nodes(self) -> None:
         incoming = self.in_edges()
@@ -334,15 +304,15 @@ class _Checker:
             for rnode in view.get(PROV_WAS_DERIVED_FROM, ()):
                 if type(rnode) is str:
                     owners[rnode] = owners.get(rnode, 0) + 1
-            plan, subject = self.resolve_decl(view, edges)
-            if plan is not None:
-                self.check_against_decl(node, view, plan, subject)
+            st, subject = self.resolve_decl(view, edges)
+            if st is not None:
+                self.check_against_decl(node, view, st, subject)
         self.check_references_shared(owners)
 
-    def check_against_decl(self, node: str, view: EdgeView, plan: _ReadPlan,
+    def check_against_decl(self, node: str, view: EdgeView, st: ExpandedStatement,
                            subject: str | None) -> None:
         """Every check of a statement node, and its content hash from what they read."""
-        decl = plan.decl
+        decl = st.source
         name = decl.property_name
         if subject is not None:
             if not self.has_type(subject, decl.subject_class):
@@ -353,7 +323,7 @@ class _Checker:
                 self.add("DomainViolation", subject,
                          f"subject of p:{name} lacks rdf:type wikibase:Item")
 
-        ps_values = view.get(plan.ps, ())
+        ps_values = view.get(st.ps, ())
         if not ps_values:
             self.add("ExistenceViolation", node, f"statement has no ps:{name} value")
         elif len(ps_values) > 1:
@@ -361,10 +331,10 @@ class _Checker:
                      f"{len(ps_values)} ps:{name} values")
         for v in ps_values:
             self.check_object_value(node, decl, v)
-        value = self.read_value(view, plan.psv, ps_values[0]) if len(ps_values) == 1 else None
+        value = self.read_value(view, st.psv, ps_values[0]) if len(ps_values) == 1 else None
 
-        quals = self.check_qualifiers(node, plan, view)
-        refs = self.check_references(node, plan, view)
+        quals = self.check_qualifiers(node, st, view)
+        refs = self.check_references(node, st, view)
         readable = value is not None and quals is not None and refs is not None
         got = self.check_hash(node, subject,
                               (name, value, quals, tuple(refs.values())) if readable else None)
@@ -391,17 +361,17 @@ class _Checker:
             self.add("RangeViolation", v,
                      f"value of ps:{name} lacks rdf:type wikibase:Item")
 
-    def check_qualifiers(self, node: str, plan: _ReadPlan, view: EdgeView
+    def check_qualifiers(self, node: str, st: ExpandedStatement, view: EdgeView
                          ) -> tuple[tuple[str, ReadValue], ...] | None:
         """The declared qualifiers' (name, value) pairs as read back, or None
         when a date or quantity value has no well-formed matching node."""
-        foreign = plan.foreign_pq
+        minted_pq, quals = self.minted_pq, st.qualifiers
         for p in view:                 # another declaration's pq: edge; an unminted one is unknown
-            if (qname := foreign.get(p)) is not None:
+            if (qname := minted_pq.get(p)) is not None and qname not in quals:
                 self.add("QualifierTypeViolation", node,
-                         f"qualifier pq:{qname} not declared for {plan.decl.property_name}")
+                         f"qualifier pq:{qname} not declared for {st.source.property_name}")
         read: list[tuple[str, ReadValue | None]] = []
-        for qname, q, pq, pqv in plan.qualifiers:
+        for qname, (q, pq, pqv) in quals.items():
             values = view.get(pq, ())
             if q.required and not values:
                 self.add("ExistenceViolation", node,
@@ -426,7 +396,7 @@ class _Checker:
         if problem:
             self.add("QualifierTypeViolation", node, f"value of pq:{qname} {problem}")
 
-    def check_references(self, node: str, plan: _ReadPlan, view: EdgeView
+    def check_references(self, node: str, st: ExpandedStatement, view: EdgeView
                          ) -> dict[str, tuple[tuple[str, str], ...]] | None:
         """Each reference node's declared (name, target) snaks as read back, by
         node, or None when a reference node is not typed or a target is not an IRI."""
@@ -441,7 +411,7 @@ class _Checker:
                 continue
             rview = self.g.edges(rnode)
             snaks: list[tuple[str, str]] = []
-            for r, pr in plan.references:
+            for r, pr in st.references.values():
                 targets = rview.get(pr, ())
                 if targets:
                     snak_names.add(r.name)
@@ -455,10 +425,9 @@ class _Checker:
                                  f"target of pr:{r.name} lacks rdf:type {cls}")
                     snaks.append((r.name, target))
             read[rnode] = tuple(snaks)
-        for r, _ in plan.references:
-            if r.required and r.name not in snak_names:
-                self.add("ExistenceViolation", node,
-                         f"required reference pr:{r.name} missing")
+        for rname in st.required_references:
+            if rname not in snak_names:
+                self.add("ExistenceViolation", node, f"required reference pr:{rname} missing")
         return read if readable else None
 
     # -- provenance sharing --------------------------------------------------
@@ -476,7 +445,7 @@ class _Checker:
     # -- truthy chain ----------------------------------------------------------
 
     def check_chain(self) -> None:
-        names = {st.statement_properties["wdt"]: st.source.property_name
+        names = {st.wdt: st.source.property_name
                  for st in self.expanded.statements}
         implied: set[PlainTriple] = set()
         for node, t in implied_truthy(self.expanded, self.g):
@@ -572,12 +541,11 @@ def implied_truthy(expanded: ExpandedSchema, graph: Graph
     to a literal joins nothing, as no literal is a ps: subject.
     """
     for st in expanded.statements:
-        props = st.statement_properties
         values: dict[str, list[PlainTerm]] = {}
-        for node, _, y in graph.with_predicate(props["ps"]):
+        for node, _, y in graph.with_predicate(st.ps):
             values.setdefault(node, []).append(y)
-        wdt = props["wdt"]
-        for s, _, node in graph.with_predicate(props["p"]):
+        wdt = st.wdt
+        for s, _, node in graph.with_predicate(st.p):
             for y in values.get(node, ()):
                 yield node, (s, wdt, y)
 

@@ -8,8 +8,9 @@ them. `read_value_node` reads a date or quantity node, and `_read_value`
 a ps:/pq: object; `literal_problem` says why a literal is not canonical.
 The function bodies are the earlier definitions, so that the reference
 shares no reading code with the validator it checks, except that
-`read_content` mints the by-name psv:/pqv: IRIs and orders the references
-by name itself, as the expander's read plan once did, and that every
+`read_content` mints every family IRI it reads (ps:, psv:, pq:, pqv:, pr:)
+by name and orders the references by name itself, reading no more of the
+expanded statement than its declaration, and that every
 fixed term (`rdf:type`, `wikibase:`, `xsd:`, `prov:`) is minted here
 through `NamespaceTable.term`, not taken from the library's constants; the
 imports differ too, and no underscore-prefixed name is imported from
@@ -148,7 +149,7 @@ def read_content(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceTab
             return read_value_node(g, vnode, kind, table)
     decl = st.source
     view = edges(node)
-    ps_values = view.get(st.statement_properties["ps"], ())
+    ps_values = view.get(table.term("ps", decl.property_name), ())
     if len(ps_values) != 1:
         return None
     value = _read_value(view, table.term("psv", decl.property_name), ps_values[0], table,
@@ -158,7 +159,7 @@ def read_content(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceTab
     quals: list[tuple[str, ReadValue]] = []
     for q in decl.qualifiers:
         pqv = table.term("pqv", q.name)
-        for v in view.get(st.qualifier_properties[q.name]["pq"], ()):
+        for v in view.get(table.term("pq", q.name), ()):
             qv = _read_value(view, pqv, v, table, value_of)
             if qv is None:
                 return None
@@ -170,8 +171,8 @@ def read_content(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceTab
             return None
         rview = edges(rnode)
         snaks: list[tuple[str, Iri]] = []
-        for rname, pr in sorted(st.reference_properties.items()):
-            for target in rview.get(pr, ()):
+        for rname in sorted(r.name for r in decl.references):
+            for target in rview.get(table.term("pr", rname), ()):
                 if not isinstance(target, Iri):
                     return None
                 snaks.append((rname, target))

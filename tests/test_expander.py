@@ -8,9 +8,10 @@ import pytest
 from generators import random_instances, random_schema
 from wbforge.axioms import schema_axioms
 from wbforge.dl import Role
-from wbforge.dsl import parse_schema
+from wbforge.dsl import parse_instances, parse_schema
 from wbforge.expander import (ExpandedSchema, ExpandedStatement, expand, expand_statement,
                               expansion_report, object_datatype)
+from wbforge.errors import MissingRequiredError
 from wbforge.exporter import export
 from wbforge.fixtures import FIXTURE_NAMES, load_fixture
 from wbforge.model import VALUE_KINDS, XSD, Datatype
@@ -44,6 +45,23 @@ statement ex:heightCm {
 }
 """)
 
+# qualifiers and references declared out of name order, some required
+UNSORTED = parse_schema("""
+prefix ex: <http://v.example/>
+class ex:Person
+class ex:Source
+statement ex:hasName {
+  subject ex:Person
+  object string
+  qualifier ex:zeta : string required
+  qualifier ex:alpha : string
+  qualifier ex:mid : string required
+  reference ex:zRef -> item ex:Source required
+  reference ex:aRef -> item ex:Source
+  reference ex:mRef -> item ex:Source required
+}
+""")
+
 
 def _report_rows(expanded):
     """The report's `(IRI, ROLE, ORIGIN)` rows, header dropped."""
@@ -52,14 +70,22 @@ def _report_rows(expanded):
 
 
 def test_item_object_family():
-    st = expand_statement(ITEM_OBJECT.statements[0], TABLE)
-    assert set(st.statement_properties) == {"wdt", "p", "ps"}
-    assert st.statement_properties["wdt"] == Iri(DEFAULT_ROOT + "prop/direct/hasJob")
-    assert st.statement_properties["p"] == Iri(DEFAULT_ROOT + "prop/hasJob")
+    decl = ITEM_OBJECT.statements[0]
+    st = expand_statement(decl, TABLE)
+    assert st.source is decl
+    assert st.wdt == Iri(DEFAULT_ROOT + "prop/direct/hasJob")
+    assert st.p == Iri(DEFAULT_ROOT + "prop/hasJob")
+    assert st.ps == Iri(DEFAULT_ROOT + "prop/statement/hasJob")
+    assert st.psv is None                 # an item object has no value node
     # datetime qualifier mints pq and pqv, string only pq
-    assert set(st.qualifier_properties["since"]) == {"pq", "pqv"}
-    assert set(st.qualifier_properties["note"]) == {"pq"}
-    assert st.reference_properties["statedIn"] == Iri(DEFAULT_ROOT + "prop/reference/statedIn")
+    since, note = decl.qualifiers
+    assert st.qualifiers == {
+        "since": (since, DEFAULT_ROOT + "prop/qualifier/since",
+                  DEFAULT_ROOT + "prop/qualifier/value/since"),
+        "note": (note, DEFAULT_ROOT + "prop/qualifier/note", None)}
+    assert st.references == {
+        "statedIn": (decl.references[0], DEFAULT_ROOT + "prop/reference/statedIn")}
+    assert st.required_qualifiers == st.required_references == ()
     # 3 statement + 2 + 1 qualifier + 1 reference = 7 family properties
     assert len(st.family_properties()) == 7
     # the report adds the declaration's fixed rows: its provenance edge, and
@@ -74,7 +100,9 @@ def test_item_object_family():
 
 def test_data_object_mints_psv():
     st = expand_statement(DATA_OBJECT.statements[0], TABLE)
-    assert set(st.statement_properties) == {"wdt", "p", "ps", "psv"}
+    assert st.psv == Iri(DEFAULT_ROOT + "prop/statement/value/heightCm")
+    assert st.family_properties() == [st.wdt, st.p, st.ps, st.psv]
+    assert st.qualifiers == st.references == {}
     rows = _report_rows(expand(DATA_OBJECT))
     fields = {Iri(iri).local_name for iri, role, _ in rows if role == "value field"}
     assert fields == {"quantityValue", "quantityUnit"}
@@ -98,8 +126,41 @@ def test_expand_collects_value_classes():
 def test_expand_builds_only_the_families():
     assert [f.name for f in dataclasses.fields(ExpandedSchema) if f.init] == [
         "source", "statements"]
-    assert [f.name for f in dataclasses.fields(ExpandedStatement)] == [
-        "source", "statement_properties", "qualifier_properties", "reference_properties"]
+    assert ExpandedStatement._fields == (
+        "source", "wdt", "p", "ps", "psv", "qualifiers", "references",
+        "required_qualifiers", "required_references")
+
+
+def test_family_orders():
+    # qualifiers keep declaration order, references go by name, and the
+    # required names keep declaration order
+    st = expand_statement(UNSORTED.statements[0], TABLE)
+    assert list(st.qualifiers) == ["zeta", "alpha", "mid"]
+    assert list(st.references) == ["aRef", "mRef", "zRef"]
+    assert [r.name for r in st.source.references] == ["zRef", "aRef", "mRef"]
+    assert st.required_qualifiers == ("zeta", "mid")
+    assert st.required_references == ("zRef", "mRef")
+
+
+@pytest.mark.parametrize("body, missing", [
+    ("", "hasName/zeta"),
+    ('{ qualifier ex:mid = string "m" }', "hasName/zeta"),
+    ('{ qualifier ex:zeta = string "z" }', "hasName/mid"),
+    ('{ qualifier ex:zeta = string "z" qualifier ex:mid = string "m" }', "hasName/zRef"),
+    ('{ qualifier ex:zeta = string "z" qualifier ex:mid = string "m" '
+     "reference { ex:mRef -> item wd:src } }", "hasName/zRef"),
+    ('{ qualifier ex:zeta = string "z" qualifier ex:mid = string "m" '
+     "reference { ex:zRef -> item wd:src } }", "hasName/mRef"),
+])
+def test_export_names_the_first_missing_required_name_in_declaration_order(body, missing):
+    instances = parse_instances(f"""
+prefix ex: <http://v.example/>
+item wd:p : ex:Person {{ ex:hasName -> string "n" {body} }}
+item wd:src : ex:Source {{ }}
+""")
+    with pytest.raises(MissingRequiredError) as exc:
+        export(UNSORTED, instances)
+    assert exc.value.name == missing
 
 
 def test_family_count_arithmetic():

@@ -639,7 +639,7 @@ def test_minted_names_are_a_checked_head_and_hex_digits(case, root):
     table = schema.namespaces
     g = export(schema, instances)
     owner = {node: s for st in expand(schema).statements
-             for s, _, node in g.with_predicate(st.statement_properties["p"])}
+             for s, _, node in g.with_predicate(st.p)}
     typed = {}
     for node, _, cls in g.with_predicate(RDF_TYPE):
         typed.setdefault(cls, []).append(node)
@@ -746,7 +746,7 @@ def test_read_back_of_a_literal_reference_target_is_none():
     schema, instances = load_fixture("age-record")
     table = schema.namespaces
     st = expand(schema).statement("hasAgeRecord")
-    (pr,) = st.reference_properties.values()
+    ((_, pr),) = st.references.values()
     g = export(schema, instances)
     item = instances.items[0]
     node = statement_node(item.iri, item.statements[0], table)

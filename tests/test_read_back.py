@@ -67,7 +67,7 @@ def _assert_reads_agree(schema, g):
     """Every statement node under every declaration, read both ways."""
     table = schema.namespaces
     expanded = expand(schema)
-    ps = {st.statement_properties["ps"] for st in expanded.statements}
+    ps = {st.ps for st in expanded.statements}
     nodes = g.subjects(RDF_TYPE, WB_STATEMENT) + [t.s for t in g if t.p in ps]
     read = 0
     for node in sorted(set(nodes)):

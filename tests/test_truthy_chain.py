@@ -34,13 +34,12 @@ def reference_implied(expanded, g):
     triples = list(g)
     out = Counter()
     for st in expanded.statements:
-        props = st.statement_properties
         for s, p, node in triples:
-            if p != props["p"] or not isinstance(node, Iri):
+            if p != st.p or not isinstance(node, Iri):
                 continue
             for n, q, y in triples:
-                if n == node and q == props["ps"]:
-                    out[node, Triple(s, props["wdt"], y)] += 1
+                if n == node and q == st.ps:
+                    out[node, Triple(s, st.wdt, y)] += 1
     return out
 
 
@@ -98,15 +97,14 @@ def _props(b, local):
     """The (p, ps) IRIs of the first declaration, under `local` in place of its name."""
     st = expand(b.schema).statements[0]
     name = st.source.property_name
-    return tuple(Iri(st.statement_properties[ns][:-len(name)] + local)
-                 for ns in ("p", "ps"))
+    return tuple(Iri(iri[:-len(name)] + local) for iri in (st.p, st.ps))
 
 
 def test_edge_cases():
     b = load_bundle("sex-record")
     g = b.graph.copy()
     st = expand(b.schema).statements[0]
-    p, ps = st.statement_properties["p"], st.statement_properties["ps"]
+    p, ps = st.p, st.ps
     edge = next(t for t in g if t.p == p)
     base = edge.o.value.rsplit("/", 1)[0] + "/"
     other = Iri(base + "elsewhere")
@@ -122,7 +120,7 @@ def test_edge_cases():
     g.add(Triple(edge.s, undeclared_p, Iri(base + "undeclared")))
     g.add(Triple(Iri(base + "undeclared"), undeclared_ps, other))
     want = _assert_walks_agree(b.schema, g)
-    wdt = st.statement_properties["wdt"]
+    wdt = st.wdt
     assert want[edge.o, Triple(edge.s, wdt, other)] == 1
     assert {node for node, _ in want} == {t.o for t in b.graph if t.p == p}
 
