@@ -75,9 +75,9 @@ def _write(text: str, path: str) -> None:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
-            if mode is not None:
-                os.fchmod(fd, stat.S_IMODE(mode))
             fh.write(text)
+        if mode is not None:      # by path: os.fchmod is missing on Windows before 3.13
+            os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, real)
     except BaseException:
         os.unlink(tmp)

@@ -3,14 +3,16 @@
 Statements, references, and metadata value nodes have no authored
 identifiers; each gets an IRI derived from a canonical text rendering
 of its content, hashed with SHA-256 and truncated to 40 hex digits.
-Equal content therefore shares nodes across the whole graph, and the
+Every hash reads one form, the terms the graph holds: export hashes the
+terms it writes and the validator those it reads back, and model data
+reaches a hash only through the adapter `statement_content`. Equal
+content therefore shares nodes across the whole graph, and the
 exported triple set is byte-deterministic under canonical ordering.
 """
 
 from __future__ import annotations
 
 import hashlib
-import weakref
 from collections.abc import Callable, Iterable
 from operator import attrgetter
 from typing import NamedTuple
@@ -34,7 +36,6 @@ from .model import (
     ItemRef,
     RefData,
     SchemaDocument,
-    SnakData,
     StatementData,
     StringValue,
     Value,
@@ -43,8 +44,8 @@ from .model import (
 )
 from .namespaces import (
     PROV_WAS_DERIVED_FROM, RDF_TYPE, WB_ITEM, WB_REFERENCE, WB_STATEMENT, Iri, NamespaceTable,
-    iri_text, local_name)
-from .rdf import Graph, PlainTerm, PlainTriple, escape_literal
+    local_name)
+from .rdf import XSD_STRING, Graph, PlainTerm, PlainTriple, escape_literal
 
 HASH_LENGTH = 40                  # hex digits kept from the SHA-256 digest
 
@@ -53,146 +54,131 @@ def _sha40(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:HASH_LENGTH]
 
 
+# What every content hash reads: the terms the graph holds, which export
+# writes and the validator reads back. A ps:/pq: value is an item's IRI, a
+# string literal's (lexical, datatype), or a date or quantity node's field
+# texts joined by '|'.
+ReadValue = str | tuple[str, str]
+Snaks = tuple[tuple[str, str], ...]     # one reference's (pr:, target) snaks
+# a statement's content: the wdt: IRI, the ps: value, a (pq:, value) pair
+# for each qualifier value, and each reference's snaks
+StatementContent = tuple[str, ReadValue, tuple[tuple[str, ReadValue], ...], tuple[Snaks, ...]]
+
+
 class _ValueOut(NamedTuple):
-    """How a value of one type is checked and written: its ps:/pq: term, then its node if any."""
+    """How a value of one type is checked and written."""
 
     name: str                           # the value's kind, as a type check names it
-    lexical: Callable[[Value], str]     # the literal's text, or an item's IRI
-    xsd: str | None                     # the literal's xsd: type; None for an item's IRI
     node: ValueKind | None              # the value node's kind; None for items and strings
     fields: Callable[[Value], tuple] | None     # the node's field values, read in one call
-    rows: tuple[tuple[str, str | None], ...]    # per field: (predicate, xsd: type or None)
+    xsds: tuple[str | None, ...]        # per field: its xsd: type, or None for an IRI
 
 
 def _node_out(datatype: Datatype, kind: ValueKind) -> _ValueOut:
-    # the first field holds the value the literal repeats; every kind has two
-    # or more fields, so `fields` returns a tuple
-    return _ValueOut(datatype.value, attrgetter(kind.fields[0][1]), XSD[datatype], kind,
-                     attrgetter(*(attr for _, attr, _ in kind.fields)),
-                     tuple((pred, None if dt is None else XSD[dt])
-                           for pred, (_, _, dt) in zip(kind.predicates, kind.fields)))
+    # every kind has two or more fields, so `fields` returns a tuple
+    return _ValueOut(datatype.value, kind, attrgetter(*(attr for _, attr, _ in kind.fields)),
+                     tuple(None if dt is None else XSD[dt] for _, _, dt in kind.fields))
 
 
 # by exact type: the value classes have no subclasses
 _OUT: dict[type, _ValueOut] = {
-    ItemRef: _ValueOut("item", attrgetter("iri"), None, None, None, ()),
-    StringValue: _ValueOut(Datatype.STRING.value, attrgetter("text"), XSD[Datatype.STRING],
-                           None, None, ()),
+    ItemRef: _ValueOut("item", None, None, ()),
+    StringValue: _ValueOut(Datatype.STRING.value, None, None, ()),
     **{kind.value_type: _node_out(dt, kind) for dt, kind in VALUE_KINDS.items()},
 }
-# what a type check expects of a declared datatype
-_EXPECTED = {dt: dt.value for dt in Datatype}
 
 
-class LineHeads(dict):
-    """Hash preimage line heads by property name, for the IRIs under one base.
+class _Texts(dict):
+    """The exact `str` of each model `Iri` one export writes, copied on its first use."""
 
-    A name's head is its checked IRI's text in the form `form` gives,
-    worked out on the first lookup of the name and then read from the dict.
-    """
+    __slots__ = ()
 
-    __slots__ = ("_base", "_form")
-
-    def __init__(self, base: str, form: str) -> None:
-        super().__init__()
-        self._base, self._form = base, form
-
-    def __missing__(self, name: str) -> str:
-        head = self[name] = self._form.format(iri_text(self._base + name))
-        return head
+    def __missing__(self, iri: Iri) -> str:
+        text = self[iri] = str(iri)
+        return text
 
 
-class PreimageHeads(NamedTuple):
-    """The hash preimage line heads under one table, whose root they move with."""
-
-    p_line: LineHeads             # a statement's P line, `P|<wdt: IRI>`
-    q_head: LineHeads             # a Q line up to its value, `Q|<pq: IRI>|`
-    r_head: LineHeads             # a snak in an R line up to its target, `<pr: IRI>|`
-
-    @staticmethod
-    def build(table: NamespaceTable) -> PreimageHeads:
-        return PreimageHeads(
-            LineHeads(table.base("wdt"), "P|{}"), LineHeads(table.base("pq"), "Q|{}|"),
-            LineHeads(table.base("pr"), "{}|"))
+# a model value as the graph holds it: its ps:/pq: term, the form a content
+# hash reads, and for a date or quantity its node's kind and field terms
+GraphValue = tuple[PlainTerm, ReadValue, ValueKind | None, list[PlainTerm] | None]
 
 
-# by the `id` of a live table, whose dataclass hash would walk its fields
-_HEADS: dict[int, PreimageHeads] = {}
+def _graph_value(value: Value, texts: _Texts) -> GraphValue:
+    """`value` as the graph holds it, worked out once for its triples and its hashes.
 
-
-def preimage_heads(table: NamespaceTable) -> PreimageHeads:
-    """`table`'s `PreimageHeads`, built on the first call and dropped with the table."""
-    heads = _HEADS.get(id(table))
-    if heads is None:
-        heads = _HEADS[id(table)] = PreimageHeads.build(table)
-        weakref.finalize(table, _HEADS.pop, id(table), None)
-    return heads
-
-
-def canonical_value(value: Value | ReadValue) -> str:
-    """Stable one-line text form used inside hash preimages.
-
-    Of a model value, or of what the validator reads back for one: an
-    item's IRI, a string literal's `(lexical, datatype)`, or a value
-    node's field texts joined by '|', which is the text of its value.
+    A date's or quantity's form is its node's field texts joined by '|',
+    and its first field term is the ps:/pq: literal.
     """
     t = type(value)
     if t is ItemRef:
-        return value.iri
+        iri = texts[value.iri]
+        return iri, iri, None, None
     if t is StringValue:
-        return escape_literal(value.text)
-    if isinstance(value, str):            # an IRI, or a value node's joined field texts
-        return value
-    if isinstance(value, tuple):          # a literal
-        return escape_literal(value[0])
-    return "|".join(map(str, _OUT[t].fields(value)))
+        literal = (value.text, XSD_STRING)
+        return literal, literal, None, None
+    _, kind, fields, xsds = _OUT[t]
+    field_texts = [texts[f] if xsd is None else str(f) for xsd, f in zip(xsds, fields(value))]
+    terms = [text if xsd is None else (text, xsd) for xsd, text in zip(xsds, field_texts)]
+    return terms[0], "|".join(field_texts), kind, terms
 
 
-def assemble_preimage(subject: str, prop: str, value: Value | ReadValue,
-                      qualifiers: Iterable[tuple[str, Value | ReadValue]],
-                      references: Iterable[Iterable[tuple[str, str]]],
-                      table: NamespaceTable) -> str:
+def statement_content(stmt: StatementData, table: NamespaceTable) -> StatementContent:
+    """The model adapter: a statement's data as the graph terms its content
+    hash reads, each family IRI minted through `table`."""
+    term, texts = table.term, _Texts()
+    return (term("wdt", stmt.property), _graph_value(stmt.value, texts)[1],
+            tuple([(term("pq", q.name), _graph_value(q.value, texts)[1])
+                   for q in stmt.qualifiers]),
+            tuple([_snaks(ref, table) for ref in stmt.references]))
+
+
+def _snaks(ref: RefData, table: NamespaceTable) -> Snaks:
+    """The model adapter's part for one reference: its (pr:, target) snaks."""
+    return tuple([(table.term("pr", s.name), s.target) for s in ref.snaks])
+
+
+def canonical_value(value: ReadValue) -> str:
+    """A value's text in a hash preimage: an item's IRI or a value node's
+    joined field texts as they are, a string literal's escaped lexical form."""
+    return value if isinstance(value, str) else escape_literal(value[0])
+
+
+def assemble_preimage(subject: str, wdt: str, value: ReadValue,
+                      qualifiers: Iterable[tuple[str, ReadValue]],
+                      references: Iterable[Iterable[tuple[str, str]]]) -> str:
     """A statement's hash preimage: S, P, V, sorted Q, sorted R lines.
 
-    `qualifiers` are (name, value) pairs, and each reference is its
-    (name, target) snaks; values are as `canonical_value` takes them. The
-    IRI text that starts each P, Q and snak line comes from the table's
-    `PreimageHeads`, worked out once per name.
+    `qualifiers` are (pq:, value) pairs, and each reference is its
+    (pr:, target) snaks, all as the graph holds them.
     """
-    p_line, q_head, r_head = preimage_heads(table)
-    lines = [f"S|{subject}", p_line[prop], f"V|{canonical_value(value)}"]
-    lines.extend(sorted([q_head[name] + canonical_value(v) for name, v in qualifiers]))
-    lines.extend(sorted(["R|" + ";".join(sorted([_snak_text(r_head, name, target)
-                                                  for name, target in snaks]))
+    lines = [f"S|{subject}", f"P|{wdt}", f"V|{canonical_value(value)}"]
+    lines.extend(sorted([f"Q|{pq}|{canonical_value(v)}" for pq, v in qualifiers]))
+    lines.extend(sorted(["R|" + ";".join(sorted([_snak_text(pr, target)
+                                                  for pr, target in snaks]))
                          for snaks in references]))
     lines.append("")              # the final newline
     return "\n".join(lines)
 
 
-_NAME_VALUE = attrgetter("name", "value")      # of a QualifierData
-_NAME_TARGET = attrgetter("name", "target")    # of a SnakData
-
-
 def canonical_content(subject: str, stmt: StatementData, table: NamespaceTable) -> str:
     """The statement's hash preimage, from its model data."""
-    return assemble_preimage(
-        subject, stmt.property, stmt.value, map(_NAME_VALUE, stmt.qualifiers),
-        [map(_NAME_TARGET, ref.snaks) for ref in stmt.references], table)
+    return assemble_preimage(subject, *statement_content(stmt, table))
 
 
-def _snak_text(r_head: LineHeads, name: str, target: str) -> str:
+def _snak_text(pr: str, target: str) -> str:
     """`pr: IRI|target` in an R line; a delimiter in the target could merge two lines."""
     if "|" in target or ";" in target:
         raise PreimageDelimiterError(target)
-    return r_head[name] + target
+    return f"{pr}|{target}"
 
 
 def statement_hash(subject: str, stmt: StatementData | StatementContent,
                    table: NamespaceTable) -> str:
-    """The content hash: of model data, or of the content the validator reads back."""
+    """The content hash: of model data, or of the graph terms export writes
+    and the validator reads back."""
     if type(stmt) is StatementData:
-        return _sha40(canonical_content(subject, stmt, table))
-    return _sha40(assemble_preimage(subject, *stmt, table))
+        stmt = statement_content(stmt, table)
+    return _sha40(assemble_preimage(subject, *stmt))
 
 
 # A node's name is the exact `str` a graph stores, and no name is checked on
@@ -212,31 +198,23 @@ def statement_name_head(subject: str, table: NamespaceTable) -> str:
     return f"{table.base('s')}{local_name(subject)}-"
 
 
-def value_hash(value: DateTimeValue | DecimalValue | ReadNode) -> str:
-    """The value node's content hash: of a model value, or of the node the
-    validator reads back."""
-    if type(value) is tuple:
-        tag, text = value
-    else:
-        tag, text = _OUT[type(value)].node.tag, canonical_value(value)
-    return _sha40(f"{tag}|{text}")
+def value_hash(value: DateTimeValue | DecimalValue | tuple[str, str]) -> str:
+    """The value node's content hash: of a model value, or of its kind's tag
+    and joined field texts as export writes and the validator reads them."""
+    if type(value) is not tuple:
+        _, text, kind, _ = _graph_value(value, _Texts())
+        value = (kind.tag, text)
+    return _sha40("|".join(value))
 
 
 def value_node(value: DateTimeValue | DecimalValue, table: NamespaceTable) -> Iri:
-    return Iri(_value_name(value, table))
+    return Iri(table.base("v") + value_hash(value))
 
 
-def _value_name(value: DateTimeValue | DecimalValue, table: NamespaceTable) -> str:
-    return table.base("v") + value_hash(value)
-
-
-def reference_hash(ref: RefData | Iterable[tuple[str, str]], table: NamespaceTable) -> str:
-    """The snaks' hash: of model data, or of the (name, target) pairs the
-    validator reads back, in any order."""
-    r_head = preimage_heads(table).r_head
-    snaks = map(_NAME_TARGET, ref.snaks) if type(ref) is RefData else ref
-    return _sha40("".join(sorted(f"R|{_snak_text(r_head, name, target)}\n"
-                                 for name, target in snaks)))
+def reference_hash(ref: RefData | Snaks, table: NamespaceTable) -> str:
+    """The snaks' hash: of model data, or of (pr:, target) pairs, in any order."""
+    snaks = _snaks(ref, table) if type(ref) is RefData else ref
+    return _sha40("".join(sorted([f"R|{_snak_text(pr, target)}\n" for pr, target in snaks])))
 
 
 def reference_name(ref_hash: str, stmt_hash: str, table: NamespaceTable) -> str:
@@ -252,29 +230,18 @@ def reference_name(ref_hash: str, stmt_hash: str, table: NamespaceTable) -> str:
 Add = Callable[[PlainTriple], None]    # adds a triple to the export being built
 
 
-class _Texts(dict):
-    """The exact `str` of each model `Iri` one export writes, copied on its first use."""
-
-    __slots__ = ()
-
-    def __missing__(self, iri: Iri) -> str:
-        text = self[iri] = str(iri)
-        return text
-
-
-def _add_value(add: Add, texts: _Texts, node: str, edge: str, value_edge: str | None,
-               value: Value, table: NamespaceTable) -> PlainTerm:
-    """The edge to the literal, then the edge to the value node if the family has one."""
-    _, lexical, xsd, kind, fields, rows = _OUT[type(value)]
-    term = texts[lexical(value)] if xsd is None else (lexical(value), xsd)
+def _add_value(add: Add, node: str, edge: str, value_edge: str | None,
+               value: GraphValue, vbase: str) -> None:
+    """The edge to the term, then the edge to the value node if the family has
+    one; `vbase` is the table's `v:` base."""
+    term, text, kind, fields = value
     add((node, edge, term))
     if value_edge is not None:
-        vnode = _value_name(value, table)
+        vnode = vbase + value_hash((kind.tag, text))
         add((node, value_edge, vnode))
         add((vnode, RDF_TYPE, kind.class_iri))
-        for (pred, xsd), field in zip(rows, fields(value)):
-            add((vnode, pred, texts[field] if xsd is None else (str(field), xsd)))
-    return term
+        for pred, field in zip(kind.predicates, fields):
+            add((vnode, pred, field))
 
 
 def _field(prop: str, name: str | None) -> str:
@@ -290,7 +257,7 @@ def _check_item_target(iri: Iri, instances: InstanceDoc, prop: str, name: str | 
 def _check_value(vtype: ValueType, value: Value, instances: InstanceDoc,
                  prop: str, name: str | None) -> None:
     """`value` is of the declared type; an item value must be a declared item."""
-    expected = "item" if vtype.item_class is not None else _EXPECTED[vtype.datatype]
+    expected = "item" if vtype.item_class is not None else vtype.datatype.value
     got = _OUT[type(value)].name
     if got != expected:
         raise TypeMismatchError(_field(prop, name), expected, got)
@@ -312,7 +279,7 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
     triples: set[PlainTriple] = set()
     add = triples.add
     texts = _Texts()
-    ref_hashes: dict[tuple[SnakData, ...], str] = {}    # by snaks, for this export
+    ref_hashes: dict[Snaks, str] = {}       # by snaks, for this export
     ref_owners: dict[str, tuple[str, str]] = {}     # reference name -> (statement hash, item)
     for item in instances.items:
         if (schema.class_decl(item.type_class) is None
@@ -337,7 +304,7 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
 
 
 def _export_statement(add: Add, texts: _Texts, subject: str, head: str, stmt: StatementData,
-                      st: ExpandedStatement, ref_hashes: dict[tuple[SnakData, ...], str],
+                      st: ExpandedStatement, ref_hashes: dict[Snaks, str],
                       ref_owners: dict[str, tuple[str, str]], instances: InstanceDoc,
                       table: NamespaceTable) -> None:
     """Check `stmt` against its declaration's family `st` and add its triples;
@@ -371,39 +338,30 @@ def _export_statement(add: Add, texts: _Texts, subject: str, head: str, stmt: St
             if name not in snak_names:
                 raise MissingRequiredError(f"{prop}/{name}")
 
-    h = statement_hash(subject, stmt, table)
+    obj = _graph_value(value, texts)
+    qual_values = [(quals[q.name], _graph_value(q.value, texts)) for q in qualifiers]
+    ref_snaks = tuple([tuple([(refs[s.name][1], texts[s.target]) for s in ref.snaks])
+                       for ref in references])
+    content = (wdt, obj[1], tuple([(pq, qv[1]) for (_, pq, _), qv in qual_values]), ref_snaks)
+    h = statement_hash(subject, content, table)
     node = head + h
+    vbase = table.base("v")
     add((subject, p, node))
     add((node, RDF_TYPE, WB_STATEMENT))
-    add((subject, wdt, _add_value(add, texts, node, ps, psv, value, table)))
-    for q in qualifiers:
-        _, pq, pqv = quals[q.name]
-        _add_value(add, texts, node, pq, pqv, q.value, table)
+    add((subject, wdt, obj[0]))
+    _add_value(add, node, ps, psv, obj, vbase)
+    for (_, pq, pqv), qv in qual_values:
+        _add_value(add, node, pq, pqv, qv, vbase)
 
-    for ref in references:
-        ref_hash = ref_hashes.get(ref.snaks)
+    for snaks in ref_snaks:
+        ref_hash = ref_hashes.get(snaks)
         if ref_hash is None:
-            ref_hash = ref_hashes[ref.snaks] = reference_hash(ref, table)
+            ref_hash = ref_hashes[snaks] = reference_hash(snaks, table)
         rnode = reference_name(ref_hash, h, table)
         owner_hash, owner = ref_owners.setdefault(rnode, (h, subject))
         if owner_hash != h:     # another statement whose hash shares the scope's 8 digits
             raise ReferenceNameCollisionError(rnode, owner, subject)
         add((node, PROV_WAS_DERIVED_FROM, rnode))
         add((rnode, RDF_TYPE, WB_REFERENCE))
-        for snak in ref.snaks:
-            add((rnode, refs[snak.name][1], texts[snak.target]))
-
-
-# what the validator reads back -------------------------------------------
-
-# a ps:/pq: value as read back: an item's IRI, a string literal's (lexical,
-# datatype), or a date or quantity node's stored field texts joined by '|'
-ReadValue = str | tuple[str, str]
-# a date or quantity node as read back: its kind's tag and its stored field
-# texts joined by '|'
-ReadNode = tuple[str, str]
-# a statement node's content as read back, in plain tuples laid out as
-# StatementData: the property name, the ps: value, a (name, value) pair for
-# each declared qualifier value, and each reference's (name, target) snaks
-StatementContent = tuple[str, ReadValue, tuple[tuple[str, ReadValue], ...],
-                         tuple[tuple[tuple[str, str], ...], ...]]
+        for pr, target in snaks:
+            add((rnode, pr, target))

@@ -202,8 +202,8 @@ class _Checker:
 
         Read once per node and kind in a run, every field from one
         `Graph.edges` view. A text is an IRI or a canonical lexical form,
-        which for an int is `str` of its value: so the joined texts are
-        `canonical_value` of the model value export wrote the node from.
+        which for an int is `str` of its value: so the joined texts are the
+        form export hashes for the model value it wrote the node from.
         """
         key = (node, kind.tag)
         value = self.values.get(key)
@@ -337,7 +337,7 @@ class _Checker:
         refs = self.check_references(node, st, view)
         readable = value is not None and quals is not None and refs is not None
         got = self.check_hash(node, subject,
-                              (name, value, quals, tuple(refs.values())) if readable else None)
+                              (st.wdt, value, quals, tuple(refs.values())) if readable else None)
         if got is not None:
             for rnode, snaks in refs.items():
                 self.ref_node_names[rnode] = reference_name(
@@ -363,7 +363,7 @@ class _Checker:
 
     def check_qualifiers(self, node: str, st: ExpandedStatement, view: EdgeView
                          ) -> tuple[tuple[str, ReadValue], ...] | None:
-        """The declared qualifiers' (name, value) pairs as read back, or None
+        """The declared qualifiers' (pq:, value) pairs as read back, or None
         when a date or quantity value has no well-formed matching node."""
         minted_pq, quals = self.minted_pq, st.qualifiers
         for p in view:                 # another declaration's pq: edge; an unminted one is unknown
@@ -381,7 +381,7 @@ class _Checker:
                          f"{len(values)} values for functional qualifier pq:{qname}")
             for v in values:
                 self.check_qualifier_value(node, qname, q, v)
-                read.append((qname, self.read_value(view, pqv, v)))
+                read.append((pq, self.read_value(view, pqv, v)))
         return None if any(qv is None for _, qv in read) else tuple(read)
 
     def check_qualifier_value(self, node: str, qname: str, q: QualifierDecl, v: PlainTerm
@@ -398,7 +398,7 @@ class _Checker:
 
     def check_references(self, node: str, st: ExpandedStatement, view: EdgeView
                          ) -> dict[str, tuple[tuple[str, str], ...]] | None:
-        """Each reference node's declared (name, target) snaks as read back, by
+        """Each reference node's declared (pr:, target) snaks as read back, by
         node, or None when a reference node is not typed or a target is not an IRI."""
         snak_names: set[str] = set()
         read: dict[str, tuple[tuple[str, str], ...]] = {}
@@ -423,7 +423,7 @@ class _Checker:
                         cls = self.table.curie(r.target_class) or r.target_class
                         self.add("RangeViolation", target,
                                  f"target of pr:{r.name} lacks rdf:type {cls}")
-                    snaks.append((r.name, target))
+                    snaks.append((pr, target))
             read[rnode] = tuple(snaks)
         for rname in st.required_references:
             if rname not in snak_names:

@@ -2,15 +2,18 @@
 the one reader of a graph, kept as the reference for `test_read_back.py`
 and `test_exporter.py`.
 
-`read_content` reads a statement node back as plain tuples, the inverse
-of export, and `read_statement` builds the model `StatementData` from
-them. `read_value_node` reads a date or quantity node, and `_read_value`
-a ps:/pq: object; `literal_problem` says why a literal is not canonical.
-The function bodies are the earlier definitions, so that the reference
-shares no reading code with the validator it checks, except that
-`read_content` mints every family IRI it reads (ps:, psv:, pq:, pqv:, pr:)
-by name and orders the references by name itself, reading no more of the
-expanded statement than its declaration, and that every
+`_read_named` reads a statement node back by name, the inverse of export;
+`read_content` gives that read as the graph terms a content hash reads,
+and `read_statement` as the model `StatementData`. `read_value_node`
+reads a date or quantity node, and `_read_value` a ps:/pq: object;
+`literal_problem` says why a literal is not canonical. The function
+bodies are the earlier definitions, so that the reference shares no
+reading code with the validator it checks, except that `_read_named`
+mints every family IRI it reads (ps:, psv:, pq:, pqv:, pr:) by name and
+orders the references by name itself, reading no more of the expanded
+statement than its declaration; that `read_content` mints the wdt:, pq:
+and pr: IRIs of its terms and joins a value node's field texts itself;
+and that every
 fixed term (`rdf:type`, `wikibase:`, `xsd:`, `prov:`) is minted here
 through `NamespaceTable.term`, not taken from the library's constants; the
 imports differ too, and no underscore-prefixed name is imported from
@@ -106,7 +109,7 @@ def read_value_node(g: Graph, node: Iri, kind: ValueKind, table: NamespaceTable)
 
 
 def _read_value(view: EdgeView, value_prop: Iri | None, v: Term, table: NamespaceTable,
-                value_of: Callable[[Iri, ValueKind], NodeValue]) -> ReadValue | None:
+                value_of: Callable[[Iri, ValueKind], NodeValue]) -> NamedValue | None:
     """A ps:/pq: object as read back; dates and quantities need a matching node."""
     if isinstance(v, Iri) or v.datatype == table.term("xsd", "string"):
         return v
@@ -123,32 +126,29 @@ def _read_value(view: EdgeView, value_prop: Iri | None, v: Term, table: Namespac
     return None
 
 
-ValueReader = Callable[[Iri, ValueKind], NodeValue]
+# a statement node read back by name: the property name, the ps: value, a
+# (name, value) pair for each declared qualifier value, and each reference's
+# (name, target) snaks; a date or quantity is its model value
+NamedValue = Iri | Literal | DateTimeValue | DecimalValue
+NamedContent = tuple[str, NamedValue, tuple[tuple[str, NamedValue], ...],
+                     tuple[tuple[tuple[str, Iri], ...], ...]]
 
 
-def read_content(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceTable,
-                 edges: Callable[[Iri], EdgeView] | None = None,
-                 value_of: ValueReader | None = None) -> StatementContent | None:
-    """The statement content behind `node`, the inverse of export.
+def _read_named(g: Graph, node: Iri, st: ExpandedStatement,
+                table: NamespaceTable) -> NamedContent | None:
+    """The statement content behind `node` by name, the inverse of export.
 
     Only declared qualifiers and reference snaks are read, and psv:/pqv:
     edges by name, minted or not. None when the node is too broken to
     hash: not one ps: value, a date or quantity without a well-formed
-    matching value node, or a malformed reference.
-
-    The statement node and each reference node are looked at once, through
-    `edges` (`edge_view` on `g` by default); each value node is read through
-    `value_of` (`read_value_node` on `g` by default). A caller that has
-    already read some of these nodes passes memoised readers.
+    matching value node, or a malformed reference. The statement node and
+    each reference node are looked at once, through `edge_view`.
     """
-    if edges is None:
-        def edges(n: Iri) -> EdgeView:
-            return edge_view(g, n)
-    if value_of is None:
-        def value_of(vnode: Iri, kind: ValueKind) -> NodeValue:
-            return read_value_node(g, vnode, kind, table)
+    def value_of(vnode: Iri, kind: ValueKind) -> NodeValue:
+        return read_value_node(g, vnode, kind, table)
+
     decl = st.source
-    view = edges(node)
+    view = edge_view(g, node)
     ps_values = view.get(table.term("ps", decl.property_name), ())
     if len(ps_values) != 1:
         return None
@@ -156,7 +156,7 @@ def read_content(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceTab
                         value_of)
     if value is None:
         return None
-    quals: list[tuple[str, ReadValue]] = []
+    quals: list[tuple[str, NamedValue]] = []
     for q in decl.qualifiers:
         pqv = table.term("pqv", q.name)
         for v in view.get(table.term("pq", q.name), ()):
@@ -169,7 +169,7 @@ def read_content(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceTab
     for rnode in view.get(table.term("prov", "wasDerivedFrom"), ()):
         if not isinstance(rnode, Iri) or (rnode, a, reference) not in g:
             return None
-        rview = edges(rnode)
+        rview = edge_view(g, rnode)
         snaks: list[tuple[str, Iri]] = []
         for rname in sorted(r.name for r in decl.references):
             for target in rview.get(table.term("pr", rname), ()):
@@ -180,7 +180,29 @@ def read_content(g: Graph, node: Iri, st: ExpandedStatement, table: NamespaceTab
     return st.source.property_name, value, tuple(quals), tuple(refs)
 
 
-def _model_value(v: ReadValue) -> Value:
+def _term_value(v: NamedValue) -> ReadValue:
+    """A value as a content hash reads it: a date or quantity as its node's
+    field texts, an int as `str` of its value, joined by '|'."""
+    if isinstance(v, (DateTimeValue, DecimalValue)):
+        kind = next(k for k in VALUE_KINDS.values() if k.value_type is type(v))
+        return "|".join(str(getattr(v, attr)) for _, attr, _ in kind.fields)
+    return v
+
+
+def read_content(g: Graph, node: Iri, st: ExpandedStatement,
+                 table: NamespaceTable) -> StatementContent | None:
+    """`_read_named` as the graph terms a content hash reads: the wdt: IRI,
+    the ps: value, (pq:, value) pairs and each reference's (pr:, target) snaks."""
+    named = _read_named(g, node, st, table)
+    if named is None:
+        return None
+    name, value, quals, refs = named
+    return (table.term("wdt", name), _term_value(value),
+            tuple((table.term("pq", n), _term_value(v)) for n, v in quals),
+            tuple(tuple((table.term("pr", n), t) for n, t in snaks) for snaks in refs))
+
+
+def _model_value(v: NamedValue) -> Value:
     t = type(v)
     if t is Iri:
         return ItemRef(v)
@@ -191,11 +213,11 @@ def _model_value(v: ReadValue) -> Value:
 
 def read_statement(g: Graph, node: Iri, st: ExpandedStatement,
                    table: NamespaceTable) -> StatementData | None:
-    """`read_content` as model data: what export would write `node` from."""
-    content = read_content(g, node, st, table)
-    if content is None:
+    """`_read_named` as model data: what export would write `node` from."""
+    named = _read_named(g, node, st, table)
+    if named is None:
         return None
-    name, value, quals, refs = content
+    name, value, quals, refs = named
     return StatementData(
         name, _model_value(value), tuple(QualifierData(n, _model_value(v)) for n, v in quals),
         tuple(RefData(tuple(SnakData(n, t) for n, t in snaks)) for snaks in refs))

@@ -126,6 +126,18 @@ def test_output_keeps_modes_and_writes_through_a_symlink(tmp_path):
         "link.ofn", "new.ofn", "plain.ofn", "target.ofn"]
 
 
+def test_output_onto_an_existing_file_needs_no_fchmod(tmp_path, monkeypatch):
+    # os.fchmod exists on Windows only from Python 3.13
+    monkeypatch.delattr(os, "fchmod", raising=False)
+    target = tmp_path / "target.nt"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    assert main(["export", str(SCHEMA), str(INSTANCES), "-o", str(target)]) == 0
+    assert target.read_bytes() == fixture_path("age-record", "nt").read_bytes()
+    assert target.stat().st_mode & 0o7777 == 0o640
+    assert [p.name for p in tmp_path.iterdir()] == ["target.nt"]
+
+
 def test_output_to_a_device_is_written_in_place():
     assert main(["axioms", str(SCHEMA), "-o", os.devnull]) == 0
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)

@@ -23,10 +23,9 @@ from wbforge.expander import expand, expansion_report
 from wbforge import exporter
 from wbforge.exporter import (
     canonical_content,
-    canonical_value,
     export,
-    preimage_heads,
     reference_hash,
+    statement_content,
     statement_hash,
     statement_node,
     value_hash,
@@ -533,8 +532,9 @@ def test_an_item_error_names_no_statement():
                               "the schema (class not declared)")
 
 
-def test_canonical_value_joins_the_value_fields():
-    # the fields in ValueKind order, as the generator over `getattr` joined them
+def test_the_adapter_joins_a_value_nodes_fields():
+    # a date or quantity reads as its node's field texts in ValueKind order,
+    # joined by '|', as an object and as a qualifier value alike
     rng = random.Random(11)
     units = (Iri(WD + "One"), Iri(WD + "metre"), Iri("urn:x:unit"))
     values = []
@@ -544,8 +544,10 @@ def test_canonical_value_joins_the_value_fields():
         values.append(DateTimeValue(t.iso, t.precision, t.timezone, rng.choice(units)))
     for value in values:
         fields = KIND_BY_TYPE[type(value)].fields
-        assert canonical_value(value) == "|".join(
-            str(getattr(value, attr)) for _, attr, _ in fields)
+        joined = "|".join(str(getattr(value, attr)) for _, attr, _ in fields)
+        assert statement_content(StatementData("hasJob", value), TABLE)[1] == joined
+        qualified = StatementData("hasJob", JOB, (QualifierData("amount", value),))
+        assert statement_content(qualified, TABLE)[2] == ((TABLE.term("pq", "amount"), joined),)
 
 
 def test_generic_item_class_is_always_allowed():
@@ -600,16 +602,19 @@ def test_export_hashes_each_statement_once(name, monkeypatch):
     from wbforge import exporter
 
     schema, instances = load_fixture(name)
+    table = schema.namespaces
     calls = []
 
-    def counting(subject, stmt, table):
-        calls.append(stmt)
-        return statement_hash(subject, stmt, table)
+    def counting(subject, content, table_):
+        calls.append(content)
+        return statement_hash(subject, content, table_)
 
     monkeypatch.setattr(exporter, "statement_hash", counting)
     g = export(schema, instances)
+    # one content tuple per statement, the graph terms the model adapter gives
     statements = [s for item in instances.items for s in item.statements]
-    assert calls == statements
+    assert all(type(content) is tuple for content in calls)
+    assert calls == [statement_content(s, table) for s in statements]
     for item in instances.items:
         for stmt in item.statements:
             assert statement_node(item.iri, stmt, schema.namespaces) in {t.o for t in g}
@@ -694,17 +699,24 @@ def test_export_hashes_each_snak_tuple_once(case, monkeypatch):
         schema, instances = SCHEMA, parse_instances(_SHARED_SOURCES_TEXT)
     else:
         schema, instances = _rooted(case, DEFAULT_ROOT)
+    table = schema.namespaces
     calls = []
 
-    def counting(ref, table):
-        calls.append(ref.snaks)
-        return reference_hash(ref, table)
+    def counting(snaks, table_):
+        calls.append(snaks)
+        return reference_hash(snaks, table_)
 
     monkeypatch.setattr(exporter, "reference_hash", counting)
+    # one (pr:, target) tuple per snak tuple, the graph terms the model adapter
+    # gives, in the order export first meets them
+    expected = list(dict.fromkeys(snaks for item in instances.items for stmt in item.statements
+                                  for snaks in statement_content(stmt, table)[3]))
+    assert len(expected) == len(_snak_tuples(instances))
     for _ in range(2):            # the memo lasts one export
         calls.clear()
         g = export(schema, instances)
-        assert calls == _snak_tuples(instances)
+        assert all(type(snaks) is tuple for snaks in calls)
+        assert calls == expected
     if case == "shared-sources":
         assert len(calls) == 2 and len(list(g.with_predicate(PROV_WAS_DERIVED_FROM))) == 4
 
@@ -804,23 +816,6 @@ def test_fixed_terms_are_every_tables_terms(table):
     for kind in VALUE_KINDS.values():
         assert kind.class_iri == term("wikibase", kind.node_class)
         assert kind.predicates == tuple(term("wikibase", local) for local, _, _ in kind.fields)
-
-
-def test_preimage_heads_move_with_the_root_and_are_kept_per_table():
-    table = NamespaceTable("http://other.example/")
-    heads = preimage_heads(table)
-    assert preimage_heads(table) is heads
-    assert preimage_heads(NamespaceTable("http://other.example/")) is not heads
-    assert heads.p_line["hasJob"] == "P|http://other.example/prop/direct/hasJob"
-    assert heads.q_head["atTime"] == "Q|http://other.example/prop/qualifier/atTime|"
-    assert heads.r_head["taxRecord"] == "http://other.example/prop/reference/taxRecord|"
-
-
-def test_preimage_heads_are_dropped_with_their_table():
-    kept = len(exporter._HEADS)
-    for _ in range(50):
-        preimage_heads(NamespaceTable("http://other.example/"))
-    assert len(exporter._HEADS) == kept
 
 
 def test_property_name_is_kept_without_touching_equality():

@@ -1,13 +1,14 @@
 """Read-back: the hash check's preimage against the reference model read.
 
-The validator hashes a statement node from the plain tuples its own checks
+The validator hashes a statement node from the graph terms its own checks
 read, sent straight to `assemble_preimage`. `reference_read` keeps the
-earlier separate walk: `read_content` gives the same tuples, and
-`read_statement` builds the model `StatementData` from them, which
-`canonical_content` renders through the same assembler. All must give one
-preimage for every node, and fail together, on clean, mutated and randomly
-edited graphs. The checker's value-node reader is held to the reference's
-`read_value_node` on the same graphs.
+earlier separate walk: `read_content` gives the same terms, and
+`read_statement` builds the model `StatementData`, which `canonical_content`
+turns into them through the model adapter. All must give one preimage for
+every node, and fail together, on clean, mutated and randomly edited
+graphs. Export and the validator must hand `statement_hash` one content
+for each statement node. The checker's value-node reader is held to the
+reference's `read_value_node` on the same graphs.
 """
 
 import random
@@ -24,16 +25,17 @@ import hash_oracle as oracle
 from generators import random_instances, random_schema
 from reference_read import read_content, read_statement, read_value_node
 from report_corpus import _edit
-from wbforge import validator
+from wbforge import exporter, validator
 from wbforge.errors import PreimageDelimiterError
 from wbforge.expander import expand
 from wbforge.dsl import parse_instances, parse_schema
 from wbforge.exporter import (
     assemble_preimage,
     canonical_content,
-    canonical_value,
     export,
+    statement_content,
     statement_hash,
+    statement_name_head,
     value_node,
 )
 from wbforge.fixtures import FIXTURE_NAMES, MUTATIONS, load_bundle
@@ -56,9 +58,9 @@ def _model_preimage(g, node, st, table, subject):
         return exc.iri
 
 
-def _content_preimage(content, table, subject):
+def _content_preimage(content, subject):
     try:
-        return assemble_preimage(subject, *content, table)
+        return assemble_preimage(subject, *content)
     except PreimageDelimiterError as exc:
         return exc.iri
 
@@ -79,7 +81,7 @@ def _assert_reads_agree(schema, g):
                 if content is None:
                     assert want is None, node
                 else:
-                    assert _content_preimage(content, table, subject) == want, node
+                    assert _content_preimage(content, subject) == want, node
                     read += 1
     return read
 
@@ -98,7 +100,7 @@ def _assert_check_hashes_the_model_read(schema, g, monkeypatch):
     hashed = []
 
     def recording_hash(subject, content, table_):
-        hashed.append((subject, _content_preimage(content, table_, subject)))
+        hashed.append((subject, _content_preimage(content, subject)))
         return statement_hash(subject, content, table_)
 
     monkeypatch.setattr(validator, "statement_hash", recording_hash)
@@ -164,6 +166,85 @@ def test_edited_random_exports_read_back_alike(seed, monkeypatch):
         _assert_check_hashes_the_model_read(schema, edited, monkeypatch)
 
 
+def _export_handing(schema, instances, monkeypatch):
+    """The export of `instances`, and the content export hands `statement_hash`
+    for each statement node, by node."""
+    handed = {}
+
+    def recording_hash(subject, content, table):
+        h = statement_hash(subject, content, table)
+        handed[statement_name_head(subject, table) + h] = content
+        return h
+
+    monkeypatch.setattr(exporter, "statement_hash", recording_hash)
+    g = export(schema, instances)
+    monkeypatch.undo()
+    return g, handed
+
+
+def _validator_handing(schema, g, monkeypatch):
+    """The content the validator hands `statement_hash` for each statement node, by node."""
+    handed, checking = {}, []
+    check_hash = validator._Checker.check_hash
+
+    def recording_check(self, node, subject, content):
+        checking[:] = [node]
+        return check_hash(self, node, subject, content)
+
+    def recording_hash(subject, content, table):
+        handed[checking[0]] = content
+        return statement_hash(subject, content, table)
+
+    monkeypatch.setattr(validator._Checker, "check_hash", recording_check)
+    monkeypatch.setattr(validator, "statement_hash", recording_hash)
+    validate(schema, g)
+    monkeypatch.undo()
+    return handed
+
+
+def _order_free(content):
+    """Content as its hash reads it, with qualifier, reference and snak order dropped."""
+    wdt, value, quals, refs = content
+    return wdt, value, sorted(quals, key=repr), sorted(sorted(snaks) for snaks in refs)
+
+
+def _agreement_cases():
+    cases = [pytest.param(name, None, id=name) for name in FIXTURE_NAMES]
+    cases += [pytest.param(owner, m, id=f"{owner}-{m.code}")
+              for owner, mutations in MUTATIONS.items() for m in mutations]
+    return cases + [pytest.param(seed, None, id=f"seed{seed}") for seed in range(20)]
+
+
+@pytest.mark.parametrize("case,mutation", _agreement_cases())
+def test_export_and_validate_hand_statement_hash_one_content(case, mutation, monkeypatch):
+    # one form, held structurally: for each statement node, the content export
+    # hashes is the content the validator reads back and hashes
+    if isinstance(case, str):
+        b = load_bundle(case)
+        schema, instances = b.schema, b.instances
+    else:
+        rng = random.Random(case)
+        schema = random_schema(rng)
+        instances = random_instances(rng, schema)
+    g, exported = _export_handing(schema, instances, monkeypatch)
+    if mutation is None:
+        read = _validator_handing(schema, g, monkeypatch)
+        assert read.keys() == exported.keys() and read
+    else:
+        # a statement node the recipe edited, or whose value or reference
+        # nodes it edited, holds other content now; every other node reads
+        # back as written. An item's own edges are no statement's content.
+        mutated = mutation.apply(b)
+        items = {item.iri for item in instances.items}
+        edited = {t.s for t in set(g) ^ set(mutated)} - items
+        read = _validator_handing(schema, mutated, monkeypatch)
+        read = {node: content for node, content in read.items() if node not in edited
+                and not any(t.o in edited for t in g.match(node, None, None))}
+        assert read.keys() <= exported.keys() and read
+    for node, content in read.items():
+        assert _order_free(content) == _order_free(exported[node]), node
+
+
 def test_a_semicolon_target_fails_both_reads_alike():
     b = load_bundle("sex-record")
     manifest = Iri(DEFAULT_ROOT + "entity/manifest")
@@ -174,23 +255,25 @@ def test_a_semicolon_target_fails_both_reads_alike():
                     for n in g.subjects(RDF_TYPE, WB_STATEMENT)
                     if read_content(g, n, st, b.table) is not None)
     with pytest.raises(PreimageDelimiterError):
-        assemble_preimage(_ELSEWHERE, *read_content(g, node, st, b.table), b.table)
+        assemble_preimage(_ELSEWHERE, *read_content(g, node, st, b.table))
 
 
 def test_frozen_preimages_through_the_assembler():
     table = NamespaceTable()
     wd = DEFAULT_ROOT + "entity/"
     employee, job = Iri(wd + "employee0"), Iri(wd + "job0")
-    at_time = ("atTime", DateTimeValue("2001-01-01T00:00:00Z"))
-    snaks = (("taxRecord", Iri(wd + "doc1")),)
+    # a date reads as its node's field texts: time, precision, timezone, calendar
+    at_time = (table.term("pq", "atTime"),
+               f"2001-01-01T00:00:00Z|11|0|{DEFAULT_ROOT}entity/ProlepticGregorian")
+    snaks = ((table.term("pr", "taxRecord"), Iri(wd + "doc1")),)
     cases = [
         ((), (), oracle.PREIMAGE_BARE, oracle.HASH_BARE),
         ((at_time,), (), oracle.PREIMAGE_QUALIFIED, oracle.HASH_QUALIFIED),
         ((at_time,), (snaks,), oracle.PREIMAGE_REFERENCED, oracle.HASH_REFERENCED),
     ]
     for quals, refs, preimage, digest in cases:
-        content = ("hasJob", job, quals, refs)
-        assert assemble_preimage(employee, *content, table) == preimage
+        content = (table.term("wdt", "hasJob"), job, quals, refs)
+        assert assemble_preimage(employee, *content) == preimage
         assert statement_hash(employee, content, table) == digest
 
 
@@ -203,7 +286,7 @@ def test_a_string_value_reads_back_as_its_literal():
                 if read_content(b.graph, n, st, table) is not None)
     content = read_content(b.graph, node, st, table)
     assert type(content[1]) is Literal
-    assert (assemble_preimage(_ELSEWHERE, *content, table)
+    assert (assemble_preimage(_ELSEWHERE, *content)
             == canonical_content(_ELSEWHERE, read_statement(b.graph, node, st, table), table))
 
 
@@ -294,31 +377,37 @@ def _node_values(instances):
                     yield value
 
 
-def _assert_joined_texts_are_canonical(schema, instances):
+def _assert_joined_texts_are_the_adapters_form(schema, instances):
     """Each value node of the export reads as the field texts whose join is
-    `canonical_value` of the model value it was written from. Gives the
+    the value's form in the model adapter's statement content. Gives the
     number of value nodes."""
     table = schema.namespaces
     g = export(schema, instances)
     checker = validator._Checker(expand(schema), g)
     kinds = {kind.value_type: kind for kind in VALUE_KINDS.values()}
     read = set()
-    for value in _node_values(instances):
-        node = value_node(value, table)
-        assert "|".join(checker.value_node(node, kinds[type(value)])) == canonical_value(value)
-        read.add(node)
+    for item in instances.items:
+        for stmt in item.statements:
+            _, form, quals, _ = statement_content(stmt, table)
+            pairs = [(stmt.value, form)]
+            pairs += [(q.value, qform) for q, (_, qform) in zip(stmt.qualifiers, quals)]
+            for value, form in pairs:
+                if type(value) in kinds:
+                    node = value_node(value, table)
+                    assert "|".join(checker.value_node(node, kinds[type(value)])) == form
+                    read.add(node)
     assert read == {n for kind in VALUE_KINDS.values()
                     for n in g.subjects(RDF_TYPE, Iri(kind.class_iri))}
     return len(read)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_joined_field_texts_are_the_canonical_value_on_fixtures(name):
+def test_joined_field_texts_are_the_adapters_value_form_on_fixtures(name):
     b = load_bundle(name)
-    _assert_joined_texts_are_canonical(b.schema, b.instances)
+    _assert_joined_texts_are_the_adapters_form(b.schema, b.instances)
 
 
-def test_joined_field_texts_are_the_canonical_value_on_a_record_export():
+def test_joined_field_texts_are_the_adapters_value_form_on_a_record_export():
     schema = parse_schema(corpus.RECORD_SCHEMA)
     text = corpus.record_instances(random.Random(1), 200).text + _SIGNED_RECORDS
     instances = parse_instances(text)
@@ -326,4 +415,4 @@ def test_joined_field_texts_are_the_canonical_value_on_a_record_export():
     assert any(type(v) is DecimalValue and v.amount.startswith("-") for v in values)
     assert any(type(v) is DateTimeValue and v.timezone < 0 for v in values)
     assert {v.precision for v in values if type(v) is DateTimeValue} >= {0, 9, 14}
-    assert _assert_joined_texts_are_canonical(schema, instances) > 200
+    assert _assert_joined_texts_are_the_adapters_form(schema, instances) > 200
