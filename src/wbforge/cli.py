@@ -21,7 +21,7 @@ from typing import TypeVar
 
 from .axioms import schema_axioms, serialize_axioms
 from .dsl import parse_instances, parse_schema
-from .errors import BlankNodeUnsupportedError, DslSyntaxError, NtSyntaxError, WbforgeError
+from .errors import DslSyntaxError, NtSyntaxError, WbforgeError
 from .expander import expand, expansion_report
 from .exporter import export
 from .namespaces import DEFAULT_ROOT
@@ -106,7 +106,7 @@ def _parse(parse: Callable[..., T], path: str, *args: str) -> T:
         return parse(text, *args)
     except DslSyntaxError as exc:
         raise WbforgeError(f"{path}:{exc.line}:{exc.col}: expected {exc.expected}") from None
-    except (NtSyntaxError, BlankNodeUnsupportedError) as exc:
+    except NtSyntaxError as exc:
         raise WbforgeError(f"{path}:{exc.line}: {exc.message}") from None
 
 

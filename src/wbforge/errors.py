@@ -30,12 +30,10 @@ class NtSyntaxError(WbforgeError):
         self.message = message
 
 
-class BlankNodeUnsupportedError(WbforgeError):
+class BlankNodeUnsupportedError(NtSyntaxError):
     # the canonical graph model is ground; blank nodes are rejected, not skolemized
     def __init__(self, line: int) -> None:
-        self.message = "blank nodes are not supported"
-        super().__init__(f"line {line}: {self.message}")
-        self.line = line
+        super().__init__(line, "blank nodes are not supported")
 
 
 class DuplicateDeclarationError(WbforgeError):
@@ -96,6 +94,13 @@ class TypeMismatchError(WbforgeError):
         self.name = name
         self.expected = expected
         self.got = got
+
+
+class RepeatedContentError(WbforgeError):
+    # the graph holds a repeat once, so a hash that counted it would not read back
+    def __init__(self, name: str, detail: str) -> None:
+        super().__init__(f"{name}: {detail}")
+        self.name = name
 
 
 class MissingRequiredError(WbforgeError):

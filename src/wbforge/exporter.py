@@ -14,21 +14,20 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Callable, Iterable
-from operator import attrgetter
-from typing import NamedTuple
 
 from .errors import (
     MissingRequiredError,
     PreimageDelimiterError,
     ReferenceNameCollisionError,
+    RepeatedContentError,
     TypeMismatchError,
     UnresolvedNameError,
     WbforgeError,
 )
 from .expander import ExpandedStatement, expand
 from .model import (
+    KIND_BY_TYPE,
     VALUE_KINDS,
-    XSD,
     Datatype,
     DateTimeValue,
     DecimalValue,
@@ -65,27 +64,10 @@ Snaks = tuple[tuple[str, str], ...]     # one reference's (pr:, target) snaks
 StatementContent = tuple[str, ReadValue, tuple[tuple[str, ReadValue], ...], tuple[Snaks, ...]]
 
 
-class _ValueOut(NamedTuple):
-    """How a value of one type is checked and written."""
-
-    name: str                           # the value's kind, as a type check names it
-    node: ValueKind | None              # the value node's kind; None for items and strings
-    fields: Callable[[Value], tuple] | None     # the node's field values, read in one call
-    xsds: tuple[str | None, ...]        # per field: its xsd: type, or None for an IRI
-
-
-def _node_out(datatype: Datatype, kind: ValueKind) -> _ValueOut:
-    # every kind has two or more fields, so `fields` returns a tuple
-    return _ValueOut(datatype.value, kind, attrgetter(*(attr for _, attr, _ in kind.fields)),
-                     tuple(None if dt is None else XSD[dt] for _, _, dt in kind.fields))
-
-
-# by exact type: the value classes have no subclasses
-_OUT: dict[type, _ValueOut] = {
-    ItemRef: _ValueOut("item", None, None, ()),
-    StringValue: _ValueOut(Datatype.STRING.value, None, None, ()),
-    **{kind.value_type: _node_out(dt, kind) for dt, kind in VALUE_KINDS.items()},
-}
+# each value class's name, as a type check names it
+_TYPE_NAME: dict[type, str] = {
+    ItemRef: "item", StringValue: Datatype.STRING.value,
+    **{kind.value_type: dt.value for dt, kind in VALUE_KINDS.items()}}
 
 
 class _Texts(dict):
@@ -116,8 +98,8 @@ def _graph_value(value: Value, texts: _Texts) -> GraphValue:
     if t is StringValue:
         literal = (value.text, XSD_STRING)
         return literal, literal, None, None
-    _, kind, fields, xsds = _OUT[t]
-    field_texts = [texts[f] if xsd is None else str(f) for xsd, f in zip(xsds, fields(value))]
+    xsds = (kind := KIND_BY_TYPE[t]).xsds
+    field_texts = [texts[f] if xsd is None else str(f) for xsd, f in zip(xsds, kind.read(value))]
     terms = [text if xsd is None else (text, xsd) for xsd, text in zip(xsds, field_texts)]
     return terms[0], "|".join(field_texts), kind, terms
 
@@ -258,7 +240,7 @@ def _check_value(vtype: ValueType, value: Value, instances: InstanceDoc,
                  prop: str, name: str | None) -> None:
     """`value` is of the declared type; an item value must be a declared item."""
     expected = "item" if vtype.item_class is not None else vtype.datatype.value
-    got = _OUT[type(value)].name
+    got = _TYPE_NAME[type(value)]
     if got != expected:
         raise TypeMismatchError(_field(prop, name), expected, got)
     if vtype.item_class is not None:
@@ -269,8 +251,9 @@ def export(schema: SchemaDocument, instances: InstanceDoc) -> Graph:
     """Deterministic instance graph for the declared statements.
 
     Raises on data that cannot be exported faithfully: values of the
-    wrong kind, missing required qualifiers or references, and names or
-    items that no declaration covers. Such an error raised for a statement
+    wrong kind, missing required qualifiers or references, a second value
+    for a qualifier, a repeated snak or reference, and names or items that
+    no declaration covers. Such an error raised for a statement
     names its item and its 1-based place among the item's statements. The
     triples are collected plain in one set, which becomes the graph's store.
     """
@@ -316,22 +299,28 @@ def _export_statement(add: Add, texts: _Texts, subject: str, head: str, stmt: St
         stmt.property, stmt.value, stmt.qualifiers, stmt.references)
     _check_value(decl.object_spec, value, instances, prop, None)
 
+    present: set[str] = set()           # the qualifier names given so far
     for q in qualifiers:
         decl_q = quals.get(q.name)
         if decl_q is None:
             raise UnresolvedNameError(q.name, f"qualifier not declared on {prop}")
+        if q.name in present:
+            raise RepeatedContentError(_field(prop, q.name), "a qualifier given twice")
+        present.add(q.name)
         _check_value(decl_q[0].qtype, q.value, instances, prop, q.name)
-    if required_quals:
-        present = {q.name for q in qualifiers}
-        for name in required_quals:
-            if name not in present:
-                raise MissingRequiredError(f"{prop}/{name}")
+    for name in required_quals:
+        if name not in present:
+            raise MissingRequiredError(f"{prop}/{name}")
 
     for ref in references:
         for snak in ref.snaks:
             if snak.name not in refs:
                 raise UnresolvedNameError(snak.name, f"reference not declared on {prop}")
             _check_item_target(snak.target, instances, prop, snak.name)
+        if len(ref.snaks) > 1 and len(set(ref.snaks)) < len(ref.snaks):
+            raise RepeatedContentError(prop, "a reference gives one snak twice")
+    if len(references) > 1 and len({frozenset(ref.snaks) for ref in references}) < len(references):
+        raise RepeatedContentError(prop, "two references give the same snaks")
     if required_refs:
         snak_names = {s.name for ref in references for s in ref.snaks}
         for name in required_refs:

@@ -11,10 +11,11 @@ structurally.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from functools import cached_property
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import MalformedValueError
@@ -222,6 +223,8 @@ class ValueKind(NamedTuple):
     origins: tuple[str, ...]      # cited by the node's shape and ValueNodeMalformed
     class_iri: str                # the wikibase: node class
     predicates: tuple[str, ...]   # the wikibase: field predicates, in `fields` order
+    xsds: tuple[str | None, ...]  # per field: its xsd: type, or None for an IRI
+    read: Callable[[Value], tuple]    # a value's field values (two or more), in order
 
 
 def _value_kind(node_class: str, value_type: type, tag: str,
@@ -229,7 +232,9 @@ def _value_kind(node_class: str, value_type: type, tag: str,
                 origins: tuple[str, ...]) -> ValueKind:
     return ValueKind(node_class, value_type, tag, fields, origins,
                      fixed_term("wikibase", node_class),
-                     tuple(fixed_term("wikibase", local) for local, _, _ in fields))
+                     tuple(fixed_term("wikibase", local) for local, _, _ in fields),
+                     tuple(None if dt is None else XSD[dt] for _, _, dt in fields),
+                     attrgetter(*(attr for _, attr, _ in fields)))
 
 
 # keyed by the literal datatype whose values carry a node
@@ -261,8 +266,9 @@ TYPED_ORIGINS: dict[Datatype, dict[str, str]] = {
 }
 
 
-# by the literal type of the value a node holds
+# by the literal type of the value a node holds, and by a model value's exact class
 KIND_BY_XSD: dict[str, ValueKind] = {XSD[dt]: kind for dt, kind in VALUE_KINDS.items()}
+KIND_BY_TYPE: dict[type, ValueKind] = {kind.value_type: kind for kind in VALUE_KINDS.values()}
 
 
 def needed_value_kinds(decls: Iterable[StatementDecl]) -> list[ValueKind]:

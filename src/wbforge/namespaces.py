@@ -153,7 +153,6 @@ class NamespaceTable:
     root: str = DEFAULT_ROOT
     user: tuple[tuple[str, str], ...] = ()
     _bases: dict[str, str] = field(init=False, repr=False, compare=False)
-    _terms: dict[tuple[str, str], Iri] = field(init=False, repr=False, compare=False)
     _curies: dict[str, str | None] = field(init=False, repr=False, compare=False)
     # base -> its first prefix, built on the first `curie` miss
     _prefix_of_base: dict[str, str] = field(init=False, repr=False, compare=False)
@@ -166,7 +165,7 @@ class NamespaceTable:
 
     def _start(self, bases: dict[str, str]) -> None:
         # past the frozen __setattr__: the bindings, and empty memos
-        self.__dict__.update(_bases=bases, _terms={}, _curies={}, _prefix_of_base={})
+        self.__dict__.update(_bases=bases, _curies={}, _prefix_of_base={})
 
     def with_prefix(self, prefix: str, base: str) -> NamespaceTable:
         """This table plus one user prefix; only the new base is checked."""
@@ -184,17 +183,9 @@ class NamespaceTable:
             raise UnknownPrefixError(prefix) from None
 
     def term(self, prefix: str, local: str) -> Iri:
-        """`local` under `prefix`, minted and checked once per table.
-
-        For the property family terms that every statement repeats, and
-        the CURIEs of a parsed document; the memo keeps each term asked
-        for, and no term whose IRI is invalid. A term under a fixed prefix
-        is the same under every table: `fixed_term` gives it without one.
-        """
-        iri = self._terms.get((prefix, local))
-        if iri is None:
-            iri = self._terms[prefix, local] = Iri(self.base(prefix) + local)
-        return iri
+        """`local` under `prefix`, checked; no memo, as the parser and `expand` ask once
+        per name. A fixed prefix's term is every table's: `fixed_term` gives it."""
+        return Iri(self.base(prefix) + local)
 
     def prefixes(self) -> list[tuple[str, str]]:
         """All bindings, fixed first in canonical order, then user order."""
@@ -244,8 +235,7 @@ def expand_iri(text: str, table: NamespaceTable) -> Iri:
     """Resolve '<absolute>' or 'prefix:local' to an Iri.
 
     Absolute IRIs are passed through unchanged (idempotent); anything
-    unbracketed must be a CURIE under a known prefix, and resolves through
-    the table's term memo, so each distinct CURIE is minted once.
+    unbracketed must be a CURIE under a known prefix, minted by `table.term`.
     """
     if text.startswith("<") and text.endswith(">"):
         return Iri(text[1:-1])

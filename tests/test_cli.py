@@ -456,6 +456,32 @@ def test_export_of_two_statements_minting_one_reference_name_exits_2(tmp_path, c
         "<http://wikibase.example/entity/a154832>\n")
 
 
+_AT_TIME = "    qualifier rec:atTime = datetime 1851-02-03T00:00:00Z\n"
+_SOURCE = "    reference { rec:isDirectlyBasedOn -> item wd:parishRegister }\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (_AT_TIME, _AT_TIME + _AT_TIME.replace("1851", "1852"),
+     "hasNameRecord/atTime: a qualifier given twice"),
+    (_SOURCE, _SOURCE * 2, "hasNameRecord: two references give the same snaks"),
+    (_SOURCE, _SOURCE.replace("}", "rec:isDirectlyBasedOn -> item wd:parishRegister }"),
+     "hasNameRecord: a reference gives one snak twice"),
+], ids=["qualifier", "reference", "snak"])
+def test_export_of_a_repeat_the_graph_would_hold_once_exits_2(old, new, message, tmp_path,
+                                                              capsys):
+    # a graph with the repeat would fail its own validation
+    instances = tmp_path / "repeat.wbi"
+    instances.write_text(fixture_path("name-record", "wbi").read_text().replace(old, new))
+    nt = tmp_path / "out.nt"
+    nt.write_text("kept\n")
+    schema = fixture_path("name-record", "wbs")
+    assert main(["export", str(schema), str(instances), "-o", str(nt)]) == 2
+    assert capsys.readouterr().err == (
+        f"wbforge: {instances}: item <http://wikibase.example/entity/a1>, statement 1: "
+        f"{message}\n")
+    assert nt.read_text() == "kept\n"
+
+
 def test_a_relative_item_iri_holding_braces_and_a_bar_is_refused_before_export(tmp_path, capsys):
     # N-Triples wants absolute IRIs without `{ } | ^` or a backtick, so export must not write one
     instances = tmp_path / "i.wbi"

@@ -391,8 +391,12 @@ def test_a_fault_after_a_valid_use_of_its_iri_names_its_own_line(position, irire
 def test_parse_rejects_blank_nodes():
     with pytest.raises(BlankNodeUnsupportedError):
         parse_ntriples("_:b <http://x.example/p> <http://x.example/o> .\n")
-    with pytest.raises(BlankNodeUnsupportedError):
+    with pytest.raises(BlankNodeUnsupportedError) as info:
         parse_ntriples("<http://x.example/s> <http://x.example/p> _:b .\n")
+    # a kind of syntax error: one `except NtSyntaxError` catches both
+    assert isinstance(info.value, NtSyntaxError)
+    assert (info.value.line, info.value.message, str(info.value)) == (
+        1, "blank nodes are not supported", "line 1: blank nodes are not supported")
 
 
 @pytest.mark.parametrize("lexical", ["see _:note", "see\t_:note"])
