@@ -27,6 +27,8 @@ from .errors import (
 )
 from .model import (
     AxiomPattern,
+    CANONICAL_DATETIME,
+    CANONICAL_DECIMAL,
     ClassDecl,
     DEFAULT_PRECISION,
     DEFAULT_TIMEZONE,
@@ -153,6 +155,11 @@ class _Fault(WbforgeError):
 
 _NAME_KINDS = ("CURIE", "IRIREF")
 _CURIE = ("CURIE",)
+# Of the texts `_texts` gives, one that opens with '"' and has more
+# characters is a STRING token; one that matches `CANONICAL_DATETIME`, the
+# DATETIME pattern, is a DATETIME token; and one that matches
+# `CANONICAL_DECIMAL` is an INT or DECIMAL token.
+_IS_STRING = re.compile('".', re.DOTALL).match
 
 
 class _Stream:
@@ -160,7 +167,8 @@ class _Stream:
 
     A text's kind depends on the text alone, so keywords and punctuation
     are checked by text, and `kinds` keeps each distinct text's kind, its
-    `_TOKEN_RE` match, once `expect` or `check` has needed it. Each name
+    `_TOKEN_RE` match, once `expect` or `check` has needed it; a literal
+    whose text tells its kind (`literal`) is not kept there. Each name
     resolves once per parse: a prefix declaration only adds a binding,
     never rebinds one, and a name that fails to resolve ends the parse, so
     a memo hit is the IRI under every later table. A fault is a `_Fault` at
@@ -201,6 +209,19 @@ class _Stream:
         """The kind of `text`, not yet in `kinds`: a caller reads the memo first."""
         kind = self.kinds[text] = _TOKEN_RE.match(text).lastgroup
         return kind
+
+    def literal(self, fits: Callable[[str], object], kinds: tuple[str, ...], what: str) -> int:
+        """The index of the next token, a literal of a kind in `kinds`.
+
+        A text that `fits` is of such a kind, so only another text goes
+        through `expect`: literal texts are mostly distinct, and would
+        each leave an entry in `kinds`.
+        """
+        i = self.pos
+        if not fits(self.texts[i]):
+            return self.expect(kinds, what)
+        self.pos = i + 1
+        return i
 
     def check(self, i: int, kinds: tuple[str, ...], what: str) -> None:
         """The token at `i` must have a kind in `kinds`."""
@@ -461,11 +482,11 @@ def _item_value(ts: _Stream, defaults: _Defaults) -> ItemRef:
 
 
 def _string_value(ts: _Stream, defaults: _Defaults) -> StringValue:
-    return StringValue(_decode_string(ts, ts.expect(("STRING",), "a quoted string")))
+    return StringValue(_decode_string(ts, ts.literal(_IS_STRING, ("STRING",), "a quoted string")))
 
 
 def _decimal_value(ts: _Stream, defaults: _Defaults) -> DecimalValue:
-    num = ts.expect(("DECIMAL", "INT"), "a decimal amount")
+    num = ts.literal(CANONICAL_DECIMAL.fullmatch, ("DECIMAL", "INT"), "a decimal amount")
     unit = ts.name("a unit item", _CURIE) if ts.accept("unit") else defaults[0]
     try:
         return DecimalValue(ts.texts[num], unit)
@@ -474,7 +495,8 @@ def _decimal_value(ts: _Stream, defaults: _Defaults) -> DecimalValue:
 
 
 def _datetime_value(ts: _Stream, defaults: _Defaults) -> DateTimeValue:
-    iso = ts.texts[ts.expect(("DATETIME",), "an ISO dateTime like 2009-01-01T00:00:00Z")]
+    iso = ts.texts[ts.literal(CANONICAL_DATETIME.fullmatch, ("DATETIME",),
+                              "an ISO dateTime like 2009-01-01T00:00:00Z")]
     precision = (_parse_int(ts, "a precision integer")
                  if ts.accept("precision") else DEFAULT_PRECISION)
     tz = (_parse_int(ts, "a timezone offset in minutes")

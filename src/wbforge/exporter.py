@@ -64,10 +64,11 @@ Snaks = tuple[tuple[str, str], ...]     # one reference's (pr:, target) snaks
 StatementContent = tuple[str, ReadValue, tuple[tuple[str, ReadValue], ...], tuple[Snaks, ...]]
 
 
-# each value class's name, as a type check names it
-_TYPE_NAME: dict[type, str] = {
-    ItemRef: "item", StringValue: Datatype.STRING.value,
-    **{kind.value_type: dt.value for dt, kind in VALUE_KINDS.items()}}
+# the value class of each declared literal datatype, and each value class's
+# name as a type check names it (`Datatype.value` is a Python-level property)
+_VALUE_CLASS: dict[Datatype, type] = {
+    Datatype.STRING: StringValue, **{dt: kind.value_type for dt, kind in VALUE_KINDS.items()}}
+_TYPE_NAME: dict[type, str] = {ItemRef: "item", **{t: dt.value for dt, t in _VALUE_CLASS.items()}}
 
 
 class _Texts(dict):
@@ -239,11 +240,10 @@ def _check_item_target(iri: Iri, instances: InstanceDoc, prop: str, name: str | 
 def _check_value(vtype: ValueType, value: Value, instances: InstanceDoc,
                  prop: str, name: str | None) -> None:
     """`value` is of the declared type; an item value must be a declared item."""
-    expected = "item" if vtype.item_class is not None else vtype.datatype.value
-    got = _TYPE_NAME[type(value)]
-    if got != expected:
-        raise TypeMismatchError(_field(prop, name), expected, got)
-    if vtype.item_class is not None:
+    expected = ItemRef if vtype.item_class is not None else _VALUE_CLASS[vtype.datatype]
+    if type(value) is not expected:
+        raise TypeMismatchError(_field(prop, name), _TYPE_NAME[expected], _TYPE_NAME[type(value)])
+    if expected is ItemRef:
         _check_item_target(value.iri, instances, prop, name)
 
 
@@ -295,42 +295,41 @@ def _export_statement(add: Add, texts: _Texts, subject: str, head: str, stmt: St
     `reference_hash` of each snak tuple seen so far, and `ref_owners` the
     statement hash and item that first minted each reference name."""
     decl, wdt, p, ps, psv, quals, refs, required_quals, required_refs = st
-    prop, value, qualifiers, references = (
-        stmt.property, stmt.value, stmt.qualifiers, stmt.references)
+    prop, value, qualifiers, references = stmt
     _check_value(decl.object_spec, value, instances, prop, None)
 
     present: set[str] = set()           # the qualifier names given so far
-    for q in qualifiers:
-        decl_q = quals.get(q.name)
+    for name, qvalue in qualifiers:
+        decl_q = quals.get(name)
         if decl_q is None:
-            raise UnresolvedNameError(q.name, f"qualifier not declared on {prop}")
-        if q.name in present:
-            raise RepeatedContentError(_field(prop, q.name), "a qualifier given twice")
-        present.add(q.name)
-        _check_value(decl_q[0].qtype, q.value, instances, prop, q.name)
+            raise UnresolvedNameError(name, f"qualifier not declared on {prop}")
+        if name in present:
+            raise RepeatedContentError(_field(prop, name), "a qualifier given twice")
+        present.add(name)
+        _check_value(decl_q[0].qtype, qvalue, instances, prop, name)
     for name in required_quals:
         if name not in present:
             raise MissingRequiredError(f"{prop}/{name}")
 
-    for ref in references:
-        for snak in ref.snaks:
-            if snak.name not in refs:
-                raise UnresolvedNameError(snak.name, f"reference not declared on {prop}")
-            _check_item_target(snak.target, instances, prop, snak.name)
-        if len(ref.snaks) > 1 and len(set(ref.snaks)) < len(ref.snaks):
+    for (snaks,) in references:
+        for name, target in snaks:
+            if name not in refs:
+                raise UnresolvedNameError(name, f"reference not declared on {prop}")
+            _check_item_target(target, instances, prop, name)
+        if len(snaks) > 1 and len(set(snaks)) < len(snaks):
             raise RepeatedContentError(prop, "a reference gives one snak twice")
-    if len(references) > 1 and len({frozenset(ref.snaks) for ref in references}) < len(references):
+    if len(references) > 1 and len({frozenset(snaks) for (snaks,) in references}) < len(references):
         raise RepeatedContentError(prop, "two references give the same snaks")
     if required_refs:
-        snak_names = {s.name for ref in references for s in ref.snaks}
+        snak_names = {name for (snaks,) in references for name, _ in snaks}
         for name in required_refs:
             if name not in snak_names:
                 raise MissingRequiredError(f"{prop}/{name}")
 
     obj = _graph_value(value, texts)
-    qual_values = [(quals[q.name], _graph_value(q.value, texts)) for q in qualifiers]
-    ref_snaks = tuple([tuple([(refs[s.name][1], texts[s.target]) for s in ref.snaks])
-                       for ref in references])
+    qual_values = [(quals[name], _graph_value(qvalue, texts)) for name, qvalue in qualifiers]
+    ref_snaks = tuple([tuple([(refs[name][1], texts[target]) for name, target in snaks])
+                       for (snaks,) in references])
     content = (wdt, obj[1], tuple([(pq, qv[1]) for (_, pq, _), qv in qual_values]), ref_snaks)
     h = statement_hash(subject, content, table)
     node = head + h

@@ -5,7 +5,9 @@ declare a subject class, an object value type (item class or literal
 datatype), qualifiers, references, and optional axiom patterns.
 Instance documents hold items and the statement data to be exported.
 All types are immutable value objects so documents hash and compare
-structurally.
+structurally. The schema types and `InstanceDoc` are frozen dataclasses;
+the records an instance document holds (items, statements, values) are
+`NamedTuple`s, each equal only to a record of its own class.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import cached_property
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 from .errors import MalformedValueError
 from .namespaces import DEFAULT_ROOT, Iri, NamespaceTable, fixed_term
@@ -173,36 +175,78 @@ DEFAULT_CALENDAR = Iri(DEFAULT_ROOT + "entity/ProlepticGregorian")
 DEFAULT_UNIT = Iri(DEFAULT_ROOT + "entity/One")
 
 
-@dataclass(frozen=True)
-class ItemRef:
+# An instance record is a NamedTuple: building one makes one tuple, and it
+# hashes as the tuple of its fields, in C. A tuple equals any tuple of equal
+# items, so `_record` makes a record equal only to a record of its own
+# class: `ItemRef(x)` never equals `StringValue(x)`, nor a record a plain tuple.
+def _record_eq(self: tuple, other: object) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _record_ne(self: tuple, other: object) -> bool:
+    return type(other) is not type(self) or tuple.__ne__(self, other)
+
+
+_R = TypeVar("_R", bound=type)
+
+
+def _record(cls: _R) -> _R:
+    cls.__eq__, cls.__ne__ = _record_eq, _record_ne
+    return cls
+
+
+@_record
+class ItemRef(NamedTuple):
     iri: Iri
 
 
-@dataclass(frozen=True)
-class StringValue:
+@_record
+class StringValue(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class DecimalValue:
+# `NamedTuple` refuses a `__new__` in a class body, so a checked record's
+# fields lie in a base of its own, and the record's `__new__` checks them;
+# `_replace` builds through `_make`, which goes through that `__new__` too.
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class _DecimalFields(NamedTuple):
     amount: str                   # canonical lexical form, kept textual
-    unit: Iri = DEFAULT_UNIT
-
-    def __post_init__(self) -> None:
-        if not is_canonical(Datatype.DECIMAL, self.amount):
-            raise MalformedValueError("decimal", self.amount)
+    unit: Iri
 
 
-@dataclass(frozen=True)
-class DateTimeValue:
+@_record
+class DecimalValue(_DecimalFields):
+    __slots__ = ()
+
+    def __new__(cls, amount: str, unit: Iri = DEFAULT_UNIT) -> DecimalValue:
+        if not is_canonical(Datatype.DECIMAL, amount):
+            raise MalformedValueError("decimal", amount)
+        return tuple.__new__(cls, (amount, unit))
+
+    _make = _checked_make
+
+
+class _DateTimeFields(NamedTuple):
     iso: str                      # UTC, second resolution, Z suffix
-    precision: int = DEFAULT_PRECISION
-    timezone: int = DEFAULT_TIMEZONE
-    calendar: Iri = DEFAULT_CALENDAR
+    precision: int
+    timezone: int
+    calendar: Iri
 
-    def __post_init__(self) -> None:
-        if not is_canonical(Datatype.DATETIME, self.iso):
-            raise MalformedValueError("datetime", self.iso)
+
+@_record
+class DateTimeValue(_DateTimeFields):
+    __slots__ = ()
+
+    def __new__(cls, iso: str, precision: int = DEFAULT_PRECISION,
+                timezone: int = DEFAULT_TIMEZONE,
+                calendar: Iri = DEFAULT_CALENDAR) -> DateTimeValue:
+        if not is_canonical(Datatype.DATETIME, iso):
+            raise MalformedValueError("datetime", iso)
+        return tuple.__new__(cls, (iso, precision, timezone, calendar))
+
+    _make = _checked_make
 
 
 Value = ItemRef | StringValue | DecimalValue | DateTimeValue
@@ -278,33 +322,33 @@ def needed_value_kinds(decls: Iterable[StatementDecl]) -> list[ValueKind]:
     return [kind for dt, kind in VALUE_KINDS.items() if dt in datatypes]
 
 
-@dataclass(frozen=True)
-class QualifierData:
+@_record
+class QualifierData(NamedTuple):
     name: str
     value: Value
 
 
-@dataclass(frozen=True)
-class SnakData:
+@_record
+class SnakData(NamedTuple):
     name: str                     # reference property local name
     target: Iri
 
 
-@dataclass(frozen=True)
-class RefData:
+@_record
+class RefData(NamedTuple):
     snaks: tuple[SnakData, ...]
 
 
-@dataclass(frozen=True)
-class StatementData:
+@_record
+class StatementData(NamedTuple):
     property: str                 # statement property local name
     value: Value
     qualifiers: tuple[QualifierData, ...] = ()
     references: tuple[RefData, ...] = ()
 
 
-@dataclass(frozen=True)
-class ItemData:
+@_record
+class ItemData(NamedTuple):
     iri: Iri
     type_class: Iri
     statements: tuple[StatementData, ...] = ()

@@ -606,3 +606,46 @@ def test_each_statement_token_cut_or_swapped_faults_where_it_stands():
             with pytest.raises(DslSyntaxError) as info:
                 parse_instances(variant)
             assert (info.value.line, info.value.col, info.value.expected) == fault, variant
+
+
+# A value parser reads a literal whose text tells its kind without the kind
+# memo, and hands any other text to the kind check; each fault below is the
+# line, column and `expected` of the earlier parser, which checked every
+# literal's kind first.
+_VALUE_HEAD = "prefix ex: <http://example.org/>\nitem wd:a : ex:A {\n  ex:p -> "
+
+
+@pytest.mark.parametrize("literal, fault", [
+    ("decimal -0", (3, 19, "a canonical decimal (no leading/trailing zeros)")),
+    ("decimal 1.50", (3, 19, "a canonical decimal (no leading/trailing zeros)")),
+    ("decimal 007", (3, 19, "a canonical decimal (no leading/trailing zeros)")),
+    ("decimal x", (3, 19, "a decimal amount")),
+    ('decimal "1"', (3, 19, "a decimal amount")),
+    ("decimal 1.50 unit 3", (3, 29, "a unit item")),
+    ("decimal", (4, 1, "a decimal amount")),
+    ("datetime 2009-01-01", (3, 20, "an ISO dateTime like 2009-01-01T00:00:00Z")),
+    ("datetime 5", (3, 20, "an ISO dateTime like 2009-01-01T00:00:00Z")),
+    ('datetime "x"', (3, 20, "an ISO dateTime like 2009-01-01T00:00:00Z")),
+    ("datetime", (4, 1, "an ISO dateTime like 2009-01-01T00:00:00Z")),
+    ("string wd:x", (3, 18, "a quoted string")),
+    ("string 5", (3, 18, "a quoted string")),
+    ('string "', (3, 18, "a token (found '\"')")),
+    ('string "a\\q"', (3, 18, "a valid escape (found \\q)")),
+    ("string", (4, 1, "a quoted string")),
+])
+def test_a_bad_value_literal_faults_where_it_stands(literal, fault):
+    with pytest.raises(DslSyntaxError) as info:
+        parse_instances(_VALUE_HEAD + literal + "\n}\n")
+    assert (info.value.line, info.value.col, info.value.expected) == fault
+
+
+@pytest.mark.parametrize("literal, value", [
+    ("decimal -0.5", DecimalValue("-0.5")),
+    ("decimal 0", DecimalValue("0")),
+    ("datetime 2009-13-45T99:99:99Z", DateTimeValue("2009-13-45T99:99:99Z")),
+    ('string ""', StringValue("")),
+    ('string "a\\"b"', StringValue('a"b')),
+])
+def test_a_literal_whose_text_tells_its_kind_parses_as_before(literal, value):
+    doc = parse_instances(_VALUE_HEAD + literal + "\n}\n")
+    assert doc.items[0].statements[0].value == value

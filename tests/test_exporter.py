@@ -723,12 +723,12 @@ item wd:doc2 : ex:Job { }
 # it (an empty tuple where it cannot): a qualifier value given twice, a copy of
 # the first reference with its snaks reversed, and that reference's snaks twice.
 _REPEATS = {
-    "qualifier": lambda st: st.qualifiers and dataclasses.replace(
-        st, qualifiers=st.qualifiers + st.qualifiers[:1]),
-    "reference": lambda st: st.references and dataclasses.replace(
-        st, references=st.references + (RefData(st.references[0].snaks[::-1]),)),
-    "snak": lambda st: st.references and dataclasses.replace(
-        st, references=(RefData(st.references[0].snaks * 2),) + st.references[1:]),
+    "qualifier": lambda st: st.qualifiers and st._replace(
+        qualifiers=st.qualifiers + st.qualifiers[:1]),
+    "reference": lambda st: st.references and st._replace(
+        references=st.references + (RefData(st.references[0].snaks[::-1]),)),
+    "snak": lambda st: st.references and st._replace(
+        references=(RefData(st.references[0].snaks * 2),) + st.references[1:]),
 }
 
 
@@ -740,7 +740,7 @@ def _with_first(instances, edit):
             if edited:
                 statements = item.statements[:j] + (edited,) + item.statements[j + 1:]
                 items = list(instances.items)
-                items[i] = dataclasses.replace(item, statements=statements)
+                items[i] = item._replace(statements=statements)
                 return dataclasses.replace(instances, items=tuple(items))
     return None
 

@@ -26,8 +26,8 @@ def _wbforge_imports(path: Path) -> list[tuple[str, str]]:
 
 
 def test_the_references_are_found():
-    assert {"reference_dl.py", "reference_read.py", "reference_terms.py"} <= {
-        p.name for p in REFERENCES}
+    assert {"reference_dl.py", "reference_model.py", "reference_read.py",
+            "reference_terms.py"} <= {p.name for p in REFERENCES}
 
 
 @pytest.mark.parametrize("path", REFERENCES, ids=lambda p: p.stem)
